@@ -4,17 +4,17 @@ and tabulate security-region curves.
 Every command that produces files also writes ``manifest.json`` next to
 them recording the command, inputs, resolved options, seed and toolkit
 version; rerunning with the same inputs reproduces the outputs byte for
-byte when the built-in solver is selected.
+byte.
 
-Exit codes: 0 success, 1 input validation failure, 2 solver failure,
-3 security verification failure (frequency-constrained runs only).
+Exit codes: 0 success, 1 input validation failure (usage errors included),
+2 solver failure, 3 security verification failure (frequency-constrained
+runs only).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +24,7 @@ import yaml
 
 from . import __version__
 from .freqdyn import region_curve
-from .milp import SolveOptions, export_model, solve
+from .milp import export_model, solve
 from .scheduler import (
     SchedulerError,
     UcOptions,
@@ -49,10 +49,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SOLVER = 2
 EXIT_INSECURE = 3
-
-
-def _default_backend() -> str:
-    return os.environ.get("FREQUC_BACKEND", "auto")
 
 
 def _write_manifest(outdir: Path, command: str, inputs: dict, options: dict,
@@ -198,7 +194,6 @@ def cmd_solve(args) -> int:
         first_stage=first_stage,
         largest_loss_mode=args.mode,
     )
-    solve_options = SolveOptions(backend=args.backend)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_options = {
@@ -211,7 +206,7 @@ def cmd_solve(args) -> int:
     }
 
     model = build_uc(system, tree, options)
-    raw = solve(model, solve_options)
+    raw = solve(model)
     if raw.status != "optimal":
         lp_path = outdir / "model.lp"
         lp_path.write_text(export_model(model))
@@ -305,7 +300,6 @@ def cmd_study(args) -> int:
             system,
             demand_profile=system.demand_profile[:config["periods"]])
         tree = slice_tree(tree, 0, config["periods"])
-    solve_options = SolveOptions(backend=args.backend)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     big = largest_unit(system.generators)
@@ -323,8 +317,7 @@ def cmd_study(args) -> int:
                     first_stage=config["first_stage"],
                     largest_loss_mode=mode,
                 )
-                run = solve_rolling_horizon(cell_system, cell_tree, options,
-                                            solve_options)
+                run = solve_rolling_horizon(cell_system, cell_tree, options)
                 if not run.ok:
                     print(f"study cell (wind {capacity:g}, {mode}, "
                           f"{'secured' if enabled else 'unsecured'}): "
@@ -405,8 +398,20 @@ def cmd_region(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``EXIT_INVALID``.
+
+    argparse exits with 2 by default, which this command reserves for
+    solver failures.  Subcommand parsers inherit the class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frequc",
         description="Frequency-secured unit commitment toolkit",
     )
@@ -432,9 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop the frequency-security rows")
     q.add_argument("--no-deloading", action="store_true",
                    help="never deload the largest plant")
-    q.add_argument("--backend", default=_default_backend(),
-                   choices=("auto", "builtin", "highs"),
-                   help="mixed-integer solver backend (env FREQUC_BACKEND)")
+    q.add_argument("--backend", default="highs", choices=("highs",),
+                   help="mixed-integer solver (HiGHS is the only one)")
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_solve)
 
@@ -443,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("scenarios")
     q.add_argument("config", help="study configuration YAML")
     q.add_argument("-o", "--out", required=True)
-    q.add_argument("--backend", default=_default_backend(),
-                   choices=("auto", "builtin", "highs"))
+    q.add_argument("--backend", default="highs", choices=("highs",),
+                   help="mixed-integer solver (HiGHS is the only one)")
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_study)
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import jit_kernel
-
 
 @dataclass(frozen=True)
 class SwingInputs:
@@ -133,7 +131,7 @@ def simulate_swing(inputs: SwingInputs, step: float = 0.01) -> SwingTrace:
     )
 
 
-def _rk4_py(h2, d, r, td, p, step, n_steps):
+def _rk4(h2, d, r, td, p, step, n_steps):
     out = np.empty(n_steps + 1)
     out[0] = 0.0
     f = 0.0
@@ -151,9 +149,6 @@ def _rk4_py(h2, d, r, td, p, step, n_steps):
         f += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         out[k + 1] = f
     return out
-
-
-_rk4 = jit_kernel(_rk4_py)
 
 
 def simulate_swing_numeric(inputs: SwingInputs, step: float = 1e-4) -> SwingTrace:
@@ -194,12 +189,11 @@ class SecurityReport:
         return self.rocof_ok and self.nadir_ok and self.qss_ok
 
 
-def check_security(trace: SwingTrace, freq, demand=None, tol: float = 1e-9) -> SecurityReport:
+def check_security(trace: SwingTrace, freq, *, tol: float = 1e-9) -> SecurityReport:
     """Grade a trajectory against the frequency limits in ``freq``.
 
     ``freq`` needs ``rocof_max``, ``df_max`` and ``df_ss_max`` attributes.
-    ``demand`` is accepted for interface symmetry with the row builders;
-    the damping product is already folded into the trace.
+    The damping product is already folded into the trace.
     """
     rocof_margin = freq.rocof_max - abs(trace.initial_rocof)
     nadir_margin = trace.nadir - (-freq.df_max)

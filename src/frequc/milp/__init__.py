@@ -1,14 +1,8 @@
-"""Mixed-integer linear programming layer: model container, bounded-variable
-simplex, branch and bound, exhaustive oracle, and LP text exchange."""
+"""Mixed-integer linear programming layer: model container, HiGHS solving
+with an independent re-check, an exhaustive oracle on a dense simplex, and
+LP text exchange."""
 
-from .branch_bound import (
-    MilpSolution,
-    SolveOptions,
-    solve,
-    solve_builtin,
-    solve_exhaustive,
-    solve_lp_relaxation,
-)
+from .branch_bound import MilpSolution, SolveOptions, solve, solve_exhaustive
 from .lpio import (
     ImportedSolution,
     LpioError,
@@ -37,9 +31,7 @@ __all__ = [
     "import_solution",
     "models_equivalent",
     "solve",
-    "solve_builtin",
     "solve_exhaustive",
     "solve_lp",
-    "solve_lp_relaxation",
     "write_solution",
 ]

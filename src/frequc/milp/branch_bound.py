@@ -1,21 +1,18 @@
 """Exact MILP solving over :class:`MilpModel`.
 
-Three routes:
+Two routes:
 
-* ``solve_builtin`` -- best-bound branch and bound on the bounded-variable
-  simplex.  Node order is (bound, depth, creation index), branching picks the
-  most fractional binary with lowest-index tie-breaks, so runs are
-  reproducible bit for bit.
+* ``solve`` -- the solver: HiGHS through ``scipy.optimize.milp``, followed
+  by rounding of the binaries and an independent re-check of every bound
+  and row.  A solution that fails the re-check is not reported optimal.
 * ``solve_exhaustive`` -- enumerates every binary assignment (capped at 20)
-  and solves the continuous remainder with the same simplex.  This is the
-  independent oracle the branch-and-bound is tested against.
-* ``solve`` -- front door; dispatches to the builtin solver or, when scipy is
-  available and requested, to HiGHS via ``scipy.optimize.milp``.
+  and solves the continuous remainder with the dense simplex in
+  :mod:`.simplex`.  It shares no code with HiGHS, which makes it the
+  reference the solver is tested against.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -28,161 +25,45 @@ from .simplex import solve_lp
 @dataclass
 class SolveOptions:
     feas_tol: float = 1e-6
-    int_tol: float = 1e-6
     opt_gap: float = 1e-6
     max_nodes: int = 200_000
-    max_lp_iter: int | None = None
-    backend: str = "auto"  # "auto" | "builtin" | "highs"
 
 
 @dataclass
 class MilpSolution:
-    status: str  # "optimal" | "infeasible" | "limit" | "unbounded"
+    # "optimal" | "infeasible" | "limit" | "unbounded", or "violated" when
+    # the returned point breaks a bound or row of the model
+    status: str
     objective: float | None = None
     values: np.ndarray | None = None
     bound: float | None = None
     gap: float | None = None
     nodes: int = 0
-    iterations: int = 0
-    backend: str = "builtin"
     violations: list[str] = field(default_factory=list)
 
 
-def _have_scipy() -> bool:
-    try:
-        import scipy.optimize  # noqa: F401
-
-        return True
-    except ImportError:  # pragma: no cover - depends on environment
-        return False
-
-
 def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
-    """Solve the model with the configured backend and re-check feasibility."""
+    """Solve the model with HiGHS and re-check feasibility of the answer."""
     options = options or SolveOptions()
     model.validate()
-    backend = options.backend
-    if backend == "auto":
-        backend = "highs" if _have_scipy() else "builtin"
-    if backend == "highs":
-        sol = _solve_highs(model, options)
-    elif backend == "builtin":
-        sol = solve_builtin(model, options)
-    else:
-        raise ValueError(f"unknown backend {options.backend!r}")
-
+    sol = _solve_highs(model, options)
     if sol.values is not None:
         for j in model.binary_indices():
             sol.values[j] = float(round(sol.values[j]))
         sol.violations = model.check_feasible(sol.values, tol=10 * options.feas_tol)
+        if sol.violations and sol.status == "optimal":
+            sol.status = "violated"
     return sol
-
-
-# -- builtin branch and bound -------------------------------------------------
-
-
-def solve_builtin(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
-    options = options or SolveOptions()
-    a, senses, rhs = model.dense_rows()
-    c = model.objective_vector()
-    lb0, ub0 = model.bounds_arrays()
-    const = model.objective_constant
-    bins = model.binary_indices()
-
-    heap: list[tuple[float, int, int, dict[int, float]]] = []
-    seq = 0
-    heapq.heappush(heap, (-np.inf, 0, seq, {}))
-    incumbent_obj = np.inf
-    incumbent_x: np.ndarray | None = None
-    best_bound = -np.inf
-    nodes = 0
-    iterations = 0
-    hit_limit = False
-
-    while heap:
-        key, depth, _, fixings = heapq.heappop(heap)
-        if incumbent_x is not None and key >= incumbent_obj - 1e-12:
-            continue
-        if nodes >= options.max_nodes:
-            hit_limit = True
-            best_bound = min(key, incumbent_obj)
-            break
-        nodes += 1
-
-        lb = lb0.copy()
-        ub = ub0.copy()
-        for j, v in fixings.items():
-            lb[j] = ub[j] = v
-        res = solve_lp(c, a, senses, rhs, lb, ub, max_iter=options.max_lp_iter)
-        iterations += res.iterations
-        if res.status == "limit":
-            hit_limit = True
-            best_bound = min(key, incumbent_obj)
-            break
-        if res.status == "infeasible":
-            continue
-        obj = res.objective + const
-        if obj >= incumbent_obj - 1e-12:
-            continue
-
-        fracs = np.array([abs(res.x[j] - round(res.x[j])) for j in bins]) if bins else np.array([])
-        if fracs.size == 0 or fracs.max() <= options.int_tol:
-            incumbent_obj = obj
-            incumbent_x = res.x.copy()
-            continue
-
-        branch_var = bins[int(np.argmax(fracs))]
-        for fixed_val in (0.0, 1.0):
-            child = dict(fixings)
-            child[branch_var] = fixed_val
-            seq += 1
-            heapq.heappush(heap, (obj, depth + 1, seq, child))
-
-        if incumbent_x is not None:
-            frontier = min((entry[0] for entry in heap), default=incumbent_obj)
-            gap = (incumbent_obj - frontier) / max(1.0, abs(incumbent_obj))
-            if gap <= options.opt_gap:
-                best_bound = frontier
-                heap.clear()
-                break
-
-    if incumbent_x is None:
-        status = "limit" if hit_limit else "infeasible"
-        return MilpSolution(status, None, None, None, None, nodes, iterations, "builtin")
-    if not hit_limit and not heap:
-        best_bound = incumbent_obj
-    elif best_bound == -np.inf:
-        best_bound = min((entry[0] for entry in heap), default=incumbent_obj)
-    gap = (incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
-    status = "limit" if hit_limit else "optimal"
-    return MilpSolution(
-        status, incumbent_obj, incumbent_x, best_bound, max(gap, 0.0),
-        nodes, iterations, "builtin",
-    )
-
-
-def solve_lp_relaxation(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
-    """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
-    options = options or SolveOptions()
-    a, senses, rhs = model.dense_rows()
-    lb, ub = model.bounds_arrays()
-    res = solve_lp(model.objective_vector(), a, senses, rhs, lb, ub,
-                   max_iter=options.max_lp_iter)
-    if res.status != "optimal":
-        return MilpSolution(res.status, None, None, None, None, 1, res.iterations, "builtin")
-    obj = res.objective + model.objective_constant
-    return MilpSolution("optimal", obj, res.x, obj, 0.0, 1, res.iterations, "builtin")
 
 
 # -- exhaustive oracle ---------------------------------------------------------
 
 
-def solve_exhaustive(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
-    """Enumerate all binary assignments; independent of the branch and bound.
+def solve_exhaustive(model: MilpModel) -> MilpSolution:
+    """Enumerate all binary assignments; independent of HiGHS.
 
     Only intended for small models; refuses more than 20 binaries.
     """
-    options = options or SolveOptions()
     model.validate()
     bins = model.binary_indices()
     if len(bins) > 20:
@@ -198,7 +79,6 @@ def solve_exhaustive(model: MilpModel, options: SolveOptions | None = None) -> M
 
     best_obj = np.inf
     best_x: np.ndarray | None = None
-    iterations = 0
     for assign in itertools.product((0.0, 1.0), repeat=len(bins)):
         vec = np.array(assign)
         ok = True
@@ -209,9 +89,7 @@ def solve_exhaustive(model: MilpModel, options: SolveOptions | None = None) -> M
         if not ok:
             continue
         rhs_adj = rhs - (a_bin @ vec if bins else 0.0)
-        res = solve_lp(c_cont, a_cont, senses, rhs_adj, lb[cont], ub[cont],
-                       max_iter=options.max_lp_iter)
-        iterations += res.iterations
+        res = solve_lp(c_cont, a_cont, senses, rhs_adj, lb[cont], ub[cont])
         if res.status != "optimal":
             continue
         obj = res.objective + float(c_bin @ vec) + model.objective_constant
@@ -222,13 +100,11 @@ def solve_exhaustive(model: MilpModel, options: SolveOptions | None = None) -> M
             x[cont] = res.x
             best_x = x
     if best_x is None:
-        return MilpSolution("infeasible", None, None, None, None,
-                            2 ** len(bins), iterations, "exhaustive")
-    return MilpSolution("optimal", best_obj, best_x, best_obj, 0.0,
-                        2 ** len(bins), iterations, "exhaustive")
+        return MilpSolution("infeasible", nodes=2 ** len(bins))
+    return MilpSolution("optimal", best_obj, best_x, best_obj, 0.0, 2 ** len(bins))
 
 
-# -- HiGHS backend -------------------------------------------------------------
+# -- HiGHS ---------------------------------------------------------------------
 
 
 def _solve_highs(model: MilpModel, options: SolveOptions) -> MilpSolution:
@@ -272,10 +148,15 @@ def _solve_highs(model: MilpModel, options: SolveOptions) -> MilpSolution:
     status_map = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
     status = status_map.get(res.status, "limit")
     if res.x is None:
-        return MilpSolution(status, None, None, None, None, 0, 0, "highs")
+        return MilpSolution(status)
     obj = float(res.fun) + model.objective_constant
     gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
     nodes = int(res.mip_node_count) if res.mip_node_count is not None else 0
-    bound = obj - gap * max(1.0, abs(obj))
+    # HiGHS reports no dual bound for a model without binaries: it solved
+    # an LP, whose optimum is its own bound
+    if res.mip_dual_bound is None:
+        bound = obj
+    else:
+        bound = float(res.mip_dual_bound) + model.objective_constant
     return MilpSolution(status, obj, np.asarray(res.x, dtype=float), bound,
-                        gap, nodes, 0, "highs")
+                        gap, nodes)

@@ -47,9 +47,6 @@ class LinExpr:
     def add_term(self, index: int, coeff: float) -> None:
         self.coeffs[index] = self.coeffs.get(index, 0.0) + coeff
 
-    def scaled(self, factor: float) -> "LinExpr":
-        return LinExpr({j: c * factor for j, c in self.coeffs.items()}, self.constant * factor)
-
     def value(self, x: np.ndarray) -> float:
         return self.constant + sum(c * x[j] for j, c in self.coeffs.items())
 
@@ -114,10 +111,6 @@ class MilpModel:
         self.rows.append(LinearRow(cleaned, sense, float(rhs), label))
         return len(self.rows) - 1
 
-    def add_expr_row(self, expr: LinExpr, sense: str, rhs: float, label: str = "") -> int:
-        """Add row expr <sense> rhs, folding the expression constant into rhs."""
-        return self.add_row(dict(expr.coeffs), sense, rhs - expr.constant, label)
-
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0) -> None:
         for j, c in coeffs.items():
             if not (0 <= j < len(self.variables)):
@@ -126,10 +119,6 @@ class MilpModel:
                 raise ModelError(f"objective: non-finite coefficient on index {j}")
         self.objective = {j: float(c) for j, c in coeffs.items() if c != 0.0}
         self.objective_constant = float(constant)
-
-    def add_objective_term(self, index: int, coeff: float) -> None:
-        if coeff != 0.0:
-            self.objective[index] = self.objective.get(index, 0.0) + float(coeff)
 
     # -- inspection --------------------------------------------------------
 

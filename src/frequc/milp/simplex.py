@@ -1,5 +1,10 @@
 """Bounded-variable primal simplex on a dense tableau.
 
+This is the LP engine of the exhaustive oracle
+(:func:`frequc.milp.branch_bound.solve_exhaustive`), kept separate from
+HiGHS so that the oracle shares no code with the solver it checks.  It
+suits small models only: the tableau is dense.
+
 All variables carry finite bounds, which keeps the method simple: a pricing
 step can always be answered by either a basis exchange or by moving a
 nonbasic variable across to its opposite bound, and no ray can escape to
@@ -9,8 +14,6 @@ the artificials pinned at zero.
 
 Dantzig pricing is used until a run of degenerate steps suggests cycling, at
 which point the code switches to Bland's rule, which terminates finitely.
-The per-iteration hot spots (ratio test and tableau pivot) are numba kernels
-with numpy fallbacks, selected in :mod:`frequc._accel`.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .._accel import jit_kernel, numba_enabled
 
 AT_LB = 0
 AT_UB = 1
@@ -36,24 +37,10 @@ class LpResult:
     iterations: int
 
 
-# -- kernels (numba with numpy fallback) -----------------------------------
+# -- tableau kernels --------------------------------------------------------
 
 
-def _pivot_update_loops(tab, ip, j):
-    m, n = tab.shape
-    piv = tab[ip, j]
-    for k in range(n):
-        tab[ip, k] /= piv
-    for r in range(m):
-        if r == ip:
-            continue
-        f = tab[r, j]
-        if f != 0.0:
-            for k in range(n):
-                tab[r, k] -= f * tab[ip, k]
-
-
-def _pivot_update_numpy(tab, ip, j):
+def _pivot_update(tab, ip, j):
     piv = tab[ip, j]
     tab[ip, :] /= piv
     col = tab[:, j].copy()
@@ -61,32 +48,12 @@ def _pivot_update_numpy(tab, ip, j):
     tab -= np.outer(col, tab[ip, :])
 
 
-def _ratio_limits_loops(direction, x_basic, lb_basic, ub_basic, eps, limits):
-    m = direction.shape[0]
-    for i in range(m):
-        rate = direction[i]
-        if rate > eps:
-            limits[i] = (x_basic[i] - lb_basic[i]) / rate
-        elif rate < -eps:
-            limits[i] = (x_basic[i] - ub_basic[i]) / rate
-        else:
-            limits[i] = np.inf
-
-
-def _ratio_limits_numpy(direction, x_basic, lb_basic, ub_basic, eps, limits):
+def _ratio_limits(direction, x_basic, lb_basic, ub_basic, eps, limits):
     limits.fill(np.inf)
     pos = direction > eps
     neg = direction < -eps
     limits[pos] = (x_basic[pos] - lb_basic[pos]) / direction[pos]
     limits[neg] = (x_basic[neg] - ub_basic[neg]) / direction[neg]
-
-
-if numba_enabled():
-    pivot_update = jit_kernel(_pivot_update_loops)
-    ratio_limits = jit_kernel(_ratio_limits_loops)
-else:
-    pivot_update = _pivot_update_numpy
-    ratio_limits = _ratio_limits_numpy
 
 
 # -- problem assembly -------------------------------------------------------
@@ -193,7 +160,7 @@ class _Core:
             direction = sigma * self.tab[:, j]
             lb_b = self.lb[self.basis]
             ub_b = self.ub[self.basis]
-            ratio_limits(direction, self.x_basic, lb_b, ub_b, 1e-10, limits)
+            _ratio_limits(direction, self.x_basic, lb_b, ub_b, 1e-10, limits)
             span = self.ub[j] - self.lb[j]
             min_limit = limits.min() if m else np.inf
             step = min(span, min_limit)
@@ -227,7 +194,7 @@ class _Core:
             self.vstat[j] = BASIC
             self.basis[leave_pos] = j
             self.x_basic[leave_pos] = enter_val
-            pivot_update(self.tab, leave_pos, j)
+            _pivot_update(self.tab, leave_pos, j)
 
 
 # -- public entry ------------------------------------------------------------

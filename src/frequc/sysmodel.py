@@ -183,15 +183,6 @@ class SystemSpec:
     def n_periods(self) -> int:
         return len(self.demand_profile)
 
-    def generator(self, gid: str) -> GeneratorSpec:
-        for g in self.generators:
-            if g.id == gid:
-                return g
-        raise KeyError(gid)
-
-    def synchronous_generators(self):
-        return tuple(g for g in self.generators if g.synchronous)
-
 
 @dataclass(frozen=True)
 class ScenarioBranch:

@@ -21,7 +21,7 @@ from frequc.cli import _scale_wind
 from frequc.freqdyn import SwingInputs, exact_nadir_feasible, simulate_swing
 from frequc.freqsec import (linearize_inertia_pfr, nadir_requirement,
                             register_decisions)
-from frequc.milp import MilpModel, SolveOptions, solve
+from frequc.milp import MilpModel, solve
 from frequc.milp.branch_bound import solve_exhaustive
 from frequc.milp.model import SENSE_EQ, SENSE_GE
 from frequc.scheduler import (UcOptions, _advance_state, default_initial_state,
@@ -241,18 +241,19 @@ def _random_milp(rng):
 
 
 def test_solver_matches_exhaustive_oracle():
-    """Branch and bound agrees with brute-force enumeration."""
+    """HiGHS agrees with brute-force enumeration on the dense simplex."""
     rng = np.random.default_rng(2203)
     optimal = 0
     for _ in range(120):
         mdl = _random_milp(rng)
-        bb = solve(mdl, SolveOptions(backend="builtin"))
-        brute = solve_exhaustive(mdl, SolveOptions())
+        bb = solve(mdl)
+        brute = solve_exhaustive(mdl)
         assert bb.status == brute.status
         if brute.status == "optimal":
             scale = max(1.0, abs(brute.objective))
             assert abs(bb.objective - brute.objective) <= 1e-6 * scale
             assert not bb.violations
+            assert not mdl.check_feasible(brute.values)
             optimal += 1
     assert optimal >= 50
     print(f"\n[acceptance] solver vs exhaustive oracle: PASS "

@@ -1,7 +1,7 @@
 """End-to-end checks of the command-line entry points.
 
 All tests drive ``frequc.cli.main`` directly with a miniature two-unit
-system small enough for the built-in solver.
+system that solves in well under a second.
 """
 
 import json
@@ -11,6 +11,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from frequc.cli import main
 
@@ -136,11 +137,48 @@ def test_solve_infeasible_security_exports_lp(tmp_path, capsys):
     assert "model.lp" in capsys.readouterr().err
 
 
+def test_solve_rejects_row_breaking_solution(tmp_path, monkeypatch, capsys):
+    """A solver answer that breaks the model's rows is a solver failure."""
+    real_milp = scipy.optimize.milp
+
+    def broken_milp(*args, **kwargs):
+        res = real_milp(*args, **kwargs)
+        res.x = np.zeros_like(res.x)  # nothing serves the demand
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", broken_milp)
+    system, scenarios = write_inputs(tmp_path)
+    out = tmp_path / "run"
+    assert main(["solve", system, scenarios, "--out", str(out)]) == 2
+    assert (out / "model.lp").exists()
+    assert not (out / "dispatch.txt").exists()
+    assert "violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "s.yaml", "q.txt", "-o", "run", "--mode", "bogus"], 1),
+    (["solve", "s.yaml", "q.txt", "-o", "run", "--backend", "builtin"], 1),
+    (["solve", "s.yaml", "q.txt", "-o", "run", "--horizon", "three"], 1),
+    (["nonsense"], 1),
+    ([], 1),
+    (["--help"], 0),
+    (["--version"], 0),
+    (["solve", "--help"], 0),
+])
+def test_parser_exit_codes(argv, code, capsys):
+    """Usage errors exit 1 (invalid input); 2 is kept for solver failures."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert captured.out if code == 0 else "error:" in captured.err
+
+
 def test_solve_rerun_is_byte_identical(tmp_path):
     system, scenarios = write_inputs(tmp_path)
     out = tmp_path / "run"
     args = ["solve", system, scenarios, "--out", str(out),
-            "--backend", "builtin"]
+            "--backend", "highs"]
     assert main(args) == 0
     first = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(args) == 0

@@ -13,7 +13,7 @@ from frequc.freqsec import (
     register_decisions,
     rocof_row,
 )
-from frequc.milp import MilpModel, SolveOptions, solve
+from frequc.milp import MilpModel, solve
 from frequc.sysmodel import FrequencyParams, GeneratorSpec
 
 
@@ -74,7 +74,7 @@ def test_loss_minimizes_to_largest_fixed_output():
         mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
     mdl.add_row({dec.output["big"]: 1.0}, "=", 1320.0)
     mdl.set_objective({dec.loss: 1.0})
-    got = solve(mdl, SolveOptions(backend="builtin"))
+    got = solve(mdl)
     assert got.status == "optimal"
     assert got.objective == pytest.approx(1320.0, abs=1e-7)
 
@@ -199,7 +199,7 @@ def chord(p, p0, p1, freq, demand):
 def test_segment_selection_picks_cheapest_covering_segment():
     """Between grid points the envelope enforces the covering chord."""
     mdl, dec, fleet, freq, demand, hr = segment_fixture(1000.0)
-    got = solve(mdl, SolveOptions(backend="builtin"))
+    got = solve(mdl)
     assert got.status == "optimal"
     assert got.values[dec.loss] == pytest.approx(1000.0, abs=1e-6)
     # the H=180 fleet must hold HR on the 600-1200 chord, above k(1000)
@@ -216,7 +216,7 @@ def test_segment_selection_picks_cheapest_covering_segment():
 def test_segment_selection_on_grid_point():
     """At a grid point the envelope equals the requirement."""
     mdl, dec, fleet, freq, demand, hr = segment_fixture(1800.0)
-    got = solve(mdl, SolveOptions(backend="builtin"))
+    got = solve(mdl)
     assert got.status == "optimal"
     want = nadir_requirement(1800.0, freq, demand)
     assert hr.value(got.values) == pytest.approx(want, rel=1e-8)
@@ -227,7 +227,7 @@ def test_envelope_covers_loss_below_grid():
     mdl, dec, fleet, freq, demand, hr = segment_fixture(300.0)
     need = nadir_requirement(300.0, freq, demand)
     assert need > 0.0
-    got = solve(mdl, SolveOptions(backend="builtin"))
+    got = solve(mdl)
     assert got.status == "optimal"
     assert got.values[dec.loss] == pytest.approx(300.0, abs=1e-6)
     assert hr.value(got.values) >= need * (1.0 - 1e-8)
@@ -283,7 +283,7 @@ def test_big_m_product_is_exact_on_random_assignments():
             mdl.add_row({dec.pfr[g.id]: 1.0}, "=", rv)
             total_r += rv
         mdl.set_objective({})
-        got = solve(mdl, SolveOptions(backend="builtin"))
+        got = solve(mdl)
         assert got.status == "optimal"
         h_direct = (sum(g.inertia_const * g.p_max / freq.f0 * commits[g.id]
                         for g in fleet if g.synchronous)

@@ -4,7 +4,6 @@ import pytest
 from frequc.milp import (
     LpioError,
     MilpModel,
-    SolveOptions,
     export_model,
     import_model,
     import_solution,
@@ -37,8 +36,8 @@ def test_export_import_round_trip():
 def test_round_trip_preserves_optimum():
     mdl = sample_model()
     back = import_model(export_model(mdl))
-    a = solve(mdl, SolveOptions(backend="builtin"))
-    b = solve(back, SolveOptions(backend="builtin"))
+    a = solve(mdl)
+    b = solve(back)
     assert a.status == b.status == "optimal"
     assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
@@ -75,7 +74,7 @@ def test_import_requires_finite_bounds():
 
 def test_solution_round_trip_clean():
     mdl = sample_model()
-    got = solve(mdl, SolveOptions(backend="builtin"))
+    got = solve(mdl)
     text = write_solution(mdl, got.status, got.objective, got.values)
     loaded = import_solution(mdl, text)
     assert loaded.status == "optimal"
@@ -87,7 +86,7 @@ def test_solution_round_trip_clean():
 
 def test_solution_import_flags_tampered_values():
     mdl = sample_model()
-    got = solve(mdl, SolveOptions(backend="builtin"))
+    got = solve(mdl)
     vals = got.values.copy()
     vals[2] += 9.0  # breaks cap_a
     text = write_solution(mdl, got.status, got.objective, vals)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import scipy.optimize
+
 from frequc.milp import (
     MilpModel,
     ModelError,
@@ -8,7 +10,6 @@ from frequc.milp import (
     solve,
     solve_exhaustive,
     solve_lp,
-    solve_lp_relaxation,
 )
 
 
@@ -119,7 +120,7 @@ def test_solve_lp_no_rows_is_box_minimum():
 
 def test_knapsack_optimum():
     mdl = knapsack_model()
-    got = solve(mdl, SolveOptions(backend="builtin"))
+    got = solve(mdl)
     assert got.status == "optimal"
     # best pick is items a and c (value 8); a+b already exceeds the capacity
     assert got.objective == pytest.approx(-8.0, abs=1e-8)
@@ -131,20 +132,25 @@ def test_knapsack_optimum():
 
 def test_knapsack_backends_agree():
     mdl = knapsack_model()
-    builtin = solve(mdl, SolveOptions(backend="builtin"))
-    highs = solve(mdl, SolveOptions(backend="highs"))
-    brute = solve_exhaustive(mdl, SolveOptions())
-    assert builtin.status == highs.status == brute.status == "optimal"
-    assert builtin.objective == pytest.approx(brute.objective, abs=1e-8)
+    highs = solve(mdl)
+    brute = solve_exhaustive(mdl)
+    assert highs.status == brute.status == "optimal"
     assert highs.objective == pytest.approx(brute.objective, abs=1e-8)
 
 
-def test_relaxation_bounds_milp_from_below():
-    mdl = knapsack_model()
-    relaxed = solve_lp_relaxation(mdl, SolveOptions())
-    full = solve(mdl, SolveOptions(backend="builtin"))
-    assert relaxed.status == "optimal"
-    assert relaxed.objective <= full.objective + 1e-9
+def test_row_breaking_solution_is_not_optimal(monkeypatch):
+    """The re-check overrules a solver that reports a broken point optimal."""
+    real_milp = scipy.optimize.milp
+
+    def broken_milp(*args, **kwargs):
+        res = real_milp(*args, **kwargs)
+        res.x = np.ones_like(res.x)  # takes every item: 2 + 3 + 1 > 4
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", broken_milp)
+    got = solve(knapsack_model())
+    assert got.status == "violated"
+    assert len(got.violations) == 1 and "cap" in got.violations[0]
 
 
 def test_infeasible_milp_reported_by_all_routes():
@@ -153,26 +159,31 @@ def test_infeasible_milp_reported_by_all_routes():
     mdl.add_binary("b")
     mdl.add_row({0: 1.0, 1: 1.0}, ">=", 3.0)
     mdl.set_objective({0: 1.0})
-    assert solve(mdl, SolveOptions(backend="builtin")).status == "infeasible"
-    assert solve(mdl, SolveOptions(backend="highs")).status == "infeasible"
-    assert solve_exhaustive(mdl, SolveOptions()).status == "infeasible"
+    assert solve(mdl).status == "infeasible"
+    assert solve_exhaustive(mdl).status == "infeasible"
 
 
 def test_node_limit_returns_limit_status():
-    rng = np.random.default_rng(3)
+    # two-sided split rows on 30 binaries: HiGHS cannot close the root node
+    rng = np.random.default_rng(1)
     mdl = MilpModel()
-    for j in range(14):
+    for j in range(30):
         mdl.add_binary(f"b{j}")
-    for i in range(6):
-        coeffs = {j: float(rng.integers(1, 5)) for j in range(14) if rng.random() < 0.7}
-        mdl.add_row(coeffs, "<=", float(rng.integers(8, 20)), label=f"r{i}")
-    mdl.set_objective({j: float(rng.integers(-6, -1)) for j in range(14)})
-    got = solve(mdl, SolveOptions(backend="builtin", max_nodes=2, opt_gap=0.0))
-    assert got.status in ("limit", "optimal")
-    if got.status == "limit":
-        # the reported bound must underestimate (or match) any incumbent
-        if got.objective is not None:
-            assert got.bound <= got.objective + 1e-9
+    for i in range(2):
+        w = rng.integers(0, 100, 30)
+        half = float(w.sum() // 2)
+        coeffs = {j: float(w[j]) for j in range(30)}
+        mdl.add_row(coeffs, "<=", half, label=f"hi{i}")
+        mdl.add_row(coeffs, ">=", half - 3.0, label=f"lo{i}")
+    # a negative constant: a bound that dropped it would exceed the incumbent
+    mdl.set_objective({j: float(rng.integers(-60, -1)) for j in range(30)},
+                      constant=-1000.0)
+    got = solve(mdl, SolveOptions(max_nodes=2, opt_gap=0.0))
+    assert got.status == "limit"
+    assert got.objective is not None and not got.violations
+    # the reported dual bound must underestimate (or match) any incumbent
+    assert got.bound <= got.objective + 1e-9
+    assert got.bound >= got.objective - 0.1 * abs(got.objective)
 
 
 def test_exhaustive_rejects_large_binary_count():
@@ -181,7 +192,7 @@ def test_exhaustive_rejects_large_binary_count():
         mdl.add_binary(f"b{j}")
     mdl.set_objective({0: 1.0})
     with pytest.raises(ValueError):
-        solve_exhaustive(mdl, SolveOptions())
+        solve_exhaustive(mdl)
 
 
 def test_solver_is_deterministic():
@@ -197,13 +208,12 @@ def test_solver_is_deterministic():
         if coeffs:
             mdl.add_row(coeffs, ["<=", ">="][i % 2], float(rng.integers(-4, 7)))
     mdl.set_objective({j: float(rng.integers(-3, 4)) for j in range(9)})
-    first = solve(mdl, SolveOptions(backend="builtin"))
-    second = solve(mdl, SolveOptions(backend="builtin"))
-    assert first.status == second.status
+    first = solve(mdl)
+    second = solve(mdl)
+    assert first.status == second.status == "optimal"
     assert first.nodes == second.nodes
-    if first.status == "optimal":
-        assert np.array_equal(first.values, second.values)
-        assert first.objective == second.objective
+    assert np.array_equal(first.values, second.values)
+    assert first.objective == second.objective
 
 
 def random_model(rng):
@@ -231,13 +241,13 @@ def random_model(rng):
 
 
 def test_branch_bound_matches_exhaustive_on_random_models():
-    """Cross-check the tree search against brute-force enumeration."""
+    """Cross-check HiGHS against brute-force enumeration."""
     rng = np.random.default_rng(101)
     checked = 0
     for _ in range(40):
         mdl = random_model(rng)
-        bb = solve(mdl, SolveOptions(backend="builtin"))
-        brute = solve_exhaustive(mdl, SolveOptions())
+        bb = solve(mdl)
+        brute = solve_exhaustive(mdl)
         assert bb.status == brute.status
         if bb.status == "optimal":
             scale = max(1.0, abs(brute.objective))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frequc.freqsec import nadir_requirement
-from frequc.milp import SolveOptions
+from frequc.milp import solve
 from frequc.scheduler import (
     SchedulerError,
     Trajectory,
@@ -328,11 +328,10 @@ def test_minimum_up_time_rows_bind():
     pins = {g.id: [1] * 6 for g in system.generators}
     pins["mid"] = [0, 0, 1, 0, 0, 0]   # a single-period visit breaks min_up=2
     model = build_uc(system, tree, opts, fixed_commitments=pins)
-    from frequc.milp import solve
-    assert solve(model, SolveOptions()).status == "infeasible"
+    assert solve(model).status == "infeasible"
     pins["mid"] = [0, 0, 1, 1, 0, 0]
     model = build_uc(system, tree, opts, fixed_commitments=pins)
-    assert solve(model, SolveOptions()).status == "optimal"
+    assert solve(model).status == "optimal"
 
 
 def test_tree_slicing_and_realized_path():
