@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -292,6 +295,48 @@ def _scale_wind(system, tree, capacity: float):
     return replace(system, wind_capacity=capacity), scaled_tree
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_here(fn, args) -> Future:
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:  # re-raised when the result is read
+        future.set_exception(exc)
+    return future
+
+
+def _ordered_results(calls, threads: int):
+    """Yield the results of ``calls``, (function, args) pairs, in order.
+
+    Up to ``threads`` calls run at once, and the calling thread is one of
+    them: while the result it needs next is not ready, it runs the earliest
+    call that no pool thread has started.  Working in the calling thread
+    instead of in one more pool thread saves that thread's malloc arena.
+    An exception raised by a call is re-raised when its result is reached.
+    Calls not started when the generator is closed never run.
+    """
+    pool = ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else None
+    try:
+        futures = [pool.submit(fn, *args) if pool else Future()
+                   for fn, args in calls]
+        for i in range(len(futures)):
+            j = i
+            while not futures[i].done() and j < len(futures):
+                if futures[j].cancel():  # not started by the pool
+                    futures[j] = _run_here(*calls[j])
+                j += 1
+            yield futures[i].result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
 def cmd_study(args) -> int:
     system, tree = _load_inputs(args.system, args.scenarios)
     config = _parse_study_config(args.config, system)
@@ -304,20 +349,34 @@ def cmd_study(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     big = largest_unit(system.generators)
 
-    results = []
+    cells = []
     for capacity in config["wind_capacities"]:
         cell_system, cell_tree = _scale_wind(system, tree, capacity)
         for mode in config["modes"]:
+            cells.append((capacity, mode, cell_system, cell_tree))
+
+    # The rolling runs are independent and HiGHS releases the interpreter
+    # lock while it solves, so they run concurrently.  Results are read in
+    # config order: the outputs, and the failure that is reported, are
+    # those of a serial run.
+    calls = [(solve_rolling_horizon,
+              (cell_system, cell_tree,
+               UcOptions(
+                   frequency_constraints=enabled,
+                   deloading_enabled=config["deloading_enabled"],
+                   horizon=config["horizon"],
+                   first_stage=config["first_stage"],
+                   largest_loss_mode=mode,
+               )))
+             for _, mode, cell_system, cell_tree in cells
+             for enabled in (True, False)]
+    results = []
+    with closing(_ordered_results(
+            calls, min(len(calls), _available_cpus()))) as in_order:
+        for capacity, mode, cell_system, _ in cells:
             runs = {}
             for enabled in (True, False):
-                options = UcOptions(
-                    frequency_constraints=enabled,
-                    deloading_enabled=config["deloading_enabled"],
-                    horizon=config["horizon"],
-                    first_stage=config["first_stage"],
-                    largest_loss_mode=mode,
-                )
-                run = solve_rolling_horizon(cell_system, cell_tree, options)
+                run = next(in_order)
                 if not run.ok:
                     print(f"study cell (wind {capacity:g}, {mode}, "
                           f"{'secured' if enabled else 'unsecured'}): "

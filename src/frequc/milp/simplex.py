@@ -34,7 +34,6 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "limit"
     objective: float | None
     x: np.ndarray | None
-    iterations: int
 
 
 # -- tableau kernels --------------------------------------------------------
@@ -200,7 +199,7 @@ class _Core:
 # -- public entry ------------------------------------------------------------
 
 
-def solve_lp(c, a, senses, rhs, lb, ub, *, max_iter=None, feas_tol=1e-7):
+def solve_lp(c, a, senses, rhs, lb, ub, *, feas_tol=1e-7):
     """Minimize c.x subject to rows (a, senses, rhs) and finite bounds.
 
     senses are coded 0 '<=', 1 '>=', 2 '='.  Returns an LpResult whose
@@ -215,18 +214,17 @@ def solve_lp(c, a, senses, rhs, lb, ub, *, max_iter=None, feas_tol=1e-7):
     m = a.shape[0] if a.ndim == 2 else 0
 
     if np.any(lb > ub + 1e-12):
-        return LpResult("infeasible", None, None, 0)
+        return LpResult("infeasible", None, None)
     if m == 0:
         x = _box_minimum(c, lb, ub)
-        return LpResult("optimal", float(c @ x), x, 0)
+        return LpResult("optimal", float(c @ x), x)
 
     sb, bad_row = _slack_bounds(a, senses, rhs, lb, ub)
     if sb is None:
-        return LpResult("infeasible", None, None, 0)
+        return LpResult("infeasible", None, None)
     s_lb, s_ub = sb
 
-    if max_iter is None:
-        max_iter = 2000 + 60 * (n + m)
+    max_iter = 2000 + 60 * (n + m)
 
     # full column order: structurals, slacks, artificials.
     # every nonbasic variable must rest exactly at a bound; structurals take
@@ -256,10 +254,10 @@ def solve_lp(c, a, senses, rhs, lb, ub, *, max_iter=None, feas_tol=1e-7):
     phase1[n + m:] = 1.0
     status = core.run(phase1, max_iter)
     if status == "limit":
-        return LpResult("limit", None, None, core.iterations)
+        return LpResult("limit", None, None)
     infeas = float(core.nonbasic_values()[n + m:].sum())
     if infeas > feas_tol * max(1.0, np.abs(rhs).max() if m else 1.0):
-        return LpResult("infeasible", None, None, core.iterations)
+        return LpResult("infeasible", None, None)
 
     core.ub[n + m:] = 0.0  # pin artificials
     core.x_basic = np.where(
@@ -268,10 +266,10 @@ def solve_lp(c, a, senses, rhs, lb, ub, *, max_iter=None, feas_tol=1e-7):
     phase2 = np.concatenate([c, np.zeros(2 * m)])
     status = core.run(phase2, max_iter)
     if status == "limit":
-        return LpResult("limit", None, None, core.iterations)
+        return LpResult("limit", None, None)
 
     core.refresh()
     x_full = core.nonbasic_values()
     x = x_full[:n]
     np.clip(x, lb, ub, out=x)
-    return LpResult("optimal", float(c @ x), x, core.iterations)
+    return LpResult("optimal", float(c @ x), x)

@@ -11,7 +11,8 @@ requirement, so a solution is secure by construction at every loss.
 ``solve_rolling_horizon`` walks a longer span window by window,
 re-dispatches the committed periods against the realized net demand and
 stitches the results into a :class:`Trajectory`, from which the study
-metrics (cost of frequency services, load factors, emissions) are read.
+metrics (load factors, emissions) are read.  The cost of frequency services
+is the gap between the expected costs of a secured and an unsecured run.
 """
 
 from __future__ import annotations
@@ -753,29 +754,6 @@ def verify_trajectory(trajectory: Trajectory, system, tol: float = 1e-9) -> Veri
 
 
 # -- study metrics ------------------------------------------------------------
-
-def cost_of_frequency_services(system, scenarios, options: UcOptions,
-                               solve_options=None, initial_state=None) -> float:
-    """Expected-cost gap between secured and unsecured scheduling.
-
-    Runs the rolling simulation twice, identical except for the
-    frequency rows, and differences the probability-weighted committed
-    costs.  Window by window the secured model only adds rows, so the
-    gap cannot go materially negative.
-    """
-    results = {}
-    for enabled in (True, False):
-        run = solve_rolling_horizon(
-            system, scenarios,
-            replace(options, frequency_constraints=enabled),
-            solve_options, initial_state)
-        if not run.ok:
-            raise SchedulerError(
-                f"frequency-services costing failed "
-                f"({'secured' if enabled else 'unsecured'} run): {run.message}")
-        results[enabled] = run.expected_cost
-    return results[True] - results[False]
-
 
 def load_factor(trajectory: Trajectory, unit_id: str) -> float:
     """Energy produced over the span divided by the unit's maximum energy."""

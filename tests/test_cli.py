@@ -5,15 +5,22 @@ system that solves in well under a second.
 """
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from frequc.cli import main
+import frequc.cli
+from frequc.cli import _ordered_results, main
+from frequc.scheduler import RollingResult, SchedulerError
 
 SYSTEM_TEMPLATE = """\
 generators:
@@ -84,6 +91,14 @@ def read_table(path):
     header = lines[0].split()
     rows = [ln.split() for ln in lines[1:]]
     return header, rows
+
+
+def run_study(tmp_path, name="study"):
+    system, scenarios = write_inputs(tmp_path)
+    config = tmp_path / "study.yaml"
+    config.write_text(STUDY)
+    out = tmp_path / name
+    return main(["study", system, scenarios, str(config), "--out", str(out)]), out
 
 
 def test_validate_accepts_good_inputs(tmp_path, capsys):
@@ -187,11 +202,7 @@ def test_solve_rerun_is_byte_identical(tmp_path):
 
 
 def test_study_emits_metric_table(tmp_path):
-    system, scenarios = write_inputs(tmp_path)
-    config = tmp_path / "study.yaml"
-    config.write_text(STUDY)
-    out = tmp_path / "study"
-    code = main(["study", system, scenarios, str(config), "--out", str(out)])
+    code, out = run_study(tmp_path)
     assert code == 0
     header, rows = read_table(out / "study.txt")
     assert header[:2] == ["wind_capacity_mw", "mode"]
@@ -205,6 +216,112 @@ def test_study_emits_metric_table(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "study"
     assert manifest["options"]["wind_capacities"] == [100.0, 200.0]
+
+
+def test_concurrent_study_matches_serial(tmp_path, monkeypatch):
+    """The 8 rolling runs of the study give the same bytes on any pool size."""
+    outputs = {}
+    for cpus in (None, 8, 1):  # as found, one thread per run, serial
+        if cpus is not None:
+            monkeypatch.setattr(frequc.cli, "_available_cpus", lambda: cpus)
+        code, out = run_study(tmp_path, f"study{cpus}")
+        assert code == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        del manifest["output_dir"]
+        outputs[cpus] = files, manifest
+    files, _ = outputs[1]
+    assert sorted(files) == ["study.txt", "trajectory_w100_fixed.txt",
+                             "trajectory_w100_optimised.txt",
+                             "trajectory_w200_fixed.txt",
+                             "trajectory_w200_optimised.txt"]
+    assert outputs[None] == outputs[1]
+    assert outputs[8] == outputs[1]
+
+
+def test_ordered_results_runs_each_call_once_in_order():
+    """More threads than cores, a short switch interval, the caller helping."""
+    runs = Counter()
+    threads = set()
+    lock = threading.Lock()
+
+    def call(k):
+        with lock:
+            runs[k] += 1
+            threads.add(threading.get_ident())
+        time.sleep(0.001 * (k % 3))
+        return k
+
+    calls = [(call, (k,)) for k in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert list(_ordered_results(calls, 8)) == list(range(200))
+        assert runs == Counter(range(200))
+        assert threading.get_ident() in threads
+        assert 2 <= len(threads) <= 8
+
+        runs.clear()
+        in_order = _ordered_results(calls, 2)
+        assert next(in_order) == 0
+        in_order.close()  # waits for the call still running
+        started = sum(runs.values())
+        time.sleep(0.05)
+        assert sum(runs.values()) == started < len(calls)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def fail_study_runs(monkeypatch, failures):
+    """Make the rolling runs named in ``failures`` fail.
+
+    ``failures`` maps (wind capacity, mode, secured) to ``"solver"`` (a
+    failed run is returned) or ``"raise"`` (``SchedulerError``).
+    """
+    real = frequc.cli.solve_rolling_horizon
+
+    def rolling(system, tree, options):
+        key = (system.wind_capacity, options.largest_loss_mode,
+               options.frequency_constraints)
+        failure = failures.get(key)
+        if failure == "raise":
+            raise SchedulerError(f"cannot run {key}")
+        if failure == "solver":
+            return RollingResult([], None, status="solver",
+                                 message="window at period 0: infeasible")
+        return real(system, tree, options)
+
+    monkeypatch.setattr(frequc.cli, "solve_rolling_horizon", rolling)
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_study_reports_first_failure_in_config_order(tmp_path, monkeypatch,
+                                                     capsys, cpus):
+    monkeypatch.setattr(frequc.cli, "_available_cpus", lambda: cpus)
+    fail_study_runs(monkeypatch, {(100.0, "optimised", True): "solver",
+                                  (200.0, "fixed", False): "raise"})
+    code, out = run_study(tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "study cell (wind 100, optimised, secured): window at period 0" in err
+    assert "200" not in err and "fixed" not in err
+    assert [p.name for p in out.glob("trajectory_*")] == [
+        "trajectory_w100_fixed.txt"]
+    assert not (out / "study.txt").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_study_scheduler_error_in_first_cell_is_invalid_input(
+        tmp_path, monkeypatch, capsys, cpus):
+    monkeypatch.setattr(frequc.cli, "_available_cpus", lambda: cpus)
+    fail_study_runs(monkeypatch, {(100.0, "fixed", True): "raise",
+                                  (100.0, "optimised", True): "solver"})
+    code, out = run_study(tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: cannot run (100.0, 'fixed', True)" in err
+    assert "study cell" not in err
+    assert not list(out.glob("trajectory_*"))
 
 
 def test_study_rejects_unknown_config_field(tmp_path, capsys):
@@ -246,9 +363,13 @@ def test_region_rejects_degenerate_grid(tmp_path, capsys):
 
 def test_console_script_is_wired_up(tmp_path):
     system, scenarios = write_inputs(tmp_path)
+    # the child imports the same frequc as the tests, installed or not
+    package_root = str(Path(frequc.cli.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "frequc.cli", "validate", system, scenarios],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert "ok:" in proc.stdout

@@ -13,7 +13,6 @@ from frequc.scheduler import (
     _advance_state,
     build_uc,
     committed_inertia,
-    cost_of_frequency_services,
     default_initial_state,
     emissions,
     extract_solution,
@@ -418,8 +417,10 @@ def test_duplicate_branches_collapse_to_deterministic():
 def test_cost_of_frequency_services_is_nonnegative():
     system = toy_system()
     tree = toy_tree(system)
-    value = cost_of_frequency_services(system, tree, options())
+    on = solve_rolling_horizon(system, tree, options())
     off = solve_rolling_horizon(system, tree, options(frequency_constraints=False))
+    assert on.ok and off.ok
+    value = on.expected_cost - off.expected_cost
     assert value >= -1e-6 * off.trajectory.total_cost
     assert value > 0.0
 
