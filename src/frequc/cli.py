@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -27,16 +28,15 @@ import yaml
 
 from . import __version__
 from .freqdyn import region_curve
-from .milp import export_model, solve
+from .milp import export_model
 from .scheduler import (
     SchedulerError,
     UcOptions,
-    build_uc,
     emissions,
-    extract_solution,
     load_factor,
     slice_tree,
     solve_rolling_horizon,
+    solve_uc,
     verify_solution,
     verify_trajectory,
 )
@@ -150,13 +150,12 @@ def _solution_tables(outdir: Path, system, solution) -> None:
     rows = []
     for t in range(n_periods):
         for s in range(n_branches):
-            loss = solution.loss[t, s] if solution.loss is not None else float("nan")
             rows.append([str(int(solution.periods[t])), str(s),
                          solution.demand[t], solution.wind_used[t, s],
                          solution.curtailment[t, s]]
                         + [solution.output[g][t, s] for g in unit_ids]
                         + [solution.pfr[g][t, s] for g in unit_ids]
-                        + [loss])
+                        + [solution.loss[t, s]])
     _write_table(outdir / "dispatch.txt", header, rows)
 
     rows = [["expected_cost", solution.expected_cost],
@@ -208,9 +207,8 @@ def cmd_solve(args) -> int:
         "backend": args.backend,
     }
 
-    model = build_uc(system, tree, options)
-    raw = solve(model)
-    if raw.status != "optimal":
+    solution, model, raw = solve_uc(system, tree, options)
+    if solution is None:
         lp_path = outdir / "model.lp"
         lp_path.write_text(export_model(model))
         _write_manifest(outdir, "solve",
@@ -220,7 +218,6 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return EXIT_SOLVER
 
-    solution = extract_solution(model, system, tree, options, raw)
     _solution_tables(outdir, system, solution)
     report = verify_solution(solution, system)
     _verification_table(outdir, report, options.frequency_constraints)
@@ -254,20 +251,24 @@ def _parse_study_config(path, system):
     unknown = set(section) - known
     if unknown:
         raise SystemConfigError(f"{path}: unknown study fields {sorted(unknown)}")
-    caps = [float(v) for v in section.get("wind_capacities", [])]
-    if not caps or any(c <= 0.0 for c in caps):
-        raise SystemConfigError(f"{path}: wind_capacities must be positive")
-    modes = list(section.get("modes", ["fixed", "optimised"]))
+    default_span = min(system.n_periods, 168) if system is not None else None
+    try:
+        caps = [float(v) for v in section.get("wind_capacities", [])]
+        modes = list(section.get("modes", ["fixed", "optimised"]))
+        periods = int(section.get("periods", default_span or 0))
+        horizon = int(section.get("horizon", periods))
+        first_stage = int(section.get("first_stage", horizon))
+    except (TypeError, ValueError) as exc:  # a value of the wrong type
+        raise SystemConfigError(f"{path}: {exc}") from None
+    if not caps or not all(0.0 < c < math.inf for c in caps):
+        raise SystemConfigError(
+            f"{path}: wind_capacities must be positive and finite")
     for mode in modes:
         if mode not in ("fixed", "optimised"):
             raise SystemConfigError(f"{path}: unknown mode {mode!r}")
-    default_span = min(system.n_periods, 168) if system is not None else None
-    periods = int(section.get("periods", default_span or 0))
     if system is not None and not (1 <= periods <= system.n_periods):
         raise SystemConfigError(
             f"{path}: periods must lie in [1, {system.n_periods}]")
-    horizon = int(section.get("horizon", periods))
-    first_stage = int(section.get("first_stage", horizon))
     deloading = bool(section.get("deloading_enabled", True))
     return {
         "wind_capacities": caps,
@@ -433,8 +434,13 @@ def cmd_study(args) -> int:
 def cmd_region(args) -> int:
     if args.points < 2:
         raise SystemConfigError("region: need at least 2 grid points")
-    if args.damping_max <= 0.0:
-        raise SystemConfigError("region: damping-max must be positive")
+    for name, values in (("loss", args.loss),
+                         ("delivery-time", [args.delivery_time]),
+                         ("df-max", [args.df_max]),
+                         ("damping-max", [args.damping_max])):
+        if not all(0.0 < v < math.inf for v in values):
+            raise SystemConfigError(
+                f"region: {name} must be positive and finite")
     grid = np.linspace(0.0, args.damping_max, args.points)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -532,13 +538,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SystemConfigError, SchedulerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (SystemConfigError, SchedulerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -4,8 +4,10 @@ Everything here maps scheduling decisions (commitments, outputs, response
 holdings, the sizable-loss variable) onto linear rows: the loss bounds,
 the RoCoF and quasi-steady-state requirements, the big-M linearization of
 the inertia-times-response product, and the chord envelope of the convex
-nadir requirement over the loss grid.  Row construction is pure; the
-scheduler owns variable creation order and period/scenario tagging.
+nadir requirement over the loss grid.  ``register_decisions`` is the one
+place that creates a cell's security variables; the scheduler passes in
+the window's commitment, output and response ids and the cell's tag.  Row
+construction is pure.
 """
 
 from __future__ import annotations
@@ -31,19 +33,16 @@ class FreqDecisionSet:
     bilinear: dict
 
 
-def register_decisions(model: MilpModel, fleet, freq, r_max: float,
-                       tag: str = "", commit=None) -> FreqDecisionSet:
-    """Create (or adopt) the decision variables for one cell.
+def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
+                       commit: dict, output: dict, pfr: dict,
+                       tag: str = "") -> FreqDecisionSet:
+    """Create the security variables of one cell and bundle its ids.
 
-    ``commit`` may carry pre-existing commitment variable ids, which is
-    how the scheduler shares first-stage binaries across scenarios.
+    ``commit``, ``output`` and ``pfr`` map generator id to the window's
+    existing variables, so first-stage commitments are shared across
+    scenarios.  The sizable loss ``ploss{tag}`` comes first, then one
+    big-M auxiliary ``z[g]{tag}`` per synchronous unit.
     """
-    if commit is None:
-        commit = {g.id: model.add_binary(f"x[{g.id}]{tag}") for g in fleet}
-    output = {g.id: model.add_continuous(f"p[{g.id}]{tag}", 0.0, g.p_max)
-              for g in fleet}
-    pfr = {g.id: model.add_continuous(f"r[{g.id}]{tag}", 0.0, g.pfr_max)
-           for g in fleet}
     loss = model.add_continuous(f"ploss{tag}", 0.0, freq.largest_unit_rating)
     bilinear = {g.id: model.add_continuous(f"z[{g.id}]{tag}", 0.0, r_max)
                 for g in fleet if g.synchronous}
@@ -166,13 +165,12 @@ def nadir_discretization_rows(decisions: FreqDecisionSet, freq, demand: float,
     H*R >= 0 (the inertia floor and R >= 0) the rows therefore enforce
     H*R >= f(P) for every loss in [0, rating], exactly at the breakpoints.
 
-    The breakpoints are the configured grid, with the positive root of f
-    put in front when it lies below the grid: under the root f <= 0, so a
-    loss below the grid is still covered.
+    The breakpoints are the configured grid, which ``FrequencyParams``
+    makes reach the rating, with the positive root of f put in front when
+    it lies below the grid: under the root f <= 0, so a loss below the
+    grid is still covered.
     """
     grid = freq.nadir_segments
-    if grid[-1] < freq.largest_unit_rating - 1e-9:
-        raise ValueError("segment grid does not cover the largest unit rating")
     turn = freq.damping * demand * freq.df_max / 2.0
     if grid[0] < turn - 1e-9:
         raise ValueError(

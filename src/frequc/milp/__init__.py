@@ -3,20 +3,11 @@ with an independent re-check, an exhaustive oracle on a dense simplex, and
 LP text exchange."""
 
 from .branch_bound import MilpSolution, SolveOptions, solve, solve_exhaustive
-from .lpio import (
-    ImportedSolution,
-    LpioError,
-    export_model,
-    import_model,
-    import_solution,
-    models_equivalent,
-    write_solution,
-)
+from .lpio import LpioError, export_model, import_model, models_equivalent
 from .model import LinearRow, LinExpr, MilpModel, ModelError, Variable
 from .simplex import LpResult, solve_lp
 
 __all__ = [
-    "ImportedSolution",
     "LinearRow",
     "LinExpr",
     "LpResult",
@@ -28,10 +19,8 @@ __all__ = [
     "Variable",
     "export_model",
     "import_model",
-    "import_solution",
     "models_equivalent",
     "solve",
     "solve_exhaustive",
     "solve_lp",
-    "write_solution",
 ]

@@ -1,21 +1,12 @@
-"""LP-format text export/import and solution-file exchange.
+"""LP-format text export and import.
 
 ``export_model`` writes the standard LP text format (Minimize / Subject To /
 Bounds / Binaries / End) so a model can be handed to any external solver.
 ``import_model`` reads the same dialect back, which gives the round-trip
-guarantee a test can lean on.  Solution files are a small documented format:
-
-    status <status word>
-    objective <number>
-    <variable name> <value>        (one line per variable)
-
-``import_solution`` re-checks such a file against the model locally, so a
-foreign solver's claim of optimality never goes unverified.
+guarantee a test can lean on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +16,7 @@ _SENSE_TOKENS = {"<=": "<=", "=<": "<=", "<": "<=", ">=": ">=", "=>": ">=", ">":
 
 
 class LpioError(ValueError):
-    """Malformed LP or solution text."""
+    """Malformed LP text."""
 
 
 def _num(x: float) -> str:
@@ -300,71 +291,3 @@ def models_equivalent(m1: MilpModel, m2: MilpModel, tol: float = 1e-12) -> bool:
             return False
     return True
 
-
-# -- solution files --------------------------------------------------------------
-
-
-@dataclass
-class ImportedSolution:
-    status: str
-    objective: float | None
-    values: np.ndarray
-    violations: list[str] = field(default_factory=list)
-    objective_mismatch: bool = False
-
-
-def write_solution(model: MilpModel, status: str, objective: float | None,
-                   values: np.ndarray | None) -> str:
-    lines = [f"status {status}"]
-    if objective is not None:
-        lines.append(f"objective {_num(objective)}")
-    if values is not None:
-        for v in model.variables:
-            lines.append(f"{v.name} {_num(values[v.index])}")
-    return "\n".join(lines) + "\n"
-
-
-def import_solution(model: MilpModel, text: str, tol: float = 1e-6) -> ImportedSolution:
-    """Parse a solution file and re-check it against the model.
-
-    Raises LpioError on unknown variable names, malformed numbers, or missing
-    variable values; row violations are reported, not raised.
-    """
-    status: str | None = None
-    objective: float | None = None
-    values = np.full(model.n_vars, np.nan)
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise LpioError(f"unparsable solution line: {raw!r}")
-        key, val = parts
-        if key == "status":
-            status = val
-        elif key == "objective":
-            try:
-                objective = float(val)
-            except ValueError as exc:
-                raise LpioError(f"malformed objective value {val!r}") from exc
-        else:
-            if not model.has_variable(key):
-                raise LpioError(f"unknown variable name {key!r}")
-            try:
-                values[model.variable_by_name(key).index] = float(val)
-            except ValueError as exc:
-                raise LpioError(f"malformed value for {key!r}: {val!r}") from exc
-    if status is None:
-        raise LpioError("missing status line")
-    if status == "optimal":
-        missing = [v.name for v in model.variables if np.isnan(values[v.index])]
-        if missing:
-            raise LpioError(f"missing values for: {', '.join(missing[:5])}")
-        violations = model.check_feasible(values, tol)
-        mismatch = False
-        if objective is not None:
-            computed = model.objective_value(values)
-            mismatch = abs(computed - objective) > tol * max(1.0, abs(objective))
-        return ImportedSolution(status, objective, values, violations, mismatch)
-    return ImportedSolution(status, objective, values)

@@ -163,11 +163,6 @@ class MilpModel:
             c[j] = v
         return c
 
-    def objective_value(self, x: np.ndarray) -> float:
-        return self.objective_constant + float(
-            sum(c * x[j] for j, c in self.objective.items())
-        )
-
     def row_activity(self, row: LinearRow, x: np.ndarray) -> float:
         return float(sum(c * x[j] for j, c in row.coeffs.items()))
 

@@ -4,15 +4,21 @@
 Commitments (and the implied start/stop indicators) are first-stage
 decisions shared by every net-demand branch; dispatch, response holdings
 and the sizable-loss quantities are recourse, one copy per period and
-branch.  When frequency constraints are enabled the rows come from
-:mod:`frequc.freqsec`; the nadir rows are the chord envelope of the convex
+branch.  When frequency constraints are enabled, each (period, branch)
+cell gets its loss and big-M variables from
+:func:`frequc.freqsec.register_decisions` and its rows from the other
+builders there; the nadir rows are the chord envelope of the convex
 requirement, so a solution is secure by construction at every loss.
+``solve_uc`` builds, solves and unpacks one window.
 
 ``solve_rolling_horizon`` walks a longer span window by window,
 re-dispatches the committed periods against the realized net demand and
 stitches the results into a :class:`Trajectory`, from which the study
 metrics (load factors, emissions) are read.  The cost of frequency services
 is the gap between the expected costs of a secured and an unsecured run.
+
+``verify_solution`` swing-checks every cell of a window or of a rolling
+path; it is the judge of security, not the linear rows.
 """
 
 from __future__ import annotations
@@ -187,19 +193,13 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     cells = {}
     if options.frequency_constraints:
         for t in range(n_periods):
-            tt = start_period + t
             for s in range(n_branches):
-                tag = f"[{tt}][{s}]"
-                loss = model.add_continuous(
-                    f"ploss{tag}", 0.0, freq.largest_unit_rating)
-                bilin = {g.id: model.add_continuous(f"z[{g.id}]{tag}", 0.0, r_max)
-                         for g in fleet if g.synchronous}
-                cells[t, s] = freqsec.FreqDecisionSet(
+                cells[t, s] = freqsec.register_decisions(
+                    model, fleet, freq, r_max,
                     commit={g.id: x[g.id, t] for g in fleet},
                     output={g.id: p[g.id, t, s] for g in fleet},
                     pfr={g.id: r[g.id, t, s] for g in fleet},
-                    loss=loss, bilinear=bilin,
-                )
+                    tag=f"[{start_period + t}][{s}]")
 
     # the largest plant is committed throughout; minimum-time carry and
     # externally pinned schedules come next and must agree with it
@@ -310,8 +310,12 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
                     dec, fleet, freq, r_max, tag=tag)
                 for row in bigm_rows:
                     add(row)
-                for row in freqsec.nadir_discretization_rows(
-                        dec, freq, demand[t], hr, tag=tag):
+                try:
+                    cuts = freqsec.nadir_discretization_rows(
+                        dec, freq, demand[t], hr, tag=tag)
+                except ValueError as exc:  # the grid check, an input error
+                    raise SchedulerError(f"period {tt}: {exc}") from exc
+                for row in cuts:
                     add(row)
 
     # probability-weighted operating cost
@@ -336,7 +340,7 @@ class UcSolution:
     """Solved window unpacked into per-period, per-branch arrays.
 
     Commitment arrays have shape ``(T,)``; dispatch arrays ``(T, S)``.
-    ``loss`` is ``None`` when the window was built without frequency
+    ``loss`` is NaN when the window was built without frequency
     constraints.
     """
 
@@ -348,7 +352,7 @@ class UcSolution:
     startup: dict
     output: dict
     pfr: dict
-    loss: np.ndarray | None
+    loss: np.ndarray
     wind_used: np.ndarray
     curtailment: np.ndarray
     load_served: np.ndarray
@@ -402,7 +406,7 @@ def extract_solution(model: MilpModel, system, tree, options: UcOptions,
         [val(f"wind[{start_period + t}][{s}]") for s in range(n_branches)]
         for t in range(n_periods)
     ])
-    loss = None
+    loss = np.full((n_periods, n_branches), np.nan)
     if options.frequency_constraints:
         loss = np.array([
             [val(f"ploss[{start_period + t}][{s}]") for s in range(n_branches)]
@@ -489,27 +493,35 @@ def committed_inertia(system, commit_values) -> float:
     return total - freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0
 
 
-def verify_solution(solution: UcSolution, system, tol: float = 1e-9) -> VerificationReport:
-    """Swing-check every period/branch of a solved window.
+def verify_solution(solution, system, tol: float = 1e-9) -> VerificationReport:
+    """Swing-check every period and branch of a window or a rolling path.
 
-    Without the loss variable (frequency constraints off) the implied
-    loss is the largest single-unit output, so the report grades what a
-    cost-only schedule would actually risk.
+    ``solution`` is a :class:`UcSolution` or a :class:`Trajectory`; a
+    path's ``(T,)`` dispatch arrays count as one branch.  A NaN loss (no
+    loss variable: frequency constraints off) is graded at the largest
+    single-unit output, so the report grades what a cost-only schedule
+    would actually risk.
     """
     freq = system.frequency
     fleet = system.generators
+    n_periods = len(solution.periods)
+
+    def cells(values):
+        return np.reshape(values, (n_periods, -1))
+
+    output = {g.id: cells(solution.output[g.id]) for g in fleet}
+    pfr = {g.id: cells(solution.pfr[g.id]) for g in fleet}
+    losses = cells(solution.loss)
     report = VerificationReport()
-    n_periods, n_branches = solution.wind_used.shape
     for t in range(n_periods):
         x_t = {g.id: solution.commit[g.id][t] for g in fleet}
         inertia = committed_inertia(system, x_t)
         damping_product = freq.damping * solution.demand[t]
-        for s in range(n_branches):
-            total_pfr = sum(float(solution.pfr[g.id][t, s]) for g in fleet)
-            if solution.loss is not None:
-                loss = float(solution.loss[t, s])
-            else:
-                loss = max(float(solution.output[g.id][t, s]) for g in fleet)
+        for s in range(losses.shape[1]):
+            total_pfr = sum(float(pfr[g.id][t, s]) for g in fleet)
+            loss = float(losses[t, s])
+            if np.isnan(loss):
+                loss = max(float(output[g.id][t, s]) for g in fleet)
             _, sec = certify_operating_point(
                 inertia, damping_product, total_pfr, freq.t_d, loss, freq,
                 tol=tol)
@@ -517,6 +529,11 @@ def verify_solution(solution: UcSolution, system, tol: float = 1e-9) -> Verifica
                 period=int(solution.periods[t]), scenario=s,
                 inertia=inertia, pfr=total_pfr, loss=loss, report=sec))
     return report
+
+
+# The rolling study's name for the same check; ``perfbench/`` imports it and
+# traces the study's verify layer through it.
+verify_trajectory = verify_solution
 
 
 # -- rolling horizon ---------------------------------------------------------
@@ -631,10 +648,7 @@ def _assemble_trajectory(system, scenarios, pieces) -> Trajectory:
            for g in fleet}
     startup = {g.id: np.concatenate([piece.startup[g.id] for piece in pieces])
                for g in fleet}
-    if pieces[0].loss is not None:
-        loss = np.concatenate([piece.loss[:, 0] for piece in pieces])
-    else:
-        loss = np.full(n, np.nan)
+    loss = np.concatenate([piece.loss[:, 0] for piece in pieces])
     wind_used = np.concatenate([piece.wind_used[:, 0] for piece in pieces])
     curtailment = np.concatenate([piece.curtailment[:, 0] for piece in pieces])
     fuel = np.zeros(n)
@@ -729,28 +743,6 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
 
     return RollingResult(windows, _assemble_trajectory(system, scenarios, pieces),
                          status="ok", expected_cost=expected)
-
-
-def verify_trajectory(trajectory: Trajectory, system, tol: float = 1e-9) -> VerificationReport:
-    """Swing-check every committed period of a rolling run."""
-    freq = system.frequency
-    fleet = system.generators
-    report = VerificationReport()
-    for t in range(len(trajectory.periods)):
-        x_t = {g.id: trajectory.commit[g.id][t] for g in fleet}
-        inertia = committed_inertia(system, x_t)
-        total_pfr = sum(float(trajectory.pfr[g.id][t]) for g in fleet)
-        if np.isfinite(trajectory.loss[t]):
-            loss = float(trajectory.loss[t])
-        else:
-            loss = max(float(trajectory.output[g.id][t]) for g in fleet)
-        _, sec = certify_operating_point(
-            inertia, freq.damping * trajectory.demand[t], total_pfr,
-            freq.t_d, loss, freq, tol=tol)
-        report.checks.append(CellCheck(
-            period=int(trajectory.periods[t]), scenario=0,
-            inertia=inertia, pfr=total_pfr, loss=loss, report=sec))
-    return report
 
 
 # -- study metrics ------------------------------------------------------------

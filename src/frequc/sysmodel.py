@@ -8,6 +8,7 @@ the stochastic scheduler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,6 +22,17 @@ DEFAULT_SEGMENT_COUNT = 10
 
 class SystemConfigError(ValueError):
     """Input file is malformed or violates a model invariant."""
+
+
+def _require_finite(where: str, spec) -> None:
+    """Reject NaN and infinite values in the numeric fields of ``spec``."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for i, v in items:
+            if isinstance(v, float) and not math.isfinite(v):
+                name = f.name if i is None else f"{f.name}[{i}]"
+                raise SystemConfigError(f"{where}: {name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +58,7 @@ class GeneratorSpec:
         gid = self.id
         if not gid:
             raise SystemConfigError("generator with empty id")
+        _require_finite(f"generator {gid}", self)
         if self.technology not in TECHNOLOGIES:
             raise SystemConfigError(
                 f"generator {gid}: unknown technology {self.technology!r}"
@@ -103,14 +116,19 @@ class FrequencyParams:
     largest_unit_inertia: float       # s
 
     def __post_init__(self):
+        segs = tuple(float(v) for v in self.nadir_segments)
+        object.__setattr__(self, "nadir_segments", segs)
+        _require_finite("frequency", self)
         for name in ("f0", "df_max", "df_ss_max", "rocof_max", "t_d",
                      "largest_unit_rating", "largest_unit_inertia"):
             if getattr(self, name) <= 0.0:
                 raise SystemConfigError(f"frequency: {name} must be positive")
         if self.damping < 0.0:
             raise SystemConfigError("frequency: damping must be >= 0")
-        segs = tuple(float(v) for v in self.nadir_segments)
-        object.__setattr__(self, "nadir_segments", segs)
+        if self.df_ss_max > self.df_max:
+            raise SystemConfigError(
+                "frequency: df_ss_max must not exceed df_max, or the settled "
+                "deviation the response rows allow breaks the nadir limit")
         if not segs:
             raise SystemConfigError("frequency: nadir_segments is empty")
         if segs[0] <= 0.0:
@@ -156,6 +174,7 @@ class SystemSpec:
             self, "demand_profile",
             tuple(float(v) for v in self.demand_profile),
         )
+        _require_finite("system", self)
         if not self.generators:
             raise SystemConfigError("system: at least one generator required")
         seen = set()
@@ -293,6 +312,8 @@ def load_scenario_table(path):
             values = [float(tok) for tok in body.split()]
         except ValueError as exc:
             raise SystemConfigError(f"{path}:{lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise SystemConfigError(f"{path}:{lineno}: values must be finite")
         if header is None:
             header = values
             continue
@@ -381,43 +402,10 @@ def load_system(path) -> SystemSpec:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise SystemConfigError(f"{path}: parse error: {exc}") from None
-    return system_from_dict(doc)
+    try:
+        return system_from_dict(doc)
+    except SystemConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a value of the wrong type
+        raise SystemConfigError(f"{path}: {exc}") from None
 
-
-def system_to_dict(spec: SystemSpec) -> dict:
-    gens = []
-    for g in spec.generators:
-        entry = {name: getattr(g, name) for name in (
-            "id", "technology", "p_max", "p_min", "inertia_const",
-            "marginal_cost", "no_load_cost", "startup_cost", "min_up",
-            "min_down", "pfr_max", "emissions_rate", "deloadable",
-            "max_deload_fraction",
-        )}
-        gens.append(entry)
-    fr = spec.frequency
-    return {
-        "frequency": {
-            "f0": fr.f0,
-            "df_max": fr.df_max,
-            "df_ss_max": fr.df_ss_max,
-            "rocof_max": fr.rocof_max,
-            "t_d": fr.t_d,
-            "damping": fr.damping,
-            "nadir_segments": list(fr.nadir_segments),
-        },
-        "generators": gens,
-        "demand": {
-            "period_hours": spec.period_hours,
-            "profile": list(spec.demand_profile),
-        },
-        "scenarios": {
-            "wind_capacity": spec.wind_capacity,
-        },
-    }
-
-
-def dump_system(spec: SystemSpec, path=None) -> str:
-    text = yaml.safe_dump(system_to_dict(spec), sort_keys=False)
-    if path is not None:
-        Path(path).write_text(text)
-    return text

@@ -176,7 +176,13 @@ def test_bigm_product_exactness():
         largest_unit_inertia=7.0,
     )
     model = MilpModel()
-    dec = register_decisions(model, fleet, freq, r_max)
+    dec = register_decisions(
+        model, fleet, freq, r_max,
+        commit={g.id: model.add_binary(f"x[{g.id}]") for g in fleet},
+        output={g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
+                for g in fleet},
+        pfr={g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+             for g in fleet})
     expr, rows = linearize_inertia_pfr(dec, fleet, freq, r_max)
     by_unit = {}
     for row in rows:

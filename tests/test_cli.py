@@ -19,6 +19,7 @@ import pytest
 import scipy.optimize
 
 import frequc.cli
+import frequc.scheduler
 from frequc.cli import _ordered_results, main
 from frequc.scheduler import RollingResult, SchedulerError
 
@@ -187,6 +188,44 @@ def test_parser_exit_codes(argv, code, capsys):
     assert exc.value.code == code
     captured = capsys.readouterr()
     assert captured.out if code == 0 else "error:" in captured.err
+
+
+@pytest.mark.parametrize("case, message", [
+    # damping x demand moves the requirement's vertex above the loss grid
+    ("hot grid", "period 0: segment grid enters the region"),
+    ("text in profile", "could not convert string to float: 'abc'"),
+    ("text in study", "invalid literal for int() with base 10: 'three'"),
+    ("negative loss", "region: loss must be positive"),
+])
+def test_input_errors_exit_invalid(tmp_path, capsys, case, message):
+    system, scenarios = write_inputs(tmp_path)
+    edits = {"hot grid": ("damping: 0.3", "damping: 3.0"),
+             "text in profile": ("630.0", "abc")}
+    if case in edits:
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(Path(system).read_text().replace(*edits[case]))
+        argv = ["solve", str(bad), scenarios]
+    elif case == "text in study":
+        config = tmp_path / "study.yaml"
+        config.write_text(STUDY.replace("periods: 3", "periods: three"))
+        argv = ["study", system, scenarios, str(config)]
+    else:
+        argv = ["region", "--loss", "200", "--loss", "-5",
+                "--delivery-time", "10", "--df-max", "0.8"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_internal_value_error_is_not_invalid_input(tmp_path, monkeypatch):
+    """Only input errors map to exit 1; a bug inside a command propagates."""
+    def broken_solve(model, options=None):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(frequc.scheduler, "solve", broken_solve)
+    system, scenarios = write_inputs(tmp_path)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["solve", system, scenarios, "--out", str(tmp_path / "run")])
 
 
 def test_solve_rerun_is_byte_identical(tmp_path):

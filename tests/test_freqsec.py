@@ -36,6 +36,17 @@ def freq_for(fleet, segments, **kw):
                            largest_unit_inertia=big.inertia_const, **args)
 
 
+def new_cell(mdl, fleet, freq, r_max):
+    """One cell: the window's variables, then ``register_decisions``."""
+    commit = {g.id: mdl.add_binary(f"x[{g.id}]") for g in fleet}
+    output = {g.id: mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
+              for g in fleet}
+    pfr = {g.id: mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+           for g in fleet}
+    return register_decisions(mdl, fleet, freq, r_max, commit=commit,
+                              output=output, pfr=pfr)
+
+
 def row_holds(row, values, tol=1e-9):
     act = sum(c * values[j] for j, c in row.coeffs.items())
     if row.sense == "<=":
@@ -48,7 +59,7 @@ def row_holds(row, values, tol=1e-9):
 def test_largest_loss_rows_per_generator():
     fleet = two_unit_fleet()
     mdl = MilpModel()
-    dec = register_decisions(mdl, fleet, freq_for(fleet, [2000.0]), r_max=200.0)
+    dec = new_cell(mdl, fleet, freq_for(fleet, [2000.0]), r_max=200.0)
     rows = largest_loss_rows(dec, fleet)
     assert len(rows) == 2
     for row, g in zip(rows, fleet):
@@ -60,7 +71,7 @@ def test_largest_loss_rows_per_generator():
 def test_largest_loss_rows_warn_when_empty():
     fleet = two_unit_fleet()
     mdl = MilpModel()
-    dec = register_decisions(mdl, fleet, freq_for(fleet, [2000.0]), r_max=200.0)
+    dec = new_cell(mdl, fleet, freq_for(fleet, [2000.0]), r_max=200.0)
     with pytest.warns(UserWarning):
         assert largest_loss_rows(dec, fleet, eligible=()) == []
 
@@ -69,7 +80,7 @@ def test_loss_minimizes_to_largest_fixed_output():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0])
     mdl = MilpModel()
-    dec = register_decisions(mdl, fleet, freq, r_max=200.0)
+    dec = new_cell(mdl, fleet, freq, r_max=200.0)
     for row in largest_loss_rows(dec, fleet):
         mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
     mdl.add_row({dec.output["big"]: 1.0}, "=", 1320.0)
@@ -83,7 +94,7 @@ def test_inertia_expression_worked_example():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0])
     mdl = MilpModel()
-    dec = register_decisions(mdl, fleet, freq, r_max=200.0)
+    dec = new_cell(mdl, fleet, freq, r_max=200.0)
     expr = inertia_expression(dec, fleet, freq)
     assert expr.coeffs[dec.commit["big"]] == pytest.approx(200.0)
     assert expr.coeffs[dec.commit["small"]] == pytest.approx(40.0)
@@ -102,7 +113,7 @@ def test_inertia_floor_row_rejects_empty_commitment():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0])
     mdl = MilpModel()
-    dec = register_decisions(mdl, fleet, freq, r_max=200.0)
+    dec = new_cell(mdl, fleet, freq, r_max=200.0)
     row = inertia_floor_row(dec, fleet, freq)
     vals = np.zeros(mdl.n_vars)
     assert not row_holds(row, vals)
@@ -114,7 +125,7 @@ def test_rocof_row_worked_examples():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0], rocof_max=0.125)
     mdl = MilpModel()
-    dec = register_decisions(mdl, fleet, freq, r_max=200.0)
+    dec = new_cell(mdl, fleet, freq, r_max=200.0)
     row = rocof_row(dec, freq, inertia_expression(dec, fleet, freq))
     assert row.coeffs[dec.loss] == pytest.approx(-4.0)   # 1 / (2 * 0.125)
     # H = 240 with both units on; a 1800 MW loss needs H >= 7200, so fails
@@ -132,7 +143,7 @@ def test_qss_row_worked_examples():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0], damping=0.01, df_ss_max=0.5)
     mdl = MilpModel()
-    dec = register_decisions(mdl, fleet, freq, r_max=200.0)
+    dec = new_cell(mdl, fleet, freq, r_max=200.0)
     row = qss_row(dec, freq, demand=30000.0)
     assert row.rhs == pytest.approx(-150.0)
     vals = np.zeros(mdl.n_vars)
@@ -177,7 +188,7 @@ def segment_fixture(p_fixed):
                     t_d=10.0, df_max=0.8)
     demand = 20000.0
     mdl = MilpModel()
-    dec = register_decisions(mdl, fleet, freq, r_max=60000.0)
+    dec = new_cell(mdl, fleet, freq, r_max=60000.0)
     for row in largest_loss_rows(dec, fleet):
         mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
     hr, bigm_rows = linearize_inertia_pfr(dec, fleet, freq, r_max=60000.0)
@@ -237,7 +248,7 @@ def test_discretization_grid_validation():
     fleet = two_unit_fleet()
     mdl = MilpModel()
     freq = freq_for(fleet, [2000.0])
-    dec = register_decisions(mdl, fleet, freq, r_max=200.0)
+    dec = new_cell(mdl, fleet, freq, r_max=200.0)
     hr, _ = linearize_inertia_pfr(dec, fleet, freq, r_max=200.0)
     # grid enters the decreasing region of the requirement for huge damping
     hot = freq_for(fleet, [2000.0], damping=10.0)
@@ -249,7 +260,7 @@ def test_linearize_rejects_bad_r_max():
     fleet = two_unit_fleet()
     mdl = MilpModel()
     freq = freq_for(fleet, [2000.0])
-    dec = register_decisions(mdl, fleet, freq, r_max=200.0)
+    dec = new_cell(mdl, fleet, freq, r_max=200.0)
     with pytest.raises(ValueError):
         linearize_inertia_pfr(dec, fleet, freq, r_max=0.0)
 
@@ -269,7 +280,7 @@ def test_big_m_product_is_exact_on_random_assignments():
     rng = np.random.default_rng(12)
     for _ in range(60):
         mdl = MilpModel()
-        dec = register_decisions(mdl, fleet, freq, r_max=r_max)
+        dec = new_cell(mdl, fleet, freq, r_max=r_max)
         hr, rows = linearize_inertia_pfr(dec, fleet, freq, r_max=r_max)
         for row in rows:
             mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from frequc.milp import (
@@ -6,10 +5,8 @@ from frequc.milp import (
     MilpModel,
     export_model,
     import_model,
-    import_solution,
     models_equivalent,
     solve,
-    write_solution,
 )
 
 
@@ -70,48 +67,6 @@ def test_import_requires_finite_bounds():
     text = "Minimize\n obj: x + y\nSubject To\n r0: x + y <= 1\nBounds\n 0 <= x <= 1\nEnd\n"
     with pytest.raises(LpioError):
         import_model(text)
-
-
-def test_solution_round_trip_clean():
-    mdl = sample_model()
-    got = solve(mdl)
-    text = write_solution(mdl, got.status, got.objective, got.values)
-    loaded = import_solution(mdl, text)
-    assert loaded.status == "optimal"
-    assert loaded.objective == pytest.approx(got.objective)
-    assert not loaded.violations
-    assert not loaded.objective_mismatch
-    assert np.allclose(loaded.values, got.values)
-
-
-def test_solution_import_flags_tampered_values():
-    mdl = sample_model()
-    got = solve(mdl)
-    vals = got.values.copy()
-    vals[2] += 9.0  # breaks cap_a
-    text = write_solution(mdl, got.status, got.objective, vals)
-    loaded = import_solution(mdl, text)
-    assert loaded.violations
-    assert loaded.objective_mismatch
-
-
-def test_solution_import_rejects_unknown_variable():
-    mdl = sample_model()
-    text = "status optimal\nobjective 1.0\nghost 1.0\n"
-    with pytest.raises(LpioError):
-        import_solution(mdl, text)
-
-
-def test_solution_import_requires_status_line():
-    mdl = sample_model()
-    with pytest.raises(LpioError):
-        import_solution(mdl, "objective 1.0\non_a 1\n")
-
-
-def test_solution_import_requires_all_values_when_optimal():
-    mdl = sample_model()
-    with pytest.raises(LpioError):
-        import_solution(mdl, "status optimal\nobjective 1.0\non_a 1\n")
 
 
 def test_export_orders_terms_stably():

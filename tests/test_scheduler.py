@@ -386,6 +386,24 @@ def test_single_window_rolling_matches_direct_solve():
     # committed periods re-dispatched at the median path stay on commitments
     for g in system.generators:
         assert np.array_equal(run.trajectory.commit[g.id], direct.commit[g.id])
+    # the path's (T,) arrays are swing-checked as the one-branch
+    # re-dispatch window they were cut from
+    realized = realized_series(tree)
+    median = ScenarioTree(root=float(realized[0]),
+                          branches=(ScenarioBranch(tuple(realized), 1.0),),
+                          quantile_levels=(0.5,))
+    redispatch, _, _ = solve_uc(system, median, options(),
+                                fixed_commitments=direct.commit)
+    assert (verify_trajectory(run.trajectory, system).checks
+            == verify_solution(redispatch, system).checks)
+    # without a loss variable the path is graded at its largest unit output
+    off = solve_rolling_horizon(system, tree,
+                                options(frequency_constraints=False))
+    assert off.ok and np.isnan(off.trajectory.loss).all()
+    checks = verify_trajectory(off.trajectory, system).checks
+    assert [c.loss for c in checks] == [
+        max(off.trajectory.output[g.id][t] for g in system.generators)
+        for t in range(len(off.trajectory.periods))]
 
 
 def test_deterministic_rolling_matches_single_shot():

@@ -8,7 +8,6 @@ from frequc.sysmodel import (
     SystemSpec,
     build_scenario_tree,
     default_segment_grid,
-    dump_system,
     largest_unit,
     load_scenario_table,
     load_system,
@@ -56,14 +55,42 @@ def test_load_minimal_system(tmp_path):
     assert spec.wind_capacity == 300.0
 
 
-def test_round_trip_identical(tmp_path):
-    path = tmp_path / "sys.yaml"
-    path.write_text(MINIMAL_YAML)
-    spec = load_system(path)
-    out = tmp_path / "dumped.yaml"
-    dump_system(spec, out)
-    again = load_system(out)
-    assert again == spec
+SCENARIO_TABLE = "0.1 0.9\n1000 1200\n1050 1250\n"
+
+
+@pytest.mark.parametrize("target, old, new, match", [
+    ("sys.yaml", "profile: [2100.0, 2200.0]", "profile: [2100.0, .nan]",
+     r"system: demand_profile\[1\] must be finite"),
+    ("sys.yaml", "period_hours: 1.0", "period_hours: .inf",
+     "system: period_hours must be finite"),
+    ("sys.yaml", "wind_capacity: 300.0", "wind_capacity: .nan",
+     "system: wind_capacity must be finite"),
+    ("sys.yaml", "p_max: 2000.0", "p_max: .inf",
+     "generator big: p_max must be finite"),
+    ("sys.yaml", "marginal_cost: 40.0", "marginal_cost: .inf",
+     "generator small: marginal_cost must be finite"),
+    ("sys.yaml", "inertia_const: 4.0", "inertia_const: .nan",
+     "generator small: inertia_const must be finite"),
+    ("sys.yaml", "pfr_max: 200.0", "pfr_max: -.inf",
+     "generator small: pfr_max must be finite"),
+    ("sys.yaml", "damping: 0.0", "damping: .nan",
+     "frequency: damping must be finite"),
+    ("sys.yaml", "rocof_max: 0.5", "rocof_max: .inf",
+     "frequency: rocof_max must be finite"),
+    ("sys.yaml", "damping: 0.0", "damping: 0.0\n  nadir_segments: [1500.0, .nan]",
+     r"frequency: nadir_segments\[1\] must be finite"),
+    ("scen.txt", "1050 1250", "1050 nan", "scen.txt:3: values must be finite"),
+    ("scen.txt", "0.1 0.9", "0.1 inf", "scen.txt:1: values must be finite"),
+])
+def test_non_finite_numbers_are_rejected(tmp_path, target, old, new, match):
+    texts = {"sys.yaml": MINIMAL_YAML, "scen.txt": SCENARIO_TABLE}
+    assert old in texts[target]
+    texts[target] = texts[target].replace(old, new)
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(SystemConfigError, match=match):
+        load_system(tmp_path / "sys.yaml")
+        load_scenario_table(tmp_path / "scen.txt")
 
 
 def test_pmin_above_pmax_names_the_unit():
@@ -109,6 +136,15 @@ def test_frequency_params_reject_short_segment_grid():
         FrequencyParams(
             f0=50.0, df_max=0.8, df_ss_max=0.5, rocof_max=0.5, t_d=10.0,
             damping=0.0, nadir_segments=(500.0, 900.0),
+            largest_unit_rating=1000.0, largest_unit_inertia=5.0,
+        )
+
+
+def test_frequency_params_reject_settled_limit_beyond_nadir_limit():
+    with pytest.raises(SystemConfigError, match="df_ss_max must not exceed"):
+        FrequencyParams(
+            f0=50.0, df_max=0.8, df_ss_max=1.0, rocof_max=0.5, t_d=10.0,
+            damping=0.0, nadir_segments=(1000.0,),
             largest_unit_rating=1000.0, largest_unit_inertia=5.0,
         )
 
