@@ -28,7 +28,7 @@ import yaml
 
 from . import __version__
 from .freqdyn import region_curve
-from .milp import export_model
+from .milp import SolverError, export_model
 from .scheduler import (
     SchedulerError,
     UcOptions,
@@ -541,6 +541,9 @@ def main(argv=None) -> int:
     except (SystemConfigError, SchedulerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except SolverError as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -57,28 +57,35 @@ class SwingTrace:
 
 
 def _deviation_curve(inp: SwingInputs, t):
-    """Closed-form deviation at times ``t`` (scalar or array)."""
+    """Closed-form deviation at times ``t`` (scalar or array).
+
+    Each piece is evaluated only on its own times: the post-delivery
+    exponential overflows when read far before the delivery time.
+    """
     t = np.asarray(t, dtype=float)
     h2 = 2.0 * inp.inertia
     d = inp.damping
     r = inp.pfr
     td = inp.delivery_time
     p = inp.loss
+    ramp = t <= td
+    t_ramp, t_step = t[ramp], t[~ramp]
+    out = np.empty_like(t)
 
     if d == 0.0:
-        ramp_part = (r * t * t / (2.0 * td) - p * t) / h2
+        out[ramp] = (r * t_ramp * t_ramp / (2.0 * td) - p * t_ramp) / h2
         f_td = (r * td / 2.0 - p * td) / h2
-        step_part = f_td + (r - p) * (t - td) / h2
+        out[~ramp] = f_td + (r - p) * (t_step - td) / h2
     else:
         a = d / h2
         alpha = r / (td * d)
         gamma = -p / d - h2 * r / (td * d * d)
         c0 = -gamma
-        ramp_part = c0 * np.exp(-a * t) + alpha * t + gamma
+        out[ramp] = c0 * np.exp(-a * t_ramp) + alpha * t_ramp + gamma
         f_td = c0 * math.exp(-a * td) + alpha * td + gamma
         f_ss = (r - p) / d
-        step_part = f_ss + (f_td - f_ss) * np.exp(-a * (t - td))
-    return np.where(t <= td, ramp_part, step_part)
+        out[~ramp] = f_ss + (f_td - f_ss) * np.exp(-a * (t_step - td))
+    return out
 
 
 def _deviation_at(inp: SwingInputs, t: float) -> float:

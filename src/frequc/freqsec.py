@@ -1,36 +1,76 @@
 """Frequency-security constraint rows as solver-agnostic linear pieces.
 
 Everything here maps scheduling decisions (commitments, outputs, response
-holdings, the sizable-loss variable) onto linear rows: the loss bounds,
-the RoCoF and quasi-steady-state requirements, the big-M linearization of
-the inertia-times-response product, and the chord envelope of the convex
-nadir requirement over the loss grid.  ``register_decisions`` is the one
-place that creates a cell's security variables; the scheduler passes in
-the window's commitment, output and response ids and the cell's tag.  Row
+holdings, the sizable-loss variable) onto linear rows.  One (period,
+branch) cell holds:
+
+* the summed response ``R = sum r[g]`` and the sizable loss ``P``, bounded
+  below by the output of every unit that can set it;
+* the RoCoF and quasi-steady-state requirements;
+* one product variable ``hr`` with ``hr <= H(x) * R``: one auxiliary
+  ``z[g] <= min(R, r_max * x[g])`` per synchronous unit whose commitment
+  is free, and a constant coefficient on ``R`` for the committed ones.
+  Outside those upper bounds ``z`` and ``hr`` enter only ``>=`` rows with
+  positive coefficients, so the one-sided bounds are exact: the largest
+  ``hr`` the rows allow is ``H(x) * R``;
+* the chord envelope of the convex nadir requirement, ``hr >= chord(P)``;
+* hyperbolic cuts ``mu * H(x) + R / mu >= 2 * chord_sqrt(P)``, which tie
+  the shared commitment to each branch's loss without the auxiliaries.
+
+``register_decisions`` is the one place that creates a cell's security
+variables; the scheduler passes in the window's commitment, output and
+response ids and the cell's tag, after the commitments are fixed.  Row
 construction is pure.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
-from .milp.model import LinearRow, LinExpr, MilpModel, SENSE_GE, SENSE_LE
+from .milp.model import (LinearRow, LinExpr, MilpModel, SENSE_EQ, SENSE_GE,
+                         SENSE_LE)
+
+# Hyperbolic cuts per cell (a constant of the formulation, not an input).
+HYPERBOLIC_CUTS = 8
+# Seconds after the loss at which the quasi-steady-state limit is checked.
+SETTLE_TIME = 60.0
 
 
 @dataclass(frozen=True)
 class FreqDecisionSet:
     """Variable ids for one period/scenario cell.
 
-    ``commit``, ``output``, ``pfr`` and ``bilinear`` map generator id to
-    model variable index; ``loss`` is the sizable-loss variable.
+    ``commit``, ``output`` and ``pfr`` map generator id to model variable
+    index; ``loss`` is the sizable loss, ``response`` the summed response
+    R and ``product`` the inertia-times-response variable.  ``bilinear``
+    maps each synchronous unit with a free commitment to its auxiliary;
+    ``fixed_on`` holds the synchronous units committed by a fixed bound.
     """
 
     commit: dict
     output: dict
     pfr: dict
     loss: int
+    response: int
+    product: int
     bilinear: dict
+    fixed_on: frozenset
+
+
+def _inertia_coef(g, freq) -> float:
+    return g.inertia_const * g.p_max / freq.f0
+
+
+def _lost_inertia(freq) -> float:
+    return freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0
+
+
+def max_inertia(fleet, freq) -> float:
+    """Post-loss inertia (MW*s^2) with every synchronous unit committed."""
+    return (sum(_inertia_coef(g, freq) for g in fleet if g.synchronous)
+            - _lost_inertia(freq))
 
 
 def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
@@ -40,14 +80,27 @@ def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
 
     ``commit``, ``output`` and ``pfr`` map generator id to the window's
     existing variables, so first-stage commitments are shared across
-    scenarios.  The sizable loss ``ploss{tag}`` comes first, then one
-    big-M auxiliary ``z[g]{tag}`` per synchronous unit.
+    scenarios; commitments must already carry their fixed bounds.  The
+    cell gets ``ploss{tag}``, ``R{tag}``, ``hr{tag}`` and then one
+    auxiliary ``z[g]{tag}`` per synchronous unit whose commitment is free.
     """
     loss = model.add_continuous(f"ploss{tag}", 0.0, freq.largest_unit_rating)
-    bilinear = {g.id: model.add_continuous(f"z[{g.id}]{tag}", 0.0, r_max)
-                for g in fleet if g.synchronous}
+    response = model.add_continuous(f"R{tag}", 0.0, r_max)
+    product = model.add_continuous(
+        f"hr{tag}", 0.0, max(max_inertia(fleet, freq), 0.0) * r_max)
+    bilinear = {}
+    fixed_on = set()
+    for g in fleet:
+        if not g.synchronous:
+            continue
+        var = model.variables[commit[g.id]]
+        if var.lb != var.ub:
+            bilinear[g.id] = model.add_continuous(f"z[{g.id}]{tag}", 0.0, r_max)
+        elif var.lb == 1.0:
+            fixed_on.add(g.id)
     return FreqDecisionSet(commit=commit, output=output, pfr=pfr, loss=loss,
-                           bilinear=bilinear)
+                           response=response, product=product,
+                           bilinear=bilinear, fixed_on=frozenset(fixed_on))
 
 
 def largest_loss_rows(decisions: FreqDecisionSet, fleet, eligible=None,
@@ -71,8 +124,8 @@ def inertia_expression(decisions: FreqDecisionSet, fleet, freq) -> LinExpr:
     expr = LinExpr()
     for g in fleet:
         if g.synchronous:
-            expr.add_term(decisions.commit[g.id], g.inertia_const * g.p_max / freq.f0)
-    expr.constant = -freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0
+            expr.add_term(decisions.commit[g.id], _inertia_coef(g, freq))
+    expr.constant = -_lost_inertia(freq)
     return expr
 
 
@@ -93,14 +146,35 @@ def rocof_row(decisions: FreqDecisionSet, freq, inertia: LinExpr,
                      label=f"rocof{tag}")
 
 
-def qss_row(decisions: FreqDecisionSet, freq, demand: float,
+def settled_limit(freq, demand: float, h_max: float) -> float:
+    """Limit on the settled deviation that keeps the 60-s one within
+    ``df_ss_max``.
+
+    After delivery the deviation relaxes from its value at T_d (no lower
+    than the nadir, so no lower than -df_max) towards the settled value
+    (R - P) / D with the factor eps = exp(-D (60 - T_d) / (2 H)), which
+    grows with H.  Evaluated at the largest inertia ``h_max``,
+    ``L = df_ss_max - eps * (df_max - df_ss_max) / (1 - eps)`` bounds the
+    settled deviation conservatively; it is ``df_ss_max`` itself when the
+    two limits coincide.  Without damping (eps = 1) no such bound exists
+    and ``df_ss_max`` is returned.
+    """
+    gap = freq.df_max - freq.df_ss_max
+    d = freq.damping * demand
+    if gap == 0.0 or d <= 0.0 or h_max <= 0.0 or freq.t_d >= SETTLE_TIME:
+        return freq.df_ss_max
+    eps = math.exp(-d * (SETTLE_TIME - freq.t_d) / (2.0 * h_max))
+    return freq.df_ss_max - eps * gap / (1.0 - eps)
+
+
+def qss_row(decisions: FreqDecisionSet, fleet, freq, demand: float,
             tag: str = "") -> LinearRow:
     """Quasi-steady-state recovery: total response covers the loss minus
-    the damping relief."""
-    coeffs = {idx: 1.0 for idx in decisions.pfr.values()}
-    coeffs[decisions.loss] = -1.0
-    rhs = -freq.damping * demand * freq.df_ss_max
-    return LinearRow(coeffs=coeffs, sense=SENSE_GE, rhs=rhs, label=f"qss{tag}")
+    the damping relief at the settled limit."""
+    limit = settled_limit(freq, demand, max_inertia(fleet, freq))
+    rhs = -freq.damping * demand * limit
+    return LinearRow(coeffs={decisions.response: 1.0, decisions.loss: -1.0},
+                     sense=SENSE_GE, rhs=rhs, label=f"qss{tag}")
 
 
 def nadir_beta(freq, demand: float) -> float:
@@ -117,53 +191,56 @@ def nadir_requirement(p_loss: float, freq, demand: float) -> float:
 
 def linearize_inertia_pfr(decisions: FreqDecisionSet, fleet, freq,
                           r_max: float, tag: str = ""):
-    """Exact product H*R via one auxiliary per synchronous unit.
+    """Rows that define R and bound the product variable by H(x) * R.
 
-    Returns the linear expression for the product and the rows that pin
-    each auxiliary z_g to x_g * R.  Exactness holds at every feasible
-    point with binary commitments and 0 <= R <= r_max.
+    ``R = sum r[g]`` over the units that can respond; ``z[g] <= R`` and
+    ``z[g] <= r_max * x[g]`` for each free commitment;
+    ``hr <= sum c_g z[g] + (sum_{fixed on} c_g - c_L) R``.
+    For binary x and 0 <= R <= r_max the tightest bound the rows put on
+    ``z[g]`` is ``x[g] * R``, and on ``hr`` it is ``H(x) * R``.  No row
+    bounds them from below: both only ever need to be large.
     """
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
-    rows = []
-    expr = LinExpr()
-    all_pfr = list(decisions.pfr.values())
-    loss_coef = freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0
+    big_r = decisions.response
+    coeffs = {decisions.pfr[g.id]: -1.0 for g in fleet if g.pfr_max > 0.0}
+    coeffs[big_r] = 1.0
+    rows = [LinearRow(coeffs=coeffs, sense=SENSE_EQ, rhs=0.0,
+                      label=f"pfr_sum{tag}")]
+    hr = {decisions.product: 1.0}
+    committed = -_lost_inertia(freq)
     for g in fleet:
-        if not g.synchronous:
+        if g.id in decisions.fixed_on:
+            committed += _inertia_coef(g, freq)
+        z = decisions.bilinear.get(g.id)
+        if z is None:
             continue
-        z = decisions.bilinear[g.id]
-        x = decisions.commit[g.id]
-        # z <= R
-        coeffs = {idx: -1.0 for idx in all_pfr}
-        coeffs[z] = 1.0
-        rows.append(LinearRow(coeffs=coeffs, sense=SENSE_LE, rhs=0.0,
-                              label=f"bigm_r{tag}[{g.id}]"))
-        # z <= r_max * x
-        rows.append(LinearRow(coeffs={z: 1.0, x: -r_max}, sense=SENSE_LE,
-                              rhs=0.0, label=f"bigm_x{tag}[{g.id}]"))
-        # z >= R - r_max * (1 - x)
-        coeffs = {idx: -1.0 for idx in all_pfr}
-        coeffs[z] = 1.0
-        coeffs[x] = -r_max
-        rows.append(LinearRow(coeffs=coeffs, sense=SENSE_GE, rhs=-r_max,
-                              label=f"bigm_lo{tag}[{g.id}]"))
-        expr.add_term(z, g.inertia_const * g.p_max / freq.f0)
-    # subtract the lost unit's share: -(rating * H_L / f0) * R
-    for idx in all_pfr:
-        expr.add_term(idx, -loss_coef)
-    return expr, rows
+        rows.append(LinearRow(coeffs={z: 1.0, big_r: -1.0}, sense=SENSE_LE,
+                              rhs=0.0, label=f"bigm_r{tag}[{g.id}]"))
+        rows.append(LinearRow(coeffs={z: 1.0, decisions.commit[g.id]: -r_max},
+                              sense=SENSE_LE, rhs=0.0,
+                              label=f"bigm_x{tag}[{g.id}]"))
+        hr[z] = -_inertia_coef(g, freq)
+    hr[big_r] = -committed
+    rows.append(LinearRow(coeffs=hr, sense=SENSE_LE, rhs=0.0,
+                          label=f"hr{tag}"))
+    return rows
+
+
+def _requirement_root(freq, demand: float) -> float:
+    """Positive root of the nadir requirement (twice its vertex)."""
+    return freq.damping * demand * freq.df_max
 
 
 def nadir_discretization_rows(decisions: FreqDecisionSet, freq, demand: float,
-                              hr_expr: LinExpr, tag: str = ""):
-    """Chord envelope of the nadir requirement: H*R >= each chord.
+                              tag: str = ""):
+    """Chord envelope of the nadir requirement: hr >= each chord.
 
     The requirement f(P) = P^2 T_d / (4 df_max) - beta P is convex, so on
     each interval between consecutive breakpoints its chord lies on or
     above it, and the largest chord equals f at the breakpoints.  With
-    H*R >= 0 (the inertia floor and R >= 0) the rows therefore enforce
-    H*R >= f(P) for every loss in [0, rating], exactly at the breakpoints.
+    hr >= 0 the rows therefore enforce H*R >= hr >= f(P) for every loss
+    in [0, rating], exactly at the breakpoints.
 
     The breakpoints are the configured grid, which ``FrequencyParams``
     makes reach the rating, with the positive root of f put in front when
@@ -171,14 +248,14 @@ def nadir_discretization_rows(decisions: FreqDecisionSet, freq, demand: float,
     grid is still covered.
     """
     grid = freq.nadir_segments
-    turn = freq.damping * demand * freq.df_max / 2.0
+    turn = _requirement_root(freq, demand) / 2.0
     if grid[0] < turn - 1e-9:
         raise ValueError(
             "segment grid enters the region where the requirement decreases "
             f"(values below {turn:.3f} MW); keep it on the increasing branch, "
             "where the chord envelope is a conservative, non-decreasing bound"
         )
-    root = 2.0 * turn  # f vanishes at 0 and at twice its vertex
+    root = 2.0 * turn
     points = ((root,) + grid) if root < grid[0] else grid
     rows = []
     for i in range(1, len(points)):
@@ -186,11 +263,74 @@ def nadir_discretization_rows(decisions: FreqDecisionSet, freq, demand: float,
         r0 = nadir_requirement(p0, freq, demand)
         r1 = nadir_requirement(p1, freq, demand)
         slope = (r1 - r0) / (p1 - p0)
-        coeffs = dict(hr_expr.coeffs)
-        coeffs[decisions.loss] = coeffs.get(decisions.loss, 0.0) - slope
         rows.append(LinearRow(
-            coeffs=coeffs, sense=SENSE_GE,
-            rhs=r0 - slope * p0 - hr_expr.constant,
+            coeffs={decisions.product: 1.0, decisions.loss: -slope},
+            sense=SENSE_GE, rhs=r0 - slope * p0,
             label=f"nadir_cut{tag}[{i}]",
         ))
+    return rows
+
+
+def hyperbolic_cut_rows(decisions: FreqDecisionSet, fleet, freq,
+                        demand: float, r_max: float, loss_floor: float,
+                        tag: str = ""):
+    """Cuts ``mu * H(x) + R / mu - 2 s P >= 2 c`` for ``HYPERBOLIC_CUTS``
+    values of mu, valid for every loss ``P >= loss_floor``.
+
+    For every mu > 0, ``mu H + R / mu >= 2 sqrt(H R)`` (AM-GM, H, R >= 0),
+    and the envelope rows give ``H R >= f(P)``.  ``s P + c`` is the chord
+    of sqrt(f) over ``[p_a, rating]``, ``p_a = max(loss_floor, root of
+    f)``; sqrt(f) is concave there ((sqrt f)'' = -beta^2 / (4 f^1.5)), so
+    the chord lies below it, and below the root the chord is negative.
+    The cuts therefore remove no point with binary commitments.  A cut is
+    tight where ``mu = sqrt(R / H)``; the values run geometrically from
+    ``q / H_max`` to ``r_max / q``, with ``q = sqrt(f(p_a))``, or
+    ``sqrt(f(rating))`` when ``p_a`` is the root.  Cells without a free
+    commitment, or where f <= 0 up to the rating, get none.
+    """
+    rating = freq.largest_unit_rating
+    f_b = nadir_requirement(rating, freq, demand)
+    h_max = max_inertia(fleet, freq)
+    if not decisions.bilinear or f_b <= 0.0 or h_max <= 0.0:
+        return []
+    p_a = min(max(loss_floor, _requirement_root(freq, demand)), rating)
+    q_a = math.sqrt(max(nadir_requirement(p_a, freq, demand), 0.0))
+    q_b = math.sqrt(f_b)
+    slope = (q_b - q_a) / (rating - p_a) if rating - p_a > 1e-9 else 0.0
+    icpt = q_b - slope * rating
+    q = q_a if q_a > 0.0 else q_b
+    lo, hi = q / h_max, r_max / q
+    inertia = inertia_expression(decisions, fleet, freq)
+    rows = []
+    for k in range(HYPERBOLIC_CUTS):
+        mu = lo * (hi / lo) ** (k / (HYPERBOLIC_CUTS - 1))
+        coeffs = {j: mu * c for j, c in inertia.coeffs.items()}
+        coeffs[decisions.response] = 1.0 / mu
+        coeffs[decisions.loss] = -2.0 * slope
+        rows.append(LinearRow(coeffs=coeffs, sense=SENSE_GE,
+                              rhs=2.0 * icpt - mu * inertia.constant,
+                              label=f"hyp_cut{tag}[{k}]"))
+    return rows
+
+
+def cell_rows(decisions: FreqDecisionSet, fleet, freq, demand: float,
+              r_max: float, *, largest, loss_floor: float, tag: str = ""):
+    """Every row of one (period, branch) cell but the per-period inertia
+    floor.
+
+    ``largest`` is the largest unit; it must be committed, with an output
+    the caller's rows keep at or above ``loss_floor``.  Smaller units then
+    cannot set the loss, and the hyperbolic cuts hold at every loss.
+    """
+    # a unit rated at most the floor never out-produces the largest unit
+    sources = [g.id for g in fleet
+               if g.id == largest.id or g.p_max > loss_floor]
+    rows = largest_loss_rows(decisions, fleet, sources, tag=tag)
+    rows.append(rocof_row(decisions, freq,
+                          inertia_expression(decisions, fleet, freq), tag=tag))
+    rows.append(qss_row(decisions, fleet, freq, demand, tag=tag))
+    rows += linearize_inertia_pfr(decisions, fleet, freq, r_max, tag=tag)
+    rows += nadir_discretization_rows(decisions, freq, demand, tag=tag)
+    rows += hyperbolic_cut_rows(decisions, fleet, freq, demand, r_max,
+                                loss_floor, tag=tag)
     return rows

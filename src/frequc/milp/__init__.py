@@ -2,7 +2,8 @@
 with an independent re-check, an exhaustive oracle on a dense simplex, and
 LP text exchange."""
 
-from .branch_bound import MilpSolution, SolveOptions, solve, solve_exhaustive
+from .branch_bound import (MilpSolution, SolveOptions, SolverError, solve,
+                           solve_exhaustive)
 from .lpio import LpioError, export_model, import_model, models_equivalent
 from .model import LinearRow, LinExpr, MilpModel, ModelError, Variable
 from .simplex import LpResult, solve_lp
@@ -16,6 +17,7 @@ __all__ = [
     "MilpSolution",
     "ModelError",
     "SolveOptions",
+    "SolverError",
     "Variable",
     "export_model",
     "import_model",

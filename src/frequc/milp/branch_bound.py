@@ -4,7 +4,8 @@ Two routes:
 
 * ``solve`` -- the solver: HiGHS through ``scipy.optimize.milp``, followed
   by rounding of the binaries and an independent re-check of every bound
-  and row.  A solution that fails the re-check is not reported optimal.
+  and row.  A solution that fails the re-check is not reported optimal;
+  an exception inside HiGHS is raised as :class:`SolverError`.
 * ``solve_exhaustive`` -- enumerates every binary assignment (capped at 20)
   and solves the continuous remainder with the dense simplex in
   :mod:`.simplex`.  It shares no code with HiGHS, which makes it the
@@ -20,6 +21,10 @@ import numpy as np
 
 from .model import MilpModel
 from .simplex import solve_lp
+
+
+class SolverError(RuntimeError):
+    """Raised when the solver itself fails, as opposed to returning a status."""
 
 
 @dataclass
@@ -137,14 +142,17 @@ def _solve_highs(model: MilpModel, options: SolveOptions) -> MilpSolution:
         a = sp.csr_matrix((data, (rows_idx, cols_idx)), shape=(len(model.rows), n))
         constraints = [LinearConstraint(a, lo, hi)]
 
-    res = milp(
-        c=c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
-        options={"presolve": True, "mip_rel_gap": options.opt_gap,
-                 "node_limit": options.max_nodes},
-    )
+    try:
+        res = milp(
+            c=c,
+            constraints=constraints,
+            integrality=integrality,
+            bounds=Bounds(lb, ub),
+            options={"presolve": True, "mip_rel_gap": options.opt_gap,
+                     "node_limit": options.max_nodes},
+        )
+    except Exception as exc:  # raised by the solver, not returned as a status
+        raise SolverError(f"HiGHS failed on {model.name}: {exc}") from exc
     status_map = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
     status = status_map.get(res.status, "limit")
     if res.x is None:

@@ -5,10 +5,11 @@ Commitments (and the implied start/stop indicators) are first-stage
 decisions shared by every net-demand branch; dispatch, response holdings
 and the sizable-loss quantities are recourse, one copy per period and
 branch.  When frequency constraints are enabled, each (period, branch)
-cell gets its loss and big-M variables from
-:func:`frequc.freqsec.register_decisions` and its rows from the other
-builders there; the nadir rows are the chord envelope of the convex
-requirement, so a solution is secure by construction at every loss.
+cell gets its loss, summed-response and product variables from
+:func:`frequc.freqsec.register_decisions`, once the fixed commitments are
+known, and its rows from the other builders there; the nadir rows are the
+chord envelope of the convex requirement, so a solution is secure by
+construction at every loss.
 ``solve_uc`` builds, solves and unpacks one window.
 
 ``solve_rolling_horizon`` walks a longer span window by window,
@@ -190,17 +191,6 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
             wind[t, s] = model.add_continuous(
                 f"wind[{tt}][{s}]", 0.0, max(avail[t, s], 0.0))
 
-    cells = {}
-    if options.frequency_constraints:
-        for t in range(n_periods):
-            for s in range(n_branches):
-                cells[t, s] = freqsec.register_decisions(
-                    model, fleet, freq, r_max,
-                    commit={g.id: x[g.id, t] for g in fleet},
-                    output={g.id: p[g.id, t, s] for g in fleet},
-                    pfr={g.id: r[g.id, t, s] for g in fleet},
-                    tag=f"[{start_period + t}][{s}]")
-
     # the largest plant is committed throughout; minimum-time carry and
     # externally pinned schedules come next and must agree with it
     for t in range(n_periods):
@@ -228,6 +218,19 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
         raise SchedulerError(
             f"commitment requirements conflict: {exc}"
         ) from exc
+
+    # each cell's security variables, once the fixed commitments are known:
+    # a unit committed by a fixed bound needs no product auxiliary
+    cells = {}
+    if options.frequency_constraints:
+        for t in range(n_periods):
+            for s in range(n_branches):
+                cells[t, s] = freqsec.register_decisions(
+                    model, fleet, freq, r_max,
+                    commit={g.id: x[g.id, t] for g in fleet},
+                    output={g.id: p[g.id, t, s] for g in fleet},
+                    pfr={g.id: r[g.id, t, s] for g in fleet},
+                    tag=f"[{start_period + t}][{s}]")
 
     def add(row):
         model.add_row(row.coeffs, row.sense, row.rhs, row.label)
@@ -299,23 +302,13 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
             add(freqsec.inertia_floor_row(cells[t, 0], fleet, freq,
                                           tag=f"[{tt}]"))
             for s in range(n_branches):
-                tag = f"[{tt}][{s}]"
-                dec = cells[t, s]
-                for row in freqsec.largest_loss_rows(dec, fleet, tag=tag):
-                    add(row)
-                inertia = freqsec.inertia_expression(dec, fleet, freq)
-                add(freqsec.rocof_row(dec, freq, inertia, tag=tag))
-                add(freqsec.qss_row(dec, freq, demand[t], tag=tag))
-                hr, bigm_rows = freqsec.linearize_inertia_pfr(
-                    dec, fleet, freq, r_max, tag=tag)
-                for row in bigm_rows:
-                    add(row)
                 try:
-                    cuts = freqsec.nadir_discretization_rows(
-                        dec, freq, demand[t], hr, tag=tag)
+                    rows = freqsec.cell_rows(
+                        cells[t, s], fleet, freq, demand[t], r_max,
+                        largest=big, loss_floor=floor_big, tag=f"[{tt}][{s}]")
                 except ValueError as exc:  # the grid check, an input error
                     raise SchedulerError(f"period {tt}: {exc}") from exc
-                for row in cuts:
+                for row in rows:
                     add(row)
 
     # probability-weighted operating cost

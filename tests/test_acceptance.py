@@ -10,6 +10,7 @@ and relaxation checks.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -19,18 +20,19 @@ import pytest
 
 from frequc.cli import _scale_wind
 from frequc.freqdyn import SwingInputs, exact_nadir_feasible, simulate_swing
-from frequc.freqsec import (linearize_inertia_pfr, nadir_requirement,
-                            register_decisions)
+from frequc.freqsec import (cell_rows, inertia_expression,
+                            inertia_floor_row, linearize_inertia_pfr,
+                            nadir_requirement, register_decisions)
 from frequc.milp import MilpModel, solve
 from frequc.milp.branch_bound import solve_exhaustive
-from frequc.milp.model import SENSE_EQ, SENSE_GE
+from frequc.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from frequc.scheduler import (UcOptions, _advance_state, default_initial_state,
                               emissions, load_factor, slice_tree,
                               solve_rolling_horizon, solve_uc, verify_solution,
                               verify_trajectory)
 from frequc.sysmodel import (FrequencyParams, GeneratorSpec,
-                             build_scenario_tree, largest_unit,
-                             load_scenario_table, load_system)
+                             build_scenario_tree, default_segment_grid,
+                             largest_unit, load_scenario_table, load_system)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 WIND_LEVELS = (700.0, 1850.0, 3000.0)
@@ -154,8 +156,121 @@ def test_zero_damping_boundary_tightness():
           "(frozen point and 200 equality points within 1e-9 Hz)")
 
 
+def _ge_coef(row, j):
+    """Coefficient of variable j once the row is written as ``>=``."""
+    return -row.coeffs[j] if row.sense == SENSE_LE else row.coeffs[j]
+
+
+def _row_bound(row, j, values):
+    """Bound the row puts on variable j with every other variable at
+    ``values``, as ``(is_upper, bound)``."""
+    rest = sum(c * values[i] for i, c in row.coeffs.items() if i != j)
+    return _ge_coef(row, j) < 0.0, (row.rhs - rest) / row.coeffs[j]
+
+
+def _economic_cell(fleet, demand, floor, freq=None, commit=None):
+    """One period and branch: balance, unit limits, the largest unit's
+    floor and a cost; with ``freq`` the compact frequency cell is added.
+    ``commit`` pins every commitment, else only the largest unit's."""
+    big = largest_unit(fleet)
+    r_max = sum(g.pfr_max for g in fleet)
+    model = MilpModel()
+    x = {g.id: model.add_binary(f"x[{g.id}]") for g in fleet}
+    p = {g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max) for g in fleet}
+    r = {g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+         for g in fleet}
+    for gid, value in (commit or {big.id: 1.0}).items():
+        model.fix_variable(x[gid], value)
+    model.add_row({p[g.id]: 1.0 for g in fleet}, SENSE_EQ, demand)
+    for g in fleet:
+        model.add_row({p[g.id]: 1.0, x[g.id]: -g.p_min}, SENSE_GE, 0.0)
+        model.add_row({p[g.id]: 1.0, r[g.id]: 1.0, x[g.id]: -g.p_max},
+                      SENSE_LE, 0.0)
+        model.add_row({r[g.id]: 1.0, x[g.id]: -g.pfr_max}, SENSE_LE, 0.0)
+    model.add_row({p[big.id]: 1.0}, SENSE_GE, floor)
+    model.set_objective({
+        **{p[g.id]: g.marginal_cost for g in fleet},
+        **{x[g.id]: g.no_load_cost for g in fleet if g.no_load_cost},
+        **{r[g.id]: 0.5 * g.marginal_cost for g in fleet if g.pfr_max}})
+    if freq is not None:
+        dec = register_decisions(model, fleet, freq, r_max, commit=x,
+                                 output=p, pfr=r)
+        rows = [inertia_floor_row(dec, fleet, freq)] + cell_rows(
+            dec, fleet, freq, demand, r_max, largest=big, loss_floor=floor)
+        for row in rows:
+            model.add_row(row.coeffs, row.sense, row.rhs, row.label)
+    return model, x, p, r
+
+
+def _enumerated_optimum(fleet, demand, floor, freq):
+    """Best cost over every commitment, each an LP with the exact product:
+    with x fixed, H(x) is a number and H(x) * R >= chord(P) is linear.
+    Solved on the exhaustive oracle's dense simplex, not HiGHS."""
+    big = largest_unit(fleet)
+    free = [g for g in fleet if g.id != big.id]
+    root = freq.damping * demand * freq.df_max
+    grid = freq.nadir_segments
+    points = ((root,) + grid) if root < grid[0] else grid
+    best = None
+    for bits in itertools.product((0.0, 1.0), repeat=len(free)):
+        commit = {big.id: 1.0, **{g.id: b for g, b in zip(free, bits)}}
+        h = (sum(g.inertia_const * g.p_max / freq.f0 * commit[g.id]
+                 for g in fleet if g.synchronous)
+             - freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0)
+        if h < 0.0:
+            continue
+        model, x, p, r = _economic_cell(fleet, demand, floor, commit=commit)
+        loss = model.add_continuous("ploss", 0.0, freq.largest_unit_rating)
+        for g in fleet:
+            model.add_row({loss: 1.0, p[g.id]: -1.0}, SENSE_GE, 0.0)
+        model.add_row({loss: 1.0}, SENSE_LE, 2.0 * freq.rocof_max * h)
+        model.add_row({**{r[g.id]: 1.0 for g in fleet}, loss: -1.0}, SENSE_GE,
+                      -freq.damping * demand * freq.df_ss_max)
+        for p0, p1 in zip(points, points[1:]):
+            f0 = nadir_requirement(p0, freq, demand)
+            slope = (nadir_requirement(p1, freq, demand) - f0) / (p1 - p0)
+            model.add_row({**{r[g.id]: h for g in fleet}, loss: -slope},
+                          SENSE_GE, f0 - slope * p0)
+        got = solve_exhaustive(model)
+        if got.status == "optimal" and (best is None or got.objective < best):
+            best = got.objective
+    return best
+
+
+def _random_cell(rng):
+    """A small fleet, demand and frequency limits for one cell."""
+    rating = float(rng.integers(30, 61)) * 10.0
+    deload = float(rng.choice([0.0, 0.2, 0.4]))
+    fleet = [GeneratorSpec(
+        id="big", technology="thermal", p_max=rating, p_min=0.3 * rating,
+        inertia_const=float(rng.integers(2, 7)), marginal_cost=10.0,
+        deloadable=deload > 0.0, max_deload_fraction=deload)]
+    for i in range(int(rng.integers(2, 5))):
+        p_max = float(rng.choice([0.4, 0.6, 0.9])) * rating
+        fleet.append(GeneratorSpec(
+            id=f"u{i}", technology="thermal", p_max=p_max, p_min=0.2 * p_max,
+            inertia_const=float(rng.choice([4.0, 10.0, 20.0, 40.0])),
+            marginal_cost=float(rng.integers(20, 60)),
+            no_load_cost=float(rng.integers(0, 3000)),
+            pfr_max=float(rng.choice([0.3, 0.6, 0.9])) * p_max))
+    floor = (1.0 - deload) * rating
+    demand = rating + float(rng.uniform(0.1, 0.9)) * sum(
+        g.p_max for g in fleet[1:])
+    df_max = float(rng.choice([0.8, 1.5]))
+    freq = FrequencyParams(
+        f0=50.0, df_max=df_max, df_ss_max=df_max,
+        rocof_max=float(rng.choice([1.0, 2.0])),
+        t_d=float(rng.choice([1.0, 2.5, 5.0])),
+        # the requirement's root anywhere up to twice the loss floor
+        damping=float(rng.uniform(0.0, 1.9)) * floor / (demand * df_max),
+        nadir_segments=default_segment_grid(rating, deload),
+        largest_unit_rating=rating, largest_unit_inertia=fleet[0].inertia_const)
+    return tuple(fleet), demand, floor, freq
+
+
 def test_bigm_product_exactness():
-    """The commitment-gated auxiliaries reproduce the inertia-response product."""
+    """The one-sided product rows reproduce the inertia-response product,
+    and the compact cell keeps exactly the optimum of the exact product."""
     fleet = (
         GeneratorSpec(id="big", technology="thermal", p_max=1200.0, p_min=600.0,
                       inertia_const=7.0),
@@ -175,54 +290,87 @@ def test_bigm_product_exactness():
         damping=0.0, nadir_segments=(1200.0,), largest_unit_rating=1200.0,
         largest_unit_inertia=7.0,
     )
-    model = MilpModel()
-    dec = register_decisions(
-        model, fleet, freq, r_max,
-        commit={g.id: model.add_binary(f"x[{g.id}]") for g in fleet},
-        output={g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
-                for g in fleet},
-        pfr={g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
-             for g in fleet})
-    expr, rows = linearize_inertia_pfr(dec, fleet, freq, r_max)
-    by_unit = {}
-    for row in rows:
-        by_unit.setdefault(row.label.split("[")[1].rstrip("]"), []).append(row)
-
     sync = [g for g in fleet if g.synchronous]
     h_lost = freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0
     rng = np.random.default_rng(11)
-    values = np.zeros(model.n_vars)
     for _ in range(1000):
         x = {g.id: float(rng.integers(0, 2)) for g in fleet}
+        model = MilpModel()
+        commit = {g.id: model.add_binary(f"x[{g.id}]") for g in fleet}
+        for g in fleet:  # a third of the commitments arrive fixed
+            if rng.random() < 1.0 / 3.0:
+                model.fix_variable(commit[g.id], x[g.id])
+        dec = register_decisions(
+            model, fleet, freq, r_max, commit=commit,
+            output={g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
+                    for g in fleet},
+            pfr={g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+                 for g in fleet})
+        rows = linearize_inertia_pfr(dec, fleet, freq, r_max)
+        values = np.zeros(model.n_vars)
         for g in fleet:
             values[dec.commit[g.id]] = x[g.id]
             values[dec.pfr[g.id]] = rng.uniform(0.0, g.pfr_max)
         r_total = sum(float(values[idx]) for idx in dec.pfr.values())
-        for g in sync:
-            z = dec.bilinear[g.id]
-            lo, hi = model.variables[z].lb, model.variables[z].ub
-            for row in by_unit[g.id]:
-                rest = sum(c * values[j] for j, c in row.coeffs.items()
-                           if j != z)
-                bound = (row.rhs - rest) / row.coeffs[z]
-                tightens_lo = (row.sense == SENSE_GE) == (row.coeffs[z] > 0)
-                if row.sense == SENSE_EQ:
-                    lo, hi = max(lo, bound), min(hi, bound)
-                elif tightens_lo:
-                    lo = max(lo, bound)
-                else:
+        defining = [row for row in rows if dec.response in row.coeffs
+                    and row.sense == SENSE_EQ]
+        assert len(defining) == 1
+        values[dec.response] = _row_bound(defining[0], dec.response, values)[1]
+        assert abs(values[dec.response] - r_total) <= 1e-12 * max(1.0, r_total)
+
+        # every auxiliary: no row bounds it from below, and the tightest
+        # upper bound is exactly x_g * R
+        assert set(dec.bilinear) == {g.id for g in sync
+                                     if model.variables[commit[g.id]].lb
+                                     != model.variables[commit[g.id]].ub}
+        unknown = set(dec.bilinear.values()) | {dec.product}
+        for gid, z in dec.bilinear.items():
+            hi = model.variables[z].ub
+            for row in rows:
+                if z in row.coeffs and not (set(row.coeffs) - {z}) & unknown:
+                    is_upper, bound = _row_bound(row, z, values)
+                    assert is_upper and row.sense != SENSE_EQ
                     hi = min(hi, bound)
-            # the rows must pin the auxiliary to the product x * R
-            assert hi - lo <= 1e-9 * max(1.0, r_max)
-            assert abs(0.5 * (lo + hi) - x[g.id] * r_total) \
-                <= 1e-9 * max(1.0, r_total)
-            values[z] = 0.5 * (lo + hi)
-        linearized = expr.value(values)
+            assert abs(hi - x[gid] * r_total) <= 1e-9 * max(1.0, r_total)
+            values[z] = hi
+        # the product variable: its tightest upper bound is exactly H(x) * R
         direct = (sum(g.inertia_const * g.p_max / freq.f0 * x[g.id]
                       for g in sync) - h_lost) * r_total
-        assert abs(linearized - direct) <= 1e-9 * max(1.0, abs(direct))
+        bounds = [_row_bound(row, dec.product, values)
+                  for row in rows if dec.product in row.coeffs]
+        assert len(bounds) == 1 and bounds[0][0]
+        assert abs(bounds[0][1] - direct) <= 1e-9 * max(1.0, abs(direct))
+
+    # one-sidedness on a whole cell: besides their own upper-bound rows,
+    # z and hr appear only in >= rows with positive coefficients, so a
+    # solution can always raise them to the product
+    model, *_ = _economic_cell(fleet, 2500.0, 1200.0, freq=freq)
+    names = {v.index: v.name for v in model.variables}
+    for row in model.rows:
+        for j in row.coeffs:
+            name = names[j]
+            if name.startswith(("z[", "hr")) and _ge_coef(row, j) < 0.0:
+                assert row.label.startswith(("bigm_", "hr")), row.label
+
+    # the compact cell's HiGHS optimum equals enumeration over commitments
+    # with the exact linear H(x) * R >= chord rows
+    rng = np.random.default_rng(4)
+    optimal = 0
+    for _ in range(30):
+        cell_fleet, demand, floor, cell_freq = _random_cell(rng)
+        model, *_ = _economic_cell(cell_fleet, demand, floor, freq=cell_freq)
+        got = solve(model)
+        want = _enumerated_optimum(cell_fleet, demand, floor, cell_freq)
+        if want is None:
+            assert got.status == "infeasible"
+            continue
+        assert got.status == "optimal"
+        assert abs(got.objective - want) <= 2e-6 * max(1.0, abs(want))
+        optimal += 1
+    assert optimal >= 15
     print("\n[acceptance] big-M product exactness: PASS "
-          "(1000 commitment/response assignments within 1e-9 relative)")
+          "(1000 assignments: tightest bounds x*R and H(x)*R within 1e-9; "
+          f"{optimal} random cells match the exact-product enumeration)")
 
 
 def _random_milp(rng):

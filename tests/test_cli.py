@@ -171,6 +171,26 @@ def test_solve_rejects_row_breaking_solution(tmp_path, monkeypatch, capsys):
     assert "violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_solver_exception_exits_solver(tmp_path, monkeypatch, capsys,
+                                       command):
+    """An exception inside the solver exits 2 with one line, no traceback."""
+    def crashing_milp(*args, **kwargs):
+        raise RuntimeError("HiGHS crashed")
+
+    monkeypatch.setattr(scipy.optimize, "milp", crashing_milp)
+    system, scenarios = write_inputs(tmp_path)
+    config = tmp_path / "study.yaml"
+    config.write_text(STUDY)
+    inputs = [system, scenarios] + ([str(config)] if command == "study" else [])
+    code = main([command, *inputs, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: solver failure: ")
+    assert "HiGHS crashed" in err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["solve", "s.yaml", "q.txt", "-o", "run", "--mode", "bogus"], 1),
     (["solve", "s.yaml", "q.txt", "-o", "run", "--backend", "builtin"], 1),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,20 @@ def test_zero_loss_trajectory_is_flat():
     tr = simulate_swing(inp)
     assert tr.nadir == 0.0
     assert np.all(tr.deviation >= 0.0)
+
+
+def test_extreme_point_evaluates_without_overflow():
+    """Low inertia, heavy damping and a late delivery: the post-delivery
+    exponential would overflow if it were read before the delivery time."""
+    inp = SwingInputs(inertia=1.0, damping=300.0, pfr=10.0,
+                      delivery_time=20.0, loss=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = simulate_swing(inp)
+    assert np.all(np.isfinite(trace.deviation))
+    # the deviation settles at (R - P) / D once the ramp passes the loss
+    assert trace.deviation_60 == pytest.approx(5.0 / 300.0, rel=1e-12)
+    assert -1e-12 <= trace.deviation.min() - trace.nadir <= 1e-6
 
 
 def test_inputs_validated():

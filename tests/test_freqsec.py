@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from frequc.freqsec import (
-    FreqDecisionSet,
     inertia_expression,
     inertia_floor_row,
     largest_loss_rows,
     linearize_inertia_pfr,
+    max_inertia,
     nadir_discretization_rows,
     nadir_requirement,
     qss_row,
     register_decisions,
     rocof_row,
+    settled_limit,
 )
 from frequc.milp import MilpModel, solve
 from frequc.sysmodel import FrequencyParams, GeneratorSpec
@@ -144,18 +145,41 @@ def test_qss_row_worked_examples():
     freq = freq_for(fleet, [2000.0], damping=0.01, df_ss_max=0.5)
     mdl = MilpModel()
     dec = new_cell(mdl, fleet, freq, r_max=200.0)
-    row = qss_row(dec, freq, demand=30000.0)
-    assert row.rhs == pytest.approx(-150.0)
+    row = qss_row(dec, fleet, freq, demand=30000.0)
+    assert row.coeffs == {dec.response: 1.0, dec.loss: -1.0}
+    # H_max = 40 and D * demand = 300: eps = exp(-187.5), a vanishing
+    # tightening of the settled limit
+    assert row.rhs == pytest.approx(-150.0, rel=1e-12)
     vals = np.zeros(mdl.n_vars)
     vals[dec.loss] = 1800.0
-    vals[dec.pfr["small"]] = 1650.0
+    vals[dec.response] = 1650.0
     assert row_holds(row, vals)
-    vals[dec.pfr["small"]] = 1649.0
+    vals[dec.response] = 1649.0
     assert not row_holds(row, vals)
     # without damping the response must cover the whole loss
     freq0 = freq_for(fleet, [2000.0], damping=0.0)
-    row0 = qss_row(dec, freq0, demand=30000.0)
+    row0 = qss_row(dec, fleet, freq0, demand=30000.0)
     assert row0.rhs == 0.0
+
+
+def test_settled_limit_worked_examples():
+    fleet = two_unit_fleet()
+    freq = freq_for(fleet, [2000.0], damping=0.01, df_ss_max=0.5, t_d=10.0)
+    h_max = max_inertia(fleet, freq)
+    assert h_max == pytest.approx(40.0)
+    # equal limits: exactly df_ss_max, whatever the damping
+    same = freq_for(fleet, [2000.0], damping=0.01, df_ss_max=0.8)
+    assert settled_limit(same, 30.0, h_max) == 0.8
+    # D * demand = 0.8, eps = exp(-0.8 * 50 / 80) = exp(-0.5)
+    eps = np.exp(-0.5)
+    want = 0.5 - eps * 0.3 / (1.0 - eps)
+    assert settled_limit(freq, 80.0, h_max) == pytest.approx(want, rel=1e-12)
+    assert want < 0.5
+    # more inertia, slower recovery, tighter limit
+    assert settled_limit(freq, 80.0, 2.0 * h_max) < want
+    # zero damping: no recovery after the nadir, the limit stays put
+    assert settled_limit(freq_for(fleet, [2000.0], damping=0.0,
+                                  df_ss_max=0.5), 80.0, h_max) == 0.5
 
 
 def test_nadir_requirement_worked_examples():
@@ -191,14 +215,19 @@ def segment_fixture(p_fixed):
     dec = new_cell(mdl, fleet, freq, r_max=60000.0)
     for row in largest_loss_rows(dec, fleet):
         mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
-    hr, bigm_rows = linearize_inertia_pfr(dec, fleet, freq, r_max=60000.0)
-    for row in bigm_rows:
+    for row in linearize_inertia_pfr(dec, fleet, freq, r_max=60000.0):
         mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
-    for row in nadir_discretization_rows(dec, freq, demand, hr):
+    for row in nadir_discretization_rows(dec, freq, demand):
         mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
     mdl.add_row({dec.output["a"]: 1.0}, "=", p_fixed)
     mdl.set_objective({dec.pfr["b"]: 1.0})
-    return mdl, dec, fleet, freq, demand, hr
+    inertia = inertia_expression(dec, fleet, freq)
+
+    def held(values):
+        """H(x) * R at a solution: the product the rows must secure."""
+        return inertia.value(values) * values[dec.response]
+
+    return mdl, dec, fleet, freq, demand, held
 
 
 def chord(p, p0, p1, freq, demand):
@@ -209,14 +238,14 @@ def chord(p, p0, p1, freq, demand):
 
 def test_segment_selection_picks_cheapest_covering_segment():
     """Between grid points the envelope enforces the covering chord."""
-    mdl, dec, fleet, freq, demand, hr = segment_fixture(1000.0)
+    mdl, dec, fleet, freq, demand, held = segment_fixture(1000.0)
     got = solve(mdl)
     assert got.status == "optimal"
     assert got.values[dec.loss] == pytest.approx(1000.0, abs=1e-6)
     # the H=180 fleet must hold HR on the 600-1200 chord, above k(1000)
     want = chord(1000.0, 600.0, 1200.0, freq, demand)
     assert want > nadir_requirement(1000.0, freq, demand)
-    assert hr.value(got.values) == pytest.approx(want, rel=1e-8)
+    assert held(got.values) == pytest.approx(want, rel=1e-8)
     assert got.objective == pytest.approx(want / 180.0, rel=1e-8)
     # every chord cut holds at the optimum
     for row in mdl.rows:
@@ -226,22 +255,22 @@ def test_segment_selection_picks_cheapest_covering_segment():
 
 def test_segment_selection_on_grid_point():
     """At a grid point the envelope equals the requirement."""
-    mdl, dec, fleet, freq, demand, hr = segment_fixture(1800.0)
+    mdl, dec, fleet, freq, demand, held = segment_fixture(1800.0)
     got = solve(mdl)
     assert got.status == "optimal"
     want = nadir_requirement(1800.0, freq, demand)
-    assert hr.value(got.values) == pytest.approx(want, rel=1e-8)
+    assert held(got.values) == pytest.approx(want, rel=1e-8)
 
 
 def test_envelope_covers_loss_below_grid():
     """A loss below the first grid point still meets the requirement."""
-    mdl, dec, fleet, freq, demand, hr = segment_fixture(300.0)
+    mdl, dec, fleet, freq, demand, held = segment_fixture(300.0)
     need = nadir_requirement(300.0, freq, demand)
     assert need > 0.0
     got = solve(mdl)
     assert got.status == "optimal"
     assert got.values[dec.loss] == pytest.approx(300.0, abs=1e-6)
-    assert hr.value(got.values) >= need * (1.0 - 1e-8)
+    assert held(got.values) >= need * (1.0 - 1e-8)
 
 
 def test_discretization_grid_validation():
@@ -249,11 +278,10 @@ def test_discretization_grid_validation():
     mdl = MilpModel()
     freq = freq_for(fleet, [2000.0])
     dec = new_cell(mdl, fleet, freq, r_max=200.0)
-    hr, _ = linearize_inertia_pfr(dec, fleet, freq, r_max=200.0)
     # grid enters the decreasing region of the requirement for huge damping
     hot = freq_for(fleet, [2000.0], damping=10.0)
     with pytest.raises(ValueError, match="conservative"):
-        nadir_discretization_rows(dec, hot, 30000.0, hr)
+        nadir_discretization_rows(dec, hot, 30000.0)
 
 
 def test_linearize_rejects_bad_r_max():
@@ -266,6 +294,8 @@ def test_linearize_rejects_bad_r_max():
 
 
 def test_big_m_product_is_exact_on_random_assignments():
+    """Maximising hr with x and r pinned reaches exactly H(x) * R; with
+    H(x) < 0 no hr >= 0 fits under the product and the cell is infeasible."""
     fleet = (
         GeneratorSpec(id="g1", technology="thermal", p_max=400.0,
                       inertia_const=5.0, pfr_max=150.0),
@@ -278,11 +308,11 @@ def test_big_m_product_is_exact_on_random_assignments():
     freq = freq_for(fleet, [1200.0], damping=0.0)
     r_max = sum(g.pfr_max for g in fleet)
     rng = np.random.default_rng(12)
+    infeasible = 0
     for _ in range(60):
         mdl = MilpModel()
         dec = new_cell(mdl, fleet, freq, r_max=r_max)
-        hr, rows = linearize_inertia_pfr(dec, fleet, freq, r_max=r_max)
-        for row in rows:
+        for row in linearize_inertia_pfr(dec, fleet, freq, r_max=r_max):
             mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
         commits = {}
         total_r = 0.0
@@ -293,11 +323,18 @@ def test_big_m_product_is_exact_on_random_assignments():
             rv = float(rng.uniform(0.0, g.pfr_max))
             mdl.add_row({dec.pfr[g.id]: 1.0}, "=", rv)
             total_r += rv
-        mdl.set_objective({})
+        mdl.set_objective({dec.product: -1.0})
         got = solve(mdl)
-        assert got.status == "optimal"
         h_direct = (sum(g.inertia_const * g.p_max / freq.f0 * commits[g.id]
                         for g in fleet if g.synchronous)
                     - freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0)
         want = h_direct * total_r
-        assert hr.value(got.values) == pytest.approx(want, rel=1e-9, abs=1e-7)
+        if want < -1e-7:
+            assert got.status == "infeasible"
+            infeasible += 1
+            continue
+        assert got.status == "optimal"
+        assert got.values[dec.response] == pytest.approx(total_r, rel=1e-12)
+        assert got.values[dec.product] == pytest.approx(want, rel=1e-9,
+                                                        abs=1e-7)
+    assert 0 < infeasible < 60

@@ -1,15 +1,18 @@
-"""Properties of solved windows on random small fleets and scenario trees.
+"""Properties of solved windows on random small fleets and scenario trees,
+and of the frequency cell's rows on random cells.
 
-Each example is a fleet of 2-4 synchronous units (the largest may deload),
-1-3 net-demand branches and 1-3 periods.  Expected costs are compared
-within the solver's relative MIP gap: a reported optimum lies at most
-``GAP`` of its own magnitude above the true one.
+Each window example is a fleet of 2-4 synchronous units (the largest may
+deload), 1-3 net-demand branches and 1-3 periods.  Expected costs are
+compared within the solver's relative MIP gap: a reported optimum lies at
+most ``GAP`` of its own magnitude above the true one.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from frequc.freqsec import cell_rows, inertia_expression, register_decisions
+from frequc.milp import MilpModel
 from frequc.scheduler import UcOptions, solve_uc, verify_solution
 from frequc.sysmodel import (
     FrequencyParams,
@@ -89,14 +92,12 @@ def solve_window(system, tree, mode, secured):
     return solution
 
 
-# Drawn only with df_ss_max = df_max and positive damping, as in the bundled
-# system; outside that the check can fail (counterexamples in CHANGES.md).
-# With df_ss_max < df_max the QSS row bounds the settled deviation but the
-# check reads it at 60 s, when a slow recovery from a nadir between the two
-# limits is still below df_ss_max.  Without damping the check fails any
-# R < loss as divergent, also an R one rounding step under the loss.
+# Drawn only with positive damping; without it the check fails any R < loss
+# as divergent, also an R one rounding step under the loss (a counterexample
+# in CHANGES.md).  With df_ss_max < df_max the QSS row's tightened limit
+# keeps the 60-s deviation inside df_ss_max.
 @PROPERTY
-@given(windows(settled_shares=(1.0,), damping_shares=(0.3, 0.9)))
+@given(windows(damping_shares=(0.3, 0.9)))
 def test_secured_optimal_windows_pass_the_swing_check(window):
     system, tree = window
     for mode in ("fixed", "optimised"):
@@ -130,3 +131,74 @@ def test_optimised_never_costs_more_than_fixed(window):
             assert optimised is not None
             assert (optimised.expected_cost <= fixed.expected_cost
                     + GAP * abs(optimised.expected_cost))
+
+
+@st.composite
+def cut_cells(draw):
+    """A cell's rows and one of its commitment/loss points held exactly on
+    (or a little above) the chord envelope: an integer-feasible point."""
+    rating = draw(tens(30, 90))
+    deload = draw(st.sampled_from([0.0, 0.2, 0.4]))
+    floor = (1.0 - deload) * rating
+    units = [GeneratorSpec(
+        id="g0", technology="thermal", p_max=rating,
+        inertia_const=draw(st.integers(2, 8)),
+        deloadable=deload > 0.0, max_deload_fraction=deload)]
+    for i in range(1, draw(st.integers(2, 4))):
+        p_max = draw(st.sampled_from([0.5, 0.7, 0.9])) * rating
+        units.append(GeneratorSpec(
+            id=f"g{i}", technology="thermal", p_max=p_max,
+            inertia_const=draw(st.sampled_from([4.0, 10.0, 20.0, 40.0])),
+            pfr_max=draw(st.sampled_from([0.3, 0.6, 0.9])) * p_max))
+    demand = draw(st.sampled_from([1.5, 3.0, 6.0])) * rating
+    df_max = draw(st.sampled_from([0.5, 0.8, 1.5]))
+    # the requirement's root D * demand * df_max, as a multiple of the
+    # floor: up to twice it, where the grid check stops
+    root_share = draw(st.sampled_from([0.0, 0.3, 0.9, 1.2, 1.6, 1.99]))
+    freq = FrequencyParams(
+        f0=50.0, df_max=df_max, df_ss_max=df_max, rocof_max=1.0,
+        t_d=draw(st.sampled_from([1.0, 2.5, 10.0])),
+        damping=root_share * floor / (demand * df_max),
+        nadir_segments=default_segment_grid(rating, deload),
+        largest_unit_rating=rating, largest_unit_inertia=units[0].inertia_const)
+    model = MilpModel()
+    commit = {g.id: model.add_binary(f"x[{g.id}]") for g in units}
+    model.fix_variable(commit["g0"], 1.0)
+    r_max = sum(g.pfr_max for g in units)
+    dec = register_decisions(
+        model, units, freq, r_max, commit=commit,
+        output={g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
+                for g in units},
+        pfr={g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+             for g in units})
+    rows = cell_rows(dec, units, freq, demand, r_max, largest=units[0],
+                     loss_floor=floor)
+    values = np.zeros(model.n_vars)
+    values[commit["g0"]] = 1.0
+    for g in units[1:]:
+        values[commit[g.id]] = float(draw(st.booleans()))
+    values[dec.loss] = floor + draw(st.integers(0, 20)) / 20.0 * (rating - floor)
+    return model, dec, units, freq, rows, values, r_max, draw(
+        st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cut_cells())
+def test_hyperbolic_cuts_keep_every_integer_feasible_point(cell):
+    model, dec, units, freq, rows, values, r_max, slack = cell
+    h = inertia_expression(dec, units, freq).value(values)
+    assume(h > 0.0)
+    p = values[dec.loss]
+    chords = [row for row in rows if row.label.startswith("nadir_cut")]
+    envelope = max([0.0] + [row.rhs + row.coeffs.get(dec.loss, 0.0) * -p
+                            for row in chords])
+    values[dec.response] = envelope / h * (1.0 + slack)
+    assume(values[dec.response] <= r_max)
+    values[dec.product] = h * values[dec.response]
+    for row in chords:
+        assert model.row_activity(row, values) >= row.rhs - 1e-9 * max(
+            1.0, abs(row.rhs))
+    for row in rows:
+        if row.label.startswith("hyp_cut"):
+            act = model.row_activity(row, values)
+            assert act >= row.rhs - 1e-9 * max(1.0, abs(row.rhs)), row.label

@@ -1,7 +1,11 @@
 """Scheduling layer: window construction, rolling runs, study metrics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from frequc.cli import _scale_wind
 
 from frequc.freqsec import nadir_requirement
 from frequc.milp import solve
@@ -30,8 +34,13 @@ from frequc.sysmodel import (
     ScenarioBranch,
     ScenarioTree,
     SystemSpec,
+    build_scenario_tree,
     default_segment_grid,
+    load_scenario_table,
+    load_system,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 DEMAND = (900.0, 1000.0, 1100.0, 1150.0, 1050.0, 950.0)
 CAPACITY_FACTOR = (0.4, 0.6, 0.8, 0.5, 0.3, 0.7)
@@ -296,6 +305,79 @@ def test_secured_window_passes_swing_verification():
     assert report.ok, [
         (c.period, c.scenario) for c in report.failures()
     ]
+
+
+def test_settled_limit_secures_the_60s_deviation():
+    """With df_ss_max < df_max the QSS row tightens its limit, so a slow
+    recovery from a nadir between the two limits still clears the 60-s
+    check.  The settled-deviation row alone left a -2.1e-6 Hz margin here.
+    """
+    units = (
+        GeneratorSpec(id="g0", technology="thermal", p_max=300.0,
+                      inertia_const=2.0, marginal_cost=10.0),
+        GeneratorSpec(id="g1", technology="thermal", p_max=210.0,
+                      inertia_const=10.0, marginal_cost=20.0, pfr_max=63.0),
+        GeneratorSpec(id="g2", technology="thermal", p_max=270.0,
+                      inertia_const=40.0, marginal_cost=20.0, pfr_max=81.0),
+        GeneratorSpec(id="g3", technology="thermal", p_max=210.0,
+                      inertia_const=10.0, marginal_cost=20.0, pfr_max=126.0),
+    )
+    system = SystemSpec(
+        generators=units, demand_profile=(438.0, 852.0), wind_capacity=100.0,
+        period_hours=1.0,
+        frequency=FrequencyParams(
+            f0=50.0, df_max=0.8, df_ss_max=0.4, rocof_max=1.0, t_d=2.5,
+            damping=0.26408, nadir_segments=default_segment_grid(300.0, 0.0),
+            largest_unit_rating=300.0, largest_unit_inertia=2.0))
+    tree = build_scenario_tree((0.1, 0.5, 0.9),
+                               np.array([[438.0] * 3, [766.8] * 3]))
+    solution, _, raw = solve_uc(system, tree, options(
+        horizon=2, first_stage=2, largest_loss_mode="fixed"))
+    assert raw.status == "optimal"
+    report = verify_solution(solution, system, tol=1e-6)
+    assert report.ok, [(c.period, c.scenario) for c in report.failures()]
+    first = report.checks[0]
+    assert (first.inertia, first.loss) == (300.0, 300.0)
+    assert first.report.qss_margin > 1e-6
+
+
+def bundled_window(wind=3000.0, horizon=12):
+    base = load_system(DATA / "toy_system.yaml")
+    levels, table = load_scenario_table(DATA / "toy_scenarios.txt")
+    system, tree = _scale_wind(base, build_scenario_tree(levels, table), wind)
+    return system, slice_tree(tree, 0, horizon)
+
+
+def test_bundled_window_formulation_size():
+    """The optimised 12 x 7 window stays compact: 37,516 nonzeros with a
+    big-M pair of rows per unit and every response repeated in each
+    chord, under 20,000 with the summed response and one product."""
+    system, tree = bundled_window()
+    model = build_uc(system, tree, UcOptions(horizon=12, first_stage=12))
+    nnz = sum(len(row.coeffs) for row in model.rows)
+    assert nnz <= 20_000
+    assert len(model.binary_indices()) == 8 * 12
+    assert not any(row.label.startswith("bigm_lo") for row in model.rows)
+    # one loss source per cell: every other unit stays under the floor
+    assert sum(row.label.startswith("loss_bound") for row in model.rows) \
+        == 12 * 7
+    # the largest unit is always on: no auxiliary for it
+    assert not model.has_variable("z[lignite1][0][0]")
+    assert model.has_variable("z[ccgt1][0][0]")
+
+
+def test_redispatch_window_has_no_product_auxiliaries():
+    """With every commitment pinned, H(x) is a constant: no z, no big-M."""
+    system, tree = bundled_window(horizon=2)
+    pins = {g.id: [1, 1] for g in system.generators}
+    model = build_uc(system, slice_tree(tree, 0, 2),
+                     UcOptions(horizon=2, first_stage=2),
+                     fixed_commitments=pins)
+    assert not any(v.name.startswith("z[") for v in model.variables)
+    assert not any(row.label.startswith(("bigm_", "hyp_cut"))
+                   for row in model.rows)
+    assert model.has_variable("hr[0][0]")
+    assert solve(model).status == "optimal"
 
 
 def test_unsecured_window_fails_when_security_is_unattainable():
