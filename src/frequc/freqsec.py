@@ -156,8 +156,9 @@ def settled_limit(freq, demand: float, h_max: float) -> float:
     grows with H.  Evaluated at the largest inertia ``h_max``,
     ``L = df_ss_max - eps * (df_max - df_ss_max) / (1 - eps)`` bounds the
     settled deviation conservatively; it is ``df_ss_max`` itself when the
-    two limits coincide.  Without damping (eps = 1) no such bound exists
-    and ``df_ss_max`` is returned.
+    two limits coincide.  Without damping (eps = 1), or with delivery
+    still under way at 60 s, this bound does not apply and ``df_ss_max``
+    is returned.
     """
     gap = freq.df_max - freq.df_ss_max
     d = freq.damping * demand
