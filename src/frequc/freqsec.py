@@ -6,7 +6,8 @@ branch) cell holds:
 
 * the summed response ``R = sum r[g]`` and the sizable loss ``P``, bounded
   below by the output of every unit that can set it;
-* the RoCoF and quasi-steady-state requirements;
+* the RoCoF and quasi-steady-state requirements (without damping, the
+  response clears the loss by ``QSS_MARGIN``);
 * one product variable ``hr`` with ``hr <= H(x) * R``: one auxiliary
   ``z[g] <= min(R, r_max * x[g])`` per synchronous unit whose commitment
   is free, and a constant coefficient on ``R`` for the committed ones.
@@ -36,6 +37,10 @@ from .milp.model import (LinearRow, LinExpr, MilpModel, SENSE_EQ, SENSE_GE,
 HYPERBOLIC_CUTS = 8
 # Seconds after the loss at which the quasi-steady-state limit is checked.
 SETTLE_TIME = 60.0
+# Response held above the loss (MW) when nothing damps the system: the
+# deviation then grows without end once R < P, so R >= P must hold clear of
+# the solver's rounding, far above its feasibility tolerance.
+QSS_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -171,9 +176,13 @@ def settled_limit(freq, demand: float, h_max: float) -> float:
 def qss_row(decisions: FreqDecisionSet, fleet, freq, demand: float,
             tag: str = "") -> LinearRow:
     """Quasi-steady-state recovery: total response covers the loss minus
-    the damping relief at the settled limit."""
-    limit = settled_limit(freq, demand, max_inertia(fleet, freq))
-    rhs = -freq.damping * demand * limit
+    the damping relief at the settled limit, or, without damping, the loss
+    plus ``QSS_MARGIN``."""
+    d = freq.damping * demand
+    if d == 0.0:
+        rhs = QSS_MARGIN
+    else:
+        rhs = -d * settled_limit(freq, demand, max_inertia(fleet, freq))
     return LinearRow(coeffs={decisions.response: 1.0, decisions.loss: -1.0},
                      sense=SENSE_GE, rhs=rhs, label=f"qss{tag}")
 

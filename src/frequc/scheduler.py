@@ -9,7 +9,10 @@ cell gets its loss, summed-response and product variables from
 :func:`frequc.freqsec.register_decisions`, once the fixed commitments are
 known, and its rows from the other builders there; the nadir rows are the
 chord envelope of the convex requirement, so a solution is secure by
-construction at every loss.
+construction at every loss.  Each period's ``cover`` row asks for the
+fewest units besides the largest whose ratings reach the period's highest
+net demand minus the largest rating: valid for every integer schedule, it
+only tightens the relaxation.
 ``solve_uc`` builds, solves and unpacks one window.
 
 ``solve_rolling_horizon`` walks a longer span window by window,
@@ -119,6 +122,18 @@ def _window_net(system, tree, start_period: int, n_periods: int):
 def _largest_runs_deloaded(options: UcOptions, big) -> bool:
     return (options.largest_loss_mode == "optimised"
             and options.deloading_enabled and big.deloadable)
+
+
+def _units_to_cover(ratings, need: float) -> int:
+    """Fewest of ``ratings`` that sum to at least ``need``, to the capacity
+    screen's 1e-9 MW: the largest first."""
+    count, total = 0, 0.0
+    for rating in sorted(ratings, reverse=True):
+        if total >= need - 1e-9:
+            break
+        total += rating
+        count += 1
+    return count
 
 
 def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
@@ -267,6 +282,17 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
                 model.add_row({p[big.id, t, s]: 1.0}, SENSE_EQ, big.p_max,
                               f"fix_largest[{tt}][{s}]")
 
+    # committed-capacity cover: every branch's thermal output reaches its
+    # net demand, the largest unit gives at most its rating and every other
+    # unit at most its committed rating, so at least k_t of them are on
+    others = [g for g in fleet if g.id != big.id]
+    for t in range(n_periods):
+        k = _units_to_cover([g.p_max for g in others],
+                            float(net[t].max()) - big.p_max)
+        if k > 0:
+            model.add_row({x[g.id, t]: 1.0 for g in others}, SENSE_GE,
+                          float(k), f"cover[{start_period + t}]")
+
     # start/stop linking and minimum up/down times
     for g in fleet:
         state = initial_state[g.id]
@@ -324,7 +350,6 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
                 for s in range(n_branches):
                     objective[p[g.id, t, s]] = probs[s] * g.marginal_cost * hours
     model.set_objective(objective)
-    model.validate()
     return model
 
 

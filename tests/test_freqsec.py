@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frequc.freqsec import (
+    QSS_MARGIN,
     inertia_expression,
     inertia_floor_row,
     largest_loss_rows,
@@ -156,10 +157,16 @@ def test_qss_row_worked_examples():
     assert row_holds(row, vals)
     vals[dec.response] = 1649.0
     assert not row_holds(row, vals)
-    # without damping the response must cover the whole loss
+    # without damping the response must clear the whole loss by a margin
+    # above the solver's rounding
     freq0 = freq_for(fleet, [2000.0], damping=0.0)
     row0 = qss_row(dec, fleet, freq0, demand=30000.0)
-    assert row0.rhs == 0.0
+    assert row0.coeffs == {dec.response: 1.0, dec.loss: -1.0}
+    assert row0.rhs == QSS_MARGIN > 1e-4
+    vals[dec.response] = 1800.0
+    assert not row_holds(row0, vals)
+    vals[dec.response] = 1800.0 + QSS_MARGIN
+    assert row_holds(row0, vals)
 
 
 def test_settled_limit_worked_examples():

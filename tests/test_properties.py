@@ -92,10 +92,10 @@ def solve_window(system, tree, mode, secured):
     return solution
 
 
-# Drawn only with positive damping; without it the check fails any R < loss
-# as divergent, also an R one rounding step under the loss (a counterexample
-# in CHANGES.md).  With df_ss_max < df_max the QSS row's tightened limit
-# keeps the 60-s deviation inside df_ss_max.
+# Drawn only with positive damping: without it the QSS row holds R a margin
+# above the loss, but its limit is not tightened for df_ss_max < df_max.
+# With damping, the tightened limit keeps the 60-s deviation inside
+# df_ss_max.
 @PROPERTY
 @given(windows(damping_shares=(0.3, 0.9)))
 def test_secured_optimal_windows_pass_the_swing_check(window):

@@ -1,5 +1,7 @@
 """Scheduling layer: window construction, rolling runs, study metrics."""
 
+import itertools
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from frequc.cli import _scale_wind
 
 from frequc.freqsec import nadir_requirement
-from frequc.milp import solve
+from frequc.milp import SolveOptions, solve, solve_exhaustive
 from frequc.scheduler import (
     SchedulerError,
     Trajectory,
@@ -36,6 +38,7 @@ from frequc.sysmodel import (
     SystemSpec,
     build_scenario_tree,
     default_segment_grid,
+    largest_unit,
     load_scenario_table,
     load_system,
 )
@@ -131,10 +134,150 @@ def test_build_creates_expected_structure():
     assert "qss[2][1]" in labels
     assert "h_min[4]" in labels
     assert "fix_largest[0][0]" in labels
+    assert "cover[3]" in labels
     # the largest plant is committed in every period
     for t in range(6):
         var = model.variable_by_name(f"x[base][{t}]")
         assert var.lb == var.ub == 1.0
+
+
+def fewest_units(ratings, need):
+    """Smallest number of ``ratings`` summing to ``need``, by enumeration."""
+    for k in range(len(ratings) + 1):
+        if any(sum(pick) >= need - 1e-9
+               for pick in itertools.combinations(ratings, k)):
+            return k
+    raise AssertionError("the ratings cannot cover the need")
+
+
+def assert_cover_rows_count_the_fewest_units(model, system, tree):
+    """Each ``cover[t]`` row asks exactly the enumerated minimum number of
+    non-largest commitments; a period that needs none has no row."""
+    big = largest_unit(system.generators)
+    others = [g for g in system.generators if g.id != big.id]
+    covers = {row.label: row for row in model.rows
+              if row.label.startswith("cover[")}
+    counts = []
+    for t in range(tree.n_periods):
+        need = max(br.net_demand[t] for br in tree.branches) - big.p_max
+        k = fewest_units([g.p_max for g in others], need)
+        row = covers.pop(f"cover[{t}]", None)
+        if k == 0:
+            assert row is None
+        else:
+            assert row.sense == ">=" and row.rhs == k
+            assert row.coeffs == {
+                model.variable_by_name(f"x[{g.id}][{t}]").index: 1.0
+                for g in others}
+        counts.append(k)
+    assert not covers
+    return counts
+
+
+def without_cover_rows(model):
+    bare = deepcopy(model)
+    bare.rows = [row for row in model.rows
+                 if not row.label.startswith("cover[")]
+    return bare
+
+
+def test_cover_rows_count_the_fewest_units():
+    system = toy_system()
+    tree = toy_tree(system)
+    model = build_uc(system, tree, options())
+    assert assert_cover_rows_count_the_fewest_units(model, system, tree) \
+        == [1, 2, 2, 2, 2, 1]
+    # no wind: needs from none of the three others up to all of them, the
+    # last exactly at their summed rating
+    demand = (450.0, 900.0, 1000.0, 1400.0, 1650.0, 1700.0)
+    calm = SystemSpec(generators=system.generators, demand_profile=demand,
+                      wind_capacity=0.0, period_hours=1.0,
+                      frequency=system.frequency)
+    flat = ScenarioTree(root=demand[0], branches=(ScenarioBranch(demand, 1.0),),
+                        quantile_levels=(0.5,))
+    model = build_uc(calm, flat, options(largest_loss_mode="optimised"))
+    assert assert_cover_rows_count_the_fewest_units(model, calm, flat) \
+        == [0, 1, 2, 3, 3, 3]
+
+
+def assert_same_optimum(model, exhaustive=False):
+    gap = SolveOptions().opt_gap
+    with_rows = solve(model)
+    bare = solve(without_cover_rows(model))
+    assert with_rows.status == bare.status
+    if with_rows.status != "optimal":
+        return with_rows.status
+    scale = max(abs(with_rows.objective), abs(bare.objective))
+    assert abs(with_rows.objective - bare.objective) <= gap * scale
+    if exhaustive:
+        oracle = solve_exhaustive(model)
+        assert oracle.status == "optimal"
+        assert abs(with_rows.objective - oracle.objective) <= gap * scale
+    return with_rows.status
+
+
+def test_cover_rows_keep_the_toy_optimum():
+    system = toy_system()
+    tree = toy_tree(system)
+    for mode in ("fixed", "optimised"):
+        model = build_uc(system, tree, options(largest_loss_mode=mode))
+        assert any(row.label.startswith("cover[") for row in model.rows)
+        assert assert_same_optimum(model) == "optimal"
+
+
+def random_small_window(rng):
+    """A 3-4 unit fleet (the largest may deload), 1-3 branches, 2 periods."""
+    big_max = float(rng.integers(30, 51)) * 10.0
+    deload = float(rng.choice([0.0, 0.2, 0.4]))
+    units = [GeneratorSpec(
+        id="g0", technology="thermal", p_max=big_max, p_min=0.1 * big_max,
+        inertia_const=float(rng.integers(2, 9)), marginal_cost=10.0,
+        no_load_cost=float(rng.integers(0, 300)),
+        deloadable=deload > 0.0, max_deload_fraction=deload)]
+    for i in range(1, int(rng.integers(3, 5))):
+        p_max = float(rng.choice([0.3, 0.5, 0.7, 0.9])) * big_max
+        units.append(GeneratorSpec(
+            id=f"g{i}", technology="thermal", p_max=p_max,
+            p_min=float(rng.choice([0.0, 0.2])) * p_max,
+            inertia_const=float(rng.choice([10.0, 20.0, 40.0])),
+            marginal_cost=float(rng.integers(20, 120)),
+            no_load_cost=float(rng.integers(0, 300)),
+            startup_cost=float(rng.integers(0, 500)),
+            pfr_max=float(rng.choice([0.3, 0.6, 0.9])) * p_max))
+    others = sum(g.p_max for g in units[1:])
+    demand = [big_max + float(rng.uniform(0.1, 0.95)) * others
+              for _ in range(2)]
+    n_branches = int(rng.integers(1, 4))
+    levels = {1: (0.5,), 2: (0.25, 0.75), 3: (0.1, 0.5, 0.9)}[n_branches]
+    table = np.array([sorted(d * (1.0 - float(rng.uniform(0.0, 0.3)))
+                             for _ in range(n_branches)) for d in demand])
+    grid = default_segment_grid(big_max, deload)
+    system = SystemSpec(
+        generators=tuple(units), demand_profile=tuple(demand),
+        wind_capacity=100.0, period_hours=1.0,
+        frequency=FrequencyParams(
+            f0=50.0, df_max=1.0, df_ss_max=1.0, rocof_max=2.0, t_d=1.0,
+            damping=float(rng.uniform(0.0, 0.9)) * grid[0] / max(demand),
+            nadir_segments=grid, largest_unit_rating=big_max,
+            largest_unit_inertia=units[0].inertia_const))
+    return system, build_scenario_tree(levels, table)
+
+
+def test_cover_rows_keep_random_optima():
+    """On seeded small windows (at most 8 binaries) the cover rows remove
+    no optimum: HiGHS with and without them, and enumeration, agree."""
+    rng = np.random.default_rng(17)
+    statuses = []
+    for k in range(12):
+        system, tree = random_small_window(rng)
+        opts = options(horizon=2, first_stage=2,
+                       frequency_constraints=bool(k % 2),
+                       largest_loss_mode=("fixed", "optimised")[k // 2 % 2])
+        model = build_uc(system, tree, opts)
+        counts = assert_cover_rows_count_the_fewest_units(model, system, tree)
+        statuses.append(assert_same_optimum(model, exhaustive=True))
+        assert max(counts) > 0
+    assert statuses.count("optimal") >= 8
 
 
 def test_frequency_off_omits_security_machinery():
@@ -341,6 +484,39 @@ def test_settled_limit_secures_the_60s_deviation():
     assert first.report.qss_margin > 1e-6
 
 
+def test_zero_damping_response_clears_the_loss():
+    """Without damping any R < loss diverges, so the QSS row holds R a
+    margin above the loss; at R = loss - 1 ulp this cell failed the check
+    although its 60-s margin is +0.3 Hz."""
+    units = (
+        GeneratorSpec(id="g0", technology="thermal", p_max=360.0,
+                      inertia_const=2.0, marginal_cost=10.0, deloadable=True,
+                      max_deload_fraction=0.2),
+        GeneratorSpec(id="g1", technology="thermal", p_max=252.0,
+                      inertia_const=10.0, marginal_cost=20.0, pfr_max=75.6),
+        GeneratorSpec(id="g2", technology="thermal", p_max=324.0,
+                      inertia_const=10.0, marginal_cost=20.0, pfr_max=194.4),
+        GeneratorSpec(id="g3", technology="thermal", p_max=324.0,
+                      inertia_const=10.0, marginal_cost=20.0, pfr_max=97.2),
+    )
+    system = SystemSpec(
+        generators=units, demand_profile=(540.0,), wind_capacity=100.0,
+        period_hours=1.0,
+        frequency=FrequencyParams(
+            f0=50.0, df_max=0.8, df_ss_max=0.8, rocof_max=1.0, t_d=1.0,
+            damping=0.0, nadir_segments=default_segment_grid(360.0, 0.2),
+            largest_unit_rating=360.0, largest_unit_inertia=2.0))
+    tree = build_scenario_tree((0.5,), np.array([[540.0]]))
+    solution, _, raw = solve_uc(system, tree, options(
+        horizon=1, first_stage=1, largest_loss_mode="optimised"))
+    assert raw.status == "optimal"
+    report = verify_solution(solution, system, tol=1e-6)
+    assert report.ok, [(c.period, c.scenario) for c in report.failures()]
+    cell = report.checks[0]
+    assert cell.pfr > cell.loss
+    assert cell.report.qss_ok and cell.report.qss_margin > 0.29
+
+
 def bundled_window(wind=3000.0, horizon=12):
     base = load_system(DATA / "toy_system.yaml")
     levels, table = load_scenario_table(DATA / "toy_scenarios.txt")
@@ -351,11 +527,14 @@ def bundled_window(wind=3000.0, horizon=12):
 def test_bundled_window_formulation_size():
     """The optimised 12 x 7 window stays compact: 37,516 nonzeros with a
     big-M pair of rows per unit and every response repeated in each
-    chord, under 20,000 with the summed response and one product."""
+    chord, under 20,000 with the summed response and one product, and
+    with one cover row over the seven other units per period."""
     system, tree = bundled_window()
     model = build_uc(system, tree, UcOptions(horizon=12, first_stage=12))
     nnz = sum(len(row.coeffs) for row in model.rows)
     assert nnz <= 20_000
+    covers = [row for row in model.rows if row.label.startswith("cover[")]
+    assert len(covers) == 12 and all(len(row.coeffs) == 7 for row in covers)
     assert len(model.binary_indices()) == 8 * 12
     assert not any(row.label.startswith("bigm_lo") for row in model.rows)
     # one loss source per cell: every other unit stays under the floor
