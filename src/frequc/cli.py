@@ -68,11 +68,20 @@ def _write_manifest(outdir: Path, command: str, inputs: dict, options: dict,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _format_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    text = f"{value:.6f}"
+    # a tiny negative solver value prints unsigned, so that its sign does
+    # not change the file when the schedule does not change
+    return "0.000000" if text == "-0.000000" else text
+
+
 def _write_table(path: Path, header, rows) -> None:
     widths = [len(h) for h in header]
     text_rows = []
     for row in rows:
-        cells = [c if isinstance(c, str) else f"{c:.6f}" for c in row]
+        cells = [_format_cell(c) for c in row]
         widths = [max(w, len(c)) for w, c in zip(widths, cells)]
         text_rows.append(cells)
     lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]

@@ -1,7 +1,7 @@
 """Bounded-variable primal simplex on a dense tableau.
 
 This is the LP engine of the exhaustive oracle
-(:func:`frequc.milp.branch_bound.solve_exhaustive`), kept separate from
+(:func:`reference.oracle.solve_exhaustive`), kept separate from
 HiGHS so that the oracle shares no code with the solver it checks.  It
 suits small models only: the tableau is dense.
 

@@ -24,7 +24,6 @@ from frequc.freqsec import (cell_rows, inertia_expression,
                             inertia_floor_row, linearize_inertia_pfr,
                             nadir_requirement, register_decisions)
 from frequc.milp import MilpModel, solve
-from frequc.milp.branch_bound import solve_exhaustive
 from frequc.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from frequc.scheduler import (UcOptions, _advance_state, default_initial_state,
                               emissions, load_factor, slice_tree,
@@ -33,6 +32,7 @@ from frequc.scheduler import (UcOptions, _advance_state, default_initial_state,
 from frequc.sysmodel import (FrequencyParams, GeneratorSpec,
                              build_scenario_tree, default_segment_grid,
                              largest_unit, load_scenario_table, load_system)
+from reference.oracle import solve_exhaustive
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 WIND_LEVELS = (700.0, 1850.0, 3000.0)

@@ -260,6 +260,17 @@ def test_solve_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
+def test_tables_print_tiny_negatives_as_unsigned_zero(tmp_path):
+    path = tmp_path / "table.txt"
+    frequc.cli._write_table(path, ["name", "value"],
+                            [("tiny", -1e-12), ("zero", -0.0),
+                             ("small", -4e-7), ("above", -6e-7),
+                             ("neg", -0.25)])
+    values = [line.split()[1] for line in path.read_text().splitlines()[1:]]
+    assert values == ["0.000000", "0.000000", "0.000000", "-0.000001",
+                      "-0.250000"]
+
+
 def test_study_emits_metric_table(tmp_path):
     code, out = run_study(tmp_path)
     assert code == 0

@@ -1,13 +1,7 @@
 import pytest
 
-from frequc.milp import (
-    LpioError,
-    MilpModel,
-    export_model,
-    import_model,
-    models_equivalent,
-    solve,
-)
+from frequc.milp import MilpModel, export_model, solve
+from reference.lpread import LpioError, import_model, models_equivalent
 
 
 def sample_model():

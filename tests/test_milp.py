@@ -1,16 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import scipy.optimize
 
-from frequc.milp import (
-    MilpModel,
-    ModelError,
-    SolveOptions,
-    solve,
-    solve_exhaustive,
-    solve_lp,
-)
+from frequc.milp import (LinearRow, MilpModel, ModelError, SolveOptions,
+                         Variable, solve)
+from reference.oracle import dense_rows, solve_exhaustive
+from reference.recheck import check_feasible_loop
+from reference.simplex import solve_lp
 
 
 def knapsack_model():
@@ -255,3 +254,129 @@ def test_branch_bound_matches_exhaustive_on_random_models():
             assert not bb.violations
             checked += 1
     assert checked >= 10
+
+
+# -- the compiled model ----------------------------------------------------
+
+
+def malformed_models():
+    """Models that break each check of ``validate``, built past the checks
+    of ``add_*`` (except the non-binary integer, which they allow)."""
+    infinite = MilpModel()
+    infinite.add_continuous("x", 0.0, 1.0)
+    infinite.variables[0].ub = np.inf
+    duplicate = MilpModel()
+    duplicate.add_continuous("x", 0.0, 1.0)
+    duplicate.variables.append(Variable(1, "x", 0.0, 2.0))
+    empty = MilpModel()
+    empty.add_continuous("x", 0.0, 1.0)
+    empty.variables[0].lb = 2.0
+    unknown_index = MilpModel()
+    unknown_index.add_continuous("x", 0.0, 1.0)
+    unknown_index.rows.append(LinearRow({3: 1.0}, "<=", 1.0, "r"))
+    negative_index = MilpModel()
+    negative_index.add_continuous("x", 0.0, 1.0)
+    negative_index.rows.append(LinearRow({-1: 1.0}, "<=", 1.0, "r"))
+    bad_sense = MilpModel()
+    bad_sense.add_continuous("x", 0.0, 1.0)
+    bad_sense.rows.append(LinearRow({0: 1.0}, "<>", 1.0, "r"))
+    non_binary = MilpModel()
+    non_binary.add_variable("k", 0.0, 3.0, integer=True)
+    return {"infinite bounds": infinite, "duplicate name": duplicate,
+            "empty interval": empty, "unknown index": unknown_index,
+            "negative index": negative_index, "bad sense": bad_sense,
+            "non-binary integer": non_binary}
+
+
+@pytest.mark.parametrize("case", sorted(malformed_models()))
+def test_malformed_models_raise_through_solve(case):
+    model = malformed_models()[case]
+    with pytest.raises(ModelError):
+        model.validate()
+    with pytest.raises(ModelError):
+        solve(model)
+
+
+def test_validate_names_the_first_offender():
+    mdl = MilpModel()
+    mdl.add_continuous("x", 0.0, 1.0)
+    mdl.add_continuous("y", 0.0, 1.0)
+    mdl.rows.append(LinearRow({0: 1.0}, "<=", 1.0, "ok"))
+    mdl.rows.append(LinearRow({5: 1.0}, "<=", 1.0, "late_index"))
+    mdl.rows.append(LinearRow({0: 1.0}, "=>", 1.0, "later_sense"))
+    with pytest.raises(ModelError, match="late_index.*index 5"):
+        mdl.validate()
+    mdl.rows.insert(1, LinearRow({0: 1.0}, "=>", 1.0, "early_sense"))
+    with pytest.raises(ModelError, match="early_sense.*sense"):
+        mdl.validate()
+    mdl.variables[1].lb = 4.0
+    with pytest.raises(ModelError, match="variable y: empty"):
+        mdl.validate()
+
+
+def random_compiled_case(rng):
+    """A model with empty rows, explicit zero coefficients, fixed columns
+    and float coefficients, and a point near (and often off) its bounds."""
+    mdl = MilpModel()
+    n = int(rng.integers(1, 9))
+    for j in range(n):
+        if rng.random() < 0.4:
+            mdl.add_binary(f"b{j}")
+        else:
+            lo = float(rng.normal(0.0, 3.0))
+            mdl.add_continuous(f"c{j}", lo, lo + float(rng.exponential(2.0)))
+        if rng.random() < 0.3:
+            var = mdl.variables[j]
+            mdl.fix_variable(j, var.lb if rng.random() < 0.5 else var.ub)
+    for i in range(int(rng.integers(0, 8))):
+        coeffs = {int(j): float(rng.normal()) for j in rng.permutation(n)
+                  if rng.random() < 0.5}
+        if coeffs and rng.random() < 0.3:
+            coeffs[next(iter(coeffs))] = 0.0  # kept: appended, not added
+        sense = ("<=", ">=", "=")[rng.integers(0, 3)]
+        mdl.rows.append(LinearRow(coeffs, sense, float(rng.normal(0.0, 5.0)),
+                                  f"r{i}"))
+    mdl.set_objective({j: float(rng.normal()) for j in range(n)})
+    lb = np.array([v.lb for v in mdl.variables])
+    ub = np.array([v.ub for v in mdl.variables])
+    x = rng.uniform(lb - 1.0, ub + 1.0)
+    snap = rng.random(n) < 0.3
+    x[snap] = np.round(x[snap])
+    return mdl, x
+
+
+def test_compiled_arrays_equal_the_dense_reference():
+    rng = np.random.default_rng(404)
+    for _ in range(200):
+        mdl, _ = random_compiled_case(rng)
+        compiled = mdl.compile()
+        a, senses, rhs = dense_rows(mdl)
+        assert compiled.a.shape == a.shape
+        assert np.array_equal(compiled.a.toarray(), a)
+        assert np.array_equal(compiled.lo, np.where(senses == 0, -np.inf, rhs))
+        assert np.array_equal(compiled.hi, np.where(senses == 1, np.inf, rhs))
+        assert np.array_equal(compiled.lb, [v.lb for v in mdl.variables])
+        assert np.array_equal(compiled.ub, [v.ub for v in mdl.variables])
+        assert np.array_equal(compiled.integrality,
+                              [v.is_integer for v in mdl.variables])
+        c = np.zeros(mdl.n_vars)
+        for j, v in mdl.objective.items():
+            c[j] = v
+        assert np.array_equal(compiled.c, c)
+
+
+def test_check_feasible_matches_the_loop_reference():
+    rng = np.random.default_rng(505)
+    kinds = Counter()
+    for _ in range(300):
+        mdl, x = random_compiled_case(rng)
+        compiled = mdl.compile()
+        inside = np.clip(x, compiled.lb, compiled.ub)
+        for point in (x, inside):
+            for tol in (1e-6, 0.5):
+                expected = check_feasible_loop(mdl, point, tol)
+                assert compiled.check_feasible(point, tol) == expected
+                assert mdl.check_feasible(point, tol) == expected
+                kinds.update(msg.split()[0] for msg in expected)
+                kinds["clean"] += not expected
+    assert min(kinds[k] for k in ("bound", "integrality", "row", "clean")) >= 50

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from frequc.cli import _scale_wind
 
 from frequc.freqsec import nadir_requirement
-from frequc.milp import SolveOptions, solve, solve_exhaustive
+from frequc.milp import SolveOptions, solve
 from frequc.scheduler import (
     SchedulerError,
     Trajectory,
@@ -42,6 +43,7 @@ from frequc.sysmodel import (
     load_scenario_table,
     load_system,
 )
+from reference.oracle import solve_exhaustive
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -557,6 +559,37 @@ def test_redispatch_window_has_no_product_auxiliaries():
                    for row in model.rows)
     assert model.has_variable("hr[0][0]")
     assert solve(model).status == "optimal"
+
+
+def test_redispatch_is_solved_as_an_lp(monkeypatch):
+    """A re-dispatch pins every binary, so HiGHS solves it as an LP: no
+    nodes, its optimum is its own bound, and it matches the oracle."""
+    real_milp = scipy.optimize.milp
+    integrality = []
+
+    def recording_milp(*args, **kwargs):
+        integrality.append(np.asarray(kwargs["integrality"]))
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", recording_milp)
+    system, tree = bundled_window(horizon=2)
+    window, _, _ = solve_uc(system, tree, UcOptions(horizon=2, first_stage=2))
+    realized = realized_series(tree)
+    median = ScenarioTree(root=float(realized[0]),
+                          branches=(ScenarioBranch(tuple(realized), 1.0),),
+                          quantile_levels=(0.5,))
+    model = build_uc(system, median, UcOptions(horizon=2, first_stage=2),
+                     fixed_commitments=window.commit)
+    assert all(model.variables[j].lb == model.variables[j].ub
+               for j in model.binary_indices())
+    got = solve(model)
+    assert integrality[0].any() and not integrality[1].any()
+    assert got.status == "optimal" and not got.violations
+    assert got.nodes == 0
+    assert got.bound == got.objective
+    oracle = solve_exhaustive(model)
+    assert oracle.status == "optimal"
+    assert abs(got.objective - oracle.objective) <= 1e-9 * abs(oracle.objective)
 
 
 def test_unsecured_window_fails_when_security_is_unattainable():
