@@ -261,12 +261,20 @@ def _parse_study_config(path, system):
     if unknown:
         raise SystemConfigError(f"{path}: unknown study fields {sorted(unknown)}")
     default_span = min(system.n_periods, 168) if system is not None else None
+
+    def count(name, default):
+        value = section.get(name, default)
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+        return int(value)
+
     try:
         caps = [float(v) for v in section.get("wind_capacities", [])]
         modes = list(section.get("modes", ["fixed", "optimised"]))
-        periods = int(section.get("periods", default_span or 0))
-        horizon = int(section.get("horizon", periods))
-        first_stage = int(section.get("first_stage", horizon))
+        periods = count("periods", default_span or 0)
+        horizon = count("horizon", periods)
+        first_stage = count("first_stage", horizon)
     except (TypeError, ValueError) as exc:  # a value of the wrong type
         raise SystemConfigError(f"{path}: {exc}") from None
     if not caps or not all(0.0 < c < math.inf for c in caps):
@@ -278,7 +286,17 @@ def _parse_study_config(path, system):
     if system is not None and not (1 <= periods <= system.n_periods):
         raise SystemConfigError(
             f"{path}: periods must lie in [1, {system.n_periods}]")
-    deloading = bool(section.get("deloading_enabled", True))
+    # with no system, and neither periods nor horizon, the horizon is unknown
+    if system is not None or "horizon" in section or "periods" in section:
+        try:
+            UcOptions(horizon=horizon, first_stage=first_stage)
+        except SchedulerError as exc:
+            raise SystemConfigError(f"{path}: {exc}") from None
+    deloading = section.get("deloading_enabled", True)
+    if not isinstance(deloading, bool):
+        raise SystemConfigError(
+            f"{path}: deloading_enabled must be true or false, got "
+            f"{deloading!r}")
     return {
         "wind_capacities": caps,
         "modes": modes,

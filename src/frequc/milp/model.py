@@ -1,17 +1,19 @@
 """Mixed-integer linear model container.
 
-Holds variables with finite bounds, labeled linear rows and a linear
-objective.  This is the exchange format between the constraint builders, the
-solvers and the LP file writer; it does no solving itself.
-:meth:`MilpModel.compile` checks a model and turns it into the arrays that
-HiGHS and the feasibility re-check of a solve share.
+Holds variables with finite bounds, labeled linear rows, kept as blocks of
+arrays, and a linear objective.  This is the exchange format between the
+constraint builders, the solvers and the LP file writer; it does no solving
+itself.  :meth:`MilpModel.compile` checks a model and concatenates its
+blocks into the arrays that HiGHS and the feasibility re-check of a solve
+share.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,28 +60,75 @@ class ModelError(ValueError):
     """Raised for malformed models (bad bounds, duplicate names, ...)."""
 
 
+@dataclass
+class RowBlock:
+    """``m`` rows stored as arrays: row ``i`` is
+    ``sum(vals[i, j] * x[cols[i, j]]) <sense[i]> rhs[i]``.
+
+    ``cols`` and ``vals`` have shape ``(m, k)``; a row with fewer than
+    ``k`` terms is padded with zero coefficients, which are dropped when
+    the block is read.  ``sense`` holds codes, 0 for ``<=``, 1 for ``>=``
+    and 2 for ``=``; ``labels`` holds one label per row.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    labels: list[str]
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+
 class MilpModel:
+    """Variables, row blocks and an objective.
+
+    Rows are kept in :class:`RowBlock`s in the order they were added;
+    :meth:`add_row` adds a block of one row, :meth:`add_rows` a block of
+    many.  ``rows`` reads them back as :class:`LinearRow`s.
+    """
+
     def __init__(self, name: str = "model"):
         self.name = name
         self.variables: list[Variable] = []
-        self.rows: list[LinearRow] = []
+        self.blocks: list[RowBlock] = []
         self.objective: dict[int, float] = {}
         self.objective_constant: float = 0.0
         self._by_name: dict[str, int] = {}
+        self._n_rows = 0
 
     # -- construction -----------------------------------------------------
 
     def add_variable(self, name: str, lb: float, ub: float, integer: bool = False) -> int:
-        if name in self._by_name:
-            raise ModelError(f"duplicate variable name: {name}")
-        if not (math.isfinite(lb) and math.isfinite(ub)):
-            raise ModelError(f"variable {name}: bounds must be finite, got [{lb}, {ub}]")
-        if lb > ub:
-            raise ModelError(f"variable {name}: lower bound {lb} exceeds upper bound {ub}")
+        _check_variable(name, lb, ub, self._by_name)
         idx = len(self.variables)
         self.variables.append(Variable(idx, name, float(lb), float(ub), integer))
         self._by_name[name] = idx
         return idx
+
+    def add_variables(self, names, lb, ub, integer=False) -> np.ndarray:
+        """Add one variable per name, with the checks of
+        :meth:`add_variable`; ``lb``, ``ub`` and ``integer`` are scalars or
+        one value per name.  Returns the new indices in order."""
+        names = list(names)
+        m = len(names)
+        lb = _per_item(lb, m, float, "variables")
+        ub = _per_item(ub, m, float, "variables")
+        integer = _per_item(integer, m, bool, "variables")
+        start = len(self.variables)
+        fresh = dict(zip(names, range(start, start + m)))
+        if (len(fresh) < m or not self._by_name.keys().isdisjoint(fresh)
+                or not (np.isfinite(lb).all() and np.isfinite(ub).all())
+                or (lb > ub).any()):
+            taken = set(self._by_name)
+            for name, lo, hi in zip(names, lb.tolist(), ub.tolist()):
+                _check_variable(name, lo, hi, taken)
+                taken.add(name)
+        self.variables.extend(map(Variable, range(start, start + m), names,
+                                  lb.tolist(), ub.tolist(), integer.tolist()))
+        self._by_name.update(fresh)
+        return np.arange(start, start + m)
 
     def add_continuous(self, name: str, lb: float, ub: float) -> int:
         return self.add_variable(name, lb, ub, integer=False)
@@ -99,21 +148,48 @@ class MilpModel:
         var.ub = v
 
     def add_row(self, coeffs: dict[int, float], sense: str, rhs: float, label: str = "") -> int:
-        if sense not in SENSES:
-            raise ModelError(f"row {label!r}: unknown sense {sense!r}")
-        if not math.isfinite(rhs):
-            raise ModelError(f"row {label!r}: right-hand side must be finite")
-        n, isfinite = len(self.variables), math.isfinite
-        cleaned = {}
-        for j, c in coeffs.items():
-            if not 0 <= j < n:
-                raise ModelError(f"row {label!r}: unknown variable index {j}")
-            if not isfinite(c):
-                raise ModelError(f"row {label!r}: non-finite coefficient on index {j}")
-            if c != 0.0:
-                cleaned[j] = float(c)
-        self.rows.append(LinearRow(cleaned, sense, float(rhs), label))
-        return len(self.rows) - 1
+        k = len(coeffs)
+        cols = np.fromiter(coeffs, np.int64, k).reshape(1, k)
+        vals = np.fromiter(coeffs.values(), float, k).reshape(1, k)
+        return self.add_rows(cols, vals, sense, rhs, [label])[0]
+
+    def add_rows(self, cols, vals, sense, rhs, labels) -> range:
+        """Add ``m`` rows as one block and return their indices.
+
+        ``cols`` and ``vals`` are ``(m, k)`` arrays: row ``i`` is
+        ``sum(vals[i, j] * x[cols[i, j]]) <sense> rhs``.  ``sense`` and
+        ``rhs`` are one value or one per row, ``labels`` one label per
+        row.  Zero coefficients are dropped.  Raises
+        ModelError naming the first row with an unknown sense, a non-finite
+        right-hand side, or, in column order, an unknown variable index or
+        a non-finite coefficient.
+        """
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=float)
+        m = len(cols)
+        if cols.ndim != 2 or vals.shape != cols.shape:
+            raise ModelError(f"rows: coefficient arrays of shapes {cols.shape} "
+                             f"and {vals.shape}, expected two equal (m, k)")
+        if isinstance(sense, str):
+            codes = np.full(m, _SENSE_CODE.get(sense, -1), dtype=np.int8)
+            given = [sense] * m
+        else:
+            given = _per_item(sense, m, None, "rows")
+            codes = np.full(m, -1, dtype=np.int8)
+            for name, code in _SENSE_CODE.items():
+                codes[given == name] = code
+        rhs = _per_item(rhs, m, float, "rows").copy()
+        labels = list(labels)
+        if len(labels) != m:
+            raise ModelError(f"rows: {len(labels)} labels for {m} rows")
+        k = cols.shape[1]
+        _check_rows(codes, rhs, cols.ravel(), vals.ravel(), lambda e: e // k,
+                    len(self.variables), labels.__getitem__,
+                    lambda i: str(given[i]))
+        self.blocks.append(RowBlock(cols, vals, codes, rhs, labels))
+        start = self._n_rows
+        self._n_rows += m
+        return range(start, start + m)
 
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0) -> None:
         for j, c in coeffs.items():
@@ -132,7 +208,31 @@ class MilpModel:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self._n_rows
+
+    @property
+    def rows(self) -> tuple[LinearRow, ...]:
+        """Every row, read from the blocks; the coefficient maps are
+        read-only views, since edits to them would not reach the blocks."""
+        out = []
+        for block in self.blocks:
+            keep = block.vals != 0.0
+            cols = iter(block.cols[keep].tolist())
+            vals = iter(block.vals[keep].tolist())
+            coeffs = [MappingProxyType(dict(zip(islice(cols, n), islice(vals, n))))
+                      for n in keep.sum(axis=1).tolist()]
+            out += map(LinearRow, coeffs,
+                       [_SENSE_NAME.get(c, c) for c in block.sense.tolist()],
+                       block.rhs.tolist(), block.labels)
+        return tuple(out)
+
+    def row_label(self, i: int) -> str:
+        """Label of row ``i``."""
+        for block in self.blocks:
+            if i < len(block):
+                return block.labels[i]
+            i -= len(block)
+        raise IndexError("row index out of range")
 
     def variable_by_name(self, name: str) -> Variable:
         return self.variables[self._by_name[name]]
@@ -154,31 +254,39 @@ class MilpModel:
         """Check the model and return it as arrays.
 
         Raises ModelError on non-finite or empty bounds, a non-binary
-        integer variable, a duplicate name, an unknown sense or a row index
-        out of range, naming the first offending variable, else row.
+        integer variable, a duplicate name, or a row that a block edited
+        in place made malformed (see :meth:`add_rows`), naming the first
+        offending variable, else row.
         """
         import scipy.sparse as sp
 
-        variables, rows = self.variables, self.rows
-        n, m = len(variables), len(rows)
+        variables, blocks = self.variables, self.blocks
+        n, m = len(variables), self._n_rows
         lb = np.fromiter((v.lb for v in variables), float, n)
         ub = np.fromiter((v.ub for v in variables), float, n)
         integer = np.fromiter((v.is_integer for v in variables), bool, n)
         _check_variables(variables, lb, ub, integer)
 
-        sense = np.fromiter((_SENSE_CODE.get(r.sense, -1) for r in rows),
-                            np.int8, m)
-        rhs = np.fromiter((r.rhs for r in rows), float, m)
+        keep = [b.vals != 0.0 for b in blocks]
         indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.fromiter((len(r.coeffs) for r in rows), np.int64, m),
-                  out=indptr[1:])
+        sense = np.empty(m, dtype=np.int8)
+        rhs = np.empty(m)
+        if blocks:
+            np.cumsum(np.concatenate([k.sum(axis=1) for k in keep]),
+                      out=indptr[1:])
+            np.concatenate([b.sense for b in blocks], out=sense)
+            np.concatenate([b.rhs for b in blocks], out=rhs)
         nnz = int(indptr[-1])
-        indices = np.fromiter(
-            itertools.chain.from_iterable(r.coeffs for r in rows), np.int64, nnz)
-        data = np.fromiter(
-            itertools.chain.from_iterable(r.coeffs.values() for r in rows),
-            float, nnz)
-        _check_rows(rows, sense, indptr, indices, n)
+        indices = np.empty(nnz, dtype=np.int64)
+        data = np.empty(nnz)
+        if blocks:
+            np.concatenate([b.cols[k] for b, k in zip(blocks, keep)],
+                           out=indices)
+            np.concatenate([b.vals[k] for b, k in zip(blocks, keep)],
+                           out=data)
+        _check_rows(sense, rhs, indices, data,
+                    lambda e: int(np.searchsorted(indptr, e, side="right")) - 1,
+                    n, self.row_label, lambda i: int(sense[i]))
 
         c = np.zeros(n)
         if self.objective:
@@ -199,6 +307,16 @@ class MilpModel:
 
 _LE, _GE, _EQ = 0, 1, 2
 _SENSE_CODE = {SENSE_LE: _LE, SENSE_GE: _GE, SENSE_EQ: _EQ}
+_SENSE_NAME = {code: name for name, code in _SENSE_CODE.items()}
+
+
+def _check_variable(name, lb, ub, taken) -> None:
+    if name in taken:
+        raise ModelError(f"duplicate variable name: {name}")
+    if not (math.isfinite(lb) and math.isfinite(ub)):
+        raise ModelError(f"variable {name}: bounds must be finite, got [{lb}, {ub}]")
+    if lb > ub:
+        raise ModelError(f"variable {name}: lower bound {lb} exceeds upper bound {ub}")
 
 
 def _check_variables(variables, lb, ub, integer) -> None:
@@ -226,19 +344,37 @@ def _check_variables(variables, lb, ub, integer) -> None:
     raise ModelError(f"duplicate variable name: {name}")
 
 
-def _check_rows(rows, sense, indptr, indices, n) -> None:
-    m = len(rows)
-    bad_sense = np.flatnonzero(sense < 0)
-    bad_index = np.flatnonzero((indices < 0) | (indices >= n))
-    first_sense = int(bad_sense[0]) if bad_sense.size else m
-    first_index = m
-    if bad_index.size:
-        first_index = int(np.searchsorted(indptr, bad_index[0], side="right")) - 1
-    if first_sense < m and first_sense <= first_index:
-        raise ModelError(f"row {rows[first_sense].label!r}: bad sense")
-    if first_index < m:
-        raise ModelError(f"row {rows[first_index].label!r}: "
-                         f"bad variable index {indices[bad_index[0]]}")
+def _per_item(value, m, dtype, what) -> np.ndarray:
+    """``value`` as ``m`` items: a scalar is repeated."""
+    array = np.asarray(value, dtype=dtype)
+    if array.ndim == 0:
+        return np.full(m, array)
+    if array.shape != (m,):
+        raise ModelError(f"{what}: {array.shape} values for {m} items")
+    return array
+
+
+def _check_rows(codes, rhs, cols, vals, row_of, n, label, sense) -> None:
+    """Raise ModelError for the first bad row: an unknown sense code (named
+    by ``sense(row)``), then a non-finite right-hand side, then its first
+    term with an index outside ``[0, n)`` or a non-finite coefficient.  The
+    terms are flat; ``row_of`` maps a term's position to its row."""
+    bad_row = (codes < _LE) | (codes > _EQ) | ~np.isfinite(rhs)
+    bad_term = (cols < 0) | (cols >= n) | ~np.isfinite(vals)
+    if not (bad_row.any() or bad_term.any()):
+        return
+    first = int(np.argmax(bad_row)) if bad_row.any() else len(rhs)
+    term = int(np.argmax(bad_term)) if bad_term.any() else -1
+    if term >= 0 and row_of(term) < first:
+        first = row_of(term)
+    name = label(first)
+    if not _LE <= codes[first] <= _EQ:
+        raise ModelError(f"row {name!r}: unknown sense {sense(first)!r}")
+    if not math.isfinite(rhs[first]):
+        raise ModelError(f"row {name!r}: right-hand side must be finite")
+    if not 0 <= cols[term] < n:
+        raise ModelError(f"row {name!r}: unknown variable index {cols[term]}")
+    raise ModelError(f"row {name!r}: non-finite coefficient on index {cols[term]}")
 
 
 @dataclass(frozen=True)
@@ -260,20 +396,21 @@ class CompiledModel:
     def check_feasible(self, x: np.ndarray, tol: float = 1e-6) -> list[str]:
         """Violation messages for point x: per variable, bound then
         integrality, in index order; then rows in order.  Bounds and
-        integrality are held to ``tol``, a row to ``tol * max(1, |rhs|)``."""
+        integrality are held to ``tol``, a row to ``tol * max(1, |rhs|)``.
+        A NaN value or row activity is a violation: every test below asks
+        for the value to be inside, which NaN never is."""
         x = np.asarray(x, dtype=float)
-        outside = (x < self.lb - tol) | (x > self.ub + tol)
-        fractional = (self.integrality > 0) & (np.abs(x - np.round(x)) > tol)
+        outside = ~((x >= self.lb - tol) & (x <= self.ub + tol))
+        fractional = (self.integrality > 0) & ~(np.abs(x - np.round(x)) <= tol)
         act = self.a @ x
-        eq = self.lo == self.hi
         rhs = np.where(self.hi == np.inf, self.lo, self.hi)
         slack = tol * np.maximum(1.0, np.abs(rhs))
-        above = ~eq & (act > self.hi + slack)
-        below = ~eq & (act < self.lo - slack)
-        off = eq & (np.abs(act - rhs) > slack)
+        above = (self.lo == -np.inf) & ~(act <= self.hi + slack)
+        below = (self.hi == np.inf) & ~(act >= self.lo - slack)
+        off = (self.lo == self.hi) & ~(np.abs(act - rhs) <= slack)
 
         bad: list[str] = []
-        variables, rows = self.model.variables, self.model.rows
+        variables = self.model.variables
         for j in np.flatnonzero(outside | fractional):
             name, value = variables[j].name, float(x[j])
             if outside[j]:
@@ -283,6 +420,6 @@ class CompiledModel:
                 bad.append(f"integrality {name}: {value!r}")
         for i in np.flatnonzero(above | below | off):
             op = ">" if above[i] else "<" if below[i] else "!="
-            bad.append(f"row {rows[i].label}: {float(act[i])!r} {op} "
-                       f"{float(rhs[i])!r}")
+            bad.append(f"row {self.model.row_label(i)}: {float(act[i])!r} "
+                       f"{op} {float(rhs[i])!r}")
         return bad

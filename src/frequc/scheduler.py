@@ -9,10 +9,12 @@ cell gets its loss, summed-response and product variables from
 :func:`frequc.freqsec.register_decisions`, once the fixed commitments are
 known, and its rows from the other builders there; the nadir rows are the
 chord envelope of the convex requirement, so a solution is secure by
-construction at every loss.  Each period's ``cover`` row asks for the
-fewest units besides the largest whose ratings reach the period's highest
-net demand minus the largest rating: valid for every integer schedule, it
-only tightens the relaxation.
+construction at every loss.  Every row family is added as one block of
+arrays, and a cell's rows, which depend on its period only, are built once
+per period and copied to the other branches.  Each period's ``cover`` row
+asks for the fewest units besides the largest whose ratings reach the
+period's highest net demand minus the largest rating: valid for every
+integer schedule, it only tightens the relaxation.
 ``solve_uc`` builds, solves and unpacks one window.
 
 ``solve_rolling_horizon`` walks a longer span window by window,
@@ -136,8 +138,40 @@ def _units_to_cover(ratings, need: float) -> int:
     return count
 
 
+class UcModel(MilpModel):
+    """A window's model with the column ids that :func:`extract_solution`
+    reads: ``commit`` and ``startup`` of shape ``(units, T)``, ``output``
+    and ``pfr`` of shape ``(units, T, S)``, ``wind`` and ``loss`` of shape
+    ``(T, S)``; ``loss`` is None without frequency constraints."""
+
+    commit: np.ndarray
+    startup: np.ndarray
+    output: np.ndarray
+    pfr: np.ndarray
+    wind: np.ndarray
+    loss: np.ndarray | None
+
+
+def _row_arrays(rows):
+    """``LinearRow``s as the arrays of :meth:`MilpModel.add_rows`: columns
+    and coefficients of shape ``(m, k)``, ``k`` their most terms, a shorter
+    row padded with zero coefficients on its first column (column 0 for an
+    empty row); then the senses and right-hand sides."""
+    k = max(len(row.coeffs) for row in rows)
+    cols, vals = [], []
+    for row in rows:
+        keys = list(row.coeffs)
+        pad = k - len(keys)
+        cols += keys + [keys[0] if keys else 0] * pad
+        vals += list(row.coeffs.values()) + [0.0] * pad
+    return (np.array(cols, dtype=np.int64).reshape(len(rows), k),
+            np.array(vals).reshape(len(rows), k),
+            np.array([row.sense for row in rows]),
+            np.array([row.rhs for row in rows]))
+
+
 def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
-             initial_state=None, fixed_commitments=None) -> MilpModel:
+             initial_state=None, fixed_commitments=None) -> UcModel:
     """Assemble the scheduling model for one window.
 
     The window covers the first ``min(options.horizon, tree.n_periods)``
@@ -145,6 +179,12 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     ``start_period``.  ``fixed_commitments`` (generator id -> 0/1 values
     per window period) pins the commitment variables; the rolling solver
     uses this for the realized re-dispatch.
+
+    Each row family repeats one pattern per cell or per unit, so it is
+    added as one block of arrays.  A cell's frequency rows depend on its
+    period only: freqsec builds them once per period, for branch 0, and
+    they are copied to the other branches by mapping branch 0's recourse
+    and security columns to theirs.
     """
     fleet = system.generators
     freq = system.frequency
@@ -153,7 +193,7 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     if n_periods < 1:
         raise SchedulerError("window: scenario branches carry no periods")
     n_branches = len(tree.branches)
-    probs = [br.probability for br in tree.branches]
+    probs = np.array([br.probability for br in tree.branches])
     demand, net = _window_net(system, tree, start_period, n_periods)
     avail = demand[:, None] - net
 
@@ -178,178 +218,233 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
         if g.id not in initial_state:
             raise SchedulerError(f"initial state missing unit {g.id}")
 
-    model = MilpModel(name=f"uc_p{start_period}_{n_periods}x{n_branches}")
+    model = UcModel(name=f"uc_p{start_period}_{n_periods}x{n_branches}")
+    # array shapes: G units, T periods, S branches
+    G, T, S = len(fleet), n_periods, n_branches
+    ids = [g.id for g in fleet]
+    big_i = ids.index(big.id)
+    periods = range(start_period, start_period + T)
 
     # first-stage commitment, start and stop indicators (shared by branches)
-    x = {}
-    su = {}
-    sd = {}
-    for g in fleet:
-        for t in range(n_periods):
-            tt = start_period + t
-            x[g.id, t] = model.add_binary(f"x[{g.id}][{tt}]")
-            su[g.id, t] = model.add_continuous(f"su[{g.id}][{tt}]", 0.0, 1.0)
-            sd[g.id, t] = model.add_continuous(f"sd[{g.id}][{tt}]", 0.0, 1.0)
+    heads = [(f"x[{gid}]", f"su[{gid}]", f"sd[{gid}]") for gid in ids]
+    first = model.add_variables(
+        [head + f"[{tt}]" for unit in heads for tt in periods for head in unit],
+        0.0, 1.0, integer=np.tile([True, False, False], G * T),
+    ).reshape(G, T, 3)
+    x, su, sd = first[..., 0], first[..., 1], first[..., 2]
 
-    # recourse dispatch per period and branch
-    p = {}
-    r = {}
-    wind = {}
-    for t in range(n_periods):
-        tt = start_period + t
-        for s in range(n_branches):
-            for g in fleet:
-                p[g.id, t, s] = model.add_continuous(
-                    f"p[{g.id}][{tt}][{s}]", 0.0, g.p_max)
-                r[g.id, t, s] = model.add_continuous(
-                    f"r[{g.id}][{tt}][{s}]", 0.0, g.pfr_max)
-            wind[t, s] = model.add_continuous(
-                f"wind[{tt}][{s}]", 0.0, max(avail[t, s], 0.0))
+    # recourse per period and branch: each unit's output and response,
+    # then the wind
+    ub = np.empty((T, S, 2 * G + 1))
+    ub[..., 0:2 * G:2] = [g.p_max for g in fleet]
+    ub[..., 1:2 * G:2] = [g.pfr_max for g in fleet]
+    ub[..., 2 * G] = np.where(0.0 > avail, 0.0, avail)
+    heads = [head for gid in ids for head in (f"p[{gid}]", f"r[{gid}]")]
+    heads.append("wind")
+    recourse = model.add_variables(
+        [head + f"[{tt}][{s}]" for tt in periods for s in range(S)
+         for head in heads],
+        0.0, ub.ravel(),
+    ).reshape(T, S, 2 * G + 1)
+    p = recourse[..., 0:2 * G:2].transpose(2, 0, 1)
+    r = recourse[..., 1:2 * G:2].transpose(2, 0, 1)
+    wind = recourse[..., 2 * G]
 
     # the largest plant is committed throughout; minimum-time carry and
     # externally pinned schedules come next and must agree with it
-    for t in range(n_periods):
-        model.fix_variable(x[big.id, t], 1.0)
+    x_ids = x.tolist()
+    for t in range(T):
+        model.fix_variable(x_ids[big_i][t], 1.0)
     try:
-        for g in fleet:
+        for i, g in enumerate(fleet):
             state = initial_state[g.id]
             if state.on and state.hours < g.min_up:
-                for t in range(min(g.min_up - state.hours, n_periods)):
-                    model.fix_variable(x[g.id, t], 1.0)
+                for t in range(min(g.min_up - state.hours, T)):
+                    model.fix_variable(x_ids[i][t], 1.0)
             elif not state.on and state.hours < g.min_down:
-                for t in range(min(g.min_down - state.hours, n_periods)):
-                    model.fix_variable(x[g.id, t], 0.0)
+                for t in range(min(g.min_down - state.hours, T)):
+                    model.fix_variable(x_ids[i][t], 0.0)
         if fixed_commitments is not None:
-            for g in fleet:
+            for i, g in enumerate(fleet):
                 values = fixed_commitments[g.id]
-                if len(values) < n_periods:
+                if len(values) < T:
                     raise SchedulerError(
                         f"fixed commitments for {g.id} cover {len(values)} of "
-                        f"{n_periods} window periods"
+                        f"{T} window periods"
                     )
-                for t in range(n_periods):
-                    model.fix_variable(x[g.id, t], round(float(values[t])))
+                for t in range(T):
+                    model.fix_variable(x_ids[i][t], round(float(values[t])))
     except ModelError as exc:
         raise SchedulerError(
             f"commitment requirements conflict: {exc}"
         ) from exc
 
     # each cell's security variables, once the fixed commitments are known:
-    # a unit committed by a fixed bound needs no product auxiliary
+    # a unit committed by a fixed bound needs no product auxiliary.  The
+    # commitments are shared, so every branch of a period gets the same
+    # variables; ``security[t]`` holds their ids, one row per branch
     cells = {}
+    security = []
     if options.frequency_constraints:
-        for t in range(n_periods):
-            for s in range(n_branches):
+        p_ids, r_ids = p.tolist(), r.tolist()
+        for t, tt in enumerate(periods):
+            commit = {gid: x_ids[i][t] for i, gid in enumerate(ids)}
+            spans = []
+            for s in range(S):
+                start = model.n_vars
                 cells[t, s] = freqsec.register_decisions(
-                    model, fleet, freq, r_max,
-                    commit={g.id: x[g.id, t] for g in fleet},
-                    output={g.id: p[g.id, t, s] for g in fleet},
-                    pfr={g.id: r[g.id, t, s] for g in fleet},
-                    tag=f"[{start_period + t}][{s}]")
+                    model, fleet, freq, r_max, commit=commit,
+                    output={gid: p_ids[i][t][s] for i, gid in enumerate(ids)},
+                    pfr={gid: r_ids[i][t][s] for i, gid in enumerate(ids)},
+                    tag=f"[{tt}][{s}]")
+                spans.append(np.arange(start, model.n_vars))
+            security.append(np.array(spans))
 
-    def add(row):
-        model.add_row(row.coeffs, row.sense, row.rhs, row.label)
+    # power balance and unit limits: the same rows in every cell, over the
+    # cell's columns [p..., r..., wind, x...]
+    cell_cols = np.concatenate(
+        [p.transpose(1, 2, 0), r.transpose(1, 2, 0), wind[..., None],
+         np.repeat(x.T[:, None, :], S, axis=1)], axis=2)
+    P, R, W, X = 0, G, 2 * G, 2 * G + 1  # offsets in a cell's columns
+    template = [("balance", None, SENSE_EQ,
+                 [P + i for i in range(G)] + [W], [1.0] * (G + 1))]
+    for i, g in enumerate(fleet):
+        if g.p_min > 0.0:
+            template.append(("pmin", g.id, SENSE_GE, [P + i, X + i],
+                             [1.0, -g.p_min]))
+        template.append(("headroom", g.id, SENSE_LE, [P + i, R + i, X + i],
+                         [1.0, 1.0, -g.p_max]))
+        if g.pfr_max > 0.0:
+            template.append(("pfr_cap", g.id, SENSE_LE, [R + i, X + i],
+                             [1.0, -g.pfr_max]))
+    k = G + 1
+    n_tpl = len(template)
+    tpl_cols = np.array([c + [c[0]] * (k - len(c)) for *_, c, _ in template])
+    tpl_vals = np.array([v + [0.0] * (k - len(v)) for *_, v in template])
+    rhs = np.zeros((T, S, n_tpl))
+    rhs[..., 0] = demand[:, None]
 
-    # power balance and unit limits
-    for t in range(n_periods):
-        tt = start_period + t
-        for s in range(n_branches):
-            coeffs = {p[g.id, t, s]: 1.0 for g in fleet}
-            coeffs[wind[t, s]] = 1.0
-            model.add_row(coeffs, SENSE_EQ, demand[t], f"balance[{tt}][{s}]")
-            for g in fleet:
-                if g.p_min > 0.0:
-                    model.add_row(
-                        {p[g.id, t, s]: 1.0, x[g.id, t]: -g.p_min},
-                        SENSE_GE, 0.0, f"pmin[{g.id}][{tt}][{s}]")
-                model.add_row(
-                    {p[g.id, t, s]: 1.0, r[g.id, t, s]: 1.0,
-                     x[g.id, t]: -g.p_max},
-                    SENSE_LE, 0.0, f"headroom[{g.id}][{tt}][{s}]")
-                if g.pfr_max > 0.0:
-                    model.add_row(
-                        {r[g.id, t, s]: 1.0, x[g.id, t]: -g.pfr_max},
-                        SENSE_LE, 0.0, f"pfr_cap[{g.id}][{tt}][{s}]")
+    cell_tags = [f"[{tt}][{s}]" for tt in periods for s in range(S)]
+    heads = [kind if gid is None else f"{kind}[{gid}]"
+             for kind, gid, *_ in template]
+    model.add_rows(
+        cell_cols[:, :, tpl_cols].reshape(-1, k),
+        np.tile(tpl_vals, (T * S, 1)),
+        np.tile([row[2] for row in template], T * S), rhs.ravel(),
+        [head + tag for tag in cell_tags for head in heads])
 
     # largest-plant operating mode
-    for t in range(n_periods):
-        tt = start_period + t
-        for s in range(n_branches):
-            if _largest_runs_deloaded(options, big):
-                model.add_row({p[big.id, t, s]: 1.0}, SENSE_GE, floor_big,
-                              f"deload_floor[{tt}][{s}]")
-            else:
-                model.add_row({p[big.id, t, s]: 1.0}, SENSE_EQ, big.p_max,
-                              f"fix_largest[{tt}][{s}]")
+    deloaded = _largest_runs_deloaded(options, big)
+    name = "deload_floor" if deloaded else "fix_largest"
+    model.add_rows(
+        p[big_i].reshape(-1, 1), np.ones((T * S, 1)),
+        SENSE_GE if deloaded else SENSE_EQ,
+        floor_big if deloaded else big.p_max,
+        [name + tag for tag in cell_tags])
 
     # committed-capacity cover: every branch's thermal output reaches its
     # net demand, the largest unit gives at most its rating and every other
     # unit at most its committed rating, so at least k_t of them are on
-    others = [g for g in fleet if g.id != big.id]
-    for t in range(n_periods):
-        k = _units_to_cover([g.p_max for g in others],
-                            float(net[t].max()) - big.p_max)
-        if k > 0:
-            model.add_row({x[g.id, t]: 1.0 for g in others}, SENSE_GE,
-                          float(k), f"cover[{start_period + t}]")
+    others = [i for i in range(G) if i != big_i]
+    needs = [_units_to_cover([fleet[i].p_max for i in others],
+                             float(net[t].max()) - big.p_max)
+             for t in range(T)]
+    covered = [t for t in range(T) if needs[t] > 0]
+    if covered:
+        model.add_rows(
+            x[others][:, covered].T, np.ones((len(covered), len(others))),
+            SENSE_GE, [float(needs[t]) for t in covered],
+            [f"cover[{start_period + t}]" for t in covered])
 
-    # start/stop linking and minimum up/down times
-    for g in fleet:
-        state = initial_state[g.id]
-        for t in range(n_periods):
-            tt = start_period + t
-            coeffs = {x[g.id, t]: 1.0, su[g.id, t]: -1.0, sd[g.id, t]: 1.0}
-            if t == 0:
-                model.add_row(coeffs, SENSE_EQ, 1.0 if state.on else 0.0,
-                              f"commit_link[{g.id}][{tt}]")
-            else:
-                coeffs[x[g.id, t - 1]] = -1.0
-                model.add_row(coeffs, SENSE_EQ, 0.0,
-                              f"commit_link[{g.id}][{tt}]")
-        if g.min_up > 1:
-            for t in range(n_periods):
-                coeffs = {su[g.id, tau]: 1.0
-                          for tau in range(max(0, t - g.min_up + 1), t + 1)}
-                coeffs[x[g.id, t]] = -1.0
-                model.add_row(coeffs, SENSE_LE, 0.0,
-                              f"min_up[{g.id}][{start_period + t}]")
-        if g.min_down > 1:
-            for t in range(n_periods):
-                coeffs = {sd[g.id, tau]: 1.0
-                          for tau in range(max(0, t - g.min_down + 1), t + 1)}
-                coeffs[x[g.id, t]] = 1.0
-                model.add_row(coeffs, SENSE_LE, 1.0,
-                              f"min_down[{g.id}][{start_period + t}]")
+    # start/stop linking and minimum up/down times, per unit: T link rows,
+    # then T min_up and T min_down rows for a unit whose minimum time
+    # exceeds one period.  A minimum-time row sums the indicators of the
+    # window's last periods, up to the minimum time: slot w of row t holds
+    # period t - T + 1 + w, a zero coefficient where that lies outside
+    step = np.arange(T)
+    k = max(4, T + 1)
+    cols = np.empty((G, 3, T, k), dtype=np.int64)
+    cols[...] = x[:, None, :, None]
+    vals = np.zeros((G, 3, T, k))
+    cols[:, 0, :, :3] = np.stack([x, su, sd], axis=-1)
+    vals[:, 0, :, :3] = [1.0, -1.0, 1.0]
+    cols[:, 0, 1:, 3] = x[:, :-1]
+    vals[:, 0, 1:, 3] = -1.0
+    tau = step[:, None] - T + 1 + step[None, :]
+    for f, ind, times, sign in ((1, su, [g.min_up for g in fleet], -1.0),
+                                (2, sd, [g.min_down for g in fleet], 1.0)):
+        inside = (tau >= 0) & (tau > step[:, None]
+                               - np.array(times)[:, None, None])
+        cols[:, f, :, :T] = np.where(inside, ind[:, np.clip(tau, 0, None)],
+                                     x[:, :, None])
+        vals[:, f, :, :T] = inside
+        vals[:, f, :, T] = sign
+    on = np.array([1.0 if initial_state[gid].on else 0.0 for gid in ids])
+    rhs = np.zeros((G, 3, T))
+    rhs[:, 0, 0] = on
+    rhs[:, 2] = 1.0
+    present = np.ones((G, 3, T), dtype=bool)
+    present[:, 1] = np.array([g.min_up > 1 for g in fleet])[:, None]
+    present[:, 2] = np.array([g.min_down > 1 for g in fleet])[:, None]
+    heads = [f"{kind}[{gid}]" for gid, kinds in zip(ids, present[..., 0])
+             for kind, used in zip(("commit_link", "min_up", "min_down"), kinds)
+             if used]
+    model.add_rows(
+        cols[present], vals[present],
+        np.array([SENSE_EQ, SENSE_LE, SENSE_LE])[np.nonzero(present)[1]],
+        rhs[present],
+        [head + f"[{tt}]" for head in heads for tt in periods])
 
-    # frequency-security rows
+    # frequency-security rows: per period the inertia floor, then each
+    # branch's copy of the cell rows freqsec builds for branch 0.
+    # branch_map[s, j] is the column of branch s that plays branch 0's
+    # column j, j itself for a shared column
     if options.frequency_constraints:
-        for t in range(n_periods):
-            tt = start_period + t
-            add(freqsec.inertia_floor_row(cells[t, 0], fleet, freq,
-                                          tag=f"[{tt}]"))
-            for s in range(n_branches):
-                try:
-                    rows = freqsec.cell_rows(
-                        cells[t, s], fleet, freq, demand[t], r_max,
-                        largest=big, loss_floor=floor_big, tag=f"[{tt}][{s}]")
-                except ValueError as exc:  # the grid check, an input error
-                    raise SchedulerError(f"period {tt}: {exc}") from exc
-                for row in rows:
-                    add(row)
+        branch_map = np.tile(np.arange(model.n_vars), (S, 1))
+        branch_map[:, recourse[:, 0]] = recourse.transpose(1, 0, 2)
+        for ids_t in security:
+            branch_map[:, ids_t[0]] = ids_t
+        for t, tt in enumerate(periods):
+            floor_row = freqsec.inertia_floor_row(cells[t, 0], fleet, freq,
+                                                  tag=f"[{tt}]")
+            tag = f"[{tt}][0]"
+            try:
+                rows = freqsec.cell_rows(
+                    cells[t, 0], fleet, freq, demand[t], r_max,
+                    largest=big, loss_floor=floor_big, tag=tag)
+            except ValueError as exc:  # the grid check, an input error
+                raise SchedulerError(f"period {tt}: {exc}") from exc
+            cols, vals, sense, rhs = _row_arrays([floor_row] + rows)
+            copies = np.concatenate([[0], np.tile(np.arange(1, len(cols)), S)])
+            # a cell row's label is its name, the cell's tag, then a suffix
+            parts = [row.label.partition(tag) for row in rows]
+            model.add_rows(
+                np.concatenate([cols[:1], branch_map[:, cols[1:]].reshape(
+                    -1, cols.shape[1])]),
+                vals[copies], sense[copies], rhs[copies],
+                [floor_row.label] + [f"{head}[{tt}][{s}]{tail}"
+                                     for s in range(S)
+                                     for head, _, tail in parts])
 
     # probability-weighted operating cost
     hours = system.period_hours
-    objective = {}
-    for g in fleet:
-        for t in range(n_periods):
-            if g.no_load_cost > 0.0:
-                objective[x[g.id, t]] = g.no_load_cost * hours
-            if g.startup_cost > 0.0:
-                objective[su[g.id, t]] = g.startup_cost
-            if g.marginal_cost != 0.0:
-                for s in range(n_branches):
-                    objective[p[g.id, t, s]] = probs[s] * g.marginal_cost * hours
-    model.set_objective(objective)
+    no_load = np.array([g.no_load_cost for g in fleet])
+    startup = np.array([g.startup_cost for g in fleet])
+    marginal = np.array([g.marginal_cost for g in fleet])
+    fuel = probs[None, :] * marginal[:, None] * hours
+    index = np.concatenate([x[no_load > 0.0].ravel(), su[startup > 0.0].ravel(),
+                            p[marginal != 0.0].ravel()])
+    weight = np.concatenate([
+        np.repeat(no_load[no_load > 0.0] * hours, T),
+        np.repeat(startup[startup > 0.0], T),
+        np.repeat(fuel[marginal != 0.0, None, :], T, axis=1).ravel()])
+    model.set_objective(dict(zip(index.tolist(), weight.tolist())))
+
+    model.commit, model.startup, model.output, model.pfr, model.wind = (
+        x, su, p, r, wind)
+    model.loss = (np.array([[cells[t, s].loss for s in range(S)]
+                            for t in range(T)])
+                  if options.frequency_constraints else None)
     return model
 
 
@@ -383,7 +478,7 @@ class UcSolution:
     nodes: int
 
 
-def extract_solution(model: MilpModel, system, tree, options: UcOptions,
+def extract_solution(model: UcModel, system, tree, options: UcOptions,
                      result, *, start_period: int = 0) -> UcSolution:
     """Read a solver result back into named arrays."""
     if result.values is None:
@@ -394,42 +489,17 @@ def extract_solution(model: MilpModel, system, tree, options: UcOptions,
     demand, net = _window_net(system, tree, start_period, n_periods)
     avail = demand[:, None] - net
     values = result.values
+    ids = [g.id for g in fleet]
 
-    def val(name):
-        return float(values[model.variable_by_name(name).index])
-
-    commit = {}
-    startup = {}
-    output = {}
-    pfr = {}
-    for g in fleet:
-        commit[g.id] = np.array([
-            round(val(f"x[{g.id}][{start_period + t}]"))
-            for t in range(n_periods)
-        ], dtype=float)
-        startup[g.id] = np.array([
-            val(f"su[{g.id}][{start_period + t}]") for t in range(n_periods)
-        ])
-        output[g.id] = np.array([
-            [val(f"p[{g.id}][{start_period + t}][{s}]")
-             for s in range(n_branches)]
-            for t in range(n_periods)
-        ])
-        pfr[g.id] = np.array([
-            [val(f"r[{g.id}][{start_period + t}][{s}]")
-             for s in range(n_branches)]
-            for t in range(n_periods)
-        ])
-    wind_used = np.array([
-        [val(f"wind[{start_period + t}][{s}]") for s in range(n_branches)]
-        for t in range(n_periods)
-    ])
+    # + 0.0 turns a rounded -0.0 into 0.0
+    commit = dict(zip(ids, np.round(values[model.commit]) + 0.0))
+    startup = dict(zip(ids, values[model.startup]))
+    output = dict(zip(ids, values[model.output]))
+    pfr = dict(zip(ids, values[model.pfr]))
+    wind_used = values[model.wind]
     loss = np.full((n_periods, n_branches), np.nan)
     if options.frequency_constraints:
-        loss = np.array([
-            [val(f"ploss[{start_period + t}][{s}]") for s in range(n_branches)]
-            for t in range(n_periods)
-        ])
+        loss = values[model.loss]
 
     hours = system.period_hours
     probabilities = np.array([br.probability for br in tree.branches])

@@ -125,6 +125,49 @@ def test_validate_catches_period_mismatch(tmp_path, capsys):
     assert "2 periods" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("periods: 3", "periods: 2.5"), "periods must be a whole number, got 2.5"),
+    (("horizon: 3", "horizon: true"), "horizon must be a whole number, got True"),
+    (("first_stage: 3", "first_stage: false"),
+     "first_stage must be a whole number, got False"),
+    (("horizon: 3", "horizon: 0"), "horizon must be at least 1 period"),
+    (("first_stage: 3", "first_stage: 4"),
+     "first_stage must lie in [1, horizon], got 4 with horizon 3"),
+    (("first_stage: 3", "first_stage: 0"), "first_stage must lie in [1, horizon]"),
+    (("first_stage: 3", 'first_stage: 3\n  deloading_enabled: "false"'),
+     "deloading_enabled must be true or false, got 'false'"),
+])
+def test_study_config_rejects_misread_values(tmp_path, capsys, edit, message):
+    """Values the study would misread, or reject only once it runs, fail
+    validation and the study itself with one line, exit 1."""
+    system, scenarios = write_inputs(tmp_path)
+    config = tmp_path / "study.yaml"
+    config.write_text(STUDY.replace(*edit))
+    assert main(["validate", system, scenarios, "--study", str(config)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [ln for ln in lines if ln.startswith("ok:")]
+    assert len(lines) == 3 and lines[2].startswith(f"error: {config}: ")
+    assert message in lines[2]
+    out = tmp_path / "study"
+    assert main(["study", system, scenarios, str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_study_config_accepts_whole_numbers(tmp_path, capsys):
+    system, scenarios = write_inputs(tmp_path)
+    config = tmp_path / "study.yaml"
+    config.write_text(STUDY.replace("periods: 3", "periods: 3.0")
+                      + "  deloading_enabled: false\n")
+    assert main(["validate", system, scenarios, "--study", str(config)]) == 0
+    assert capsys.readouterr().out.count("ok:") == 3
+    bundled = Path(__file__).resolve().parent.parent / "data"
+    assert main(["validate", str(bundled / "toy_system.yaml"),
+                 str(bundled / "toy_scenarios.txt"),
+                 "--study", str(bundled / "toy_study.yaml")]) == 0
+
+
 def test_solve_writes_tables_and_manifest(tmp_path, capsys):
     system, scenarios = write_inputs(tmp_path)
     out = tmp_path / "run"

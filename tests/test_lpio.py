@@ -38,7 +38,11 @@ def test_models_equivalent_detects_changed_coefficient():
     other = import_model(export_model(mdl))
     assert models_equivalent(mdl, other)
     tweaked = sample_model()
-    tweaked.rows[0].coeffs[0] = 2.5
+    with pytest.raises(TypeError):  # rows are a read-only view
+        tweaked.rows[0].coeffs[0] = 2.5
+    assert models_equivalent(mdl, tweaked)
+    tweaked.blocks[0].vals[0, 0] = 2.5
+    assert tweaked.rows[0].coeffs[0] == 2.5
     assert not models_equivalent(mdl, tweaked)
 
 

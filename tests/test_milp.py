@@ -261,7 +261,8 @@ def test_branch_bound_matches_exhaustive_on_random_models():
 
 def malformed_models():
     """Models that break each check of ``validate``, built past the checks
-    of ``add_*`` (except the non-binary integer, which they allow)."""
+    of ``add_*`` (except the non-binary integer, which they allow): rows
+    are added sound, then their block is edited in place."""
     infinite = MilpModel()
     infinite.add_continuous("x", 0.0, 1.0)
     infinite.variables[0].ub = np.inf
@@ -271,21 +272,21 @@ def malformed_models():
     empty = MilpModel()
     empty.add_continuous("x", 0.0, 1.0)
     empty.variables[0].lb = 2.0
-    unknown_index = MilpModel()
-    unknown_index.add_continuous("x", 0.0, 1.0)
-    unknown_index.rows.append(LinearRow({3: 1.0}, "<=", 1.0, "r"))
-    negative_index = MilpModel()
-    negative_index.add_continuous("x", 0.0, 1.0)
-    negative_index.rows.append(LinearRow({-1: 1.0}, "<=", 1.0, "r"))
-    bad_sense = MilpModel()
-    bad_sense.add_continuous("x", 0.0, 1.0)
-    bad_sense.rows.append(LinearRow({0: 1.0}, "<>", 1.0, "r"))
+    edits = {"unknown index": ("cols", 3), "negative index": ("cols", -1),
+             "bad sense": ("sense", 7), "infinite rhs": ("rhs", np.inf),
+             "nan coefficient": ("vals", np.nan)}
+    models = {}
+    for case, (field, value) in edits.items():
+        mdl = MilpModel()
+        mdl.add_continuous("x", 0.0, 1.0)
+        mdl.add_row({0: 1.0}, "<=", 1.0, "r")
+        getattr(mdl.blocks[0], field).flat[0] = value
+        models[case] = mdl
     non_binary = MilpModel()
     non_binary.add_variable("k", 0.0, 3.0, integer=True)
     return {"infinite bounds": infinite, "duplicate name": duplicate,
-            "empty interval": empty, "unknown index": unknown_index,
-            "negative index": negative_index, "bad sense": bad_sense,
-            "non-binary integer": non_binary}
+            "empty interval": empty, "non-binary integer": non_binary,
+            **models}
 
 
 @pytest.mark.parametrize("case", sorted(malformed_models()))
@@ -301,12 +302,16 @@ def test_validate_names_the_first_offender():
     mdl = MilpModel()
     mdl.add_continuous("x", 0.0, 1.0)
     mdl.add_continuous("y", 0.0, 1.0)
-    mdl.rows.append(LinearRow({0: 1.0}, "<=", 1.0, "ok"))
-    mdl.rows.append(LinearRow({5: 1.0}, "<=", 1.0, "late_index"))
-    mdl.rows.append(LinearRow({0: 1.0}, "=>", 1.0, "later_sense"))
+    mdl.add_row({0: 1.0}, "<=", 1.0, "ok")
+    mdl.add_rows([[0, 1], [1, 0], [0, 1]],
+                 [[1.0, 0.0], [1.0, 2.0], [1.0, 0.0]], "<=", 1.0,
+                 ["early_sense", "late_index", "later_sense"])
+    block = mdl.blocks[-1]
+    block.cols[1, 1] = 5
+    block.sense[2] = 9
     with pytest.raises(ModelError, match="late_index.*index 5"):
         mdl.validate()
-    mdl.rows.insert(1, LinearRow({0: 1.0}, "=>", 1.0, "early_sense"))
+    block.sense[0] = 9
     with pytest.raises(ModelError, match="early_sense.*sense"):
         mdl.validate()
     mdl.variables[1].lb = 4.0
@@ -316,7 +321,9 @@ def test_validate_names_the_first_offender():
 
 def random_compiled_case(rng):
     """A model with empty rows, explicit zero coefficients, fixed columns
-    and float coefficients, and a point near (and often off) its bounds."""
+    and float coefficients, and a point near (and often off) its bounds.
+    Its rows go in by ``add_row`` or, a few at a time, by ``add_rows`` with
+    zero-coefficient padding; the rows meant are returned as well."""
     mdl = MilpModel()
     n = int(rng.integers(1, 9))
     for j in range(n):
@@ -328,28 +335,49 @@ def random_compiled_case(rng):
         if rng.random() < 0.3:
             var = mdl.variables[j]
             mdl.fix_variable(j, var.lb if rng.random() < 0.5 else var.ub)
+    rows = []
     for i in range(int(rng.integers(0, 8))):
         coeffs = {int(j): float(rng.normal()) for j in rng.permutation(n)
                   if rng.random() < 0.5}
         if coeffs and rng.random() < 0.3:
-            coeffs[next(iter(coeffs))] = 0.0  # kept: appended, not added
+            coeffs[next(iter(coeffs))] = 0.0  # stored, dropped when read
         sense = ("<=", ">=", "=")[rng.integers(0, 3)]
-        mdl.rows.append(LinearRow(coeffs, sense, float(rng.normal(0.0, 5.0)),
-                                  f"r{i}"))
+        rows.append(LinearRow(coeffs, sense, float(rng.normal(0.0, 5.0)),
+                              f"r{i}"))
+    i = 0
+    while i < len(rows):
+        group = rows[i:i + int(rng.integers(1, 4))]
+        i += len(group)
+        if len(group) == 1 and rng.random() < 0.5:
+            row = group[0]
+            mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
+            continue
+        k = max(len(row.coeffs) for row in group) + int(rng.integers(0, 2))
+        cols = rng.integers(0, n, (len(group), k))
+        vals = np.zeros((len(group), k))
+        for r, row in enumerate(group):
+            cols[r, :len(row.coeffs)] = list(row.coeffs)
+            vals[r, :len(row.coeffs)] = list(row.coeffs.values())
+        mdl.add_rows(cols, vals, [row.sense for row in group],
+                     [row.rhs for row in group], [row.label for row in group])
     mdl.set_objective({j: float(rng.normal()) for j in range(n)})
     lb = np.array([v.lb for v in mdl.variables])
     ub = np.array([v.ub for v in mdl.variables])
     x = rng.uniform(lb - 1.0, ub + 1.0)
     snap = rng.random(n) < 0.3
     x[snap] = np.round(x[snap])
-    return mdl, x
+    return mdl, x, rows
 
 
 def test_compiled_arrays_equal_the_dense_reference():
     rng = np.random.default_rng(404)
     for _ in range(200):
-        mdl, _ = random_compiled_case(rng)
+        mdl, _, rows = random_compiled_case(rng)
+        assert [(dict(r.coeffs), r.sense, r.rhs, r.label) for r in mdl.rows] \
+            == [({j: c for j, c in r.coeffs.items() if c != 0.0}, r.sense,
+                 r.rhs, r.label) for r in rows]
         compiled = mdl.compile()
+        assert np.all(compiled.a.data != 0.0)
         a, senses, rhs = dense_rows(mdl)
         assert compiled.a.shape == a.shape
         assert np.array_equal(compiled.a.toarray(), a)
@@ -369,7 +397,7 @@ def test_check_feasible_matches_the_loop_reference():
     rng = np.random.default_rng(505)
     kinds = Counter()
     for _ in range(300):
-        mdl, x = random_compiled_case(rng)
+        mdl, x, _ = random_compiled_case(rng)
         compiled = mdl.compile()
         inside = np.clip(x, compiled.lb, compiled.ub)
         for point in (x, inside):
@@ -380,3 +408,129 @@ def test_check_feasible_matches_the_loop_reference():
                 kinds.update(msg.split()[0] for msg in expected)
                 kinds["clean"] += not expected
     assert min(kinds[k] for k in ("bound", "integrality", "row", "clean")) >= 50
+
+
+# -- row blocks and block variables --------------------------------------
+
+
+def test_add_rows_matches_add_row_and_drops_zeros():
+    """A block reads back, labels included, as the same rows added one by
+    one; zero coefficients (padding or not) are dropped on both paths."""
+    rows = [({0: 1.0, 2: 0.0, 1: -2.0}, "<=", 3.0, "a[0]"),
+            ({2: 4.0}, ">=", -1.0, "b[1]"),
+            ({}, "=", 0.0, "c[2]")]
+    single, block = MilpModel(), MilpModel()
+    for mdl in (single, block):
+        for j in range(3):
+            mdl.add_continuous(f"x{j}", -5.0, 5.0)
+    for coeffs, sense, rhs, label in rows:
+        single.add_row(coeffs, sense, rhs, label)
+    added = block.add_rows(
+        [[0, 2, 1], [2, 2, 2], [1, 1, 1]],
+        [[1.0, 0.0, -2.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        ["<=", ">=", "="], [3.0, -1.0, 0.0], ("a[0]", "b[1]", "c[2]"))
+    assert list(added) == [0, 1, 2] and block.n_rows == 3
+    assert single.rows == block.rows
+    assert block.rows[0].coeffs == {0: 1.0, 1: -2.0}
+    assert [block.row_label(i) for i in range(3)] == ["a[0]", "b[1]", "c[2]"]
+    a, b = single.compile().a, block.compile().a
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert b.nnz == 3
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("sense", 1, "=<"), "row 'r1': unknown sense '=<'"),
+    (("rhs", 1, np.nan), "row 'r1': right-hand side must be finite"),
+    (("cols", (1, 1), 3), "row 'r1': unknown variable index 3"),
+    (("cols", (1, 0), -1), "row 'r1': unknown variable index -1"),
+    (("vals", (1, 0), np.inf), "row 'r1': non-finite coefficient on index 0"),
+    # a zero coefficient's index is checked too
+    (("cols", (1, 1), 7), "row 'r1': unknown variable index 7"),
+])
+def test_add_rows_names_the_first_malformed_row(edit, message):
+    mdl = MilpModel()
+    mdl.add_continuous("x", 0.0, 1.0)
+    mdl.add_continuous("y", 0.0, 1.0)
+    cols = np.array([[0, 1], [0, 1], [1, 0]])
+    vals = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    sense = np.array(["<=", ">=", "="])
+    rhs = np.ones(3)
+    field, at, value = edit
+    {"cols": cols, "vals": vals, "sense": sense, "rhs": rhs}[field][at] = value
+    # a later bad row is not the one reported
+    cols[2, 0] = 9
+    with pytest.raises(ModelError) as err:
+        mdl.add_rows(cols, vals, sense, rhs, ["r0", "r1", "r2"])
+    assert str(err.value) == message
+    assert mdl.n_rows == 0 and not mdl.blocks
+
+
+def test_add_row_keeps_its_checks():
+    mdl = MilpModel()
+    mdl.add_continuous("x", 0.0, 1.0)
+    with pytest.raises(ModelError, match="'s': unknown sense '<>'"):
+        mdl.add_row({0: 1.0}, "<>", 1.0, "s")
+    with pytest.raises(ModelError, match="'h': right-hand side must be finite"):
+        mdl.add_row({0: 1.0}, "<=", np.inf, "h")
+    with pytest.raises(ModelError, match="'z': unknown variable index 4"):
+        mdl.add_row({0: 1.0, 4: 0.0}, "<=", 1.0, "z")
+    with pytest.raises(ModelError, match="'n': non-finite coefficient on index 0"):
+        mdl.add_row({0: np.nan}, "<=", 1.0, "n")
+    with pytest.raises(ModelError, match="expected two equal"):
+        mdl.add_rows([[0]], [[1.0, 2.0]], "<=", 1.0, ["shape"])
+    with pytest.raises(ModelError, match="2 labels for 1 rows"):
+        mdl.add_rows([[0]], [[1.0]], "<=", 1.0, ["one", "two"])
+    assert mdl.n_rows == 0
+
+
+def test_add_variables_keeps_the_checks_of_add_variable():
+    mdl = MilpModel()
+    mdl.add_continuous("a", 0.0, 1.0)
+    got = mdl.add_variables(["b", "c", "d"], [0.0, -1.0, 2.0], 3.0,
+                            integer=[False, False, True])
+    assert got.tolist() == [1, 2, 3]
+    assert [(v.index, v.name, v.lb, v.ub, v.is_integer)
+            for v in mdl.variables[1:]] == [
+        (1, "b", 0.0, 3.0, False), (2, "c", -1.0, 3.0, False),
+        (3, "d", 2.0, 3.0, True)]
+    assert all(type(v.lb) is float and type(v.is_integer) is bool
+               for v in mdl.variables)
+    assert mdl.variable_by_name("c").index == 2
+    for names, lb, ub, message in [
+            (["e", "a"], 0.0, 1.0, "duplicate variable name: a"),
+            (["e", "e"], 0.0, 1.0, "duplicate variable name: e"),
+            (["e", "f"], [0.0, -np.inf], 1.0, "variable f: bounds must be finite"),
+            (["e", "f"], [0.0, 2.0], 1.0, "variable f: lower bound 2.0 exceeds"),
+    ]:
+        with pytest.raises(ModelError, match=message):
+            mdl.add_variables(names, lb, ub)
+    assert mdl.n_vars == 4 and not mdl.has_variable("e")
+    mdl.fix_variable(got[2], 2.0)
+    assert mdl.variables[3].lb == mdl.variables[3].ub == 2.0
+
+
+def test_recheck_flags_nan(monkeypatch):
+    """A NaN value breaks its bounds and every row it enters."""
+    mdl = MilpModel()
+    mdl.add_binary("b")
+    mdl.add_continuous("c", 0.0, 4.0)
+    mdl.add_row({0: 1.0, 1: 1.0}, "<=", 3.0, label="cap")
+    mdl.set_objective({0: -1.0, 1: -1.0})
+    point = np.array([0.0, np.nan])
+    bad = mdl.check_feasible(point)
+    assert bad == check_feasible_loop(mdl, point)
+    assert bad == ["bound c: nan outside [0.0, 4.0]", "row cap: nan > 3.0"]
+    assert check_feasible_loop(mdl, np.array([np.nan, 0.0]))[:2] == [
+        "bound b: nan outside [0.0, 1.0]", "integrality b: nan"]
+
+    real_milp = scipy.optimize.milp
+
+    def nan_milp(*args, **kwargs):
+        res = real_milp(*args, **kwargs)
+        res.x[1] = np.nan
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", nan_milp)
+    got = solve(mdl)
+    assert got.status == "violated" and got.violations == bad

@@ -2,7 +2,9 @@
 and of the frequency cell's rows on random cells.
 
 Each window example is a fleet of 2-4 synchronous units (the largest may
-deload), 1-3 net-demand branches and 1-3 periods.  Expected costs are
+deload), 1-3 net-demand branches and 1-3 periods.  On every example the
+array builder and the loop builder of ``reference.builder`` give the same
+model.  Expected costs are
 compared within the solver's relative MIP gap: a reported optimum lies at
 most ``GAP`` of its own magnitude above the true one.
 """
@@ -13,7 +15,15 @@ from hypothesis import strategies as st
 
 from frequc.freqsec import cell_rows, inertia_expression, register_decisions
 from frequc.milp import MilpModel
-from frequc.scheduler import UcOptions, solve_uc, verify_solution
+from frequc.scheduler import (
+    LOSS_MODES,
+    SchedulerError,
+    UcOptions,
+    UnitState,
+    build_uc,
+    solve_uc,
+    verify_solution,
+)
 from frequc.sysmodel import (
     FrequencyParams,
     GeneratorSpec,
@@ -21,6 +31,7 @@ from frequc.sysmodel import (
     build_scenario_tree,
     default_segment_grid,
 )
+from reference.builder import assert_same_model, build_uc_loop
 
 GAP = 1e-6  # SolveOptions().opt_gap
 LEVELS = {1: (0.5,), 2: (0.25, 0.75), 3: (0.1, 0.5, 0.9)}
@@ -141,6 +152,36 @@ def test_optimised_never_costs_more_than_fixed(window):
             assert optimised is not None
             assert (optimised.expected_cost <= fixed.expected_cost
                     + GAP * abs(optimised.expected_cost))
+
+
+@PROPERTY
+@given(windows(), st.data())
+def test_array_builder_matches_the_loop_builder(window, data):
+    """Same model from both builders, or the same error, in both modes,
+    secured or not, from a drawn commitment state."""
+    system, tree = window
+    state = {g.id: UnitState(data.draw(st.booleans()),
+                             data.draw(st.integers(0, 3)))
+             for g in system.generators}
+    for mode in LOSS_MODES:
+        for secured in (True, False):
+            options = UcOptions(frequency_constraints=secured,
+                                horizon=tree.n_periods,
+                                first_stage=tree.n_periods,
+                                largest_loss_mode=mode)
+            try:
+                want = build_uc_loop(system, tree, options, start_period=0,
+                                     initial_state=state)
+            except SchedulerError as exc:
+                try:
+                    build_uc(system, tree, options, initial_state=state)
+                except SchedulerError as got:
+                    assert str(got) == str(exc)
+                else:
+                    raise AssertionError(f"array builder accepted: {exc}")
+                continue
+            assert_same_model(build_uc(system, tree, options,
+                                       initial_state=state), want)
 
 
 @st.composite

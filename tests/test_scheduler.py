@@ -1,7 +1,6 @@
 """Scheduling layer: window construction, rolling runs, study metrics."""
 
 import itertools
-from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ import scipy.optimize
 from frequc.cli import _scale_wind
 
 from frequc.freqsec import nadir_requirement
-from frequc.milp import SolveOptions, solve
+from frequc.milp import MilpModel, SolveOptions, solve
 from frequc.scheduler import (
     SchedulerError,
     Trajectory,
@@ -177,9 +176,15 @@ def assert_cover_rows_count_the_fewest_units(model, system, tree):
 
 
 def without_cover_rows(model):
-    bare = deepcopy(model)
-    bare.rows = [row for row in model.rows
-                 if not row.label.startswith("cover[")]
+    bare = MilpModel(model.name)
+    for v in model.variables:
+        bare.add_variable(v.name, v.lb, v.ub, v.is_integer)
+    for row in model.rows:
+        if not row.label.startswith("cover["):
+            bare.add_row(row.coeffs, row.sense, row.rhs, row.label)
+    bare.set_objective(model.objective, model.objective_constant)
+    assert bare.n_rows == model.n_rows - sum(
+        row.label.startswith("cover[") for row in model.rows)
     return bare
 
 
