@@ -11,9 +11,11 @@ share.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
-from types import MappingProxyType
+from itertools import chain, islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,14 +34,49 @@ class Variable:
     is_integer: bool = False
 
 
-@dataclass
-class LinearRow:
+class LinearRow(NamedTuple):
     """Single constraint: sum(coeffs[j] * x[j]) <sense> rhs."""
 
-    coeffs: dict[int, float]
+    coeffs: Mapping[int, float]
     sense: str
     rhs: float
     label: str = ""
+
+
+class RowTerms(Mapping, namedtuple("_RowTerms", "n block i")):
+    """Read-only map column -> coefficient of row ``i`` of ``block``,
+    which has ``n`` nonzero terms.  Its length is stored, so counting a
+    model's terms builds no dict; the terms are read from the block when
+    they are used."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _dict(self) -> dict[int, float]:
+        vals = self.block.vals[self.i]
+        keep = vals != 0.0
+        return dict(zip(self.block.cols[self.i][keep].tolist(),
+                        vals[keep].tolist()))
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __getitem__(self, j):
+        return self._dict()[j]
+
+    def keys(self):
+        return self._dict().keys()
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
 
 
 @dataclass
@@ -159,10 +196,11 @@ class MilpModel:
         ``cols`` and ``vals`` are ``(m, k)`` arrays: row ``i`` is
         ``sum(vals[i, j] * x[cols[i, j]]) <sense> rhs``.  ``sense`` and
         ``rhs`` are one value or one per row, ``labels`` one label per
-        row.  Zero coefficients are dropped.  Raises
-        ModelError naming the first row with an unknown sense, a non-finite
-        right-hand side, or, in column order, an unknown variable index or
-        a non-finite coefficient.
+        row.  Zero coefficients are dropped; the other terms of a row
+        name distinct columns, as the keys of :meth:`add_row`'s dict do.
+        Raises ModelError naming the first row with an unknown sense, a
+        non-finite right-hand side, or, in column order, an unknown
+        variable index or a non-finite coefficient.
         """
         cols = np.array(cols, dtype=np.int64)
         vals = np.array(vals, dtype=float)
@@ -211,20 +249,11 @@ class MilpModel:
         return self._n_rows
 
     @property
-    def rows(self) -> tuple[LinearRow, ...]:
-        """Every row, read from the blocks; the coefficient maps are
-        read-only views, since edits to them would not reach the blocks."""
-        out = []
-        for block in self.blocks:
-            keep = block.vals != 0.0
-            cols = iter(block.cols[keep].tolist())
-            vals = iter(block.vals[keep].tolist())
-            coeffs = [MappingProxyType(dict(zip(islice(cols, n), islice(vals, n))))
-                      for n in keep.sum(axis=1).tolist()]
-            out += map(LinearRow, coeffs,
-                       [_SENSE_NAME.get(c, c) for c in block.sense.tolist()],
-                       block.rhs.tolist(), block.labels)
-        return tuple(out)
+    def rows(self) -> RowsView:
+        """Every row as a :class:`LinearRow`, read from the blocks when the
+        view is iterated; the coefficient maps are read-only, since edits
+        to them would not reach the blocks."""
+        return RowsView(tuple(self.blocks))
 
     def row_label(self, i: int) -> str:
         """Label of row ``i``."""
@@ -375,6 +404,42 @@ def _check_rows(codes, rhs, cols, vals, row_of, n, label, sense) -> None:
     if not 0 <= cols[term] < n:
         raise ModelError(f"row {name!r}: unknown variable index {cols[term]}")
     raise ModelError(f"row {name!r}: non-finite coefficient on index {cols[term]}")
+
+
+class RowsView(Sequence):
+    """The rows of a list of blocks as :class:`LinearRow`s, made one at
+    a time as they are read."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(map(len, self._blocks))
+
+    def __iter__(self):
+        return chain.from_iterable(map(_block_rows, self._blocks))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = range(len(self))[i]
+        for block in self._blocks:
+            if i < len(block):
+                return next(islice(_block_rows(block), i, None))
+            i -= len(block)
+
+
+def _block_rows(block: RowBlock):
+    """Iterator over a block's rows as :class:`LinearRow`s; tuple.__new__
+    builds each row and term map without a Python-level call."""
+    counts = np.count_nonzero(block.vals, axis=1).tolist()
+    m = len(counts)
+    terms = map(tuple.__new__, repeat(RowTerms),
+                zip(counts, repeat(block, m), range(m)))
+    codes = block.sense.tolist()
+    return map(tuple.__new__, repeat(LinearRow),
+               zip(terms, map(_SENSE_NAME.get, codes, codes),
+                   block.rhs.tolist(), block.labels))
 
 
 @dataclass(frozen=True)

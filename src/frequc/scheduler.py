@@ -418,6 +418,11 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
             copies = np.concatenate([[0], np.tile(np.arange(1, len(cols)), S)])
             # a cell row's label is its name, the cell's tag, then a suffix
             parts = [row.label.partition(tag) for row in rows]
+            for row, (_, found, _) in zip(rows, parts):
+                if not found:
+                    raise RuntimeError(
+                        f"cell row {row.label!r} lacks its cell tag {tag!r}, "
+                        f"so its branch copies cannot be labelled")
             model.add_rows(
                 np.concatenate([cols[:1], branch_map[:, cols[1:]].reshape(
                     -1, cols.shape[1])]),

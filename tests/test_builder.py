@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frequc.freqsec
 from frequc.cli import _scale_wind
 from frequc.milp import solve
 from frequc.scheduler import (
@@ -131,3 +132,21 @@ def test_extract_reads_the_named_columns():
             tag = f"[{6 + t}][{s}]"
             assert solution.wind_used[t, s] == value(f"wind{tag}")
             assert solution.loss[t, s] == value(f"ploss{tag}")
+
+
+def test_cell_row_without_its_tag_fails_the_build(monkeypatch):
+    """Branch copies are labelled by splitting each template label at the
+    cell tag; a label without it stops the build instead of giving the
+    copies wrong labels."""
+    cell_rows = frequc.freqsec.cell_rows
+
+    def untagged_last(*args, tag, **kwargs):
+        rows = cell_rows(*args, tag=tag, **kwargs)
+        rows[-1] = rows[-1]._replace(label="untagged")
+        return rows
+
+    monkeypatch.setattr(frequc.freqsec, "cell_rows", untagged_last)
+    system, tree = bundled(3000.0)
+    with pytest.raises(RuntimeError, match="'untagged' lacks its cell tag"):
+        build_uc(system, slice_tree(tree, 0, 2),
+                 UcOptions(horizon=2, first_stage=2))

@@ -430,8 +430,13 @@ def test_add_rows_matches_add_row_and_drops_zeros():
         [[1.0, 0.0, -2.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
         ["<=", ">=", "="], [3.0, -1.0, 0.0], ("a[0]", "b[1]", "c[2]"))
     assert list(added) == [0, 1, 2] and block.n_rows == 3
-    assert single.rows == block.rows
-    assert block.rows[0].coeffs == {0: 1.0, 1: -2.0}
+    assert list(single.rows) == list(block.rows) == [
+        LinearRow({0: 1.0, 1: -2.0}, "<=", 3.0, "a[0]"),
+        LinearRow({2: 4.0}, ">=", -1.0, "b[1]"),
+        LinearRow({}, "=", 0.0, "c[2]")]
+    assert [len(row.coeffs) for row in block.rows] == [2, 1, 0]
+    assert list(block.rows[0].coeffs.items()) == [(0, 1.0), (1, -2.0)]
+    assert len(block.rows) == 3 and block.rows[-1].label == "c[2]"
     assert [block.row_label(i) for i in range(3)] == ["a[0]", "b[1]", "c[2]"]
     a, b = single.compile().a, block.compile().a
     for field in ("indptr", "indices", "data"):
