@@ -280,9 +280,20 @@ def _parse_study_config(path, system):
     if not caps or not all(0.0 < c < math.inf for c in caps):
         raise SystemConfigError(
             f"{path}: wind_capacities must be positive and finite")
-    for mode in modes:
+    # a cell's output files and study.txt row are named by its mode and by
+    # its capacity printed with :g, so neither may repeat
+    for i, mode in enumerate(modes):
         if mode not in ("fixed", "optimised"):
             raise SystemConfigError(f"{path}: unknown mode {mode!r}")
+        if mode in modes[:i]:
+            raise SystemConfigError(f"{path}: mode {mode!r} is listed twice")
+    printed = {}
+    for i, cap in enumerate(caps):
+        first = printed.setdefault(f"{cap:g}", i)
+        if first != i:
+            raise SystemConfigError(
+                f"{path}: wind_capacities {caps[first]!r} and {cap!r} both "
+                f"print as {cap:g}, so their cells would share output files")
     if system is not None and not (1 <= periods <= system.n_periods):
         raise SystemConfigError(
             f"{path}: periods must lie in [1, {system.n_periods}]")

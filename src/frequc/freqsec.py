@@ -19,9 +19,9 @@ branch) cell holds:
   the shared commitment to each branch's loss without the auxiliaries.
 
 ``register_decisions`` is the one place that creates a cell's security
-variables; the scheduler passes in the window's commitment, output and
-response ids and the cell's tag, after the commitments are fixed.  Row
-construction is pure.
+variables, for all branches of a period at once; the scheduler passes in
+the period's commitment ids, each branch's output and response ids and
+cell tag, after the commitments are fixed.  Row construction is pure.
 """
 
 from __future__ import annotations
@@ -79,33 +79,41 @@ def max_inertia(fleet, freq) -> float:
 
 
 def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
-                       commit: dict, output: dict, pfr: dict,
-                       tag: str = "") -> FreqDecisionSet:
-    """Create the security variables of one cell and bundle its ids.
+                       commit: dict, outputs, pfrs,
+                       tags) -> list[FreqDecisionSet]:
+    """Create the security variables of one period's cells, one cell per
+    branch, and bundle each cell's ids.
 
-    ``commit``, ``output`` and ``pfr`` map generator id to the window's
-    existing variables, so first-stage commitments are shared across
-    scenarios; commitments must already carry their fixed bounds.  The
-    cell gets ``ploss{tag}``, ``R{tag}``, ``hr{tag}`` and then one
-    auxiliary ``z[g]{tag}`` per synchronous unit whose commitment is free.
+    ``commit`` maps generator id to the period's commitment, shared by every
+    branch; it must already carry its fixed bounds.  ``outputs`` and
+    ``pfrs`` hold one map from generator id to the branch's output and
+    response ids per branch, and ``tags`` the branch's cell tag.  The
+    variables go in as one block, branch by branch: ``ploss{tag}``,
+    ``R{tag}``, ``hr{tag}`` and then one auxiliary ``z[g]{tag}`` per
+    synchronous unit whose commitment is free.
     """
-    loss = model.add_continuous(f"ploss{tag}", 0.0, freq.largest_unit_rating)
-    response = model.add_continuous(f"R{tag}", 0.0, r_max)
-    product = model.add_continuous(
-        f"hr{tag}", 0.0, max(max_inertia(fleet, freq), 0.0) * r_max)
-    bilinear = {}
+    free = []
     fixed_on = set()
     for g in fleet:
         if not g.synchronous:
             continue
         var = model.variables[commit[g.id]]
         if var.lb != var.ub:
-            bilinear[g.id] = model.add_continuous(f"z[{g.id}]{tag}", 0.0, r_max)
+            free.append(g.id)
         elif var.lb == 1.0:
             fixed_on.add(g.id)
-    return FreqDecisionSet(commit=commit, output=output, pfr=pfr, loss=loss,
-                           response=response, product=product,
-                           bilinear=bilinear, fixed_on=frozenset(fixed_on))
+    heads = ["ploss", "R", "hr"] + [f"z[{gid}]" for gid in free]
+    ub = [freq.largest_unit_rating, r_max,
+          max(max_inertia(fleet, freq), 0.0) * r_max] + [r_max] * len(free)
+    ids = model.add_variables([head + tag for tag in tags for head in heads],
+                              0.0, ub * len(tags)).reshape(len(tags), len(heads))
+    fixed_on = frozenset(fixed_on)
+    return [FreqDecisionSet(commit=commit, output=output, pfr=pfr,
+                            loss=cell[0], response=cell[1], product=cell[2],
+                            bilinear=dict(zip(free, cell[3:])),
+                            fixed_on=fixed_on)
+            for output, pfr, cell in zip(outputs, pfrs, ids.tolist(),
+                                         strict=True)]
 
 
 def largest_loss_rows(decisions: FreqDecisionSet, fleet, eligible=None,

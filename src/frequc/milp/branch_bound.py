@@ -1,15 +1,21 @@
 """Exact MILP solving over :class:`MilpModel`.
 
 ``solve`` compiles the model once into arrays (:meth:`MilpModel.compile`),
-hands them to HiGHS through ``scipy.optimize.milp``, rounds the binaries of
-the answer and re-checks every bound and row against the same arrays.  A
-solution that fails the re-check is not reported optimal; an exception
-inside HiGHS is raised as :class:`SolverError`.  A model whose binaries are
-all fixed by their bounds, such as a re-dispatch, is solved as an LP.
+hands them to HiGHS in one array call through :func:`run_highs`, rounds the
+binaries of the answer and re-checks every bound and row against the same
+arrays.  A solution that fails the re-check is not reported optimal; an
+exception inside HiGHS is raised as :class:`SolverError`.  A model whose
+binaries are all fixed by their bounds, such as a re-dispatch, is solved as
+an LP.
+
+HiGHS is reached through the binding that scipy (>= 1.17) bundles,
+``scipy.optimize._highspy._core``.  It is private to scipy, so only
+:func:`run_highs` imports it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,41 +65,76 @@ def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution
 
 def _solve_highs(model: MilpModel, compiled: CompiledModel,
                  options: SolveOptions) -> MilpSolution:
-    from scipy import optimize
-
     lb, ub = compiled.lb, compiled.ub
     # an integer column whose bounds pin it to one integer needs no
     # branching; with none left free HiGHS solves the model as an LP
     free = (compiled.integrality > 0) & ((lb != ub) | (lb != np.round(lb)))
     integrality = (compiled.integrality if free.any()
                    else np.zeros_like(compiled.integrality))
-    constraints = []
-    if compiled.a.shape[0]:
-        constraints = [optimize.LinearConstraint(compiled.a, compiled.lo,
-                                                 compiled.hi)]
     try:
-        res = optimize.milp(
-            c=compiled.c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=optimize.Bounds(lb, ub),
-            options={"presolve": True, "mip_rel_gap": options.opt_gap,
-                     "node_limit": options.max_nodes},
-        )
+        sol = run_highs(compiled, integrality, options)
     except Exception as exc:  # raised by the solver, not returned as a status
         raise SolverError(f"HiGHS failed on {model.name}: {exc}") from exc
-    status_map = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
-    status = status_map.get(res.status, "limit")
-    if res.x is None:
-        return MilpSolution(status)
-    obj = float(res.fun) + model.objective_constant
-    gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
-    nodes = int(res.mip_node_count) if res.mip_node_count is not None else 0
-    # HiGHS reports no dual bound for a model it solved as an LP, whose
-    # optimum is its own bound
-    if res.mip_dual_bound is None:
-        bound = obj
-    else:
-        bound = float(res.mip_dual_bound) + model.objective_constant
-    return MilpSolution(status, obj, np.asarray(res.x, dtype=float), bound,
-                        gap, nodes)
+    if sol.values is None:
+        return sol
+    sol.objective += model.objective_constant
+    # a model solved as an LP is its own bound
+    sol.bound = (sol.objective if sol.bound is None
+                 else sol.bound + model.objective_constant)
+    return sol
+
+
+def run_highs(compiled: CompiledModel, integrality: np.ndarray,
+              options: SolveOptions) -> MilpSolution:
+    """Solve the compiled arrays with ``integrality`` in one HiGHS call.
+
+    Returns HiGHS's status and, where it has one, its point with the
+    objective without the model's constant.  For a MIP ``bound``, ``gap``
+    and ``nodes`` are HiGHS's; for an LP ``bound`` is None.  Values are
+    returned when HiGHS is optimal, and for a MIP also on a time,
+    iteration or solution limit with a finite objective.  Raises
+    :class:`SolverError` when HiGHS rejects an option or the model.
+    """
+    from scipy.optimize._highspy import _core
+
+    status = _core.HighsStatus
+    model_status = _core.HighsModelStatus
+    highs = _core._Highs()
+    # the value's Python type selects the binding's overload
+    for name, value in (("output_flag", False), ("presolve", "on"),
+                        ("mip_rel_gap", float(options.opt_gap)),
+                        ("mip_max_nodes", int(options.max_nodes))):
+        if highs.setOptionValue(name, value) == status.kError:
+            raise SolverError(f"HiGHS rejected option {name} = {value!r}")
+
+    a = compiled.a
+    n_rows, n_cols = a.shape
+    if highs.passModel(
+            n_cols, n_rows, a.nnz, _core.MatrixFormat.kRowwise,
+            _core.ObjSense.kMinimize, 0.0, compiled.c, compiled.lb,
+            compiled.ub, compiled.lo, compiled.hi,
+            a.indptr.astype(np.int32, copy=False),
+            a.indices.astype(np.int32, copy=False),
+            a.data.astype(np.float64, copy=False),
+            integrality.astype(np.int32)) == status.kError:
+        raise SolverError("HiGHS rejected the model")
+    ran = highs.run()
+    got = highs.getModelStatus()
+    state = {model_status.kOptimal: "optimal",
+             model_status.kInfeasible: "infeasible",
+             model_status.kModelError: "infeasible",
+             model_status.kUnbounded: "unbounded"}.get(got, "limit")
+    info = highs.getInfo()
+    objective = info.objective_function_value
+    is_mip = bool(integrality.any())
+    limits = (model_status.kTimeLimit, model_status.kIterationLimit,
+              model_status.kSolutionLimit)
+    if ran == status.kError or not (
+            got == model_status.kOptimal
+            or (is_mip and got in limits and math.isfinite(objective))):
+        return MilpSolution(state)
+    values = np.array(highs.getSolution().col_value)
+    if not is_mip:
+        return MilpSolution(state, objective, values, None, 0.0, 0)
+    return MilpSolution(state, objective, values, info.mip_dual_bound,
+                        info.mip_gap, info.mip_node_count)

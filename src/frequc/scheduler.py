@@ -6,10 +6,10 @@ decisions shared by every net-demand branch; dispatch, response holdings
 and the sizable-loss quantities are recourse, one copy per period and
 branch.  When frequency constraints are enabled, each (period, branch)
 cell gets its loss, summed-response and product variables from
-:func:`frequc.freqsec.register_decisions`, once the fixed commitments are
-known, and its rows from the other builders there; the nadir rows are the
-chord envelope of the convex requirement, so a solution is secure by
-construction at every loss.  Every row family is added as one block of
+:func:`frequc.freqsec.register_decisions`, one block per period, once the
+fixed commitments are known, and its rows from the other builders there;
+the nadir rows are the chord envelope of the convex requirement, so a
+solution is secure by construction at every loss.  Every row family is added as one block of
 arrays, and a cell's rows, which depend on its period only, are built once
 per period and copied to the other branches.  Each period's ``cover`` row
 asks for the fewest units besides the largest whose ratings reach the
@@ -288,17 +288,18 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     if options.frequency_constraints:
         p_ids, r_ids = p.tolist(), r.tolist()
         for t, tt in enumerate(periods):
-            commit = {gid: x_ids[i][t] for i, gid in enumerate(ids)}
-            spans = []
-            for s in range(S):
-                start = model.n_vars
-                cells[t, s] = freqsec.register_decisions(
-                    model, fleet, freq, r_max, commit=commit,
-                    output={gid: p_ids[i][t][s] for i, gid in enumerate(ids)},
-                    pfr={gid: r_ids[i][t][s] for i, gid in enumerate(ids)},
-                    tag=f"[{tt}][{s}]")
-                spans.append(np.arange(start, model.n_vars))
-            security.append(np.array(spans))
+            start = model.n_vars
+            period_cells = freqsec.register_decisions(
+                model, fleet, freq, r_max,
+                commit={gid: x_ids[i][t] for i, gid in enumerate(ids)},
+                outputs=[{gid: p_ids[i][t][s] for i, gid in enumerate(ids)}
+                         for s in range(S)],
+                pfrs=[{gid: r_ids[i][t][s] for i, gid in enumerate(ids)}
+                      for s in range(S)],
+                tags=[f"[{tt}][{s}]" for s in range(S)])
+            for s, cell in enumerate(period_cells):
+                cells[t, s] = cell
+            security.append(np.arange(start, model.n_vars).reshape(S, -1))
 
     # power balance and unit limits: the same rows in every cell, over the
     # cell's columns [p..., r..., wind, x...]

@@ -8,4 +8,6 @@
   per row, and the model comparison the array builder is held to.
 * :mod:`.lpread` -- an LP-text reader and a structural model comparison,
   which check ``frequc.milp.export_model`` by round trip.
+* :mod:`.scipy_milp` -- HiGHS through ``scipy.optimize.milp``, against
+  which the direct call into HiGHS is compared.
 """

@@ -118,18 +118,19 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
             f"commitment requirements conflict: {exc}"
         ) from exc
 
-    # each cell's security variables, once the fixed commitments are known:
-    # a unit committed by a fixed bound needs no product auxiliary
+    # each cell's security variables, one cell at a time, once the fixed
+    # commitments are known: a unit committed by a fixed bound needs no
+    # product auxiliary
     cells = {}
     if options.frequency_constraints:
         for t in range(n_periods):
             for s in range(n_branches):
-                cells[t, s] = freqsec.register_decisions(
+                [cells[t, s]] = freqsec.register_decisions(
                     model, fleet, freq, r_max,
                     commit={g.id: x[g.id, t] for g in fleet},
-                    output={g.id: p[g.id, t, s] for g in fleet},
-                    pfr={g.id: r[g.id, t, s] for g in fleet},
-                    tag=f"[{start_period + t}][{s}]")
+                    outputs=[{g.id: p[g.id, t, s] for g in fleet}],
+                    pfrs=[{g.id: r[g.id, t, s] for g in fleet}],
+                    tags=[f"[{start_period + t}][{s}]"])
 
     def add(row):
         model.add_row(row.coeffs, row.sense, row.rhs, row.label)

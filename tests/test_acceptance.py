@@ -193,8 +193,8 @@ def _economic_cell(fleet, demand, floor, freq=None, commit=None):
         **{x[g.id]: g.no_load_cost for g in fleet if g.no_load_cost},
         **{r[g.id]: 0.5 * g.marginal_cost for g in fleet if g.pfr_max}})
     if freq is not None:
-        dec = register_decisions(model, fleet, freq, r_max, commit=x,
-                                 output=p, pfr=r)
+        [dec] = register_decisions(model, fleet, freq, r_max, commit=x,
+                                   outputs=[p], pfrs=[r], tags=[""])
         rows = [inertia_floor_row(dec, fleet, freq)] + cell_rows(
             dec, fleet, freq, demand, r_max, largest=big, loss_floor=floor)
         for row in rows:
@@ -300,12 +300,13 @@ def test_bigm_product_exactness():
         for g in fleet:  # a third of the commitments arrive fixed
             if rng.random() < 1.0 / 3.0:
                 model.fix_variable(commit[g.id], x[g.id])
-        dec = register_decisions(
+        [dec] = register_decisions(
             model, fleet, freq, r_max, commit=commit,
-            output={g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
-                    for g in fleet},
-            pfr={g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
-                 for g in fleet})
+            outputs=[{g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
+                      for g in fleet}],
+            pfrs=[{g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+                   for g in fleet}],
+            tags=[""])
         rows = linearize_inertia_pfr(dec, fleet, freq, r_max)
         values = np.zeros(model.n_vars)
         for g in fleet:

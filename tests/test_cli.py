@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import frequc.cli
 import frequc.scheduler
 from frequc.cli import _ordered_results, main
+from frequc.milp import branch_bound
 from frequc.scheduler import RollingResult, SchedulerError
 
 SYSTEM_TEMPLATE = """\
@@ -136,6 +136,13 @@ def test_validate_catches_period_mismatch(tmp_path, capsys):
     (("first_stage: 3", "first_stage: 0"), "first_stage must lie in [1, horizon]"),
     (("first_stage: 3", 'first_stage: 3\n  deloading_enabled: "false"'),
      "deloading_enabled must be true or false, got 'false'"),
+    # two cells whose output files and study.txt rows would be the same
+    (("[100.0, 200.0]", "[1849.9999, 1850.0]"),
+     "wind_capacities 1849.9999 and 1850.0 both print as 1850"),
+    (("[100.0, 200.0]", "[100, 200, 100.0]"),
+     "wind_capacities 100.0 and 100.0 both print as 100"),
+    (("[fixed, optimised]", "[fixed, optimised, fixed]"),
+     "mode 'fixed' is listed twice"),
 ])
 def test_study_config_rejects_misread_values(tmp_path, capsys, edit, message):
     """Values the study would misread, or reject only once it runs, fail
@@ -198,14 +205,14 @@ def test_solve_infeasible_security_exports_lp(tmp_path, capsys):
 
 def test_solve_rejects_row_breaking_solution(tmp_path, monkeypatch, capsys):
     """A solver answer that breaks the model's rows is a solver failure."""
-    real_milp = scipy.optimize.milp
+    real_run = branch_bound.run_highs
 
-    def broken_milp(*args, **kwargs):
-        res = real_milp(*args, **kwargs)
-        res.x = np.zeros_like(res.x)  # nothing serves the demand
-        return res
+    def broken_run(*args, **kwargs):
+        sol = real_run(*args, **kwargs)
+        sol.values = np.zeros_like(sol.values)  # nothing serves the demand
+        return sol
 
-    monkeypatch.setattr(scipy.optimize, "milp", broken_milp)
+    monkeypatch.setattr(branch_bound, "run_highs", broken_run)
     system, scenarios = write_inputs(tmp_path)
     out = tmp_path / "run"
     assert main(["solve", system, scenarios, "--out", str(out)]) == 2
@@ -218,10 +225,10 @@ def test_solve_rejects_row_breaking_solution(tmp_path, monkeypatch, capsys):
 def test_solver_exception_exits_solver(tmp_path, monkeypatch, capsys,
                                        command):
     """An exception inside the solver exits 2 with one line, no traceback."""
-    def crashing_milp(*args, **kwargs):
+    def crashing_run(*args, **kwargs):
         raise RuntimeError("HiGHS crashed")
 
-    monkeypatch.setattr(scipy.optimize, "milp", crashing_milp)
+    monkeypatch.setattr(branch_bound, "run_highs", crashing_run)
     system, scenarios = write_inputs(tmp_path)
     config = tmp_path / "study.yaml"
     config.write_text(STUDY)

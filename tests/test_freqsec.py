@@ -45,8 +45,9 @@ def new_cell(mdl, fleet, freq, r_max):
               for g in fleet}
     pfr = {g.id: mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
            for g in fleet}
-    return register_decisions(mdl, fleet, freq, r_max, commit=commit,
-                              output=output, pfr=pfr)
+    [cell] = register_decisions(mdl, fleet, freq, r_max, commit=commit,
+                                outputs=[output], pfrs=[pfr], tags=[""])
+    return cell
 
 
 def row_holds(row, values, tol=1e-9):

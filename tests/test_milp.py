@@ -1,15 +1,24 @@
+import ast
+import dataclasses
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import scipy.optimize
-
+from frequc.cli import _scale_wind
 from frequc.milp import (LinearRow, MilpModel, ModelError, SolveOptions,
-                         Variable, solve)
+                         SolverError, Variable, branch_bound, solve)
+from frequc.scheduler import LOSS_MODES, UcOptions, build_uc, slice_tree
+from frequc.sysmodel import (build_scenario_tree, load_scenario_table,
+                             load_system)
 from reference.oracle import dense_rows, solve_exhaustive
 from reference.recheck import check_feasible_loop
+from reference.scipy_milp import solve_with_scipy
 from reference.simplex import solve_lp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def knapsack_model():
@@ -139,14 +148,14 @@ def test_knapsack_backends_agree():
 
 def test_row_breaking_solution_is_not_optimal(monkeypatch):
     """The re-check overrules a solver that reports a broken point optimal."""
-    real_milp = scipy.optimize.milp
+    real_run = branch_bound.run_highs
 
-    def broken_milp(*args, **kwargs):
-        res = real_milp(*args, **kwargs)
-        res.x = np.ones_like(res.x)  # takes every item: 2 + 3 + 1 > 4
-        return res
+    def broken_run(*args, **kwargs):
+        sol = real_run(*args, **kwargs)
+        sol.values = np.ones_like(sol.values)  # takes every item: 2 + 3 + 1 > 4
+        return sol
 
-    monkeypatch.setattr(scipy.optimize, "milp", broken_milp)
+    monkeypatch.setattr(branch_bound, "run_highs", broken_run)
     got = solve(knapsack_model())
     assert got.status == "violated"
     assert len(got.violations) == 1 and "cap" in got.violations[0]
@@ -162,7 +171,7 @@ def test_infeasible_milp_reported_by_all_routes():
     assert solve_exhaustive(mdl).status == "infeasible"
 
 
-def test_node_limit_returns_limit_status():
+def test_node_limit_returns_limit_status(monkeypatch):
     # two-sided split rows on 30 binaries: HiGHS cannot close the root node
     rng = np.random.default_rng(1)
     mdl = MilpModel()
@@ -177,12 +186,14 @@ def test_node_limit_returns_limit_status():
     # a negative constant: a bound that dropped it would exceed the incumbent
     mdl.set_objective({j: float(rng.integers(-60, -1)) for j in range(30)},
                       constant=-1000.0)
-    got = solve(mdl, SolveOptions(max_nodes=2, opt_gap=0.0))
+    options = SolveOptions(max_nodes=2, opt_gap=0.0)
+    got = solve(mdl, options)
     assert got.status == "limit"
     assert got.objective is not None and not got.violations
     # the reported dual bound must underestimate (or match) any incumbent
     assert got.bound <= got.objective + 1e-9
     assert got.bound >= got.objective - 0.1 * abs(got.objective)
+    assert_same_solution(got, solve_through_scipy(monkeypatch, mdl, options))
 
 
 def test_exhaustive_rejects_large_binary_count():
@@ -529,13 +540,171 @@ def test_recheck_flags_nan(monkeypatch):
     assert check_feasible_loop(mdl, np.array([np.nan, 0.0]))[:2] == [
         "bound b: nan outside [0.0, 1.0]", "integrality b: nan"]
 
-    real_milp = scipy.optimize.milp
+    real_run = branch_bound.run_highs
 
-    def nan_milp(*args, **kwargs):
-        res = real_milp(*args, **kwargs)
-        res.x[1] = np.nan
-        return res
+    def nan_run(*args, **kwargs):
+        sol = real_run(*args, **kwargs)
+        sol.values[1] = np.nan
+        return sol
 
-    monkeypatch.setattr(scipy.optimize, "milp", nan_milp)
+    monkeypatch.setattr(branch_bound, "run_highs", nan_run)
     got = solve(mdl)
     assert got.status == "violated" and got.violations == bad
+
+
+# -- the call into HiGHS ---------------------------------------------------
+
+
+def solve_through_scipy(monkeypatch, model, options=None):
+    """``solve`` with HiGHS reached through ``scipy.optimize.milp``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(branch_bound, "run_highs", solve_with_scipy)
+        return solve(model, options)
+
+
+def assert_same_solution(got, want):
+    """Equal to the last bit: status, point, objective, bound, gap, nodes
+    and re-check."""
+    assert got.status == want.status
+    assert (got.values is None) == (want.values is None)
+    if want.values is not None:
+        assert np.array_equal(got.values, want.values)
+    assert (got.objective, got.bound, got.gap, got.nodes) == \
+        (want.objective, want.bound, want.gap, want.nodes)
+    assert got.violations == want.violations
+
+
+@pytest.mark.parametrize("mode", LOSS_MODES)
+@pytest.mark.parametrize("wind", [700.0, 3000.0])
+def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
+                                                            wind, mode):
+    base = load_system(ROOT / "data" / "toy_system.yaml")
+    levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
+    system, tree = _scale_wind(base, build_scenario_tree(levels, table), wind)
+    for horizon, start in [(4, 0), (4, 12)] + [(12, 0)] * (mode == "fixed"):
+        options = UcOptions(horizon=horizon, first_stage=horizon,
+                            largest_loss_mode=mode)
+        model = build_uc(system, slice_tree(tree, start, horizon), options,
+                         start_period=start)
+        got = solve(model)
+        assert got.status == "optimal" and got.nodes >= 1
+        assert_same_solution(got, solve_through_scipy(monkeypatch, model))
+
+
+def test_direct_highs_matches_scipy_milp_on_random_models(monkeypatch):
+    """Random compiled models, as MILPs and, when every binary is pinned,
+    as LPs, both feasible and not."""
+    rng = np.random.default_rng(606)
+    seen = Counter()
+    for _ in range(150):
+        mdl, _, _ = random_compiled_case(rng)
+        got = solve(mdl)
+        assert_same_solution(got, solve_through_scipy(monkeypatch, mdl))
+        free = [j for j in mdl.binary_indices()
+                if mdl.variables[j].lb != mdl.variables[j].ub]
+        seen[got.status, "milp" if free else "lp"] += 1
+    assert min(seen[status, kind] for status in ("optimal", "infeasible")
+               for kind in ("milp", "lp")) >= 5
+
+
+def test_unbounded_model_statuses_match_scipy_milp():
+    """An infinite bound, which ``compile`` rejects, handed to HiGHS
+    directly: the unbounded LP is "unbounded"; as a MILP HiGHS cannot tell
+    it from infeasible, a "limit".  Neither has a point."""
+    mdl = MilpModel()
+    mdl.add_continuous("x", 0.0, 1.0)
+    mdl.add_binary("b")
+    mdl.add_row({0: 1.0, 1: 1.0}, ">=", 0.5, "r")
+    mdl.set_objective({0: -1.0})
+    compiled = dataclasses.replace(mdl.compile(), ub=np.array([np.inf, 1.0]))
+    for integrality, status in [(np.zeros(2, np.uint8), "unbounded"),
+                                (compiled.integrality, "limit")]:
+        got = branch_bound.run_highs(compiled, integrality, SolveOptions())
+        assert got.status == status and got.values is None
+        assert_same_solution(
+            got, solve_with_scipy(compiled, integrality, SolveOptions()))
+
+
+def market_split(rows):
+    """Equality knapsacks on 30 binaries: hard to find any point of."""
+    rng = np.random.default_rng(1)
+    mdl = MilpModel()
+    for j in range(30):
+        mdl.add_binary(f"b{j}")
+    for i in range(rows):
+        w = rng.integers(0, 100, 30)
+        mdl.add_row({j: float(w[j]) for j in range(30)}, "=",
+                    float(w.sum() // 2), label=f"split{i}")
+    mdl.set_objective({j: 1.0 for j in range(30)})
+    return mdl
+
+
+def test_node_limit_without_an_incumbent_returns_no_point(monkeypatch):
+    options = SolveOptions(max_nodes=1, opt_gap=0.0)
+    got = solve(market_split(4), options)
+    assert got.status == "limit" and got.values is None
+    assert got.objective is None and got.bound is None
+    assert_same_solution(
+        got, solve_through_scipy(monkeypatch, market_split(4), options))
+
+
+@pytest.mark.parametrize("options, name", [
+    (SolveOptions(opt_gap=-1.0), "mip_rel_gap"),
+    (SolveOptions(max_nodes=-1), "mip_max_nodes"),
+])
+def test_rejected_option_raises_solver_error(options, name):
+    with pytest.raises(SolverError, match=f"option {name}"):
+        solve(knapsack_model(), options)
+
+
+def test_rejected_model_raises_solver_error():
+    """HiGHS refuses an infinite coefficient, which ``compile`` never
+    produces; the refusal is a solver failure, not a status."""
+    compiled = knapsack_model().compile()
+    compiled.a.data[0] = np.inf
+    with pytest.raises(SolverError, match="rejected the model"):
+        branch_bound.run_highs(compiled, compiled.integrality,
+                               SolveOptions())
+
+
+def test_solve_writes_nothing_to_the_terminal(capfd):
+    """HiGHS logs from C, so its silence is checked on the file
+    descriptors."""
+    solve(knapsack_model())
+    solve(market_split(4), SolveOptions(max_nodes=1))
+    infeasible = MilpModel()
+    infeasible.add_binary("a")
+    infeasible.add_row({0: 1.0}, ">=", 2.0)
+    assert solve(infeasible).status == "infeasible"
+    assert capfd.readouterr() == ("", "")
+
+
+def package_sources():
+    return sorted((ROOT / "src" / "frequc").rglob("*.py"))
+
+
+def test_highs_binding_is_imported_by_one_function():
+    """scipy's HiGHS binding is private to scipy: if an upgrade moves it,
+    only ``run_highs`` has to follow."""
+    found = []
+    for path in package_sources():
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> innermost enclosing function (walk is outer first)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        found += [(path.relative_to(ROOT).as_posix(), owner.get(node))
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and "_highspy" in ast.unparse(node)]
+    assert found == [("src/frequc/milp/branch_bound.py", "run_highs")]
+    assert [path.name for path in package_sources()
+            if "_highspy" in path.read_text()] == ["branch_bound.py"]
+
+
+def test_scipy_milp_is_not_used_by_the_package():
+    pattern = re.compile(r"optimize\.milp\b|from\s+scipy\.optimize\s+"
+                         r"import[^\n]*\bmilp\b")
+    users = [path.name for path in package_sources()
+             if pattern.search(path.read_text())]
+    assert users == []

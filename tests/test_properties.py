@@ -216,12 +216,13 @@ def cut_cells(draw):
     commit = {g.id: model.add_binary(f"x[{g.id}]") for g in units}
     model.fix_variable(commit["g0"], 1.0)
     r_max = sum(g.pfr_max for g in units)
-    dec = register_decisions(
+    [dec] = register_decisions(
         model, units, freq, r_max, commit=commit,
-        output={g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
-                for g in units},
-        pfr={g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
-             for g in units})
+        outputs=[{g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
+                  for g in units}],
+        pfrs=[{g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+               for g in units}],
+        tags=[""])
     rows = cell_rows(dec, units, freq, demand, r_max, largest=units[0],
                      loss_floor=floor)
     values = np.zeros(model.n_vars)

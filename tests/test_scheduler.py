@@ -5,12 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from frequc.cli import _scale_wind
 
 from frequc.freqsec import nadir_requirement
-from frequc.milp import MilpModel, SolveOptions, solve
+from frequc.milp import MilpModel, SolveOptions, branch_bound, solve
 from frequc.scheduler import (
     SchedulerError,
     Trajectory,
@@ -569,14 +568,14 @@ def test_redispatch_window_has_no_product_auxiliaries():
 def test_redispatch_is_solved_as_an_lp(monkeypatch):
     """A re-dispatch pins every binary, so HiGHS solves it as an LP: no
     nodes, its optimum is its own bound, and it matches the oracle."""
-    real_milp = scipy.optimize.milp
+    real_run = branch_bound.run_highs
     integrality = []
 
-    def recording_milp(*args, **kwargs):
-        integrality.append(np.asarray(kwargs["integrality"]))
-        return real_milp(*args, **kwargs)
+    def recording_run(compiled, integers, options):
+        integrality.append(np.array(integers))
+        return real_run(compiled, integers, options)
 
-    monkeypatch.setattr(scipy.optimize, "milp", recording_milp)
+    monkeypatch.setattr(branch_bound, "run_highs", recording_run)
     system, tree = bundled_window(horizon=2)
     window, _, _ = solve_uc(system, tree, UcOptions(horizon=2, first_stage=2))
     realized = realized_series(tree)
