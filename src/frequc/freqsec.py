@@ -21,7 +21,10 @@ branch) cell holds:
 ``register_decisions`` is the one place that creates a cell's security
 variables, for all branches of a period at once; the scheduler passes in
 the period's commitment ids, each branch's output and response ids and
-cell tag, after the commitments are fixed.  Row construction is pure.
+cell tag, after the commitments are fixed.  ``period_rows`` is the one
+place that lays out a period's rows, for all its branches at once, as the
+arrays and labels of one row block: the inertia floor, then each branch's
+``cell_rows``.  Row construction is pure.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .milp.model import (LinearRow, LinExpr, MilpModel, SENSE_EQ, SENSE_GE,
                          SENSE_LE)
@@ -92,22 +97,16 @@ def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
     ``R{tag}``, ``hr{tag}`` and then one auxiliary ``z[g]{tag}`` per
     synchronous unit whose commitment is free.
     """
-    free = []
-    fixed_on = set()
-    for g in fleet:
-        if not g.synchronous:
-            continue
-        var = model.variables[commit[g.id]]
-        if var.lb != var.ub:
-            free.append(g.id)
-        elif var.lb == 1.0:
-            fixed_on.add(g.id)
+    sync = [g.id for g in fleet if g.synchronous]
+    cols = [commit[gid] for gid in sync]
+    bounds = list(zip(sync, model.lb[cols].tolist(), model.ub[cols].tolist()))
+    free = [gid for gid, lo, hi in bounds if lo != hi]
     heads = ["ploss", "R", "hr"] + [f"z[{gid}]" for gid in free]
     ub = [freq.largest_unit_rating, r_max,
           max(max_inertia(fleet, freq), 0.0) * r_max] + [r_max] * len(free)
     ids = model.add_variables([head + tag for tag in tags for head in heads],
                               0.0, ub * len(tags)).reshape(len(tags), len(heads))
-    fixed_on = frozenset(fixed_on)
+    fixed_on = frozenset(gid for gid, lo, hi in bounds if lo == hi == 1.0)
     return [FreqDecisionSet(commit=commit, output=output, pfr=pfr,
                             loss=cell[0], response=cell[1], product=cell[2],
                             bilinear=dict(zip(free, cell[3:])),
@@ -352,3 +351,53 @@ def cell_rows(decisions: FreqDecisionSet, fleet, freq, demand: float,
     rows += hyperbolic_cut_rows(decisions, fleet, freq, demand, r_max,
                                 loss_floor, tag=tag)
     return rows
+
+
+def _own_columns(decisions: FreqDecisionSet) -> list[int]:
+    """The columns of a cell that no other branch's cell shares, in one
+    order for every cell of a period."""
+    return [decisions.loss, decisions.response, decisions.product,
+            *decisions.output.values(), *decisions.pfr.values(),
+            *decisions.bilinear.values()]
+
+
+def period_rows(cells, fleet, freq, demand: float, r_max: float, *,
+                largest, loss_floor: float, tag: str, branch_tags):
+    """Every frequency row of one period, as the ``cols, vals, sense, rhs,
+    labels`` of :meth:`MilpModel.add_rows`: the inertia floor, tagged
+    ``tag``, then the cell rows of each branch in turn, ``cells[s]``
+    tagged ``branch_tags[s]``.
+
+    The cells of a period share their commitments, so their rows differ
+    only in each cell's own columns.  ``cell_rows`` builds branch 0's; the
+    other branches' are copies with each of branch 0's own columns
+    replaced by the branch's.  A cell row's label is its kind, the cell's
+    tag, then a suffix; kinds hold no bracket and tags start with one, so
+    a label's first match of its tag is the tag, and a copy's label has
+    the branch's tag there.
+    """
+    rows = [inertia_floor_row(cells[0], fleet, freq, tag=tag)]
+    rows += cell_rows(cells[0], fleet, freq, demand, r_max, largest=largest,
+                      loss_floor=loss_floor, tag=branch_tags[0])
+    # a short row is padded with zero coefficients on column 0
+    k = max(len(row.coeffs) for row in rows)
+    cols = np.array([[*row.coeffs, *[0] * (k - len(row.coeffs))]
+                     for row in rows])
+    vals = np.array([[*row.coeffs.values(), *[0.0] * (k - len(row.coeffs))]
+                     for row in rows])
+    sense = np.array([row.sense for row in rows])
+    rhs = np.array([row.rhs for row in rows])
+
+    own = np.array([_own_columns(cell) for cell in cells])
+    order = np.argsort(own[0])
+    at = order[np.searchsorted(own[0], cols[1:], sorter=order)
+               .clip(max=len(order) - 1)]
+    copies = np.where(own[0, at] == cols[1:], own[:, at], cols[1:])
+    n = len(cells)
+    return (np.concatenate([cols[:1], copies.reshape(-1, k)]),
+            np.concatenate([vals[:1], np.tile(vals[1:], (n, 1))]),
+            np.concatenate([sense[:1], np.tile(sense[1:], n)]),
+            np.concatenate([rhs[:1], np.tile(rhs[1:], n)]),
+            [rows[0].label] + [row.label.replace(branch_tags[0], branch_tag, 1)
+                               for branch_tag in branch_tags
+                               for row in rows[1:]])

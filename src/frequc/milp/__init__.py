@@ -3,7 +3,7 @@ with an independent re-check on the compiled model, and LP text export."""
 
 from .branch_bound import MilpSolution, SolveOptions, SolverError, solve
 from .lpio import export_model
-from .model import LinearRow, LinExpr, MilpModel, ModelError, Variable
+from .model import LinearRow, LinExpr, MilpModel, ModelError
 
 __all__ = [
     "LinearRow",
@@ -13,7 +13,6 @@ __all__ = [
     "ModelError",
     "SolveOptions",
     "SolverError",
-    "Variable",
     "export_model",
     "solve",
 ]

@@ -6,7 +6,12 @@ Bounds / Binaries / End) so a model can be handed to any external solver.
 
 from __future__ import annotations
 
-from .model import MilpModel
+import math
+from itertools import chain
+
+import numpy as np
+
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
 
 
 def _num(x: float) -> str:
@@ -27,15 +32,14 @@ def _wrap_terms(parts: list[str], indent: str = "   ") -> list[str]:
     return lines
 
 
-def _format_terms(coeffs: dict[int, float], model: MilpModel, constant: float = 0.0) -> list[str]:
+def _format_terms(cols, vals, names, constant: float = 0.0) -> list[str]:
     parts: list[str] = []
-    for j in sorted(coeffs):
-        c = coeffs[j]
+    for j, c in zip(cols, vals):
         sign = "-" if c < 0 else "+"
         if not parts and sign == "+":
-            parts.extend([_num(abs(c)), model.variables[j].name])
+            parts.extend([_num(abs(c)), names[j]])
         else:
-            parts.extend([sign, _num(abs(c)), model.variables[j].name])
+            parts.extend([sign, _num(abs(c)), names[j]])
     if constant != 0.0:
         sign = "-" if constant < 0 else "+"
         if not parts and sign == "+":
@@ -48,22 +52,35 @@ def _format_terms(coeffs: dict[int, float], model: MilpModel, constant: float = 
 
 
 def export_model(model: MilpModel) -> str:
-    """Render the model as LP-format text."""
-    model.validate()
+    """Render the model as LP-format text, read from its compiled arrays:
+    each row's terms in column order, each column's bounds in index
+    order."""
+    compiled = model.compile()
+    names = model.names
     out: list[str] = [f"\\ Problem: {model.name}"]
     out.append("Minimize")
-    obj_parts = _format_terms(model.objective, model, model.objective_constant)
+    obj = np.flatnonzero(compiled.c)
+    obj_parts = _format_terms(obj.tolist(), compiled.c[obj].tolist(), names,
+                              model.objective_constant)
     out.extend(_wrap_terms(["obj:"] + obj_parts, indent="   "))
     out.append("Subject To")
-    for i, row in enumerate(model.rows):
-        label = row.label if row.label else f"r{i}"
-        parts = [f"{label}:"] + _format_terms(row.coeffs, model)
-        parts.extend([row.sense, _num(row.rhs)])
+    a = compiled.a.sorted_indices()
+    indptr, cols, vals = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    labels = chain.from_iterable(block.labels for block in model.blocks)
+    for i, (label, lo, hi) in enumerate(zip(labels, compiled.lo.tolist(),
+                                            compiled.hi.tolist())):
+        terms = slice(indptr[i], indptr[i + 1])
+        parts = [f"{label or f'r{i}'}:"] + _format_terms(cols[terms],
+                                                         vals[terms], names)
+        if lo == -math.inf:
+            parts.extend([SENSE_LE, _num(hi)])
+        else:
+            parts.extend([SENSE_GE if hi == math.inf else SENSE_EQ, _num(lo)])
         out.extend(_wrap_terms(parts, indent="   "))
     out.append("Bounds")
-    for v in model.variables:
-        out.append(f" {_num(v.lb)} <= {v.name} <= {_num(v.ub)}")
-    bins = [model.variables[j].name for j in model.binary_indices()]
+    for name, lo, hi in zip(names, compiled.lb.tolist(), compiled.ub.tolist()):
+        out.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
+    bins = [names[j] for j in np.flatnonzero(compiled.integrality)]
     if bins:
         out.append("Binaries")
         out.extend(_wrap_terms(bins, indent=" "))

@@ -1,11 +1,12 @@
 """Mixed-integer linear model container.
 
-Holds variables with finite bounds, labeled linear rows, kept as blocks of
-arrays, and a linear objective.  This is the exchange format between the
-constraint builders, the solvers and the LP file writer; it does no solving
-itself.  :meth:`MilpModel.compile` checks a model and concatenates its
-blocks into the arrays that HiGHS and the feasibility re-check of a solve
-share.
+Holds columns with finite bounds, kept as arrays of names, bounds and
+integrality, labeled linear rows, kept as blocks of arrays, and a linear
+objective.  This is the exchange format between the constraint builders,
+the solvers and the LP file writer; it does no solving itself.
+:meth:`MilpModel.compile` checks a model and concatenates its blocks into
+the arrays that HiGHS, the feasibility re-check of a solve and the LP
+writer share.
 """
 
 from __future__ import annotations
@@ -23,15 +24,6 @@ SENSE_LE = "<="
 SENSE_GE = ">="
 SENSE_EQ = "="
 SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
-
-
-@dataclass
-class Variable:
-    index: int
-    name: str
-    lb: float
-    ub: float
-    is_integer: bool = False
 
 
 class LinearRow(NamedTuple):
@@ -119,52 +111,58 @@ class RowBlock:
 
 
 class MilpModel:
-    """Variables, row blocks and an objective.
+    """Columns, row blocks and an objective.
 
-    Rows are kept in :class:`RowBlock`s in the order they were added;
-    :meth:`add_row` adds a block of one row, :meth:`add_rows` a block of
-    many.  ``rows`` reads them back as :class:`LinearRow`s.
+    Column ``j`` is ``names[j]`` with bounds ``lb[j] <= x[j] <= ub[j]``;
+    ``integrality[j]`` is 1 for a binary.  :meth:`add_variable` adds one
+    column, :meth:`add_variables` many.  Rows are kept in
+    :class:`RowBlock`s in the order they were added; :meth:`add_row` adds
+    a block of one row, :meth:`add_rows` a block of many.  ``rows`` reads
+    them back as :class:`LinearRow`s.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
+        self.names: list[str] = []
+        self.lb = np.empty(0)
+        self.ub = np.empty(0)
+        self.integrality = np.empty(0, dtype=np.uint8)
         self.blocks: list[RowBlock] = []
         self.objective: dict[int, float] = {}
         self.objective_constant: float = 0.0
-        self._by_name: dict[str, int] = {}
+        self._taken: set[str] = set()
         self._n_rows = 0
 
     # -- construction -----------------------------------------------------
 
     def add_variable(self, name: str, lb: float, ub: float, integer: bool = False) -> int:
-        _check_variable(name, lb, ub, self._by_name)
-        idx = len(self.variables)
-        self.variables.append(Variable(idx, name, float(lb), float(ub), integer))
-        self._by_name[name] = idx
-        return idx
+        return int(self.add_variables([name], lb, ub, integer)[0])
 
     def add_variables(self, names, lb, ub, integer=False) -> np.ndarray:
-        """Add one variable per name, with the checks of
-        :meth:`add_variable`; ``lb``, ``ub`` and ``integer`` are scalars or
-        one value per name.  Returns the new indices in order."""
+        """Add one column per name; ``lb``, ``ub`` and ``integer`` are
+        scalars or one value per name.  Returns the new indices in order.
+        Raises ModelError, before anything is added, for the first name
+        that is taken or whose bounds are not finite or are empty."""
         names = list(names)
         m = len(names)
         lb = _per_item(lb, m, float, "variables")
         ub = _per_item(ub, m, float, "variables")
         integer = _per_item(integer, m, bool, "variables")
-        start = len(self.variables)
-        fresh = dict(zip(names, range(start, start + m)))
-        if (len(fresh) < m or not self._by_name.keys().isdisjoint(fresh)
+        fresh = set(names)
+        if (len(fresh) < m or not self._taken.isdisjoint(fresh)
                 or not (np.isfinite(lb).all() and np.isfinite(ub).all())
                 or (lb > ub).any()):
-            taken = set(self._by_name)
+            taken = set(self._taken)
             for name, lo, hi in zip(names, lb.tolist(), ub.tolist()):
                 _check_variable(name, lo, hi, taken)
                 taken.add(name)
-        self.variables.extend(map(Variable, range(start, start + m), names,
-                                  lb.tolist(), ub.tolist(), integer.tolist()))
-        self._by_name.update(fresh)
+        start = len(self.names)
+        self.names += names
+        self.lb = np.concatenate([self.lb, lb])
+        self.ub = np.concatenate([self.ub, ub])
+        self.integrality = np.concatenate([self.integrality,
+                                           integer.astype(np.uint8)])
+        self._taken |= fresh
         return np.arange(start, start + m)
 
     def add_continuous(self, name: str, lb: float, ub: float) -> int:
@@ -174,15 +172,14 @@ class MilpModel:
         return self.add_variable(name, 0.0, 1.0, integer=True)
 
     def fix_variable(self, index: int, value: float) -> None:
-        """Pin a variable to a single value by collapsing its bounds."""
-        var = self.variables[index]
+        """Pin a variable to a single value by collapsing its bounds; a
+        value outside them, NaN included, is rejected."""
         v = float(value)
-        if v < var.lb - 1e-12 or v > var.ub + 1e-12:
-            raise ModelError(
-                f"variable {var.name}: cannot fix to {v}, outside [{var.lb}, {var.ub}]"
-            )
-        var.lb = v
-        var.ub = v
+        lo, hi = float(self.lb[index]), float(self.ub[index])
+        if not lo - 1e-12 <= v <= hi + 1e-12:
+            raise ModelError(f"variable {self.names[index]}: cannot fix to "
+                             f"{v}, outside [{lo}, {hi}]")
+        self.lb[index] = self.ub[index] = v
 
     def add_row(self, coeffs: dict[int, float], sense: str, rhs: float, label: str = "") -> int:
         k = len(coeffs)
@@ -222,7 +219,7 @@ class MilpModel:
             raise ModelError(f"rows: {len(labels)} labels for {m} rows")
         k = cols.shape[1]
         _check_rows(codes, rhs, cols.ravel(), vals.ravel(), lambda e: e // k,
-                    len(self.variables), labels.__getitem__,
+                    len(self.names), labels.__getitem__,
                     lambda i: str(given[i]))
         self.blocks.append(RowBlock(cols, vals, codes, rhs, labels))
         start = self._n_rows
@@ -231,7 +228,7 @@ class MilpModel:
 
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0) -> None:
         for j, c in coeffs.items():
-            if not (0 <= j < len(self.variables)):
+            if not (0 <= j < len(self.names)):
                 raise ModelError(f"objective: unknown variable index {j}")
             if not math.isfinite(c):
                 raise ModelError(f"objective: non-finite coefficient on index {j}")
@@ -242,7 +239,7 @@ class MilpModel:
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.names)
 
     @property
     def n_rows(self) -> int:
@@ -263,21 +260,8 @@ class MilpModel:
             i -= len(block)
         raise IndexError("row index out of range")
 
-    def variable_by_name(self, name: str) -> Variable:
-        return self.variables[self._by_name[name]]
-
-    def has_variable(self, name: str) -> bool:
-        return name in self._by_name
-
     def binary_indices(self) -> list[int]:
-        return [v.index for v in self.variables if v.is_integer]
-
-    def row_activity(self, row: LinearRow, x: np.ndarray) -> float:
-        return float(sum(c * x[j] for j, c in row.coeffs.items()))
-
-    def validate(self) -> None:
-        """Raise ModelError on structural problems; no-op when sound."""
-        self.compile()
+        return np.flatnonzero(self.integrality).tolist()
 
     def compile(self) -> CompiledModel:
         """Check the model and return it as arrays.
@@ -289,12 +273,11 @@ class MilpModel:
         """
         import scipy.sparse as sp
 
-        variables, blocks = self.variables, self.blocks
-        n, m = len(variables), self._n_rows
-        lb = np.fromiter((v.lb for v in variables), float, n)
-        ub = np.fromiter((v.ub for v in variables), float, n)
-        integer = np.fromiter((v.is_integer for v in variables), bool, n)
-        _check_variables(variables, lb, ub, integer)
+        blocks = self.blocks
+        n, m = len(self.names), self._n_rows
+        lb, ub = self.lb.copy(), self.ub.copy()
+        integrality = self.integrality.copy()
+        _check_variables(self.names, lb, ub, integrality > 0)
 
         keep = [b.vals != 0.0 for b in blocks]
         indptr = np.zeros(m + 1, dtype=np.int64)
@@ -324,14 +307,10 @@ class MilpModel:
                 self.objective.values(), float, k)
         return CompiledModel(
             model=self, c=c, lb=lb, ub=ub,
-            integrality=integer.astype(np.uint8),
+            integrality=integrality,
             a=sp.csr_array((data, indices, indptr), shape=(m, n)),
             lo=np.where(sense == _LE, -np.inf, rhs),
             hi=np.where(sense == _GE, np.inf, rhs))
-
-    def check_feasible(self, x: np.ndarray, tol: float = 1e-6) -> list[str]:
-        """Return human-readable violation messages for point x (empty if ok)."""
-        return self.compile().check_feasible(x, tol)
 
 
 _LE, _GE, _EQ = 0, 1, 2
@@ -348,12 +327,11 @@ def _check_variable(name, lb, ub, taken) -> None:
         raise ModelError(f"variable {name}: lower bound {lb} exceeds upper bound {ub}")
 
 
-def _check_variables(variables, lb, ub, integer) -> None:
+def _check_variables(names, lb, ub, integer) -> None:
     non_finite = ~(np.isfinite(lb) & np.isfinite(ub))
     empty = lb > ub
     non_binary = integer & ((lb < -0.5) | (ub > 1.5))
-    duplicate = np.zeros(len(variables), dtype=bool)
-    names = [v.name for v in variables]
+    duplicate = np.zeros(len(names), dtype=bool)
     if len(set(names)) < len(names):
         seen: set[str] = set()
         for j, name in enumerate(names):
@@ -363,7 +341,7 @@ def _check_variables(variables, lb, ub, integer) -> None:
     if not bad.any():
         return
     j = int(np.argmax(bad))
-    name = variables[j].name
+    name = names[j]
     if non_finite[j]:
         raise ModelError(f"variable {name}: non-finite bounds")
     if empty[j]:
@@ -475,9 +453,9 @@ class CompiledModel:
         off = (self.lo == self.hi) & ~(np.abs(act - rhs) <= slack)
 
         bad: list[str] = []
-        variables = self.model.variables
+        names = self.model.names
         for j in np.flatnonzero(outside | fractional):
-            name, value = variables[j].name, float(x[j])
+            name, value = names[j], float(x[j])
             if outside[j]:
                 bad.append(f"bound {name}: {value!r} outside "
                            f"[{float(self.lb[j])}, {float(self.ub[j])}]")

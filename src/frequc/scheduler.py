@@ -7,11 +7,11 @@ and the sizable-loss quantities are recourse, one copy per period and
 branch.  When frequency constraints are enabled, each (period, branch)
 cell gets its loss, summed-response and product variables from
 :func:`frequc.freqsec.register_decisions`, one block per period, once the
-fixed commitments are known, and its rows from the other builders there;
+fixed commitments are known, and its rows from
+:func:`frequc.freqsec.period_rows`, every branch's for one period at once;
 the nadir rows are the chord envelope of the convex requirement, so a
-solution is secure by construction at every loss.  Every row family is added as one block of
-arrays, and a cell's rows, which depend on its period only, are built once
-per period and copied to the other branches.  Each period's ``cover`` row
+solution is secure by construction at every loss.  Every row family is
+added as one block of arrays.  Each period's ``cover`` row
 asks for the fewest units besides the largest whose ratings reach the
 period's highest net demand minus the largest rating: valid for every
 integer schedule, it only tightens the relaxation.
@@ -152,24 +152,6 @@ class UcModel(MilpModel):
     loss: np.ndarray | None
 
 
-def _row_arrays(rows):
-    """``LinearRow``s as the arrays of :meth:`MilpModel.add_rows`: columns
-    and coefficients of shape ``(m, k)``, ``k`` their most terms, a shorter
-    row padded with zero coefficients on its first column (column 0 for an
-    empty row); then the senses and right-hand sides."""
-    k = max(len(row.coeffs) for row in rows)
-    cols, vals = [], []
-    for row in rows:
-        keys = list(row.coeffs)
-        pad = k - len(keys)
-        cols += keys + [keys[0] if keys else 0] * pad
-        vals += list(row.coeffs.values()) + [0.0] * pad
-    return (np.array(cols, dtype=np.int64).reshape(len(rows), k),
-            np.array(vals).reshape(len(rows), k),
-            np.array([row.sense for row in rows]),
-            np.array([row.rhs for row in rows]))
-
-
 def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
              initial_state=None, fixed_commitments=None) -> UcModel:
     """Assemble the scheduling model for one window.
@@ -181,10 +163,8 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     uses this for the realized re-dispatch.
 
     Each row family repeats one pattern per cell or per unit, so it is
-    added as one block of arrays.  A cell's frequency rows depend on its
-    period only: freqsec builds them once per period, for branch 0, and
-    they are copied to the other branches by mapping branch 0's recourse
-    and security columns to theirs.
+    added as one block of arrays; :func:`frequc.freqsec.period_rows` gives
+    each period's frequency rows, every branch's, as one block.
     """
     fleet = system.generators
     freq = system.frequency
@@ -282,24 +262,19 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     # each cell's security variables, once the fixed commitments are known:
     # a unit committed by a fixed bound needs no product auxiliary.  The
     # commitments are shared, so every branch of a period gets the same
-    # variables; ``security[t]`` holds their ids, one row per branch
-    cells = {}
-    security = []
+    # variables; ``cells[t]`` holds the period's cells, one per branch
+    cells = []
     if options.frequency_constraints:
         p_ids, r_ids = p.tolist(), r.tolist()
         for t, tt in enumerate(periods):
-            start = model.n_vars
-            period_cells = freqsec.register_decisions(
+            cells.append(freqsec.register_decisions(
                 model, fleet, freq, r_max,
                 commit={gid: x_ids[i][t] for i, gid in enumerate(ids)},
                 outputs=[{gid: p_ids[i][t][s] for i, gid in enumerate(ids)}
                          for s in range(S)],
                 pfrs=[{gid: r_ids[i][t][s] for i, gid in enumerate(ids)}
                       for s in range(S)],
-                tags=[f"[{tt}][{s}]" for s in range(S)])
-            for s, cell in enumerate(period_cells):
-                cells[t, s] = cell
-            security.append(np.arange(start, model.n_vars).reshape(S, -1))
+                tags=[f"[{tt}][{s}]" for s in range(S)]))
 
     # power balance and unit limits: the same rows in every cell, over the
     # cell's columns [p..., r..., wind, x...]
@@ -397,40 +372,17 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
         [head + f"[{tt}]" for head in heads for tt in periods])
 
     # frequency-security rows: per period the inertia floor, then each
-    # branch's copy of the cell rows freqsec builds for branch 0.
-    # branch_map[s, j] is the column of branch s that plays branch 0's
-    # column j, j itself for a shared column
-    if options.frequency_constraints:
-        branch_map = np.tile(np.arange(model.n_vars), (S, 1))
-        branch_map[:, recourse[:, 0]] = recourse.transpose(1, 0, 2)
-        for ids_t in security:
-            branch_map[:, ids_t[0]] = ids_t
-        for t, tt in enumerate(periods):
-            floor_row = freqsec.inertia_floor_row(cells[t, 0], fleet, freq,
-                                                  tag=f"[{tt}]")
-            tag = f"[{tt}][0]"
-            try:
-                rows = freqsec.cell_rows(
-                    cells[t, 0], fleet, freq, demand[t], r_max,
-                    largest=big, loss_floor=floor_big, tag=tag)
-            except ValueError as exc:  # the grid check, an input error
-                raise SchedulerError(f"period {tt}: {exc}") from exc
-            cols, vals, sense, rhs = _row_arrays([floor_row] + rows)
-            copies = np.concatenate([[0], np.tile(np.arange(1, len(cols)), S)])
-            # a cell row's label is its name, the cell's tag, then a suffix
-            parts = [row.label.partition(tag) for row in rows]
-            for row, (_, found, _) in zip(rows, parts):
-                if not found:
-                    raise RuntimeError(
-                        f"cell row {row.label!r} lacks its cell tag {tag!r}, "
-                        f"so its branch copies cannot be labelled")
-            model.add_rows(
-                np.concatenate([cols[:1], branch_map[:, cols[1:]].reshape(
-                    -1, cols.shape[1])]),
-                vals[copies], sense[copies], rhs[copies],
-                [floor_row.label] + [f"{head}[{tt}][{s}]{tail}"
-                                     for s in range(S)
-                                     for head, _, tail in parts])
+    # branch's cell rows
+    for t, period_cells in enumerate(cells):
+        tt = start_period + t
+        try:
+            rows = freqsec.period_rows(
+                period_cells, fleet, freq, demand[t], r_max, largest=big,
+                loss_floor=floor_big, tag=f"[{tt}]",
+                branch_tags=[f"[{tt}][{s}]" for s in range(S)])
+        except ValueError as exc:  # the grid check, an input error
+            raise SchedulerError(f"period {tt}: {exc}") from exc
+        model.add_rows(*rows)
 
     # probability-weighted operating cost
     hours = system.period_hours
@@ -448,8 +400,8 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
 
     model.commit, model.startup, model.output, model.pfr, model.wind = (
         x, su, p, r, wind)
-    model.loss = (np.array([[cells[t, s].loss for s in range(S)]
-                            for t in range(T)])
+    model.loss = (np.array([[cell.loss for cell in period]
+                            for period in cells])
                   if options.frequency_constraints else None)
     return model
 

@@ -10,4 +10,7 @@
   which check ``frequc.milp.export_model`` by round trip.
 * :mod:`.scipy_milp` -- HiGHS through ``scipy.optimize.milp``, against
   which the direct call into HiGHS is compared.
+* :mod:`.swing_rk4` -- ``simulate_swing_numeric`` and its ``_rk4`` kernel,
+  a fixed-step integration of the swing model that checks the closed form
+  in ``frequc.freqdyn``.
 """

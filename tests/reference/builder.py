@@ -251,8 +251,7 @@ def assert_same_model(model, reference):
         assert a.tobytes() == b.tobytes(), field
     assert model.objective_constant == reference.objective_constant
     assert model.name == reference.name
-    assert [v.name for v in model.variables] == \
-        [v.name for v in reference.variables]
+    assert model.names == reference.names
     assert [row.label for row in model.rows] == \
         [row.label for row in reference.rows]
     assert [model.row_label(i) for i in range(model.n_rows)] == \

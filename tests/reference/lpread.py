@@ -199,19 +199,20 @@ def import_model(text: str, name: str = "imported") -> MilpModel:
 
 def models_equivalent(m1: MilpModel, m2: MilpModel, tol: float = 1e-12) -> bool:
     """Structural equality by name: variables, bounds, rows, objective."""
-    n1 = {v.name: v for v in m1.variables}
-    n2 = {v.name: v for v in m2.variables}
+    n1 = {nm: j for j, nm in enumerate(m1.names)}
+    n2 = {nm: j for j, nm in enumerate(m2.names)}
     if set(n1) != set(n2):
         return False
-    for nm, v in n1.items():
-        w = n2[nm]
-        if abs(v.lb - w.lb) > tol or abs(v.ub - w.ub) > tol or v.is_integer != w.is_integer:
+    for nm, j in n1.items():
+        k = n2[nm]
+        if (abs(m1.lb[j] - m2.lb[k]) > tol or abs(m1.ub[j] - m2.ub[k]) > tol
+                or m1.integrality[j] != m2.integrality[k]):
             return False
     if abs(m1.objective_constant - m2.objective_constant) > tol:
         return False
 
     def named(model, coeffs):
-        return {model.variables[j].name: c for j, c in coeffs.items() if c != 0.0}
+        return {model.names[j]: c for j, c in coeffs.items() if c != 0.0}
 
     o1, o2 = named(m1, m1.objective), named(m2, m2.objective)
     if set(o1) != set(o2) or any(abs(o1[k] - o2[k]) > tol for k in o1):

@@ -19,7 +19,7 @@ from .simplex import solve_lp
 
 def dense_rows(model: MilpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (A, senses, rhs) with senses coded 0 '<=', 1 '>=', 2 '='."""
-    a = np.zeros((len(model.rows), len(model.variables)), dtype=float)
+    a = np.zeros((len(model.rows), model.n_vars), dtype=float)
     senses = np.empty(len(model.rows), dtype=np.int64)
     rhs = np.empty(len(model.rows), dtype=float)
     code = {SENSE_LE: 0, SENSE_GE: 1, SENSE_EQ: 2}
@@ -36,17 +36,16 @@ def solve_exhaustive(model: MilpModel) -> MilpSolution:
 
     Only intended for small models; refuses more than 20 binaries.
     """
-    model.validate()
+    model.compile()
     bins = model.binary_indices()
     if len(bins) > 20:
         raise ValueError(f"exhaustive enumeration capped at 20 binaries, got {len(bins)}")
-    cont = [v.index for v in model.variables if not v.is_integer]
+    cont = np.flatnonzero(model.integrality == 0).tolist()
     a, senses, rhs = dense_rows(model)
     c = np.zeros(model.n_vars)
     for j, v in model.objective.items():
         c[j] = v
-    lb = np.array([v.lb for v in model.variables], dtype=float)
-    ub = np.array([v.ub for v in model.variables], dtype=float)
+    lb, ub = model.lb, model.ub
     a_bin = a[:, bins] if bins else np.zeros((a.shape[0], 0))
     a_cont = a[:, cont]
     c_bin = c[bins]

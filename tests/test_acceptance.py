@@ -322,11 +322,11 @@ def test_bigm_product_exactness():
         # every auxiliary: no row bounds it from below, and the tightest
         # upper bound is exactly x_g * R
         assert set(dec.bilinear) == {g.id for g in sync
-                                     if model.variables[commit[g.id]].lb
-                                     != model.variables[commit[g.id]].ub}
+                                     if model.lb[commit[g.id]]
+                                     != model.ub[commit[g.id]]}
         unknown = set(dec.bilinear.values()) | {dec.product}
         for gid, z in dec.bilinear.items():
-            hi = model.variables[z].ub
+            hi = model.ub[z]
             for row in rows:
                 if z in row.coeffs and not (set(row.coeffs) - {z}) & unknown:
                     is_upper, bound = _row_bound(row, z, values)
@@ -346,7 +346,7 @@ def test_bigm_product_exactness():
     # z and hr appear only in >= rows with positive coefficients, so a
     # solution can always raise them to the product
     model, *_ = _economic_cell(fleet, 2500.0, 1200.0, freq=freq)
-    names = {v.index: v.name for v in model.variables}
+    names = model.names
     for row in model.rows:
         for j in row.coeffs:
             name = names[j]
@@ -408,7 +408,7 @@ def test_solver_matches_exhaustive_oracle():
             scale = max(1.0, abs(brute.objective))
             assert abs(bb.objective - brute.objective) <= 1e-6 * scale
             assert not bb.violations
-            assert not mdl.check_feasible(brute.values)
+            assert not mdl.compile().check_feasible(brute.values)
             optimal += 1
     assert optimal >= 50
     print(f"\n[acceptance] solver vs exhaustive oracle: PASS "

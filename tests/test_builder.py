@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import frequc.freqsec
 from frequc.cli import _scale_wind
 from frequc.milp import solve
 from frequc.scheduler import (
@@ -117,7 +116,7 @@ def test_extract_reads_the_named_columns():
                                 start_period=6)
 
     def value(name):
-        return raw.values[model.variable_by_name(name).index]
+        return raw.values[model.names.index(name)]
 
     for g in system.generators:
         for t in range(3):
@@ -132,21 +131,3 @@ def test_extract_reads_the_named_columns():
             tag = f"[{6 + t}][{s}]"
             assert solution.wind_used[t, s] == value(f"wind{tag}")
             assert solution.loss[t, s] == value(f"ploss{tag}")
-
-
-def test_cell_row_without_its_tag_fails_the_build(monkeypatch):
-    """Branch copies are labelled by splitting each template label at the
-    cell tag; a label without it stops the build instead of giving the
-    copies wrong labels."""
-    cell_rows = frequc.freqsec.cell_rows
-
-    def untagged_last(*args, tag, **kwargs):
-        rows = cell_rows(*args, tag=tag, **kwargs)
-        rows[-1] = rows[-1]._replace(label="untagged")
-        return rows
-
-    monkeypatch.setattr(frequc.freqsec, "cell_rows", untagged_last)
-    system, tree = bundled(3000.0)
-    with pytest.raises(RuntimeError, match="'untagged' lacks its cell tag"):
-        build_uc(system, slice_tree(tree, 0, 2),
-                 UcOptions(horizon=2, first_stage=2))

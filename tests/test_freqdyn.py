@@ -11,8 +11,8 @@ from frequc.freqdyn import (
     exact_nadir_feasible,
     region_curve,
     simulate_swing,
-    simulate_swing_numeric,
 )
+from reference.swing_rk4 import simulate_swing_numeric
 
 
 class Limits:

@@ -9,7 +9,7 @@ import pytest
 
 from frequc.cli import _scale_wind
 from frequc.milp import (LinearRow, MilpModel, ModelError, SolveOptions,
-                         SolverError, Variable, branch_bound, solve)
+                         SolverError, branch_bound, solve)
 from frequc.scheduler import LOSS_MODES, UcOptions, build_uc, slice_tree
 from frequc.sysmodel import (build_scenario_tree, load_scenario_table,
                              load_system)
@@ -56,16 +56,16 @@ def test_validate_flags_non_binary_integer():
     mdl = MilpModel()
     mdl.add_variable("k", 0.0, 3.0, integer=True)
     with pytest.raises(ModelError):
-        mdl.validate()
+        mdl.compile()
 
 
 def test_check_feasible_reports_violated_rows():
     mdl = MilpModel()
     mdl.add_continuous("x", 0.0, 10.0)
     mdl.add_row({0: 1.0}, "<=", 2.0, label="cap")
-    bad = mdl.check_feasible(np.array([5.0]))
+    bad = mdl.compile().check_feasible(np.array([5.0]))
     assert bad and "cap" in bad[0]
-    assert mdl.check_feasible(np.array([1.5])) == []
+    assert mdl.compile().check_feasible(np.array([1.5])) == []
 
 
 def test_solve_lp_two_variable_corner():
@@ -271,18 +271,19 @@ def test_branch_bound_matches_exhaustive_on_random_models():
 
 
 def malformed_models():
-    """Models that break each check of ``validate``, built past the checks
+    """Models that break each check of ``compile``, built past the checks
     of ``add_*`` (except the non-binary integer, which they allow): rows
     are added sound, then their block is edited in place."""
     infinite = MilpModel()
     infinite.add_continuous("x", 0.0, 1.0)
-    infinite.variables[0].ub = np.inf
+    infinite.ub[0] = np.inf
     duplicate = MilpModel()
     duplicate.add_continuous("x", 0.0, 1.0)
-    duplicate.variables.append(Variable(1, "x", 0.0, 2.0))
+    duplicate.add_continuous("y", 0.0, 2.0)
+    duplicate.names[1] = "x"
     empty = MilpModel()
     empty.add_continuous("x", 0.0, 1.0)
-    empty.variables[0].lb = 2.0
+    empty.lb[0] = 2.0
     edits = {"unknown index": ("cols", 3), "negative index": ("cols", -1),
              "bad sense": ("sense", 7), "infinite rhs": ("rhs", np.inf),
              "nan coefficient": ("vals", np.nan)}
@@ -304,7 +305,7 @@ def malformed_models():
 def test_malformed_models_raise_through_solve(case):
     model = malformed_models()[case]
     with pytest.raises(ModelError):
-        model.validate()
+        model.compile()
     with pytest.raises(ModelError):
         solve(model)
 
@@ -321,13 +322,13 @@ def test_validate_names_the_first_offender():
     block.cols[1, 1] = 5
     block.sense[2] = 9
     with pytest.raises(ModelError, match="late_index.*index 5"):
-        mdl.validate()
+        mdl.compile()
     block.sense[0] = 9
     with pytest.raises(ModelError, match="early_sense.*sense"):
-        mdl.validate()
-    mdl.variables[1].lb = 4.0
+        mdl.compile()
+    mdl.lb[1] = 4.0
     with pytest.raises(ModelError, match="variable y: empty"):
-        mdl.validate()
+        mdl.compile()
 
 
 def random_compiled_case(rng):
@@ -344,8 +345,7 @@ def random_compiled_case(rng):
             lo = float(rng.normal(0.0, 3.0))
             mdl.add_continuous(f"c{j}", lo, lo + float(rng.exponential(2.0)))
         if rng.random() < 0.3:
-            var = mdl.variables[j]
-            mdl.fix_variable(j, var.lb if rng.random() < 0.5 else var.ub)
+            mdl.fix_variable(j, mdl.lb[j] if rng.random() < 0.5 else mdl.ub[j])
     rows = []
     for i in range(int(rng.integers(0, 8))):
         coeffs = {int(j): float(rng.normal()) for j in rng.permutation(n)
@@ -372,9 +372,7 @@ def random_compiled_case(rng):
         mdl.add_rows(cols, vals, [row.sense for row in group],
                      [row.rhs for row in group], [row.label for row in group])
     mdl.set_objective({j: float(rng.normal()) for j in range(n)})
-    lb = np.array([v.lb for v in mdl.variables])
-    ub = np.array([v.ub for v in mdl.variables])
-    x = rng.uniform(lb - 1.0, ub + 1.0)
+    x = rng.uniform(mdl.lb - 1.0, mdl.ub + 1.0)
     snap = rng.random(n) < 0.3
     x[snap] = np.round(x[snap])
     return mdl, x, rows
@@ -394,10 +392,11 @@ def test_compiled_arrays_equal_the_dense_reference():
         assert np.array_equal(compiled.a.toarray(), a)
         assert np.array_equal(compiled.lo, np.where(senses == 0, -np.inf, rhs))
         assert np.array_equal(compiled.hi, np.where(senses == 1, np.inf, rhs))
-        assert np.array_equal(compiled.lb, [v.lb for v in mdl.variables])
-        assert np.array_equal(compiled.ub, [v.ub for v in mdl.variables])
+        assert np.array_equal(compiled.lb, mdl.lb)
+        assert np.array_equal(compiled.ub, mdl.ub)
         assert np.array_equal(compiled.integrality,
-                              [v.is_integer for v in mdl.variables])
+                              [name.startswith("b") for name in mdl.names])
+        assert compiled.lb is not mdl.lb and compiled.ub is not mdl.ub
         c = np.zeros(mdl.n_vars)
         for j, v in mdl.objective.items():
             c[j] = v
@@ -415,7 +414,6 @@ def test_check_feasible_matches_the_loop_reference():
             for tol in (1e-6, 0.5):
                 expected = check_feasible_loop(mdl, point, tol)
                 assert compiled.check_feasible(point, tol) == expected
-                assert mdl.check_feasible(point, tol) == expected
                 kinds.update(msg.split()[0] for msg in expected)
                 kinds["clean"] += not expected
     assert min(kinds[k] for k in ("bound", "integrality", "row", "clean")) >= 50
@@ -506,13 +504,13 @@ def test_add_variables_keeps_the_checks_of_add_variable():
     got = mdl.add_variables(["b", "c", "d"], [0.0, -1.0, 2.0], 3.0,
                             integer=[False, False, True])
     assert got.tolist() == [1, 2, 3]
-    assert [(v.index, v.name, v.lb, v.ub, v.is_integer)
-            for v in mdl.variables[1:]] == [
-        (1, "b", 0.0, 3.0, False), (2, "c", -1.0, 3.0, False),
-        (3, "d", 2.0, 3.0, True)]
-    assert all(type(v.lb) is float and type(v.is_integer) is bool
-               for v in mdl.variables)
-    assert mdl.variable_by_name("c").index == 2
+    assert mdl.names == ["a", "b", "c", "d"]
+    assert mdl.lb.tolist() == [0.0, 0.0, -1.0, 2.0]
+    assert mdl.ub.tolist() == [1.0, 3.0, 3.0, 3.0]
+    assert mdl.integrality.tolist() == [0, 0, 0, 1]
+    assert mdl.lb.dtype == mdl.ub.dtype == np.float64
+    assert mdl.integrality.dtype == np.uint8
+    assert mdl.names.index("c") == 2
     for names, lb, ub, message in [
             (["e", "a"], 0.0, 1.0, "duplicate variable name: a"),
             (["e", "e"], 0.0, 1.0, "duplicate variable name: e"),
@@ -521,9 +519,21 @@ def test_add_variables_keeps_the_checks_of_add_variable():
     ]:
         with pytest.raises(ModelError, match=message):
             mdl.add_variables(names, lb, ub)
-    assert mdl.n_vars == 4 and not mdl.has_variable("e")
+    assert mdl.n_vars == 4 and "e" not in mdl.names
+    assert mdl.lb.size == mdl.ub.size == mdl.integrality.size == 4
     mdl.fix_variable(got[2], 2.0)
-    assert mdl.variables[3].lb == mdl.variables[3].ub == 2.0
+    assert mdl.lb[3] == mdl.ub[3] == 2.0
+    for value in (3.5, np.nan, np.inf):
+        with pytest.raises(ModelError,
+                           match=rf"variable d: cannot fix to {value}, "
+                                 r"outside \[2\.0, 2\.0\]"):
+            mdl.fix_variable(got[2], value)
+    x = mdl.add_binary("x")
+    with pytest.raises(ModelError,
+                       match=r"variable x: cannot fix to nan, outside"):
+        mdl.fix_variable(x, np.nan)
+    assert mdl.lb[x] == 0.0 and mdl.ub[x] == 1.0
+    assert mdl.lb[3] == mdl.ub[3] == 2.0
 
 
 def test_recheck_flags_nan(monkeypatch):
@@ -534,7 +544,7 @@ def test_recheck_flags_nan(monkeypatch):
     mdl.add_row({0: 1.0, 1: 1.0}, "<=", 3.0, label="cap")
     mdl.set_objective({0: -1.0, 1: -1.0})
     point = np.array([0.0, np.nan])
-    bad = mdl.check_feasible(point)
+    bad = mdl.compile().check_feasible(point)
     assert bad == check_feasible_loop(mdl, point)
     assert bad == ["bound c: nan outside [0.0, 4.0]", "row cap: nan > 3.0"]
     assert check_feasible_loop(mdl, np.array([np.nan, 0.0]))[:2] == [
@@ -600,8 +610,7 @@ def test_direct_highs_matches_scipy_milp_on_random_models(monkeypatch):
         mdl, _, _ = random_compiled_case(rng)
         got = solve(mdl)
         assert_same_solution(got, solve_through_scipy(monkeypatch, mdl))
-        free = [j for j in mdl.binary_indices()
-                if mdl.variables[j].lb != mdl.variables[j].ub]
+        free = [j for j in mdl.binary_indices() if mdl.lb[j] != mdl.ub[j]]
         seen[got.status, "milp" if free else "lp"] += 1
     assert min(seen[status, kind] for status in ("optimal", "infeasible")
                for kind in ("milp", "lp")) >= 5

@@ -119,13 +119,13 @@ def test_build_creates_expected_structure():
     tree = toy_tree(system)
     model = build_uc(system, tree, options())
     for gid in ("base", "mid", "flex", "peak"):
-        assert model.has_variable(f"x[{gid}][0]")
-        assert model.has_variable(f"su[{gid}][5]")
-        assert model.has_variable(f"p[{gid}][3][2]")
-    assert model.has_variable("ploss[0][0]")
+        assert f"x[{gid}][0]" in model.names
+        assert f"su[{gid}][5]" in model.names
+        assert f"p[{gid}][3][2]" in model.names
+    assert "ploss[0][0]" in model.names
     # the commitments are the only binaries: the nadir rows are chords
     assert sorted(model.binary_indices()) == sorted(
-        model.variable_by_name(f"x[{gid}][{t}]").index
+        model.names.index(f"x[{gid}][{t}]")
         for gid in ("base", "mid", "flex", "peak") for t in range(6))
     labels = {row.label for row in model.rows}
     assert "nadir_cut[5][2][1]" in labels
@@ -137,8 +137,8 @@ def test_build_creates_expected_structure():
     assert "cover[3]" in labels
     # the largest plant is committed in every period
     for t in range(6):
-        var = model.variable_by_name(f"x[base][{t}]")
-        assert var.lb == var.ub == 1.0
+        j = model.names.index(f"x[base][{t}]")
+        assert model.lb[j] == model.ub[j] == 1.0
 
 
 def fewest_units(ratings, need):
@@ -167,7 +167,7 @@ def assert_cover_rows_count_the_fewest_units(model, system, tree):
         else:
             assert row.sense == ">=" and row.rhs == k
             assert row.coeffs == {
-                model.variable_by_name(f"x[{g.id}][{t}]").index: 1.0
+                model.names.index(f"x[{g.id}][{t}]"): 1.0
                 for g in others}
         counts.append(k)
     assert not covers
@@ -176,8 +176,8 @@ def assert_cover_rows_count_the_fewest_units(model, system, tree):
 
 def without_cover_rows(model):
     bare = MilpModel(model.name)
-    for v in model.variables:
-        bare.add_variable(v.name, v.lb, v.ub, v.is_integer)
+    bare.add_variables(model.names, model.lb, model.ub,
+                       model.integrality.astype(bool))
     for row in model.rows:
         if not row.label.startswith("cover["):
             bare.add_row(row.coeffs, row.sense, row.rhs, row.label)
@@ -290,8 +290,8 @@ def test_frequency_off_omits_security_machinery():
     system = toy_system()
     tree = toy_tree(system)
     model = build_uc(system, tree, options(frequency_constraints=False))
-    assert not model.has_variable("ploss[0][0]")
-    assert not model.has_variable("z[mid][0][0]")
+    assert "ploss[0][0]" not in model.names
+    assert "z[mid][0][0]" not in model.names
     for row in model.rows:
         assert not row.label.startswith(("rocof", "qss", "nadir", "loss_bound"))
 
@@ -336,9 +336,9 @@ def test_initial_state_carry_and_conflicts():
     state = default_initial_state(system)
     state["mid"] = UnitState(on=True, hours=1)
     model = build_uc(system, tree, options(), initial_state=state)
-    var = model.variable_by_name("x[mid][0]")
-    assert var.lb == var.ub == 1.0
-    assert model.variable_by_name("x[mid][1]").lb == 0.0
+    j = model.names.index("x[mid][0]")
+    assert model.lb[j] == model.ub[j] == 1.0
+    assert model.lb[model.names.index("x[mid][1]")] == 0.0
 
     # pinning the largest plant off contradicts the must-run requirement
     pins = {g.id: [1] * 6 for g in system.generators}
@@ -419,7 +419,7 @@ def test_commitments_are_shared_across_branches():
     # one commitment variable per unit and period, none indexed by branch
     for g in system.generators:
         assert solution.commit[g.id].shape == (3,)
-        assert not model.has_variable(f"x[{g.id}][0][0]")
+        assert f"x[{g.id}][0][0]" not in model.names
     # recourse reacts to the branches
     spread = max(
         float(np.ptp(solution.output[g.id][t]))
@@ -547,8 +547,8 @@ def test_bundled_window_formulation_size():
     assert sum(row.label.startswith("loss_bound") for row in model.rows) \
         == 12 * 7
     # the largest unit is always on: no auxiliary for it
-    assert not model.has_variable("z[lignite1][0][0]")
-    assert model.has_variable("z[ccgt1][0][0]")
+    assert "z[lignite1][0][0]" not in model.names
+    assert "z[ccgt1][0][0]" in model.names
 
 
 def test_redispatch_window_has_no_product_auxiliaries():
@@ -558,10 +558,10 @@ def test_redispatch_window_has_no_product_auxiliaries():
     model = build_uc(system, slice_tree(tree, 0, 2),
                      UcOptions(horizon=2, first_stage=2),
                      fixed_commitments=pins)
-    assert not any(v.name.startswith("z[") for v in model.variables)
+    assert not any(name.startswith("z[") for name in model.names)
     assert not any(row.label.startswith(("bigm_", "hyp_cut"))
                    for row in model.rows)
-    assert model.has_variable("hr[0][0]")
+    assert "hr[0][0]" in model.names
     assert solve(model).status == "optimal"
 
 
@@ -584,7 +584,7 @@ def test_redispatch_is_solved_as_an_lp(monkeypatch):
                           quantile_levels=(0.5,))
     model = build_uc(system, median, UcOptions(horizon=2, first_stage=2),
                      fixed_commitments=window.commit)
-    assert all(model.variables[j].lb == model.variables[j].ub
+    assert all(model.lb[j] == model.ub[j]
                for j in model.binary_indices())
     got = solve(model)
     assert integrality[0].any() and not integrality[1].any()
