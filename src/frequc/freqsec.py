@@ -24,7 +24,10 @@ the period's commitment ids, each branch's output and response ids and
 cell tag, after the commitments are fixed.  ``period_rows`` is the one
 place that lays out a period's rows, for all its branches at once, as the
 arrays and labels of one row block: the inertia floor, then each branch's
-``cell_rows``.  Row construction is pure.
+``cell_rows``.  ``must_run`` names the units a period's rows force on, so
+the scheduler can pin them before the cells are made; it reads the RoCoF,
+QSS and nadir numbers from the helpers the rows use (``rocof_slope``,
+``qss_rhs``, ``nadir_chords``).  Row construction is pure.
 """
 
 from __future__ import annotations
@@ -149,11 +152,16 @@ def inertia_floor_row(decisions: FreqDecisionSet, fleet, freq,
                      rhs=-expr.constant, label=f"h_min{tag}")
 
 
+def rocof_slope(freq) -> float:
+    """Post-loss inertia (MW*s^2) the RoCoF limit asks per MW of loss."""
+    return 1.0 / (2.0 * freq.rocof_max)
+
+
 def rocof_row(decisions: FreqDecisionSet, freq, inertia: LinExpr,
               tag: str = "") -> LinearRow:
     """Initial rate-of-change limit: H >= loss / (2 * rocof_max)."""
     coeffs = dict(inertia.coeffs)
-    coeffs[decisions.loss] = coeffs.get(decisions.loss, 0.0) - 1.0 / (2.0 * freq.rocof_max)
+    coeffs[decisions.loss] = coeffs.get(decisions.loss, 0.0) - rocof_slope(freq)
     return LinearRow(coeffs=coeffs, sense=SENSE_GE, rhs=-inertia.constant,
                      label=f"rocof{tag}")
 
@@ -180,18 +188,23 @@ def settled_limit(freq, demand: float, h_max: float) -> float:
     return freq.df_ss_max - eps * gap / (1.0 - eps)
 
 
+def qss_rhs(fleet, freq, demand: float) -> float:
+    """Least ``R - P`` of the quasi-steady-state row: minus the damping
+    relief at the settled limit, or, without damping, ``QSS_MARGIN``."""
+    d = freq.damping * demand
+    if d == 0.0:
+        return QSS_MARGIN
+    return -d * settled_limit(freq, demand, max_inertia(fleet, freq))
+
+
 def qss_row(decisions: FreqDecisionSet, fleet, freq, demand: float,
             tag: str = "") -> LinearRow:
     """Quasi-steady-state recovery: total response covers the loss minus
     the damping relief at the settled limit, or, without damping, the loss
     plus ``QSS_MARGIN``."""
-    d = freq.damping * demand
-    if d == 0.0:
-        rhs = QSS_MARGIN
-    else:
-        rhs = -d * settled_limit(freq, demand, max_inertia(fleet, freq))
     return LinearRow(coeffs={decisions.response: 1.0, decisions.loss: -1.0},
-                     sense=SENSE_GE, rhs=rhs, label=f"qss{tag}")
+                     sense=SENSE_GE, rhs=qss_rhs(fleet, freq, demand),
+                     label=f"qss{tag}")
 
 
 def nadir_beta(freq, demand: float) -> float:
@@ -249,20 +262,18 @@ def _requirement_root(freq, demand: float) -> float:
     return freq.damping * demand * freq.df_max
 
 
-def nadir_discretization_rows(decisions: FreqDecisionSet, freq, demand: float,
-                              tag: str = ""):
-    """Chord envelope of the nadir requirement: hr >= each chord.
+def nadir_chords(freq, demand: float) -> list[tuple[float, float]]:
+    """The chords ``(slope, icpt)`` of the nadir requirement's envelope:
+    ``hr >= slope * P + icpt`` for each.
 
     The requirement f(P) = P^2 T_d / (4 df_max) - beta P is convex, so on
     each interval between consecutive breakpoints its chord lies on or
-    above it, and the largest chord equals f at the breakpoints.  With
-    hr >= 0 the rows therefore enforce H*R >= hr >= f(P) for every loss
-    in [0, rating], exactly at the breakpoints.
-
-    The breakpoints are the configured grid, which ``FrequencyParams``
-    makes reach the rating, with the positive root of f put in front when
-    it lies below the grid: under the root f <= 0, so a loss below the
-    grid is still covered.
+    above it, and the largest chord equals f at the breakpoints.  The
+    breakpoints are the configured grid, which ``FrequencyParams`` makes
+    reach the rating, with the positive root of f put in front when it
+    lies below the grid: under the root f <= 0, so a loss below the grid
+    is still covered.  Every chord rises with the loss, and so does their
+    largest.
     """
     grid = freq.nadir_segments
     turn = _requirement_root(freq, demand) / 2.0
@@ -274,18 +285,25 @@ def nadir_discretization_rows(decisions: FreqDecisionSet, freq, demand: float,
         )
     root = 2.0 * turn
     points = ((root,) + grid) if root < grid[0] else grid
-    rows = []
-    for i in range(1, len(points)):
-        p0, p1 = points[i - 1], points[i]
+    chords = []
+    for p0, p1 in zip(points, points[1:]):
         r0 = nadir_requirement(p0, freq, demand)
         r1 = nadir_requirement(p1, freq, demand)
         slope = (r1 - r0) / (p1 - p0)
-        rows.append(LinearRow(
-            coeffs={decisions.product: 1.0, decisions.loss: -slope},
-            sense=SENSE_GE, rhs=r0 - slope * p0,
-            label=f"nadir_cut{tag}[{i}]",
-        ))
-    return rows
+        chords.append((slope, r0 - slope * p0))
+    return chords
+
+
+def nadir_discretization_rows(decisions: FreqDecisionSet, freq, demand: float,
+                              tag: str = ""):
+    """Chord envelope of the nadir requirement: hr >= each chord of
+    :func:`nadir_chords`.  With hr >= 0 the rows enforce
+    H*R >= hr >= f(P) for every loss in [0, rating], exactly at the
+    breakpoints."""
+    return [LinearRow(coeffs={decisions.product: 1.0, decisions.loss: -slope},
+                      sense=SENSE_GE, rhs=icpt,
+                      label=f"nadir_cut{tag}[{i}]")
+            for i, (slope, icpt) in enumerate(nadir_chords(freq, demand), 1)]
 
 
 def hyperbolic_cut_rows(decisions: FreqDecisionSet, fleet, freq,
@@ -328,6 +346,38 @@ def hyperbolic_cut_rows(decisions: FreqDecisionSet, fleet, freq,
                               rhs=2.0 * icpt - mu * inertia.constant,
                               label=f"hyp_cut{tag}[{k}]"))
     return rows
+
+
+def must_run(fleet, freq, demand: float, loss_floor: float, upper):
+    """Which units every commitment the cell rows admit keeps on.
+
+    ``upper`` holds each unit's commitment upper bound in the period.
+    Unit ``g`` must run when, with ``g`` off and every other unit at its
+    upper bound, the most inertia ``H`` and response ``R`` the period can
+    have miss, at the loss ``loss_floor``, the RoCoF row, the QSS row or
+    the nadir envelope ``H * R >= max chord(P)``; the inertia floor
+    ``H >= 0`` asks no more than the RoCoF row.  No requirement falls as
+    the loss grows, and the rows admit no loss below the floor, so no
+    schedule with ``g`` off passes them.  A shortfall
+    within 1e-9 of the requirement's size is not counted, so a schedule
+    the rows hold to the solver's tolerance is never cut off.  Returns one
+    boolean per unit.
+    """
+    upper = np.asarray(upper, dtype=float)
+    inertia = upper * [_inertia_coef(g, freq) if g.synchronous else 0.0
+                       for g in fleet]
+    response = upper * [g.pfr_max for g in fleet]
+    h = inertia.sum() - _lost_inertia(freq) - inertia
+    r = response.sum() - response
+    nadir = max((slope * loss_floor + icpt
+                 for slope, icpt in nadir_chords(freq, demand)), default=0.0)
+
+    def short(have, need):
+        return have < need - 1e-9 * max(1.0, abs(need))
+
+    return (short(h, rocof_slope(freq) * loss_floor)
+            | short(r, loss_floor + qss_rhs(fleet, freq, demand))
+            | short(h * r, nadir))
 
 
 def cell_rows(decisions: FreqDecisionSet, fleet, freq, demand: float,

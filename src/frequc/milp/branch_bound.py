@@ -6,7 +6,9 @@ binaries of the answer and re-checks every bound and row against the same
 arrays.  A solution that fails the re-check is not reported optimal; an
 exception inside HiGHS is raised as :class:`SolverError`.  A model whose
 binaries are all fixed by their bounds, such as a re-dispatch, is solved as
-an LP.
+an LP.  With ``relax_first`` the LP relaxation goes first and, when it is
+optimal and integral, is the answer: a relaxation's optimum is a bound on
+the MILP's, and an integral one is a point of the MILP too.
 
 HiGHS is reached through the binding that scipy (>= 1.17) bundles,
 ``scipy.optimize._highspy._core``.  It is private to scipy, so only
@@ -21,6 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import CompiledModel, MilpModel
+
+
+# How far from an integer a free integer column of an LP relaxation may lie
+# for the relaxation to count as integral.
+INTEGRAL_TOL = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -47,11 +54,18 @@ class MilpSolution:
     violations: list[str] = field(default_factory=list)
 
 
-def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
-    """Solve the model with HiGHS and re-check feasibility of the answer."""
+def solve(model: MilpModel, options: SolveOptions | None = None, *,
+          relax_first: bool = False) -> MilpSolution:
+    """Solve the model with HiGHS and re-check feasibility of the answer.
+
+    With ``relax_first`` the LP relaxation is solved first; when it is
+    optimal with every free integer column within ``INTEGRAL_TOL`` of an
+    integer, it is the MILP's optimum too and is returned, with no nodes
+    and no gap.  Otherwise the MILP is solved as without it.
+    """
     options = options or SolveOptions()
     compiled = model.compile()
-    sol = _solve_highs(model, compiled, options)
+    sol = _solve_highs(model, compiled, options, relax_first)
     if sol.values is not None:
         integer = compiled.integrality > 0
         # + 0.0 turns a rounded -0.0 into 0.0
@@ -64,15 +78,22 @@ def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution
 
 
 def _solve_highs(model: MilpModel, compiled: CompiledModel,
-                 options: SolveOptions) -> MilpSolution:
+                 options: SolveOptions, relax_first: bool) -> MilpSolution:
     lb, ub = compiled.lb, compiled.ub
     # an integer column whose bounds pin it to one integer needs no
     # branching; with none left free HiGHS solves the model as an LP
     free = (compiled.integrality > 0) & ((lb != ub) | (lb != np.round(lb)))
-    integrality = (compiled.integrality if free.any()
-                   else np.zeros_like(compiled.integrality))
+    relaxed = np.zeros_like(compiled.integrality)
     try:
-        sol = run_highs(compiled, integrality, options)
+        if not free.any():
+            sol = run_highs(compiled, relaxed, options)
+        else:
+            sol = run_highs(compiled, relaxed, options) if relax_first else None
+            # an optimal relaxation that is integral is the MILP's optimum
+            if sol is None or not (sol.status == "optimal" and np.all(
+                    np.abs(sol.values[free] - np.round(sol.values[free]))
+                    <= INTEGRAL_TOL)):
+                sol = run_highs(compiled, compiled.integrality, options)
     except Exception as exc:  # raised by the solver, not returned as a status
         raise SolverError(f"HiGHS failed on {model.name}: {exc}") from exc
     if sol.values is None:

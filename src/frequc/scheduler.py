@@ -7,7 +7,8 @@ and the sizable-loss quantities are recourse, one copy per period and
 branch.  When frequency constraints are enabled, each (period, branch)
 cell gets its loss, summed-response and product variables from
 :func:`frequc.freqsec.register_decisions`, one block per period, once the
-fixed commitments are known, and its rows from
+fixed commitments are known and the free ones that
+:func:`frequc.freqsec.must_run` finds forced on are pinned, and its rows from
 :func:`frequc.freqsec.period_rows`, every branch's for one period at once;
 the nadir rows are the chord envelope of the convex requirement, so a
 solution is secure by construction at every loss.  Every row family is
@@ -15,7 +16,8 @@ added as one block of arrays.  Each period's ``cover`` row
 asks for the fewest units besides the largest whose ratings reach the
 period's highest net demand minus the largest rating: valid for every
 integer schedule, it only tightens the relaxation.
-``solve_uc`` builds, solves and unpacks one window.
+``solve_uc`` builds, solves and unpacks one window; without frequency
+constraints it tries the LP relaxation first, which is often integral.
 
 ``solve_rolling_horizon`` walks a longer span window by window,
 re-dispatches the committed periods against the realized net demand and
@@ -164,7 +166,12 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
 
     Each row family repeats one pattern per cell or per unit, so it is
     added as one block of arrays; :func:`frequc.freqsec.period_rows` gives
-    each period's frequency rows, every branch's, as one block.
+    each period's frequency rows, every branch's, as one block.  With
+    frequency constraints, a commitment left free by the fixed bounds that
+    :func:`frequc.freqsec.must_run` finds forced on is pinned on: no
+    schedule the rows admit has it off, and its cells need no product
+    auxiliary.  With the loss fixed at the full rating, the bundled fleet
+    has every unit pinned, so such a window is an LP.
     """
     fleet = system.generators
     freq = system.frequency
@@ -260,13 +267,22 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
         ) from exc
 
     # each cell's security variables, once the fixed commitments are known:
-    # a unit committed by a fixed bound needs no product auxiliary.  The
+    # a unit committed by a fixed bound needs no product auxiliary.  A free
+    # commitment that the security rows force on is pinned first.  The
     # commitments are shared, so every branch of a period gets the same
     # variables; ``cells[t]`` holds the period's cells, one per branch
     cells = []
     if options.frequency_constraints:
         p_ids, r_ids = p.tolist(), r.tolist()
         for t, tt in enumerate(periods):
+            col = x[:, t]
+            try:
+                pins = freqsec.must_run(fleet, freq, demand[t], floor_big,
+                                        model.ub[col])
+            except ValueError as exc:  # the grid check, an input error
+                raise SchedulerError(f"period {tt}: {exc}") from exc
+            for j in col[pins & (model.lb[col] != model.ub[col])].tolist():
+                model.fix_variable(j, 1.0)
             cells.append(freqsec.register_decisions(
                 model, fleet, freq, r_max,
                 commit={gid: x_ids[i][t] for i, gid in enumerate(ids)},
@@ -375,14 +391,10 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     # branch's cell rows
     for t, period_cells in enumerate(cells):
         tt = start_period + t
-        try:
-            rows = freqsec.period_rows(
-                period_cells, fleet, freq, demand[t], r_max, largest=big,
-                loss_floor=floor_big, tag=f"[{tt}]",
-                branch_tags=[f"[{tt}][{s}]" for s in range(S)])
-        except ValueError as exc:  # the grid check, an input error
-            raise SchedulerError(f"period {tt}: {exc}") from exc
-        model.add_rows(*rows)
+        model.add_rows(*freqsec.period_rows(
+            period_cells, fleet, freq, demand[t], r_max, largest=big,
+            loss_floor=floor_big, tag=f"[{tt}]",
+            branch_tags=[f"[{tt}][{s}]" for s in range(S)]))
 
     # probability-weighted operating cost
     hours = system.period_hours
@@ -493,11 +505,15 @@ def extract_solution(model: UcModel, system, tree, options: UcOptions,
 def solve_uc(system, tree, options: UcOptions, solve_options=None, *,
              start_period: int = 0, initial_state=None,
              fixed_commitments=None):
-    """Build, solve and unpack one window; returns (solution, model, raw)."""
+    """Build, solve and unpack one window; returns (solution, model, raw).
+
+    A window without frequency constraints is tried as an LP first: its
+    relaxation is often integral, and then it is the answer."""
     model = build_uc(system, tree, options, start_period=start_period,
                      initial_state=initial_state,
                      fixed_commitments=fixed_commitments)
-    raw = solve(model, solve_options or SolveOptions())
+    raw = solve(model, solve_options or SolveOptions(),
+                relax_first=not options.frequency_constraints)
     if raw.status != "optimal":
         return None, model, raw
     solution = extract_solution(model, system, tree, options, raw,

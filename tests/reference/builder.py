@@ -21,14 +21,16 @@ from frequc.sysmodel import largest_unit
 
 
 def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
-                  initial_state=None, fixed_commitments=None) -> MilpModel:
+                  initial_state=None, fixed_commitments=None,
+                  security_pins: bool = True) -> MilpModel:
     """Assemble the scheduling model for one window.
 
     The window covers the first ``min(options.horizon, tree.n_periods)``
     periods of ``tree``, aligned with the demand profile at
     ``start_period``.  ``fixed_commitments`` (generator id -> 0/1 values
     per window period) pins the commitment variables; the rolling solver
-    uses this for the realized re-dispatch.
+    uses this for the realized re-dispatch.  With ``security_pins`` off, the
+    free commitments that ``freqsec.must_run`` finds forced on stay free.
     """
     fleet = system.generators
     freq = system.frequency
@@ -117,6 +119,19 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
         raise SchedulerError(
             f"commitment requirements conflict: {exc}"
         ) from exc
+
+    # security must-run pins, one unit at a time
+    if options.frequency_constraints and security_pins:
+        for t in range(n_periods):
+            try:
+                pins = freqsec.must_run(fleet, freq, demand[t], floor_big,
+                                        [model.ub[x[g.id, t]] for g in fleet])
+            except ValueError as exc:  # the grid check, an input error
+                raise SchedulerError(f"period {start_period + t}: {exc}") \
+                    from exc
+            for g, pin in zip(fleet, pins):
+                if pin and model.lb[x[g.id, t]] != model.ub[x[g.id, t]]:
+                    model.fix_variable(x[g.id, t], 1.0)
 
     # each cell's security variables, one cell at a time, once the fixed
     # commitments are known: a unit committed by a fixed bound needs no

@@ -56,6 +56,36 @@ def test_bundled_windows_match_the_loop_builder(wind, mode, secured, horizon):
                               options, start_period=start)
 
 
+@pytest.mark.parametrize("horizon", [4, 12])
+@pytest.mark.parametrize("wind", [700.0, 3000.0])
+def test_must_run_pins_keep_the_optimum(wind, horizon):
+    """Secured fixed-mode windows: every commitment the fixed bounds leave
+    free is pinned on, and the LP left has the optimum of the unpinned
+    MILP."""
+    system, tree = bundled(wind)
+    options = UcOptions(horizon=horizon, first_stage=horizon,
+                        largest_loss_mode="fixed")
+    for start in (0, 12):
+        window = slice_tree(tree, start, horizon)
+        model = build_uc(system, window, options, start_period=start)
+        free = model.lb[model.commit] != model.ub[model.commit]
+        assert not free.any()
+        unpinned = build_uc_loop(system, window, options, start_period=start,
+                                 security_pins=False)
+        commit = [unpinned.names.index(name) for name in
+                  np.array(model.names)[model.commit.ravel()]]
+        assert (unpinned.lb[commit] != unpinned.ub[commit]).sum() == \
+            (len(system.generators) - 1) * horizon
+        got, want = solve(model), solve(unpinned)
+        assert got.status == want.status == "optimal"
+        assert got.nodes == 0 and want.nodes >= 1
+        # a MILP optimum is reported within the relative gap of the true one
+        assert want.objective * (1.0 - 1e-6) <= got.objective \
+            <= want.objective * (1.0 + 1e-6)
+        # the unpinned MILP commits every unit too
+        assert np.array_equal(want.values[commit], np.ones(len(commit)))
+
+
 def long_minimum_times(system):
     """The bundled fleet with minimum times from one period to past the
     longest window."""
@@ -81,6 +111,13 @@ def test_minimum_time_carry_matches_the_loop_builder(horizon):
                                       initial_state=initial)
         assert any(row.label.startswith("min_up[ccgt5]")
                    for row in model.rows)
+        # the security rows pin every free unit on in fixed mode, but a
+        # unit the carry holds off stays off
+        held = model.names.index("x[ccgt6][4]")
+        assert model.lb[held] == model.ub[held] == 0.0
+        if mode == "fixed" and horizon > 1:
+            free = model.names.index("x[ocgt1][5]")
+            assert model.lb[free] == model.ub[free] == 1.0
 
 
 @pytest.mark.parametrize("secured", [True, False])

@@ -1,5 +1,10 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frequc.freqsec import (
     QSS_MARGIN,
@@ -8,15 +13,20 @@ from frequc.freqsec import (
     largest_loss_rows,
     linearize_inertia_pfr,
     max_inertia,
+    must_run,
     nadir_discretization_rows,
     nadir_requirement,
+    period_rows,
     qss_row,
     register_decisions,
     rocof_row,
     settled_limit,
 )
 from frequc.milp import MilpModel, solve
-from frequc.sysmodel import FrequencyParams, GeneratorSpec
+from frequc.sysmodel import (FrequencyParams, GeneratorSpec, largest_unit,
+                             load_system)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def two_unit_fleet():
@@ -346,3 +356,93 @@ def test_big_m_product_is_exact_on_random_assignments():
         assert got.values[dec.product] == pytest.approx(want, rel=1e-9,
                                                         abs=1e-7)
     assert 0 < infeasible < 60
+
+
+# -- security must-run pins ---------------------------------------------------
+
+
+def cell_admits_off(fleet, freq, demand, loss_floor, upper, off):
+    """Whether one cell, built through ``register_decisions`` and
+    ``period_rows``, has a point with unit ``off`` switched off.
+
+    The largest unit is committed with an output of at least
+    ``loss_floor``; a unit with ``upper`` 0 is off; every other commitment
+    is a free binary bounding the unit's response.  Nothing else binds, so
+    the rows are the only judge.
+    """
+    big = largest_unit(fleet)
+    mdl = MilpModel()
+    commit = {g.id: mdl.add_binary(f"x[{g.id}]") for g in fleet}
+    output = {g.id: mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
+              for g in fleet}
+    pfr = {g.id: mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+           for g in fleet}
+    for g, hi in zip(fleet, upper):
+        if g.id == big.id:
+            mdl.fix_variable(commit[g.id], 1.0)
+        elif g.id == off or hi == 0.0:
+            mdl.fix_variable(commit[g.id], 0.0)
+        if g.pfr_max > 0.0:
+            mdl.add_row({pfr[g.id]: 1.0, commit[g.id]: -g.pfr_max}, "<=",
+                        0.0, f"pfr_cap[{g.id}]")
+    mdl.add_row({output[big.id]: 1.0}, ">=", loss_floor, "floor")
+    r_max = sum(g.pfr_max for g in fleet)
+    cells = register_decisions(mdl, fleet, freq, r_max, commit=commit,
+                               outputs=[output], pfrs=[pfr], tags=["[0][0]"])
+    mdl.add_rows(*period_rows(cells, fleet, freq, demand, r_max, largest=big,
+                              loss_floor=loss_floor, tag="[0]",
+                              branch_tags=["[0][0]"]))
+    status = solve(mdl).status
+    assert status in ("optimal", "infeasible")
+    return status == "optimal"
+
+
+def assert_pins_are_exact(fleet, freq, demand, loss_floor, upper):
+    """A unit ``must_run`` pins leaves the cell no point when off; a free
+    unit it leaves alone can be off.  Returns the pins of the free units."""
+    big = largest_unit(fleet)
+    pins = must_run(fleet, freq, demand, loss_floor, upper)
+    seen = []
+    for g, hi, pin in zip(fleet, upper, pins):
+        if g.id != big.id and hi == 1.0:
+            assert cell_admits_off(fleet, freq, demand, loss_floor, upper,
+                                   g.id) == (not pin), g.id
+            seen.append(bool(pin))
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["fixed", "optimised"])
+def test_must_run_is_exact_on_the_bundled_fleet(mode):
+    """At the full rating every unit is needed; at the deload floor none
+    is."""
+    system = load_system(DATA / "toy_system.yaml")
+    fleet, freq = system.generators, system.frequency
+    big = largest_unit(fleet)
+    floor = big.p_max * (1.0 if mode == "fixed"
+                         else 1.0 - big.max_deload_fraction)
+    for demand in sorted(set(system.demand_profile)):
+        seen = assert_pins_are_exact(fleet, freq, demand, floor,
+                                     [1.0] * len(fleet))
+        assert seen == [mode == "fixed"] * (len(fleet) - 1)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(demand=st.integers(100, 600).map(lambda k: 10.0 * k),
+       loss_floor=st.integers(0, 90).map(lambda k: 10.0 * k),
+       on=st.lists(st.booleans(), min_size=7, max_size=7),
+       rocof_max=st.sampled_from([0.5, 1.0, 4.0]),
+       damping=st.sampled_from([0.0, 0.02, 0.04]),
+       settled_share=st.sampled_from([0.5, 1.0]))
+def test_must_run_is_exact_on_drawn_cells(demand, loss_floor, on, rocof_max,
+                                          damping, settled_share):
+    """The bundled fleet with some of its seven smaller units held off, at
+    a drawn demand and loss floor, and with drawn RoCoF, damping and
+    settled limits, so that each requirement is at times the only one
+    that pins."""
+    system = load_system(DATA / "toy_system.yaml")
+    fleet = system.generators
+    assert largest_unit(fleet) is fleet[0] and len(fleet) == 8
+    freq = replace(system.frequency, rocof_max=rocof_max, damping=damping,
+                   df_ss_max=settled_share * system.frequency.df_max)
+    assert_pins_are_exact(fleet, freq, demand, loss_floor,
+                          [1.0] + [float(u) for u in on])

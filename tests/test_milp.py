@@ -597,7 +597,11 @@ def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
         model = build_uc(system, slice_tree(tree, start, horizon), options,
                          start_period=start)
         got = solve(model)
-        assert got.status == "optimal" and got.nodes >= 1
+        # secured fixed-mode windows have every commitment pinned: an LP
+        free = [j for j in model.binary_indices() if model.lb[j] != model.ub[j]]
+        assert bool(free) == (mode == "optimised")
+        assert got.status == "optimal"
+        assert got.nodes >= 1 if free else got.nodes == 0
         assert_same_solution(got, solve_through_scipy(monkeypatch, model))
 
 
@@ -655,6 +659,92 @@ def test_node_limit_without_an_incumbent_returns_no_point(monkeypatch):
     assert got.objective is None and got.bound is None
     assert_same_solution(
         got, solve_through_scipy(monkeypatch, market_split(4), options))
+
+
+# -- the relaxation tried first ----------------------------------------------
+
+
+def solve_counting(monkeypatch, model, **kwargs):
+    """``solve`` and, per call into HiGHS, whether it was a MILP."""
+    calls = []
+    run = branch_bound.run_highs
+
+    def counting(compiled, integrality, options):
+        calls.append(bool(integrality.any()))
+        return run(compiled, integrality, options)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(branch_bound, "run_highs", counting)
+        return solve(model, **kwargs), calls
+
+
+@pytest.mark.parametrize("mode", LOSS_MODES)
+@pytest.mark.parametrize("wind", [700.0, 1850.0, 3000.0])
+def test_relaxation_first_matches_the_milp_on_bundled_windows(monkeypatch,
+                                                               wind, mode):
+    """Unsecured windows: an integral relaxation is taken as the answer, one
+    LP with no nodes and no gap; a fractional one falls back to the MILP.
+    Either way the answer is the MILP's."""
+    base = load_system(ROOT / "data" / "toy_system.yaml")
+    levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
+    system, tree = _scale_wind(base, build_scenario_tree(levels, table), wind)
+    taken = 0
+    for horizon, start in [(4, 0), (4, 12), (12, 0)]:
+        options = UcOptions(frequency_constraints=False, horizon=horizon,
+                            first_stage=horizon, largest_loss_mode=mode)
+        model = build_uc(system, slice_tree(tree, start, horizon), options,
+                         start_period=start)
+        want, calls = solve_counting(monkeypatch, model)
+        assert calls == [True] and want.status == "optimal"
+        got, calls = solve_counting(monkeypatch, model, relax_first=True)
+        assert got.status == want.status and got.violations == []
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=0)
+        assert np.abs(got.values - want.values).max() <= 1e-9
+        if calls == [False]:
+            taken += 1
+            assert (got.bound, got.gap, got.nodes) == (got.objective, 0.0, 0)
+        else:
+            assert calls == [False, True]
+            assert_same_solution(got, want)
+    assert taken >= 2
+
+
+def fractional_knapsack():
+    """Four binaries whose relaxation splits an item."""
+    mdl = MilpModel()
+    for j in range(4):
+        mdl.add_binary(f"b{j}")
+    mdl.add_row({0: 3.0, 1: 4.7, 2: 6.4, 3: 8.1}, "<=", 11.4, label="cap")
+    mdl.add_row({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 2.0, label="pick")
+    mdl.set_objective({0: -5.0, 1: -8.3, 2: -11.6, 3: -11.9})
+    return mdl
+
+
+def test_fractional_relaxation_falls_back_to_the_milp(monkeypatch):
+    mdl = fractional_knapsack()
+    compiled = mdl.compile()
+    lp = branch_bound.run_highs(compiled, np.zeros_like(compiled.integrality),
+                                SolveOptions())
+    assert lp.status == "optimal"
+    assert np.abs(lp.values - np.round(lp.values)).max() > 1e-3
+    got, calls = solve_counting(monkeypatch, mdl, relax_first=True)
+    assert calls == [False, True]
+    assert got.status == "optimal" and got.nodes >= 1
+    brute = solve_exhaustive(mdl)
+    assert got.objective == pytest.approx(brute.objective, abs=1e-9)
+    assert np.array_equal(got.values, brute.values)
+    assert_same_solution(got, solve(mdl))
+
+
+def test_infeasible_relaxation_falls_back_to_infeasible(monkeypatch):
+    mdl = MilpModel()
+    mdl.add_binary("a")
+    mdl.add_continuous("y", 0.0, 1.0)
+    mdl.add_row({0: 1.0, 1: 1.0}, ">=", 2.5, label="over")
+    got, calls = solve_counting(monkeypatch, mdl, relax_first=True)
+    assert calls == [False, True]
+    assert got.status == "infeasible" and got.values is None
+    assert_same_solution(got, solve(mdl))
 
 
 @pytest.mark.parametrize("options, name", [

@@ -335,10 +335,18 @@ def test_initial_state_carry_and_conflicts():
     tree = toy_tree(system)
     state = default_initial_state(system)
     state["mid"] = UnitState(on=True, hours=1)
-    model = build_uc(system, tree, options(), initial_state=state)
+    # without security rows only the carry pins mid, for one period
+    model = build_uc(system, tree, options(frequency_constraints=False),
+                     initial_state=state)
     j = model.names.index("x[mid][0]")
     assert model.lb[j] == model.ub[j] == 1.0
-    assert model.lb[model.names.index("x[mid][1]")] == 0.0
+    j = model.names.index("x[mid][1]")
+    assert (model.lb[j], model.ub[j]) == (0.0, 1.0)
+    # with them mid is a security must-run unit in every period
+    model = build_uc(system, tree, options(), initial_state=state)
+    for t in range(6):
+        j = model.names.index(f"x[mid][{t}]")
+        assert model.lb[j] == model.ub[j] == 1.0
 
     # pinning the largest plant off contradicts the must-run requirement
     pins = {g.id: [1] * 6 for g in system.generators}
