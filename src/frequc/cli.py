@@ -34,6 +34,7 @@ from .scheduler import (
     UcOptions,
     emissions,
     load_factor,
+    period_costs,
     slice_tree,
     solve_rolling_horizon,
     solve_uc,
@@ -90,20 +91,31 @@ def _write_table(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _load_tree(path, system):
+    """The scenario tree in ``path``, over ``system``'s periods unless
+    ``system`` is None."""
+    levels, table = load_scenario_table(path)
+    try:
+        tree = build_scenario_tree(levels, table)
+    except SystemConfigError as exc:
+        raise SystemConfigError(f"{path}: {exc}") from None
+    if system is not None and tree.n_periods != system.n_periods:
+        raise SystemConfigError(
+            f"{path}: table covers {tree.n_periods} periods, the demand "
+            f"profile {system.n_periods}"
+        )
+    return tree
+
+
 def _load_inputs(system_path, scenario_path):
     system = load_system(system_path)
-    levels, table = load_scenario_table(scenario_path)
-    if table.shape[0] != system.n_periods:
-        raise SystemConfigError(
-            f"{scenario_path}: table covers {table.shape[0]} periods, the "
-            f"demand profile {system.n_periods}"
-        )
-    return system, build_scenario_tree(levels, table)
+    return system, _load_tree(scenario_path, system)
 
 
 # -- validate ---------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    """Check each input file; an error names its file."""
     failures = 0
     system = None
     try:
@@ -111,28 +123,22 @@ def cmd_validate(args) -> int:
         fleet = ", ".join(g.id for g in system.generators)
         print(f"ok: {args.system} ({system.n_periods} periods; units: {fleet})")
     except (SystemConfigError, OSError) as exc:
-        print(f"error: {args.system}: {exc}")
+        print(f"error: {exc}")
         failures += 1
     if args.scenarios is not None:
         try:
-            levels, table = load_scenario_table(args.scenarios)
-            tree = build_scenario_tree(levels, table)
-            if system is not None and tree.n_periods != system.n_periods:
-                raise SystemConfigError(
-                    f"table covers {tree.n_periods} periods, the demand "
-                    f"profile {system.n_periods}"
-                )
+            tree = _load_tree(args.scenarios, system)
             print(f"ok: {args.scenarios} ({len(tree.branches)} branches, "
                   f"{tree.n_periods} periods)")
         except (SystemConfigError, OSError) as exc:
-            print(f"error: {args.scenarios}: {exc}")
+            print(f"error: {exc}")
             failures += 1
     if args.study is not None:
         try:
             _parse_study_config(args.study, system)
             print(f"ok: {args.study}")
         except (SystemConfigError, OSError) as exc:
-            print(f"error: {args.study}: {exc}")
+            print(f"error: {exc}")
             failures += 1
     return EXIT_OK if failures == 0 else EXIT_INVALID
 
@@ -140,15 +146,14 @@ def cmd_validate(args) -> int:
 # -- solve --------------------------------------------------------------------
 
 def _solution_tables(outdir: Path, system, solution) -> None:
-    fleet = system.generators
-    unit_ids = [g.id for g in fleet]
+    unit_ids = [g.id for g in system.generators]
     n_periods, n_branches = solution.wind_used.shape
 
     rows = []
     for t in range(n_periods):
         rows.append([str(int(solution.periods[t]))]
-                    + [f"{round(solution.commit[gid][t])}" for gid in unit_ids]
-                    + [f"{round(solution.startup[gid][t])}" for gid in unit_ids])
+                    + [f"{round(x)}" for x in solution.commit[t]]
+                    + [f"{round(su)}" for su in solution.startup[t]])
     _write_table(outdir / "commitment.txt",
                  ["period"] + [f"x[{g}]" for g in unit_ids]
                  + [f"start[{g}]" for g in unit_ids], rows)
@@ -156,22 +161,24 @@ def _solution_tables(outdir: Path, system, solution) -> None:
     header = (["period", "branch", "demand_mw", "wind_mw", "curtailed_mw"]
               + [f"p[{g}]" for g in unit_ids] + [f"r[{g}]" for g in unit_ids]
               + ["loss_mw"])
+    curtailment = solution.curtailment
     rows = []
     for t in range(n_periods):
         for s in range(n_branches):
             rows.append([str(int(solution.periods[t])), str(s),
                          solution.demand[t], solution.wind_used[t, s],
-                         solution.curtailment[t, s]]
-                        + [solution.output[g][t, s] for g in unit_ids]
-                        + [solution.pfr[g][t, s] for g in unit_ids]
+                         curtailment[t, s]]
+                        + list(solution.output[t, :, s])
+                        + list(solution.pfr[t, :, s])
                         + [solution.loss[t, s]])
     _write_table(outdir / "dispatch.txt", header, rows)
 
+    no_load, startup, fuel = period_costs(solution, system)
     rows = [["expected_cost", solution.expected_cost],
-            ["no_load_cost", solution.no_load_cost],
-            ["startup_cost", solution.startup_cost]]
-    for s in range(n_branches):
-        rows.append([f"fuel_cost[branch {s}]", solution.fuel_cost[s]])
+            ["no_load_cost", float(no_load.sum())],
+            ["startup_cost", float(startup.sum())]]
+    for s, branch_fuel in enumerate(fuel.sum(axis=0)):
+        rows.append([f"fuel_cost[branch {s}]", branch_fuel])
         rows.append([f"probability[branch {s}]", solution.probabilities[s]])
     _write_table(outdir / "costs.txt", ["quantity", "value"], rows)
 
@@ -252,8 +259,8 @@ def _parse_study_config(path, system):
             doc = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise SystemConfigError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or "study" not in doc:
-        raise SystemConfigError(f"{path}: expected a top-level 'study' section")
+    if not isinstance(doc, dict) or not isinstance(doc.get("study"), dict):
+        raise SystemConfigError(f"{path}: expected a top-level 'study' mapping")
     section = doc["study"]
     known = {"wind_capacities", "modes", "periods", "horizon", "first_stage",
              "deloading_enabled"}
@@ -269,9 +276,15 @@ def _parse_study_config(path, system):
             raise ValueError(f"{name} must be a whole number, got {value!r}")
         return int(value)
 
+    def listed(name, default):
+        value = section.get(name, default)
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return value
+
     try:
-        caps = [float(v) for v in section.get("wind_capacities", [])]
-        modes = list(section.get("modes", ["fixed", "optimised"]))
+        caps = [float(v) for v in listed("wind_capacities", [])]
+        modes = listed("modes", ["fixed", "optimised"])
         periods = count("periods", default_span or 0)
         horizon = count("horizon", periods)
         first_stage = count("first_stage", horizon)
@@ -429,23 +442,23 @@ def cmd_study(args) -> int:
                       f"{len(report.failures())} verification failures",
                       file=sys.stderr)
                 return EXIT_INSECURE
-            curtailed = float(secured.trajectory.curtailment.sum()) \
-                * cell_system.period_hours
+            path = secured.trajectory
+            curtailment = path.curtailment[:, 0]
             results.append({
                 "wind_capacity": capacity,
                 "mode": mode,
                 "cost_of_frequency_services":
                     runs[True].expected_cost - runs[False].expected_cost,
-                "load_factor": load_factor(secured.trajectory, big.id),
-                "emissions": emissions(secured.trajectory, cell_system),
-                "curtailed_energy": curtailed,
+                "load_factor": load_factor(path, cell_system, big.id),
+                "emissions": emissions(path, cell_system),
+                "curtailed_energy":
+                    float(curtailment.sum()) * cell_system.period_hours,
             })
-            traj = secured.trajectory
-            rows = [[str(int(t)), traj.demand[i], traj.net_realized[i],
-                     traj.loss[i], traj.wind_used[i], traj.curtailment[i],
-                     traj.fuel_cost[i] + traj.no_load_cost[i]
-                     + traj.startup_cost[i]]
-                    for i, t in enumerate(traj.periods)]
+            no_load, startup, fuel = period_costs(path, cell_system)
+            rows = [[str(int(t)), path.demand[i], path.net[i, 0],
+                     path.loss[i, 0], path.wind_used[i, 0], curtailment[i],
+                     fuel[i, 0] + no_load[i] + startup[i]]
+                    for i, t in enumerate(path.periods)]
             _write_table(
                 outdir / f"trajectory_w{capacity:g}_{mode}.txt",
                 ["period", "demand_mw", "net_mw", "loss_mw", "wind_mw",

@@ -76,14 +76,22 @@ def _inertia_coef(g, freq) -> float:
     return g.inertia_const * g.p_max / freq.f0
 
 
-def _lost_inertia(freq) -> float:
+def lost_inertia(freq) -> float:
+    """Inertia (MW*s^2) the largest unit takes with it when it trips."""
     return freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0
+
+
+def inertia_coefficients(fleet, freq) -> np.ndarray:
+    """Inertia (MW*s^2) each unit adds when committed, in fleet order: 0 for
+    a unit that is not synchronous."""
+    return np.array([_inertia_coef(g, freq) if g.synchronous else 0.0
+                     for g in fleet])
 
 
 def max_inertia(fleet, freq) -> float:
     """Post-loss inertia (MW*s^2) with every synchronous unit committed."""
     return (sum(_inertia_coef(g, freq) for g in fleet if g.synchronous)
-            - _lost_inertia(freq))
+            - lost_inertia(freq))
 
 
 def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
@@ -140,7 +148,7 @@ def inertia_expression(decisions: FreqDecisionSet, fleet, freq) -> LinExpr:
     for g in fleet:
         if g.synchronous:
             expr.add_term(decisions.commit[g.id], _inertia_coef(g, freq))
-    expr.constant = -_lost_inertia(freq)
+    expr.constant = -lost_inertia(freq)
     return expr
 
 
@@ -238,7 +246,7 @@ def linearize_inertia_pfr(decisions: FreqDecisionSet, fleet, freq,
     rows = [LinearRow(coeffs=coeffs, sense=SENSE_EQ, rhs=0.0,
                       label=f"pfr_sum{tag}")]
     hr = {decisions.product: 1.0}
-    committed = -_lost_inertia(freq)
+    committed = -lost_inertia(freq)
     for g in fleet:
         if g.id in decisions.fixed_on:
             committed += _inertia_coef(g, freq)
@@ -364,10 +372,9 @@ def must_run(fleet, freq, demand: float, loss_floor: float, upper):
     boolean per unit.
     """
     upper = np.asarray(upper, dtype=float)
-    inertia = upper * [_inertia_coef(g, freq) if g.synchronous else 0.0
-                       for g in fleet]
+    inertia = upper * inertia_coefficients(fleet, freq)
     response = upper * [g.pfr_max for g in fleet]
-    h = inertia.sum() - _lost_inertia(freq) - inertia
+    h = inertia.sum() - lost_inertia(freq) - inertia
     r = response.sum() - response
     nadir = max((slope * loss_floor + icpt
                  for slope, icpt in nadir_chords(freq, demand)), default=0.0)

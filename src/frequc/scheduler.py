@@ -16,14 +16,20 @@ added as one block of arrays.  Each period's ``cover`` row
 asks for the fewest units besides the largest whose ratings reach the
 period's highest net demand minus the largest rating: valid for every
 integer schedule, it only tightens the relaxation.
-``solve_uc`` builds, solves and unpacks one window; without frequency
-constraints it tries the LP relaxation first, which is often integral.
+``solve_uc`` builds, solves and unpacks one window into a
+:class:`UcSolution`, arrays with the period axis first and the units in
+fleet order; without frequency constraints it tries the LP relaxation
+first, which is often integral.  ``cost_coefficients`` holds each unit's
+cost coefficients; the objective and ``period_costs``, the one cost
+formula after the solve, both read them.
 
-``solve_rolling_horizon`` walks a longer span window by window,
-re-dispatches the committed periods against the realized net demand and
-stitches the results into a :class:`Trajectory`, from which the study
-metrics (load factors, emissions) are read.  The cost of frequency services
-is the gap between the expected costs of a secured and an unsecured run.
+``solve_rolling_horizon`` walks a longer span window by window and
+re-dispatches the committed periods against the realized net demand.  The
+run's path is those one-branch re-dispatches joined period by period
+(:func:`concatenate`), a :class:`UcSolution` like any window, from which
+the study metrics (load factors, emissions) are read.  The cost of
+frequency services is the gap between the expected costs of a secured and
+an unsecured run.
 
 ``verify_solution`` swing-checks every cell of a window or of a rolling
 path; it is the judge of security, not the linear rows.
@@ -37,7 +43,7 @@ import numpy as np
 
 from . import freqsec
 from .freqdyn import certify_operating_point
-from .milp import MilpModel, ModelError, SolveOptions, solve
+from .milp import MilpModel, ModelError, solve
 from .milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from .sysmodel import ScenarioBranch, ScenarioTree, largest_unit
 
@@ -141,10 +147,12 @@ def _units_to_cover(ratings, need: float) -> int:
 
 
 class UcModel(MilpModel):
-    """A window's model with the column ids that :func:`extract_solution`
-    reads: ``commit`` and ``startup`` of shape ``(units, T)``, ``output``
-    and ``pfr`` of shape ``(units, T, S)``, ``wind`` and ``loss`` of shape
-    ``(T, S)``; ``loss`` is None without frequency constraints."""
+    """A window's model with what :func:`extract_solution` reads: the
+    column ids ``commit`` and ``startup`` of shape ``(T, units)``,
+    ``output`` and ``pfr`` of shape ``(T, units, S)``, ``wind`` and
+    ``loss`` of shape ``(T, S)`` (``loss`` is None without frequency
+    constraints), and the window's ``periods``, ``demand``, ``net`` demand
+    and branch ``probabilities``."""
 
     commit: np.ndarray
     startup: np.ndarray
@@ -152,6 +160,10 @@ class UcModel(MilpModel):
     pfr: np.ndarray
     wind: np.ndarray
     loss: np.ndarray | None
+    periods: np.ndarray
+    demand: np.ndarray
+    net: np.ndarray
+    probabilities: np.ndarray
 
 
 def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
@@ -397,104 +409,80 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
             branch_tags=[f"[{tt}][{s}]" for s in range(S)]))
 
     # probability-weighted operating cost
-    hours = system.period_hours
-    no_load = np.array([g.no_load_cost for g in fleet])
-    startup = np.array([g.startup_cost for g in fleet])
-    marginal = np.array([g.marginal_cost for g in fleet])
-    fuel = probs[None, :] * marginal[:, None] * hours
+    no_load, startup, fuel = cost_coefficients(system)
     index = np.concatenate([x[no_load > 0.0].ravel(), su[startup > 0.0].ravel(),
-                            p[marginal != 0.0].ravel()])
+                            p[fuel != 0.0].ravel()])
     weight = np.concatenate([
-        np.repeat(no_load[no_load > 0.0] * hours, T),
+        np.repeat(no_load[no_load > 0.0], T),
         np.repeat(startup[startup > 0.0], T),
-        np.repeat(fuel[marginal != 0.0, None, :], T, axis=1).ravel()])
+        np.repeat(probs * fuel[fuel != 0.0, None, None], T, axis=1).ravel()])
     model.set_objective(dict(zip(index.tolist(), weight.tolist())))
 
-    model.commit, model.startup, model.output, model.pfr, model.wind = (
-        x, su, p, r, wind)
+    model.commit, model.startup, model.wind = x.T, su.T, wind
+    model.output, model.pfr = p.transpose(1, 0, 2), r.transpose(1, 0, 2)
     model.loss = (np.array([[cell.loss for cell in period]
                             for period in cells])
                   if options.frequency_constraints else None)
+    model.periods = np.arange(start_period, start_period + T)
+    model.demand, model.net, model.probabilities = demand, net, probs
     return model
 
 
 @dataclass
 class UcSolution:
-    """Solved window unpacked into per-period, per-branch arrays.
+    """A solved window, or a rolling path, as arrays with the period axis
+    first and the units in fleet order.
 
-    Commitment arrays have shape ``(T,)``; dispatch arrays ``(T, S)``.
-    ``loss`` is NaN when the window was built without frequency
-    constraints.
+    ``periods`` and ``demand`` have shape ``(T,)``; ``commit`` and
+    ``startup`` ``(T, units)``; ``output`` and ``pfr`` ``(T, units, S)``;
+    ``net``, ``wind_used`` and ``loss`` ``(T, S)``; ``probabilities``
+    ``(S,)``.  ``loss`` is NaN when the window was built without frequency
+    constraints.  A rolling path has one branch (see :func:`concatenate`).
     """
 
-    start_period: int
     periods: np.ndarray
-    probabilities: np.ndarray
     demand: np.ndarray
-    commit: dict
-    startup: dict
-    output: dict
-    pfr: dict
-    loss: np.ndarray
+    net: np.ndarray
+    commit: np.ndarray
+    startup: np.ndarray
+    output: np.ndarray
+    pfr: np.ndarray
     wind_used: np.ndarray
-    curtailment: np.ndarray
-    load_served: np.ndarray
-    fuel_cost: np.ndarray
-    no_load_cost: float
-    startup_cost: float
+    loss: np.ndarray
+    probabilities: np.ndarray
     expected_cost: float
     status: str
     gap: float
     nodes: int
 
+    @property
+    def curtailment(self) -> np.ndarray:
+        """Wind available in each cell but not used, ``(T, S)``."""
+        return self.demand[:, None] - self.net - self.wind_used
 
-def extract_solution(model: UcModel, system, tree, options: UcOptions,
-                     result, *, start_period: int = 0) -> UcSolution:
-    """Read a solver result back into named arrays."""
+
+# the fields whose first axis is the period
+PERIOD_FIELDS = ("periods", "demand", "net", "commit", "startup", "output",
+                 "pfr", "wind_used", "loss")
+
+
+def extract_solution(model: UcModel, result) -> UcSolution:
+    """Read a solver result back into the window's arrays."""
     if result.values is None:
         raise SchedulerError(f"cannot extract values from a {result.status} result")
-    fleet = system.generators
-    n_periods = min(options.horizon, tree.n_periods)
-    n_branches = len(tree.branches)
-    demand, net = _window_net(system, tree, start_period, n_periods)
-    avail = demand[:, None] - net
     values = result.values
-    ids = [g.id for g in fleet]
-
-    # + 0.0 turns a rounded -0.0 into 0.0
-    commit = dict(zip(ids, np.round(values[model.commit]) + 0.0))
-    startup = dict(zip(ids, values[model.startup]))
-    output = dict(zip(ids, values[model.output]))
-    pfr = dict(zip(ids, values[model.pfr]))
-    wind_used = values[model.wind]
-    loss = np.full((n_periods, n_branches), np.nan)
-    if options.frequency_constraints:
-        loss = values[model.loss]
-
-    hours = system.period_hours
-    probabilities = np.array([br.probability for br in tree.branches])
-    fuel = np.zeros(n_branches)
-    for g in fleet:
-        fuel += g.marginal_cost * hours * output[g.id].sum(axis=0)
-    no_load = sum(g.no_load_cost * hours * commit[g.id].sum() for g in fleet)
-    start_cost = sum(g.startup_cost * startup[g.id].sum() for g in fleet)
-    load_served = sum(output[g.id] for g in fleet) + wind_used
     return UcSolution(
-        start_period=start_period,
-        periods=np.arange(start_period, start_period + n_periods),
-        probabilities=probabilities,
-        demand=demand,
-        commit=commit,
-        startup=startup,
-        output=output,
-        pfr=pfr,
-        loss=loss,
-        wind_used=wind_used,
-        curtailment=avail - wind_used,
-        load_served=load_served,
-        fuel_cost=fuel,
-        no_load_cost=float(no_load),
-        startup_cost=float(start_cost),
+        periods=model.periods,
+        demand=model.demand,
+        net=model.net,
+        commit=values[model.commit],
+        startup=values[model.startup],
+        output=values[model.output],
+        pfr=values[model.pfr],
+        wind_used=values[model.wind],
+        loss=(np.full(model.net.shape, np.nan) if model.loss is None
+              else values[model.loss]),
+        probabilities=model.probabilities,
         expected_cost=float(result.objective),
         status=result.status,
         gap=result.gap,
@@ -502,9 +490,24 @@ def extract_solution(model: UcModel, system, tree, options: UcOptions,
     )
 
 
-def solve_uc(system, tree, options: UcOptions, solve_options=None, *,
-             start_period: int = 0, initial_state=None,
-             fixed_commitments=None):
+def concatenate(solutions) -> UcSolution:
+    """Consecutive solutions of the same branches as one, each field with a
+    period axis joined along it: a rolling run's path is its one-branch
+    re-dispatches joined this way.  Costs and node counts add up; the gap
+    is the largest."""
+    return UcSolution(
+        **{name: np.concatenate([getattr(sol, name) for sol in solutions])
+           for name in PERIOD_FIELDS},
+        probabilities=solutions[0].probabilities,
+        expected_cost=sum(sol.expected_cost for sol in solutions),
+        status=solutions[0].status,
+        gap=max(sol.gap for sol in solutions),
+        nodes=sum(sol.nodes for sol in solutions),
+    )
+
+
+def solve_uc(system, tree, options: UcOptions, *, start_period: int = 0,
+             initial_state=None, fixed_commitments=None):
     """Build, solve and unpack one window; returns (solution, model, raw).
 
     A window without frequency constraints is tried as an LP first: its
@@ -512,13 +515,42 @@ def solve_uc(system, tree, options: UcOptions, solve_options=None, *,
     model = build_uc(system, tree, options, start_period=start_period,
                      initial_state=initial_state,
                      fixed_commitments=fixed_commitments)
-    raw = solve(model, solve_options or SolveOptions(),
-                relax_first=not options.frequency_constraints)
+    raw = solve(model, relax_first=not options.frequency_constraints)
     if raw.status != "optimal":
         return None, model, raw
-    solution = extract_solution(model, system, tree, options, raw,
-                                start_period=start_period)
-    return solution, model, raw
+    return extract_solution(model, raw), model, raw
+
+
+# -- costs --------------------------------------------------------------------
+
+def cost_coefficients(system):
+    """Each unit's no-load cost per committed period, start-up cost per
+    start and fuel cost per MW dispatched for a period, in fleet order: the
+    objective's coefficients, and :func:`period_costs`'s."""
+    hours = system.period_hours
+    fleet = system.generators
+    return (np.array([g.no_load_cost * hours for g in fleet]),
+            np.array([g.startup_cost for g in fleet]),
+            np.array([g.marginal_cost * hours for g in fleet]))
+
+
+def _unit_sum(values):
+    """Sum over the unit axis (axis 1), adding one unit at a time in fleet
+    order; numpy's pairwise sum would change the last digits."""
+    total = 0.0
+    for i in range(values.shape[1]):
+        total = total + values[:, i]
+    return total
+
+
+def period_costs(solution: UcSolution, system):
+    """No-load and start-up cost of each period, ``(T,)``, and fuel cost of
+    each period in each branch, ``(T, S)``.  The probability-weighted sum
+    of all three is the window's ``expected_cost``."""
+    no_load, startup, fuel = cost_coefficients(system)
+    return (_unit_sum(solution.commit * no_load),
+            _unit_sum(solution.startup * startup),
+            _unit_sum(solution.output * fuel[:, None]))
 
 
 # -- post-solve security verification ---------------------------------------
@@ -545,51 +577,37 @@ class VerificationReport:
         return [c for c in self.checks if not c.report.ok]
 
 
-def committed_inertia(system, commit_values) -> float:
-    """Post-loss inertia (MW s^2) for one period's commitment pattern."""
+def committed_inertia(system, commit) -> np.ndarray:
+    """Post-loss inertia (MW s^2) of each period's commitments, ``commit``
+    of shape ``(T, units)``."""
     freq = system.frequency
-    total = sum(
-        g.inertia_const * g.p_max / freq.f0 * commit_values[g.id]
-        for g in system.generators if g.synchronous
-    )
-    return total - freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0
+    coefficients = freqsec.inertia_coefficients(system.generators, freq)
+    return _unit_sum(commit * coefficients) - freqsec.lost_inertia(freq)
 
 
-def verify_solution(solution, system, tol: float = 1e-9) -> VerificationReport:
+def verify_solution(solution: UcSolution, system,
+                    tol: float = 1e-9) -> VerificationReport:
     """Swing-check every period and branch of a window or a rolling path.
 
-    ``solution`` is a :class:`UcSolution` or a :class:`Trajectory`; a
-    path's ``(T,)`` dispatch arrays count as one branch.  A NaN loss (no
-    loss variable: frequency constraints off) is graded at the largest
-    single-unit output, so the report grades what a cost-only schedule
-    would actually risk.
+    A NaN loss (no loss variable: frequency constraints off) is graded at
+    the largest single-unit output, so the report grades what a cost-only
+    schedule would actually risk.
     """
     freq = system.frequency
-    fleet = system.generators
-    n_periods = len(solution.periods)
-
-    def cells(values):
-        return np.reshape(values, (n_periods, -1))
-
-    output = {g.id: cells(solution.output[g.id]) for g in fleet}
-    pfr = {g.id: cells(solution.pfr[g.id]) for g in fleet}
-    losses = cells(solution.loss)
+    inertia = committed_inertia(system, solution.commit).tolist()
+    response = _unit_sum(solution.pfr).tolist()
+    losses = np.where(np.isnan(solution.loss), solution.output.max(axis=1),
+                      solution.loss).tolist()
     report = VerificationReport()
-    for t in range(n_periods):
-        x_t = {g.id: solution.commit[g.id][t] for g in fleet}
-        inertia = committed_inertia(system, x_t)
+    for t, period in enumerate(solution.periods.tolist()):
         damping_product = freq.damping * solution.demand[t]
-        for s in range(losses.shape[1]):
-            total_pfr = sum(float(pfr[g.id][t, s]) for g in fleet)
-            loss = float(losses[t, s])
-            if np.isnan(loss):
-                loss = max(float(output[g.id][t, s]) for g in fleet)
+        for s, loss in enumerate(losses[t]):
             _, sec = certify_operating_point(
-                inertia, damping_product, total_pfr, freq.t_d, loss, freq,
-                tol=tol)
+                inertia[t], damping_product, response[t][s], freq.t_d, loss,
+                freq, tol=tol)
             report.checks.append(CellCheck(
-                period=int(solution.periods[t]), scenario=s,
-                inertia=inertia, pfr=total_pfr, loss=loss, report=sec))
+                period=period, scenario=s, inertia=inertia[t],
+                pfr=response[t][s], loss=loss, report=sec))
     return report
 
 
@@ -646,47 +664,9 @@ def _advance_state(state: dict, commit_slice: dict, steps: int) -> dict:
 
 
 @dataclass
-class Trajectory:
-    """Committed periods of a rolling run, dispatched at the realized path."""
-
-    periods: np.ndarray
-    period_hours: float
-    demand: np.ndarray
-    net_realized: np.ndarray
-    commit: dict
-    output: dict
-    pfr: dict
-    loss: np.ndarray
-    wind_used: np.ndarray
-    curtailment: np.ndarray
-    fuel_cost: np.ndarray
-    no_load_cost: np.ndarray
-    startup_cost: np.ndarray
-    p_max: dict
-
-    @property
-    def total_cost(self) -> float:
-        return float(self.fuel_cost.sum() + self.no_load_cost.sum()
-                     + self.startup_cost.sum())
-
-
-def expected_period_cost(solution: UcSolution, system) -> np.ndarray:
-    """Probability-weighted cost of each window period (commitment + fuel)."""
-    hours = system.period_hours
-    n_periods = len(solution.periods)
-    cost = np.zeros(n_periods)
-    for g in system.generators:
-        cost += g.no_load_cost * hours * solution.commit[g.id]
-        cost += g.startup_cost * solution.startup[g.id]
-        cost += (g.marginal_cost * hours
-                 * (solution.output[g.id] @ solution.probabilities))
-    return cost
-
-
-@dataclass
 class RollingResult:
     windows: list
-    trajectory: Trajectory | None
+    trajectory: UcSolution | None  # the path: see solve_rolling_horizon
     status: str
     message: str = ""
     expected_cost: float = float("nan")
@@ -696,75 +676,35 @@ class RollingResult:
         return self.status == "ok"
 
 
-def _assemble_trajectory(system, scenarios, pieces) -> Trajectory:
-    fleet = system.generators
-    hours = system.period_hours
-    n = sum(len(piece.periods) for piece in pieces)
-    periods = np.concatenate([piece.periods for piece in pieces])
-    demand = np.concatenate([piece.demand for piece in pieces])
-    commit = {g.id: np.concatenate([piece.commit[g.id] for piece in pieces])
-              for g in fleet}
-    output = {g.id: np.concatenate([piece.output[g.id][:, 0] for piece in pieces])
-              for g in fleet}
-    pfr = {g.id: np.concatenate([piece.pfr[g.id][:, 0] for piece in pieces])
-           for g in fleet}
-    startup = {g.id: np.concatenate([piece.startup[g.id] for piece in pieces])
-               for g in fleet}
-    loss = np.concatenate([piece.loss[:, 0] for piece in pieces])
-    wind_used = np.concatenate([piece.wind_used[:, 0] for piece in pieces])
-    curtailment = np.concatenate([piece.curtailment[:, 0] for piece in pieces])
-    fuel = np.zeros(n)
-    no_load = np.zeros(n)
-    start_cost = np.zeros(n)
-    for g in fleet:
-        fuel += g.marginal_cost * hours * output[g.id]
-        no_load += g.no_load_cost * hours * commit[g.id]
-        start_cost += g.startup_cost * startup[g.id]
-    return Trajectory(
-        periods=periods,
-        period_hours=hours,
-        demand=demand,
-        net_realized=realized_series(scenarios)[:n],
-        commit=commit,
-        output=output,
-        pfr=pfr,
-        loss=loss,
-        wind_used=wind_used,
-        curtailment=curtailment,
-        fuel_cost=fuel,
-        no_load_cost=no_load,
-        startup_cost=start_cost,
-        p_max={g.id: g.p_max for g in fleet},
-    )
-
-
 def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
-                          solve_options=None, initial_state=None) -> RollingResult:
+                          initial_state=None) -> RollingResult:
     """Window-by-window simulation over the whole demand profile.
 
     Each window solves the stochastic model, commits its first
     ``options.first_stage`` periods, re-dispatches those periods against
     the realized (median) net demand with commitments pinned, then rolls
-    forward.  A window the solver cannot close aborts the run; the
-    partial trajectory and the failing status are returned for
-    diagnosis.
+    forward.  The run's ``trajectory`` is its re-dispatches joined by
+    :func:`concatenate`, and its ``expected_cost`` the summed expected cost
+    of every window's committed periods.  A window the solver cannot close
+    aborts the run; the partial trajectory and the failing status are
+    returned for diagnosis.
     """
     if scenarios.n_periods != system.n_periods:
         raise SchedulerError(
             f"scenario tree covers {scenarios.n_periods} periods, the demand "
             f"profile {system.n_periods}"
         )
-    sopts = solve_options or SolveOptions()
     state = dict(initial_state) if initial_state is not None \
         else default_initial_state(system)
     realized = realized_series(scenarios)
+    ids = [g.id for g in system.generators]
     n = system.n_periods
     windows = []
     pieces = []
     expected = 0.0
 
     def partial():
-        return _assemble_trajectory(system, scenarios, pieces) if pieces else None
+        return concatenate(pieces) if pieces else None
 
     t0 = 0
     while t0 < n:
@@ -772,18 +712,17 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
         commit_len = min(options.first_stage, window_len)
         wtree = slice_tree(scenarios, t0, window_len)
         solution, _, raw = solve_uc(
-            system, wtree, options, sopts,
-            start_period=t0, initial_state=state)
+            system, wtree, options, start_period=t0, initial_state=state)
         if solution is None:
             return RollingResult(
                 windows, partial(), status="solver",
                 message=f"window at period {t0}: {raw.status}")
         windows.append(solution)
-        expected += float(
-            expected_period_cost(solution, system)[:commit_len].sum())
+        no_load, startup, fuel = period_costs(solution, system)
+        expected += float((no_load + startup + fuel @ solution.probabilities)
+                          [:commit_len].sum())
 
-        commit_slice = {g.id: solution.commit[g.id][:commit_len]
-                        for g in system.generators}
+        commit_slice = dict(zip(ids, solution.commit[:commit_len].T))
         rtree = ScenarioTree(
             root=float(realized[t0]),
             branches=(ScenarioBranch(
@@ -792,8 +731,7 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
         )
         ropts = replace(options, horizon=commit_len, first_stage=commit_len)
         redispatch, _, raw = solve_uc(
-            system, rtree, ropts, sopts,
-            start_period=t0, initial_state=state,
+            system, rtree, ropts, start_period=t0, initial_state=state,
             fixed_commitments=commit_slice)
         if redispatch is None:
             return RollingResult(
@@ -803,26 +741,28 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
         state = _advance_state(state, commit_slice, commit_len)
         t0 += commit_len
 
-    return RollingResult(windows, _assemble_trajectory(system, scenarios, pieces),
-                         status="ok", expected_cost=expected)
+    return RollingResult(windows, concatenate(pieces), status="ok",
+                         expected_cost=expected)
 
 
 # -- study metrics ------------------------------------------------------------
 
-def load_factor(trajectory: Trajectory, unit_id: str) -> float:
-    """Energy produced over the span divided by the unit's maximum energy."""
-    if unit_id not in trajectory.output:
+def load_factor(path: UcSolution, system, unit_id: str) -> float:
+    """Energy a unit produced over a path divided by its maximum energy."""
+    ids = [g.id for g in system.generators]
+    if unit_id not in ids:
         raise KeyError(f"unknown unit {unit_id!r}")
-    energy = float(trajectory.output[unit_id].sum()) * trajectory.period_hours
-    ceiling = (trajectory.p_max[unit_id] * trajectory.period_hours
-               * len(trajectory.periods))
+    i = ids.index(unit_id)
+    hours = system.period_hours
+    energy = float(path.output[:, i].sum()) * hours
+    ceiling = system.generators[i].p_max * hours * len(path.periods)
     return energy / ceiling
 
 
-def emissions(trajectory: Trajectory, system) -> float:
-    """Total emissions (tCO2) of the dispatched energy."""
+def emissions(path: UcSolution, system) -> float:
+    """Total emissions (tCO2) of the energy dispatched along a path."""
     total = 0.0
-    for g in system.generators:
-        total += g.emissions_rate * float(trajectory.output[g.id].sum()) \
-            * trajectory.period_hours
+    for i, g in enumerate(system.generators):
+        total += g.emissions_rate * float(path.output[:, i].sum()) \
+            * system.period_hours
     return total

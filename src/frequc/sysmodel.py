@@ -334,24 +334,24 @@ _FREQ_INPUT_FIELDS = {"f0", "df_max", "df_ss_max", "rocof_max", "t_d",
 
 def _section(doc: dict, name: str) -> dict:
     if name not in doc:
-        raise SystemConfigError(f"system file: missing section {name!r}")
+        raise SystemConfigError(f"missing section {name!r}")
     sec = doc[name]
     if not isinstance(sec, dict) and name != "generators":
-        raise SystemConfigError(f"system file: section {name!r} must be a mapping")
+        raise SystemConfigError(f"section {name!r} must be a mapping")
     return sec
 
 
 def system_from_dict(doc: dict) -> SystemSpec:
     """Build and validate a SystemSpec from parsed configuration data."""
     if not isinstance(doc, dict):
-        raise SystemConfigError("system file: top level must be a mapping")
+        raise SystemConfigError("top level must be a mapping")
     gen_sec = _section(doc, "generators")
     if not isinstance(gen_sec, list):
-        raise SystemConfigError("system file: 'generators' must be a list")
+        raise SystemConfigError("'generators' must be a list")
     gens = []
     for entry in gen_sec:
         if not isinstance(entry, dict):
-            raise SystemConfigError("system file: generator entries must be mappings")
+            raise SystemConfigError("generator entries must be mappings")
         unknown = set(entry) - _GEN_FIELDS
         if unknown:
             raise SystemConfigError(
@@ -394,18 +394,14 @@ def system_from_dict(doc: dict) -> SystemSpec:
 
 
 def load_system(path) -> SystemSpec:
+    """Read and validate a system YAML file; every error names ``path``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise SystemConfigError(f"{path}: {exc}") from None
+        raise SystemConfigError(f"{path}: {exc.strerror or exc}") from None
     try:
-        doc = yaml.safe_load(text)
+        return system_from_dict(yaml.safe_load(text))
     except yaml.YAMLError as exc:
         raise SystemConfigError(f"{path}: parse error: {exc}") from None
-    try:
-        return system_from_dict(doc)
-    except SystemConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # a value of the wrong type
+    except (TypeError, ValueError) as exc:  # a SystemConfigError included
         raise SystemConfigError(f"{path}: {exc}") from None
-

@@ -421,7 +421,7 @@ def test_wind_study_trends(study):
     cfs, lf, em = {}, {}, {}
     for (cap, mode), (system, tree, on, off) in study["cells"].items():
         cfs[cap, mode] = on.expected_cost - off.expected_cost
-        lf[cap, mode] = load_factor(on.trajectory, big_id)
+        lf[cap, mode] = load_factor(on.trajectory, system, big_id)
         em[cap, mode] = emissions(on.trajectory, system)
 
     for cap in WIND_LEVELS:
@@ -465,17 +465,14 @@ def test_loss_discretization_conservative(study):
         for window in on.windows:
             n_periods, n_branches = window.wind_used.shape
             for t in range(n_periods):
-                x_t = {g.id: window.commit[g.id][t]
-                       for g in system.generators}
                 inertia = sum(
-                    g.inertia_const * g.p_max / freq.f0 * x_t[g.id]
-                    for g in system.generators if g.synchronous
+                    g.inertia_const * g.p_max / freq.f0 * window.commit[t, i]
+                    for i, g in enumerate(system.generators) if g.synchronous
                 ) - freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0
                 for s in range(n_branches):
                     cells += 1
                     p = float(window.loss[t, s])
-                    held = inertia * sum(float(window.pfr[g.id][t, s])
-                                         for g in system.generators)
+                    held = inertia * sum(float(r) for r in window.pfr[t, :, s])
                     enforced = _nadir_envelope(p, freq.nadir_segments, freq,
                                                window.demand[t])
                     continuous = nadir_requirement(p, freq, window.demand[t])
@@ -515,8 +512,8 @@ def test_relaxation_monotonicity(study):
                 f"{relaxed.expected_cost:.2f} > secured {window.expected_cost:.2f}"
             windows += 1
             commit_len = min(STUDY_OPTIONS.first_stage, length)
-            commit_slice = {g.id: window.commit[g.id][:commit_len]
-                            for g in system.generators}
+            commit_slice = {g.id: window.commit[:commit_len, i]
+                            for i, g in enumerate(system.generators)}
             state = _advance_state(state, commit_slice, commit_len)
             t0 += commit_len
     assert windows >= 12

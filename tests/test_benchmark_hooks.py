@@ -1,24 +1,33 @@
-"""The benchmark's tracer, ``perfbench/tracing.py``, against the program:
-every module attribute it patches still exists, and the model sizes it
-counts after ``build_uc`` are the model's own.  ``perfbench/`` has its own
-tests, which the default test paths do not collect."""
+"""The benchmark, ``perfbench/``, against the program: every module
+attribute its tracer (``tracing.py``) patches still exists, the model sizes
+it counts after ``build_uc`` are the model's own, and the swing re-check of
+its trace mode (``run.py``) reads the solutions the program returns.
+``perfbench/`` has its own tests, which the default test paths do not
+collect."""
 
 import importlib.util
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import frequc.scheduler
-from frequc.scheduler import UcOptions, slice_tree
+from frequc.cli import _scale_wind
+from frequc.scheduler import UcOptions, slice_tree, solve_rolling_horizon
 from frequc.sysmodel import build_scenario_tree, load_scenario_table, load_system
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tracer_class():
+def load_perfbench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Tracer
+    return module
+
+
+def load_tracer_class():
+    return load_perfbench_module("tracing").Tracer
 
 
 def test_tracer_counts_a_bundled_window():
@@ -41,3 +50,19 @@ def test_tracer_counts_a_bundled_window():
     assert counts["freqsec.rows"] > 0
     assert {span[2] for span in tracer.spans} >= {"scheduler.build",
                                                   "freqsec.rows"}
+
+
+def test_swing_recheck_reads_a_bundled_rolling_run(monkeypatch):
+    """The trace mode's re-check passes every cell of a secured run: one
+    check per cell of each window and of the path."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends to it
+    run_module = load_perfbench_module("run")
+    base = load_system(ROOT / "data" / "toy_system.yaml")
+    levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
+    system, tree = _scale_wind(base, build_scenario_tree(levels, table), 3000.0)
+    system = replace(system, demand_profile=system.demand_profile[:6])
+    run = solve_rolling_horizon(system, slice_tree(tree, 0, 6),
+                                UcOptions(horizon=4, first_stage=2))
+    assert run.ok and len(run.windows) == 3
+    cells = sum(w.wind_used.size for w in run.windows) + 6
+    assert run_module.swing_recheck([(system, run)]) == (cells, 0)

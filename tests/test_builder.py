@@ -149,20 +149,25 @@ def test_extract_reads_the_named_columns():
     model = build_uc(system, window, options, start_period=6)
     raw = solve(model)
     assert raw.status == "optimal"
-    solution = extract_solution(model, system, window, options, raw,
-                                start_period=6)
+    solution = extract_solution(model, raw)
+    assert solution.periods.tolist() == [6, 7, 8]
+    assert np.array_equal(solution.demand, system.demand_profile[6:9])
+    assert np.array_equal(solution.net, np.array(
+        [br.net_demand for br in window.branches]).T)
+    assert np.array_equal(solution.probabilities,
+                          [br.probability for br in window.branches])
 
     def value(name):
         return raw.values[model.names.index(name)]
 
-    for g in system.generators:
+    for i, g in enumerate(system.generators):
         for t in range(3):
-            assert solution.commit[g.id][t] == round(value(f"x[{g.id}][{6 + t}]"))
-            assert solution.startup[g.id][t] == value(f"su[{g.id}][{6 + t}]")
+            assert solution.commit[t, i] == round(value(f"x[{g.id}][{6 + t}]"))
+            assert solution.startup[t, i] == value(f"su[{g.id}][{6 + t}]")
             for s in range(len(window.branches)):
                 tag = f"[{6 + t}][{s}]"
-                assert solution.output[g.id][t, s] == value(f"p[{g.id}]{tag}")
-                assert solution.pfr[g.id][t, s] == value(f"r[{g.id}]{tag}")
+                assert solution.output[t, i, s] == value(f"p[{g.id}]{tag}")
+                assert solution.pfr[t, i, s] == value(f"r[{g.id}]{tag}")
     for t in range(3):
         for s in range(len(window.branches)):
             tag = f"[{6 + t}][{s}]"

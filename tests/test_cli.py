@@ -143,6 +143,9 @@ def test_validate_catches_period_mismatch(tmp_path, capsys):
      "wind_capacities 100.0 and 100.0 both print as 100"),
     (("[fixed, optimised]", "[fixed, optimised, fixed]"),
      "mode 'fixed' is listed twice"),
+    # a scalar where a list belongs, not its characters or an iteration error
+    (("[fixed, optimised]", "optimised"), "modes must be a list, got 'optimised'"),
+    (("[100.0, 200.0]", "700"), "wind_capacities must be a list, got 700"),
 ])
 def test_study_config_rejects_misread_values(tmp_path, capsys, edit, message):
     """Values the study would misread, or reject only once it runs, fail
@@ -160,6 +163,50 @@ def test_study_config_rejects_misread_values(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and not out.exists()
+
+
+BROKEN_INPUTS = {
+    # file, replacement text, message
+    "system": ("system", "demand:\n  profile: [500.0]\n",
+               "missing section 'generators'"),
+    "table": ("scenarios", "0.3  0.7\n530  570\n550\n",
+              ":3: expected 2 columns, got 1"),
+    "tree": ("scenarios", "0.3  0.7\n570  530\n550  580\n490  530\n",
+             "rows must be non-decreasing"),
+    "study": ("config", STUDY.replace("[fixed, optimised]", "optimised"),
+              "modes must be a list"),
+    "study section": ("config", "study: 5\n",
+                      "expected a top-level 'study' mapping"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
+def test_input_errors_name_their_file_once(tmp_path, capsys, case):
+    """An error in an input file names that file once: in ``validate``, in
+    ``study`` and, for the system and the scenarios, in ``solve``."""
+    system, scenarios = write_inputs(tmp_path)
+    config = tmp_path / "study.yaml"
+    config.write_text(STUDY)
+    paths = {"system": system, "scenarios": scenarios, "config": str(config)}
+    broken, text, message = BROKEN_INPUTS[case]
+    path = paths[broken]
+    Path(path).write_text(text)
+
+    assert main(["validate", system, scenarios, "--study", str(config)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    errors = [line for line in lines if not line.startswith("ok:")]
+    assert len(lines) == 3 and len(errors) == 1
+    assert errors[0].startswith(f"error: {path}") and message in errors[0]
+    assert errors[0].count(path) == 1
+
+    runs = [["study", system, scenarios, str(config)]]
+    if broken != "config":
+        runs.append(["solve", system, scenarios])
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and message in err
+        assert err.count(path) == 1 and err.count("\n") == 1
 
 
 def test_study_config_accepts_whole_numbers(tmp_path, capsys):

@@ -1,18 +1,20 @@
 """Scheduling layer: window construction, rolling runs, study metrics."""
 
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frequc.scheduler
 from frequc.cli import _scale_wind
 
 from frequc.freqsec import nadir_requirement
 from frequc.milp import MilpModel, SolveOptions, branch_bound, solve
 from frequc.scheduler import (
+    PERIOD_FIELDS,
     SchedulerError,
-    Trajectory,
     UcOptions,
     UnitState,
     _advance_state,
@@ -22,6 +24,7 @@ from frequc.scheduler import (
     emissions,
     extract_solution,
     load_factor,
+    period_costs,
     realized_series,
     slice_tree,
     solve_rolling_horizon,
@@ -96,6 +99,18 @@ def toy_tree(system, factors=(0.8, 0.5, 0.2), levels=(0.25, 0.5, 0.75)):
         branches.append(ScenarioBranch(net_demand=net, probability=1.0 / len(factors)))
     return ScenarioTree(root=branches[1].net_demand[0], branches=tuple(branches),
                         quantile_levels=levels)
+
+
+def by_unit(system, commit):
+    """Commitments ``(T, units)`` as the generator-id map that
+    ``fixed_commitments`` takes."""
+    return {g.id: commit[:, i] for i, g in enumerate(system.generators)}
+
+
+def expected_costs(solution, system):
+    """Each period's probability-weighted cost, from ``period_costs``."""
+    no_load, startup, fuel = period_costs(solution, system)
+    return no_load + startup + fuel @ solution.probabilities
 
 
 def options(**kw):
@@ -363,14 +378,13 @@ def test_solved_window_respects_balance_and_limits():
     assert raw.status == "optimal"
     for t in range(3):
         for s in range(3):
-            served = sum(solution.output[g.id][t, s] for g in system.generators)
-            served += solution.wind_used[t, s]
+            served = solution.output[t, :, s].sum() + solution.wind_used[t, s]
             assert served == pytest.approx(system.demand_profile[t], abs=1e-6)
             assert solution.curtailment[t, s] >= -1e-9
-            for g in system.generators:
-                x = solution.commit[g.id][t]
-                pv = solution.output[g.id][t, s]
-                rv = solution.pfr[g.id][t, s]
+            for i, g in enumerate(system.generators):
+                x = solution.commit[t, i]
+                pv = solution.output[t, i, s]
+                rv = solution.pfr[t, i, s]
                 assert pv >= g.p_min * x - 1e-6
                 assert pv + rv <= g.p_max * x + 1e-6
                 assert rv <= g.pfr_max * x + 1e-6
@@ -380,13 +394,12 @@ def test_loss_variable_covers_every_unit_output():
     system = toy_system()
     tree = toy_tree(system)
     solution, _, _ = solve_uc(system, tree, options(horizon=3, first_stage=3))
+    inertia = committed_inertia(system, solution.commit)
     for t in range(3):
         for s in range(3):
-            biggest = max(solution.output[g.id][t, s] for g in system.generators)
+            biggest = solution.output[t, :, s].max()
             assert solution.loss[t, s] >= biggest - 1e-6
-            x_t = {g.id: solution.commit[g.id][t] for g in system.generators}
-            held = committed_inertia(system, x_t) * sum(
-                solution.pfr[g.id][t, s] for g in system.generators)
+            held = inertia[t] * solution.pfr[t, :, s].sum()
             need = nadir_requirement(solution.loss[t, s], system.frequency,
                                      solution.demand[t])
             assert held >= need - 1e-6 * max(1.0, abs(need))
@@ -398,7 +411,8 @@ def test_fixed_mode_pins_largest_at_rating():
     solution, _, _ = solve_uc(system, tree,
                               options(horizon=3, first_stage=3,
                                       largest_loss_mode="fixed"))
-    assert np.allclose(solution.output["base"], 500.0, atol=1e-6)
+    assert system.generators[0].id == "base"
+    assert np.allclose(solution.output[:, 0], 500.0, atol=1e-6)
 
 
 def test_optimised_mode_deloads_only_within_the_band():
@@ -407,9 +421,10 @@ def test_optimised_mode_deloads_only_within_the_band():
     solution, _, _ = solve_uc(system, tree,
                               options(horizon=3, first_stage=3,
                                       largest_loss_mode="optimised"))
-    assert np.all(solution.output["base"] >= 300.0 - 1e-6)
-    assert np.all(solution.output["base"] <= 500.0 + 1e-6)
-    assert np.all(solution.commit["base"] == 1.0)
+    assert system.generators[0].id == "base"
+    assert np.all(solution.output[:, 0] >= 300.0 - 1e-6)
+    assert np.all(solution.output[:, 0] <= 500.0 + 1e-6)
+    assert np.all(solution.commit[:, 0] == 1.0)
 
 
 def test_optimised_mode_never_costs_more():
@@ -425,14 +440,12 @@ def test_commitments_are_shared_across_branches():
     tree = toy_tree(system)
     solution, model, _ = solve_uc(system, tree, options(horizon=3, first_stage=3))
     # one commitment variable per unit and period, none indexed by branch
+    assert solution.commit.shape == (3, 4)
+    assert solution.output.shape == (3, 4, 3)
     for g in system.generators:
-        assert solution.commit[g.id].shape == (3,)
         assert f"x[{g.id}][0][0]" not in model.names
     # recourse reacts to the branches
-    spread = max(
-        float(np.ptp(solution.output[g.id][t]))
-        for g in system.generators for t in range(3)
-    )
+    spread = float(np.ptp(solution.output, axis=2).max())
     assert spread + float(np.ptp(solution.wind_used, axis=1).max()) > 1.0
 
 
@@ -448,9 +461,11 @@ def test_expected_cost_decomposes():
     system = toy_system()
     tree = toy_tree(system)
     solution, _, _ = solve_uc(system, tree, options(horizon=4, first_stage=4))
-    total = (solution.no_load_cost + solution.startup_cost
-             + float(solution.probabilities @ solution.fuel_cost))
-    assert total == pytest.approx(solution.expected_cost, rel=1e-6)
+    no_load, startup, fuel = period_costs(solution, system)
+    assert no_load.shape == startup.shape == (4,) and fuel.shape == (4, 3)
+    total = (no_load.sum() + startup.sum()
+             + float(solution.probabilities @ fuel.sum(axis=0)))
+    assert total == pytest.approx(solution.expected_cost, rel=1e-9)
 
 
 def test_secured_window_passes_swing_verification():
@@ -591,7 +606,7 @@ def test_redispatch_is_solved_as_an_lp(monkeypatch):
                           branches=(ScenarioBranch(tuple(realized), 1.0),),
                           quantile_levels=(0.5,))
     model = build_uc(system, median, UcOptions(horizon=2, first_stage=2),
-                     fixed_commitments=window.commit)
+                     fixed_commitments=by_unit(system, window.commit))
     assert all(model.lb[j] == model.ub[j]
                for j in model.binary_indices())
     got = solve(model)
@@ -670,13 +685,15 @@ def test_rolling_run_covers_the_span():
     assert len(run.windows) == 3
     traj = run.trajectory
     assert np.array_equal(traj.periods, np.arange(6))
-    served = sum(traj.output[g.id] for g in system.generators) + traj.wind_used
+    assert traj.output.shape == (6, 4, 1) and traj.probabilities.tolist() == [1.0]
+    thermal = traj.output.sum(axis=1)[:, 0]
+    served = thermal + traj.wind_used[:, 0]
     assert served == pytest.approx(np.array(system.demand_profile), abs=1e-6)
-    thermal = served - traj.wind_used
-    assert thermal == pytest.approx(realized_series(tree) + traj.curtailment,
-                                    abs=1e-6)
-    assert traj.total_cost == pytest.approx(
-        traj.fuel_cost.sum() + traj.no_load_cost.sum() + traj.startup_cost.sum())
+    assert np.array_equal(traj.net[:, 0], realized_series(tree))
+    assert thermal == pytest.approx(
+        realized_series(tree) + traj.curtailment[:, 0], abs=1e-6)
+    assert expected_costs(traj, system).sum() == pytest.approx(
+        traj.expected_cost, rel=1e-9)
     assert verify_trajectory(traj, system).ok
 
 
@@ -690,8 +707,7 @@ def test_single_window_rolling_matches_direct_solve():
                                                          rel=1e-9)
     assert run.expected_cost == pytest.approx(direct.expected_cost, rel=1e-6)
     # committed periods re-dispatched at the median path stay on commitments
-    for g in system.generators:
-        assert np.array_equal(run.trajectory.commit[g.id], direct.commit[g.id])
+    assert np.array_equal(run.trajectory.commit, direct.commit)
     # the path's (T,) arrays are swing-checked as the one-branch
     # re-dispatch window they were cut from
     realized = realized_series(tree)
@@ -699,7 +715,7 @@ def test_single_window_rolling_matches_direct_solve():
                           branches=(ScenarioBranch(tuple(realized), 1.0),),
                           quantile_levels=(0.5,))
     redispatch, _, _ = solve_uc(system, median, options(),
-                                fixed_commitments=direct.commit)
+                                fixed_commitments=by_unit(system, direct.commit))
     assert (verify_trajectory(run.trajectory, system).checks
             == verify_solution(redispatch, system).checks)
     # without a loss variable the path is graded at its largest unit output
@@ -708,7 +724,7 @@ def test_single_window_rolling_matches_direct_solve():
     assert off.ok and np.isnan(off.trajectory.loss).all()
     checks = verify_trajectory(off.trajectory, system).checks
     assert [c.loss for c in checks] == [
-        max(off.trajectory.output[g.id][t] for g in system.generators)
+        max(off.trajectory.output[t, :, 0])
         for t in range(len(off.trajectory.periods))]
 
 
@@ -720,8 +736,8 @@ def test_deterministic_rolling_matches_single_shot():
     rolled = solve_rolling_horizon(system, tree, options(first_stage=1))
     assert rolled.ok and len(rolled.windows) == 6
     direct, _, _ = solve_uc(system, tree, options())
-    assert rolled.trajectory.total_cost == pytest.approx(direct.expected_cost,
-                                                         rel=1e-6)
+    assert rolled.trajectory.expected_cost == pytest.approx(
+        direct.expected_cost, rel=1e-6)
 
 
 def test_duplicate_branches_collapse_to_deterministic():
@@ -745,7 +761,7 @@ def test_cost_of_frequency_services_is_nonnegative():
     off = solve_rolling_horizon(system, tree, options(frequency_constraints=False))
     assert on.ok and off.ok
     value = on.expected_cost - off.expected_cost
-    assert value >= -1e-6 * off.trajectory.total_cost
+    assert value >= -1e-6 * off.trajectory.expected_cost
     assert value > 0.0
 
 
@@ -754,10 +770,114 @@ def test_load_factor_and_emissions_read_the_trajectory():
     tree = toy_tree(system)
     run = solve_rolling_horizon(system, tree, options(largest_loss_mode="fixed"))
     traj = run.trajectory
-    assert load_factor(traj, "base") == pytest.approx(1.0, abs=1e-9)
+    assert load_factor(traj, system, "base") == pytest.approx(1.0, abs=1e-9)
     expected = sum(
-        g.emissions_rate * traj.output[g.id].sum() for g in system.generators
+        g.emissions_rate * traj.output[:, i].sum()
+        for i, g in enumerate(system.generators)
     )
     assert emissions(traj, system) == pytest.approx(expected)
     with pytest.raises(KeyError):
-        load_factor(traj, "ghost")
+        load_factor(traj, system, "ghost")
+
+
+def recorded_rolling_run(monkeypatch, system, tree, opts):
+    """A rolling run and every solution it extracted, in order: each
+    window's, then its re-dispatch's."""
+    extracted = []
+    real = frequc.scheduler.extract_solution
+
+    def recording(model, result):
+        extracted.append(real(model, result))
+        return extracted[-1]
+
+    monkeypatch.setattr(frequc.scheduler, "extract_solution", recording)
+    run = solve_rolling_horizon(system, tree, opts)
+    monkeypatch.undo()
+    assert run.ok and len(extracted) == 2 * len(run.windows)
+    assert all(a is b for a, b in zip(extracted[::2], run.windows))
+    return run, extracted[1::2]
+
+
+@pytest.mark.parametrize("secured", [True, False])
+def test_path_is_the_concatenated_redispatches(monkeypatch, secured):
+    """Every field of a path joins its re-dispatches' along the period
+    axis, and its swing checks are theirs, in order."""
+    system = toy_system()
+    run, redispatches = recorded_rolling_run(
+        monkeypatch, system, toy_tree(system),
+        options(horizon=4, first_stage=2, frequency_constraints=secured))
+    path = run.trajectory
+    assert len(redispatches) == 3
+    for name in PERIOD_FIELDS:
+        joined = np.concatenate([getattr(r, name) for r in redispatches])
+        assert np.array_equal(getattr(path, name), joined, equal_nan=True), name
+    assert np.array_equal(path.curtailment, np.concatenate(
+        [r.curtailment for r in redispatches]))
+    assert path.probabilities.tolist() == [1.0]
+    assert path.expected_cost == sum(r.expected_cost for r in redispatches)
+    assert path.nodes == sum(r.nodes for r in redispatches)
+    assert path.gap == max(r.gap for r in redispatches)
+    assert path.status == "optimal"
+    assert verify_trajectory(path, system).checks == [
+        check for r in redispatches
+        for check in verify_solution(r, system).checks]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "optimised"])
+@pytest.mark.parametrize("secured", [True, False])
+def test_period_costs_sum_to_the_objective(monkeypatch, mode, secured):
+    """On bundled rolling runs, every window's and re-dispatch's period
+    costs, weighted by the branch probabilities, add up to HiGHS's
+    objective: the objective and the post-solve formula agree."""
+    system, tree = bundled_window(wind=1850.0, horizon=8)
+    system = replace(system, demand_profile=system.demand_profile[:8])
+    run, redispatches = recorded_rolling_run(
+        monkeypatch, system, tree,
+        UcOptions(frequency_constraints=secured, horizon=4, first_stage=2,
+                  largest_loss_mode=mode))
+    solutions = run.windows + redispatches + [run.trajectory]
+    assert len(solutions) == 9
+    for solution in solutions:
+        total = float(expected_costs(solution, system).sum())
+        assert total > 0.0
+        assert abs(total - solution.expected_cost) \
+            <= 1e-9 * abs(solution.expected_cost)
+    committed = sum(float(expected_costs(w, system)[:2].sum())
+                    for w in run.windows)
+    assert run.expected_cost == pytest.approx(committed, rel=1e-12)
+
+
+def test_unit_sums_add_in_fleet_order():
+    """Sums over the 8 bundled units add one unit at a time in fleet order,
+    as a Python loop does; numpy's pairwise sum of 8 or more items differs
+    in the last digits, which the printed tables would show."""
+    system, tree = bundled_window(wind=1850.0, horizon=4)
+    run = solve_rolling_horizon(
+        replace(system, demand_profile=system.demand_profile[:4]), tree,
+        UcOptions(horizon=4, first_stage=2))
+    assert run.ok and len(system.generators) == 8
+    freq = system.frequency
+    lost = freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0
+    for solution in run.windows + [run.trajectory]:
+        no_load, startup, fuel = period_costs(solution, system)
+        checks = iter(verify_solution(solution, system).checks)
+        for t in range(len(solution.periods)):
+            on = start = 0.0
+            inertia = 0
+            for i, g in enumerate(system.generators):
+                on += g.no_load_cost * system.period_hours * solution.commit[t, i]
+                start += g.startup_cost * solution.startup[t, i]
+                if g.synchronous:
+                    inertia += (g.inertia_const * g.p_max / freq.f0
+                                * solution.commit[t, i])
+            assert (no_load[t], startup[t]) == (on, start)
+            for s in range(len(solution.probabilities)):
+                burn = 0.0
+                for i, g in enumerate(system.generators):
+                    burn += (g.marginal_cost * system.period_hours
+                             * solution.output[t, i, s])
+                assert fuel[t, s] == burn
+                check = next(checks)
+                assert check.inertia == inertia - lost
+                assert check.pfr == sum(float(r)
+                                        for r in solution.pfr[t, :, s])
