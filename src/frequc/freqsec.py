@@ -1,4 +1,4 @@
-"""Frequency-security constraint rows as solver-agnostic linear pieces.
+"""Frequency-security constraint rows, written as arrays over cells.
 
 Everything here maps scheduling decisions (commitments, outputs, response
 holdings, the sizable-loss variable) onto linear rows.  One (period,
@@ -18,28 +18,27 @@ branch) cell holds:
 * hyperbolic cuts ``mu * H(x) + R / mu >= 2 * chord_sqrt(P)``, which tie
   the shared commitment to each branch's loss without the auxiliaries.
 
-``register_decisions`` is the one place that creates a cell's security
-variables, for all branches of a period at once; the scheduler passes in
-the period's commitment ids, each branch's output and response ids and
-cell tag, after the commitments are fixed.  ``period_rows`` is the one
-place that lays out a period's rows, for all its branches at once, as the
-arrays and labels of one row block: the inertia floor, then each branch's
-``cell_rows``.  ``must_run`` names the units a period's rows force on, so
-the scheduler can pin them before the cells are made; it reads the RoCoF,
-QSS and nadir numbers from the helpers the rows use (``rocof_slope``,
-``qss_rhs``, ``nadir_chords``).  Row construction is pure.
+``register_decisions`` is the one place that creates the cells' security
+variables, for every branch of a period at once, once the commitments are
+fixed; it returns the period's columns as the arrays of a
+:class:`PeriodCells`.  Each row family writes one branch's rows as a
+template over a cell's columns and ``_rows`` copies it to every branch,
+as one row block; ``period_rows``, the one place that lays out a period's
+rows, stacks the inertia floor and then each branch's rows of every
+family into one block.  ``must_run`` names the units a period's rows
+force on; it reads the RoCoF, QSS and nadir numbers from the helpers the
+rows use (``rocof_slope``, ``qss_rhs``, ``nadir_chords``).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .milp.model import (LinearRow, LinExpr, MilpModel, SENSE_EQ, SENSE_GE,
-                         SENSE_LE)
+from .milp.model import (SENSE_CODE, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel,
+                         RowBlock)
 
 # Hyperbolic cuts per cell (a constant of the formulation, not an input).
 HYPERBOLIC_CUTS = 8
@@ -50,30 +49,40 @@ SETTLE_TIME = 60.0
 # the solver's rounding, far above its feasibility tolerance.
 QSS_MARGIN = 1e-3
 
+_LE, _GE, _EQ = (SENSE_CODE[s] for s in (SENSE_LE, SENSE_GE, SENSE_EQ))
+
 
 @dataclass(frozen=True)
-class FreqDecisionSet:
-    """Variable ids for one period/scenario cell.
-
-    ``commit``, ``output`` and ``pfr`` map generator id to model variable
-    index; ``loss`` is the sizable loss, ``response`` the summed response
-    R and ``product`` the inertia-times-response variable.  ``bilinear``
-    maps each synchronous unit with a free commitment to its auxiliary;
-    ``fixed_on`` holds the synchronous units committed by a fixed bound.
+class PeriodCells:
+    """Column ids of the cells of period ``period``, one per branch, units
+    in fleet order: each branch's loss, summed response and product
+    ``loss``, ``R`` and ``hr`` ``(S,)``, and its auxiliaries ``z``
+    ``(S, free units)``, one per unit that ``free`` marks (synchronous,
+    commitment free).
+    ``fixed_on`` marks the synchronous units committed by a fixed bound.
+    Row ``s`` of ``columns`` is branch ``s``'s cell in the slots that
+    templates name: ``loss``, ``R``, ``hr``, the units' outputs, responses
+    and commitments, then ``z``.
     """
 
-    commit: dict
-    output: dict
-    pfr: dict
-    loss: int
-    response: int
-    product: int
-    bilinear: dict
-    fixed_on: frozenset
+    period: int
+    loss: np.ndarray
+    R: np.ndarray
+    hr: np.ndarray
+    z: np.ndarray
+    free: np.ndarray
+    fixed_on: np.ndarray
+    columns: np.ndarray
 
 
-def _inertia_coef(g, freq) -> float:
-    return g.inertia_const * g.p_max / freq.f0
+# slots of a cell's loss, R and hr in ``PeriodCells.columns``
+_LOSS, _R, _HR = 0, 1, 2
+
+
+def _unit_slots(n_units: int) -> tuple[int, int, int, int]:
+    """``OUT, PFR, X, Z``: unit i's output, response and commitment and
+    auxiliary j sit in slots OUT + i, PFR + i, X + i and Z + j."""
+    return 3, 3 + n_units, 3 + 2 * n_units, 3 + 3 * n_units
 
 
 def lost_inertia(freq) -> float:
@@ -84,80 +93,129 @@ def lost_inertia(freq) -> float:
 def inertia_coefficients(fleet, freq) -> np.ndarray:
     """Inertia (MW*s^2) each unit adds when committed, in fleet order: 0 for
     a unit that is not synchronous."""
-    return np.array([_inertia_coef(g, freq) if g.synchronous else 0.0
-                     for g in fleet])
+    return np.array([g.inertia_const * g.p_max / freq.f0 if g.synchronous
+                     else 0.0 for g in fleet])
 
 
 def max_inertia(fleet, freq) -> float:
     """Post-loss inertia (MW*s^2) with every synchronous unit committed."""
-    return (sum(_inertia_coef(g, freq) for g in fleet if g.synchronous)
-            - lost_inertia(freq))
+    return sum(inertia_coefficients(fleet, freq).tolist()) - lost_inertia(freq)
 
 
 def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
-                       commit: dict, outputs, pfrs,
-                       tags) -> list[FreqDecisionSet]:
-    """Create the security variables of one period's cells, one cell per
-    branch, and bundle each cell's ids.
-
-    ``commit`` maps generator id to the period's commitment, shared by every
-    branch; it must already carry its fixed bounds.  ``outputs`` and
-    ``pfrs`` hold one map from generator id to the branch's output and
-    response ids per branch, and ``tags`` the branch's cell tag.  The
-    variables go in as one block, branch by branch: ``ploss{tag}``,
-    ``R{tag}``, ``hr{tag}`` and then one auxiliary ``z[g]{tag}`` per
-    synchronous unit whose commitment is free.
-    """
-    sync = [g.id for g in fleet if g.synchronous]
-    cols = [commit[gid] for gid in sync]
-    bounds = list(zip(sync, model.lb[cols].tolist(), model.ub[cols].tolist()))
-    free = [gid for gid, lo, hi in bounds if lo != hi]
-    heads = ["ploss", "R", "hr"] + [f"z[{gid}]" for gid in free]
+                       period: int, commit, output, pfr) -> PeriodCells:
+    """Create the security variables of one period's cells, one per branch,
+    from the period's commitment ids ``commit`` ``(units,)``, which must
+    carry their fixed bounds, and each branch's output and response ids
+    ``output`` and ``pfr`` ``(S, units)``, all in fleet order.  They go in
+    as one block, branch by branch: ``ploss[t][s]``, ``R[t][s]``,
+    ``hr[t][s]``, then ``z[g][t][s]`` for each synchronous unit whose
+    commitment is free."""
+    commit, output, pfr = map(np.asarray, (commit, output, pfr))
+    sync = np.array([g.synchronous for g in fleet])
+    lo, hi = model.lb[commit], model.ub[commit]
+    free = sync & (lo != hi)
+    heads = ["ploss", "R", "hr"] + [f"z[{g.id}]"
+                                    for g, f in zip(fleet, free) if f]
     ub = [freq.largest_unit_rating, r_max,
-          max(max_inertia(fleet, freq), 0.0) * r_max] + [r_max] * len(free)
-    ids = model.add_variables([head + tag for tag in tags for head in heads],
-                              0.0, ub * len(tags)).reshape(len(tags), len(heads))
-    fixed_on = frozenset(gid for gid, lo, hi in bounds if lo == hi == 1.0)
-    return [FreqDecisionSet(commit=commit, output=output, pfr=pfr,
-                            loss=cell[0], response=cell[1], product=cell[2],
-                            bilinear=dict(zip(free, cell[3:])),
-                            fixed_on=fixed_on)
-            for output, pfr, cell in zip(outputs, pfrs, ids.tolist(),
-                                         strict=True)]
+          max(max_inertia(fleet, freq), 0.0) * r_max] + [r_max] * free.sum()
+    n = len(output)
+    ids = model.add_variables(
+        [f"{head}[{period}][{s}]" for s in range(n) for head in heads],
+        0.0, ub * n).reshape(n, len(heads))
+    return PeriodCells(
+        period=period, loss=ids[:, _LOSS], R=ids[:, _R], hr=ids[:, _HR],
+        z=ids[:, 3:], free=free, fixed_on=sync & (lo == 1.0) & (hi == 1.0),
+        columns=np.concatenate([ids[:, :3], output, pfr,
+                                commit[None].repeat(len(output), axis=0),
+                                ids[:, 3:]], axis=1))
 
 
-def largest_loss_rows(decisions: FreqDecisionSet, fleet, eligible=None,
-                      tag: str = ""):
-    """One bound per loss source: the sizable loss covers its output."""
-    ids = [g.id for g in fleet] if eligible is None else list(eligible)
-    if not ids:
-        warnings.warn("largest-loss rows: no eligible loss sources")
-        return []
-    rows = []
-    for gid in ids:
-        rows.append(LinearRow(
-            coeffs={decisions.loss: 1.0, decisions.output[gid]: -1.0},
-            sense=SENSE_GE, rhs=0.0, label=f"loss_bound{tag}[{gid}]",
-        ))
-    return rows
+def _rows(cells: PeriodCells, template, tags) -> RowBlock:
+    """The rows of ``template`` written for every branch of ``tags``, one
+    branch after the other.  A template row ``(kind, suffix, sense, slots,
+    vals, rhs)`` reads the columns ``cells.columns[s, slots]`` in branch
+    ``s`` and is labelled ``kind + tags[s] + suffix``; short rows are
+    padded with zero coefficients."""
+    n = len(tags)
+    if not template:
+        return RowBlock(np.zeros((0, 1), dtype=np.int64), np.zeros((0, 1)),
+                        np.zeros(0, dtype=np.int8), np.zeros(0), [])
+    kinds, suffixes, sense, slots, vals, rhs = zip(*template)
+    widths = [*map(len, slots)]
+    k = max(widths)
+    if min(widths) < k:
+        slots = [row + [0] * (k - len(row)) for row in slots]
+        vals = [row + [0.0] * (k - len(row)) for row in vals]
+    # each row's coefficients, sense code and right-hand side, every branch
+    numbers = np.array([[*v, c, r] for v, c, r in zip(vals, sense, rhs)],
+                       dtype=float).reshape(1, -1, k + 2)
+    numbers = numbers.repeat(n, axis=0).reshape(-1, k + 2)
+    return RowBlock(cells.columns[:n, np.array(slots, dtype=np.int64)]
+                    .reshape(-1, k),
+                    numbers[:, :k], numbers[:, k].astype(np.int8),
+                    numbers[:, k + 1],
+                    [f"{kind}{tag}{suffix}" for tag in tags
+                     for kind, suffix in zip(kinds, suffixes)])
 
 
-def inertia_expression(decisions: FreqDecisionSet, fleet, freq) -> LinExpr:
-    """Post-loss system inertia in MW*s^2 as a function of commitments."""
-    expr = LinExpr()
-    for g in fleet:
-        if g.synchronous:
-            expr.add_term(decisions.commit[g.id], _inertia_coef(g, freq))
-    expr.constant = -lost_inertia(freq)
-    return expr
+def _stack(head: RowBlock, blocks, groups: int) -> RowBlock:
+    """The rows of ``head``, then those of ``blocks`` group by group, as
+    one block: each of ``blocks`` holds ``groups`` runs of rows of equal
+    length, one per branch, and run ``s`` of the result is run ``s`` of
+    each block in turn.  Short rows are padded with zero coefficients."""
+    k = max(b.cols.shape[1] for b in (head, *blocks))
+    runs = [len(b) // groups for b in blocks]
+    h, m = len(head), sum(runs)
+    cols = np.zeros((h + groups * m, k), dtype=np.int64)
+    vals = np.zeros(cols.shape)
+    sense, rhs = np.empty(len(cols), dtype=np.int8), np.empty(len(cols))
+    w = head.cols.shape[1]
+    cols[:h, :w], vals[:h, :w], sense[:h], rhs[:h] = (head.cols, head.vals,
+                                                     head.sense, head.rhs)
+    body = (cols[h:].reshape(groups, m, k), vals[h:].reshape(groups, m, k),
+            sense[h:].reshape(groups, m), rhs[h:].reshape(groups, m))
+    at = 0
+    for b, n in zip(blocks, runs):
+        w = b.cols.shape[1]
+        body[0][:, at:at + n, :w] = b.cols.reshape(groups, n, w)
+        body[1][:, at:at + n, :w] = b.vals.reshape(groups, n, w)
+        body[2][:, at:at + n] = b.sense.reshape(groups, n)
+        body[3][:, at:at + n] = b.rhs.reshape(groups, n)
+        at += n
+    labels = [*head.labels]
+    for s in range(groups):
+        for b, n in zip(blocks, runs):
+            labels += b.labels[s * n:(s + 1) * n]
+    return RowBlock(cols, vals, sense, rhs, labels)
 
 
-def inertia_floor_row(decisions: FreqDecisionSet, fleet, freq,
-                      tag: str = "") -> LinearRow:
+def largest_loss_rows(cells: PeriodCells, fleet, eligible, tags) -> RowBlock:
+    """One bound per loss source in each branch: the sizable loss covers
+    its output.  ``eligible`` holds the sources' positions in ``fleet``,
+    ``tags`` each branch's cell tag."""
+    OUT, _, _, _ = _unit_slots(len(fleet))
+    return _rows(cells, [("loss_bound", f"[{fleet[i].id}]", _GE,
+                          [_LOSS, OUT + i], [1.0, -1.0], 0.0)
+                         for i in eligible], tags)
+
+
+def inertia_expression(fleet, freq) -> list:
+    """Post-loss system inertia ``H(x)`` in MW*s^2 as a function of a
+    period's commitments, written as the one-row template (see ``_rows``)
+    of the inertia floor ``H(x) >= 0``: ``H(x)`` is the row's coefficients
+    on the synchronous units' commitments, in fleet order, less its
+    right-hand side, the lost inertia."""
+    _, _, X, _ = _unit_slots(len(fleet))
+    coefficients = inertia_coefficients(fleet, freq).tolist()
+    sync = [i for i, g in enumerate(fleet) if g.synchronous]
+    return [("h_min", "", _GE, [X + i for i in sync],
+             [coefficients[i] for i in sync], lost_inertia(freq))]
+
+
+def inertia_floor_row(cells: PeriodCells, inertia, tag: str) -> RowBlock:
     """Post-loss inertia must not go negative for any commitment."""
-    expr = inertia_expression(decisions, fleet, freq)
-    return LinearRow(coeffs=dict(expr.coeffs), sense=SENSE_GE,
-                     rhs=-expr.constant, label=f"h_min{tag}")
+    return _rows(cells, inertia, [tag])
 
 
 def rocof_slope(freq) -> float:
@@ -165,13 +223,12 @@ def rocof_slope(freq) -> float:
     return 1.0 / (2.0 * freq.rocof_max)
 
 
-def rocof_row(decisions: FreqDecisionSet, freq, inertia: LinExpr,
-              tag: str = "") -> LinearRow:
-    """Initial rate-of-change limit: H >= loss / (2 * rocof_max)."""
-    coeffs = dict(inertia.coeffs)
-    coeffs[decisions.loss] = coeffs.get(decisions.loss, 0.0) - rocof_slope(freq)
-    return LinearRow(coeffs=coeffs, sense=SENSE_GE, rhs=-inertia.constant,
-                     label=f"rocof{tag}")
+def rocof_row(cells: PeriodCells, freq, inertia, tags) -> RowBlock:
+    """Initial rate-of-change limit in each branch:
+    H >= loss / (2 * rocof_max)."""
+    [(_, _, _, slots, coefs, lost)] = inertia
+    return _rows(cells, [("rocof", "", _GE, slots + [_LOSS],
+                          coefs + [-rocof_slope(freq)], lost)], tags)
 
 
 def settled_limit(freq, demand: float, h_max: float) -> float:
@@ -205,14 +262,13 @@ def qss_rhs(fleet, freq, demand: float) -> float:
     return -d * settled_limit(freq, demand, max_inertia(fleet, freq))
 
 
-def qss_row(decisions: FreqDecisionSet, fleet, freq, demand: float,
-            tag: str = "") -> LinearRow:
-    """Quasi-steady-state recovery: total response covers the loss minus
-    the damping relief at the settled limit, or, without damping, the loss
-    plus ``QSS_MARGIN``."""
-    return LinearRow(coeffs={decisions.response: 1.0, decisions.loss: -1.0},
-                     sense=SENSE_GE, rhs=qss_rhs(fleet, freq, demand),
-                     label=f"qss{tag}")
+def qss_row(cells: PeriodCells, fleet, freq, demand: float,
+            tags) -> RowBlock:
+    """Quasi-steady-state recovery in each branch: total response covers
+    the loss minus the damping relief at the settled limit, or, without
+    damping, the loss plus ``QSS_MARGIN``."""
+    return _rows(cells, [("qss", "", _GE, [_R, _LOSS], [1.0, -1.0],
+                          qss_rhs(fleet, freq, demand))], tags)
 
 
 def nadir_beta(freq, demand: float) -> float:
@@ -227,9 +283,10 @@ def nadir_requirement(p_loss: float, freq, demand: float) -> float:
     return quad - nadir_beta(freq, demand) * p_loss
 
 
-def linearize_inertia_pfr(decisions: FreqDecisionSet, fleet, freq,
-                          r_max: float, tag: str = ""):
-    """Rows that define R and bound the product variable by H(x) * R.
+def linearize_inertia_pfr(cells: PeriodCells, fleet, freq, r_max: float,
+                          tags) -> RowBlock:
+    """Rows that define R and bound the product variable by H(x) * R, in
+    each branch.
 
     ``R = sum r[g]`` over the units that can respond; ``z[g] <= R`` and
     ``z[g] <= r_max * x[g]`` for each free commitment;
@@ -240,29 +297,24 @@ def linearize_inertia_pfr(decisions: FreqDecisionSet, fleet, freq,
     """
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
-    big_r = decisions.response
-    coeffs = {decisions.pfr[g.id]: -1.0 for g in fleet if g.pfr_max > 0.0}
-    coeffs[big_r] = 1.0
-    rows = [LinearRow(coeffs=coeffs, sense=SENSE_EQ, rhs=0.0,
-                      label=f"pfr_sum{tag}")]
-    hr = {decisions.product: 1.0}
+    _, PFR, X, Z = _unit_slots(len(fleet))
+    respond = [PFR + i for i, g in enumerate(fleet) if g.pfr_max > 0.0]
+    template = [("pfr_sum", "", _EQ, respond + [_R],
+                 [-1.0] * len(respond) + [1.0], 0.0)]
+    free = np.flatnonzero(cells.free).tolist()
+    for j, i in enumerate(free):
+        template += [("bigm_r", f"[{fleet[i].id}]", _LE, [Z + j, _R],
+                      [1.0, -1.0], 0.0),
+                     ("bigm_x", f"[{fleet[i].id}]", _LE, [Z + j, X + i],
+                      [1.0, -r_max], 0.0)]
+    coefficients = inertia_coefficients(fleet, freq).tolist()
     committed = -lost_inertia(freq)
-    for g in fleet:
-        if g.id in decisions.fixed_on:
-            committed += _inertia_coef(g, freq)
-        z = decisions.bilinear.get(g.id)
-        if z is None:
-            continue
-        rows.append(LinearRow(coeffs={z: 1.0, big_r: -1.0}, sense=SENSE_LE,
-                              rhs=0.0, label=f"bigm_r{tag}[{g.id}]"))
-        rows.append(LinearRow(coeffs={z: 1.0, decisions.commit[g.id]: -r_max},
-                              sense=SENSE_LE, rhs=0.0,
-                              label=f"bigm_x{tag}[{g.id}]"))
-        hr[z] = -_inertia_coef(g, freq)
-    hr[big_r] = -committed
-    rows.append(LinearRow(coeffs=hr, sense=SENSE_LE, rhs=0.0,
-                          label=f"hr{tag}"))
-    return rows
+    for i in np.flatnonzero(cells.fixed_on).tolist():
+        committed += coefficients[i]
+    template.append(("hr", "", _LE, [_HR, *range(Z, Z + len(free)), _R],
+                     [1.0, *(-coefficients[i] for i in free), -committed],
+                     0.0))
+    return _rows(cells, template, tags)
 
 
 def _requirement_root(freq, demand: float) -> float:
@@ -293,32 +345,32 @@ def nadir_chords(freq, demand: float) -> list[tuple[float, float]]:
         )
     root = 2.0 * turn
     points = ((root,) + grid) if root < grid[0] else grid
+    values = [nadir_requirement(p, freq, demand) for p in points]
     chords = []
-    for p0, p1 in zip(points, points[1:]):
-        r0 = nadir_requirement(p0, freq, demand)
-        r1 = nadir_requirement(p1, freq, demand)
+    for p0, p1, r0, r1 in zip(points, points[1:], values, values[1:]):
         slope = (r1 - r0) / (p1 - p0)
         chords.append((slope, r0 - slope * p0))
     return chords
 
 
-def nadir_discretization_rows(decisions: FreqDecisionSet, freq, demand: float,
-                              tag: str = ""):
-    """Chord envelope of the nadir requirement: hr >= each chord of
-    :func:`nadir_chords`.  With hr >= 0 the rows enforce
+def nadir_discretization_rows(cells: PeriodCells, freq, demand: float,
+                              tags) -> RowBlock:
+    """Chord envelope of the nadir requirement in each branch: hr >= each
+    chord of :func:`nadir_chords`.  With hr >= 0 the rows enforce
     H*R >= hr >= f(P) for every loss in [0, rating], exactly at the
     breakpoints."""
-    return [LinearRow(coeffs={decisions.product: 1.0, decisions.loss: -slope},
-                      sense=SENSE_GE, rhs=icpt,
-                      label=f"nadir_cut{tag}[{i}]")
-            for i, (slope, icpt) in enumerate(nadir_chords(freq, demand), 1)]
+    return _rows(cells, [("nadir_cut", f"[{i}]", _GE, [_HR, _LOSS],
+                          [1.0, -slope], icpt)
+                         for i, (slope, icpt)
+                         in enumerate(nadir_chords(freq, demand), 1)], tags)
 
 
-def hyperbolic_cut_rows(decisions: FreqDecisionSet, fleet, freq,
+def hyperbolic_cut_rows(cells: PeriodCells, fleet, freq, inertia,
                         demand: float, r_max: float, loss_floor: float,
-                        tag: str = ""):
-    """Cuts ``mu * H(x) + R / mu - 2 s P >= 2 c`` for ``HYPERBOLIC_CUTS``
-    values of mu, valid for every loss ``P >= loss_floor``.
+                        tags) -> RowBlock:
+    """Cuts ``mu * H(x) + R / mu - 2 s P >= 2 c`` in each branch for
+    ``HYPERBOLIC_CUTS`` values of mu, valid for every loss
+    ``P >= loss_floor``.
 
     For every mu > 0, ``mu H + R / mu >= 2 sqrt(H R)`` (AM-GM, H, R >= 0),
     and the envelope rows give ``H R >= f(P)``.  ``s P + c`` is the chord
@@ -331,11 +383,13 @@ def hyperbolic_cut_rows(decisions: FreqDecisionSet, fleet, freq,
     ``sqrt(f(rating))`` when ``p_a`` is the root.  Cells without a free
     commitment, or where f <= 0 up to the rating, get none.
     """
+    if not cells.free.any():
+        return _rows(cells, [], tags)
     rating = freq.largest_unit_rating
     f_b = nadir_requirement(rating, freq, demand)
     h_max = max_inertia(fleet, freq)
-    if not decisions.bilinear or f_b <= 0.0 or h_max <= 0.0:
-        return []
+    if f_b <= 0.0 or h_max <= 0.0:
+        return _rows(cells, [], tags)
     p_a = min(max(loss_floor, _requirement_root(freq, demand)), rating)
     q_a = math.sqrt(max(nadir_requirement(p_a, freq, demand), 0.0))
     q_b = math.sqrt(f_b)
@@ -343,17 +397,14 @@ def hyperbolic_cut_rows(decisions: FreqDecisionSet, fleet, freq,
     icpt = q_b - slope * rating
     q = q_a if q_a > 0.0 else q_b
     lo, hi = q / h_max, r_max / q
-    inertia = inertia_expression(decisions, fleet, freq)
-    rows = []
+    [(_, _, _, slots, coefs, lost)] = inertia
+    template = []
     for k in range(HYPERBOLIC_CUTS):
         mu = lo * (hi / lo) ** (k / (HYPERBOLIC_CUTS - 1))
-        coeffs = {j: mu * c for j, c in inertia.coeffs.items()}
-        coeffs[decisions.response] = 1.0 / mu
-        coeffs[decisions.loss] = -2.0 * slope
-        rows.append(LinearRow(coeffs=coeffs, sense=SENSE_GE,
-                              rhs=2.0 * icpt - mu * inertia.constant,
-                              label=f"hyp_cut{tag}[{k}]"))
-    return rows
+        template.append(("hyp_cut", f"[{k}]", _GE, slots + [_R, _LOSS],
+                         [mu * c for c in coefs] + [1.0 / mu, -2.0 * slope],
+                         2.0 * icpt - mu * -lost))
+    return _rows(cells, template, tags)
 
 
 def must_run(fleet, freq, demand: float, loss_floor: float, upper):
@@ -387,74 +438,29 @@ def must_run(fleet, freq, demand: float, loss_floor: float, upper):
             | short(h * r, nadir))
 
 
-def cell_rows(decisions: FreqDecisionSet, fleet, freq, demand: float,
-              r_max: float, *, largest, loss_floor: float, tag: str = ""):
-    """Every row of one (period, branch) cell but the per-period inertia
-    floor.
+def period_rows(cells: PeriodCells, fleet, freq, demand: float, r_max: float,
+                *, largest, loss_floor: float) -> RowBlock:
+    """Every frequency row of one period ``t`` as one row block: the
+    inertia floor, tagged ``[t]``, then each branch ``s``'s rows in turn,
+    tagged ``[t][s]``: its loss bounds, RoCoF and QSS rows, product rows,
+    nadir envelope and hyperbolic cuts.
 
     ``largest`` is the largest unit; it must be committed, with an output
     the caller's rows keep at or above ``loss_floor``.  Smaller units then
     cannot set the loss, and the hyperbolic cuts hold at every loss.
     """
+    tag = f"[{cells.period}]"
+    tags = [f"{tag}[{s}]" for s in range(len(cells.loss))]
+    inertia = inertia_expression(fleet, freq)
     # a unit rated at most the floor never out-produces the largest unit
-    sources = [g.id for g in fleet
+    sources = [i for i, g in enumerate(fleet)
                if g.id == largest.id or g.p_max > loss_floor]
-    rows = largest_loss_rows(decisions, fleet, sources, tag=tag)
-    rows.append(rocof_row(decisions, freq,
-                          inertia_expression(decisions, fleet, freq), tag=tag))
-    rows.append(qss_row(decisions, fleet, freq, demand, tag=tag))
-    rows += linearize_inertia_pfr(decisions, fleet, freq, r_max, tag=tag)
-    rows += nadir_discretization_rows(decisions, freq, demand, tag=tag)
-    rows += hyperbolic_cut_rows(decisions, fleet, freq, demand, r_max,
-                                loss_floor, tag=tag)
-    return rows
-
-
-def _own_columns(decisions: FreqDecisionSet) -> list[int]:
-    """The columns of a cell that no other branch's cell shares, in one
-    order for every cell of a period."""
-    return [decisions.loss, decisions.response, decisions.product,
-            *decisions.output.values(), *decisions.pfr.values(),
-            *decisions.bilinear.values()]
-
-
-def period_rows(cells, fleet, freq, demand: float, r_max: float, *,
-                largest, loss_floor: float, tag: str, branch_tags):
-    """Every frequency row of one period, as the ``cols, vals, sense, rhs,
-    labels`` of :meth:`MilpModel.add_rows`: the inertia floor, tagged
-    ``tag``, then the cell rows of each branch in turn, ``cells[s]``
-    tagged ``branch_tags[s]``.
-
-    The cells of a period share their commitments, so their rows differ
-    only in each cell's own columns.  ``cell_rows`` builds branch 0's; the
-    other branches' are copies with each of branch 0's own columns
-    replaced by the branch's.  A cell row's label is its kind, the cell's
-    tag, then a suffix; kinds hold no bracket and tags start with one, so
-    a label's first match of its tag is the tag, and a copy's label has
-    the branch's tag there.
-    """
-    rows = [inertia_floor_row(cells[0], fleet, freq, tag=tag)]
-    rows += cell_rows(cells[0], fleet, freq, demand, r_max, largest=largest,
-                      loss_floor=loss_floor, tag=branch_tags[0])
-    # a short row is padded with zero coefficients on column 0
-    k = max(len(row.coeffs) for row in rows)
-    cols = np.array([[*row.coeffs, *[0] * (k - len(row.coeffs))]
-                     for row in rows])
-    vals = np.array([[*row.coeffs.values(), *[0.0] * (k - len(row.coeffs))]
-                     for row in rows])
-    sense = np.array([row.sense for row in rows])
-    rhs = np.array([row.rhs for row in rows])
-
-    own = np.array([_own_columns(cell) for cell in cells])
-    order = np.argsort(own[0])
-    at = order[np.searchsorted(own[0], cols[1:], sorter=order)
-               .clip(max=len(order) - 1)]
-    copies = np.where(own[0, at] == cols[1:], own[:, at], cols[1:])
-    n = len(cells)
-    return (np.concatenate([cols[:1], copies.reshape(-1, k)]),
-            np.concatenate([vals[:1], np.tile(vals[1:], (n, 1))]),
-            np.concatenate([sense[:1], np.tile(sense[1:], n)]),
-            np.concatenate([rhs[:1], np.tile(rhs[1:], n)]),
-            [rows[0].label] + [row.label.replace(branch_tags[0], branch_tag, 1)
-                               for branch_tag in branch_tags
-                               for row in rows[1:]])
+    return _stack(inertia_floor_row(cells, inertia, tag), [
+        largest_loss_rows(cells, fleet, sources, tags),
+        rocof_row(cells, freq, inertia, tags),
+        qss_row(cells, fleet, freq, demand, tags),
+        linearize_inertia_pfr(cells, fleet, freq, r_max, tags),
+        nadir_discretization_rows(cells, freq, demand, tags),
+        hyperbolic_cut_rows(cells, fleet, freq, inertia, demand, r_max,
+                            loss_floor, tags),
+    ], len(tags))

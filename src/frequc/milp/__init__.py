@@ -3,11 +3,10 @@ with an independent re-check on the compiled model, and LP text export."""
 
 from .branch_bound import MilpSolution, SolveOptions, SolverError, solve
 from .lpio import export_model
-from .model import LinearRow, LinExpr, MilpModel, ModelError
+from .model import LinearRow, MilpModel, ModelError
 
 __all__ = [
     "LinearRow",
-    "LinExpr",
     "MilpModel",
     "MilpSolution",
     "ModelError",

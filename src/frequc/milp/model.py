@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
@@ -23,7 +23,10 @@ import numpy as np
 SENSE_LE = "<="
 SENSE_GE = ">="
 SENSE_EQ = "="
-SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
+# the code of each sense in a RowBlock
+_LE, _GE, _EQ = 0, 1, 2
+SENSE_CODE = {SENSE_LE: _LE, SENSE_GE: _GE, SENSE_EQ: _EQ}
+_SENSE_NAME = {code: name for name, code in SENSE_CODE.items()}
 
 
 class LinearRow(NamedTuple):
@@ -71,20 +74,6 @@ class RowTerms(Mapping, namedtuple("_RowTerms", "n block i")):
         return repr(self._dict())
 
 
-@dataclass
-class LinExpr:
-    """Affine expression sum(coeffs[j] * x[j]) + constant."""
-
-    coeffs: dict[int, float] = field(default_factory=dict)
-    constant: float = 0.0
-
-    def add_term(self, index: int, coeff: float) -> None:
-        self.coeffs[index] = self.coeffs.get(index, 0.0) + coeff
-
-    def value(self, x: np.ndarray) -> float:
-        return self.constant + sum(c * x[j] for j, c in self.coeffs.items())
-
-
 class ModelError(ValueError):
     """Raised for malformed models (bad bounds, duplicate names, ...)."""
 
@@ -117,7 +106,8 @@ class MilpModel:
     ``integrality[j]`` is 1 for a binary.  :meth:`add_variable` adds one
     column, :meth:`add_variables` many.  Rows are kept in
     :class:`RowBlock`s in the order they were added; :meth:`add_row` adds
-    a block of one row, :meth:`add_rows` a block of many.  ``rows`` reads
+    a block of one row, :meth:`add_rows` a block of many and
+    :meth:`add_block` a ready-made block.  ``rows`` reads
     them back as :class:`LinearRow`s.
     """
 
@@ -206,25 +196,32 @@ class MilpModel:
             raise ModelError(f"rows: coefficient arrays of shapes {cols.shape} "
                              f"and {vals.shape}, expected two equal (m, k)")
         if isinstance(sense, str):
-            codes = np.full(m, _SENSE_CODE.get(sense, -1), dtype=np.int8)
+            codes = np.full(m, SENSE_CODE.get(sense, -1), dtype=np.int8)
             given = [sense] * m
         else:
             given = _per_item(sense, m, None, "rows")
             codes = np.full(m, -1, dtype=np.int8)
-            for name, code in _SENSE_CODE.items():
+            for name, code in SENSE_CODE.items():
                 codes[given == name] = code
         rhs = _per_item(rhs, m, float, "rows").copy()
         labels = list(labels)
         if len(labels) != m:
             raise ModelError(f"rows: {len(labels)} labels for {m} rows")
-        k = cols.shape[1]
-        _check_rows(codes, rhs, cols.ravel(), vals.ravel(), lambda e: e // k,
-                    len(self.names), labels.__getitem__,
-                    lambda i: str(given[i]))
-        self.blocks.append(RowBlock(cols, vals, codes, rhs, labels))
+        return self.add_block(RowBlock(cols, vals, codes, rhs, labels),
+                              lambda i: str(given[i]))
+
+    def add_block(self, block: RowBlock, sense_name=None) -> range:
+        """Add a block of rows, checked as :meth:`add_rows` checks its
+        rows; ``sense_name(i)`` names an unknown sense code of row ``i``."""
+        k = block.cols.shape[1]
+        _check_rows(block.sense, block.rhs, block.cols.ravel(),
+                    block.vals.ravel(), lambda e: e // k, len(self.names),
+                    block.labels.__getitem__,
+                    sense_name or (lambda i: int(block.sense[i])))
+        self.blocks.append(block)
         start = self._n_rows
-        self._n_rows += m
-        return range(start, start + m)
+        self._n_rows += len(block)
+        return range(start, start + len(block))
 
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0) -> None:
         for j, c in coeffs.items():
@@ -311,11 +308,6 @@ class MilpModel:
             a=sp.csr_array((data, indices, indptr), shape=(m, n)),
             lo=np.where(sense == _LE, -np.inf, rhs),
             hi=np.where(sense == _GE, np.inf, rhs))
-
-
-_LE, _GE, _EQ = 0, 1, 2
-_SENSE_CODE = {SENSE_LE: _LE, SENSE_GE: _GE, SENSE_EQ: _EQ}
-_SENSE_NAME = {code: name for name, code in _SENSE_CODE.items()}
 
 
 def _check_variable(name, lb, ub, taken) -> None:

@@ -4,18 +4,18 @@
 Commitments (and the implied start/stop indicators) are first-stage
 decisions shared by every net-demand branch; dispatch, response holdings
 and the sizable-loss quantities are recourse, one copy per period and
-branch.  When frequency constraints are enabled, each (period, branch)
-cell gets its loss, summed-response and product variables from
-:func:`frequc.freqsec.register_decisions`, one block per period, once the
-fixed commitments are known and the free ones that
-:func:`frequc.freqsec.must_run` finds forced on are pinned, and its rows from
-:func:`frequc.freqsec.period_rows`, every branch's for one period at once;
-the nadir rows are the chord envelope of the convex requirement, so a
-solution is secure by construction at every loss.  Every row family is
-added as one block of arrays.  Each period's ``cover`` row
-asks for the fewest units besides the largest whose ratings reach the
-period's highest net demand minus the largest rating: valid for every
-integer schedule, it only tightens the relaxation.
+branch.  When frequency constraints are enabled, each period's cells get
+their loss, summed-response and product variables, as arrays, from
+:func:`frequc.freqsec.register_decisions`, once the fixed commitments are
+known and the free ones that :func:`frequc.freqsec.must_run` finds forced
+on are pinned, and their rows from :func:`frequc.freqsec.period_rows`,
+every branch's for one period as one block; the nadir rows are the chord
+envelope of the convex requirement, so a solution is secure by
+construction at every loss.  Every row family is added as one block of
+arrays.  Each period's ``cover`` row asks for the fewest units besides
+the largest whose ratings reach the period's highest net demand minus
+the largest rating: valid for every integer schedule, it only tightens
+the relaxation.
 ``solve_uc`` builds, solves and unpacks one window into a
 :class:`UcSolution`, arrays with the period axis first and the units in
 fleet order; without frequency constraints it tries the LP relaxation
@@ -24,12 +24,12 @@ cost coefficients; the objective and ``period_costs``, the one cost
 formula after the solve, both read them.
 
 ``solve_rolling_horizon`` walks a longer span window by window and
-re-dispatches the committed periods against the realized net demand.  The
-run's path is those one-branch re-dispatches joined period by period
-(:func:`concatenate`), a :class:`UcSolution` like any window, from which
-the study metrics (load factors, emissions) are read.  The cost of
-frequency services is the gap between the expected costs of a secured and
-an unsecured run.
+re-dispatches the committed periods against the realized net demand, with
+the window's ``(T, units)`` commitments pinned.  The run's path is those
+one-branch re-dispatches joined period by period (:func:`concatenate`), a
+:class:`UcSolution` like any window, from which the study metrics (load
+factors, emissions) are read.  The cost of frequency services is the gap
+between the expected costs of a secured and an unsecured run.
 
 ``verify_solution`` swing-checks every cell of a window or of a rolling
 path; it is the judge of security, not the linear rows.
@@ -172,9 +172,9 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
 
     The window covers the first ``min(options.horizon, tree.n_periods)``
     periods of ``tree``, aligned with the demand profile at
-    ``start_period``.  ``fixed_commitments`` (generator id -> 0/1 values
-    per window period) pins the commitment variables; the rolling solver
-    uses this for the realized re-dispatch.
+    ``start_period``.  ``fixed_commitments``, 0/1 values of shape
+    ``(T, units)`` with the units in fleet order, pins the commitment
+    variables; the rolling solver uses this for the realized re-dispatch.
 
     Each row family repeats one pattern per cell or per unit, so it is
     added as one block of arrays; :func:`frequc.freqsec.period_rows` gives
@@ -264,15 +264,16 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
                 for t in range(min(g.min_down - state.hours, T)):
                     model.fix_variable(x_ids[i][t], 0.0)
         if fixed_commitments is not None:
-            for i, g in enumerate(fleet):
-                values = fixed_commitments[g.id]
-                if len(values) < T:
-                    raise SchedulerError(
-                        f"fixed commitments for {g.id} cover {len(values)} of "
-                        f"{T} window periods"
-                    )
+            values = np.asarray(fixed_commitments, dtype=float)
+            if values.ndim != 2 or values.shape[1] != G or len(values) < T:
+                raise SchedulerError(
+                    f"fixed commitments of shape {values.shape} do not cover "
+                    f"the {T} window periods of {G} units"
+                )
+            values = values[:T].T.tolist()
+            for i in range(G):
                 for t in range(T):
-                    model.fix_variable(x_ids[i][t], round(float(values[t])))
+                    model.fix_variable(x_ids[i][t], round(values[i][t]))
     except ModelError as exc:
         raise SchedulerError(
             f"commitment requirements conflict: {exc}"
@@ -285,7 +286,6 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     # variables; ``cells[t]`` holds the period's cells, one per branch
     cells = []
     if options.frequency_constraints:
-        p_ids, r_ids = p.tolist(), r.tolist()
         for t, tt in enumerate(periods):
             col = x[:, t]
             try:
@@ -296,13 +296,8 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
             for j in col[pins & (model.lb[col] != model.ub[col])].tolist():
                 model.fix_variable(j, 1.0)
             cells.append(freqsec.register_decisions(
-                model, fleet, freq, r_max,
-                commit={gid: x_ids[i][t] for i, gid in enumerate(ids)},
-                outputs=[{gid: p_ids[i][t][s] for i, gid in enumerate(ids)}
-                         for s in range(S)],
-                pfrs=[{gid: r_ids[i][t][s] for i, gid in enumerate(ids)}
-                      for s in range(S)],
-                tags=[f"[{tt}][{s}]" for s in range(S)]))
+                model, fleet, freq, r_max, period=tt, commit=col,
+                output=p[:, t].T, pfr=r[:, t].T))
 
     # power balance and unit limits: the same rows in every cell, over the
     # cell's columns [p..., r..., wind, x...]
@@ -402,11 +397,9 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     # frequency-security rows: per period the inertia floor, then each
     # branch's cell rows
     for t, period_cells in enumerate(cells):
-        tt = start_period + t
-        model.add_rows(*freqsec.period_rows(
+        model.add_block(freqsec.period_rows(
             period_cells, fleet, freq, demand[t], r_max, largest=big,
-            loss_floor=floor_big, tag=f"[{tt}]",
-            branch_tags=[f"[{tt}][{s}]" for s in range(S)]))
+            loss_floor=floor_big))
 
     # probability-weighted operating cost
     no_load, startup, fuel = cost_coefficients(system)
@@ -420,8 +413,7 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
 
     model.commit, model.startup, model.wind = x.T, su.T, wind
     model.output, model.pfr = p.transpose(1, 0, 2), r.transpose(1, 0, 2)
-    model.loss = (np.array([[cell.loss for cell in period]
-                            for period in cells])
+    model.loss = (np.array([period.loss for period in cells])
                   if options.frequency_constraints else None)
     model.periods = np.arange(start_period, start_period + T)
     model.demand, model.net, model.probabilities = demand, net, probs
@@ -647,17 +639,18 @@ def slice_tree(tree: ScenarioTree, start: int, length: int) -> ScenarioTree:
     )
 
 
-def _advance_state(state: dict, commit_slice: dict, steps: int) -> dict:
+def _advance_state(state: dict, ids, commit) -> dict:
+    """The state after the committed periods ``commit`` ``(steps, ids)``."""
     nxt = {}
-    for gid, prev in state.items():
-        values = commit_slice[gid]
-        last = bool(round(float(values[-1])))
+    for gid, values in zip(ids, np.asarray(commit, dtype=float).T.tolist()):
+        last = bool(round(values[-1]))
         run = 0
         for v in reversed(values):
-            if bool(round(float(v))) != last:
+            if bool(round(v)) != last:
                 break
             run += 1
-        if run == steps and prev.on == last:
+        prev = state[gid]
+        if run == len(values) and prev.on == last:
             run += prev.hours
         nxt[gid] = UnitState(on=last, hours=run)
     return nxt
@@ -722,7 +715,7 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
         expected += float((no_load + startup + fuel @ solution.probabilities)
                           [:commit_len].sum())
 
-        commit_slice = dict(zip(ids, solution.commit[:commit_len].T))
+        commit = solution.commit[:commit_len]
         rtree = ScenarioTree(
             root=float(realized[t0]),
             branches=(ScenarioBranch(
@@ -732,13 +725,13 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
         ropts = replace(options, horizon=commit_len, first_stage=commit_len)
         redispatch, _, raw = solve_uc(
             system, rtree, ropts, start_period=t0, initial_state=state,
-            fixed_commitments=commit_slice)
+            fixed_commitments=commit)
         if redispatch is None:
             return RollingResult(
                 windows, partial(), status="solver",
                 message=f"re-dispatch at period {t0}: {raw.status}")
         pieces.append(redispatch)
-        state = _advance_state(state, commit_slice, commit_len)
+        state = _advance_state(state, ids, commit)
         t0 += commit_len
 
     return RollingResult(windows, concatenate(pieces), status="ok",

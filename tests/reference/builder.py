@@ -1,13 +1,26 @@
 """The window builder as a loop over cells and units, one ``add_row`` per
-row: the form ``frequc.scheduler.build_uc`` had before it assembled each
-row family as arrays.  The tests require the two compiled models to be
-equal, column for column and row for row.
+row, with each frequency cell's rows built one ``LinearRow`` dict at a
+time: the form ``frequc.scheduler.build_uc`` and ``frequc.freqsec`` had
+before they wrote each row family as arrays.  The tests require the two
+compiled models to be equal, column for column and row for row.
+
+The cell builders below (``register_decisions`` to ``cell_rows``) are kept
+as they were; they read only the scalar helpers of ``frequc.freqsec``.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
+from dataclasses import dataclass, field
+
+import numpy as np
+
 from frequc import freqsec
-from frequc.milp import MilpModel, ModelError
+from frequc.freqsec import (HYPERBOLIC_CUTS, _requirement_root, lost_inertia,
+                            max_inertia, nadir_chords, nadir_requirement,
+                            qss_rhs, rocof_slope)
+from frequc.milp import LinearRow, MilpModel, ModelError
 from frequc.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from frequc.scheduler import (
     SchedulerError,
@@ -19,6 +32,250 @@ from frequc.scheduler import (
 )
 from frequc.sysmodel import largest_unit
 
+# -- one frequency cell as LinearRow dicts ------------------------------------
+
+
+@dataclass
+class LinExpr:
+    """Affine expression sum(coeffs[j] * x[j]) + constant."""
+
+    coeffs: dict[int, float] = field(default_factory=dict)
+    constant: float = 0.0
+
+    def add_term(self, index: int, coeff: float) -> None:
+        self.coeffs[index] = self.coeffs.get(index, 0.0) + coeff
+
+    def value(self, x: np.ndarray) -> float:
+        return self.constant + sum(c * x[j] for j, c in self.coeffs.items())
+
+
+@dataclass(frozen=True)
+class FreqDecisionSet:
+    """Variable ids for one period/scenario cell.
+
+    ``commit``, ``output`` and ``pfr`` map generator id to model variable
+    index; ``loss`` is the sizable loss, ``response`` the summed response
+    R and ``product`` the inertia-times-response variable.  ``bilinear``
+    maps each synchronous unit with a free commitment to its auxiliary;
+    ``fixed_on`` holds the synchronous units committed by a fixed bound.
+    """
+
+    commit: dict
+    output: dict
+    pfr: dict
+    loss: int
+    response: int
+    product: int
+    bilinear: dict
+    fixed_on: frozenset
+
+
+def _inertia_coef(g, freq) -> float:
+    return g.inertia_const * g.p_max / freq.f0
+
+
+def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
+                       commit: dict, outputs, pfrs,
+                       tags) -> list[FreqDecisionSet]:
+    """Create the security variables of one period's cells, one cell per
+    branch, and bundle each cell's ids.
+
+    ``commit`` maps generator id to the period's commitment, shared by every
+    branch; it must already carry its fixed bounds.  ``outputs`` and
+    ``pfrs`` hold one map from generator id to the branch's output and
+    response ids per branch, and ``tags`` the branch's cell tag.  The
+    variables go in as one block, branch by branch: ``ploss{tag}``,
+    ``R{tag}``, ``hr{tag}`` and then one auxiliary ``z[g]{tag}`` per
+    synchronous unit whose commitment is free.
+    """
+    sync = [g.id for g in fleet if g.synchronous]
+    cols = [commit[gid] for gid in sync]
+    bounds = list(zip(sync, model.lb[cols].tolist(), model.ub[cols].tolist()))
+    free = [gid for gid, lo, hi in bounds if lo != hi]
+    heads = ["ploss", "R", "hr"] + [f"z[{gid}]" for gid in free]
+    ub = [freq.largest_unit_rating, r_max,
+          max(max_inertia(fleet, freq), 0.0) * r_max] + [r_max] * len(free)
+    ids = model.add_variables([head + tag for tag in tags for head in heads],
+                              0.0, ub * len(tags)).reshape(len(tags), len(heads))
+    fixed_on = frozenset(gid for gid, lo, hi in bounds if lo == hi == 1.0)
+    return [FreqDecisionSet(commit=commit, output=output, pfr=pfr,
+                            loss=cell[0], response=cell[1], product=cell[2],
+                            bilinear=dict(zip(free, cell[3:])),
+                            fixed_on=fixed_on)
+            for output, pfr, cell in zip(outputs, pfrs, ids.tolist(),
+                                         strict=True)]
+
+
+def largest_loss_rows(decisions: FreqDecisionSet, fleet, eligible=None,
+                      tag: str = ""):
+    """One bound per loss source: the sizable loss covers its output."""
+    ids = [g.id for g in fleet] if eligible is None else list(eligible)
+    if not ids:
+        warnings.warn("largest-loss rows: no eligible loss sources")
+        return []
+    rows = []
+    for gid in ids:
+        rows.append(LinearRow(
+            coeffs={decisions.loss: 1.0, decisions.output[gid]: -1.0},
+            sense=SENSE_GE, rhs=0.0, label=f"loss_bound{tag}[{gid}]",
+        ))
+    return rows
+
+
+def inertia_expression(decisions: FreqDecisionSet, fleet, freq) -> LinExpr:
+    """Post-loss system inertia in MW*s^2 as a function of commitments."""
+    expr = LinExpr()
+    for g in fleet:
+        if g.synchronous:
+            expr.add_term(decisions.commit[g.id], _inertia_coef(g, freq))
+    expr.constant = -lost_inertia(freq)
+    return expr
+
+
+def inertia_floor_row(decisions: FreqDecisionSet, fleet, freq,
+                      tag: str = "") -> LinearRow:
+    """Post-loss inertia must not go negative for any commitment."""
+    expr = inertia_expression(decisions, fleet, freq)
+    return LinearRow(coeffs=dict(expr.coeffs), sense=SENSE_GE,
+                     rhs=-expr.constant, label=f"h_min{tag}")
+
+
+def rocof_row(decisions: FreqDecisionSet, freq, inertia: LinExpr,
+              tag: str = "") -> LinearRow:
+    """Initial rate-of-change limit: H >= loss / (2 * rocof_max)."""
+    coeffs = dict(inertia.coeffs)
+    coeffs[decisions.loss] = coeffs.get(decisions.loss, 0.0) - rocof_slope(freq)
+    return LinearRow(coeffs=coeffs, sense=SENSE_GE, rhs=-inertia.constant,
+                     label=f"rocof{tag}")
+
+
+def qss_row(decisions: FreqDecisionSet, fleet, freq, demand: float,
+            tag: str = "") -> LinearRow:
+    """Quasi-steady-state recovery: total response covers the loss minus
+    the damping relief at the settled limit, or, without damping, the loss
+    plus ``QSS_MARGIN``."""
+    return LinearRow(coeffs={decisions.response: 1.0, decisions.loss: -1.0},
+                     sense=SENSE_GE, rhs=qss_rhs(fleet, freq, demand),
+                     label=f"qss{tag}")
+
+
+def linearize_inertia_pfr(decisions: FreqDecisionSet, fleet, freq,
+                          r_max: float, tag: str = ""):
+    """Rows that define R and bound the product variable by H(x) * R.
+
+    ``R = sum r[g]`` over the units that can respond; ``z[g] <= R`` and
+    ``z[g] <= r_max * x[g]`` for each free commitment;
+    ``hr <= sum c_g z[g] + (sum_{fixed on} c_g - c_L) R``.
+    For binary x and 0 <= R <= r_max the tightest bound the rows put on
+    ``z[g]`` is ``x[g] * R``, and on ``hr`` it is ``H(x) * R``.  No row
+    bounds them from below: both only ever need to be large.
+    """
+    if r_max <= 0.0:
+        raise ValueError("r_max must be positive")
+    big_r = decisions.response
+    coeffs = {decisions.pfr[g.id]: -1.0 for g in fleet if g.pfr_max > 0.0}
+    coeffs[big_r] = 1.0
+    rows = [LinearRow(coeffs=coeffs, sense=SENSE_EQ, rhs=0.0,
+                      label=f"pfr_sum{tag}")]
+    hr = {decisions.product: 1.0}
+    committed = -lost_inertia(freq)
+    for g in fleet:
+        if g.id in decisions.fixed_on:
+            committed += _inertia_coef(g, freq)
+        z = decisions.bilinear.get(g.id)
+        if z is None:
+            continue
+        rows.append(LinearRow(coeffs={z: 1.0, big_r: -1.0}, sense=SENSE_LE,
+                              rhs=0.0, label=f"bigm_r{tag}[{g.id}]"))
+        rows.append(LinearRow(coeffs={z: 1.0, decisions.commit[g.id]: -r_max},
+                              sense=SENSE_LE, rhs=0.0,
+                              label=f"bigm_x{tag}[{g.id}]"))
+        hr[z] = -_inertia_coef(g, freq)
+    hr[big_r] = -committed
+    rows.append(LinearRow(coeffs=hr, sense=SENSE_LE, rhs=0.0,
+                          label=f"hr{tag}"))
+    return rows
+
+
+def nadir_discretization_rows(decisions: FreqDecisionSet, freq, demand: float,
+                              tag: str = ""):
+    """Chord envelope of the nadir requirement: hr >= each chord of
+    :func:`nadir_chords`.  With hr >= 0 the rows enforce
+    H*R >= hr >= f(P) for every loss in [0, rating], exactly at the
+    breakpoints."""
+    return [LinearRow(coeffs={decisions.product: 1.0, decisions.loss: -slope},
+                      sense=SENSE_GE, rhs=icpt,
+                      label=f"nadir_cut{tag}[{i}]")
+            for i, (slope, icpt) in enumerate(nadir_chords(freq, demand), 1)]
+
+
+def hyperbolic_cut_rows(decisions: FreqDecisionSet, fleet, freq,
+                        demand: float, r_max: float, loss_floor: float,
+                        tag: str = ""):
+    """Cuts ``mu * H(x) + R / mu - 2 s P >= 2 c`` for ``HYPERBOLIC_CUTS``
+    values of mu, valid for every loss ``P >= loss_floor``.
+
+    For every mu > 0, ``mu H + R / mu >= 2 sqrt(H R)`` (AM-GM, H, R >= 0),
+    and the envelope rows give ``H R >= f(P)``.  ``s P + c`` is the chord
+    of sqrt(f) over ``[p_a, rating]``, ``p_a = max(loss_floor, root of
+    f)``; sqrt(f) is concave there ((sqrt f)'' = -beta^2 / (4 f^1.5)), so
+    the chord lies below it, and below the root the chord is negative.
+    The cuts therefore remove no point with binary commitments.  A cut is
+    tight where ``mu = sqrt(R / H)``; the values run geometrically from
+    ``q / H_max`` to ``r_max / q``, with ``q = sqrt(f(p_a))``, or
+    ``sqrt(f(rating))`` when ``p_a`` is the root.  Cells without a free
+    commitment, or where f <= 0 up to the rating, get none.
+    """
+    rating = freq.largest_unit_rating
+    f_b = nadir_requirement(rating, freq, demand)
+    h_max = max_inertia(fleet, freq)
+    if not decisions.bilinear or f_b <= 0.0 or h_max <= 0.0:
+        return []
+    p_a = min(max(loss_floor, _requirement_root(freq, demand)), rating)
+    q_a = math.sqrt(max(nadir_requirement(p_a, freq, demand), 0.0))
+    q_b = math.sqrt(f_b)
+    slope = (q_b - q_a) / (rating - p_a) if rating - p_a > 1e-9 else 0.0
+    icpt = q_b - slope * rating
+    q = q_a if q_a > 0.0 else q_b
+    lo, hi = q / h_max, r_max / q
+    inertia = inertia_expression(decisions, fleet, freq)
+    rows = []
+    for k in range(HYPERBOLIC_CUTS):
+        mu = lo * (hi / lo) ** (k / (HYPERBOLIC_CUTS - 1))
+        coeffs = {j: mu * c for j, c in inertia.coeffs.items()}
+        coeffs[decisions.response] = 1.0 / mu
+        coeffs[decisions.loss] = -2.0 * slope
+        rows.append(LinearRow(coeffs=coeffs, sense=SENSE_GE,
+                              rhs=2.0 * icpt - mu * inertia.constant,
+                              label=f"hyp_cut{tag}[{k}]"))
+    return rows
+
+
+def cell_rows(decisions: FreqDecisionSet, fleet, freq, demand: float,
+              r_max: float, *, largest, loss_floor: float, tag: str = ""):
+    """Every row of one (period, branch) cell but the per-period inertia
+    floor.
+
+    ``largest`` is the largest unit; it must be committed, with an output
+    the caller's rows keep at or above ``loss_floor``.  Smaller units then
+    cannot set the loss, and the hyperbolic cuts hold at every loss.
+    """
+    # a unit rated at most the floor never out-produces the largest unit
+    sources = [g.id for g in fleet
+               if g.id == largest.id or g.p_max > loss_floor]
+    rows = largest_loss_rows(decisions, fleet, sources, tag=tag)
+    rows.append(rocof_row(decisions, freq,
+                          inertia_expression(decisions, fleet, freq), tag=tag))
+    rows.append(qss_row(decisions, fleet, freq, demand, tag=tag))
+    rows += linearize_inertia_pfr(decisions, fleet, freq, r_max, tag=tag)
+    rows += nadir_discretization_rows(decisions, freq, demand, tag=tag)
+    rows += hyperbolic_cut_rows(decisions, fleet, freq, demand, r_max,
+                                loss_floor, tag=tag)
+    return rows
+
+
+# -- the window ---------------------------------------------------------------
+
 
 def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
                   initial_state=None, fixed_commitments=None,
@@ -27,10 +284,11 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
 
     The window covers the first ``min(options.horizon, tree.n_periods)``
     periods of ``tree``, aligned with the demand profile at
-    ``start_period``.  ``fixed_commitments`` (generator id -> 0/1 values
-    per window period) pins the commitment variables; the rolling solver
-    uses this for the realized re-dispatch.  With ``security_pins`` off, the
-    free commitments that ``freqsec.must_run`` finds forced on stay free.
+    ``start_period``.  ``fixed_commitments`` (0/1 values of shape
+    ``(T, units)``, units in fleet order) pins the commitment variables;
+    the rolling solver uses this for the realized re-dispatch.  With
+    ``security_pins`` off, the free commitments that ``freqsec.must_run``
+    finds forced on stay free.
     """
     fleet = system.generators
     freq = system.frequency
@@ -106,15 +364,15 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
                 for t in range(min(g.min_down - state.hours, n_periods)):
                     model.fix_variable(x[g.id, t], 0.0)
         if fixed_commitments is not None:
-            for g in fleet:
-                values = fixed_commitments[g.id]
-                if len(values) < n_periods:
-                    raise SchedulerError(
-                        f"fixed commitments for {g.id} cover {len(values)} of "
-                        f"{n_periods} window periods"
-                    )
+            if len(fixed_commitments) < n_periods:
+                raise SchedulerError(
+                    f"fixed commitments cover {len(fixed_commitments)} of "
+                    f"{n_periods} window periods"
+                )
+            for i, g in enumerate(fleet):
                 for t in range(n_periods):
-                    model.fix_variable(x[g.id, t], round(float(values[t])))
+                    model.fix_variable(
+                        x[g.id, t], round(float(fixed_commitments[t][i])))
     except ModelError as exc:
         raise SchedulerError(
             f"commitment requirements conflict: {exc}"
@@ -140,7 +398,7 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
     if options.frequency_constraints:
         for t in range(n_periods):
             for s in range(n_branches):
-                [cells[t, s]] = freqsec.register_decisions(
+                [cells[t, s]] = register_decisions(
                     model, fleet, freq, r_max,
                     commit={g.id: x[g.id, t] for g in fleet},
                     outputs=[{g.id: p[g.id, t, s] for g in fleet}],
@@ -225,11 +483,10 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
     if options.frequency_constraints:
         for t in range(n_periods):
             tt = start_period + t
-            add(freqsec.inertia_floor_row(cells[t, 0], fleet, freq,
-                                          tag=f"[{tt}]"))
+            add(inertia_floor_row(cells[t, 0], fleet, freq, tag=f"[{tt}]"))
             for s in range(n_branches):
                 try:
-                    rows = freqsec.cell_rows(
+                    rows = cell_rows(
                         cells[t, s], fleet, freq, demand[t], r_max,
                         largest=big, loss_floor=floor_big, tag=f"[{tt}][{s}]")
                 except ValueError as exc:  # the grid check, an input error
@@ -257,13 +514,13 @@ def assert_same_model(model, reference):
     """Bit-equal compiled arrays, the same terms in the same order in each
     row, and the same names and labels."""
     got, want = model.compile(), reference.compile()
-    for field in ("c", "lb", "ub", "integrality", "lo", "hi"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    for attr in ("c", "lb", "ub", "integrality", "lo", "hi"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
     assert got.a.shape == want.a.shape
-    for field in ("indptr", "indices", "data"):
-        a, b = getattr(got.a, field), getattr(want.a, field)
-        assert a.tobytes() == b.tobytes(), field
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got.a, attr), getattr(want.a, attr)
+        assert a.tobytes() == b.tobytes(), attr
     assert model.objective_constant == reference.objective_constant
     assert model.name == reference.name
     assert model.names == reference.names

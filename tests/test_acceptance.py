@@ -20,9 +20,8 @@ import pytest
 
 from frequc.cli import _scale_wind
 from frequc.freqdyn import SwingInputs, exact_nadir_feasible, simulate_swing
-from frequc.freqsec import (cell_rows, inertia_expression,
-                            inertia_floor_row, linearize_inertia_pfr,
-                            nadir_requirement, register_decisions)
+from frequc.freqsec import (nadir_requirement, period_rows,
+                            register_decisions)
 from frequc.milp import MilpModel, solve
 from frequc.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from frequc.scheduler import (UcOptions, _advance_state, default_initial_state,
@@ -193,12 +192,12 @@ def _economic_cell(fleet, demand, floor, freq=None, commit=None):
         **{x[g.id]: g.no_load_cost for g in fleet if g.no_load_cost},
         **{r[g.id]: 0.5 * g.marginal_cost for g in fleet if g.pfr_max}})
     if freq is not None:
-        [dec] = register_decisions(model, fleet, freq, r_max, commit=x,
-                                   outputs=[p], pfrs=[r], tags=[""])
-        rows = [inertia_floor_row(dec, fleet, freq)] + cell_rows(
-            dec, fleet, freq, demand, r_max, largest=big, loss_floor=floor)
-        for row in rows:
-            model.add_row(row.coeffs, row.sense, row.rhs, row.label)
+        cell = register_decisions(model, fleet, freq, r_max, period=0,
+                                  commit=list(x.values()),
+                                  output=[list(p.values())],
+                                  pfr=[list(r.values())])
+        model.add_block(period_rows(cell, fleet, freq, demand, r_max,
+                                    largest=big, loss_floor=floor))
     return model, x, p, r
 
 
@@ -300,32 +299,39 @@ def test_bigm_product_exactness():
         for g in fleet:  # a third of the commitments arrive fixed
             if rng.random() < 1.0 / 3.0:
                 model.fix_variable(commit[g.id], x[g.id])
-        [dec] = register_decisions(
-            model, fleet, freq, r_max, commit=commit,
-            outputs=[{g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
-                      for g in fleet}],
-            pfrs=[{g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
-                   for g in fleet}],
-            tags=[""])
-        rows = linearize_inertia_pfr(dec, fleet, freq, r_max)
+        output = [model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
+                  for g in fleet]
+        pfr = {g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+               for g in fleet}
+        cell = register_decisions(
+            model, fleet, freq, r_max, period=0, commit=list(commit.values()),
+            output=[output], pfr=[list(pfr.values())])
+        model.add_block(period_rows(cell, fleet, freq, 2500.0, r_max,
+                                    largest=fleet[0], loss_floor=1200.0))
+        # the rows that define R and bound the product
+        rows = [row for row in model.rows
+                if row.label.startswith(("pfr_sum", "bigm_", "hr"))]
+        response, product = int(cell.R[0]), int(cell.hr[0])
+        bilinear = dict(zip([g.id for g, f in zip(fleet, cell.free) if f],
+                            cell.z[0].tolist()))
         values = np.zeros(model.n_vars)
         for g in fleet:
-            values[dec.commit[g.id]] = x[g.id]
-            values[dec.pfr[g.id]] = rng.uniform(0.0, g.pfr_max)
-        r_total = sum(float(values[idx]) for idx in dec.pfr.values())
-        defining = [row for row in rows if dec.response in row.coeffs
+            values[commit[g.id]] = x[g.id]
+            values[pfr[g.id]] = rng.uniform(0.0, g.pfr_max)
+        r_total = sum(float(values[idx]) for idx in pfr.values())
+        defining = [row for row in rows if response in row.coeffs
                     and row.sense == SENSE_EQ]
         assert len(defining) == 1
-        values[dec.response] = _row_bound(defining[0], dec.response, values)[1]
-        assert abs(values[dec.response] - r_total) <= 1e-12 * max(1.0, r_total)
+        values[response] = _row_bound(defining[0], response, values)[1]
+        assert abs(values[response] - r_total) <= 1e-12 * max(1.0, r_total)
 
         # every auxiliary: no row bounds it from below, and the tightest
         # upper bound is exactly x_g * R
-        assert set(dec.bilinear) == {g.id for g in sync
-                                     if model.lb[commit[g.id]]
-                                     != model.ub[commit[g.id]]}
-        unknown = set(dec.bilinear.values()) | {dec.product}
-        for gid, z in dec.bilinear.items():
+        assert set(bilinear) == {g.id for g in sync
+                                 if model.lb[commit[g.id]]
+                                 != model.ub[commit[g.id]]}
+        unknown = set(bilinear.values()) | {product}
+        for gid, z in bilinear.items():
             hi = model.ub[z]
             for row in rows:
                 if z in row.coeffs and not (set(row.coeffs) - {z}) & unknown:
@@ -337,8 +343,8 @@ def test_bigm_product_exactness():
         # the product variable: its tightest upper bound is exactly H(x) * R
         direct = (sum(g.inertia_const * g.p_max / freq.f0 * x[g.id]
                       for g in sync) - h_lost) * r_total
-        bounds = [_row_bound(row, dec.product, values)
-                  for row in rows if dec.product in row.coeffs]
+        bounds = [_row_bound(row, product, values)
+                  for row in rows if product in row.coeffs]
         assert len(bounds) == 1 and bounds[0][0]
         assert abs(bounds[0][1] - direct) <= 1e-9 * max(1.0, abs(direct))
 
@@ -512,9 +518,9 @@ def test_relaxation_monotonicity(study):
                 f"{relaxed.expected_cost:.2f} > secured {window.expected_cost:.2f}"
             windows += 1
             commit_len = min(STUDY_OPTIONS.first_stage, length)
-            commit_slice = {g.id: window.commit[:commit_len, i]
-                            for i, g in enumerate(system.generators)}
-            state = _advance_state(state, commit_slice, commit_len)
+            state = _advance_state(
+                state, [g.id for g in system.generators],
+                window.commit[:commit_len])
             t0 += commit_len
     assert windows >= 12
     print(f"\n[acceptance] relaxation monotonicity: PASS "

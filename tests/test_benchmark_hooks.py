@@ -1,15 +1,18 @@
 """The benchmark, ``perfbench/``, against the program: every module
 attribute its tracer (``tracing.py``) patches still exists, the model sizes
-it counts after ``build_uc`` are the model's own, and the swing re-check of
-its trace mode (``run.py``) reads the solutions the program returns.
+it counts after ``build_uc`` are the model's own, every frequency row
+builder it counts still runs, and the swing re-check of its trace mode
+(``run.py``) reads the solutions the program returns.
 ``perfbench/`` has its own tests, which the default test paths do not
 collect."""
 
 import importlib.util
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import frequc.freqsec
 import frequc.scheduler
 from frequc.cli import _scale_wind
 from frequc.scheduler import UcOptions, slice_tree, solve_rolling_horizon
@@ -50,6 +53,34 @@ def test_tracer_counts_a_bundled_window():
     assert counts["freqsec.rows"] > 0
     assert {span[2] for span in tracer.spans} >= {"scheduler.build",
                                                   "freqsec.rows"}
+
+
+def test_every_counted_row_builder_runs_in_a_bundled_window(monkeypatch):
+    """Each ``frequc.freqsec`` function the tracer counts as
+    ``freqsec.rows`` is called through the module, in every period of a
+    secured, optimised 4-period bundled window, and returns what the
+    tracer counts: a builder folded into another would read 0."""
+    names = load_perfbench_module("tracing").FREQSEC_ROW_BUILDERS
+    calls = Counter()
+
+    def spy(name, builder):
+        def called(*args, **kwargs):
+            result = builder(*args, **kwargs)
+            assert isinstance(result, list) or hasattr(result, "sense"), name
+            calls[name] += 1
+            return result
+        return called
+
+    for name in names:
+        monkeypatch.setattr(frequc.freqsec, name,
+                            spy(name, getattr(frequc.freqsec, name)))
+    system = load_system(ROOT / "data" / "toy_system.yaml")
+    levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
+    tree = slice_tree(build_scenario_tree(levels, table), 0, 4)
+    frequc.scheduler.build_uc(system, tree, UcOptions(
+        horizon=4, first_stage=4, largest_loss_mode="optimised"))
+    assert {name: calls[name] >= 4 for name in names} == \
+        {name: True for name in names}
 
 
 def test_swing_recheck_reads_a_bundled_rolling_run(monkeypatch):

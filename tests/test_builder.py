@@ -129,6 +129,7 @@ def test_redispatch_windows_match_the_loop_builder(secured):
     rng = np.random.default_rng(3)
     pins = {g.id: rng.integers(0, 2, 4).tolist() for g in system.generators}
     pins["lignite1"] = [1, 1, 1, 1]
+    pins = np.array(list(pins.values())).T  # (T, units), fleet order
     realized = realized_series(tree)
     median = ScenarioTree(root=float(realized[8]),
                           branches=(ScenarioBranch(tuple(realized[8:12]), 1.0),),

@@ -9,20 +9,15 @@ from hypothesis import strategies as st
 from frequc.freqsec import (
     QSS_MARGIN,
     inertia_expression,
-    inertia_floor_row,
-    largest_loss_rows,
-    linearize_inertia_pfr,
     max_inertia,
     must_run,
-    nadir_discretization_rows,
     nadir_requirement,
     period_rows,
-    qss_row,
     register_decisions,
-    rocof_row,
     settled_limit,
 )
 from frequc.milp import MilpModel, solve
+from frequc.milp.model import RowBlock
 from frequc.sysmodel import (FrequencyParams, GeneratorSpec, largest_unit,
                              load_system)
 
@@ -49,15 +44,44 @@ def freq_for(fleet, segments, **kw):
 
 
 def new_cell(mdl, fleet, freq, r_max):
-    """One cell: the window's variables, then ``register_decisions``."""
-    commit = {g.id: mdl.add_binary(f"x[{g.id}]") for g in fleet}
-    output = {g.id: mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
-              for g in fleet}
-    pfr = {g.id: mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
-           for g in fleet}
-    [cell] = register_decisions(mdl, fleet, freq, r_max, commit=commit,
-                                outputs=[output], pfrs=[pfr], tags=[""])
-    return cell
+    """One cell, period 0 and one branch: the window's variables, then
+    ``register_decisions``."""
+    commit = [mdl.add_binary(f"x[{g.id}]") for g in fleet]
+    output = [mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max) for g in fleet]
+    pfr = [mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max) for g in fleet]
+    return register_decisions(mdl, fleet, freq, r_max, period=0,
+                              commit=commit, output=[output], pfr=[pfr])
+
+
+def add_cell_rows(mdl, cell, fleet, freq, kinds, *, demand=30000.0,
+                  r_max=200.0, loss_floor=0.0):
+    """Add to ``mdl`` the rows of ``period_rows`` for ``cell`` whose labels
+    start with one of ``kinds``, and return them read back from
+    ``mdl.rows``.  With the default ``loss_floor`` every unit is a loss
+    source."""
+    block = period_rows(cell, fleet, freq, demand, r_max,
+                        largest=largest_unit(fleet), loss_floor=loss_floor)
+    keep = np.array([label.startswith(kinds) for label in block.labels])
+    start = mdl.n_rows
+    mdl.add_block(RowBlock(block.cols[keep], block.vals[keep],
+                           block.sense[keep], block.rhs[keep],
+                           [label for label, k in zip(block.labels, keep)
+                            if k]))
+    return mdl.rows[start:]
+
+
+def ids(mdl, fleet):
+    """The cell's columns by unit id, found by name: commitment, output and
+    response."""
+    return tuple({g.id: mdl.names.index(f"{head}[{g.id}]") for g in fleet}
+                 for head in ("x", "p", "r"))
+
+
+def inertia_value(cell, fleet, freq, values):
+    """H(x) at ``values``, from ``inertia_expression``: its coefficients on
+    the cell's columns in its slots, less its right-hand side."""
+    [(_, _, _, slots, coefs, lost)] = inertia_expression(fleet, freq)
+    return float(np.dot(coefs, values[cell.columns[0, slots]]) - lost)
 
 
 def row_holds(row, values, tol=1e-9):
@@ -71,33 +95,32 @@ def row_holds(row, values, tol=1e-9):
 
 def test_largest_loss_rows_per_generator():
     fleet = two_unit_fleet()
+    freq = freq_for(fleet, [2000.0])
     mdl = MilpModel()
-    dec = new_cell(mdl, fleet, freq_for(fleet, [2000.0]), r_max=200.0)
-    rows = largest_loss_rows(dec, fleet)
+    cell = new_cell(mdl, fleet, freq, r_max=200.0)
+    _, output, _ = ids(mdl, fleet)
+    rows = add_cell_rows(mdl, cell, fleet, freq, "loss_bound")
     assert len(rows) == 2
     for row, g in zip(rows, fleet):
         assert row.sense == ">="
         assert row.rhs == 0.0
-        assert row.coeffs == {dec.loss: 1.0, dec.output[g.id]: -1.0}
-
-
-def test_largest_loss_rows_warn_when_empty():
-    fleet = two_unit_fleet()
-    mdl = MilpModel()
-    dec = new_cell(mdl, fleet, freq_for(fleet, [2000.0]), r_max=200.0)
-    with pytest.warns(UserWarning):
-        assert largest_loss_rows(dec, fleet, eligible=()) == []
+        assert row.coeffs == {cell.loss[0]: 1.0, output[g.id]: -1.0}
+        assert row.label == f"loss_bound[0][0][{g.id}]"
+    # a unit rated at most the loss floor is no source
+    rows = add_cell_rows(mdl, cell, fleet, freq, "loss_bound",
+                         loss_floor=500.0)
+    assert [row.label for row in rows] == ["loss_bound[0][0][big]"]
 
 
 def test_loss_minimizes_to_largest_fixed_output():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0])
     mdl = MilpModel()
-    dec = new_cell(mdl, fleet, freq, r_max=200.0)
-    for row in largest_loss_rows(dec, fleet):
-        mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
-    mdl.add_row({dec.output["big"]: 1.0}, "=", 1320.0)
-    mdl.set_objective({dec.loss: 1.0})
+    cell = new_cell(mdl, fleet, freq, r_max=200.0)
+    _, output, _ = ids(mdl, fleet)
+    add_cell_rows(mdl, cell, fleet, freq, "loss_bound")
+    mdl.add_row({output["big"]: 1.0}, "=", 1320.0)
+    mdl.set_objective({int(cell.loss[0]): 1.0})
     got = solve(mdl)
     assert got.status == "optimal"
     assert got.objective == pytest.approx(1320.0, abs=1e-7)
@@ -107,30 +130,37 @@ def test_inertia_expression_worked_example():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0])
     mdl = MilpModel()
-    dec = new_cell(mdl, fleet, freq, r_max=200.0)
-    expr = inertia_expression(dec, fleet, freq)
-    assert expr.coeffs[dec.commit["big"]] == pytest.approx(200.0)
-    assert expr.coeffs[dec.commit["small"]] == pytest.approx(40.0)
-    assert expr.constant == pytest.approx(-200.0)
+    cell = new_cell(mdl, fleet, freq, r_max=200.0)
+    commit, _, _ = ids(mdl, fleet)
+    [(_, _, _, slots, coefs, lost)] = inertia_expression(fleet, freq)
+    coeffs = dict(zip(cell.columns[0, slots].tolist(), coefs))
+    assert coeffs[commit["big"]] == pytest.approx(200.0)
+    assert coeffs[commit["small"]] == pytest.approx(40.0)
+    assert -lost == pytest.approx(-200.0)
+    # the inertia floor is the expression itself
+    [floor] = add_cell_rows(mdl, cell, fleet, freq, "h_min")
+    assert floor.coeffs == coeffs and floor.rhs == lost
+    assert floor.label == "h_min[0]"
     vals = np.zeros(mdl.n_vars)
-    vals[dec.commit["big"]] = 1.0
-    vals[dec.commit["small"]] = 1.0
-    assert expr.value(vals) == pytest.approx(40.0)
-    vals[dec.commit["small"]] = 0.0
-    assert expr.value(vals) == pytest.approx(0.0)
-    vals[dec.commit["big"]] = 0.0
-    assert expr.value(vals) == pytest.approx(-200.0)
+    vals[commit["big"]] = 1.0
+    vals[commit["small"]] = 1.0
+    assert inertia_value(cell, fleet, freq, vals) == pytest.approx(40.0)
+    vals[commit["small"]] = 0.0
+    assert inertia_value(cell, fleet, freq, vals) == pytest.approx(0.0)
+    vals[commit["big"]] = 0.0
+    assert inertia_value(cell, fleet, freq, vals) == pytest.approx(-200.0)
 
 
 def test_inertia_floor_row_rejects_empty_commitment():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0])
     mdl = MilpModel()
-    dec = new_cell(mdl, fleet, freq, r_max=200.0)
-    row = inertia_floor_row(dec, fleet, freq)
+    cell = new_cell(mdl, fleet, freq, r_max=200.0)
+    commit, _, _ = ids(mdl, fleet)
+    [row] = add_cell_rows(mdl, cell, fleet, freq, "h_min")
     vals = np.zeros(mdl.n_vars)
     assert not row_holds(row, vals)
-    vals[dec.commit["big"]] = 1.0
+    vals[commit["big"]] = 1.0
     assert row_holds(row, vals)   # largest alone leaves exactly H = 0
 
 
@@ -138,17 +168,19 @@ def test_rocof_row_worked_examples():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0], rocof_max=0.125)
     mdl = MilpModel()
-    dec = new_cell(mdl, fleet, freq, r_max=200.0)
-    row = rocof_row(dec, freq, inertia_expression(dec, fleet, freq))
-    assert row.coeffs[dec.loss] == pytest.approx(-4.0)   # 1 / (2 * 0.125)
+    cell = new_cell(mdl, fleet, freq, r_max=200.0)
+    commit, _, _ = ids(mdl, fleet)
+    loss = int(cell.loss[0])
+    [row] = add_cell_rows(mdl, cell, fleet, freq, "rocof")
+    assert row.coeffs[loss] == pytest.approx(-4.0)   # 1 / (2 * 0.125)
     # H = 240 with both units on; a 1800 MW loss needs H >= 7200, so fails
     vals = np.zeros(mdl.n_vars)
-    vals[dec.commit["big"]] = vals[dec.commit["small"]] = 1.0
-    vals[dec.loss] = 1800.0
+    vals[commit["big"]] = vals[commit["small"]] = 1.0
+    vals[loss] = 1800.0
     assert not row_holds(row, vals)
-    vals[dec.loss] = 40.0 * 2.0 * 0.125   # exactly H * 2 * rocof_max
+    vals[loss] = 40.0 * 2.0 * 0.125   # exactly H * 2 * rocof_max
     assert row_holds(row, vals)
-    vals[dec.loss] = 0.0
+    vals[loss] = 0.0
     assert row_holds(row, vals)
 
 
@@ -156,27 +188,28 @@ def test_qss_row_worked_examples():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0], damping=0.01, df_ss_max=0.5)
     mdl = MilpModel()
-    dec = new_cell(mdl, fleet, freq, r_max=200.0)
-    row = qss_row(dec, fleet, freq, demand=30000.0)
-    assert row.coeffs == {dec.response: 1.0, dec.loss: -1.0}
+    cell = new_cell(mdl, fleet, freq, r_max=200.0)
+    loss, response = int(cell.loss[0]), int(cell.R[0])
+    [row] = add_cell_rows(mdl, cell, fleet, freq, "qss", demand=30000.0)
+    assert row.coeffs == {response: 1.0, loss: -1.0}
     # H_max = 40 and D * demand = 300: eps = exp(-187.5), a vanishing
     # tightening of the settled limit
     assert row.rhs == pytest.approx(-150.0, rel=1e-12)
     vals = np.zeros(mdl.n_vars)
-    vals[dec.loss] = 1800.0
-    vals[dec.response] = 1650.0
+    vals[loss] = 1800.0
+    vals[response] = 1650.0
     assert row_holds(row, vals)
-    vals[dec.response] = 1649.0
+    vals[response] = 1649.0
     assert not row_holds(row, vals)
     # without damping the response must clear the whole loss by a margin
     # above the solver's rounding
     freq0 = freq_for(fleet, [2000.0], damping=0.0)
-    row0 = qss_row(dec, fleet, freq0, demand=30000.0)
-    assert row0.coeffs == {dec.response: 1.0, dec.loss: -1.0}
+    [row0] = add_cell_rows(mdl, cell, fleet, freq0, "qss", demand=30000.0)
+    assert row0.coeffs == {response: 1.0, loss: -1.0}
     assert row0.rhs == QSS_MARGIN > 1e-4
-    vals[dec.response] = 1800.0
+    vals[response] = 1800.0
     assert not row_holds(row0, vals)
-    vals[dec.response] = 1800.0 + QSS_MARGIN
+    vals[response] = 1800.0 + QSS_MARGIN
     assert row_holds(row0, vals)
 
 
@@ -230,22 +263,19 @@ def segment_fixture(p_fixed):
                     t_d=10.0, df_max=0.8)
     demand = 20000.0
     mdl = MilpModel()
-    dec = new_cell(mdl, fleet, freq, r_max=60000.0)
-    for row in largest_loss_rows(dec, fleet):
-        mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
-    for row in linearize_inertia_pfr(dec, fleet, freq, r_max=60000.0):
-        mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
-    for row in nadir_discretization_rows(dec, freq, demand):
-        mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
-    mdl.add_row({dec.output["a"]: 1.0}, "=", p_fixed)
-    mdl.set_objective({dec.pfr["b"]: 1.0})
-    inertia = inertia_expression(dec, fleet, freq)
+    cell = new_cell(mdl, fleet, freq, r_max=60000.0)
+    _, output, pfr = ids(mdl, fleet)
+    add_cell_rows(mdl, cell, fleet, freq,
+                  ("loss_bound", "pfr_sum", "bigm_", "hr", "nadir_cut"),
+                  demand=demand, r_max=60000.0)
+    mdl.add_row({output["a"]: 1.0}, "=", p_fixed)
+    mdl.set_objective({pfr["b"]: 1.0})
 
     def held(values):
         """H(x) * R at a solution: the product the rows must secure."""
-        return inertia.value(values) * values[dec.response]
+        return inertia_value(cell, fleet, freq, values) * values[cell.R[0]]
 
-    return mdl, dec, fleet, freq, demand, held
+    return mdl, cell, fleet, freq, demand, held
 
 
 def chord(p, p0, p1, freq, demand):
@@ -256,10 +286,10 @@ def chord(p, p0, p1, freq, demand):
 
 def test_segment_selection_picks_cheapest_covering_segment():
     """Between grid points the envelope enforces the covering chord."""
-    mdl, dec, fleet, freq, demand, held = segment_fixture(1000.0)
+    mdl, cell, fleet, freq, demand, held = segment_fixture(1000.0)
     got = solve(mdl)
     assert got.status == "optimal"
-    assert got.values[dec.loss] == pytest.approx(1000.0, abs=1e-6)
+    assert got.values[cell.loss[0]] == pytest.approx(1000.0, abs=1e-6)
     # the H=180 fleet must hold HR on the 600-1200 chord, above k(1000)
     want = chord(1000.0, 600.0, 1200.0, freq, demand)
     assert want > nadir_requirement(1000.0, freq, demand)
@@ -273,7 +303,7 @@ def test_segment_selection_picks_cheapest_covering_segment():
 
 def test_segment_selection_on_grid_point():
     """At a grid point the envelope equals the requirement."""
-    mdl, dec, fleet, freq, demand, held = segment_fixture(1800.0)
+    mdl, cell, fleet, freq, demand, held = segment_fixture(1800.0)
     got = solve(mdl)
     assert got.status == "optimal"
     want = nadir_requirement(1800.0, freq, demand)
@@ -282,12 +312,12 @@ def test_segment_selection_on_grid_point():
 
 def test_envelope_covers_loss_below_grid():
     """A loss below the first grid point still meets the requirement."""
-    mdl, dec, fleet, freq, demand, held = segment_fixture(300.0)
+    mdl, cell, fleet, freq, demand, held = segment_fixture(300.0)
     need = nadir_requirement(300.0, freq, demand)
     assert need > 0.0
     got = solve(mdl)
     assert got.status == "optimal"
-    assert got.values[dec.loss] == pytest.approx(300.0, abs=1e-6)
+    assert got.values[cell.loss[0]] == pytest.approx(300.0, abs=1e-6)
     assert held(got.values) >= need * (1.0 - 1e-8)
 
 
@@ -295,20 +325,20 @@ def test_discretization_grid_validation():
     fleet = two_unit_fleet()
     mdl = MilpModel()
     freq = freq_for(fleet, [2000.0])
-    dec = new_cell(mdl, fleet, freq, r_max=200.0)
+    cell = new_cell(mdl, fleet, freq, r_max=200.0)
     # grid enters the decreasing region of the requirement for huge damping
     hot = freq_for(fleet, [2000.0], damping=10.0)
     with pytest.raises(ValueError, match="conservative"):
-        nadir_discretization_rows(dec, hot, 30000.0)
+        add_cell_rows(mdl, cell, fleet, hot, "nadir_cut", demand=30000.0)
 
 
 def test_linearize_rejects_bad_r_max():
     fleet = two_unit_fleet()
     mdl = MilpModel()
     freq = freq_for(fleet, [2000.0])
-    dec = new_cell(mdl, fleet, freq, r_max=200.0)
-    with pytest.raises(ValueError):
-        linearize_inertia_pfr(dec, fleet, freq, r_max=0.0)
+    cell = new_cell(mdl, fleet, freq, r_max=200.0)
+    with pytest.raises(ValueError, match="r_max"):
+        add_cell_rows(mdl, cell, fleet, freq, "pfr_sum", r_max=0.0)
 
 
 def test_big_m_product_is_exact_on_random_assignments():
@@ -329,19 +359,20 @@ def test_big_m_product_is_exact_on_random_assignments():
     infeasible = 0
     for _ in range(60):
         mdl = MilpModel()
-        dec = new_cell(mdl, fleet, freq, r_max=r_max)
-        for row in linearize_inertia_pfr(dec, fleet, freq, r_max=r_max):
-            mdl.add_row(row.coeffs, row.sense, row.rhs, row.label)
+        cell = new_cell(mdl, fleet, freq, r_max=r_max)
+        commit, _, pfr = ids(mdl, fleet)
+        add_cell_rows(mdl, cell, fleet, freq, ("pfr_sum", "bigm_", "hr"),
+                      demand=30000.0, r_max=r_max)
         commits = {}
         total_r = 0.0
         for g in fleet:
             xv = float(rng.integers(0, 2))
             commits[g.id] = xv
-            mdl.add_row({dec.commit[g.id]: 1.0}, "=", xv)
+            mdl.add_row({commit[g.id]: 1.0}, "=", xv)
             rv = float(rng.uniform(0.0, g.pfr_max))
-            mdl.add_row({dec.pfr[g.id]: 1.0}, "=", rv)
+            mdl.add_row({pfr[g.id]: 1.0}, "=", rv)
             total_r += rv
-        mdl.set_objective({dec.product: -1.0})
+        mdl.set_objective({int(cell.hr[0]): -1.0})
         got = solve(mdl)
         h_direct = (sum(g.inertia_const * g.p_max / freq.f0 * commits[g.id]
                         for g in fleet if g.synchronous)
@@ -352,9 +383,9 @@ def test_big_m_product_is_exact_on_random_assignments():
             infeasible += 1
             continue
         assert got.status == "optimal"
-        assert got.values[dec.response] == pytest.approx(total_r, rel=1e-12)
-        assert got.values[dec.product] == pytest.approx(want, rel=1e-9,
-                                                        abs=1e-7)
+        assert got.values[cell.R[0]] == pytest.approx(total_r, rel=1e-12)
+        assert got.values[cell.hr[0]] == pytest.approx(want, rel=1e-9,
+                                                       abs=1e-7)
     assert 0 < infeasible < 60
 
 
@@ -372,26 +403,23 @@ def cell_admits_off(fleet, freq, demand, loss_floor, upper, off):
     """
     big = largest_unit(fleet)
     mdl = MilpModel()
-    commit = {g.id: mdl.add_binary(f"x[{g.id}]") for g in fleet}
-    output = {g.id: mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
-              for g in fleet}
-    pfr = {g.id: mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
-           for g in fleet}
-    for g, hi in zip(fleet, upper):
+    commit = [mdl.add_binary(f"x[{g.id}]") for g in fleet]
+    output = [mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max) for g in fleet]
+    pfr = [mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max) for g in fleet]
+    for i, (g, hi) in enumerate(zip(fleet, upper)):
         if g.id == big.id:
-            mdl.fix_variable(commit[g.id], 1.0)
+            mdl.fix_variable(commit[i], 1.0)
         elif g.id == off or hi == 0.0:
-            mdl.fix_variable(commit[g.id], 0.0)
+            mdl.fix_variable(commit[i], 0.0)
         if g.pfr_max > 0.0:
-            mdl.add_row({pfr[g.id]: 1.0, commit[g.id]: -g.pfr_max}, "<=",
+            mdl.add_row({pfr[i]: 1.0, commit[i]: -g.pfr_max}, "<=",
                         0.0, f"pfr_cap[{g.id}]")
-    mdl.add_row({output[big.id]: 1.0}, ">=", loss_floor, "floor")
+    mdl.add_row({output[fleet.index(big)]: 1.0}, ">=", loss_floor, "floor")
     r_max = sum(g.pfr_max for g in fleet)
-    cells = register_decisions(mdl, fleet, freq, r_max, commit=commit,
-                               outputs=[output], pfrs=[pfr], tags=["[0][0]"])
-    mdl.add_rows(*period_rows(cells, fleet, freq, demand, r_max, largest=big,
-                              loss_floor=loss_floor, tag="[0]",
-                              branch_tags=["[0][0]"]))
+    cell = register_decisions(mdl, fleet, freq, r_max, period=0,
+                              commit=commit, output=[output], pfr=[pfr])
+    mdl.add_block(period_rows(cell, fleet, freq, demand, r_max, largest=big,
+                              loss_floor=loss_floor))
     status = solve(mdl).status
     assert status in ("optimal", "infeasible")
     return status == "optimal"

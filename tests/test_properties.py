@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from frequc.freqsec import cell_rows, inertia_expression, register_decisions
+from frequc.freqsec import period_rows, register_decisions
 from frequc.milp import MilpModel
 from frequc.scheduler import (
     LOSS_MODES,
@@ -213,24 +213,25 @@ def cut_cells(draw):
         nadir_segments=default_segment_grid(rating, deload),
         largest_unit_rating=rating, largest_unit_inertia=units[0].inertia_const)
     model = MilpModel()
-    commit = {g.id: model.add_binary(f"x[{g.id}]") for g in units}
-    model.fix_variable(commit["g0"], 1.0)
+    commit = [model.add_binary(f"x[{g.id}]") for g in units]
+    model.fix_variable(commit[0], 1.0)
     r_max = sum(g.pfr_max for g in units)
-    [dec] = register_decisions(
-        model, units, freq, r_max, commit=commit,
-        outputs=[{g.id: model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
-                  for g in units}],
-        pfrs=[{g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
-               for g in units}],
-        tags=[""])
-    rows = cell_rows(dec, units, freq, demand, r_max, largest=units[0],
-                     loss_floor=floor)
+    cell = register_decisions(
+        model, units, freq, r_max, period=0, commit=commit,
+        output=[[model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
+                 for g in units]],
+        pfr=[[model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
+              for g in units]])
+    model.add_block(period_rows(cell, units, freq, demand, r_max,
+                                largest=units[0], loss_floor=floor))
+    rows = list(model.rows)
     values = np.zeros(model.n_vars)
-    values[commit["g0"]] = 1.0
-    for g in units[1:]:
-        values[commit[g.id]] = float(draw(st.booleans()))
-    values[dec.loss] = floor + draw(st.integers(0, 20)) / 20.0 * (rating - floor)
-    return model, dec, units, freq, rows, values, r_max, draw(
+    values[commit[0]] = 1.0
+    for i in range(1, len(units)):
+        values[commit[i]] = float(draw(st.booleans()))
+    values[cell.loss[0]] = (floor + draw(st.integers(0, 20)) / 20.0
+                            * (rating - floor))
+    return model, cell, units, freq, rows, values, r_max, draw(
         st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
 
 
@@ -241,16 +242,19 @@ def activity(row, values) -> float:
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(cut_cells())
 def test_hyperbolic_cuts_keep_every_integer_feasible_point(cell):
-    model, dec, units, freq, rows, values, r_max, slack = cell
-    h = inertia_expression(dec, units, freq).value(values)
+    model, cells, units, freq, rows, values, r_max, slack = cell
+    loss, response = int(cells.loss[0]), int(cells.R[0])
+    # H(x): the inertia floor row H(x) >= 0 read as an expression
+    [floor] = [row for row in rows if row.label.startswith("h_min")]
+    h = activity(floor, values) - floor.rhs
     assume(h > 0.0)
-    p = values[dec.loss]
+    p = values[loss]
     chords = [row for row in rows if row.label.startswith("nadir_cut")]
-    envelope = max([0.0] + [row.rhs + row.coeffs.get(dec.loss, 0.0) * -p
+    envelope = max([0.0] + [row.rhs + row.coeffs.get(loss, 0.0) * -p
                             for row in chords])
-    values[dec.response] = envelope / h * (1.0 + slack)
-    assume(values[dec.response] <= r_max)
-    values[dec.product] = h * values[dec.response]
+    values[response] = envelope / h * (1.0 + slack)
+    assume(values[response] <= r_max)
+    values[cells.hr[0]] = h * values[response]
     for row in chords:
         assert activity(row, values) >= row.rhs - 1e-9 * max(
             1.0, abs(row.rhs))

@@ -101,10 +101,10 @@ def toy_tree(system, factors=(0.8, 0.5, 0.2), levels=(0.25, 0.5, 0.75)):
                         quantile_levels=levels)
 
 
-def by_unit(system, commit):
-    """Commitments ``(T, units)`` as the generator-id map that
-    ``fixed_commitments`` takes."""
-    return {g.id: commit[:, i] for i, g in enumerate(system.generators)}
+def unit_index(system, unit_id):
+    """Position of a unit in the fleet: its column in
+    ``fixed_commitments``."""
+    return [g.id for g in system.generators].index(unit_id)
 
 
 def expected_costs(solution, system):
@@ -364,8 +364,8 @@ def test_initial_state_carry_and_conflicts():
         assert model.lb[j] == model.ub[j] == 1.0
 
     # pinning the largest plant off contradicts the must-run requirement
-    pins = {g.id: [1] * 6 for g in system.generators}
-    pins["base"] = [0] * 6
+    pins = np.ones((6, len(system.generators)))
+    pins[:, unit_index(system, "base")] = 0
     with pytest.raises(SchedulerError, match="conflict"):
         build_uc(system, tree, options(), fixed_commitments=pins)
 
@@ -577,7 +577,7 @@ def test_bundled_window_formulation_size():
 def test_redispatch_window_has_no_product_auxiliaries():
     """With every commitment pinned, H(x) is a constant: no z, no big-M."""
     system, tree = bundled_window(horizon=2)
-    pins = {g.id: [1, 1] for g in system.generators}
+    pins = np.ones((2, len(system.generators)))
     model = build_uc(system, slice_tree(tree, 0, 2),
                      UcOptions(horizon=2, first_stage=2),
                      fixed_commitments=pins)
@@ -606,7 +606,7 @@ def test_redispatch_is_solved_as_an_lp(monkeypatch):
                           branches=(ScenarioBranch(tuple(realized), 1.0),),
                           quantile_levels=(0.5,))
     model = build_uc(system, median, UcOptions(horizon=2, first_stage=2),
-                     fixed_commitments=by_unit(system, window.commit))
+                     fixed_commitments=window.commit)
     assert all(model.lb[j] == model.ub[j]
                for j in model.binary_indices())
     got = solve(model)
@@ -645,11 +645,12 @@ def test_minimum_up_time_rows_bind():
     system = toy_system()
     tree = toy_tree(system)
     opts = options(frequency_constraints=False)
-    pins = {g.id: [1] * 6 for g in system.generators}
-    pins["mid"] = [0, 0, 1, 0, 0, 0]   # a single-period visit breaks min_up=2
+    pins = np.ones((6, len(system.generators)))
+    mid = unit_index(system, "mid")
+    pins[:, mid] = [0, 0, 1, 0, 0, 0]   # a single-period visit breaks min_up=2
     model = build_uc(system, tree, opts, fixed_commitments=pins)
     assert solve(model).status == "infeasible"
-    pins["mid"] = [0, 0, 1, 1, 0, 0]
+    pins[:, mid] = [0, 0, 1, 1, 0, 0]
     model = build_uc(system, tree, opts, fixed_commitments=pins)
     assert solve(model).status == "optimal"
 
@@ -669,10 +670,11 @@ def test_tree_slicing_and_realized_path():
 
 def test_advance_state_accumulates_runs():
     state = {"a": UnitState(on=True, hours=3), "b": UnitState(on=False, hours=2)}
-    nxt = _advance_state(state, {"a": [1, 1], "b": [1, 0]}, 2)
+    # columns a, b; rows the two committed periods
+    nxt = _advance_state(state, ["a", "b"], [[1, 1], [1, 0]])
     assert nxt["a"] == UnitState(on=True, hours=5)
     assert nxt["b"] == UnitState(on=False, hours=1)
-    nxt = _advance_state(nxt, {"a": [0, 0], "b": [0, 0]}, 2)
+    nxt = _advance_state(nxt, ["a", "b"], [[0, 0], [0, 0]])
     assert nxt["a"] == UnitState(on=False, hours=2)
     assert nxt["b"] == UnitState(on=False, hours=3)
 
@@ -715,7 +717,7 @@ def test_single_window_rolling_matches_direct_solve():
                           branches=(ScenarioBranch(tuple(realized), 1.0),),
                           quantile_levels=(0.5,))
     redispatch, _, _ = solve_uc(system, median, options(),
-                                fixed_commitments=by_unit(system, direct.commit))
+                                fixed_commitments=direct.commit)
     assert (verify_trajectory(run.trajectory, system).checks
             == verify_solution(redispatch, system).checks)
     # without a loss variable the path is graded at its largest unit output
