@@ -18,6 +18,10 @@ branch) cell holds:
 * hyperbolic cuts ``mu * H(x) + R / mu >= 2 * chord_sqrt(P)``, which tie
   the shared commitment to each branch's loss without the auxiliaries.
 
+``period_constants`` computes, once per period, the numbers the period's
+rows share: each unit's inertia, the most post-loss inertia, the QSS
+row's right-hand side and the nadir chords, as a :class:`PeriodConstants`
+that ``must_run``, ``register_decisions`` and the row families read.
 ``register_decisions`` is the one place that creates the cells' security
 variables, for every branch of a period at once, once the commitments are
 fixed; it returns the period's columns as the arrays of a
@@ -26,8 +30,8 @@ template over a cell's columns and ``_rows`` copies it to every branch,
 as one row block; ``period_rows``, the one place that lays out a period's
 rows, stacks the inertia floor and then each branch's rows of every
 family into one block.  ``must_run`` names the units a period's rows
-force on; it reads the RoCoF, QSS and nadir numbers from the helpers the
-rows use (``rocof_slope``, ``qss_rhs``, ``nadir_chords``).
+force on; it reads the RoCoF, QSS and nadir numbers the rows use
+(``rocof_slope`` and the period's constants).
 """
 
 from __future__ import annotations
@@ -97,12 +101,35 @@ def inertia_coefficients(fleet, freq) -> np.ndarray:
                      else 0.0 for g in fleet])
 
 
-def max_inertia(fleet, freq) -> float:
-    """Post-loss inertia (MW*s^2) with every synchronous unit committed."""
-    return sum(inertia_coefficients(fleet, freq).tolist()) - lost_inertia(freq)
+@dataclass(frozen=True)
+class PeriodConstants:
+    """The numbers a period's frequency rows share, at net demand
+    ``demand``: ``inertia``, the inertia (MW*s^2) each unit adds when
+    committed, in fleet order (0 for a unit that is not synchronous);
+    ``h_max``, the post-loss inertia with every synchronous unit
+    committed; ``qss``, the least ``R - P`` of the QSS row; and
+    ``chords``, the nadir envelope's chords ``(slope, icpt)``."""
+
+    demand: float
+    inertia: list
+    h_max: float
+    qss: float
+    chords: list
 
 
-def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
+def period_constants(fleet, freq, demand: float) -> PeriodConstants:
+    """The shared numbers of a period with net demand ``demand``.  Raises
+    ``ValueError`` when the segment grid enters the region where the nadir
+    requirement decreases (see :func:`nadir_chords`)."""
+    inertia = inertia_coefficients(fleet, freq).tolist()
+    h_max = sum(inertia) - lost_inertia(freq)
+    return PeriodConstants(demand, inertia, h_max,
+                           qss_rhs(freq, demand, h_max),
+                           nadir_chords(freq, demand))
+
+
+def register_decisions(model: MilpModel, fleet, freq,
+                       constants: PeriodConstants, r_max: float, *,
                        period: int, commit, output, pfr) -> PeriodCells:
     """Create the security variables of one period's cells, one per branch,
     from the period's commitment ids ``commit`` ``(units,)``, which must
@@ -118,7 +145,7 @@ def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
     heads = ["ploss", "R", "hr"] + [f"z[{g.id}]"
                                     for g, f in zip(fleet, free) if f]
     ub = [freq.largest_unit_rating, r_max,
-          max(max_inertia(fleet, freq), 0.0) * r_max] + [r_max] * free.sum()
+          max(constants.h_max, 0.0) * r_max] + [r_max] * free.sum()
     n = len(output)
     ids = model.add_variables(
         [f"{head}[{period}][{s}]" for s in range(n) for head in heads],
@@ -200,17 +227,16 @@ def largest_loss_rows(cells: PeriodCells, fleet, eligible, tags) -> RowBlock:
                          for i in eligible], tags)
 
 
-def inertia_expression(fleet, freq) -> list:
+def inertia_expression(fleet, freq, constants: PeriodConstants) -> list:
     """Post-loss system inertia ``H(x)`` in MW*s^2 as a function of a
     period's commitments, written as the one-row template (see ``_rows``)
     of the inertia floor ``H(x) >= 0``: ``H(x)`` is the row's coefficients
     on the synchronous units' commitments, in fleet order, less its
     right-hand side, the lost inertia."""
     _, _, X, _ = _unit_slots(len(fleet))
-    coefficients = inertia_coefficients(fleet, freq).tolist()
     sync = [i for i, g in enumerate(fleet) if g.synchronous]
     return [("h_min", "", _GE, [X + i for i in sync],
-             [coefficients[i] for i in sync], lost_inertia(freq))]
+             [constants.inertia[i] for i in sync], lost_inertia(freq))]
 
 
 def inertia_floor_row(cells: PeriodCells, inertia, tag: str) -> RowBlock:
@@ -253,22 +279,23 @@ def settled_limit(freq, demand: float, h_max: float) -> float:
     return freq.df_ss_max - eps * gap / (1.0 - eps)
 
 
-def qss_rhs(fleet, freq, demand: float) -> float:
+def qss_rhs(freq, demand: float, h_max: float) -> float:
     """Least ``R - P`` of the quasi-steady-state row: minus the damping
-    relief at the settled limit, or, without damping, ``QSS_MARGIN``."""
+    relief at the settled limit for the most inertia ``h_max``, or,
+    without damping, ``QSS_MARGIN``."""
     d = freq.damping * demand
     if d == 0.0:
         return QSS_MARGIN
-    return -d * settled_limit(freq, demand, max_inertia(fleet, freq))
+    return -d * settled_limit(freq, demand, h_max)
 
 
-def qss_row(cells: PeriodCells, fleet, freq, demand: float,
+def qss_row(cells: PeriodCells, constants: PeriodConstants,
             tags) -> RowBlock:
     """Quasi-steady-state recovery in each branch: total response covers
     the loss minus the damping relief at the settled limit, or, without
     damping, the loss plus ``QSS_MARGIN``."""
     return _rows(cells, [("qss", "", _GE, [_R, _LOSS], [1.0, -1.0],
-                          qss_rhs(fleet, freq, demand))], tags)
+                          constants.qss)], tags)
 
 
 def nadir_beta(freq, demand: float) -> float:
@@ -283,7 +310,8 @@ def nadir_requirement(p_loss: float, freq, demand: float) -> float:
     return quad - nadir_beta(freq, demand) * p_loss
 
 
-def linearize_inertia_pfr(cells: PeriodCells, fleet, freq, r_max: float,
+def linearize_inertia_pfr(cells: PeriodCells, fleet, freq,
+                          constants: PeriodConstants, r_max: float,
                           tags) -> RowBlock:
     """Rows that define R and bound the product variable by H(x) * R, in
     each branch.
@@ -307,7 +335,7 @@ def linearize_inertia_pfr(cells: PeriodCells, fleet, freq, r_max: float,
                       [1.0, -1.0], 0.0),
                      ("bigm_x", f"[{fleet[i].id}]", _LE, [Z + j, X + i],
                       [1.0, -r_max], 0.0)]
-    coefficients = inertia_coefficients(fleet, freq).tolist()
+    coefficients = constants.inertia
     committed = -lost_inertia(freq)
     for i in np.flatnonzero(cells.fixed_on).tolist():
         committed += coefficients[i]
@@ -353,8 +381,8 @@ def nadir_chords(freq, demand: float) -> list[tuple[float, float]]:
     return chords
 
 
-def nadir_discretization_rows(cells: PeriodCells, freq, demand: float,
-                              tags) -> RowBlock:
+def nadir_discretization_rows(cells: PeriodCells,
+                              constants: PeriodConstants, tags) -> RowBlock:
     """Chord envelope of the nadir requirement in each branch: hr >= each
     chord of :func:`nadir_chords`.  With hr >= 0 the rows enforce
     H*R >= hr >= f(P) for every loss in [0, rating], exactly at the
@@ -362,12 +390,12 @@ def nadir_discretization_rows(cells: PeriodCells, freq, demand: float,
     return _rows(cells, [("nadir_cut", f"[{i}]", _GE, [_HR, _LOSS],
                           [1.0, -slope], icpt)
                          for i, (slope, icpt)
-                         in enumerate(nadir_chords(freq, demand), 1)], tags)
+                         in enumerate(constants.chords, 1)], tags)
 
 
-def hyperbolic_cut_rows(cells: PeriodCells, fleet, freq, inertia,
-                        demand: float, r_max: float, loss_floor: float,
-                        tags) -> RowBlock:
+def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
+                        constants: PeriodConstants, r_max: float,
+                        loss_floor: float, tags) -> RowBlock:
     """Cuts ``mu * H(x) + R / mu - 2 s P >= 2 c`` in each branch for
     ``HYPERBOLIC_CUTS`` values of mu, valid for every loss
     ``P >= loss_floor``.
@@ -385,9 +413,9 @@ def hyperbolic_cut_rows(cells: PeriodCells, fleet, freq, inertia,
     """
     if not cells.free.any():
         return _rows(cells, [], tags)
-    rating = freq.largest_unit_rating
+    rating, demand = freq.largest_unit_rating, constants.demand
     f_b = nadir_requirement(rating, freq, demand)
-    h_max = max_inertia(fleet, freq)
+    h_max = constants.h_max
     if f_b <= 0.0 or h_max <= 0.0:
         return _rows(cells, [], tags)
     p_a = min(max(loss_floor, _requirement_root(freq, demand)), rating)
@@ -407,7 +435,8 @@ def hyperbolic_cut_rows(cells: PeriodCells, fleet, freq, inertia,
     return _rows(cells, template, tags)
 
 
-def must_run(fleet, freq, demand: float, loss_floor: float, upper):
+def must_run(fleet, freq, constants: PeriodConstants, loss_floor: float,
+             upper):
     """Which units every commitment the cell rows admit keeps on.
 
     ``upper`` holds each unit's commitment upper bound in the period.
@@ -423,23 +452,23 @@ def must_run(fleet, freq, demand: float, loss_floor: float, upper):
     boolean per unit.
     """
     upper = np.asarray(upper, dtype=float)
-    inertia = upper * inertia_coefficients(fleet, freq)
+    inertia = upper * constants.inertia
     response = upper * [g.pfr_max for g in fleet]
     h = inertia.sum() - lost_inertia(freq) - inertia
     r = response.sum() - response
     nadir = max((slope * loss_floor + icpt
-                 for slope, icpt in nadir_chords(freq, demand)), default=0.0)
+                 for slope, icpt in constants.chords), default=0.0)
 
     def short(have, need):
         return have < need - 1e-9 * max(1.0, abs(need))
 
     return (short(h, rocof_slope(freq) * loss_floor)
-            | short(r, loss_floor + qss_rhs(fleet, freq, demand))
+            | short(r, loss_floor + constants.qss)
             | short(h * r, nadir))
 
 
-def period_rows(cells: PeriodCells, fleet, freq, demand: float, r_max: float,
-                *, largest, loss_floor: float) -> RowBlock:
+def period_rows(cells: PeriodCells, fleet, freq, constants: PeriodConstants,
+                r_max: float, *, largest, loss_floor: float) -> RowBlock:
     """Every frequency row of one period ``t`` as one row block: the
     inertia floor, tagged ``[t]``, then each branch ``s``'s rows in turn,
     tagged ``[t][s]``: its loss bounds, RoCoF and QSS rows, product rows,
@@ -451,16 +480,16 @@ def period_rows(cells: PeriodCells, fleet, freq, demand: float, r_max: float,
     """
     tag = f"[{cells.period}]"
     tags = [f"{tag}[{s}]" for s in range(len(cells.loss))]
-    inertia = inertia_expression(fleet, freq)
+    inertia = inertia_expression(fleet, freq, constants)
     # a unit rated at most the floor never out-produces the largest unit
     sources = [i for i, g in enumerate(fleet)
                if g.id == largest.id or g.p_max > loss_floor]
     return _stack(inertia_floor_row(cells, inertia, tag), [
         largest_loss_rows(cells, fleet, sources, tags),
         rocof_row(cells, freq, inertia, tags),
-        qss_row(cells, fleet, freq, demand, tags),
-        linearize_inertia_pfr(cells, fleet, freq, r_max, tags),
-        nadir_discretization_rows(cells, freq, demand, tags),
-        hyperbolic_cut_rows(cells, fleet, freq, inertia, demand, r_max,
+        qss_row(cells, constants, tags),
+        linearize_inertia_pfr(cells, fleet, freq, constants, r_max, tags),
+        nadir_discretization_rows(cells, constants, tags),
+        hyperbolic_cut_rows(cells, freq, inertia, constants, r_max,
                             loss_floor, tags),
     ], len(tags))

@@ -283,21 +283,24 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     # a unit committed by a fixed bound needs no product auxiliary.  A free
     # commitment that the security rows force on is pinned first.  The
     # commitments are shared, so every branch of a period gets the same
-    # variables; ``cells[t]`` holds the period's cells, one per branch
-    cells = []
+    # variables; ``cells[t]`` holds the period's cells, one per branch, and
+    # ``constants[t]`` the numbers its rows share, computed once
+    cells, constants = [], []
     if options.frequency_constraints:
         for t, tt in enumerate(periods):
-            col = x[:, t]
             try:
-                pins = freqsec.must_run(fleet, freq, demand[t], floor_big,
-                                        model.ub[col])
+                constants.append(freqsec.period_constants(fleet, freq,
+                                                          demand[t]))
             except ValueError as exc:  # the grid check, an input error
                 raise SchedulerError(f"period {tt}: {exc}") from exc
+            col = x[:, t]
+            pins = freqsec.must_run(fleet, freq, constants[t], floor_big,
+                                    model.ub[col])
             for j in col[pins & (model.lb[col] != model.ub[col])].tolist():
                 model.fix_variable(j, 1.0)
             cells.append(freqsec.register_decisions(
-                model, fleet, freq, r_max, period=tt, commit=col,
-                output=p[:, t].T, pfr=r[:, t].T))
+                model, fleet, freq, constants[t], r_max, period=tt,
+                commit=col, output=p[:, t].T, pfr=r[:, t].T))
 
     # power balance and unit limits: the same rows in every cell, over the
     # cell's columns [p..., r..., wind, x...]
@@ -396,9 +399,9 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
 
     # frequency-security rows: per period the inertia floor, then each
     # branch's cell rows
-    for t, period_cells in enumerate(cells):
+    for period_cells, shared in zip(cells, constants):
         model.add_block(freqsec.period_rows(
-            period_cells, fleet, freq, demand[t], r_max, largest=big,
+            period_cells, fleet, freq, shared, r_max, largest=big,
             loss_floor=floor_big))
 
     # probability-weighted operating cost

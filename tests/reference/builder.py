@@ -18,8 +18,8 @@ import numpy as np
 
 from frequc import freqsec
 from frequc.freqsec import (HYPERBOLIC_CUTS, _requirement_root, lost_inertia,
-                            max_inertia, nadir_chords, nadir_requirement,
-                            qss_rhs, rocof_slope)
+                            nadir_chords, nadir_requirement, qss_rhs,
+                            rocof_slope)
 from frequc.milp import LinearRow, MilpModel, ModelError
 from frequc.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from frequc.scheduler import (
@@ -72,6 +72,12 @@ class FreqDecisionSet:
 
 def _inertia_coef(g, freq) -> float:
     return g.inertia_const * g.p_max / freq.f0
+
+
+def max_inertia(fleet, freq) -> float:
+    """Post-loss inertia (MW*s^2) with every synchronous unit committed."""
+    return sum(_inertia_coef(g, freq) for g in fleet
+               if g.synchronous) - lost_inertia(freq)
 
 
 def register_decisions(model: MilpModel, fleet, freq, r_max: float, *,
@@ -155,7 +161,8 @@ def qss_row(decisions: FreqDecisionSet, fleet, freq, demand: float,
     the damping relief at the settled limit, or, without damping, the loss
     plus ``QSS_MARGIN``."""
     return LinearRow(coeffs={decisions.response: 1.0, decisions.loss: -1.0},
-                     sense=SENSE_GE, rhs=qss_rhs(fleet, freq, demand),
+                     sense=SENSE_GE,
+                     rhs=qss_rhs(freq, demand, max_inertia(fleet, freq)),
                      label=f"qss{tag}")
 
 
@@ -382,8 +389,10 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
     if options.frequency_constraints and security_pins:
         for t in range(n_periods):
             try:
-                pins = freqsec.must_run(fleet, freq, demand[t], floor_big,
-                                        [model.ub[x[g.id, t]] for g in fleet])
+                pins = freqsec.must_run(
+                    fleet, freq,
+                    freqsec.period_constants(fleet, freq, demand[t]),
+                    floor_big, [model.ub[x[g.id, t]] for g in fleet])
             except ValueError as exc:  # the grid check, an input error
                 raise SchedulerError(f"period {start_period + t}: {exc}") \
                     from exc

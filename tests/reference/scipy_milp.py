@@ -1,7 +1,9 @@
 """HiGHS through ``scipy.optimize.milp``: how ``frequc.milp`` called the
-solver before it passed the compiled arrays to HiGHS itself.  The tests
-require both routes to return the same status, point, objective, bound,
-gap and node count on the same arrays.
+solver before it passed the compiled arrays to HiGHS itself.  The two
+routes differ in one setting of HiGHS's search: ``scipy.optimize.milp``
+runs the feasibility-jump heuristic, which ``run_highs`` turns off.  The
+tests still require both routes to return the same status, point,
+objective, bound, gap and node count, bit for bit, on the same arrays.
 """
 
 from __future__ import annotations

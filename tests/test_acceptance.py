@@ -20,8 +20,8 @@ import pytest
 
 from frequc.cli import _scale_wind
 from frequc.freqdyn import SwingInputs, exact_nadir_feasible, simulate_swing
-from frequc.freqsec import (nadir_requirement, period_rows,
-                            register_decisions)
+from frequc.freqsec import (nadir_requirement, period_constants,
+                            period_rows, register_decisions)
 from frequc.milp import MilpModel, solve
 from frequc.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from frequc.scheduler import (UcOptions, _advance_state, default_initial_state,
@@ -192,11 +192,12 @@ def _economic_cell(fleet, demand, floor, freq=None, commit=None):
         **{x[g.id]: g.no_load_cost for g in fleet if g.no_load_cost},
         **{r[g.id]: 0.5 * g.marginal_cost for g in fleet if g.pfr_max}})
     if freq is not None:
-        cell = register_decisions(model, fleet, freq, r_max, period=0,
-                                  commit=list(x.values()),
+        constants = period_constants(fleet, freq, demand)
+        cell = register_decisions(model, fleet, freq, constants, r_max,
+                                  period=0, commit=list(x.values()),
                                   output=[list(p.values())],
                                   pfr=[list(r.values())])
-        model.add_block(period_rows(cell, fleet, freq, demand, r_max,
+        model.add_block(period_rows(cell, fleet, freq, constants, r_max,
                                     largest=big, loss_floor=floor))
     return model, x, p, r
 
@@ -303,10 +304,12 @@ def test_bigm_product_exactness():
                   for g in fleet]
         pfr = {g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
                for g in fleet}
+        constants = period_constants(fleet, freq, 2500.0)
         cell = register_decisions(
-            model, fleet, freq, r_max, period=0, commit=list(commit.values()),
-            output=[output], pfr=[list(pfr.values())])
-        model.add_block(period_rows(cell, fleet, freq, 2500.0, r_max,
+            model, fleet, freq, constants, r_max, period=0,
+            commit=list(commit.values()), output=[output],
+            pfr=[list(pfr.values())])
+        model.add_block(period_rows(cell, fleet, freq, constants, r_max,
                                     largest=fleet[0], loss_floor=1200.0))
         # the rows that define R and bound the product
         rows = [row for row in model.rows

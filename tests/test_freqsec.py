@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from frequc.freqsec import (
     QSS_MARGIN,
     inertia_expression,
-    max_inertia,
     must_run,
     nadir_requirement,
+    period_constants,
     period_rows,
     register_decisions,
     settled_limit,
@@ -45,12 +45,14 @@ def freq_for(fleet, segments, **kw):
 
 def new_cell(mdl, fleet, freq, r_max):
     """One cell, period 0 and one branch: the window's variables, then
-    ``register_decisions``."""
+    ``register_decisions``, which reads no demand."""
     commit = [mdl.add_binary(f"x[{g.id}]") for g in fleet]
     output = [mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max) for g in fleet]
     pfr = [mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max) for g in fleet]
-    return register_decisions(mdl, fleet, freq, r_max, period=0,
-                              commit=commit, output=[output], pfr=[pfr])
+    return register_decisions(mdl, fleet, freq,
+                              period_constants(fleet, freq, 0.0), r_max,
+                              period=0, commit=commit, output=[output],
+                              pfr=[pfr])
 
 
 def add_cell_rows(mdl, cell, fleet, freq, kinds, *, demand=30000.0,
@@ -59,7 +61,8 @@ def add_cell_rows(mdl, cell, fleet, freq, kinds, *, demand=30000.0,
     start with one of ``kinds``, and return them read back from
     ``mdl.rows``.  With the default ``loss_floor`` every unit is a loss
     source."""
-    block = period_rows(cell, fleet, freq, demand, r_max,
+    block = period_rows(cell, fleet, freq,
+                        period_constants(fleet, freq, demand), r_max,
                         largest=largest_unit(fleet), loss_floor=loss_floor)
     keep = np.array([label.startswith(kinds) for label in block.labels])
     start = mdl.n_rows
@@ -80,7 +83,8 @@ def ids(mdl, fleet):
 def inertia_value(cell, fleet, freq, values):
     """H(x) at ``values``, from ``inertia_expression``: its coefficients on
     the cell's columns in its slots, less its right-hand side."""
-    [(_, _, _, slots, coefs, lost)] = inertia_expression(fleet, freq)
+    [(_, _, _, slots, coefs, lost)] = inertia_expression(
+        fleet, freq, period_constants(fleet, freq, 0.0))
     return float(np.dot(coefs, values[cell.columns[0, slots]]) - lost)
 
 
@@ -132,7 +136,8 @@ def test_inertia_expression_worked_example():
     mdl = MilpModel()
     cell = new_cell(mdl, fleet, freq, r_max=200.0)
     commit, _, _ = ids(mdl, fleet)
-    [(_, _, _, slots, coefs, lost)] = inertia_expression(fleet, freq)
+    [(_, _, _, slots, coefs, lost)] = inertia_expression(
+        fleet, freq, period_constants(fleet, freq, 0.0))
     coeffs = dict(zip(cell.columns[0, slots].tolist(), coefs))
     assert coeffs[commit["big"]] == pytest.approx(200.0)
     assert coeffs[commit["small"]] == pytest.approx(40.0)
@@ -216,7 +221,7 @@ def test_qss_row_worked_examples():
 def test_settled_limit_worked_examples():
     fleet = two_unit_fleet()
     freq = freq_for(fleet, [2000.0], damping=0.01, df_ss_max=0.5, t_d=10.0)
-    h_max = max_inertia(fleet, freq)
+    h_max = period_constants(fleet, freq, 0.0).h_max
     assert h_max == pytest.approx(40.0)
     # equal limits: exactly df_ss_max, whatever the damping
     same = freq_for(fleet, [2000.0], damping=0.01, df_ss_max=0.8)
@@ -416,10 +421,11 @@ def cell_admits_off(fleet, freq, demand, loss_floor, upper, off):
                         0.0, f"pfr_cap[{g.id}]")
     mdl.add_row({output[fleet.index(big)]: 1.0}, ">=", loss_floor, "floor")
     r_max = sum(g.pfr_max for g in fleet)
-    cell = register_decisions(mdl, fleet, freq, r_max, period=0,
+    constants = period_constants(fleet, freq, demand)
+    cell = register_decisions(mdl, fleet, freq, constants, r_max, period=0,
                               commit=commit, output=[output], pfr=[pfr])
-    mdl.add_block(period_rows(cell, fleet, freq, demand, r_max, largest=big,
-                              loss_floor=loss_floor))
+    mdl.add_block(period_rows(cell, fleet, freq, constants, r_max,
+                              largest=big, loss_floor=loss_floor))
     status = solve(mdl).status
     assert status in ("optimal", "infeasible")
     return status == "optimal"
@@ -429,7 +435,8 @@ def assert_pins_are_exact(fleet, freq, demand, loss_floor, upper):
     """A unit ``must_run`` pins leaves the cell no point when off; a free
     unit it leaves alone can be off.  Returns the pins of the free units."""
     big = largest_unit(fleet)
-    pins = must_run(fleet, freq, demand, loss_floor, upper)
+    pins = must_run(fleet, freq, period_constants(fleet, freq, demand),
+                    loss_floor, upper)
     seen = []
     for g, hi, pin in zip(fleet, upper, pins):
         if g.id != big.id and hi == 1.0:

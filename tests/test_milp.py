@@ -585,21 +585,35 @@ def assert_same_solution(got, want):
 
 
 @pytest.mark.parametrize("mode", LOSS_MODES)
-@pytest.mark.parametrize("wind", [700.0, 3000.0])
+@pytest.mark.parametrize("wind", [700.0, 1850.0, 3000.0])
 def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
                                                             wind, mode):
+    """Secured windows at 700 and 3000 MW; at 1850 MW unsecured windows
+    whose LP relaxation is fractional, so that HiGHS's MIP heuristics
+    run: ``scipy.optimize.milp`` runs feasibility jump and ``run_highs``
+    does not, and the answers must still agree bit for bit."""
     base = load_system(ROOT / "data" / "toy_system.yaml")
     levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
     system, tree = _scale_wind(base, build_scenario_tree(levels, table), wind)
-    for horizon, start in [(4, 0), (4, 12)] + [(12, 0)] * (mode == "fixed"):
-        options = UcOptions(horizon=horizon, first_stage=horizon,
-                            largest_loss_mode=mode)
+    secured = wind != 1850.0
+    windows = ([(4, 0), (4, 12)] + [(12, 0)] * (mode == "fixed") if secured
+               else [(4, 8), (4, 16), (12, 0), (12, 12)])
+    for horizon, start in windows:
+        options = UcOptions(frequency_constraints=secured, horizon=horizon,
+                            first_stage=horizon, largest_loss_mode=mode)
         model = build_uc(system, slice_tree(tree, start, horizon), options,
                          start_period=start)
         got = solve(model)
         # secured fixed-mode windows have every commitment pinned: an LP
         free = [j for j in model.binary_indices() if model.lb[j] != model.ub[j]]
-        assert bool(free) == (mode == "optimised")
+        assert bool(free) == (mode == "optimised" or not secured)
+        if not secured:
+            compiled = model.compile()
+            lp = branch_bound.run_highs(
+                compiled, np.zeros_like(compiled.integrality), SolveOptions())
+            assert lp.status == "optimal"
+            assert np.abs(lp.values[free] - np.round(lp.values[free])).max() \
+                > 1e-3
         assert got.status == "optimal"
         assert got.nodes >= 1 if free else got.nodes == 0
         assert_same_solution(got, solve_through_scipy(monkeypatch, model))
@@ -745,6 +759,43 @@ def test_infeasible_relaxation_falls_back_to_infeasible(monkeypatch):
     assert calls == [False, True]
     assert got.status == "infeasible" and got.values is None
     assert_same_solution(got, solve(mdl))
+
+
+def test_run_highs_turns_feasibility_jump_off(monkeypatch):
+    """Every HiGHS instance ``run_highs`` makes, for an LP or a MIP, is
+    told not to run feasibility jump, and takes the setting."""
+    from scipy.optimize._highspy import _core
+
+    made = []
+
+    class Recording:
+        """Forwards every call to a real ``_Highs`` and records the
+        options set on it."""
+
+        def __init__(self):
+            self.highs, self.options = real(), []
+            made.append(self)
+
+        def setOptionValue(self, name, value):
+            status = self.highs.setOptionValue(name, value)
+            self.options.append((name, value, status))
+            return status
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+    real = _core._Highs
+    monkeypatch.setattr(_core, "_Highs", Recording)
+    got, calls = solve_counting(monkeypatch, fractional_knapsack(),
+                                relax_first=True)
+    assert got.status == "optimal" and calls == [False, True]
+    assert len(made) == 2
+    for highs in made:
+        assert ("mip_heuristic_run_feasibility_jump", False,
+                _core.HighsStatus.kOk) in highs.options
+        assert highs.highs.getOptionValue(
+            "mip_heuristic_run_feasibility_jump") == (_core.HighsStatus.kOk,
+                                                      False)
 
 
 @pytest.mark.parametrize("options, name", [

@@ -45,6 +45,7 @@ from frequc.sysmodel import (
     load_system,
 )
 from reference.oracle import solve_exhaustive
+from test_properties import settled_limit_window
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -482,34 +483,16 @@ def test_secured_window_passes_swing_verification():
 def test_settled_limit_secures_the_60s_deviation():
     """With df_ss_max < df_max the QSS row tightens its limit, so a slow
     recovery from a nadir between the two limits still clears the 60-s
-    check.  The settled-deviation row alone left a -2.1e-6 Hz margin here.
+    check.  The settled-deviation row alone left a -2.6e-6 Hz margin here.
     """
-    units = (
-        GeneratorSpec(id="g0", technology="thermal", p_max=300.0,
-                      inertia_const=2.0, marginal_cost=10.0),
-        GeneratorSpec(id="g1", technology="thermal", p_max=210.0,
-                      inertia_const=10.0, marginal_cost=20.0, pfr_max=63.0),
-        GeneratorSpec(id="g2", technology="thermal", p_max=270.0,
-                      inertia_const=40.0, marginal_cost=20.0, pfr_max=81.0),
-        GeneratorSpec(id="g3", technology="thermal", p_max=210.0,
-                      inertia_const=10.0, marginal_cost=20.0, pfr_max=126.0),
-    )
-    system = SystemSpec(
-        generators=units, demand_profile=(438.0, 852.0), wind_capacity=100.0,
-        period_hours=1.0,
-        frequency=FrequencyParams(
-            f0=50.0, df_max=0.8, df_ss_max=0.4, rocof_max=1.0, t_d=2.5,
-            damping=0.26408, nadir_segments=default_segment_grid(300.0, 0.0),
-            largest_unit_rating=300.0, largest_unit_inertia=2.0))
-    tree = build_scenario_tree((0.1, 0.5, 0.9),
-                               np.array([[438.0] * 3, [766.8] * 3]))
+    system, tree = settled_limit_window()
     solution, _, raw = solve_uc(system, tree, options(
-        horizon=2, first_stage=2, largest_loss_mode="fixed"))
+        horizon=2, first_stage=2, largest_loss_mode="optimised"))
     assert raw.status == "optimal"
     report = verify_solution(solution, system, tol=1e-6)
     assert report.ok, [(c.period, c.scenario) for c in report.failures()]
     first = report.checks[0]
-    assert (first.inertia, first.loss) == (300.0, 300.0)
+    assert (first.inertia, first.loss) == (228.0, 300.0)
     assert first.report.qss_margin > 1e-6
 
 
