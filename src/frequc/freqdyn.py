@@ -7,8 +7,10 @@ Solves the swing model
 where ``d`` is the load-damping product (damping constant times demand,
 MW/Hz) and ``ramp(t)`` is the primary-response delivery: R * t / T_d up
 to the delivery time, R afterwards.  The solution is piecewise closed
-form, which lets the nadir be located by stationarity instead of
-sampling.
+form (:func:`deviation_curve`), which lets the nadir be located by
+stationarity instead of sampling: :func:`simulate_swing` reads the curve
+only where its minimum over the first ``HORIZON`` seconds can sit, and at
+``HORIZON`` itself, where the quasi-steady-state limit is checked.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Seconds after the loss that the swing check reads: the nadir is sought
+# up to it, and the quasi-steady-state limit is checked at it.
+HORIZON = 60.0
+
 
 @dataclass(frozen=True)
 class SwingInputs:
@@ -27,7 +33,6 @@ class SwingInputs:
     pfr: float              # MW, total primary response R
     delivery_time: float    # s
     loss: float             # MW
-    horizon: float = 60.0   # s
 
     def __post_init__(self):
         if self.inertia <= 0.0:
@@ -40,14 +45,10 @@ class SwingInputs:
             raise ValueError("loss must be >= 0")
         if self.damping < 0.0:
             raise ValueError("damping must be >= 0")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
 
 
 @dataclass(frozen=True)
 class SwingTrace:
-    times: np.ndarray       # s
-    deviation: np.ndarray   # Hz
     nadir: float            # Hz, minimum of the continuous trajectory
     nadir_time: float       # s
     initial_rocof: float    # Hz/s
@@ -55,7 +56,7 @@ class SwingTrace:
     diverges: bool          # no recovery without damping: R < loss, d = 0
 
 
-def _deviation_curve(inp: SwingInputs, t):
+def deviation_curve(inp: SwingInputs, t):
     """Closed-form deviation at times ``t`` (scalar or array).
 
     Each piece is evaluated only on its own times: the post-delivery
@@ -87,10 +88,6 @@ def _deviation_curve(inp: SwingInputs, t):
     return out
 
 
-def _deviation_at(inp: SwingInputs, t: float) -> float:
-    return float(_deviation_curve(inp, t))
-
-
 def _ramp_stationary_time(inp: SwingInputs):
     """Interior stationary point of the delivery-phase piece, if any."""
     if inp.pfr <= 0.0 or inp.loss <= 0.0:
@@ -102,37 +99,27 @@ def _ramp_stationary_time(inp: SwingInputs):
     return (h2 / inp.damping) * math.log(arg)
 
 
-def simulate_swing(inputs: SwingInputs, step: float = 0.01) -> SwingTrace:
-    """Closed-form trajectory with analytically located nadir."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+def simulate_swing(inputs: SwingInputs) -> SwingTrace:
+    """The closed-form trajectory's nadir over the first ``HORIZON``
+    seconds, located analytically, and its deviation at ``HORIZON``."""
     td = inputs.delivery_time
-    horizon = inputs.horizon
-
-    candidates = [0.0, min(td, horizon)]
+    candidates = [0.0, min(td, HORIZON)]
     t_star = _ramp_stationary_time(inputs)
-    if t_star is not None and 0.0 < t_star < min(td, horizon):
+    if t_star is not None and 0.0 < t_star < min(td, HORIZON):
         candidates.append(t_star)
-    if horizon > td:
+    if HORIZON > td:
         # the post-delivery piece is monotone, so its extremes sit at the ends
-        candidates.append(horizon)
+        candidates.append(HORIZON)
     cand = np.array(sorted(candidates))
-    vals = _deviation_curve(inputs, cand)
+    vals = deviation_curve(inputs, cand)
     k = int(np.argmin(vals))
-    nadir = float(vals[k])
-    nadir_time = float(cand[k])
-
-    times = np.arange(0.0, horizon + 0.5 * step, step)
-    deviation = np.asarray(_deviation_curve(inputs, times), dtype=float)
     diverges = (inputs.damping == 0.0 and inputs.loss > 0.0
                 and inputs.pfr < inputs.loss)
     return SwingTrace(
-        times=times,
-        deviation=deviation,
-        nadir=nadir,
-        nadir_time=nadir_time,
+        nadir=float(vals[k]),
+        nadir_time=float(cand[k]),
         initial_rocof=-inputs.loss / (2.0 * inputs.inertia),
-        deviation_60=_deviation_at(inputs, 60.0),
+        deviation_60=float(deviation_curve(inputs, HORIZON)),
         diverges=diverges,
     )
 
@@ -171,8 +158,7 @@ def check_security(trace: SwingTrace, freq, *, tol: float = 1e-9) -> SecurityRep
 
 
 def certify_operating_point(inertia, damping_product, pfr, delivery_time,
-                            loss, freq, horizon: float = 60.0,
-                            tol: float = 1e-9):
+                            loss, freq, tol: float = 1e-9):
     """Security report for raw scheduling quantities.
 
     Handles the degenerate commitments a schedule can produce: no loss at
@@ -197,7 +183,7 @@ def certify_operating_point(inertia, damping_product, pfr, delivery_time,
     inputs = SwingInputs(
         inertia=float(inertia), damping=float(max(damping_product, 0.0)),
         pfr=float(max(pfr, 0.0)), delivery_time=float(delivery_time),
-        loss=float(loss), horizon=horizon,
+        loss=float(loss),
     )
     trace = simulate_swing(inputs)
     return trace, check_security(trace, freq, tol=tol)

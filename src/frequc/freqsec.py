@@ -14,7 +14,8 @@ branch) cell holds:
   Outside those upper bounds ``z`` and ``hr`` enter only ``>=`` rows with
   positive coefficients, so the one-sided bounds are exact: the largest
   ``hr`` the rows allow is ``H(x) * R``;
-* the chord envelope of the convex nadir requirement, ``hr >= chord(P)``;
+* the chord envelope of the convex nadir requirement, ``hr >= chord(P)``
+  (without damping, at the tighter of the nadir and 60-s limits);
 * hyperbolic cuts ``mu * H(x) + R / mu >= 2 * chord_sqrt(P)``, which tie
   the shared commitment to each branch's loss without the auxiliaries.
 
@@ -25,13 +26,14 @@ that ``must_run``, ``register_decisions`` and the row families read.
 ``register_decisions`` is the one place that creates the cells' security
 variables, for every branch of a period at once, once the commitments are
 fixed; it returns the period's columns as the arrays of a
-:class:`PeriodCells`.  Each row family writes one branch's rows as a
-template over a cell's columns and ``_rows`` copies it to every branch,
-as one row block; ``period_rows``, the one place that lays out a period's
-rows, stacks the inertia floor and then each branch's rows of every
-family into one block.  ``must_run`` names the units a period's rows
-force on; it reads the RoCoF, QSS and nadir numbers the rows use
-(``rocof_slope`` and the period's constants).
+:class:`PeriodCells`.  Each row family returns its rows as a template
+over one cell's columns, a list of ``(kind, suffix, sense, slots, vals,
+rhs)``.  ``period_rows``, the one place that lays out a period's rows,
+joins the families' templates and has ``_rows``, the one writer of a
+:class:`RowBlock`, write them as one block: the inertia floor once, then
+the joined template for every branch.  ``must_run`` names the units a
+period's rows force on; it reads the RoCoF, QSS and nadir numbers the
+rows use (``rocof_slope`` and the period's constants).
 """
 
 from __future__ import annotations
@@ -158,73 +160,39 @@ def register_decisions(model: MilpModel, fleet, freq,
                                 ids[:, 3:]], axis=1))
 
 
-def _rows(cells: PeriodCells, template, tags) -> RowBlock:
-    """The rows of ``template`` written for every branch of ``tags``, one
-    branch after the other.  A template row ``(kind, suffix, sense, slots,
-    vals, rhs)`` reads the columns ``cells.columns[s, slots]`` in branch
-    ``s`` and is labelled ``kind + tags[s] + suffix``; short rows are
-    padded with zero coefficients."""
-    n = len(tags)
-    if not template:
-        return RowBlock(np.zeros((0, 1), dtype=np.int64), np.zeros((0, 1)),
-                        np.zeros(0, dtype=np.int8), np.zeros(0), [])
-    kinds, suffixes, sense, slots, vals, rhs = zip(*template)
-    widths = [*map(len, slots)]
-    k = max(widths)
-    if min(widths) < k:
-        slots = [row + [0] * (k - len(row)) for row in slots]
-        vals = [row + [0.0] * (k - len(row)) for row in vals]
-    # each row's coefficients, sense code and right-hand side, every branch
-    numbers = np.array([[*v, c, r] for v, c, r in zip(vals, sense, rhs)],
-                       dtype=float).reshape(1, -1, k + 2)
-    numbers = numbers.repeat(n, axis=0).reshape(-1, k + 2)
-    return RowBlock(cells.columns[:n, np.array(slots, dtype=np.int64)]
-                    .reshape(-1, k),
-                    numbers[:, :k], numbers[:, k].astype(np.int8),
-                    numbers[:, k + 1],
-                    [f"{kind}{tag}{suffix}" for tag in tags
-                     for kind, suffix in zip(kinds, suffixes)])
+def _rows(cells: PeriodCells, *parts) -> RowBlock:
+    """The rows of each ``(template, tags)`` of ``parts`` in turn, as one
+    block: ``template`` written for every branch of ``tags``, one branch
+    after the other.  A template row ``(kind, suffix, sense, slots, vals,
+    rhs)`` reads the columns ``cells.columns[s, slots]`` in branch ``s``
+    and is labelled ``kind + tags[s] + suffix``; short rows are padded
+    with zero coefficients."""
+    k = max(len(row[3]) for template, _ in parts for row in template)
+    cols, numbers, labels = [], [], []
+    for template, tags in parts:
+        kinds, suffixes, sense, slots, vals, rhs = zip(*template)
+        pads = [k - len(row) for row in slots]
+        slots = [row + [0] * pad for row, pad in zip(slots, pads)]
+        cols.append(cells.columns[:len(tags), np.array(slots, dtype=np.int64)]
+                    .reshape(-1, k))
+        # each row's coefficients, sense code and right-hand side, per branch
+        numbers.append(np.tile(np.array(
+            [[*v, *[0.0] * pad, c, r]
+             for v, pad, c, r in zip(vals, pads, sense, rhs)], dtype=float),
+            (len(tags), 1)))
+        labels += [f"{kind}{tag}{suffix}" for tag in tags
+                   for kind, suffix in zip(kinds, suffixes)]
+    numbers = np.concatenate(numbers)
+    return RowBlock(np.concatenate(cols), numbers[:, :k],
+                    numbers[:, k].astype(np.int8), numbers[:, k + 1], labels)
 
 
-def _stack(head: RowBlock, blocks, groups: int) -> RowBlock:
-    """The rows of ``head``, then those of ``blocks`` group by group, as
-    one block: each of ``blocks`` holds ``groups`` runs of rows of equal
-    length, one per branch, and run ``s`` of the result is run ``s`` of
-    each block in turn.  Short rows are padded with zero coefficients."""
-    k = max(b.cols.shape[1] for b in (head, *blocks))
-    runs = [len(b) // groups for b in blocks]
-    h, m = len(head), sum(runs)
-    cols = np.zeros((h + groups * m, k), dtype=np.int64)
-    vals = np.zeros(cols.shape)
-    sense, rhs = np.empty(len(cols), dtype=np.int8), np.empty(len(cols))
-    w = head.cols.shape[1]
-    cols[:h, :w], vals[:h, :w], sense[:h], rhs[:h] = (head.cols, head.vals,
-                                                     head.sense, head.rhs)
-    body = (cols[h:].reshape(groups, m, k), vals[h:].reshape(groups, m, k),
-            sense[h:].reshape(groups, m), rhs[h:].reshape(groups, m))
-    at = 0
-    for b, n in zip(blocks, runs):
-        w = b.cols.shape[1]
-        body[0][:, at:at + n, :w] = b.cols.reshape(groups, n, w)
-        body[1][:, at:at + n, :w] = b.vals.reshape(groups, n, w)
-        body[2][:, at:at + n] = b.sense.reshape(groups, n)
-        body[3][:, at:at + n] = b.rhs.reshape(groups, n)
-        at += n
-    labels = [*head.labels]
-    for s in range(groups):
-        for b, n in zip(blocks, runs):
-            labels += b.labels[s * n:(s + 1) * n]
-    return RowBlock(cols, vals, sense, rhs, labels)
-
-
-def largest_loss_rows(cells: PeriodCells, fleet, eligible, tags) -> RowBlock:
-    """One bound per loss source in each branch: the sizable loss covers
-    its output.  ``eligible`` holds the sources' positions in ``fleet``,
-    ``tags`` each branch's cell tag."""
+def largest_loss_rows(fleet, eligible) -> list:
+    """One bound per loss source: the sizable loss covers its output.
+    ``eligible`` holds the sources' positions in ``fleet``."""
     OUT, _, _, _ = _unit_slots(len(fleet))
-    return _rows(cells, [("loss_bound", f"[{fleet[i].id}]", _GE,
-                          [_LOSS, OUT + i], [1.0, -1.0], 0.0)
-                         for i in eligible], tags)
+    return [("loss_bound", f"[{fleet[i].id}]", _GE, [_LOSS, OUT + i],
+             [1.0, -1.0], 0.0) for i in eligible]
 
 
 def inertia_expression(fleet, freq, constants: PeriodConstants) -> list:
@@ -239,9 +207,10 @@ def inertia_expression(fleet, freq, constants: PeriodConstants) -> list:
              [constants.inertia[i] for i in sync], lost_inertia(freq))]
 
 
-def inertia_floor_row(cells: PeriodCells, inertia, tag: str) -> RowBlock:
-    """Post-loss inertia must not go negative for any commitment."""
-    return _rows(cells, inertia, [tag])
+def inertia_floor_row(inertia) -> list:
+    """Post-loss inertia must not go negative for any commitment: the
+    template ``inertia_expression`` wrote, as a row of its own."""
+    return list(inertia)
 
 
 def rocof_slope(freq) -> float:
@@ -249,12 +218,11 @@ def rocof_slope(freq) -> float:
     return 1.0 / (2.0 * freq.rocof_max)
 
 
-def rocof_row(cells: PeriodCells, freq, inertia, tags) -> RowBlock:
-    """Initial rate-of-change limit in each branch:
-    H >= loss / (2 * rocof_max)."""
+def rocof_row(freq, inertia) -> list:
+    """Initial rate-of-change limit: H >= loss / (2 * rocof_max)."""
     [(_, _, _, slots, coefs, lost)] = inertia
-    return _rows(cells, [("rocof", "", _GE, slots + [_LOSS],
-                          coefs + [-rocof_slope(freq)], lost)], tags)
+    return [("rocof", "", _GE, slots + [_LOSS], coefs + [-rocof_slope(freq)],
+             lost)]
 
 
 def settled_limit(freq, demand: float, h_max: float) -> float:
@@ -267,9 +235,11 @@ def settled_limit(freq, demand: float, h_max: float) -> float:
     grows with H.  Evaluated at the largest inertia ``h_max``,
     ``L = df_ss_max - eps * (df_max - df_ss_max) / (1 - eps)`` bounds the
     settled deviation conservatively; it is ``df_ss_max`` itself when the
-    two limits coincide.  Without damping (eps = 1), or with delivery
-    still under way at 60 s, this bound does not apply and ``df_ss_max``
-    is returned.
+    two limits coincide.  Without damping (eps = 1) this bound does not
+    apply and ``df_ss_max`` is returned; the QSS row then does not read
+    it, and the nadir rows keep the 60-s deviation within ``df_ss_max``
+    (see :func:`nadir_requirement`).  With delivery still under way at
+    60 s the bound does not apply either, and ``df_ss_max`` is returned.
     """
     gap = freq.df_max - freq.df_ss_max
     d = freq.damping * demand
@@ -289,13 +259,11 @@ def qss_rhs(freq, demand: float, h_max: float) -> float:
     return -d * settled_limit(freq, demand, h_max)
 
 
-def qss_row(cells: PeriodCells, constants: PeriodConstants,
-            tags) -> RowBlock:
-    """Quasi-steady-state recovery in each branch: total response covers
-    the loss minus the damping relief at the settled limit, or, without
-    damping, the loss plus ``QSS_MARGIN``."""
-    return _rows(cells, [("qss", "", _GE, [_R, _LOSS], [1.0, -1.0],
-                          constants.qss)], tags)
+def qss_row(constants: PeriodConstants) -> list:
+    """Quasi-steady-state recovery: total response covers the loss minus
+    the damping relief at the settled limit, or, without damping, the
+    loss plus ``QSS_MARGIN``."""
+    return [("qss", "", _GE, [_R, _LOSS], [1.0, -1.0], constants.qss)]
 
 
 def nadir_beta(freq, demand: float) -> float:
@@ -303,18 +271,23 @@ def nadir_beta(freq, demand: float) -> float:
 
 
 def nadir_requirement(p_loss: float, freq, demand: float) -> float:
-    """Inertia-times-response needed for the nadir, linear damping rule."""
+    """Inertia-times-response needed for the nadir, linear damping rule.
+    Without damping the nadir is held within ``min(df_max, df_ss_max)``."""
     if p_loss < 0.0:
         raise ValueError("p_loss must be >= 0")
-    quad = p_loss * p_loss * freq.t_d / (4.0 * freq.df_max)
+    limit = freq.df_max
+    if freq.damping * demand == 0.0:
+        # With D = 0 and R >= P + QSS_MARGIN (the QSS row) the deviation
+        # never falls after its nadir, so the 60-s reading is at least the
+        # nadir: a nadir within df_ss_max secures the QSS limit too.
+        limit = min(limit, freq.df_ss_max)
+    quad = p_loss * p_loss * freq.t_d / (4.0 * limit)
     return quad - nadir_beta(freq, demand) * p_loss
 
 
 def linearize_inertia_pfr(cells: PeriodCells, fleet, freq,
-                          constants: PeriodConstants, r_max: float,
-                          tags) -> RowBlock:
-    """Rows that define R and bound the product variable by H(x) * R, in
-    each branch.
+                          constants: PeriodConstants, r_max: float) -> list:
+    """Rows that define R and bound the product variable by H(x) * R.
 
     ``R = sum r[g]`` over the units that can respond; ``z[g] <= R`` and
     ``z[g] <= r_max * x[g]`` for each free commitment;
@@ -342,7 +315,7 @@ def linearize_inertia_pfr(cells: PeriodCells, fleet, freq,
     template.append(("hr", "", _LE, [_HR, *range(Z, Z + len(free)), _R],
                      [1.0, *(-coefficients[i] for i in free), -committed],
                      0.0))
-    return _rows(cells, template, tags)
+    return template
 
 
 def _requirement_root(freq, demand: float) -> float:
@@ -381,24 +354,20 @@ def nadir_chords(freq, demand: float) -> list[tuple[float, float]]:
     return chords
 
 
-def nadir_discretization_rows(cells: PeriodCells,
-                              constants: PeriodConstants, tags) -> RowBlock:
-    """Chord envelope of the nadir requirement in each branch: hr >= each
-    chord of :func:`nadir_chords`.  With hr >= 0 the rows enforce
+def nadir_discretization_rows(constants: PeriodConstants) -> list:
+    """Chord envelope of the nadir requirement: hr >= each chord of
+    :func:`nadir_chords`.  With hr >= 0 the rows enforce
     H*R >= hr >= f(P) for every loss in [0, rating], exactly at the
     breakpoints."""
-    return _rows(cells, [("nadir_cut", f"[{i}]", _GE, [_HR, _LOSS],
-                          [1.0, -slope], icpt)
-                         for i, (slope, icpt)
-                         in enumerate(constants.chords, 1)], tags)
+    return [("nadir_cut", f"[{i}]", _GE, [_HR, _LOSS], [1.0, -slope], icpt)
+            for i, (slope, icpt) in enumerate(constants.chords, 1)]
 
 
 def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
                         constants: PeriodConstants, r_max: float,
-                        loss_floor: float, tags) -> RowBlock:
-    """Cuts ``mu * H(x) + R / mu - 2 s P >= 2 c`` in each branch for
-    ``HYPERBOLIC_CUTS`` values of mu, valid for every loss
-    ``P >= loss_floor``.
+                        loss_floor: float) -> list:
+    """Cuts ``mu * H(x) + R / mu - 2 s P >= 2 c`` for ``HYPERBOLIC_CUTS``
+    values of mu, valid for every loss ``P >= loss_floor``.
 
     For every mu > 0, ``mu H + R / mu >= 2 sqrt(H R)`` (AM-GM, H, R >= 0),
     and the envelope rows give ``H R >= f(P)``.  ``s P + c`` is the chord
@@ -412,12 +381,12 @@ def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
     commitment, or where f <= 0 up to the rating, get none.
     """
     if not cells.free.any():
-        return _rows(cells, [], tags)
+        return []
     rating, demand = freq.largest_unit_rating, constants.demand
     f_b = nadir_requirement(rating, freq, demand)
     h_max = constants.h_max
     if f_b <= 0.0 or h_max <= 0.0:
-        return _rows(cells, [], tags)
+        return []
     p_a = min(max(loss_floor, _requirement_root(freq, demand)), rating)
     q_a = math.sqrt(max(nadir_requirement(p_a, freq, demand), 0.0))
     q_b = math.sqrt(f_b)
@@ -432,7 +401,7 @@ def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
         template.append(("hyp_cut", f"[{k}]", _GE, slots + [_R, _LOSS],
                          [mu * c for c in coefs] + [1.0 / mu, -2.0 * slope],
                          2.0 * icpt - mu * -lost))
-    return _rows(cells, template, tags)
+    return template
 
 
 def must_run(fleet, freq, constants: PeriodConstants, loss_floor: float,
@@ -479,17 +448,16 @@ def period_rows(cells: PeriodCells, fleet, freq, constants: PeriodConstants,
     cannot set the loss, and the hyperbolic cuts hold at every loss.
     """
     tag = f"[{cells.period}]"
-    tags = [f"{tag}[{s}]" for s in range(len(cells.loss))]
     inertia = inertia_expression(fleet, freq, constants)
     # a unit rated at most the floor never out-produces the largest unit
     sources = [i for i, g in enumerate(fleet)
                if g.id == largest.id or g.p_max > loss_floor]
-    return _stack(inertia_floor_row(cells, inertia, tag), [
-        largest_loss_rows(cells, fleet, sources, tags),
-        rocof_row(cells, freq, inertia, tags),
-        qss_row(cells, constants, tags),
-        linearize_inertia_pfr(cells, fleet, freq, constants, r_max, tags),
-        nadir_discretization_rows(cells, constants, tags),
-        hyperbolic_cut_rows(cells, freq, inertia, constants, r_max,
-                            loss_floor, tags),
-    ], len(tags))
+    body = (largest_loss_rows(fleet, sources)
+            + rocof_row(freq, inertia)
+            + qss_row(constants)
+            + linearize_inertia_pfr(cells, fleet, freq, constants, r_max)
+            + nadir_discretization_rows(constants)
+            + hyperbolic_cut_rows(cells, freq, inertia, constants, r_max,
+                                  loss_floor))
+    return _rows(cells, (inertia_floor_row(inertia), [tag]),
+                 (body, [f"{tag}[{s}]" for s in range(len(cells.loss))]))

@@ -3,9 +3,17 @@ the independent numerical check of its closed form."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from frequc.freqdyn import SwingInputs, SwingTrace
+from frequc.freqdyn import HORIZON, SwingInputs
+
+
+class NumericTrace(NamedTuple):
+    deviation: np.ndarray   # Hz, every step from 0 to HORIZON
+    nadir: float            # Hz, the least sample
+    deviation_60: float     # Hz, the last sample, 60 s after the loss
 
 
 def _rk4(h2, d, r, td, p, step, n_steps):
@@ -28,25 +36,13 @@ def _rk4(h2, d, r, td, p, step, n_steps):
     return out
 
 
-def simulate_swing_numeric(inputs: SwingInputs, step: float = 1e-4) -> SwingTrace:
+def simulate_swing_numeric(inputs: SwingInputs,
+                           step: float = 1e-4) -> NumericTrace:
     """Fixed-step RK4 integration of the same model (cross-check path)."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    n_steps = int(round(inputs.horizon / step))
+    n_steps = int(round(HORIZON / step))
     out = _rk4(2.0 * inputs.inertia, inputs.damping, inputs.pfr,
                inputs.delivery_time, inputs.loss, step, n_steps)
-    times = np.arange(n_steps + 1) * step
-    k = int(np.argmin(out))
-    idx60 = int(round(60.0 / step))
-    dev60 = float(out[min(idx60, n_steps)])
-    diverges = (inputs.damping == 0.0 and inputs.loss > 0.0
-                and inputs.pfr < inputs.loss)
-    return SwingTrace(
-        times=times,
-        deviation=out,
-        nadir=float(out[k]),
-        nadir_time=float(times[k]),
-        initial_rocof=-inputs.loss / (2.0 * inputs.inertia),
-        deviation_60=dev60,
-        diverges=diverges,
-    )
+    return NumericTrace(deviation=out, nadir=float(out.min()),
+                        deviation_60=float(out[-1]))

@@ -59,14 +59,15 @@ def test_every_counted_row_builder_runs_in_a_bundled_window(monkeypatch):
     """Each ``frequc.freqsec`` function the tracer counts as
     ``freqsec.rows`` is called through the module, in every period of a
     secured, optimised 4-period bundled window, and returns what the
-    tracer counts: a builder folded into another would read 0."""
+    tracer counts, its template rows as a non-empty list: a builder folded
+    into another would read 0."""
     names = load_perfbench_module("tracing").FREQSEC_ROW_BUILDERS
     calls = Counter()
 
     def spy(name, builder):
         def called(*args, **kwargs):
             result = builder(*args, **kwargs)
-            assert isinstance(result, list) or hasattr(result, "sense"), name
+            assert isinstance(result, list) and result, name
             calls[name] += 1
             return result
         return called

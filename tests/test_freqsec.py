@@ -240,8 +240,13 @@ def test_settled_limit_worked_examples():
 
 def test_nadir_requirement_worked_examples():
     fleet = two_unit_fleet()
-    f_nodamp = freq_for(fleet, [2000.0], damping=0.0, t_d=10.0, df_max=0.8)
+    f_nodamp = freq_for(fleet, [2000.0], damping=0.0, t_d=10.0, df_max=0.8,
+                        df_ss_max=0.8)
     assert nadir_requirement(1800.0, f_nodamp, 99999.0) == pytest.approx(10_125_000.0)
+    # without damping the nadir is held within df_ss_max when it is tighter
+    f_settled = replace(f_nodamp, df_ss_max=0.5)
+    assert nadir_requirement(1800.0, f_settled, 99999.0) == pytest.approx(16_200_000.0)
+    # with damping df_max alone sets the quadratic term (df_ss_max is 0.5)
     f_damp = freq_for(fleet, [2000.0], damping=0.01, t_d=10.0, df_max=0.8)
     assert nadir_requirement(1800.0, f_damp, 20000.0) == pytest.approx(9_225_000.0)
     assert nadir_requirement(0.0, f_damp, 20000.0) == 0.0
