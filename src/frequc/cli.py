@@ -35,7 +35,6 @@ from .scheduler import (
     emissions,
     load_factor,
     period_costs,
-    slice_tree,
     solve_rolling_horizon,
     solve_uc,
     verify_solution,
@@ -128,7 +127,7 @@ def cmd_validate(args) -> int:
     if args.scenarios is not None:
         try:
             tree = _load_tree(args.scenarios, system)
-            print(f"ok: {args.scenarios} ({len(tree.branches)} branches, "
+            print(f"ok: {args.scenarios} ({len(tree.probabilities)} branches, "
                   f"{tree.n_periods} periods)")
         except (SystemConfigError, OSError) as exc:
             print(f"error: {exc}")
@@ -337,14 +336,9 @@ def _scale_wind(system, tree, capacity: float):
         raise SystemConfigError(
             "study: system wind_capacity must be positive to scale wind levels")
     scale = capacity / system.wind_capacity
-    demand = np.array(system.demand_profile)
-    branches = []
-    for br in tree.branches:
-        net = demand - scale * (demand - np.array(br.net_demand))
-        branches.append(replace(br, net_demand=tuple(net)))
-    root = demand[0] - scale * (demand[0] - tree.root)
-    scaled_tree = replace(tree, root=float(root), branches=tuple(branches))
-    return replace(system, wind_capacity=capacity), scaled_tree
+    demand = np.array(system.demand_profile)[:, None]
+    return (replace(system, wind_capacity=capacity),
+            replace(tree, net=demand - scale * (demand - tree.net)))
 
 
 def _available_cpus() -> int:
@@ -396,7 +390,7 @@ def cmd_study(args) -> int:
         system = replace(
             system,
             demand_profile=system.demand_profile[:config["periods"]])
-        tree = slice_tree(tree, 0, config["periods"])
+        tree = replace(tree, net=tree.net[:config["periods"]])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     big = largest_unit(system.generators)

@@ -101,7 +101,8 @@ def _ramp_stationary_time(inp: SwingInputs):
 
 def simulate_swing(inputs: SwingInputs) -> SwingTrace:
     """The closed-form trajectory's nadir over the first ``HORIZON``
-    seconds, located analytically, and its deviation at ``HORIZON``."""
+    seconds, located analytically, and its deviation at ``HORIZON``, the
+    last of the times read."""
     td = inputs.delivery_time
     candidates = [0.0, min(td, HORIZON)]
     t_star = _ramp_stationary_time(inputs)
@@ -119,7 +120,7 @@ def simulate_swing(inputs: SwingInputs) -> SwingTrace:
         nadir=float(vals[k]),
         nadir_time=float(cand[k]),
         initial_rocof=-inputs.loss / (2.0 * inputs.inertia),
-        deviation_60=float(deviation_curve(inputs, HORIZON)),
+        deviation_60=float(vals[-1]),
         diverges=diverges,
     )
 

@@ -15,7 +15,8 @@ branch) cell holds:
   positive coefficients, so the one-sided bounds are exact: the largest
   ``hr`` the rows allow is ``H(x) * R``;
 * the chord envelope of the convex nadir requirement, ``hr >= chord(P)``
-  (without damping, at the tighter of the nadir and 60-s limits);
+  (without damping, or with delivery lasting 60 s or more, at the tighter
+  of the nadir and 60-s limits: see ``nadir_limit``);
 * hyperbolic cuts ``mu * H(x) + R / mu >= 2 * chord_sqrt(P)``, which tie
   the shared commitment to each branch's loss without the auxiliaries.
 
@@ -43,13 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .freqdyn import HORIZON
 from .milp.model import (SENSE_CODE, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel,
                          RowBlock)
 
 # Hyperbolic cuts per cell (a constant of the formulation, not an input).
 HYPERBOLIC_CUTS = 8
-# Seconds after the loss at which the quasi-steady-state limit is checked.
-SETTLE_TIME = 60.0
 # Response held above the loss (MW) when nothing damps the system: the
 # deviation then grows without end once R < P, so R >= P must hold clear of
 # the solver's rounding, far above its feasibility tolerance.
@@ -226,8 +226,8 @@ def rocof_row(freq, inertia) -> list:
 
 
 def settled_limit(freq, demand: float, h_max: float) -> float:
-    """Limit on the settled deviation that keeps the 60-s one within
-    ``df_ss_max``.
+    """Limit on the settled deviation that keeps the one at ``HORIZON``
+    (60 s) within ``df_ss_max``.
 
     After delivery the deviation relaxes from its value at T_d (no lower
     than the nadir, so no lower than -df_max) towards the settled value
@@ -238,14 +238,15 @@ def settled_limit(freq, demand: float, h_max: float) -> float:
     two limits coincide.  Without damping (eps = 1) this bound does not
     apply and ``df_ss_max`` is returned; the QSS row then does not read
     it, and the nadir rows keep the 60-s deviation within ``df_ss_max``
-    (see :func:`nadir_requirement`).  With delivery still under way at
-    60 s the bound does not apply either, and ``df_ss_max`` is returned.
+    (see :func:`nadir_limit`).  With delivery still under way at 60 s the
+    bound does not apply either, and ``df_ss_max`` is returned; the nadir
+    rows then keep the 60-s deviation within it too.
     """
     gap = freq.df_max - freq.df_ss_max
     d = freq.damping * demand
-    if gap == 0.0 or d <= 0.0 or h_max <= 0.0 or freq.t_d >= SETTLE_TIME:
+    if gap == 0.0 or d <= 0.0 or h_max <= 0.0 or freq.t_d >= HORIZON:
         return freq.df_ss_max
-    eps = math.exp(-d * (SETTLE_TIME - freq.t_d) / (2.0 * h_max))
+    eps = math.exp(-d * (HORIZON - freq.t_d) / (2.0 * h_max))
     return freq.df_ss_max - eps * gap / (1.0 - eps)
 
 
@@ -270,17 +271,27 @@ def nadir_beta(freq, demand: float) -> float:
     return freq.damping * demand * freq.t_d / 4.0
 
 
+def nadir_limit(freq, demand: float) -> float:
+    """The deviation the nadir rows hold the nadir within: ``df_max``, or
+    ``min(df_max, df_ss_max)`` when the nadir must also secure the reading
+    at ``HORIZON`` (60 s).
+
+    That is so without damping: with D = 0 and R >= P + QSS_MARGIN (the QSS
+    row) the deviation never falls after its nadir, so the 60-s reading is
+    at least the nadir.  It is so too when delivery lasts ``HORIZON`` or
+    longer: every reading up to ``t_d`` lies on the delivery-phase piece,
+    whose minimum is the one the nadir rule bounds."""
+    if freq.damping * demand == 0.0 or freq.t_d >= HORIZON:
+        return min(freq.df_max, freq.df_ss_max)
+    return freq.df_max
+
+
 def nadir_requirement(p_loss: float, freq, demand: float) -> float:
-    """Inertia-times-response needed for the nadir, linear damping rule.
-    Without damping the nadir is held within ``min(df_max, df_ss_max)``."""
+    """Inertia-times-response needed for the nadir, linear damping rule,
+    with the nadir held within :func:`nadir_limit`."""
     if p_loss < 0.0:
         raise ValueError("p_loss must be >= 0")
-    limit = freq.df_max
-    if freq.damping * demand == 0.0:
-        # With D = 0 and R >= P + QSS_MARGIN (the QSS row) the deviation
-        # never falls after its nadir, so the 60-s reading is at least the
-        # nadir: a nadir within df_ss_max secures the QSS limit too.
-        limit = min(limit, freq.df_ss_max)
+    limit = nadir_limit(freq, demand)
     quad = p_loss * p_loss * freq.t_d / (4.0 * limit)
     return quad - nadir_beta(freq, demand) * p_loss
 
@@ -320,7 +331,7 @@ def linearize_inertia_pfr(cells: PeriodCells, fleet, freq,
 
 def _requirement_root(freq, demand: float) -> float:
     """Positive root of the nadir requirement (twice its vertex)."""
-    return freq.damping * demand * freq.df_max
+    return freq.damping * demand * nadir_limit(freq, demand)
 
 
 def nadir_chords(freq, demand: float) -> list[tuple[float, float]]:

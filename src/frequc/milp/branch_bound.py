@@ -103,10 +103,8 @@ def _solve_highs(model: MilpModel, compiled: CompiledModel,
         raise SolverError(f"HiGHS failed on {model.name}: {exc}") from exc
     if sol.values is None:
         return sol
-    sol.objective += model.objective_constant
-    # a model solved as an LP is its own bound
-    sol.bound = (sol.objective if sol.bound is None
-                 else sol.bound + model.objective_constant)
+    if sol.bound is None:  # a model solved as an LP is its own bound
+        sol.bound = sol.objective
     return sol
 
 
@@ -114,9 +112,9 @@ def run_highs(compiled: CompiledModel, integrality: np.ndarray,
               options: SolveOptions) -> MilpSolution:
     """Solve the compiled arrays with ``integrality`` in one HiGHS call.
 
-    Returns HiGHS's status and, where it has one, its point with the
-    objective without the model's constant.  For a MIP ``bound``, ``gap``
-    and ``nodes`` are HiGHS's; for an LP ``bound`` is None.  Values are
+    Returns HiGHS's status and, where it has one, its point and
+    objective.  For a MIP ``bound``, ``gap`` and ``nodes`` are HiGHS's;
+    for an LP ``bound`` is None.  Values are
     returned when HiGHS is optimal, and for a MIP also on a time,
     iteration or solution limit with a finite objective.  Raises
     :class:`SolverError` when HiGHS rejects an option or the model.

@@ -32,7 +32,7 @@ def _wrap_terms(parts: list[str], indent: str = "   ") -> list[str]:
     return lines
 
 
-def _format_terms(cols, vals, names, constant: float = 0.0) -> list[str]:
+def _format_terms(cols, vals, names) -> list[str]:
     parts: list[str] = []
     for j, c in zip(cols, vals):
         sign = "-" if c < 0 else "+"
@@ -40,12 +40,6 @@ def _format_terms(cols, vals, names, constant: float = 0.0) -> list[str]:
             parts.extend([_num(abs(c)), names[j]])
         else:
             parts.extend([sign, _num(abs(c)), names[j]])
-    if constant != 0.0:
-        sign = "-" if constant < 0 else "+"
-        if not parts and sign == "+":
-            parts.append(_num(abs(constant)))
-        else:
-            parts.extend([sign, _num(abs(constant))])
     if not parts:
         parts.append("0")
     return parts
@@ -60,8 +54,7 @@ def export_model(model: MilpModel) -> str:
     out: list[str] = [f"\\ Problem: {model.name}"]
     out.append("Minimize")
     obj = np.flatnonzero(compiled.c)
-    obj_parts = _format_terms(obj.tolist(), compiled.c[obj].tolist(), names,
-                              model.objective_constant)
+    obj_parts = _format_terms(obj.tolist(), compiled.c[obj].tolist(), names)
     out.extend(_wrap_terms(["obj:"] + obj_parts, indent="   "))
     out.append("Subject To")
     a = compiled.a.sorted_indices()

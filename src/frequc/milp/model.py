@@ -119,7 +119,6 @@ class MilpModel:
         self.integrality = np.empty(0, dtype=np.uint8)
         self.blocks: list[RowBlock] = []
         self.objective: dict[int, float] = {}
-        self.objective_constant: float = 0.0
         self._taken: set[str] = set()
         self._n_rows = 0
 
@@ -223,14 +222,13 @@ class MilpModel:
         self._n_rows += len(block)
         return range(start, start + len(block))
 
-    def set_objective(self, coeffs: dict[int, float], constant: float = 0.0) -> None:
+    def set_objective(self, coeffs: dict[int, float]) -> None:
         for j, c in coeffs.items():
             if not (0 <= j < len(self.names)):
                 raise ModelError(f"objective: unknown variable index {j}")
             if not math.isfinite(c):
                 raise ModelError(f"objective: non-finite coefficient on index {j}")
         self.objective = {j: float(c) for j, c in coeffs.items() if c != 0.0}
-        self.objective_constant = float(constant)
 
     # -- inspection --------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Frequency-secured stochastic unit commitment and rolling simulation.
 
 ``build_uc`` assembles one scheduling window as a mixed-integer model.
-Commitments (and the implied start/stop indicators) are first-stage
-decisions shared by every net-demand branch; dispatch, response holdings
+It takes a scenario tree that spans the demand profile, and a window that
+starts at period ``t0`` reads the tree's rows ``[t0, t0 + T)``, ``T`` its
+horizon cut at the profile's end.  Commitments (and the implied
+start/stop indicators) are first-stage decisions shared by every
+net-demand branch; dispatch, response holdings
 and the sizable-loss quantities are recourse, one copy per period and
 branch.  When frequency constraints are enabled, each period's cells get
 their loss, summed-response and product variables, as arrays, from
@@ -23,9 +26,10 @@ first, which is often integral.  ``cost_coefficients`` holds each unit's
 cost coefficients; the objective and ``period_costs``, the one cost
 formula after the solve, both read them.
 
-``solve_rolling_horizon`` walks a longer span window by window and
-re-dispatches the committed periods against the realized net demand, with
-the window's ``(T, units)`` commitments pinned.  The run's path is those
+``solve_rolling_horizon`` walks a longer span window by window, passing
+the whole tree to each, and re-dispatches the committed periods against
+the realized net demand, a one-branch tree built once per run, with the
+window's ``(T, units)`` commitments pinned.  The run's path is those
 one-branch re-dispatches joined period by period (:func:`concatenate`), a
 :class:`UcSolution` like any window, from which the study metrics (load
 factors, emissions) are read.  The cost of frequency services is the gap
@@ -45,7 +49,7 @@ from . import freqsec
 from .freqdyn import certify_operating_point
 from .milp import MilpModel, ModelError, solve
 from .milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
-from .sysmodel import ScenarioBranch, ScenarioTree, largest_unit
+from .sysmodel import ScenarioTree, largest_unit
 
 LOSS_MODES = ("fixed", "optimised")
 
@@ -101,31 +105,39 @@ def default_initial_state(system) -> dict:
     return {g.id: UnitState(on=False, hours=10_000) for g in system.generators}
 
 
-def _window_net(system, tree, start_period: int, n_periods: int):
-    """Demand slice and per-branch net demand with feasibility screens."""
-    if start_period < 0 or start_period + n_periods > system.n_periods:
+def _window_net(system, tree, start_period: int, horizon: int):
+    """The demand and the ``(T, S)`` net demand of the window of up to
+    ``horizon`` periods from ``start_period``, read from ``tree``, which
+    spans the demand profile, with feasibility screens."""
+    n = system.n_periods
+    if tree.n_periods != n:
         raise SchedulerError(
-            f"window [{start_period}, {start_period + n_periods}) falls outside "
-            f"the {system.n_periods}-period demand profile"
+            f"scenario tree covers {tree.n_periods} periods, the demand "
+            f"profile {n}"
         )
-    demand = np.array(system.demand_profile[start_period:start_period + n_periods])
-    net = np.array([
-        [br.net_demand[t] for br in tree.branches] for t in range(n_periods)
-    ])
+    if not 0 <= start_period < n:
+        raise SchedulerError(
+            f"window start {start_period} falls outside the {n}-period "
+            "demand profile"
+        )
+    stop = start_period + min(horizon, n - start_period)
+    demand = np.array(system.demand_profile[start_period:stop])
+    net = tree.net[start_period:stop]
     cap = sum(g.p_max for g in system.generators)
-    for t in range(n_periods):
-        for s in range(len(tree.branches)):
-            if net[t, s] > cap + 1e-9:
-                raise SchedulerError(
-                    f"period {start_period + t}, branch {s}: net demand "
-                    f"{net[t, s]:.1f} MW exceeds dispatchable capacity {cap:.1f} MW"
-                )
-            if net[t, s] > demand[t] + 1e-9:
-                raise SchedulerError(
-                    f"period {start_period + t}, branch {s}: net demand "
-                    f"{net[t, s]:.1f} MW exceeds demand {demand[t]:.1f} MW "
-                    "(negative wind availability)"
-                )
+    over_cap = net > cap + 1e-9
+    bad = np.argwhere(over_cap | (net > demand[:, None] + 1e-9))
+    if len(bad):  # the first offending cell in (period, branch) order
+        t, s = bad[0].tolist()
+        if over_cap[t, s]:
+            raise SchedulerError(
+                f"period {start_period + t}, branch {s}: net demand "
+                f"{net[t, s]:.1f} MW exceeds dispatchable capacity {cap:.1f} MW"
+            )
+        raise SchedulerError(
+            f"period {start_period + t}, branch {s}: net demand "
+            f"{net[t, s]:.1f} MW exceeds demand {demand[t]:.1f} MW "
+            "(negative wind availability)"
+        )
     return demand, net
 
 
@@ -170,11 +182,12 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
              initial_state=None, fixed_commitments=None) -> UcModel:
     """Assemble the scheduling model for one window.
 
-    The window covers the first ``min(options.horizon, tree.n_periods)``
-    periods of ``tree``, aligned with the demand profile at
-    ``start_period``.  ``fixed_commitments``, 0/1 values of shape
-    ``(T, units)`` with the units in fleet order, pins the commitment
-    variables; the rolling solver uses this for the realized re-dispatch.
+    ``tree`` spans the demand profile, and the window reads its periods
+    ``[start_period, start_period + T)``, ``T = min(options.horizon,
+    n - start_period)`` for an ``n``-period profile.
+    ``fixed_commitments``, 0/1 values of shape ``(T, units)`` with the
+    units in fleet order, pins the commitment variables; the rolling
+    solver uses this for the realized re-dispatch.
 
     Each row family repeats one pattern per cell or per unit, so it is
     added as one block of arrays; :func:`frequc.freqsec.period_rows` gives
@@ -188,17 +201,15 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     fleet = system.generators
     freq = system.frequency
     big = largest_unit(fleet)
-    n_periods = min(options.horizon, tree.n_periods)
-    if n_periods < 1:
-        raise SchedulerError("window: scenario branches carry no periods")
-    n_branches = len(tree.branches)
-    probs = np.array([br.probability for br in tree.branches])
-    demand, net = _window_net(system, tree, start_period, n_periods)
+    demand, net = _window_net(system, tree, start_period, options.horizon)
+    # array shapes: G units, T periods, S branches
+    G, (T, S) = len(fleet), net.shape
+    probs = tree.probabilities
     avail = demand[:, None] - net
 
     floor_big = ((1.0 - big.max_deload_fraction) * big.p_max
                  if _largest_runs_deloaded(options, big) else big.p_max)
-    for t in range(n_periods):
+    for t in range(T):
         if floor_big > demand[t] + 1e-9:
             raise SchedulerError(
                 f"period {start_period + t}: demand {demand[t]:.1f} MW cannot "
@@ -217,9 +228,7 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
         if g.id not in initial_state:
             raise SchedulerError(f"initial state missing unit {g.id}")
 
-    model = UcModel(name=f"uc_p{start_period}_{n_periods}x{n_branches}")
-    # array shapes: G units, T periods, S branches
-    G, T, S = len(fleet), n_periods, n_branches
+    model = UcModel(name=f"uc_p{start_period}_{T}x{S}")
     ids = [g.id for g in fleet]
     big_i = ids.index(big.id)
     periods = range(start_period, start_period + T)
@@ -616,30 +625,7 @@ verify_trajectory = verify_solution
 def realized_series(tree: ScenarioTree) -> np.ndarray:
     """Median net-demand path used as the out-turn in simulations."""
     levels = np.array(tree.quantile_levels)
-    table = np.array([br.net_demand for br in tree.branches])
-    return np.array([
-        float(np.interp(0.5, levels, table[:, t]))
-        for t in range(tree.n_periods)
-    ])
-
-
-def slice_tree(tree: ScenarioTree, start: int, length: int) -> ScenarioTree:
-    """Window view of a scenario tree, recomputing the root value."""
-    if start < 0 or length < 1 or start + length > tree.n_periods:
-        raise SchedulerError(
-            f"tree slice [{start}, {start + length}) outside the "
-            f"{tree.n_periods}-period tree"
-        )
-    levels = np.array(tree.quantile_levels)
-    first = [br.net_demand[start] for br in tree.branches]
-    return ScenarioTree(
-        root=float(np.interp(0.5, levels, first)),
-        branches=tuple(
-            ScenarioBranch(br.net_demand[start:start + length], br.probability)
-            for br in tree.branches
-        ),
-        quantile_levels=tree.quantile_levels,
-    )
+    return np.array([float(np.interp(0.5, levels, row)) for row in tree.net])
 
 
 def _advance_state(state: dict, ids, commit) -> dict:
@@ -685,14 +671,10 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
     aborts the run; the partial trajectory and the failing status are
     returned for diagnosis.
     """
-    if scenarios.n_periods != system.n_periods:
-        raise SchedulerError(
-            f"scenario tree covers {scenarios.n_periods} periods, the demand "
-            f"profile {system.n_periods}"
-        )
     state = dict(initial_state) if initial_state is not None \
         else default_initial_state(system)
-    realized = realized_series(scenarios)
+    realized = ScenarioTree(net=realized_series(scenarios)[:, None],
+                            probabilities=(1.0,), quantile_levels=(0.5,))
     ids = [g.id for g in system.generators]
     n = system.n_periods
     windows = []
@@ -704,11 +686,9 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
 
     t0 = 0
     while t0 < n:
-        window_len = min(options.horizon, n - t0)
-        commit_len = min(options.first_stage, window_len)
-        wtree = slice_tree(scenarios, t0, window_len)
+        commit_len = min(options.first_stage, n - t0)
         solution, _, raw = solve_uc(
-            system, wtree, options, start_period=t0, initial_state=state)
+            system, scenarios, options, start_period=t0, initial_state=state)
         if solution is None:
             return RollingResult(
                 windows, partial(), status="solver",
@@ -719,15 +699,9 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
                           [:commit_len].sum())
 
         commit = solution.commit[:commit_len]
-        rtree = ScenarioTree(
-            root=float(realized[t0]),
-            branches=(ScenarioBranch(
-                tuple(realized[t0:t0 + commit_len]), 1.0),),
-            quantile_levels=(0.5,),
-        )
         ropts = replace(options, horizon=commit_len, first_stage=commit_len)
         redispatch, _, raw = solve_uc(
-            system, rtree, ropts, start_period=t0, initial_state=state,
+            system, realized, ropts, start_period=t0, initial_state=state,
             fixed_commitments=commit)
         if redispatch is None:
             return RollingResult(

@@ -3,7 +3,9 @@
 Loads and validates the system configuration (YAML with sections
 ``frequency``, ``generators``, ``demand``, ``scenarios``) and the
 tabular net-demand quantile file, and builds the scenario tree used by
-the stochastic scheduler.
+the stochastic scheduler: one ``(periods, branches)`` array of net demand
+over the whole demand profile, with one probability per branch.  A
+scheduling window reads its rows by profile period.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ class GeneratorSpec:
         for name in ("marginal_cost", "no_load_cost", "startup_cost"):
             if getattr(self, name) < 0.0:
                 raise SystemConfigError(f"generator {gid}: negative {name}")
+        for name in ("min_up", "min_down"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    isinstance(value, int)
+                    or isinstance(value, float) and value.is_integer()):
+                raise SystemConfigError(
+                    f"generator {gid}: {name} must be a whole number, "
+                    f"got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.min_up < 0 or self.min_down < 0:
             raise SystemConfigError(f"generator {gid}: negative min up/down time")
         if self.emissions_rate < 0.0:
@@ -203,41 +214,44 @@ class SystemSpec:
         return len(self.demand_profile)
 
 
-@dataclass(frozen=True)
-class ScenarioBranch:
-    net_demand: tuple   # MW per period
-    probability: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioTree:
-    """Net-demand branches hanging off a single known root value."""
+    """Net demand of every quantile branch in every period of the demand
+    profile: ``net`` of shape ``(T, S)``, branch ``s``'s probability
+    ``probabilities[s]`` and its quantile level ``quantile_levels[s]``.
 
-    root: float
-    branches: tuple
+    ``net`` and ``probabilities`` are kept as read-only copies, so a window
+    that reads a slice of the tree cannot write back to it.
+    """
+
+    net: np.ndarray
+    probabilities: np.ndarray
     quantile_levels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
+        net = np.array(self.net, dtype=float)
+        probs = np.array(self.probabilities, dtype=float)
+        if net.ndim != 2:
+            raise SystemConfigError(
+                "scenario tree: net demand must be a (periods, branches) table"
+            )
+        if not np.isfinite(net).all():
+            raise SystemConfigError("scenario tree: net demand must be finite")
+        net.flags.writeable = probs.flags.writeable = False
+        object.__setattr__(self, "net", net)
+        object.__setattr__(self, "probabilities", probs)
         object.__setattr__(
             self, "quantile_levels",
             tuple(float(v) for v in self.quantile_levels),
         )
-        if len(self.branches) != len(self.quantile_levels):
+        if not net.shape[1] == len(probs) == len(self.quantile_levels):
             raise SystemConfigError(
                 "scenario tree: branch count must equal quantile count"
             )
         _check_levels(self.quantile_levels)
-        total = 0.0
-        length = None
-        for br in self.branches:
-            if br.probability <= 0.0:
-                raise SystemConfigError("scenario tree: probabilities must be > 0")
-            total += br.probability
-            if length is None:
-                length = len(br.net_demand)
-            elif len(br.net_demand) != length:
-                raise SystemConfigError("scenario tree: branch lengths differ")
+        if np.any(probs <= 0.0):
+            raise SystemConfigError("scenario tree: probabilities must be > 0")
+        total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise SystemConfigError(
                 f"scenario tree: probabilities sum to {total}, expected 1"
@@ -245,7 +259,7 @@ class ScenarioTree:
 
     @property
     def n_periods(self) -> int:
-        return len(self.branches[0].net_demand)
+        return len(self.net)
 
 
 def _check_levels(levels) -> None:
@@ -275,9 +289,9 @@ def quantile_probabilities(levels) -> np.ndarray:
 def build_scenario_tree(levels, table) -> ScenarioTree:
     """Assemble the tree from per-period quantile values.
 
-    ``table`` has one row per period and one column per quantile level.
-    The root is the first-period median (interpolated across levels when
-    0.5 is not itself a level).
+    ``table`` has one row per period and one column per quantile level; it
+    becomes the tree's ``net``, and the midpoint rule gives the branch
+    probabilities.
     """
     arr = np.asarray(table, dtype=float)
     if arr.ndim != 2:
@@ -290,13 +304,8 @@ def build_scenario_tree(levels, table) -> ScenarioTree:
         raise SystemConfigError(
             "scenario table: rows must be non-decreasing across quantile levels"
         )
-    probs = quantile_probabilities(levels)
-    branches = tuple(
-        ScenarioBranch(net_demand=tuple(arr[:, j]), probability=float(probs[j]))
-        for j in range(arr.shape[1])
-    )
-    root = float(np.interp(0.5, np.asarray(levels, dtype=float), arr[0, :]))
-    return ScenarioTree(root=root, branches=branches, quantile_levels=tuple(levels))
+    return ScenarioTree(net=arr, probabilities=quantile_probabilities(levels),
+                        quantile_levels=tuple(levels))
 
 
 def load_scenario_table(path):

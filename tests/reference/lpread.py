@@ -150,6 +150,8 @@ def import_model(text: str, name: str = "imported") -> MilpModel:
     if obj_tokens and obj_tokens[0].endswith(":"):
         pos = 1
     obj_by_name, obj_const, _ = _parse_terms(obj_tokens, pos, set())
+    if obj_const != 0.0:
+        raise LpioError("objective: a constant term has no place in a model")
 
     rows: list[tuple[str, dict[str, float], str, float]] = []
     row_tokens = sections.get("rows", [])
@@ -188,7 +190,7 @@ def import_model(text: str, name: str = "imported") -> MilpModel:
             raise LpioError(f"variable {nm}: unbounded after parsing")
         model.add_variable(nm, lo, hi, integer=nm in binaries)
     name_to_idx = {nm: k for k, nm in enumerate(ordered)}
-    model.set_objective({name_to_idx[nm]: v for nm, v in obj_by_name.items()}, obj_const)
+    model.set_objective({name_to_idx[nm]: v for nm, v in obj_by_name.items()})
     for label, coeffs, sense, rhs in rows:
         for nm in coeffs:
             if nm not in name_to_idx:
@@ -208,8 +210,6 @@ def models_equivalent(m1: MilpModel, m2: MilpModel, tol: float = 1e-12) -> bool:
         if (abs(m1.lb[j] - m2.lb[k]) > tol or abs(m1.ub[j] - m2.ub[k]) > tol
                 or m1.integrality[j] != m2.integrality[k]):
             return False
-    if abs(m1.objective_constant - m2.objective_constant) > tol:
-        return False
 
     def named(model, coeffs):
         return {model.names[j]: c for j, c in coeffs.items() if c != 0.0}

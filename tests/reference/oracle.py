@@ -66,7 +66,7 @@ def solve_exhaustive(model: MilpModel) -> MilpSolution:
         res = solve_lp(c_cont, a_cont, senses, rhs_adj, lb[cont], ub[cont])
         if res.status != "optimal":
             continue
-        obj = res.objective + float(c_bin @ vec) + model.objective_constant
+        obj = res.objective + float(c_bin @ vec)
         if obj < best_obj - 1e-12:
             best_obj = obj
             x = np.empty(model.n_vars)

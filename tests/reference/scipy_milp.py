@@ -18,7 +18,7 @@ from frequc.milp.model import CompiledModel
 def solve_with_scipy(compiled: CompiledModel, integrality: np.ndarray,
                      options: SolveOptions) -> MilpSolution:
     """What ``frequc.milp.branch_bound.run_highs`` returns, read from
-    ``scipy.optimize.milp``: no objective constant, no bound for an LP."""
+    ``scipy.optimize.milp``: no bound for an LP."""
     constraints = []
     if compiled.a.shape[0]:
         constraints = [optimize.LinearConstraint(compiled.a, compiled.lo,

@@ -202,8 +202,7 @@ class _Core:
 def solve_lp(c, a, senses, rhs, lb, ub, *, feas_tol=1e-7):
     """Minimize c.x subject to rows (a, senses, rhs) and finite bounds.
 
-    senses are coded 0 '<=', 1 '>=', 2 '='.  Returns an LpResult whose
-    objective excludes any model constant.
+    senses are coded 0 '<=', 1 '>=', 2 '='.  Returns an LpResult.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)

@@ -25,9 +25,8 @@ from frequc.freqsec import (nadir_requirement, period_constants,
 from frequc.milp import MilpModel, solve
 from frequc.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from frequc.scheduler import (UcOptions, _advance_state, default_initial_state,
-                              emissions, load_factor, slice_tree,
-                              solve_rolling_horizon, solve_uc, verify_solution,
-                              verify_trajectory)
+                              emissions, load_factor, solve_rolling_horizon,
+                              solve_uc, verify_solution, verify_trajectory)
 from frequc.sysmodel import (FrequencyParams, GeneratorSpec,
                              build_scenario_tree, default_segment_grid,
                              largest_unit, load_scenario_table, load_system)
@@ -48,7 +47,7 @@ def study():
     base_tree = build_scenario_tree(levels, table)
     assert 5 <= len(base.generators) <= 10
     assert base.n_periods == 24
-    assert len(base_tree.branches) == 7
+    assert base_tree.net.shape == (24, 7)
 
     cells = {}
     secured_seconds = 0.0
@@ -507,7 +506,7 @@ def test_relaxation_monotonicity(study):
         for window in on.windows:
             length = len(window.periods)
             relaxed, _, raw = solve_uc(
-                system, slice_tree(tree, t0, length),
+                system, tree,
                 replace(options, frequency_constraints=False,
                         horizon=length,
                         first_stage=min(options.first_stage, length)),

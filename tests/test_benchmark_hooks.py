@@ -15,7 +15,7 @@ from pathlib import Path
 import frequc.freqsec
 import frequc.scheduler
 from frequc.cli import _scale_wind
-from frequc.scheduler import UcOptions, slice_tree, solve_rolling_horizon
+from frequc.scheduler import UcOptions, solve_rolling_horizon
 from frequc.sysmodel import build_scenario_tree, load_scenario_table, load_system
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,7 +36,7 @@ def load_tracer_class():
 def test_tracer_counts_a_bundled_window():
     system = load_system(ROOT / "data" / "toy_system.yaml")
     levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
-    tree = slice_tree(build_scenario_tree(levels, table), 0, 4)
+    tree = build_scenario_tree(levels, table)
     build_uc = frequc.scheduler.build_uc
     tracer = load_tracer_class()()
     with tracer.patched():
@@ -77,7 +77,7 @@ def test_every_counted_row_builder_runs_in_a_bundled_window(monkeypatch):
                             spy(name, getattr(frequc.freqsec, name)))
     system = load_system(ROOT / "data" / "toy_system.yaml")
     levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
-    tree = slice_tree(build_scenario_tree(levels, table), 0, 4)
+    tree = build_scenario_tree(levels, table)
     frequc.scheduler.build_uc(system, tree, UcOptions(
         horizon=4, first_stage=4, largest_loss_mode="optimised"))
     assert {name: calls[name] >= 4 for name in names} == \
@@ -91,9 +91,10 @@ def test_swing_recheck_reads_a_bundled_rolling_run(monkeypatch):
     run_module = load_perfbench_module("run")
     base = load_system(ROOT / "data" / "toy_system.yaml")
     levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
-    system, tree = _scale_wind(base, build_scenario_tree(levels, table), 3000.0)
-    system = replace(system, demand_profile=system.demand_profile[:6])
-    run = solve_rolling_horizon(system, slice_tree(tree, 0, 6),
+    base = replace(base, demand_profile=base.demand_profile[:6])
+    system, tree = _scale_wind(base, build_scenario_tree(levels, table[:6]),
+                               3000.0)
+    run = solve_rolling_horizon(system, tree,
                                 UcOptions(horizon=4, first_stage=2))
     assert run.ok and len(run.windows) == 3
     cells = sum(w.wind_used.size for w in run.windows) + 6

@@ -17,10 +17,8 @@ from frequc.scheduler import (
     build_uc,
     extract_solution,
     realized_series,
-    slice_tree,
 )
 from frequc.sysmodel import (
-    ScenarioBranch,
     ScenarioTree,
     build_scenario_tree,
     load_scenario_table,
@@ -52,8 +50,7 @@ def test_bundled_windows_match_the_loop_builder(wind, mode, secured, horizon):
     options = UcOptions(frequency_constraints=secured, horizon=horizon,
                         first_stage=horizon, largest_loss_mode=mode)
     for start in (0, 12):
-        assert_builders_agree(system, slice_tree(tree, start, horizon),
-                              options, start_period=start)
+        assert_builders_agree(system, tree, options, start_period=start)
 
 
 @pytest.mark.parametrize("horizon", [4, 12])
@@ -66,11 +63,10 @@ def test_must_run_pins_keep_the_optimum(wind, horizon):
     options = UcOptions(horizon=horizon, first_stage=horizon,
                         largest_loss_mode="fixed")
     for start in (0, 12):
-        window = slice_tree(tree, start, horizon)
-        model = build_uc(system, window, options, start_period=start)
+        model = build_uc(system, tree, options, start_period=start)
         free = model.lb[model.commit] != model.ub[model.commit]
         assert not free.any()
-        unpinned = build_uc_loop(system, window, options, start_period=start,
+        unpinned = build_uc_loop(system, tree, options, start_period=start,
                                  security_pins=False)
         commit = [unpinned.names.index(name) for name in
                   np.array(model.names)[model.commit.ravel()]]
@@ -106,8 +102,7 @@ def test_minimum_time_carry_matches_the_loop_builder(horizon):
     for mode in LOSS_MODES:
         options = UcOptions(horizon=horizon, first_stage=horizon,
                             largest_loss_mode=mode)
-        model = assert_builders_agree(system, slice_tree(tree, 4, horizon),
-                                      options, start_period=4,
+        model = assert_builders_agree(system, tree, options, start_period=4,
                                       initial_state=initial)
         assert any(row.label.startswith("min_up[ccgt5]")
                    for row in model.rows)
@@ -130,15 +125,13 @@ def test_redispatch_windows_match_the_loop_builder(secured):
     pins = {g.id: rng.integers(0, 2, 4).tolist() for g in system.generators}
     pins["lignite1"] = [1, 1, 1, 1]
     pins = np.array(list(pins.values())).T  # (T, units), fleet order
-    realized = realized_series(tree)
-    median = ScenarioTree(root=float(realized[8]),
-                          branches=(ScenarioBranch(tuple(realized[8:12]), 1.0),),
-                          quantile_levels=(0.5,))
+    median = ScenarioTree(net=realized_series(tree)[:, None],
+                          probabilities=(1.0,), quantile_levels=(0.5,))
     assert_builders_agree(system, median, options, start_period=8,
                           fixed_commitments=pins)
     # pinned commitments over every branch of the stochastic window too
-    assert_builders_agree(system, slice_tree(tree, 8, 4), options,
-                          start_period=8, fixed_commitments=pins)
+    assert_builders_agree(system, tree, options, start_period=8,
+                          fixed_commitments=pins)
 
 
 def test_extract_reads_the_named_columns():
@@ -146,17 +139,14 @@ def test_extract_reads_the_named_columns():
     name."""
     system, tree = bundled(3000.0)
     options = UcOptions(horizon=3, first_stage=3)
-    window = slice_tree(tree, 6, 3)
-    model = build_uc(system, window, options, start_period=6)
+    model = build_uc(system, tree, options, start_period=6)
     raw = solve(model)
     assert raw.status == "optimal"
     solution = extract_solution(model, raw)
     assert solution.periods.tolist() == [6, 7, 8]
     assert np.array_equal(solution.demand, system.demand_profile[6:9])
-    assert np.array_equal(solution.net, np.array(
-        [br.net_demand for br in window.branches]).T)
-    assert np.array_equal(solution.probabilities,
-                          [br.probability for br in window.branches])
+    assert np.array_equal(solution.net, tree.net[6:9])
+    assert np.array_equal(solution.probabilities, tree.probabilities)
 
     def value(name):
         return raw.values[model.names.index(name)]
@@ -165,12 +155,12 @@ def test_extract_reads_the_named_columns():
         for t in range(3):
             assert solution.commit[t, i] == round(value(f"x[{g.id}][{6 + t}]"))
             assert solution.startup[t, i] == value(f"su[{g.id}][{6 + t}]")
-            for s in range(len(window.branches)):
+            for s in range(len(tree.probabilities)):
                 tag = f"[{6 + t}][{s}]"
                 assert solution.output[t, i, s] == value(f"p[{g.id}]{tag}")
                 assert solution.pfr[t, i, s] == value(f"r[{g.id}]{tag}")
     for t in range(3):
-        for s in range(len(window.branches)):
+        for s in range(len(tree.probabilities)):
             tag = f"[{6 + t}][{s}]"
             assert solution.wind_used[t, s] == value(f"wind{tag}")
             assert solution.loss[t, s] == value(f"ploss{tag}")

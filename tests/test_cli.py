@@ -209,6 +209,29 @@ def test_input_errors_name_their_file_once(tmp_path, capsys, case):
         assert err.count(path) == 1 and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("unit, field, value, shown", [
+    ("big", "min_up", "2.5", "2.5"), ("resp", "min_down", "true", "True"),
+    ("resp", "min_up", "1.5", "1.5"),
+])
+def test_validate_rejects_minimum_times_that_are_not_whole(
+        tmp_path, capsys, unit, field, value, shown):
+    """A fractional or boolean minimum time fails validation, naming the
+    unit and the field, and so does a rolling study, which would otherwise
+    read it when it carries the state into a later window."""
+    system, scenarios = write_inputs(tmp_path)
+    marker = f"  - id: {unit}\n"
+    Path(system).write_text(Path(system).read_text().replace(
+        marker, f"{marker}    {field}: {value}\n"))
+    message = f"generator {unit}: {field} must be a whole number, got {shown}"
+    assert main(["validate", system, scenarios]) == 1
+    assert f"error: {system}: {message}" in capsys.readouterr().out
+    config = tmp_path / "study.yaml"
+    config.write_text(STUDY.replace("first_stage: 3", "first_stage: 1"))
+    assert main(["study", system, scenarios, str(config),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_study_config_accepts_whole_numbers(tmp_path, capsys):
     system, scenarios = write_inputs(tmp_path)
     config = tmp_path / "study.yaml"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frequc.freqdyn import certify_operating_point
 from frequc.freqsec import (
     QSS_MARGIN,
     inertia_expression,
@@ -486,3 +487,53 @@ def test_must_run_is_exact_on_drawn_cells(demand, loss_floor, on, rocof_max,
                    df_ss_max=settled_share * system.frequency.df_max)
     assert_pins_are_exact(fleet, freq, demand, loss_floor,
                           [1.0] + [float(u) for u in on])
+
+
+def pinned_cell_status(fleet, freq, demand, loss):
+    """Solver status of one cell with every unit committed and the largest,
+    ``fleet[0]``, at output ``loss``."""
+    mdl = MilpModel()
+    commit = [mdl.add_binary(f"x[{g.id}]") for g in fleet]
+    output = [mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max) for g in fleet]
+    pfr = [mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max) for g in fleet]
+    for j in commit:
+        mdl.fix_variable(j, 1.0)
+    mdl.fix_variable(output[0], loss)
+    r_max = sum(g.pfr_max for g in fleet)
+    constants = period_constants(fleet, freq, demand)
+    cell = register_decisions(mdl, fleet, freq, constants, r_max, period=0,
+                              commit=commit, output=[output], pfr=[pfr])
+    mdl.add_block(period_rows(cell, fleet, freq, constants, r_max,
+                              largest=fleet[0], loss_floor=loss))
+    return solve(mdl).status
+
+
+def test_long_delivery_holds_the_nadir_within_the_settled_limit():
+    """With delivery lasting 60 s or more, every reading up to 60 s lies on
+    the delivery-phase piece, whose minimum the nadir rule bounds, so the
+    rows hold the nadir within min(df_max, df_ss_max).  This cell meets the
+    RoCoF and QSS rows and the nadir rule at df_max, H * R = 1000 * 75, but
+    reads -0.83 Hz at 60 s against df_ss_max = 0.5: the rows reject it."""
+    # the largest unit's inertia goes with it, so H(x) is the responder's
+    fleet = (
+        GeneratorSpec(id="big", technology="nuclear", p_max=100.0,
+                      inertia_const=600.0),
+        GeneratorSpec(id="resp", technology="thermal", p_max=100.0,
+                      inertia_const=500.0, pfr_max=75.0),
+    )
+    freq = freq_for(fleet, [100.0], df_max=1.0, df_ss_max=0.5,
+                    rocof_max=1.0, t_d=60.0, damping=0.05)
+    demand = 1000.0  # D * demand = 50 MW/Hz
+    trace, report = certify_operating_point(1000.0, 50.0, 75.0, freq.t_d,
+                                            100.0, freq)
+    assert report.rocof_ok and report.nadir_ok and not report.qss_ok
+    assert trace.deviation_60 == pytest.approx(-0.8306, abs=1e-4)
+    assert period_constants(fleet, freq, demand).qss == -25.0  # R = 75 meets it
+    assert nadir_requirement(100.0, freq, demand) == 3000.0 * 75.0
+    assert pinned_cell_status(fleet, freq, demand, 100.0) == "infeasible"
+    # with the limits equal the rule reads df_max, and the cell is secure
+    at_df_max = replace(freq, df_ss_max=1.0)
+    assert nadir_requirement(100.0, at_df_max, demand) == 1000.0 * 75.0
+    assert certify_operating_point(1000.0, 50.0, 75.0, freq.t_d, 100.0,
+                                   at_df_max)[1].ok
+    assert pinned_cell_status(fleet, at_df_max, demand, 100.0) == "optimal"

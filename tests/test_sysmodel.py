@@ -4,6 +4,7 @@ import pytest
 from frequc.sysmodel import (
     FrequencyParams,
     GeneratorSpec,
+    ScenarioTree,
     SystemConfigError,
     SystemSpec,
     build_scenario_tree,
@@ -98,6 +99,19 @@ def test_pmin_above_pmax_names_the_unit():
         GeneratorSpec(id="bad1", technology="thermal", p_max=100.0, p_min=200.0)
 
 
+def test_minimum_times_are_whole_numbers():
+    unit = GeneratorSpec(id="g", technology="thermal", p_max=100.0,
+                         min_up=3.0, min_down=2)
+    assert (unit.min_up, unit.min_down) == (3, 2)
+    assert type(unit.min_up) is int
+    for field, value in (("min_up", 2.5), ("min_down", True),
+                         ("min_up", "2")):
+        with pytest.raises(SystemConfigError,
+                           match=f"generator g: {field} must be a whole"):
+            GeneratorSpec(id="g", technology="thermal", p_max=100.0,
+                          **{field: value})
+
+
 def test_wind_with_inertia_rejected():
     with pytest.raises(SystemConfigError, match="non-synchronous"):
         GeneratorSpec(id="w", technology="wind", p_max=100.0, inertia_const=5.0)
@@ -190,25 +204,41 @@ def test_quantile_levels_validated():
         quantile_probabilities([])
 
 
-def test_build_scenario_tree_shape_and_root():
+def test_build_scenario_tree_shape_and_probabilities():
     levels = [0.25, 0.5, 0.75]
     table = np.array([
         [1000.0, 1200.0, 1400.0],
         [900.0, 1100.0, 1300.0],
     ])
     tree = build_scenario_tree(levels, table)
-    assert len(tree.branches) == 3
-    assert tree.n_periods == 2
-    assert tree.root == pytest.approx(1200.0)
-    assert tree.branches[0].net_demand == (1000.0, 900.0)
-    assert sum(b.probability for b in tree.branches) == pytest.approx(1.0)
+    assert tree.net.shape == (2, 3) and tree.n_periods == 2
+    assert np.array_equal(tree.net[:, 0], [1000.0, 900.0])
+    assert np.array_equal(tree.probabilities, quantile_probabilities(levels))
+    assert tree.probabilities.sum() == pytest.approx(1.0)
+    assert tree.quantile_levels == (0.25, 0.5, 0.75)
+    # a read-only copy: the table and the tree do not write to each other
+    table[0, 0] = 0.0
+    assert tree.net[0, 0] == 1000.0
+    for array in (tree.net, tree.probabilities):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
-def test_build_scenario_tree_interpolates_root_without_median_level():
-    levels = [0.25, 0.75]
-    table = np.array([[1000.0, 1400.0]])
-    tree = build_scenario_tree(levels, table)
-    assert tree.root == pytest.approx(1200.0)
+@pytest.mark.parametrize("net, probabilities, levels, message", [
+    ([[1.0, 2.0]], [0.5, 0.5], [0.5], "branch count must equal quantile"),
+    ([[1.0, 2.0]], [1.0], [0.3, 0.7], "branch count must equal quantile"),
+    ([[1.0, 2.0]], [0.5, 0.5], [0.7, 0.3], "must be strictly increasing"),
+    ([[1.0, 2.0]], [0.5, 0.5], [0.0, 0.5], "outside"),
+    ([[1.0, 2.0]], [1.0, 0.0], [0.3, 0.7], "probabilities must be > 0"),
+    ([[1.0, 2.0]], [0.5, 0.6], [0.3, 0.7], "probabilities sum to 1.1"),
+    ([1.0, 2.0], [0.5, 0.5], [0.3, 0.7], "must be a \\(periods, branches\\)"),
+    ([[[1.0, 2.0]]], [0.5, 0.5], [0.3, 0.7], "must be a \\(periods, branches\\)"),
+    ([[1.0, np.nan]], [0.5, 0.5], [0.3, 0.7], "net demand must be finite"),
+])
+def test_scenario_tree_validation(net, probabilities, levels, message):
+    with pytest.raises(SystemConfigError, match=message):
+        ScenarioTree(net=net, probabilities=probabilities,
+                     quantile_levels=levels)
 
 
 def test_scenario_table_rows_must_be_monotone():
