@@ -7,7 +7,9 @@ branch) cell holds:
 * the summed response ``R = sum r[g]`` and the sizable loss ``P``, bounded
   below by the output of every unit that can set it;
 * the RoCoF and quasi-steady-state requirements (without damping, the
-  response clears the loss by ``QSS_MARGIN``);
+  response clears the loss by ``QSS_MARGIN``; with damping and delivery
+  lasting 60 s or more there is no QSS row, since the nadir rows then
+  hold the 60-s reading);
 * one product variable ``hr`` with ``hr <= H(x) * R``: one auxiliary
   ``z[g] <= min(R, r_max * x[g])`` per synchronous unit whose commitment
   is free, and a constant coefficient on ``R`` for the committed ones.
@@ -32,9 +34,12 @@ over one cell's columns, a list of ``(kind, suffix, sense, slots, vals,
 rhs)``.  ``period_rows``, the one place that lays out a period's rows,
 joins the families' templates and has ``_rows``, the one writer of a
 :class:`RowBlock`, write them as one block: the inertia floor once, then
-the joined template for every branch.  ``must_run`` names the units a
-period's rows force on; it reads the RoCoF, QSS and nadir numbers the
-rows use (``rocof_slope`` and the period's constants).
+the joined template for every branch.  ``must_run`` is the one screen
+of a period's commitments against its rows: it names the units the rows
+force on, and counts the fewest units besides the largest that any
+commitment the rows admit has on, which ``build_uc``'s ``cover`` row
+asks for.  It reads the RoCoF, QSS and nadir numbers the rows use
+(``rocof_slope`` and the period's constants).
 """
 
 from __future__ import annotations
@@ -109,13 +114,14 @@ class PeriodConstants:
     ``demand``: ``inertia``, the inertia (MW*s^2) each unit adds when
     committed, in fleet order (0 for a unit that is not synchronous);
     ``h_max``, the post-loss inertia with every synchronous unit
-    committed; ``qss``, the least ``R - P`` of the QSS row; and
+    committed; ``qss``, the least ``R - P`` of the QSS row, None where
+    the period has none (see :func:`qss_rhs`); and
     ``chords``, the nadir envelope's chords ``(slope, icpt)``."""
 
     demand: float
     inertia: list
     h_max: float
-    qss: float
+    qss: float | None
     chords: list
 
 
@@ -239,8 +245,8 @@ def settled_limit(freq, demand: float, h_max: float) -> float:
     apply and ``df_ss_max`` is returned; the QSS row then does not read
     it, and the nadir rows keep the 60-s deviation within ``df_ss_max``
     (see :func:`nadir_limit`).  With delivery still under way at 60 s the
-    bound does not apply either, and ``df_ss_max`` is returned; the nadir
-    rows then keep the 60-s deviation within it too.
+    bound does not apply either, and ``df_ss_max`` is returned; there is
+    no QSS row then (see :func:`qss_rhs`).
     """
     gap = freq.df_max - freq.df_ss_max
     d = freq.damping * demand
@@ -250,20 +256,30 @@ def settled_limit(freq, demand: float, h_max: float) -> float:
     return freq.df_ss_max - eps * gap / (1.0 - eps)
 
 
-def qss_rhs(freq, demand: float, h_max: float) -> float:
+def qss_rhs(freq, demand: float, h_max: float) -> float | None:
     """Least ``R - P`` of the quasi-steady-state row: minus the damping
     relief at the settled limit for the most inertia ``h_max``, or,
-    without damping, ``QSS_MARGIN``."""
+    without damping, ``QSS_MARGIN``.
+
+    None, for no row, with damping and delivery lasting ``HORIZON`` (60 s)
+    or longer: the nadir rows then hold the 60-s reading within
+    ``df_ss_max`` (see :func:`nadir_limit`), and the row would only cut
+    schedules the swing check passes.  Without damping the row stays:
+    ``R < P`` diverges."""
     d = freq.damping * demand
     if d == 0.0:
         return QSS_MARGIN
+    if freq.t_d >= HORIZON:
+        return None
     return -d * settled_limit(freq, demand, h_max)
 
 
 def qss_row(constants: PeriodConstants) -> list:
     """Quasi-steady-state recovery: total response covers the loss minus
     the damping relief at the settled limit, or, without damping, the
-    loss plus ``QSS_MARGIN``."""
+    loss plus ``QSS_MARGIN``; no row where ``constants.qss`` is None."""
+    if constants.qss is None:
+        return []
     return [("qss", "", _GE, [_R, _LOSS], [1.0, -1.0], constants.qss)]
 
 
@@ -416,35 +432,59 @@ def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
 
 
 def must_run(fleet, freq, constants: PeriodConstants, loss_floor: float,
-             upper):
-    """Which units every commitment the cell rows admit keeps on.
+             upper, *, largest):
+    """Which units every commitment the cell rows admit keeps on, and the
+    fewest units besides ``largest`` that such a commitment has on.
 
-    ``upper`` holds each unit's commitment upper bound in the period.
-    Unit ``g`` must run when, with ``g`` off and every other unit at its
-    upper bound, the most inertia ``H`` and response ``R`` the period can
-    have miss, at the loss ``loss_floor``, the RoCoF row, the QSS row or
-    the nadir envelope ``H * R >= max chord(P)``; the inertia floor
+    ``upper`` holds each unit's commitment upper bound in the period, and
+    ``largest`` is the largest unit, committed.  A set of units is short
+    when its inertia ``H`` and response ``R`` miss, at the loss
+    ``loss_floor``, the RoCoF row, the QSS row (where the period has one)
+    or the nadir envelope ``H * R >= max chord(P)``; the inertia floor
     ``H >= 0`` asks no more than the RoCoF row.  No requirement falls as
-    the loss grows, and the rows admit no loss below the floor, so no
-    schedule with ``g`` off passes them.  A shortfall
-    within 1e-9 of the requirement's size is not counted, so a schedule
-    the rows hold to the solver's tolerance is never cut off.  Returns one
-    boolean per unit.
+    the loss grows, and the rows admit no loss below the floor; H(x) is at
+    most the committed units' inertia, and ``pfr_cap`` keeps ``R`` within
+    their summed ``pfr_max``.  So:
+
+    * unit ``g`` must run when, with ``g`` off and every other unit at its
+      upper bound, the period is short;
+    * no commitment the rows admit has fewer than ``k`` other units on,
+      ``k`` the fewest for which ``largest`` with the ``k`` largest
+      inertias and the ``k`` largest ``pfr_max`` of the other units that
+      may run (``upper > 0``) is not short, or the number of those units
+      when no ``k`` works.
+
+    A shortfall within 1e-9 of the requirement's size is not counted, so a
+    schedule the rows hold to the solver's tolerance is never cut off.
+    Returns one boolean per unit and ``k``.
     """
     upper = np.asarray(upper, dtype=float)
     inertia = upper * constants.inertia
     response = upper * [g.pfr_max for g in fleet]
-    h = inertia.sum() - lost_inertia(freq) - inertia
-    r = response.sum() - response
+    lost = lost_inertia(freq)
     nadir = max((slope * loss_floor + icpt
                  for slope, icpt in constants.chords), default=0.0)
 
-    def short(have, need):
+    def below(have, need):
         return have < need - 1e-9 * max(1.0, abs(need))
 
-    return (short(h, rocof_slope(freq) * loss_floor)
-            | short(r, loss_floor + constants.qss)
-            | short(h * r, nadir))
+    def short(h, r):
+        miss = below(h, rocof_slope(freq) * loss_floor) | below(h * r, nadir)
+        if constants.qss is not None:
+            miss |= below(r, loss_floor + constants.qss)
+        return miss
+
+    pins = short(inertia.sum() - lost - inertia, response.sum() - response)
+    big = next(i for i, g in enumerate(fleet) if g.id == largest.id)
+    others = upper > 0.0
+    others[big] = False
+    # the largest, then the other units that may run, largest first
+    h = np.cumsum(np.concatenate(([inertia[big] - lost],
+                                  np.sort(inertia[others])[::-1])))
+    r = np.cumsum(np.concatenate(([response[big]],
+                                  np.sort(response[others])[::-1])))
+    enough = np.flatnonzero(~short(h, r))
+    return pins, int(enough[0]) if len(enough) else int(others.sum())
 
 
 def period_rows(cells: PeriodCells, fleet, freq, constants: PeriodConstants,

@@ -17,8 +17,9 @@ envelope of the convex requirement, so a solution is secure by
 construction at every loss.  Every row family is added as one block of
 arrays.  Each period's ``cover`` row asks for the fewest units besides
 the largest whose ratings reach the period's highest net demand minus
-the largest rating: valid for every integer schedule, it only tightens
-the relaxation.
+the largest rating or, with frequency constraints, the more of that and
+the fewest that ``must_run`` counts any secure commitment needing: valid
+for every integer schedule, it only tightens the relaxation.
 ``solve_uc`` builds, solves and unpacks one window into a
 :class:`UcSolution`, arrays with the period axis first and the units in
 fleet order; without frequency constraints it tries the LP relaxation
@@ -197,6 +198,15 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     schedule the rows admit has it off, and its cells need no product
     auxiliary.  With the loss fixed at the full rating, the bundled fleet
     has every unit pinned, so such a window is an LP.
+
+    Each period's ``cover[t]`` row, ``sum_{g != largest} x[g][t] >= k_t``,
+    asks for the fewest other units whose ratings reach the period's
+    highest net demand less the largest rating and, with frequency
+    constraints and a commitment still free after the pins, at least the
+    fewest other units that ``must_run`` counts any secure commitment
+    needing.  Both counts hold for every schedule the other rows admit,
+    so the row only tightens the relaxation; a period whose count is 0
+    has no row.
     """
     fleet = system.generators
     freq = system.frequency
@@ -293,8 +303,11 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     # commitment that the security rows force on is pinned first.  The
     # commitments are shared, so every branch of a period gets the same
     # variables; ``cells[t]`` holds the period's cells, one per branch, and
-    # ``constants[t]`` the numbers its rows share, computed once
+    # ``constants[t]`` the numbers its rows share, computed once.  The same
+    # screen counts the fewest other units a secure period has on,
+    # ``secure[t]``, kept for a period with a commitment still free
     cells, constants = [], []
+    secure = [0] * T
     if options.frequency_constraints:
         for t, tt in enumerate(periods):
             try:
@@ -303,10 +316,13 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
             except ValueError as exc:  # the grid check, an input error
                 raise SchedulerError(f"period {tt}: {exc}") from exc
             col = x[:, t]
-            pins = freqsec.must_run(fleet, freq, constants[t], floor_big,
-                                    model.ub[col])
+            pins, count = freqsec.must_run(fleet, freq, constants[t],
+                                           floor_big, model.ub[col],
+                                           largest=big)
             for j in col[pins & (model.lb[col] != model.ub[col])].tolist():
                 model.fix_variable(j, 1.0)
+            if (model.lb[col] != model.ub[col]).any():
+                secure[t] = count
             cells.append(freqsec.register_decisions(
                 model, fleet, freq, constants[t], r_max, period=tt,
                 commit=col, output=p[:, t].T, pfr=r[:, t].T))
@@ -353,12 +369,13 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
         floor_big if deloaded else big.p_max,
         [name + tag for tag in cell_tags])
 
-    # committed-capacity cover: every branch's thermal output reaches its
-    # net demand, the largest unit gives at most its rating and every other
-    # unit at most its committed rating, so at least k_t of them are on
+    # cover: every branch's thermal output reaches its net demand, the
+    # largest unit gives at most its rating and every other unit at most
+    # its committed rating, and a secured period has at least ``secure[t]``
+    # of them on, so at least k_t of them are on
     others = [i for i in range(G) if i != big_i]
-    needs = [_units_to_cover([fleet[i].p_max for i in others],
-                             float(net[t].max()) - big.p_max)
+    needs = [max(_units_to_cover([fleet[i].p_max for i in others],
+                                 float(net[t].max()) - big.p_max), secure[t])
              for t in range(T)]
     covered = [t for t in range(T) if needs[t] > 0]
     if covered:

@@ -1,7 +1,9 @@
 """Test-side references that the program itself never runs.
 
 * :mod:`.oracle` -- the exhaustive MILP oracle on the dense simplex in
-  :mod:`.simplex`; it shares no code with HiGHS, which it checks.
+  :mod:`.simplex`; it shares no code with HiGHS, which it checks; and the
+  enumeration of secure commitments that ``freqsec.must_run``'s count is
+  checked against.
 * :mod:`.recheck` -- the loop form of the feasibility re-check, against
   which the compiled, vectorised one is compared.
 * :mod:`.builder` -- the window builder as a loop with one ``add_row``

@@ -156,14 +156,15 @@ def rocof_row(decisions: FreqDecisionSet, freq, inertia: LinExpr,
 
 
 def qss_row(decisions: FreqDecisionSet, fleet, freq, demand: float,
-            tag: str = "") -> LinearRow:
+            tag: str = "") -> list:
     """Quasi-steady-state recovery: total response covers the loss minus
     the damping relief at the settled limit, or, without damping, the loss
-    plus ``QSS_MARGIN``."""
-    return LinearRow(coeffs={decisions.response: 1.0, decisions.loss: -1.0},
-                     sense=SENSE_GE,
-                     rhs=qss_rhs(freq, demand, max_inertia(fleet, freq)),
-                     label=f"qss{tag}")
+    plus ``QSS_MARGIN``; none where ``qss_rhs`` is None."""
+    rhs = qss_rhs(freq, demand, max_inertia(fleet, freq))
+    if rhs is None:
+        return []
+    return [LinearRow(coeffs={decisions.response: 1.0, decisions.loss: -1.0},
+                      sense=SENSE_GE, rhs=rhs, label=f"qss{tag}")]
 
 
 def linearize_inertia_pfr(decisions: FreqDecisionSet, fleet, freq,
@@ -273,7 +274,7 @@ def cell_rows(decisions: FreqDecisionSet, fleet, freq, demand: float,
     rows = largest_loss_rows(decisions, fleet, sources, tag=tag)
     rows.append(rocof_row(decisions, freq,
                           inertia_expression(decisions, fleet, freq), tag=tag))
-    rows.append(qss_row(decisions, fleet, freq, demand, tag=tag))
+    rows += qss_row(decisions, fleet, freq, demand, tag=tag)
     rows += linearize_inertia_pfr(decisions, fleet, freq, r_max, tag=tag)
     rows += nadir_discretization_rows(decisions, freq, demand, tag=tag)
     rows += hyperbolic_cut_rows(decisions, fleet, freq, demand, r_max,
@@ -295,7 +296,7 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
     ``(T, units)``, units in fleet order) pins the commitment variables;
     the rolling solver uses this for the realized re-dispatch.  With
     ``security_pins`` off, the free commitments that ``freqsec.must_run``
-    finds forced on stay free.
+    finds forced on stay free, and the cover rows ask only for capacity.
     """
     fleet = system.generators
     freq = system.frequency
@@ -382,20 +383,26 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
             f"commitment requirements conflict: {exc}"
         ) from exc
 
-    # security must-run pins, one unit at a time
+    # security must-run pins, one unit at a time, and the fewest other
+    # units a secure period has on, counted where a commitment stays free
+    secure = [0] * n_periods
     if options.frequency_constraints and security_pins:
         for t in range(n_periods):
             try:
-                pins = freqsec.must_run(
+                pins, count = freqsec.must_run(
                     fleet, freq,
                     freqsec.period_constants(fleet, freq, demand[t]),
-                    floor_big, [model.ub[x[g.id, t]] for g in fleet])
+                    floor_big, [model.ub[x[g.id, t]] for g in fleet],
+                    largest=big)
             except ValueError as exc:  # the grid check, an input error
                 raise SchedulerError(f"period {start_period + t}: {exc}") \
                     from exc
             for g, pin in zip(fleet, pins):
                 if pin and model.lb[x[g.id, t]] != model.ub[x[g.id, t]]:
                     model.fix_variable(x[g.id, t], 1.0)
+            if any(model.lb[x[g.id, t]] != model.ub[x[g.id, t]]
+                   for g in fleet):
+                secure[t] = count
 
     # each cell's security variables, one cell at a time, once the fixed
     # commitments are known: a unit committed by a fixed bound needs no
@@ -446,13 +453,14 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
                 model.add_row({p[big.id, t, s]: 1.0}, SENSE_EQ, big.p_max,
                               f"fix_largest[{tt}][{s}]")
 
-    # committed-capacity cover: every branch's thermal output reaches its
-    # net demand, the largest unit gives at most its rating and every other
-    # unit at most its committed rating, so at least k_t of them are on
+    # cover: every branch's thermal output reaches its net demand, the
+    # largest unit gives at most its rating and every other unit at most
+    # its committed rating, and a secured period has at least secure[t] of
+    # them on, so at least k_t of them are on
     others = [g for g in fleet if g.id != big.id]
     for t in range(n_periods):
-        k = _units_to_cover([g.p_max for g in others],
-                            float(net[t].max()) - big.p_max)
+        k = max(_units_to_cover([g.p_max for g in others],
+                                float(net[t].max()) - big.p_max), secure[t])
         if k > 0:
             model.add_row({x[g.id, t]: 1.0 for g in others}, SENSE_GE,
                           float(k), f"cover[{start_period + t}]")

@@ -21,6 +21,7 @@ from frequc.milp import MilpModel, solve
 from frequc.milp.model import RowBlock
 from frequc.sysmodel import (FrequencyParams, GeneratorSpec, largest_unit,
                              load_system)
+from reference.oracle import fewest_secure_units
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -403,9 +404,10 @@ def test_big_m_product_is_exact_on_random_assignments():
 # -- security must-run pins ---------------------------------------------------
 
 
-def cell_admits_off(fleet, freq, demand, loss_floor, upper, off):
-    """Whether one cell, built through ``register_decisions`` and
-    ``period_rows``, has a point with unit ``off`` switched off.
+def cell_fewest_on(fleet, freq, demand, loss_floor, upper, off=None):
+    """The fewest units besides the largest that one cell, built through
+    ``register_decisions`` and ``period_rows``, has on at any of its
+    points with unit ``off`` switched off; None when it has no point.
 
     The largest unit is committed with an output of at least
     ``loss_floor``; a unit with ``upper`` 0 is off; every other commitment
@@ -432,39 +434,53 @@ def cell_admits_off(fleet, freq, demand, loss_floor, upper, off):
                               commit=commit, output=[output], pfr=[pfr])
     mdl.add_block(period_rows(cell, fleet, freq, constants, r_max,
                               largest=big, loss_floor=loss_floor))
-    status = solve(mdl).status
-    assert status in ("optimal", "infeasible")
-    return status == "optimal"
+    mdl.set_objective({j: 1.0 for g, j in zip(fleet, commit)
+                       if g.id != big.id})
+    result = solve(mdl)
+    assert result.status in ("optimal", "infeasible")
+    return round(result.objective) if result.status == "optimal" else None
 
 
-def assert_pins_are_exact(fleet, freq, demand, loss_floor, upper):
+def assert_screen_is_exact(fleet, freq, demand, loss_floor, upper):
     """A unit ``must_run`` pins leaves the cell no point when off; a free
-    unit it leaves alone can be off.  Returns the pins of the free units."""
+    unit it leaves alone can be off.  The count ``must_run`` returns is the
+    enumerated count of its largest inertias and responses taken apart, and
+    at most the fewest other units on at any point of the cell, which
+    enumeration finds too (all that may run when the cell has no point).
+    Returns the pins of the free units and the count, and the fewest."""
     big = largest_unit(fleet)
-    pins = must_run(fleet, freq, period_constants(fleet, freq, demand),
-                    loss_floor, upper)
+    pins, count = must_run(fleet, freq, period_constants(fleet, freq, demand),
+                           loss_floor, upper, largest=big)
+    exact, relaxed = fewest_secure_units(fleet, freq, demand, loss_floor,
+                                         upper, big)
+    assert count == relaxed <= exact
     seen = []
     for g, hi, pin in zip(fleet, upper, pins):
         if g.id != big.id and hi == 1.0:
-            assert cell_admits_off(fleet, freq, demand, loss_floor, upper,
-                                   g.id) == (not pin), g.id
+            admits_off = cell_fewest_on(fleet, freq, demand, loss_floor,
+                                        upper, g.id) is not None
+            assert admits_off == (not pin), g.id
             seen.append(bool(pin))
-    return seen
+    fewest = cell_fewest_on(fleet, freq, demand, loss_floor, upper)
+    may_run = sum(hi > 0.0 for g, hi in zip(fleet, upper) if g.id != big.id)
+    assert exact == (may_run if fewest is None else fewest)
+    return seen, count, exact
 
 
 @pytest.mark.parametrize("mode", ["fixed", "optimised"])
 def test_must_run_is_exact_on_the_bundled_fleet(mode):
     """At the full rating every unit is needed; at the deload floor none
-    is."""
+    is, and any secure cell has five others on: the count is exact."""
     system = load_system(DATA / "toy_system.yaml")
     fleet, freq = system.generators, system.frequency
     big = largest_unit(fleet)
     floor = big.p_max * (1.0 if mode == "fixed"
                          else 1.0 - big.max_deload_fraction)
     for demand in sorted(set(system.demand_profile)):
-        seen = assert_pins_are_exact(fleet, freq, demand, floor,
-                                     [1.0] * len(fleet))
+        seen, count, exact = assert_screen_is_exact(
+            fleet, freq, demand, floor, [1.0] * len(fleet))
         assert seen == [mode == "fixed"] * (len(fleet) - 1)
+        assert count == exact == (7 if mode == "fixed" else 5)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -485,13 +501,14 @@ def test_must_run_is_exact_on_drawn_cells(demand, loss_floor, on, rocof_max,
     assert largest_unit(fleet) is fleet[0] and len(fleet) == 8
     freq = replace(system.frequency, rocof_max=rocof_max, damping=damping,
                    df_ss_max=settled_share * system.frequency.df_max)
-    assert_pins_are_exact(fleet, freq, demand, loss_floor,
-                          [1.0] + [float(u) for u in on])
+    assert_screen_is_exact(fleet, freq, demand, loss_floor,
+                           [1.0] + [float(u) for u in on])
 
 
-def pinned_cell_status(fleet, freq, demand, loss):
+def pinned_cell_status(fleet, freq, demand, loss, response=None):
     """Solver status of one cell with every unit committed and the largest,
-    ``fleet[0]``, at output ``loss``."""
+    ``fleet[0]``, at output ``loss``; with ``response``, the summed
+    response held at it."""
     mdl = MilpModel()
     commit = [mdl.add_binary(f"x[{g.id}]") for g in fleet]
     output = [mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max) for g in fleet]
@@ -499,6 +516,8 @@ def pinned_cell_status(fleet, freq, demand, loss):
     for j in commit:
         mdl.fix_variable(j, 1.0)
     mdl.fix_variable(output[0], loss)
+    if response is not None:
+        mdl.add_row({j: 1.0 for j in pfr}, "=", response, "response")
     r_max = sum(g.pfr_max for g in fleet)
     constants = period_constants(fleet, freq, demand)
     cell = register_decisions(mdl, fleet, freq, constants, r_max, period=0,
@@ -512,7 +531,7 @@ def test_long_delivery_holds_the_nadir_within_the_settled_limit():
     """With delivery lasting 60 s or more, every reading up to 60 s lies on
     the delivery-phase piece, whose minimum the nadir rule bounds, so the
     rows hold the nadir within min(df_max, df_ss_max).  This cell meets the
-    RoCoF and QSS rows and the nadir rule at df_max, H * R = 1000 * 75, but
+    RoCoF row and the nadir rule at df_max, H * R = 1000 * 75, but
     reads -0.83 Hz at 60 s against df_ss_max = 0.5: the rows reject it."""
     # the largest unit's inertia goes with it, so H(x) is the responder's
     fleet = (
@@ -528,7 +547,8 @@ def test_long_delivery_holds_the_nadir_within_the_settled_limit():
                                             100.0, freq)
     assert report.rocof_ok and report.nadir_ok and not report.qss_ok
     assert trace.deviation_60 == pytest.approx(-0.8306, abs=1e-4)
-    assert period_constants(fleet, freq, demand).qss == -25.0  # R = 75 meets it
+    # no QSS row: the nadir rows hold the 60-s reading
+    assert period_constants(fleet, freq, demand).qss is None
     assert nadir_requirement(100.0, freq, demand) == 3000.0 * 75.0
     assert pinned_cell_status(fleet, freq, demand, 100.0) == "infeasible"
     # with the limits equal the rule reads df_max, and the cell is secure
@@ -537,3 +557,44 @@ def test_long_delivery_holds_the_nadir_within_the_settled_limit():
     assert certify_operating_point(1000.0, 50.0, 75.0, freq.t_d, 100.0,
                                    at_df_max)[1].ok
     assert pinned_cell_status(fleet, at_df_max, demand, 100.0) == "optimal"
+
+
+def test_long_delivery_with_damping_has_no_qss_row():
+    """With damping and delivery lasting 60 s or more the nadir rows hold
+    the 60-s reading within df_ss_max, so a QSS row would only cut
+    schedules the swing check passes.  This cell, H = 20000, R = 40
+    against a 100 MW loss with D * demand = 50 MW/Hz, meets the RoCoF row
+    and the nadir rule (800,000 >= 225,000) and reads -0.115 Hz at 60 s
+    against df_ss_max = 0.5; a QSS row would ask R >= 75.  Without damping
+    the row stays, and the cell diverges."""
+    # the largest unit's inertia goes with it, so H(x) is the responders'
+    big = GeneratorSpec(id="big", technology="nuclear", p_max=100.0,
+                        inertia_const=600.0)
+    resp = GeneratorSpec(id="resp", technology="thermal", p_max=100.0,
+                         inertia_const=10000.0, pfr_max=40.0)
+    fleet = (big, resp)
+    freq = freq_for(fleet, [100.0], df_max=1.0, df_ss_max=0.5,
+                    rocof_max=1.0, t_d=60.0, damping=0.05)
+    demand = 1000.0  # D * demand = 50 MW/Hz
+    trace, report = certify_operating_point(20000.0, 50.0, 40.0, freq.t_d,
+                                            100.0, freq)
+    assert report.ok
+    assert trace.deviation_60 == pytest.approx(-0.115, abs=1e-3)
+    assert period_constants(fleet, freq, demand).qss is None
+    assert nadir_requirement(100.0, freq, demand) == 225000.0
+    assert pinned_cell_status(fleet, freq, demand, 100.0, 40.0) == "optimal"
+    # the screen drops the QSS test too: with a second such responder,
+    # either one alone is this cell, so neither is pinned and one will do
+    spare = replace(resp, id="spare")
+    pair = (big, resp, spare)
+    pins, count = must_run(pair, freq, period_constants(pair, freq, demand),
+                           100.0, [1.0] * 3, largest=big)
+    assert pins.tolist() == [False] * 3 and count == 1
+    # without damping the row holds R at least QSS_MARGIN above the loss
+    still = replace(freq, damping=0.0)
+    assert period_constants(fleet, still, demand).qss == QSS_MARGIN
+    trace, report = certify_operating_point(20000.0, 0.0, 40.0, still.t_d,
+                                            100.0, still)
+    assert trace.diverges and not report.qss_ok
+    assert pinned_cell_status(fleet, still, demand, 100.0, 40.0) \
+        == "infeasible"

@@ -2,9 +2,9 @@
 and of the frequency cell's rows on random cells.
 
 Each window example is a fleet of 2-4 synchronous units (the largest may
-deload), 1-3 net-demand branches and 1-3 periods.  On every example the
-array builder and the loop builder of ``reference.builder`` give the same
-model.  Expected costs are
+deload), 1-3 net-demand branches and 1-3 periods, with response delivered
+in 1, 2.5 or 60 s.  On every example the array builder and the loop
+builder of ``reference.builder`` give the same model.  Expected costs are
 compared within the solver's relative MIP gap: a reported optimum lies at
 most ``GAP`` of its own magnitude above the true one.
 """
@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from frequc.freqsec import period_constants, period_rows, register_decisions
+from frequc.freqsec import (must_run, period_constants, period_rows,
+                            register_decisions)
 from frequc.milp import MilpModel
 from frequc.scheduler import (
     LOSS_MODES,
@@ -30,8 +31,10 @@ from frequc.sysmodel import (
     SystemSpec,
     build_scenario_tree,
     default_segment_grid,
+    largest_unit,
 )
 from reference.builder import assert_same_model, build_uc_loop
+from reference.oracle import fewest_secure_units
 
 GAP = 1e-6  # SolveOptions().opt_gap
 LEVELS = {1: (0.5,), 2: (0.25, 0.75), 3: (0.1, 0.5, 0.9)}
@@ -89,7 +92,7 @@ def windows(draw, settled_shares=(0.5, 1.0), damping_shares=(0.0, 0.3, 0.9)):
             f0=50.0, df_max=df_max,
             df_ss_max=draw(st.sampled_from(settled_shares)) * df_max,
             rocof_max=draw(st.sampled_from([1.0, 2.0])),
-            t_d=draw(st.sampled_from([1.0, 2.5])), damping=damping,
+            t_d=draw(st.sampled_from([1.0, 2.5, 60.0])), damping=damping,
             nadir_segments=grid, largest_unit_rating=big_max,
             largest_unit_inertia=units[0].inertia_const))
     return system, build_scenario_tree(LEVELS[n_branches], table)
@@ -267,6 +270,27 @@ def test_array_builder_matches_the_loop_builder(window, data):
                 continue
             assert_same_model(build_uc(system, tree, options,
                                        initial_state=state), want)
+
+
+@PROPERTY
+@given(windows(), st.data())
+def test_security_count_never_exceeds_the_fewest_secure_units(window, data):
+    """On unlike units, with some held off, the count ``must_run`` gives
+    the cover row is the enumerated count of the largest inertias and
+    responses taken apart, and at most the fewest other units of any
+    secure commitment, at both loss floors of every period."""
+    system, _ = window
+    fleet, freq = system.generators, system.frequency
+    big = largest_unit(fleet)
+    upper = [1.0] + [float(data.draw(st.booleans())) for _ in fleet[1:]]
+    for floor in {big.p_max, (1.0 - big.max_deload_fraction) * big.p_max}:
+        for demand in system.demand_profile:
+            _, count = must_run(fleet, freq,
+                                period_constants(fleet, freq, demand),
+                                floor, upper, largest=big)
+            exact, relaxed = fewest_secure_units(fleet, freq, demand, floor,
+                                                 upper, big)
+            assert count == relaxed <= exact
 
 
 @st.composite

@@ -42,7 +42,7 @@ from frequc.sysmodel import (
     load_scenario_table,
     load_system,
 )
-from reference.oracle import solve_exhaustive
+from reference.oracle import fewest_secure_units, solve_exhaustive
 from test_properties import settled_limit_window
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -166,17 +166,33 @@ def fewest_units(ratings, need):
     raise AssertionError("the ratings cannot cover the need")
 
 
-def assert_cover_rows_count_the_fewest_units(model, system, tree):
-    """Each ``cover[t]`` row asks exactly the enumerated minimum number of
-    non-largest commitments; a period that needs none has no row."""
-    big = largest_unit(system.generators)
-    others = [g for g in system.generators if g.id != big.id]
+def assert_cover_rows_count_the_fewest_units(model, system, tree, opts):
+    """Each ``cover[t]`` row asks exactly the more of two enumerated
+    minimum numbers of non-largest commitments: the fewest whose ratings
+    reach the need, and, with frequency constraints and a commitment still
+    free, the fewest ``k`` whose most inertia and most response, taken
+    apart, meet the security requirements at the loss floor, which is at
+    most the fewest units of any secure set.  A period that needs none has
+    no row.  Returns each period's (capacity count, security count)."""
+    fleet, big = system.generators, largest_unit(system.generators)
+    others = [g for g in fleet if g.id != big.id]
+    floor = big.p_max * (1.0 - big.max_deload_fraction
+                         if frequc.scheduler._largest_runs_deloaded(opts, big)
+                         else 1.0)
     covers = {row.label: row for row in model.rows
               if row.label.startswith("cover[")}
     counts = []
     for t in range(tree.n_periods):
         need = tree.net[t].max() - big.p_max
-        k = fewest_units([g.p_max for g in others], need)
+        capacity, security = fewest_units([g.p_max for g in others], need), 0
+        commit = model.commit[t]
+        if opts.frequency_constraints and (
+                model.lb[commit] != model.ub[commit]).any():
+            exact, security = fewest_secure_units(
+                fleet, system.frequency, system.demand_profile[t], floor,
+                model.ub[commit], big)
+            assert security <= exact
+        k = max(capacity, security)
         row = covers.pop(f"cover[{t}]", None)
         if k == 0:
             assert row is None
@@ -185,7 +201,7 @@ def assert_cover_rows_count_the_fewest_units(model, system, tree):
             assert row.coeffs == {
                 model.names.index(f"x[{g.id}][{t}]"): 1.0
                 for g in others}
-        counts.append(k)
+        counts.append((capacity, security))
     assert not covers
     return counts
 
@@ -206,9 +222,13 @@ def without_cover_rows(model):
 def test_cover_rows_count_the_fewest_units():
     system = toy_system()
     tree = toy_tree(system)
-    model = build_uc(system, tree, options())
-    assert assert_cover_rows_count_the_fewest_units(model, system, tree) \
-        == [1, 2, 2, 2, 2, 1]
+    opts = options()
+    model = build_uc(system, tree, opts)
+    # (capacity count, security count) per period: security asks for two
+    # of the three others where capacity asks for one
+    assert assert_cover_rows_count_the_fewest_units(
+        model, system, tree, opts) == [(1, 2), (2, 2), (2, 2), (2, 2),
+                                       (2, 2), (1, 2)]
     # no wind: needs from none of the three others up to all of them, the
     # last exactly at their summed rating
     demand = (450.0, 900.0, 1000.0, 1400.0, 1650.0, 1700.0)
@@ -216,9 +236,17 @@ def test_cover_rows_count_the_fewest_units():
                       wind_capacity=0.0, period_hours=1.0,
                       frequency=system.frequency)
     flat = one_branch(demand)
-    model = build_uc(calm, flat, options(largest_loss_mode="optimised"))
-    assert assert_cover_rows_count_the_fewest_units(model, calm, flat) \
-        == [0, 1, 2, 3, 3, 3]
+    opts = options(largest_loss_mode="optimised")
+    model = build_uc(calm, flat, opts)
+    assert assert_cover_rows_count_the_fewest_units(
+        model, calm, flat, opts) == [(0, 1), (1, 1), (2, 1), (3, 1), (3, 1),
+                                     (3, 1)]
+    # without frequency constraints the rows ask only for capacity
+    opts = options(frequency_constraints=False, largest_loss_mode="optimised")
+    model = build_uc(calm, flat, opts)
+    assert assert_cover_rows_count_the_fewest_units(
+        model, calm, flat, opts) == [(0, 0), (1, 0), (2, 0), (3, 0), (3, 0),
+                                     (3, 0)]
 
 
 def assert_same_optimum(model, exhaustive=False):
@@ -286,19 +314,25 @@ def random_small_window(rng):
 
 def test_cover_rows_keep_random_optima():
     """On seeded small windows (at most 8 binaries) the cover rows remove
-    no optimum: HiGHS with and without them, and enumeration, agree."""
+    no optimum: HiGHS with and without them, and enumeration, agree.  Each
+    window is secured in both modes and unsecured in one, and some ask for
+    more units for security than for capacity."""
     rng = np.random.default_rng(17)
-    statuses = []
+    statuses, beyond = [], 0
     for k in range(12):
         system, tree = random_small_window(rng)
-        opts = options(horizon=2, first_stage=2,
-                       frequency_constraints=bool(k % 2),
-                       largest_loss_mode=("fixed", "optimised")[k // 2 % 2])
-        model = build_uc(system, tree, opts)
-        counts = assert_cover_rows_count_the_fewest_units(model, system, tree)
-        statuses.append(assert_same_optimum(model, exhaustive=True))
-        assert max(counts) > 0
-    assert statuses.count("optimal") >= 8
+        for mode, secured in (("fixed", True), ("optimised", True),
+                              (("fixed", "optimised")[k % 2], False)):
+            opts = options(horizon=2, first_stage=2,
+                           frequency_constraints=secured,
+                           largest_loss_mode=mode)
+            model = build_uc(system, tree, opts)
+            counts = assert_cover_rows_count_the_fewest_units(
+                model, system, tree, opts)
+            statuses.append(assert_same_optimum(model, exhaustive=True))
+            assert max(map(max, counts)) > 0
+            beyond += any(security > capacity for capacity, security in counts)
+    assert statuses.count("optimal") >= 24 and beyond >= 3
 
 
 def test_frequency_off_omits_security_machinery():
