@@ -1,7 +1,7 @@
 """Mixed-integer linear programming layer: model container, HiGHS solving
 with an independent re-check on the compiled model, and LP text export."""
 
-from .branch_bound import MilpSolution, SolveOptions, SolverError, solve
+from .branch_bound import MilpSolution, SolverError, solve
 from .lpio import export_model
 from .model import LinearRow, MilpModel, ModelError
 
@@ -10,7 +10,6 @@ __all__ = [
     "MilpModel",
     "MilpSolution",
     "ModelError",
-    "SolveOptions",
     "SolverError",
     "export_model",
     "solve",

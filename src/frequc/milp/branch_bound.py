@@ -13,8 +13,9 @@ the MILP's, and an integral one is a point of the MILP too.
 HiGHS is reached through the binding that scipy (>= 1.17) bundles,
 ``scipy.optimize._highspy._core``.  It is private to scipy, so only
 :func:`run_highs` imports it.  :func:`run_highs` sets HiGHS's options
-``output_flag`` (off), ``presolve`` (on), ``mip_rel_gap``, ``mip_max_nodes``
-and ``mip_heuristic_run_feasibility_jump`` (off).  Feasibility jump is a
+``output_flag`` (off), ``presolve`` (on), ``mip_rel_gap`` (``OPT_GAP``),
+``mip_max_nodes`` (``MAX_NODES``) and ``mip_heuristic_run_feasibility_jump``
+(off).  Feasibility jump is a
 primal heuristic HiGHS runs before the root LP of every MIP; the window
 MIPs close at the root, and without it HiGHS's other heuristics reach the
 same optima on the bundled and benchmark windows, so it only adds time.
@@ -33,17 +34,15 @@ from .model import CompiledModel, MilpModel
 # How far from an integer a free integer column of an LP relaxation may lie
 # for the relaxation to count as integral.
 INTEGRAL_TOL = 1e-9
+# HiGHS's relative MIP gap and node limit, set by run_highs
+OPT_GAP = 1e-6
+MAX_NODES = 200_000
+# The re-check holds a solution's bounds and rows to 10 * FEAS_TOL
+FEAS_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
     """Raised when the solver itself fails, as opposed to returning a status."""
-
-
-@dataclass
-class SolveOptions:
-    feas_tol: float = 1e-6
-    opt_gap: float = 1e-6
-    max_nodes: int = 200_000
 
 
 @dataclass
@@ -59,8 +58,7 @@ class MilpSolution:
     violations: list[str] = field(default_factory=list)
 
 
-def solve(model: MilpModel, options: SolveOptions | None = None, *,
-          relax_first: bool = False) -> MilpSolution:
+def solve(model: MilpModel, *, relax_first: bool = False) -> MilpSolution:
     """Solve the model with HiGHS and re-check feasibility of the answer.
 
     With ``relax_first`` the LP relaxation is solved first; when it is
@@ -68,22 +66,21 @@ def solve(model: MilpModel, options: SolveOptions | None = None, *,
     integer, it is the MILP's optimum too and is returned, with no nodes
     and no gap.  Otherwise the MILP is solved as without it.
     """
-    options = options or SolveOptions()
     compiled = model.compile()
-    sol = _solve_highs(model, compiled, options, relax_first)
+    sol = _solve_highs(model, compiled, relax_first)
     if sol.values is not None:
         integer = compiled.integrality > 0
         # + 0.0 turns a rounded -0.0 into 0.0
         sol.values[integer] = np.round(sol.values[integer]) + 0.0
         sol.violations = compiled.check_feasible(sol.values,
-                                                 tol=10 * options.feas_tol)
+                                                 tol=10 * FEAS_TOL)
         if sol.violations and sol.status == "optimal":
             sol.status = "violated"
     return sol
 
 
 def _solve_highs(model: MilpModel, compiled: CompiledModel,
-                 options: SolveOptions, relax_first: bool) -> MilpSolution:
+                 relax_first: bool) -> MilpSolution:
     lb, ub = compiled.lb, compiled.ub
     # an integer column whose bounds pin it to one integer needs no
     # branching; with none left free HiGHS solves the model as an LP
@@ -91,14 +88,14 @@ def _solve_highs(model: MilpModel, compiled: CompiledModel,
     relaxed = np.zeros_like(compiled.integrality)
     try:
         if not free.any():
-            sol = run_highs(compiled, relaxed, options)
+            sol = run_highs(compiled, relaxed)
         else:
-            sol = run_highs(compiled, relaxed, options) if relax_first else None
+            sol = run_highs(compiled, relaxed) if relax_first else None
             # an optimal relaxation that is integral is the MILP's optimum
             if sol is None or not (sol.status == "optimal" and np.all(
                     np.abs(sol.values[free] - np.round(sol.values[free]))
                     <= INTEGRAL_TOL)):
-                sol = run_highs(compiled, compiled.integrality, options)
+                sol = run_highs(compiled, compiled.integrality)
     except Exception as exc:  # raised by the solver, not returned as a status
         raise SolverError(f"HiGHS failed on {model.name}: {exc}") from exc
     if sol.values is None:
@@ -108,8 +105,8 @@ def _solve_highs(model: MilpModel, compiled: CompiledModel,
     return sol
 
 
-def run_highs(compiled: CompiledModel, integrality: np.ndarray,
-              options: SolveOptions) -> MilpSolution:
+def run_highs(compiled: CompiledModel,
+              integrality: np.ndarray) -> MilpSolution:
     """Solve the compiled arrays with ``integrality`` in one HiGHS call.
 
     Returns HiGHS's status and, where it has one, its point and
@@ -119,10 +116,10 @@ def run_highs(compiled: CompiledModel, integrality: np.ndarray,
     iteration or solution limit with a finite objective.  Raises
     :class:`SolverError` when HiGHS rejects an option or the model.
 
-    The options are fixed, apart from the gap and node limit that
-    ``options`` carries: no log, presolve on, and no feasibility-jump
-    heuristic, which costs a quarter to a third of HiGHS's time on the
-    secured windows and changes none of their optima.  The tests compare
+    The options are fixed: no log, presolve on, the gap ``OPT_GAP``, the
+    node limit ``MAX_NODES``, and no feasibility-jump heuristic, which
+    costs a quarter to a third of HiGHS's time on the secured windows and
+    changes none of their optima.  The tests compare
     the answers bit for bit with scipy's ``milp``, which still runs it.
     """
     from scipy.optimize._highspy import _core
@@ -132,8 +129,8 @@ def run_highs(compiled: CompiledModel, integrality: np.ndarray,
     highs = _core._Highs()
     # the value's Python type selects the binding's overload
     for name, value in (("output_flag", False), ("presolve", "on"),
-                        ("mip_rel_gap", float(options.opt_gap)),
-                        ("mip_max_nodes", int(options.max_nodes)),
+                        ("mip_rel_gap", float(OPT_GAP)),
+                        ("mip_max_nodes", int(MAX_NODES)),
                         ("mip_heuristic_run_feasibility_jump", False)):
         if highs.setOptionValue(name, value) == status.kError:
             raise SolverError(f"HiGHS rejected option {name} = {value!r}")

@@ -160,16 +160,6 @@ class MilpModel:
     def add_binary(self, name: str) -> int:
         return self.add_variable(name, 0.0, 1.0, integer=True)
 
-    def fix_variable(self, index: int, value: float) -> None:
-        """Pin a variable to a single value by collapsing its bounds; a
-        value outside them, NaN included, is rejected."""
-        v = float(value)
-        lo, hi = float(self.lb[index]), float(self.ub[index])
-        if not lo - 1e-12 <= v <= hi + 1e-12:
-            raise ModelError(f"variable {self.names[index]}: cannot fix to "
-                             f"{v}, outside [{lo}, {hi}]")
-        self.lb[index] = self.ub[index] = v
-
     def add_row(self, coeffs: dict[int, float], sense: str, rhs: float, label: str = "") -> int:
         k = len(coeffs)
         cols = np.fromiter(coeffs, np.int64, k).reshape(1, k)

@@ -7,11 +7,14 @@ horizon cut at the profile's end.  Commitments (and the implied
 start/stop indicators) are first-stage decisions shared by every
 net-demand branch; dispatch, response holdings
 and the sizable-loss quantities are recourse, one copy per period and
-branch.  When frequency constraints are enabled, each period's cells get
-their loss, summed-response and product variables, as arrays, from
-:func:`frequc.freqsec.register_decisions`, once the fixed commitments are
-known and the free ones that :func:`frequc.freqsec.must_run` finds forced
-on are pinned, and their rows from :func:`frequc.freqsec.period_rows`,
+branch.  Every pin is a column bound: the commitments' bounds are
+``(units, T)`` arrays (the largest plant committed, the minimum times the
+carried state owes, a pinned schedule, and the free units that
+:func:`frequc.freqsec.must_run` finds forced on), and the largest plant's
+operating mode is its output's lower bound.  With frequency constraints,
+each period's cells get their loss, summed-response and product
+variables, as arrays, from :func:`frequc.freqsec.register_decisions` and
+their rows from :func:`frequc.freqsec.period_rows`,
 every branch's for one period as one block; the nadir rows are the chord
 envelope of the convex requirement, so a solution is secure by
 construction at every loss.  Every row family is added as one block of
@@ -30,8 +33,9 @@ formula after the solve, both read them.
 ``solve_rolling_horizon`` walks a longer span window by window, passing
 the whole tree to each, and re-dispatches the committed periods against
 the realized net demand, a one-branch tree built once per run, with the
-window's ``(T, units)`` commitments pinned.  The run's path is those
-one-branch re-dispatches joined period by period (:func:`concatenate`), a
+window's ``(T, units)`` commitments pinned, and carries the units' state
+``(on, hours)`` from window to window.  The run's path is those one-branch
+re-dispatches joined period by period (:func:`concatenate`), a
 :class:`UcSolution` like any window, from which the study metrics (load
 factors, emissions) are read.  The cost of frequency services is the gap
 between the expected costs of a secured and an unsecured run.
@@ -48,7 +52,7 @@ import numpy as np
 
 from . import freqsec
 from .freqdyn import certify_operating_point
-from .milp import MilpModel, ModelError, solve
+from .milp import MilpModel, solve
 from .milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from .sysmodel import ScenarioTree, largest_unit
 
@@ -89,21 +93,11 @@ class UcOptions:
             )
 
 
-@dataclass(frozen=True)
-class UnitState:
-    """Commitment state carried across windows: on/off and for how long."""
-
-    on: bool
-    hours: int
-
-    def __post_init__(self):
-        if self.hours < 0:
-            raise SchedulerError("unit state: hours must be >= 0")
-
-
-def default_initial_state(system) -> dict:
-    """Everything off, long enough ago that no minimum-time carry applies."""
-    return {g.id: UnitState(on=False, hours=10_000) for g in system.generators}
+def default_initial_state(system):
+    """Everything off, long enough ago that no minimum-time carry applies,
+    as the carried state ``(on, hours)``: two arrays in fleet order."""
+    units = len(system.generators)
+    return np.zeros(units, dtype=bool), np.full(units, 10_000)
 
 
 def _window_net(system, tree, start_period: int, horizon: int):
@@ -140,6 +134,58 @@ def _window_net(system, tree, start_period: int, horizon: int):
             "(negative wind availability)"
         )
     return demand, net
+
+
+def _commitment_bounds(fleet, big_i, state, fixed_commitments,
+                       start_period: int, T: int):
+    """The carried state ``(on, hours)``, checked, and the lower and upper
+    bounds ``(units, T)`` of the window's commitments: the largest plant
+    committed, the minimum up/down times the state still owes and a
+    pinned ``fixed_commitments`` schedule ``(T, units)``, each of which
+    must agree with those before."""
+    G = len(fleet)
+    try:
+        on, hours = (np.asarray(part, dtype=float) for part in state)
+        whole = np.isfinite(hours) & (hours >= 0) & (hours == np.floor(hours))
+        valid = on.shape == hours.shape == (G,) and np.isin(on, (0, 1)).all() \
+            and whole.all()
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise SchedulerError(
+            f"initial state must be a pair (on, hours) of {G} values each: "
+            "on 0 or 1, hours whole numbers >= 0")
+    lo, hi = np.zeros((G, T)), np.ones((G, T))
+    lo[big_i] = 1.0
+
+    def pin(where, value):
+        value = np.broadcast_to(value, lo.shape)
+        bad = where & ((value < lo) | (value > hi))
+        if bad.any():
+            i, t = np.argwhere(bad)[0].tolist()
+            raise SchedulerError(
+                f"commitment requirements conflict: variable x[{fleet[i].id}]"
+                f"[{start_period + t}]: cannot fix to {value[i, t]}, outside "
+                f"[{lo[i, t]}, {hi[i, t]}]")
+        lo[where] = hi[where] = value[where]
+
+    # at window period t a unit has held its carried state hours + t
+    elapsed = hours[:, None] + np.arange(T)
+    on = on == 1.0
+    pin(on[:, None] & (elapsed < [[g.min_up] for g in fleet]), 1.0)
+    pin(~on[:, None] & (elapsed < [[g.min_down] for g in fleet]), 0.0)
+    if fixed_commitments is not None:
+        try:
+            values = np.asarray(fixed_commitments, dtype=float)
+        except (TypeError, ValueError):
+            values = np.full((), np.nan)
+        if (values.ndim != 2 or values.shape[1] != G or len(values) < T
+                or not np.isfinite(values[:T]).all()):
+            raise SchedulerError(
+                f"fixed commitments of shape {values.shape} do not hold "
+                f"finite values for the {T} window periods of {G} units")
+        pin(np.ones((G, T), dtype=bool), np.round(values[:T].T) + 0.0)
+    return on, lo, hi
 
 
 def _largest_runs_deloaded(options: UcOptions, big) -> bool:
@@ -186,14 +232,16 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     ``tree`` spans the demand profile, and the window reads its periods
     ``[start_period, start_period + T)``, ``T = min(options.horizon,
     n - start_period)`` for an ``n``-period profile.
-    ``fixed_commitments``, 0/1 values of shape ``(T, units)`` with the
-    units in fleet order, pins the commitment variables; the rolling
-    solver uses this for the realized re-dispatch.
+    ``initial_state`` is the carried ``(on, hours)``; ``fixed_commitments``,
+    0/1 values of shape ``(T, units)`` with the units in fleet order, pins
+    the commitment variables; the rolling solver uses this for the
+    realized re-dispatch.  A malformed or contradictory pin raises
+    :class:`SchedulerError`.
 
     Each row family repeats one pattern per cell or per unit, so it is
     added as one block of arrays; :func:`frequc.freqsec.period_rows` gives
     each period's frequency rows, every branch's, as one block.  With
-    frequency constraints, a commitment left free by the fixed bounds that
+    frequency constraints, a commitment left free by the other pins that
     :func:`frequc.freqsec.must_run` finds forced on is pinned on: no
     schedule the rows admit has it off, and its cells need no product
     auxiliary.  With the loss fixed at the full rating, the bundled fleet
@@ -232,16 +280,31 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
             "frequency constraints need at least one unit with response capability"
         )
 
-    if initial_state is None:
-        initial_state = default_initial_state(system)
-    for g in fleet:
-        if g.id not in initial_state:
-            raise SchedulerError(f"initial state missing unit {g.id}")
-
     model = UcModel(name=f"uc_p{start_period}_{T}x{S}")
     ids = [g.id for g in fleet]
     big_i = ids.index(big.id)
     periods = range(start_period, start_period + T)
+
+    # the commitment bounds (G, T), then each commitment still free that
+    # the security rows force on; the same screen counts the fewest other
+    # units a secure period has on, ``secure[t]``, kept where one is free
+    on, lo, hi = _commitment_bounds(
+        fleet, big_i, default_initial_state(system) if initial_state is None
+        else initial_state, fixed_commitments, start_period, T)
+    constants = []
+    secure = np.zeros(T, dtype=int)
+    if options.frequency_constraints:
+        pins = np.zeros((G, T), dtype=bool)
+        for t, tt in enumerate(periods):
+            try:
+                constants.append(freqsec.period_constants(fleet, freq,
+                                                          demand[t]))
+            except ValueError as exc:  # the grid check, an input error
+                raise SchedulerError(f"period {tt}: {exc}") from exc
+            pins[:, t], secure[t] = freqsec.must_run(
+                fleet, freq, constants[t], floor_big, hi[:, t], largest=big)
+        lo[pins & (lo != hi)] = 1.0
+        secure[(lo == hi).all(axis=0)] = 0
 
     # first-stage commitment, start and stop indicators (shared by branches)
     heads = [(f"x[{gid}]", f"su[{gid}]", f"sd[{gid}]") for gid in ids]
@@ -268,64 +331,17 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     r = recourse[..., 1:2 * G:2].transpose(2, 0, 1)
     wind = recourse[..., 2 * G]
 
-    # the largest plant is committed throughout; minimum-time carry and
-    # externally pinned schedules come next and must agree with it
-    x_ids = x.tolist()
-    for t in range(T):
-        model.fix_variable(x_ids[big_i][t], 1.0)
-    try:
-        for i, g in enumerate(fleet):
-            state = initial_state[g.id]
-            if state.on and state.hours < g.min_up:
-                for t in range(min(g.min_up - state.hours, T)):
-                    model.fix_variable(x_ids[i][t], 1.0)
-            elif not state.on and state.hours < g.min_down:
-                for t in range(min(g.min_down - state.hours, T)):
-                    model.fix_variable(x_ids[i][t], 0.0)
-        if fixed_commitments is not None:
-            values = np.asarray(fixed_commitments, dtype=float)
-            if values.ndim != 2 or values.shape[1] != G or len(values) < T:
-                raise SchedulerError(
-                    f"fixed commitments of shape {values.shape} do not cover "
-                    f"the {T} window periods of {G} units"
-                )
-            values = values[:T].T.tolist()
-            for i in range(G):
-                for t in range(T):
-                    model.fix_variable(x_ids[i][t], round(values[i][t]))
-    except ModelError as exc:
-        raise SchedulerError(
-            f"commitment requirements conflict: {exc}"
-        ) from exc
+    # the pins are bounds; the largest plant's output is held at or above
+    # its floor, which is its rating when it is not deloaded
+    model.lb[x], model.ub[x] = lo, hi
+    model.lb[p[big_i]] = floor_big
 
-    # each cell's security variables, once the fixed commitments are known:
-    # a unit committed by a fixed bound needs no product auxiliary.  A free
-    # commitment that the security rows force on is pinned first.  The
-    # commitments are shared, so every branch of a period gets the same
-    # variables; ``cells[t]`` holds the period's cells, one per branch, and
-    # ``constants[t]`` the numbers its rows share, computed once.  The same
-    # screen counts the fewest other units a secure period has on,
-    # ``secure[t]``, kept for a period with a commitment still free
-    cells, constants = [], []
-    secure = [0] * T
-    if options.frequency_constraints:
-        for t, tt in enumerate(periods):
-            try:
-                constants.append(freqsec.period_constants(fleet, freq,
-                                                          demand[t]))
-            except ValueError as exc:  # the grid check, an input error
-                raise SchedulerError(f"period {tt}: {exc}") from exc
-            col = x[:, t]
-            pins, count = freqsec.must_run(fleet, freq, constants[t],
-                                           floor_big, model.ub[col],
-                                           largest=big)
-            for j in col[pins & (model.lb[col] != model.ub[col])].tolist():
-                model.fix_variable(j, 1.0)
-            if (model.lb[col] != model.ub[col]).any():
-                secure[t] = count
-            cells.append(freqsec.register_decisions(
-                model, fleet, freq, constants[t], r_max, period=tt,
-                commit=col, output=p[:, t].T, pfr=r[:, t].T))
+    # each period's security variables, one cell per branch: a unit
+    # committed by a fixed bound needs no product auxiliary
+    cells = [freqsec.register_decisions(
+                 model, fleet, freq, shared, r_max, period=tt,
+                 commit=x[:, t], output=p[:, t].T, pfr=r[:, t].T)
+             for t, (tt, shared) in enumerate(zip(periods, constants))]
 
     # power balance and unit limits: the same rows in every cell, over the
     # cell's columns [p..., r..., wind, x...]
@@ -359,15 +375,6 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
         np.tile(tpl_vals, (T * S, 1)),
         np.tile([row[2] for row in template], T * S), rhs.ravel(),
         [head + tag for tag in cell_tags for head in heads])
-
-    # largest-plant operating mode
-    deloaded = _largest_runs_deloaded(options, big)
-    name = "deload_floor" if deloaded else "fix_largest"
-    model.add_rows(
-        p[big_i].reshape(-1, 1), np.ones((T * S, 1)),
-        SENSE_GE if deloaded else SENSE_EQ,
-        floor_big if deloaded else big.p_max,
-        [name + tag for tag in cell_tags])
 
     # cover: every branch's thermal output reaches its net demand, the
     # largest unit gives at most its rating and every other unit at most
@@ -407,7 +414,6 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
                                      x[:, :, None])
         vals[:, f, :, :T] = inside
         vals[:, f, :, T] = sign
-    on = np.array([1.0 if initial_state[gid].on else 0.0 for gid in ids])
     rhs = np.zeros((G, 3, T))
     rhs[:, 0, 0] = on
     rhs[:, 2] = 1.0
@@ -645,21 +651,16 @@ def realized_series(tree: ScenarioTree) -> np.ndarray:
     return np.array([float(np.interp(0.5, levels, row)) for row in tree.net])
 
 
-def _advance_state(state: dict, ids, commit) -> dict:
-    """The state after the committed periods ``commit`` ``(steps, ids)``."""
-    nxt = {}
-    for gid, values in zip(ids, np.asarray(commit, dtype=float).T.tolist()):
-        last = bool(round(values[-1]))
-        run = 0
-        for v in reversed(values):
-            if bool(round(v)) != last:
-                break
-            run += 1
-        prev = state[gid]
-        if run == len(values) and prev.on == last:
-            run += prev.hours
-        nxt[gid] = UnitState(on=last, hours=run)
-    return nxt
+def _advance_state(state, commit):
+    """The carried state ``(on, hours)`` after the committed periods
+    ``commit`` ``(steps, units)``: each unit's last value and last run,
+    added to the carried hours when it spans every step in that state."""
+    on, hours = state
+    commit = np.round(np.asarray(commit, dtype=float)) != 0.0
+    steps, last = len(commit), commit[-1]
+    changed = commit[::-1] != last
+    run = np.where(changed.any(axis=0), changed.argmax(axis=0), steps)
+    return last, np.where((run == steps) & (on == last), run + hours, run)
 
 
 @dataclass
@@ -688,11 +689,10 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
     aborts the run; the partial trajectory and the failing status are
     returned for diagnosis.
     """
-    state = dict(initial_state) if initial_state is not None \
+    state = initial_state if initial_state is not None \
         else default_initial_state(system)
     realized = ScenarioTree(net=realized_series(scenarios)[:, None],
                             probabilities=(1.0,), quantile_levels=(0.5,))
-    ids = [g.id for g in system.generators]
     n = system.n_periods
     windows = []
     pieces = []
@@ -725,7 +725,7 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
                 windows, partial(), status="solver",
                 message=f"re-dispatch at period {t0}: {raw.status}")
         pieces.append(redispatch)
-        state = _advance_state(state, ids, commit)
+        state = _advance_state(state, commit)
         t0 += commit_len
 
     return RollingResult(windows, concatenate(pieces), status="ok",

@@ -285,6 +285,17 @@ def cell_rows(decisions: FreqDecisionSet, fleet, freq, demand: float,
 # -- the window ---------------------------------------------------------------
 
 
+def fix_variable(model, index, value):
+    """Pin a column to one value by collapsing its bounds; a value outside
+    them, NaN included, is rejected."""
+    v = float(value)
+    lo, hi = float(model.lb[index]), float(model.ub[index])
+    if not lo - 1e-12 <= v <= hi + 1e-12:
+        raise ModelError(f"variable {model.names[index]}: cannot fix to "
+                         f"{v}, outside [{lo}, {hi}]")
+    model.lb[index] = model.ub[index] = v
+
+
 def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
                   initial_state=None, fixed_commitments=None,
                   security_pins: bool = True) -> MilpModel:
@@ -323,9 +334,7 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
 
     if initial_state is None:
         initial_state = default_initial_state(system)
-    for g in fleet:
-        if g.id not in initial_state:
-            raise SchedulerError(f"initial state missing unit {g.id}")
+    on, hours = initial_state
 
     model = MilpModel(name=f"uc_p{start_period}_{n_periods}x{n_branches}")
 
@@ -350,6 +359,9 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
             for g in fleet:
                 p[g.id, t, s] = model.add_continuous(
                     f"p[{g.id}][{tt}][{s}]", 0.0, g.p_max)
+                # largest-plant operating mode: its output's lower bound
+                if g.id == big.id:
+                    model.lb[p[g.id, t, s]] = floor_big
                 r[g.id, t, s] = model.add_continuous(
                     f"r[{g.id}][{tt}][{s}]", 0.0, g.pfr_max)
             wind[t, s] = model.add_continuous(
@@ -358,16 +370,15 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
     # the largest plant is committed throughout; minimum-time carry and
     # externally pinned schedules come next and must agree with it
     for t in range(n_periods):
-        model.fix_variable(x[big.id, t], 1.0)
+        fix_variable(model, x[big.id, t], 1.0)
     try:
-        for g in fleet:
-            state = initial_state[g.id]
-            if state.on and state.hours < g.min_up:
-                for t in range(min(g.min_up - state.hours, n_periods)):
-                    model.fix_variable(x[g.id, t], 1.0)
-            elif not state.on and state.hours < g.min_down:
-                for t in range(min(g.min_down - state.hours, n_periods)):
-                    model.fix_variable(x[g.id, t], 0.0)
+        for i, g in enumerate(fleet):
+            if on[i] and hours[i] < g.min_up:
+                for t in range(min(g.min_up - hours[i], n_periods)):
+                    fix_variable(model, x[g.id, t], 1.0)
+            elif not on[i] and hours[i] < g.min_down:
+                for t in range(min(g.min_down - hours[i], n_periods)):
+                    fix_variable(model, x[g.id, t], 0.0)
         if fixed_commitments is not None:
             if len(fixed_commitments) < n_periods:
                 raise SchedulerError(
@@ -376,8 +387,9 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
                 )
             for i, g in enumerate(fleet):
                 for t in range(n_periods):
-                    model.fix_variable(
-                        x[g.id, t], round(float(fixed_commitments[t][i])))
+                    fix_variable(
+                        model, x[g.id, t],
+                        round(float(fixed_commitments[t][i])))
     except ModelError as exc:
         raise SchedulerError(
             f"commitment requirements conflict: {exc}"
@@ -399,7 +411,7 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
                     from exc
             for g, pin in zip(fleet, pins):
                 if pin and model.lb[x[g.id, t]] != model.ub[x[g.id, t]]:
-                    model.fix_variable(x[g.id, t], 1.0)
+                    fix_variable(model, x[g.id, t], 1.0)
             if any(model.lb[x[g.id, t]] != model.ub[x[g.id, t]]
                    for g in fleet):
                 secure[t] = count
@@ -442,17 +454,6 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
                         {r[g.id, t, s]: 1.0, x[g.id, t]: -g.pfr_max},
                         SENSE_LE, 0.0, f"pfr_cap[{g.id}][{tt}][{s}]")
 
-    # largest-plant operating mode
-    for t in range(n_periods):
-        tt = start_period + t
-        for s in range(n_branches):
-            if _largest_runs_deloaded(options, big):
-                model.add_row({p[big.id, t, s]: 1.0}, SENSE_GE, floor_big,
-                              f"deload_floor[{tt}][{s}]")
-            else:
-                model.add_row({p[big.id, t, s]: 1.0}, SENSE_EQ, big.p_max,
-                              f"fix_largest[{tt}][{s}]")
-
     # cover: every branch's thermal output reaches its net demand, the
     # largest unit gives at most its rating and every other unit at most
     # its committed rating, and a secured period has at least secure[t] of
@@ -466,13 +467,12 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
                           float(k), f"cover[{start_period + t}]")
 
     # start/stop linking and minimum up/down times
-    for g in fleet:
-        state = initial_state[g.id]
+    for i, g in enumerate(fleet):
         for t in range(n_periods):
             tt = start_period + t
             coeffs = {x[g.id, t]: 1.0, su[g.id, t]: -1.0, sd[g.id, t]: 1.0}
             if t == 0:
-                model.add_row(coeffs, SENSE_EQ, 1.0 if state.on else 0.0,
+                model.add_row(coeffs, SENSE_EQ, 1.0 if on[i] else 0.0,
                               f"commit_link[{g.id}][{tt}]")
             else:
                 coeffs[x[g.id, t - 1]] = -1.0

@@ -11,14 +11,15 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from frequc.milp import MilpSolution, SolveOptions
+from frequc.milp import MilpSolution, branch_bound
 from frequc.milp.model import CompiledModel
 
 
-def solve_with_scipy(compiled: CompiledModel, integrality: np.ndarray,
-                     options: SolveOptions) -> MilpSolution:
+def solve_with_scipy(compiled: CompiledModel,
+                     integrality: np.ndarray) -> MilpSolution:
     """What ``frequc.milp.branch_bound.run_highs`` returns, read from
-    ``scipy.optimize.milp``: no bound for an LP."""
+    ``scipy.optimize.milp`` with the same gap and node limit: no bound for
+    an LP."""
     constraints = []
     if compiled.a.shape[0]:
         constraints = [optimize.LinearConstraint(compiled.a, compiled.lo,
@@ -26,8 +27,8 @@ def solve_with_scipy(compiled: CompiledModel, integrality: np.ndarray,
     res = optimize.milp(
         c=compiled.c, constraints=constraints, integrality=integrality,
         bounds=optimize.Bounds(compiled.lb, compiled.ub),
-        options={"presolve": True, "mip_rel_gap": options.opt_gap,
-                 "node_limit": options.max_nodes})
+        options={"presolve": True, "mip_rel_gap": branch_bound.OPT_GAP,
+                 "node_limit": branch_bound.MAX_NODES})
     status = {0: "optimal", 1: "limit", 2: "infeasible",
               3: "unbounded"}.get(res.status, "limit")
     if res.x is None:

@@ -178,7 +178,7 @@ def _economic_cell(fleet, demand, floor, freq=None, commit=None):
     r = {g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
          for g in fleet}
     for gid, value in (commit or {big.id: 1.0}).items():
-        model.fix_variable(x[gid], value)
+        model.lb[x[gid]] = model.ub[x[gid]] = value
     model.add_row({p[g.id]: 1.0 for g in fleet}, SENSE_EQ, demand)
     for g in fleet:
         model.add_row({p[g.id]: 1.0, x[g.id]: -g.p_min}, SENSE_GE, 0.0)
@@ -298,7 +298,7 @@ def test_bigm_product_exactness():
         commit = {g.id: model.add_binary(f"x[{g.id}]") for g in fleet}
         for g in fleet:  # a third of the commitments arrive fixed
             if rng.random() < 1.0 / 3.0:
-                model.fix_variable(commit[g.id], x[g.id])
+                model.lb[commit[g.id]] = model.ub[commit[g.id]] = x[g.id]
         output = [model.add_continuous(f"p[{g.id}]", 0.0, g.p_max)
                   for g in fleet]
         pfr = {g.id: model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
@@ -520,9 +520,7 @@ def test_relaxation_monotonicity(study):
                 f"{relaxed.expected_cost:.2f} > secured {window.expected_cost:.2f}"
             windows += 1
             commit_len = min(STUDY_OPTIONS.first_stage, length)
-            state = _advance_state(
-                state, [g.id for g in system.generators],
-                window.commit[:commit_len])
+            state = _advance_state(state, window.commit[:commit_len])
             t0 += commit_len
     assert windows >= 12
     print(f"\n[acceptance] relaxation monotonicity: PASS "

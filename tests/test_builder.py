@@ -13,7 +13,6 @@ from frequc.milp import solve
 from frequc.scheduler import (
     LOSS_MODES,
     UcOptions,
-    UnitState,
     build_uc,
     extract_solution,
     realized_series,
@@ -95,10 +94,8 @@ def long_minimum_times(system):
 def test_minimum_time_carry_matches_the_loop_builder(horizon):
     system, tree = bundled(700.0)
     system = long_minimum_times(system)
-    states = [UnitState(True, 30), UnitState(True, 1), UnitState(False, 1),
-              UnitState(True, 2), UnitState(False, 2), UnitState(True, 5),
-              UnitState(False, 3), UnitState(False, 0)]
-    initial = {g.id: state for g, state in zip(system.generators, states)}
+    initial = (np.array([True, True, False, True, False, True, False, False]),
+               np.array([30, 1, 1, 2, 2, 5, 3, 0]))
     for mode in LOSS_MODES:
         options = UcOptions(horizon=horizon, first_stage=horizon,
                             largest_loss_mode=mode)

@@ -421,9 +421,9 @@ def cell_fewest_on(fleet, freq, demand, loss_floor, upper, off=None):
     pfr = [mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max) for g in fleet]
     for i, (g, hi) in enumerate(zip(fleet, upper)):
         if g.id == big.id:
-            mdl.fix_variable(commit[i], 1.0)
+            mdl.lb[commit[i]] = 1.0
         elif g.id == off or hi == 0.0:
-            mdl.fix_variable(commit[i], 0.0)
+            mdl.ub[commit[i]] = 0.0
         if g.pfr_max > 0.0:
             mdl.add_row({pfr[i]: 1.0, commit[i]: -g.pfr_max}, "<=",
                         0.0, f"pfr_cap[{g.id}]")
@@ -514,8 +514,8 @@ def pinned_cell_status(fleet, freq, demand, loss, response=None):
     output = [mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max) for g in fleet]
     pfr = [mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max) for g in fleet]
     for j in commit:
-        mdl.fix_variable(j, 1.0)
-    mdl.fix_variable(output[0], loss)
+        mdl.lb[j] = 1.0
+    mdl.lb[output[0]] = mdl.ub[output[0]] = loss
     if response is not None:
         mdl.add_row({j: 1.0 for j in pfr}, "=", response, "response")
     r_max = sum(g.pfr_max for g in fleet)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from frequc.cli import _scale_wind
-from frequc.milp import (LinearRow, MilpModel, ModelError, SolveOptions,
-                         SolverError, branch_bound, solve)
+from frequc.milp import (LinearRow, MilpModel, ModelError, SolverError,
+                         branch_bound, solve)
 from frequc.scheduler import LOSS_MODES, UcOptions, build_uc
 from frequc.sysmodel import (build_scenario_tree, load_scenario_table,
                              load_system)
@@ -184,14 +184,15 @@ def test_node_limit_returns_limit_status(monkeypatch):
         mdl.add_row(coeffs, "<=", half, label=f"hi{i}")
         mdl.add_row(coeffs, ">=", half - 3.0, label=f"lo{i}")
     mdl.set_objective({j: float(rng.integers(-60, -1)) for j in range(30)})
-    options = SolveOptions(max_nodes=2, opt_gap=0.0)
-    got = solve(mdl, options)
+    monkeypatch.setattr(branch_bound, "MAX_NODES", 2)
+    monkeypatch.setattr(branch_bound, "OPT_GAP", 0.0)
+    got = solve(mdl)
     assert got.status == "limit"
     assert got.objective is not None and not got.violations
     # the reported dual bound must underestimate (or match) any incumbent
     assert got.bound <= got.objective + 1e-9
     assert got.bound >= got.objective - 0.1 * abs(got.objective)
-    assert_same_solution(got, solve_through_scipy(monkeypatch, mdl, options))
+    assert_same_solution(got, solve_through_scipy(monkeypatch, mdl))
 
 
 def test_exhaustive_rejects_large_binary_count():
@@ -343,7 +344,8 @@ def random_compiled_case(rng):
             lo = float(rng.normal(0.0, 3.0))
             mdl.add_continuous(f"c{j}", lo, lo + float(rng.exponential(2.0)))
         if rng.random() < 0.3:
-            mdl.fix_variable(j, mdl.lb[j] if rng.random() < 0.5 else mdl.ub[j])
+            value = mdl.lb[j] if rng.random() < 0.5 else mdl.ub[j]
+            mdl.lb[j] = mdl.ub[j] = value
     rows = []
     for i in range(int(rng.integers(0, 8))):
         coeffs = {int(j): float(rng.normal()) for j in rng.permutation(n)
@@ -519,19 +521,6 @@ def test_add_variables_keeps_the_checks_of_add_variable():
             mdl.add_variables(names, lb, ub)
     assert mdl.n_vars == 4 and "e" not in mdl.names
     assert mdl.lb.size == mdl.ub.size == mdl.integrality.size == 4
-    mdl.fix_variable(got[2], 2.0)
-    assert mdl.lb[3] == mdl.ub[3] == 2.0
-    for value in (3.5, np.nan, np.inf):
-        with pytest.raises(ModelError,
-                           match=rf"variable d: cannot fix to {value}, "
-                                 r"outside \[2\.0, 2\.0\]"):
-            mdl.fix_variable(got[2], value)
-    x = mdl.add_binary("x")
-    with pytest.raises(ModelError,
-                       match=r"variable x: cannot fix to nan, outside"):
-        mdl.fix_variable(x, np.nan)
-    assert mdl.lb[x] == 0.0 and mdl.ub[x] == 1.0
-    assert mdl.lb[3] == mdl.ub[3] == 2.0
 
 
 def test_recheck_flags_nan(monkeypatch):
@@ -563,11 +552,11 @@ def test_recheck_flags_nan(monkeypatch):
 # -- the call into HiGHS ---------------------------------------------------
 
 
-def solve_through_scipy(monkeypatch, model, options=None):
+def solve_through_scipy(monkeypatch, model):
     """``solve`` with HiGHS reached through ``scipy.optimize.milp``."""
     with monkeypatch.context() as patch:
         patch.setattr(branch_bound, "run_highs", solve_with_scipy)
-        return solve(model, options)
+        return solve(model)
 
 
 def assert_same_solution(got, want):
@@ -607,7 +596,7 @@ def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
         if not secured:
             compiled = model.compile()
             lp = branch_bound.run_highs(
-                compiled, np.zeros_like(compiled.integrality), SolveOptions())
+                compiled, np.zeros_like(compiled.integrality))
             assert lp.status == "optimal"
             assert np.abs(lp.values[free] - np.round(lp.values[free])).max() \
                 > 1e-3
@@ -643,10 +632,9 @@ def test_unbounded_model_statuses_match_scipy_milp():
     compiled = dataclasses.replace(mdl.compile(), ub=np.array([np.inf, 1.0]))
     for integrality, status in [(np.zeros(2, np.uint8), "unbounded"),
                                 (compiled.integrality, "limit")]:
-        got = branch_bound.run_highs(compiled, integrality, SolveOptions())
+        got = branch_bound.run_highs(compiled, integrality)
         assert got.status == status and got.values is None
-        assert_same_solution(
-            got, solve_with_scipy(compiled, integrality, SolveOptions()))
+        assert_same_solution(got, solve_with_scipy(compiled, integrality))
 
 
 def market_split(rows):
@@ -664,12 +652,13 @@ def market_split(rows):
 
 
 def test_node_limit_without_an_incumbent_returns_no_point(monkeypatch):
-    options = SolveOptions(max_nodes=1, opt_gap=0.0)
-    got = solve(market_split(4), options)
+    monkeypatch.setattr(branch_bound, "MAX_NODES", 1)
+    monkeypatch.setattr(branch_bound, "OPT_GAP", 0.0)
+    got = solve(market_split(4))
     assert got.status == "limit" and got.values is None
     assert got.objective is None and got.bound is None
     assert_same_solution(
-        got, solve_through_scipy(monkeypatch, market_split(4), options))
+        got, solve_through_scipy(monkeypatch, market_split(4)))
 
 
 # -- the relaxation tried first ----------------------------------------------
@@ -680,9 +669,9 @@ def solve_counting(monkeypatch, model, **kwargs):
     calls = []
     run = branch_bound.run_highs
 
-    def counting(compiled, integrality, options):
+    def counting(compiled, integrality):
         calls.append(bool(integrality.any()))
-        return run(compiled, integrality, options)
+        return run(compiled, integrality)
 
     with monkeypatch.context() as patch:
         patch.setattr(branch_bound, "run_highs", counting)
@@ -733,8 +722,7 @@ def fractional_knapsack():
 def test_fractional_relaxation_falls_back_to_the_milp(monkeypatch):
     mdl = fractional_knapsack()
     compiled = mdl.compile()
-    lp = branch_bound.run_highs(compiled, np.zeros_like(compiled.integrality),
-                                SolveOptions())
+    lp = branch_bound.run_highs(compiled, np.zeros_like(compiled.integrality))
     assert lp.status == "optimal"
     assert np.abs(lp.values - np.round(lp.values)).max() > 1e-3
     got, calls = solve_counting(monkeypatch, mdl, relax_first=True)
@@ -795,12 +783,14 @@ def test_run_highs_turns_feasibility_jump_off(monkeypatch):
 
 
 @pytest.mark.parametrize("options, name", [
-    (SolveOptions(opt_gap=-1.0), "mip_rel_gap"),
-    (SolveOptions(max_nodes=-1), "mip_max_nodes"),
+    ({"OPT_GAP": -1.0}, "mip_rel_gap"),
+    ({"MAX_NODES": -1}, "mip_max_nodes"),
 ])
-def test_rejected_option_raises_solver_error(options, name):
+def test_rejected_option_raises_solver_error(monkeypatch, options, name):
+    for constant, value in options.items():
+        monkeypatch.setattr(branch_bound, constant, value)
     with pytest.raises(SolverError, match=f"option {name}"):
-        solve(knapsack_model(), options)
+        solve(knapsack_model())
 
 
 def test_rejected_model_raises_solver_error():
@@ -809,15 +799,16 @@ def test_rejected_model_raises_solver_error():
     compiled = knapsack_model().compile()
     compiled.a.data[0] = np.inf
     with pytest.raises(SolverError, match="rejected the model"):
-        branch_bound.run_highs(compiled, compiled.integrality,
-                               SolveOptions())
+        branch_bound.run_highs(compiled, compiled.integrality)
 
 
-def test_solve_writes_nothing_to_the_terminal(capfd):
+def test_solve_writes_nothing_to_the_terminal(capfd, monkeypatch):
     """HiGHS logs from C, so its silence is checked on the file
     descriptors."""
     solve(knapsack_model())
-    solve(market_split(4), SolveOptions(max_nodes=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(branch_bound, "MAX_NODES", 1)
+        assert solve(market_split(4)).status == "limit"
     infeasible = MilpModel()
     infeasible.add_binary("a")
     infeasible.add_row({0: 1.0}, ">=", 2.0)

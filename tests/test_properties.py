@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 
 from frequc.freqsec import (must_run, period_constants, period_rows,
                             register_decisions)
-from frequc.milp import MilpModel
+from frequc.milp import MilpModel, branch_bound
 from frequc.scheduler import (
     LOSS_MODES,
     SchedulerError,
     UcOptions,
-    UnitState,
     build_uc,
     solve_uc,
     verify_solution,
@@ -36,7 +35,7 @@ from frequc.sysmodel import (
 from reference.builder import assert_same_model, build_uc_loop
 from reference.oracle import fewest_secure_units
 
-GAP = 1e-6  # SolveOptions().opt_gap
+GAP = branch_bound.OPT_GAP
 LEVELS = {1: (0.5,), 2: (0.25, 0.75), 3: (0.1, 0.5, 0.9)}
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60,
@@ -248,9 +247,9 @@ def test_array_builder_matches_the_loop_builder(window, data):
     """Same model from both builders, or the same error, in both modes,
     secured or not, from a drawn commitment state."""
     system, tree = window
-    state = {g.id: UnitState(data.draw(st.booleans()),
-                             data.draw(st.integers(0, 3)))
-             for g in system.generators}
+    drawn = [(data.draw(st.booleans()), data.draw(st.integers(0, 3)))
+             for _ in system.generators]
+    state = tuple(np.array(part) for part in zip(*drawn))
     for mode in LOSS_MODES:
         for secured in (True, False):
             options = UcOptions(frequency_constraints=secured,
@@ -323,7 +322,7 @@ def cut_cells(draw):
         largest_unit_rating=rating, largest_unit_inertia=units[0].inertia_const)
     model = MilpModel()
     commit = [model.add_binary(f"x[{g.id}]") for g in units]
-    model.fix_variable(commit[0], 1.0)
+    model.lb[commit[0]] = model.ub[commit[0]] = 1.0
     r_max = sum(g.pfr_max for g in units)
     constants = period_constants(units, freq, demand)
     cell = register_decisions(

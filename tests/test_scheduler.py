@@ -11,12 +11,11 @@ import frequc.scheduler
 from frequc.cli import _scale_wind
 
 from frequc.freqsec import nadir_requirement
-from frequc.milp import MilpModel, SolveOptions, branch_bound, solve
+from frequc.milp import MilpModel, branch_bound, solve
 from frequc.scheduler import (
     PERIOD_FIELDS,
     SchedulerError,
     UcOptions,
-    UnitState,
     _advance_state,
     build_uc,
     committed_inertia,
@@ -43,6 +42,7 @@ from frequc.sysmodel import (
     load_system,
 )
 from reference.oracle import fewest_secure_units, solve_exhaustive
+from reference.state import advance_state_loop
 from test_properties import settled_limit_window
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -149,12 +149,25 @@ def test_build_creates_expected_structure():
     assert "rocof[5][2]" in labels
     assert "qss[2][1]" in labels
     assert "h_min[4]" in labels
-    assert "fix_largest[0][0]" in labels
     assert "cover[3]" in labels
-    # the largest plant is committed in every period
+    # the largest plant is committed in every period, and in fixed mode its
+    # output is pinned at its rating by its bounds, with no row of its own
     for t in range(6):
         j = model.names.index(f"x[base][{t}]")
         assert model.lb[j] == model.ub[j] == 1.0
+        for s in range(3):
+            j = model.names.index(f"p[base][{t}][{s}]")
+            assert model.lb[j] == model.ub[j] == 500.0
+    assert not any(row.label.startswith(("fix_largest", "deload_floor"))
+                   for row in model.rows)
+    # optimised, its output may run down to the deload floor
+    model = build_uc(system, tree, options(largest_loss_mode="optimised"))
+    for t in range(6):
+        for s in range(3):
+            j = model.names.index(f"p[base][{t}][{s}]")
+            assert (model.lb[j], model.ub[j]) == ((1.0 - 0.4) * 500.0, 500.0)
+    assert not any(row.label.startswith(("fix_largest", "deload_floor"))
+                   for row in model.rows)
 
 
 def fewest_units(ratings, need):
@@ -250,7 +263,7 @@ def test_cover_rows_count_the_fewest_units():
 
 
 def assert_same_optimum(model, exhaustive=False):
-    gap = SolveOptions().opt_gap
+    gap = branch_bound.OPT_GAP
     with_rows = solve(model)
     bare = solve(without_cover_rows(model))
     assert with_rows.status == bare.status
@@ -389,8 +402,11 @@ def test_deload_floor_needs_room_under_demand():
 def test_initial_state_carry_and_conflicts():
     system = toy_system()
     tree = toy_tree(system)
-    state = default_initial_state(system)
-    state["mid"] = UnitState(on=True, hours=1)
+    on, hours = default_initial_state(system)
+    assert on.tolist() == [False] * 4 and hours.tolist() == [10_000] * 4
+    on[unit_index(system, "mid")] = True
+    hours[unit_index(system, "mid")] = 1
+    state = on, hours
     # without security rows only the carry pins mid, for one period
     model = build_uc(system, tree, options(frequency_constraints=False),
                      initial_state=state)
@@ -409,6 +425,80 @@ def test_initial_state_carry_and_conflicts():
     pins[:, unit_index(system, "base")] = 0
     with pytest.raises(SchedulerError, match="conflict"):
         build_uc(system, tree, options(), fixed_commitments=pins)
+
+
+BAD_STATE = r"initial state must be a pair \(on, hours\) of 4 values each"
+BAD_SCHEDULE = "fixed commitments of shape {} do not hold finite values"
+
+
+@pytest.mark.parametrize("state, fixed, message", [
+    # a carried state: a pair (on, hours) of per-unit arrays
+    (({}, [1] * 4), None, BAD_STATE),
+    (([0] * 4,), None, BAD_STATE),
+    (([0] * 3, [5] * 3), None, BAD_STATE),
+    (([0] * 4, [[5] * 4]), None, BAD_STATE),
+    (([0, 0, 2, 0], [5] * 4), None, BAD_STATE),
+    (([0, np.nan, 0, 0], [5] * 4), None, BAD_STATE),
+    (([0] * 4, [5, 1.5, 5, 5]), None, BAD_STATE),
+    (([0] * 4, [5, 5, -1, 5]), None, BAD_STATE),
+    (([0] * 4, [5, 5, 5, np.nan]), None, BAD_STATE),
+    (([0] * 4, [5, 5, 5, np.inf]), None, BAD_STATE),
+    # a pinned schedule: (T, units) values, each 0 or 1 after rounding
+    (None, np.ones((5, 4)), BAD_SCHEDULE.format(r"\(5, 4\)")),
+    (None, np.ones((6, 3)), BAD_SCHEDULE.format(r"\(6, 3\)")),
+    (None, np.ones(24), BAD_SCHEDULE.format(r"\(24,\)")),
+    (None, [[1] * 4] * 5 + [[1] * 3], BAD_SCHEDULE.format(r"\(\)")),
+    (None, [[1, 1, np.nan, 1]] * 6, BAD_SCHEDULE.format(r"\(6, 4\)")),
+    (None, [[1] * 4] * 5 + [[1, 1, 1, -np.inf]],
+     BAD_SCHEDULE.format(r"\(6, 4\)")),
+    (None, [[1, 2, 1, 1]] * 6,
+     r"conflict: variable x\[mid\]\[0\]: cannot fix to 2.0"),
+])
+def test_malformed_state_or_schedule_is_an_input_error(state, fixed, message):
+    """A carried state or pinned schedule that is not 0/1 values and whole
+    hours of the right shapes raises SchedulerError."""
+    system = toy_system()
+    tree = toy_tree(system)
+    with pytest.raises(SchedulerError, match=message):
+        build_uc(system, tree, options(), initial_state=state,
+                 fixed_commitments=fixed)
+    if state is not None:
+        with pytest.raises(SchedulerError, match=message):
+            solve_rolling_horizon(system, tree, options(horizon=2,
+                                                        first_stage=1),
+                                  initial_state=state)
+
+
+def test_must_run_pins_leave_a_held_off_unit_off(monkeypatch):
+    """ccgt1 has just stopped and must stay off for two periods.  In fixed
+    mode the security rows need it on, so its first periods are short and
+    the screen pins every unit, ccgt1 included; the pin only writes the
+    commitments still free, so the window is infeasible, not malformed."""
+    system = load_system(DATA / "toy_system.yaml")
+    tree = build_scenario_tree(
+        *load_scenario_table(DATA / "toy_scenarios.txt"))
+    on, hours = default_initial_state(system)
+    held = unit_index(system, "ccgt1")
+    assert system.generators[held].min_down == 2
+    hours[held] = 0
+    opts = UcOptions(horizon=4, first_stage=4, largest_loss_mode="fixed")
+    pins = []
+    real_must_run = frequc.scheduler.freqsec.must_run
+
+    def recording(*args, **kwargs):
+        pins.append(real_must_run(*args, **kwargs)[0])
+        return real_must_run(*args, **kwargs)
+
+    monkeypatch.setattr(frequc.scheduler.freqsec, "must_run", recording)
+    # a pin written over the held-off unit's bounds would empty them, and
+    # the solve would raise ModelError
+    solution, model, raw = solve_uc(system, tree, opts,
+                                    initial_state=(on, hours))
+    assert solution is None and raw.status == "infeasible"
+    assert pins[0][held] and pins[1][held]
+    commit = model.commit[:, held]
+    assert (model.lb[commit] == model.ub[commit]).tolist() == [True] * 4
+    assert model.ub[commit].tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_solved_window_respects_balance_and_limits():
@@ -619,9 +709,9 @@ def test_redispatch_is_solved_as_an_lp(monkeypatch):
     real_run = branch_bound.run_highs
     integrality = []
 
-    def recording_run(compiled, integers, options):
+    def recording_run(compiled, integers):
         integrality.append(np.array(integers))
-        return real_run(compiled, integers, options)
+        return real_run(compiled, integers)
 
     monkeypatch.setattr(branch_bound, "run_highs", recording_run)
     system, tree = bundled_window()
@@ -715,14 +805,31 @@ def test_realized_series_interpolates_without_median_level():
 
 
 def test_advance_state_accumulates_runs():
-    state = {"a": UnitState(on=True, hours=3), "b": UnitState(on=False, hours=2)}
+    state = (np.array([True, False]), np.array([3, 2]))
     # columns a, b; rows the two committed periods
-    nxt = _advance_state(state, ["a", "b"], [[1, 1], [1, 0]])
-    assert nxt["a"] == UnitState(on=True, hours=5)
-    assert nxt["b"] == UnitState(on=False, hours=1)
-    nxt = _advance_state(nxt, ["a", "b"], [[0, 0], [0, 0]])
-    assert nxt["a"] == UnitState(on=False, hours=2)
-    assert nxt["b"] == UnitState(on=False, hours=3)
+    on, hours = _advance_state(state, [[1, 1], [1, 0]])
+    assert on.tolist() == [True, False] and hours.tolist() == [5, 1]
+    on, hours = _advance_state((on, hours), [[0, 0], [0, 0]])
+    assert on.tolist() == [False, False] and hours.tolist() == [2, 3]
+
+
+def test_advance_state_matches_the_unit_loop():
+    """Drawn schedules of 1 to 12 steps, with all-on and all-off runs that
+    extend the carried hours or restart them."""
+    rng = np.random.default_rng(19)
+    extended = restarted = 0
+    for _ in range(500):
+        units, steps = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        state = (rng.random(units) < 0.5, rng.integers(0, 30, units))
+        commit = (rng.random((steps, units))
+                  < rng.choice([0.0, 0.3, 0.7, 1.0], units)).astype(float)
+        on, hours = _advance_state(state, commit)
+        want_on, want_hours = advance_state_loop(state, commit)
+        assert on.tolist() == want_on and hours.tolist() == want_hours
+        same = (commit == commit[-1]).all(axis=0)
+        extended += (same & (state[0] == on)).sum()
+        restarted += (same & (state[0] != on)).sum()
+    assert extended >= 200 and restarted >= 200
 
 
 def test_rolling_run_covers_the_span():
