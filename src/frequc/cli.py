@@ -292,6 +292,8 @@ def _parse_study_config(path, system):
     if not caps or not all(0.0 < c < math.inf for c in caps):
         raise SystemConfigError(
             f"{path}: wind_capacities must be positive and finite")
+    if not modes:
+        raise SystemConfigError(f"{path}: modes must list at least one mode")
     # a cell's output files and study.txt row are named by its mode and by
     # its capacity printed with :g, so neither may repeat
     for i, mode in enumerate(modes):

@@ -34,7 +34,18 @@ over one cell's columns, a list of ``(kind, suffix, sense, slots, vals,
 rhs)``.  ``period_rows``, the one place that lays out a period's rows,
 joins the families' templates and has ``_rows``, the one writer of a
 :class:`RowBlock`, write them as one block: the inertia floor once, then
-the joined template for every branch.  ``must_run`` is the one screen
+the joined template for every branch.
+
+A window's structure is laid out once per shape and its numbers written
+once per window (see :func:`frequc.scheduler.build_uc`), so each row
+family gives its structure once per layout and its numbers once per
+window.  The numbers that change from window to window, the QSS
+right-hand side, the ``hr`` row's coefficient on ``R``, the nadir chords
+and the hyperbolic cuts, come from one helper per family
+(``_qss_numbers``, ``_hr_numbers``, ``_nadir_numbers``, ``_cut_numbers``),
+which the family's template also reads; ``period_numbers`` gives a
+period's, and ``number_positions`` finds where they go in the period's
+block.  ``must_run`` is the one screen
 of a period's commitments against its rows: it names the units the rows
 force on, and counts the fewest units besides the largest that any
 commitment the rows admit has on, which ``build_uc``'s ``cover`` row
@@ -145,7 +156,8 @@ def register_decisions(model: MilpModel, fleet, freq,
     ``output`` and ``pfr`` ``(S, units)``, all in fleet order.  They go in
     as one block, branch by branch: ``ploss[t][s]``, ``R[t][s]``,
     ``hr[t][s]``, then ``z[g][t][s]`` for each synchronous unit whose
-    commitment is free."""
+    commitment is free; ``t`` is ``period``, a number or, in a layout's
+    templates, a :func:`frequc.milp.model.period_tag`."""
     commit, output, pfr = map(np.asarray, (commit, output, pfr))
     sync = np.array([g.synchronous for g in fleet])
     lo, hi = model.lb[commit], model.ub[commit]
@@ -278,9 +290,12 @@ def qss_row(constants: PeriodConstants) -> list:
     """Quasi-steady-state recovery: total response covers the loss minus
     the damping relief at the settled limit, or, without damping, the
     loss plus ``QSS_MARGIN``; no row where ``constants.qss`` is None."""
-    if constants.qss is None:
-        return []
-    return [("qss", "", _GE, [_R, _LOSS], [1.0, -1.0], constants.qss)]
+    return [("qss", "", _GE, [_R, _LOSS], vals, rhs)
+            for vals, rhs in _qss_numbers(constants)]
+
+
+def _qss_numbers(constants: PeriodConstants) -> list:
+    return [] if constants.qss is None else [([1.0, -1.0], constants.qss)]
 
 
 def nadir_beta(freq, demand: float) -> float:
@@ -335,14 +350,23 @@ def linearize_inertia_pfr(cells: PeriodCells, fleet, freq,
                       [1.0, -1.0], 0.0),
                      ("bigm_x", f"[{fleet[i].id}]", _LE, [Z + j, X + i],
                       [1.0, -r_max], 0.0)]
+    [(vals, rhs)] = _hr_numbers(freq, constants, cells.free, cells.fixed_on)
+    template.append(("hr", "", _LE, [_HR, *range(Z, Z + len(free)), _R],
+                     vals, rhs))
+    return template
+
+
+def _hr_numbers(freq, constants: PeriodConstants, free, fixed_on) -> list:
+    """The ``hr`` row's coefficients on ``hr``, the free units' ``z`` and
+    ``R``: the inertia of the units committed by a fixed bound, less the
+    lost inertia, is ``R``'s."""
     coefficients = constants.inertia
     committed = -lost_inertia(freq)
-    for i in np.flatnonzero(cells.fixed_on).tolist():
-        committed += coefficients[i]
-    template.append(("hr", "", _LE, [_HR, *range(Z, Z + len(free)), _R],
-                     [1.0, *(-coefficients[i] for i in free), -committed],
-                     0.0))
-    return template
+    for c, on in zip(coefficients, fixed_on):
+        if on:
+            committed += c
+    return [([1.0, *(-c for c, f in zip(coefficients, free) if f),
+              -committed], 0.0)]
 
 
 def _requirement_root(freq, demand: float) -> float:
@@ -386,8 +410,12 @@ def nadir_discretization_rows(constants: PeriodConstants) -> list:
     :func:`nadir_chords`.  With hr >= 0 the rows enforce
     H*R >= hr >= f(P) for every loss in [0, rating], exactly at the
     breakpoints."""
-    return [("nadir_cut", f"[{i}]", _GE, [_HR, _LOSS], [1.0, -slope], icpt)
-            for i, (slope, icpt) in enumerate(constants.chords, 1)]
+    return [("nadir_cut", f"[{i}]", _GE, [_HR, _LOSS], vals, rhs)
+            for i, (vals, rhs) in enumerate(_nadir_numbers(constants), 1)]
+
+
+def _nadir_numbers(constants: PeriodConstants) -> list:
+    return [([1.0, -slope], icpt) for slope, icpt in constants.chords]
 
 
 def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
@@ -409,6 +437,18 @@ def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
     """
     if not cells.free.any():
         return []
+    [(_, _, _, slots, coefs, lost)] = inertia
+    return [("hyp_cut", f"[{k}]", _GE, slots + [_R, _LOSS], vals, rhs)
+            for k, (vals, rhs) in enumerate(_cut_numbers(
+                freq, coefs, lost, constants, r_max, loss_floor))]
+
+
+def _cut_numbers(freq, coefs, lost: float, constants: PeriodConstants,
+                 r_max: float, loss_floor: float) -> list:
+    """Each hyperbolic cut's coefficients on the synchronous units'
+    commitments (``coefs`` is H(x)'s, ``lost`` its right-hand side), ``R``
+    and the loss, and its right-hand side; none where f <= 0 up to the
+    rating."""
     rating, demand = freq.largest_unit_rating, constants.demand
     f_b = nadir_requirement(rating, freq, demand)
     h_max = constants.h_max
@@ -421,14 +461,12 @@ def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
     icpt = q_b - slope * rating
     q = q_a if q_a > 0.0 else q_b
     lo, hi = q / h_max, r_max / q
-    [(_, _, _, slots, coefs, lost)] = inertia
-    template = []
+    numbers = []
     for k in range(HYPERBOLIC_CUTS):
         mu = lo * (hi / lo) ** (k / (HYPERBOLIC_CUTS - 1))
-        template.append(("hyp_cut", f"[{k}]", _GE, slots + [_R, _LOSS],
-                         [mu * c for c in coefs] + [1.0 / mu, -2.0 * slope],
-                         2.0 * icpt - mu * -lost))
-    return template
+        numbers.append(([mu * c for c in coefs] + [1.0 / mu, -2.0 * slope],
+                        2.0 * icpt - mu * -lost))
+    return numbers
 
 
 def must_run(fleet, freq, constants: PeriodConstants, loss_floor: float,
@@ -465,14 +503,16 @@ def must_run(fleet, freq, constants: PeriodConstants, loss_floor: float,
     nadir = max((slope * loss_floor + icpt
                  for slope, icpt in constants.chords), default=0.0)
 
-    def below(have, need):
-        return have < need - 1e-9 * max(1.0, abs(need))
+    def least(need):  # the least value not short of ``need``
+        return need - 1e-9 * max(1.0, abs(need))
+
+    least_h = least(rocof_slope(freq) * loss_floor)
+    least_hr = least(nadir)
+    least_r = (-math.inf if constants.qss is None
+               else least(loss_floor + constants.qss))
 
     def short(h, r):
-        miss = below(h, rocof_slope(freq) * loss_floor) | below(h * r, nadir)
-        if constants.qss is not None:
-            miss |= below(r, loss_floor + constants.qss)
-        return miss
+        return (h < least_h) | (h * r < least_hr) | (r < least_r)
 
     pins = short(inertia.sum() - lost - inertia, response.sum() - response)
     big = next(i for i, g in enumerate(fleet) if g.id == largest.id)
@@ -512,3 +552,48 @@ def period_rows(cells: PeriodCells, fleet, freq, constants: PeriodConstants,
                                   loss_floor))
     return _rows(cells, (inertia_floor_row(inertia), [tag]),
                  (body, [f"{tag}[{s}]" for s in range(len(cells.loss))]))
+
+
+def period_numbers(fleet, freq, constants: PeriodConstants, r_max: float, *,
+                   free, fixed_on, loss_floor: float) -> list:
+    """The numbers of a period's rows that change from window to window:
+    per row kind, in the order :func:`period_rows` writes them, ``(kind,
+    [(vals, rhs), ...])``, each row's coefficients in its template's slot
+    order and the same in every branch.  ``free`` and ``fixed_on`` mark
+    the synchronous units whose commitment is free and those committed by
+    a fixed bound (see :class:`PeriodCells`).  The row families make their
+    templates from the same numbers; :func:`number_positions` finds where
+    these go in the period's block."""
+    cuts = (_cut_numbers(freq, [c for c, g in zip(constants.inertia, fleet)
+                                if g.synchronous],
+                         lost_inertia(freq), constants, r_max, loss_floor)
+            if any(free) else [])
+    return [("qss", _qss_numbers(constants)),
+            ("hr", _hr_numbers(freq, constants, free, fixed_on)),
+            ("nadir_cut", _nadir_numbers(constants)),
+            ("hyp_cut", cuts)]
+
+
+def number_positions(block: RowBlock, numbers) -> tuple:
+    """Where :func:`period_numbers`' ``numbers`` go in ``block``, the
+    period's rows from :func:`period_rows`: ``(vals_at, vals_from, rhs_at,
+    rhs_from)``, positions in ``block.vals.ravel()`` and ``block.rhs``,
+    and for each the position of its number among the numbers' flattened
+    coefficients (row by row) or right-hand sides."""
+    kinds = np.array([label.partition("[")[0] for label in block.labels])
+    k = block.cols.shape[1]
+    vals_at, vals_from, rhs_at, rhs_from = [], [], [], []
+    v = r = 0
+    for kind, rows in numbers:
+        if not rows:
+            continue
+        n, width = len(rows), len(rows[0][0])
+        at = np.flatnonzero(kinds == kind)  # n rows a branch, in turn
+        row = np.arange(len(at)) % n
+        vals_at.append((at[:, None] * k + np.arange(width)).ravel())
+        vals_from.append((v + row[:, None] * width + np.arange(width)).ravel())
+        rhs_at.append(at)
+        rhs_from.append(r + row)
+        v, r = v + n * width, r + n
+    return tuple(np.concatenate(part) if part else np.empty(0, np.int64)
+                 for part in (vals_at, vals_from, rhs_at, rhs_from))

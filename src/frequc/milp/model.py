@@ -7,10 +7,20 @@ the solvers and the LP file writer; it does no solving itself.
 :meth:`MilpModel.compile` checks a model and concatenates its blocks into
 the arrays that HiGHS, the feasibility re-check of a solve and the LP
 writer share.
+
+Models that differ only in their numbers share a :class:`ModelLayout`:
+the structure of one model built with name and label templates (a
+period written as :func:`period_tag`), checked and compiled once.  A
+:class:`LaidOutModel` is the layout's structure with numbers of its own
+(column bounds, coefficients, right-hand sides, objective); it makes its
+names, labels and row blocks only when they are read, and its
+:meth:`~LaidOutModel.compile` checks only that its numbers are finite and
+its bounds not empty.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
@@ -27,6 +37,15 @@ SENSE_EQ = "="
 _LE, _GE, _EQ = 0, 1, 2
 SENSE_CODE = {SENSE_LE: _LE, SENSE_GE: _GE, SENSE_EQ: _EQ}
 _SENSE_NAME = {code: name for name, code in SENSE_CODE.items()}
+# brackets a period, counted from a model's first, in a name or label
+# template of a ModelLayout
+PERIOD = "\x00"
+
+
+def period_tag(t: int) -> str:
+    """The part of a name or label template that reads ``start + t`` in a
+    laid-out model whose first period is ``start``."""
+    return f"{PERIOD}{t}{PERIOD}"
 
 
 class LinearRow(NamedTuple):
@@ -262,7 +281,15 @@ class MilpModel:
         n, m = len(self.names), self._n_rows
         lb, ub = self.lb.copy(), self.ub.copy()
         integrality = self.integrality.copy()
-        _check_variables(self.names, lb, ub, integrality > 0)
+        names = self.names
+        duplicate = np.zeros(n, dtype=bool)
+        if len(set(names)) < n:
+            seen: set[str] = set()
+            for j, name in enumerate(names):
+                duplicate[j] = name in seen
+                seen.add(name)
+        _check_variables(names.__getitem__, lb, ub, integrality > 0,
+                         duplicate)
 
         keep = [b.vals != 0.0 for b in blocks]
         indptr = np.zeros(m + 1, dtype=np.int64)
@@ -307,21 +334,18 @@ def _check_variable(name, lb, ub, taken) -> None:
         raise ModelError(f"variable {name}: lower bound {lb} exceeds upper bound {ub}")
 
 
-def _check_variables(names, lb, ub, integer) -> None:
+def _check_variables(name_of, lb, ub, integer, duplicate=False) -> None:
+    """Raise ModelError for the first bad column, named by ``name_of(j)``:
+    non-finite or empty bounds, a non-binary integer, or a name that
+    ``duplicate`` marks."""
     non_finite = ~(np.isfinite(lb) & np.isfinite(ub))
     empty = lb > ub
     non_binary = integer & ((lb < -0.5) | (ub > 1.5))
-    duplicate = np.zeros(len(names), dtype=bool)
-    if len(set(names)) < len(names):
-        seen: set[str] = set()
-        for j, name in enumerate(names):
-            duplicate[j] = name in seen
-            seen.add(name)
     bad = non_finite | empty | non_binary | duplicate
     if not bad.any():
         return
     j = int(np.argmax(bad))
-    name = names[j]
+    name = name_of(j)
     if non_finite[j]:
         raise ModelError(f"variable {name}: non-finite bounds")
     if empty[j]:
@@ -341,13 +365,19 @@ def _per_item(value, m, dtype, what) -> np.ndarray:
     return array
 
 
-def _check_rows(codes, rhs, cols, vals, row_of, n, label, sense) -> None:
+def _check_rows(codes, rhs, cols, vals, row_of, n, label, sense,
+                structure=True) -> None:
     """Raise ModelError for the first bad row: an unknown sense code (named
     by ``sense(row)``), then a non-finite right-hand side, then its first
     term with an index outside ``[0, n)`` or a non-finite coefficient.  The
-    terms are flat; ``row_of`` maps a term's position to its row."""
-    bad_row = (codes < _LE) | (codes > _EQ) | ~np.isfinite(rhs)
-    bad_term = (cols < 0) | (cols >= n) | ~np.isfinite(vals)
+    terms are flat; ``row_of`` maps a term's position to its row.  Without
+    ``structure`` only the numbers are checked: the right-hand sides and
+    the coefficients."""
+    bad_row = ~np.isfinite(rhs)
+    bad_term = ~np.isfinite(vals)
+    if structure:
+        bad_row |= (codes < _LE) | (codes > _EQ)
+        bad_term |= (cols < 0) | (cols >= n)
     if not (bad_row.any() or bad_term.any()):
         return
     first = int(np.argmax(bad_row)) if bad_row.any() else len(rhs)
@@ -433,9 +463,8 @@ class CompiledModel:
         off = (self.lo == self.hi) & ~(np.abs(act - rhs) <= slack)
 
         bad: list[str] = []
-        names = self.model.names
         for j in np.flatnonzero(outside | fractional):
-            name, value = names[j], float(x[j])
+            name, value = self.model.names[j], float(x[j])
             if outside[j]:
                 bad.append(f"bound {name}: {value!r} outside "
                            f"[{float(self.lb[j])}, {float(self.ub[j])}]")
@@ -446,3 +475,173 @@ class CompiledModel:
             bad.append(f"row {self.model.row_label(i)}: {float(act[i])!r} "
                        f"{op} {float(rhs[i])!r}")
         return bad
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array = np.asarray(array)
+    array.setflags(write=False)
+    return array
+
+
+def _joined(arrays, dtype=float) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+
+
+def _template_parts(templates) -> list[tuple]:
+    """Each template, which holds at most one :func:`period_tag`, as
+    ``(head, t, tail)``, ``t`` None without one."""
+    parts = []
+    for template in templates:
+        head, *period = template.split(PERIOD)
+        parts.append((head, int(period[0]), period[1]) if period
+                     else (head, None, ""))
+    return parts
+
+
+def _made(parts, start: int) -> list[str]:
+    """The names or labels of templates ``parts`` at first period ``start``."""
+    return [head if t is None else f"{head}{start + t}{tail}"
+            for head, t, tail in parts]
+
+
+class ModelLayout:
+    """What models that differ only in their numbers share.
+
+    Made from ``model``, built with name and label templates (a period
+    ``t`` after the first written as :func:`period_tag`\\ ``(t)``), whose
+    every check :meth:`MilpModel.compile` runs here, once.  The layout
+    keeps the structure: the name and label templates, the integrality,
+    each block's columns, senses and shape, and ``pattern``, the compiled
+    CSR matrix, whose ``indptr`` and ``indices`` every model's compiled
+    matrix shares: ``keep`` indexes the coefficients that are not zero.
+    ``model``'s numbers are the base that :meth:`numbers` copies for each
+    model to write its own into; a number whose zero pattern may change
+    belongs in the layout's key, not only in its numbers.
+    """
+
+    def __init__(self, model: MilpModel):
+        compiled = model.compile()
+        blocks = model.blocks
+        self.n_vars, self.n_rows = model.n_vars, model.n_rows
+        self.name_templates = model.names
+        self.label_templates = [label for b in blocks for label in b.labels]
+        self.integrality = _frozen(compiled.integrality)
+        self.cols = [_frozen(b.cols) for b in blocks]
+        self.sense = _frozen(_joined([b.sense for b in blocks], np.int8))
+        self.keep = _frozen(np.flatnonzero(
+            _joined([b.vals.ravel() != 0.0 for b in blocks], bool)))
+        self.lower, self.upper = (_frozen(self.sense != code)
+                                  for code in (_LE, _GE))
+        self.pattern = compiled.a
+        for array in (compiled.a.indptr, compiled.a.indices):
+            array.setflags(write=False)
+        self._base = (compiled.lb, compiled.ub,
+                      _joined([b.vals.ravel() for b in blocks]),
+                      _joined([b.rhs for b in blocks]), compiled.c)
+        self._names = self._labels = None
+
+    def numbers(self):
+        """Fresh copies of the base numbers ``(lb, ub, vals, rhs, c)``:
+        column bounds, the blocks' coefficients flattened block by block,
+        right-hand sides and objective."""
+        return tuple(array.copy() for array in self._base)
+
+    def names(self, start: int) -> list[str]:
+        if self._names is None:
+            self._names = _template_parts(self.name_templates)
+        return _made(self._names, start)
+
+    def labels(self, start: int) -> list[str]:
+        if self._labels is None:
+            self._labels = _template_parts(self.label_templates)
+        return _made(self._labels, start)
+
+
+class LaidOutModel(MilpModel):
+    """A model with the structure of ``layout`` and numbers of its own, its
+    first period ``start``: column bounds ``lb`` and ``ub``, the blocks'
+    coefficients ``vals`` flattened block by block, right-hand sides
+    ``rhs`` and objective ``c`` (see :meth:`ModelLayout.numbers`).
+
+    Names, labels, row blocks and the objective map are made when read.
+    The structure cannot grow: adding columns or rows, or setting the
+    objective, raises ModelError.
+    """
+
+    def __init__(self, layout: ModelLayout, name: str, start: int, lb, ub,
+                 vals, rhs, c):
+        self.name, self.layout, self.start = name, layout, start
+        self.lb, self.ub, self.vals, self.rhs, self.c = lb, ub, vals, rhs, c
+        self.integrality = layout.integrality
+        self._n_rows = layout.n_rows
+        self._names = self._blocks = None
+
+    def add_variables(self, names, lb, ub, integer=False):
+        raise ModelError(f"{self.name}: a laid-out model cannot grow")
+
+    def add_block(self, block, sense_name=None):
+        raise ModelError(f"{self.name}: a laid-out model cannot grow")
+
+    def set_objective(self, coeffs):
+        raise ModelError(f"{self.name}: a laid-out model cannot grow")
+
+    @property
+    def n_vars(self) -> int:
+        return self.layout.n_vars
+
+    @property
+    def names(self) -> list[str]:
+        if self._names is None:
+            self._names = self.layout.names(self.start)
+        return self._names
+
+    @property
+    def blocks(self) -> list[RowBlock]:
+        if self._blocks is None:
+            labels = self.layout.labels(self.start)
+            self._blocks, v, r = [], 0, 0
+            for cols in self.layout.cols:
+                m, k = cols.shape
+                self._blocks.append(RowBlock(
+                    cols, self.vals[v:v + m * k].reshape(m, k),
+                    self.layout.sense[r:r + m], self.rhs[r:r + m],
+                    labels[r:r + m]))
+                v, r = v + m * k, r + m
+        return self._blocks
+
+    @property
+    def objective(self) -> dict[int, float]:
+        nonzero = np.flatnonzero(self.c)
+        return dict(zip(nonzero.tolist(), self.c[nonzero].tolist()))
+
+    def row_label(self, i: int) -> str:
+        template = self.layout.label_templates[range(self.n_rows)[i]]
+        return _made(_template_parts([template]), self.start)[0]
+
+    def compile(self) -> CompiledModel:
+        """The model as arrays, on the layout's CSR pattern.  Raises
+        ModelError, naming the first offending variable, else row, on a
+        non-finite or empty bound, a non-binary integer variable, or a
+        non-finite right-hand side or coefficient."""
+        layout = self.layout
+        lb, ub = self.lb.copy(), self.ub.copy()
+        _check_variables(lambda j: self.names[j], lb, ub,
+                         layout.integrality > 0)
+        data = self.vals.take(layout.keep)
+        pattern, rhs = layout.pattern, self.rhs
+        _check_rows(layout.sense, rhs, pattern.indices, data,
+                    lambda e: int(np.searchsorted(pattern.indptr, e,
+                                                  side="right")) - 1,
+                    self.n_vars, self.row_label, None, structure=False)
+        if not np.isfinite(self.c).all():
+            j = int(np.argmin(np.isfinite(self.c)))
+            raise ModelError(f"objective: non-finite coefficient on index {j}")
+        # the layout's matrix with this model's coefficients: its checked
+        # structure is shared, not checked again
+        a = copy.copy(pattern)
+        a.data = data
+        return CompiledModel(
+            model=self, c=self.c.copy(), lb=lb, ub=ub,
+            integrality=layout.integrality, a=a,
+            lo=np.where(layout.lower, rhs, -np.inf),
+            hi=np.where(layout.upper, rhs, np.inf))

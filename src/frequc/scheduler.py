@@ -23,6 +23,19 @@ the largest whose ratings reach the period's highest net demand minus
 the largest rating or, with frequency constraints, the more of that and
 the fewest that ``must_run`` counts any secure commitment needing: valid
 for every integer schedule, it only tightens the relaxation.
+
+A window is its numbers written into a layout.  The layout, a
+:class:`frequc.milp.model.ModelLayout` with the column ids a window
+carries and the places its numbers go, depends only on the window's
+shape: the options, the periods and branches, which synchronous
+commitments the pins leave free, which cover, QSS, chord and cut rows
+exist and the zero pattern of the frequency coefficients that change
+with the window.  The numbers are the column bounds, right-hand sides,
+objective and those coefficients (:func:`frequc.freqsec.period_numbers`),
+written with array operations.  A :class:`WindowLayouts`, one per rolling
+run, keeps the layouts its windows and re-dispatches met and the period
+constants they share; a ``build_uc`` call without one lays out afresh.
+
 ``solve_uc`` builds, solves and unpacks one window into a
 :class:`UcSolution`, arrays with the period axis first and the units in
 fleet order; without frequency constraints it tries the LP relaxation
@@ -31,7 +44,8 @@ cost coefficients; the objective and ``period_costs``, the one cost
 formula after the solve, both read them.
 
 ``solve_rolling_horizon`` walks a longer span window by window, passing
-the whole tree to each, and re-dispatches the committed periods against
+the whole tree and the run's :class:`WindowLayouts` to each, and
+re-dispatches the committed periods against
 the realized net demand, a one-branch tree built once per run, with the
 window's ``(T, units)`` commitments pinned, and carries the units' state
 ``(on, hours)`` from window to window.  The run's path is those one-branch
@@ -53,7 +67,8 @@ import numpy as np
 from . import freqsec
 from .freqdyn import certify_operating_point
 from .milp import MilpModel, solve
-from .milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
+from .milp.model import (SENSE_EQ, SENSE_GE, SENSE_LE, LaidOutModel,
+                         ModelLayout, period_tag)
 from .sysmodel import ScenarioTree, largest_unit
 
 LOSS_MODES = ("fixed", "optimised")
@@ -147,8 +162,8 @@ def _commitment_bounds(fleet, big_i, state, fixed_commitments,
     try:
         on, hours = (np.asarray(part, dtype=float) for part in state)
         whole = np.isfinite(hours) & (hours >= 0) & (hours == np.floor(hours))
-        valid = on.shape == hours.shape == (G,) and np.isin(on, (0, 1)).all() \
-            and whole.all()
+        valid = on.shape == hours.shape == (G,) \
+            and ((on == 0.0) | (on == 1.0)).all() and whole.all()
     except (TypeError, ValueError):
         valid = False
     if not valid:
@@ -159,6 +174,8 @@ def _commitment_bounds(fleet, big_i, state, fixed_commitments,
     lo[big_i] = 1.0
 
     def pin(where, value):
+        if not where.any():
+            return
         value = np.broadcast_to(value, lo.shape)
         bad = where & ((value < lo) | (value > hi))
         if bad.any():
@@ -172,8 +189,9 @@ def _commitment_bounds(fleet, big_i, state, fixed_commitments,
     # at window period t a unit has held its carried state hours + t
     elapsed = hours[:, None] + np.arange(T)
     on = on == 1.0
-    pin(on[:, None] & (elapsed < [[g.min_up] for g in fleet]), 1.0)
-    pin(~on[:, None] & (elapsed < [[g.min_down] for g in fleet]), 0.0)
+    times = np.array([[g.min_up, g.min_down] for g in fleet], dtype=float)
+    pin(on[:, None] & (elapsed < times[:, :1]), 1.0)
+    pin(~on[:, None] & (elapsed < times[:, 1:]), 0.0)
     if fixed_commitments is not None:
         try:
             values = np.asarray(fixed_commitments, dtype=float)
@@ -205,7 +223,7 @@ def _units_to_cover(ratings, need: float) -> int:
     return count
 
 
-class UcModel(MilpModel):
+class UcModel(LaidOutModel):
     """A window's model with what :func:`extract_solution` reads: the
     column ids ``commit`` and ``startup`` of shape ``(T, units)``,
     ``output`` and ``pfr`` of shape ``(T, units, S)``, ``wind`` and
@@ -225,8 +243,359 @@ class UcModel(MilpModel):
     probabilities: np.ndarray
 
 
+class WindowLayouts:
+    """What the windows and re-dispatches of one rolling run of ``system``
+    share: the layout of each window shape met so far, keyed by everything
+    that sets a window's structure (see :func:`build_uc`), and each profile
+    period's :class:`frequc.freqsec.PeriodConstants`.
+
+    :func:`solve_rolling_horizon` makes one per run, so runs on other
+    threads share nothing; a ``build_uc`` call without one lays its window
+    out afresh.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        self._layouts = {}
+        self._constants = {}
+
+    def constants(self, period: int):
+        """The frequency constants of profile period ``period``; a segment
+        grid that enters the decreasing region raises
+        :class:`SchedulerError`."""
+        shared = self._constants.get(period)
+        if shared is None:
+            system = self.system
+            try:
+                shared = freqsec.period_constants(
+                    system.generators, system.frequency,
+                    system.demand_profile[period])
+            except ValueError as exc:  # the grid check, an input error
+                raise SchedulerError(f"period {period}: {exc}") from exc
+            self._constants[period] = shared
+        return shared
+
+    def layout(self, window) -> _WindowLayout:
+        layout = self._layouts.get(window.key)
+        if layout is None:
+            layout = self._layouts[window.key] = _WindowLayout(self.system,
+                                                               window)
+        return layout
+
+
+@dataclass
+class _Window:
+    """One window's numbers, and ``key``, everything that sets its
+    structure: the options, the shape ``(T, S)``, which synchronous
+    commitments are still free after the pins, which periods have a cover
+    row, and the shape and zero pattern of the frequency rows' numbers
+    that change from window to window (``freq``, per period, flattened
+    into ``freq_vals`` and ``freq_rhs``)."""
+
+    start: int
+    options: UcOptions
+    demand: np.ndarray
+    net: np.ndarray
+    probabilities: np.ndarray
+    floor_big: float
+    on: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    needs: np.ndarray
+    constants: list
+    freq: list
+    freq_vals: np.ndarray
+    freq_rhs: np.ndarray
+    key: tuple
+
+
+def _window(layouts: WindowLayouts, tree, options: UcOptions,
+            start_period: int, initial_state, fixed_commitments) -> _Window:
+    """The numbers of the window of ``options.horizon`` periods from
+    ``start_period``, checked."""
+    system = layouts.system
+    fleet = system.generators
+    freq = system.frequency
+    big = largest_unit(fleet)
+    demand, net = _window_net(system, tree, start_period, options.horizon)
+    # array shapes: G units, T periods, S branches
+    G, (T, S) = len(fleet), net.shape
+
+    floor_big = ((1.0 - big.max_deload_fraction) * big.p_max
+                 if _largest_runs_deloaded(options, big) else big.p_max)
+    for t in range(T):
+        if floor_big > demand[t] + 1e-9:
+            raise SchedulerError(
+                f"period {start_period + t}: demand {demand[t]:.1f} MW cannot "
+                f"absorb the committed largest plant minimum {floor_big:.1f} MW"
+            )
+
+    r_max = sum(g.pfr_max for g in fleet)
+    if options.frequency_constraints and r_max <= 0.0:
+        raise SchedulerError(
+            "frequency constraints need at least one unit with response capability"
+        )
+
+    # the commitment bounds (G, T), then, in each period where one is still
+    # free, each commitment the security rows force on; the same screen
+    # counts the fewest other units a secure period has on, ``secure[t]``,
+    # kept where one is free after the pins
+    big_i = [g.id for g in fleet].index(big.id)
+    on, lo, hi = _commitment_bounds(
+        fleet, big_i, default_initial_state(system) if initial_state is None
+        else initial_state, fixed_commitments, start_period, T)
+    constants, secure, numbers, free = [], [0] * T, [], None
+    if options.frequency_constraints:
+        constants = [layouts.constants(start_period + t) for t in range(T)]
+        for t in np.flatnonzero((lo != hi).any(axis=0)).tolist():
+            pins, count = freqsec.must_run(fleet, freq, constants[t],
+                                           floor_big, hi[:, t], largest=big)
+            lo[pins & (lo[:, t] != hi[:, t]), t] = 1.0
+            if (lo[:, t] != hi[:, t]).any():
+                secure[t] = count
+        sync = np.array([[g.synchronous] for g in fleet])
+        free = sync & (lo != hi)
+        fixed_on = (sync & (lo == 1.0) & (hi == 1.0)).T.tolist()
+        numbers = [freqsec.period_numbers(
+                       fleet, freq, shared, r_max, free=period_free,
+                       fixed_on=period_on, loss_floor=floor_big)
+                   for shared, period_free, period_on in zip(
+                       constants, free.T.tolist(), fixed_on)]
+
+    # cover: every branch's thermal output reaches its net demand, the
+    # largest unit gives at most its rating and every other unit at most
+    # its committed rating, and a secured period has at least ``secure[t]``
+    # of them on, so at least k_t of them are on
+    others = [g.p_max for i, g in enumerate(fleet) if i != big_i]
+    needs = np.array([max(_units_to_cover(others, most - big.p_max), count)
+                      for most, count in zip(net.max(axis=1).tolist(),
+                                             secure)])
+
+    vals, rhs, shapes = [], [], []
+    for period in numbers:
+        for kind, rows in period:
+            shapes.append((len(rows), len(rows[0][0])) if rows else None)
+            for row_vals, row_rhs in rows:
+                vals += row_vals
+                rhs.append(row_rhs)
+    vals, rhs = np.array(vals, dtype=float), np.array(rhs, dtype=float)
+    key = (options, T, S, None if free is None else free.tobytes(),
+           (needs > 0).tobytes(), tuple(shapes), (vals != 0.0).tobytes())
+    return _Window(start_period, options, demand, net, tree.probabilities,
+                   floor_big, on, lo, hi, needs, constants, numbers, vals,
+                   rhs, key)
+
+
+class _WindowLayout:
+    """The structure of the windows with one key (see :class:`_Window`):
+    the model's :class:`frequc.milp.model.ModelLayout`, the column ids
+    :class:`UcModel` carries, and where each window's numbers go.  It is
+    laid out from ``window``; :meth:`write` then writes every window's
+    numbers, ``window``'s too."""
+
+    def __init__(self, system, window: _Window):
+        fleet = system.generators
+        freq = system.frequency
+        big = largest_unit(fleet)
+        ids = [g.id for g in fleet]
+        big_i = ids.index(big.id)
+        G, (T, S) = len(fleet), window.net.shape
+        secured = window.options.frequency_constraints
+        r_max = sum(g.pfr_max for g in fleet)
+        model = MilpModel()
+        tags = [period_tag(t) for t in range(T)]
+
+        # first-stage commitment, start and stop indicators (shared by
+        # branches)
+        heads = [(f"x[{gid}]", f"su[{gid}]", f"sd[{gid}]") for gid in ids]
+        first = model.add_variables(
+            [head + f"[{tag}]" for unit in heads for tag in tags
+             for head in unit],
+            0.0, 1.0, integer=np.tile([True, False, False], G * T),
+        ).reshape(G, T, 3)
+        x, su, sd = first[..., 0], first[..., 1], first[..., 2]
+
+        # recourse per period and branch: each unit's output and response,
+        # then the wind, whose bound each window writes
+        ub = np.zeros((T, S, 2 * G + 1))
+        ub[..., 0:2 * G:2] = [g.p_max for g in fleet]
+        ub[..., 1:2 * G:2] = [g.pfr_max for g in fleet]
+        heads = [head for gid in ids for head in (f"p[{gid}]", f"r[{gid}]")]
+        heads.append("wind")
+        recourse = model.add_variables(
+            [head + f"[{tag}][{s}]" for tag in tags for s in range(S)
+             for head in heads],
+            0.0, ub.ravel(),
+        ).reshape(T, S, 2 * G + 1)
+        p = recourse[..., 0:2 * G:2].transpose(2, 0, 1)
+        r = recourse[..., 1:2 * G:2].transpose(2, 0, 1)
+        wind = recourse[..., 2 * G]
+
+        # the pins are bounds, and which commitments they leave free sets
+        # the cells' columns; the largest plant's output is held at or
+        # above its floor, which is its rating when it is not deloaded
+        model.lb[x], model.ub[x] = window.lo, window.hi
+        model.lb[p[big_i]] = window.floor_big
+
+        # each period's security variables, one cell per branch: a unit
+        # committed by a fixed bound needs no product auxiliary
+        cells = [freqsec.register_decisions(
+                     model, fleet, freq, shared, r_max, period=tag,
+                     commit=x[:, t], output=p[:, t].T, pfr=r[:, t].T)
+                 for t, (tag, shared) in enumerate(zip(tags,
+                                                       window.constants))]
+
+        # power balance and unit limits: the same rows in every cell, over
+        # the cell's columns [p..., r..., wind, x...]; each window writes
+        # the balance's right-hand side
+        cell_cols = np.concatenate(
+            [p.transpose(1, 2, 0), r.transpose(1, 2, 0), wind[..., None],
+             np.repeat(x.T[:, None, :], S, axis=1)], axis=2)
+        P, R, W, X = 0, G, 2 * G, 2 * G + 1  # offsets in a cell's columns
+        template = [("balance", None, SENSE_EQ,
+                     [P + i for i in range(G)] + [W], [1.0] * (G + 1))]
+        for i, g in enumerate(fleet):
+            if g.p_min > 0.0:
+                template.append(("pmin", g.id, SENSE_GE, [P + i, X + i],
+                                 [1.0, -g.p_min]))
+            template.append(("headroom", g.id, SENSE_LE,
+                             [P + i, R + i, X + i], [1.0, 1.0, -g.p_max]))
+            if g.pfr_max > 0.0:
+                template.append(("pfr_cap", g.id, SENSE_LE, [R + i, X + i],
+                                 [1.0, -g.pfr_max]))
+        k = G + 1
+        n_tpl = len(template)
+        tpl_cols = np.array([c + [c[0]] * (k - len(c))
+                             for *_, c, _ in template])
+        tpl_vals = np.array([v + [0.0] * (k - len(v)) for *_, v in template])
+        cell_tags = [f"[{tag}][{s}]" for tag in tags for s in range(S)]
+        heads = [kind if gid is None else f"{kind}[{gid}]"
+                 for kind, gid, *_ in template]
+        rows = model.add_rows(
+            cell_cols[:, :, tpl_cols].reshape(-1, k),
+            np.tile(tpl_vals, (T * S, 1)),
+            np.tile([row[2] for row in template], T * S), 0.0,
+            [head + tag for tag in cell_tags for head in heads])
+        self.balance = np.arange(rows.start, rows.stop, n_tpl).reshape(T, S)
+
+        # cover: at least k_t units besides the largest on, in each period
+        # whose count is not 0; each window writes k_t
+        others = [i for i in range(G) if i != big_i]
+        self.covered = np.flatnonzero(window.needs > 0)
+        self.cover = np.arange(model.n_rows, model.n_rows + len(self.covered))
+        if len(self.covered):
+            model.add_rows(
+                x[others][:, self.covered].T,
+                np.ones((len(self.covered), len(others))), SENSE_GE, 0.0,
+                [f"cover[{tags[t]}]" for t in self.covered])
+
+        # start/stop linking and minimum up/down times, per unit: T link
+        # rows, then T min_up and T min_down rows for a unit whose minimum
+        # time exceeds one period.  A minimum-time row sums the indicators
+        # of the window's last periods, up to the minimum time: slot w of
+        # row t holds period t - T + 1 + w, a zero coefficient where that
+        # lies outside.  Each window writes the first link row's
+        # right-hand side, the carried state.
+        step = np.arange(T)
+        k = max(4, T + 1)
+        cols = np.empty((G, 3, T, k), dtype=np.int64)
+        cols[...] = x[:, None, :, None]
+        vals = np.zeros((G, 3, T, k))
+        cols[:, 0, :, :3] = np.stack([x, su, sd], axis=-1)
+        vals[:, 0, :, :3] = [1.0, -1.0, 1.0]
+        cols[:, 0, 1:, 3] = x[:, :-1]
+        vals[:, 0, 1:, 3] = -1.0
+        tau = step[:, None] - T + 1 + step[None, :]
+        for f, ind, times, sign in ((1, su, [g.min_up for g in fleet], -1.0),
+                                    (2, sd, [g.min_down for g in fleet], 1.0)):
+            inside = (tau >= 0) & (tau > step[:, None]
+                                   - np.array(times)[:, None, None])
+            cols[:, f, :, :T] = np.where(inside,
+                                         ind[:, np.clip(tau, 0, None)],
+                                         x[:, :, None])
+            vals[:, f, :, :T] = inside
+            vals[:, f, :, T] = sign
+        rhs = np.zeros((G, 3, T))
+        rhs[:, 2] = 1.0
+        present = np.ones((G, 3, T), dtype=bool)
+        present[:, 1] = np.array([g.min_up > 1 for g in fleet])[:, None]
+        present[:, 2] = np.array([g.min_down > 1 for g in fleet])[:, None]
+        heads = [f"{kind}[{gid}]" for gid, kinds in zip(ids, present[..., 0])
+                 for kind, used in zip(("commit_link", "min_up", "min_down"),
+                                       kinds)
+                 if used]
+        rows = model.add_rows(
+            cols[present], vals[present],
+            np.array([SENSE_EQ, SENSE_LE, SENSE_LE])[np.nonzero(present)[1]],
+            rhs[present], [head + f"[{tag}]" for head in heads for tag in tags])
+        self.link = rows.start + (np.cumsum(present) - 1).reshape(
+            G, 3, T)[:, 0, 0]
+
+        # frequency-security rows: per period the inertia floor, then each
+        # branch's cell rows; each window writes the numbers that
+        # freqsec.period_numbers gives, wherever number_positions finds them
+        positions, v0, r0 = [(np.empty(0, np.int64),) * 4], 0, 0
+        for period_cells, shared, numbers in zip(cells, window.constants,
+                                                 window.freq):
+            block = freqsec.period_rows(
+                period_cells, fleet, freq, shared, r_max, largest=big,
+                loss_floor=window.floor_big)
+            at = sum(b.vals.size for b in model.blocks)
+            rows = model.add_block(block)
+            vals_at, vals_from, rhs_at, rhs_from = freqsec.number_positions(
+                block, numbers)
+            positions.append((at + vals_at, v0 + vals_from,
+                              rows.start + rhs_at, r0 + rhs_from))
+            v0 += sum(len(vals) for _, part in numbers for vals, _ in part)
+            r0 += sum(len(part) for _, part in numbers)
+        self.vals_at, self.vals_from, self.rhs_at, self.rhs_from = map(
+            np.concatenate, zip(*positions))
+
+        # probability-weighted operating cost: each window writes the fuel
+        # cost, weighted by its branches' probabilities
+        no_load, startup, fuel = cost_coefficients(system)
+        model.set_objective(dict(zip(
+            np.concatenate([x[no_load > 0.0].ravel(),
+                            su[startup > 0.0].ravel()]).tolist(),
+            np.concatenate([np.repeat(no_load[no_load > 0.0], T),
+                            np.repeat(startup[startup > 0.0], T)]).tolist())))
+        self.fuel, self.fuel_cost = p[fuel != 0.0], fuel[fuel != 0.0]
+
+        self.model = ModelLayout(model)
+        self.shape = T, S
+        self.commit_bounds = x
+        self.columns = dict(
+            commit=x.T, startup=su.T, wind=wind, output=p.transpose(1, 0, 2),
+            pfr=r.transpose(1, 0, 2),
+            loss=np.array([period.loss for period in cells]) if secured
+            else None)
+
+    def write(self, window: _Window) -> UcModel:
+        """``window``'s model: the layout with its numbers written."""
+        lb, ub, vals, rhs, c = self.model.numbers()
+        lb[self.commit_bounds], ub[self.commit_bounds] = window.lo, window.hi
+        avail = window.demand[:, None] - window.net
+        ub[self.columns["wind"]] = np.where(0.0 > avail, 0.0, avail)
+        rhs[self.balance] = window.demand[:, None]
+        rhs[self.cover] = window.needs[self.covered]
+        rhs[self.link] = window.on
+        vals[self.vals_at] = window.freq_vals[self.vals_from]
+        rhs[self.rhs_at] = window.freq_rhs[self.rhs_from]
+        c[self.fuel] = window.probabilities * self.fuel_cost[:, None, None]
+        T, S = self.shape
+        model = UcModel(self.model, f"uc_p{window.start}_{T}x{S}",
+                        window.start, lb, ub, vals, rhs, c)
+        for name, ids in self.columns.items():
+            setattr(model, name, ids)
+        model.periods = np.arange(window.start, window.start + T)
+        model.demand, model.net = window.demand, window.net
+        model.probabilities = window.probabilities
+        return model
+
+
 def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
-             initial_state=None, fixed_commitments=None) -> UcModel:
+             initial_state=None, fixed_commitments=None,
+             layouts: WindowLayouts | None = None) -> UcModel:
     """Assemble the scheduling model for one window.
 
     ``tree`` spans the demand profile, and the window reads its periods
@@ -237,6 +606,18 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     the commitment variables; the rolling solver uses this for the
     realized re-dispatch.  A malformed or contradictory pin raises
     :class:`SchedulerError`.
+
+    A window is its numbers written into a layout.  The layout depends
+    only on the window's shape: the fleet and frequency settings, the
+    options, ``T`` and the branch count, which synchronous commitments are
+    still free after the pins, which rows exist (cover rows, QSS rows,
+    nadir chords, hyperbolic cuts) and the zero pattern of the frequency
+    coefficients that change from window to window.  It holds the column
+    and row index arrays, senses, integrality, name and label templates
+    and the compiled CSR pattern.  The numbers are the column bounds,
+    right-hand sides, objective and those frequency coefficients, written
+    with array operations.  ``layouts``, one per rolling run, keeps the
+    layouts met so far; without it the window is laid out afresh.
 
     Each row family repeats one pattern per cell or per unit, so it is
     added as one block of arrays; :func:`frequc.freqsec.period_rows` gives
@@ -256,203 +637,13 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     so the row only tightens the relaxation; a period whose count is 0
     has no row.
     """
-    fleet = system.generators
-    freq = system.frequency
-    big = largest_unit(fleet)
-    demand, net = _window_net(system, tree, start_period, options.horizon)
-    # array shapes: G units, T periods, S branches
-    G, (T, S) = len(fleet), net.shape
-    probs = tree.probabilities
-    avail = demand[:, None] - net
-
-    floor_big = ((1.0 - big.max_deload_fraction) * big.p_max
-                 if _largest_runs_deloaded(options, big) else big.p_max)
-    for t in range(T):
-        if floor_big > demand[t] + 1e-9:
-            raise SchedulerError(
-                f"period {start_period + t}: demand {demand[t]:.1f} MW cannot "
-                f"absorb the committed largest plant minimum {floor_big:.1f} MW"
-            )
-
-    r_max = sum(g.pfr_max for g in fleet)
-    if options.frequency_constraints and r_max <= 0.0:
-        raise SchedulerError(
-            "frequency constraints need at least one unit with response capability"
-        )
-
-    model = UcModel(name=f"uc_p{start_period}_{T}x{S}")
-    ids = [g.id for g in fleet]
-    big_i = ids.index(big.id)
-    periods = range(start_period, start_period + T)
-
-    # the commitment bounds (G, T), then each commitment still free that
-    # the security rows force on; the same screen counts the fewest other
-    # units a secure period has on, ``secure[t]``, kept where one is free
-    on, lo, hi = _commitment_bounds(
-        fleet, big_i, default_initial_state(system) if initial_state is None
-        else initial_state, fixed_commitments, start_period, T)
-    constants = []
-    secure = np.zeros(T, dtype=int)
-    if options.frequency_constraints:
-        pins = np.zeros((G, T), dtype=bool)
-        for t, tt in enumerate(periods):
-            try:
-                constants.append(freqsec.period_constants(fleet, freq,
-                                                          demand[t]))
-            except ValueError as exc:  # the grid check, an input error
-                raise SchedulerError(f"period {tt}: {exc}") from exc
-            pins[:, t], secure[t] = freqsec.must_run(
-                fleet, freq, constants[t], floor_big, hi[:, t], largest=big)
-        lo[pins & (lo != hi)] = 1.0
-        secure[(lo == hi).all(axis=0)] = 0
-
-    # first-stage commitment, start and stop indicators (shared by branches)
-    heads = [(f"x[{gid}]", f"su[{gid}]", f"sd[{gid}]") for gid in ids]
-    first = model.add_variables(
-        [head + f"[{tt}]" for unit in heads for tt in periods for head in unit],
-        0.0, 1.0, integer=np.tile([True, False, False], G * T),
-    ).reshape(G, T, 3)
-    x, su, sd = first[..., 0], first[..., 1], first[..., 2]
-
-    # recourse per period and branch: each unit's output and response,
-    # then the wind
-    ub = np.empty((T, S, 2 * G + 1))
-    ub[..., 0:2 * G:2] = [g.p_max for g in fleet]
-    ub[..., 1:2 * G:2] = [g.pfr_max for g in fleet]
-    ub[..., 2 * G] = np.where(0.0 > avail, 0.0, avail)
-    heads = [head for gid in ids for head in (f"p[{gid}]", f"r[{gid}]")]
-    heads.append("wind")
-    recourse = model.add_variables(
-        [head + f"[{tt}][{s}]" for tt in periods for s in range(S)
-         for head in heads],
-        0.0, ub.ravel(),
-    ).reshape(T, S, 2 * G + 1)
-    p = recourse[..., 0:2 * G:2].transpose(2, 0, 1)
-    r = recourse[..., 1:2 * G:2].transpose(2, 0, 1)
-    wind = recourse[..., 2 * G]
-
-    # the pins are bounds; the largest plant's output is held at or above
-    # its floor, which is its rating when it is not deloaded
-    model.lb[x], model.ub[x] = lo, hi
-    model.lb[p[big_i]] = floor_big
-
-    # each period's security variables, one cell per branch: a unit
-    # committed by a fixed bound needs no product auxiliary
-    cells = [freqsec.register_decisions(
-                 model, fleet, freq, shared, r_max, period=tt,
-                 commit=x[:, t], output=p[:, t].T, pfr=r[:, t].T)
-             for t, (tt, shared) in enumerate(zip(periods, constants))]
-
-    # power balance and unit limits: the same rows in every cell, over the
-    # cell's columns [p..., r..., wind, x...]
-    cell_cols = np.concatenate(
-        [p.transpose(1, 2, 0), r.transpose(1, 2, 0), wind[..., None],
-         np.repeat(x.T[:, None, :], S, axis=1)], axis=2)
-    P, R, W, X = 0, G, 2 * G, 2 * G + 1  # offsets in a cell's columns
-    template = [("balance", None, SENSE_EQ,
-                 [P + i for i in range(G)] + [W], [1.0] * (G + 1))]
-    for i, g in enumerate(fleet):
-        if g.p_min > 0.0:
-            template.append(("pmin", g.id, SENSE_GE, [P + i, X + i],
-                             [1.0, -g.p_min]))
-        template.append(("headroom", g.id, SENSE_LE, [P + i, R + i, X + i],
-                         [1.0, 1.0, -g.p_max]))
-        if g.pfr_max > 0.0:
-            template.append(("pfr_cap", g.id, SENSE_LE, [R + i, X + i],
-                             [1.0, -g.pfr_max]))
-    k = G + 1
-    n_tpl = len(template)
-    tpl_cols = np.array([c + [c[0]] * (k - len(c)) for *_, c, _ in template])
-    tpl_vals = np.array([v + [0.0] * (k - len(v)) for *_, v in template])
-    rhs = np.zeros((T, S, n_tpl))
-    rhs[..., 0] = demand[:, None]
-
-    cell_tags = [f"[{tt}][{s}]" for tt in periods for s in range(S)]
-    heads = [kind if gid is None else f"{kind}[{gid}]"
-             for kind, gid, *_ in template]
-    model.add_rows(
-        cell_cols[:, :, tpl_cols].reshape(-1, k),
-        np.tile(tpl_vals, (T * S, 1)),
-        np.tile([row[2] for row in template], T * S), rhs.ravel(),
-        [head + tag for tag in cell_tags for head in heads])
-
-    # cover: every branch's thermal output reaches its net demand, the
-    # largest unit gives at most its rating and every other unit at most
-    # its committed rating, and a secured period has at least ``secure[t]``
-    # of them on, so at least k_t of them are on
-    others = [i for i in range(G) if i != big_i]
-    needs = [max(_units_to_cover([fleet[i].p_max for i in others],
-                                 float(net[t].max()) - big.p_max), secure[t])
-             for t in range(T)]
-    covered = [t for t in range(T) if needs[t] > 0]
-    if covered:
-        model.add_rows(
-            x[others][:, covered].T, np.ones((len(covered), len(others))),
-            SENSE_GE, [float(needs[t]) for t in covered],
-            [f"cover[{start_period + t}]" for t in covered])
-
-    # start/stop linking and minimum up/down times, per unit: T link rows,
-    # then T min_up and T min_down rows for a unit whose minimum time
-    # exceeds one period.  A minimum-time row sums the indicators of the
-    # window's last periods, up to the minimum time: slot w of row t holds
-    # period t - T + 1 + w, a zero coefficient where that lies outside
-    step = np.arange(T)
-    k = max(4, T + 1)
-    cols = np.empty((G, 3, T, k), dtype=np.int64)
-    cols[...] = x[:, None, :, None]
-    vals = np.zeros((G, 3, T, k))
-    cols[:, 0, :, :3] = np.stack([x, su, sd], axis=-1)
-    vals[:, 0, :, :3] = [1.0, -1.0, 1.0]
-    cols[:, 0, 1:, 3] = x[:, :-1]
-    vals[:, 0, 1:, 3] = -1.0
-    tau = step[:, None] - T + 1 + step[None, :]
-    for f, ind, times, sign in ((1, su, [g.min_up for g in fleet], -1.0),
-                                (2, sd, [g.min_down for g in fleet], 1.0)):
-        inside = (tau >= 0) & (tau > step[:, None]
-                               - np.array(times)[:, None, None])
-        cols[:, f, :, :T] = np.where(inside, ind[:, np.clip(tau, 0, None)],
-                                     x[:, :, None])
-        vals[:, f, :, :T] = inside
-        vals[:, f, :, T] = sign
-    rhs = np.zeros((G, 3, T))
-    rhs[:, 0, 0] = on
-    rhs[:, 2] = 1.0
-    present = np.ones((G, 3, T), dtype=bool)
-    present[:, 1] = np.array([g.min_up > 1 for g in fleet])[:, None]
-    present[:, 2] = np.array([g.min_down > 1 for g in fleet])[:, None]
-    heads = [f"{kind}[{gid}]" for gid, kinds in zip(ids, present[..., 0])
-             for kind, used in zip(("commit_link", "min_up", "min_down"), kinds)
-             if used]
-    model.add_rows(
-        cols[present], vals[present],
-        np.array([SENSE_EQ, SENSE_LE, SENSE_LE])[np.nonzero(present)[1]],
-        rhs[present],
-        [head + f"[{tt}]" for head in heads for tt in periods])
-
-    # frequency-security rows: per period the inertia floor, then each
-    # branch's cell rows
-    for period_cells, shared in zip(cells, constants):
-        model.add_block(freqsec.period_rows(
-            period_cells, fleet, freq, shared, r_max, largest=big,
-            loss_floor=floor_big))
-
-    # probability-weighted operating cost
-    no_load, startup, fuel = cost_coefficients(system)
-    index = np.concatenate([x[no_load > 0.0].ravel(), su[startup > 0.0].ravel(),
-                            p[fuel != 0.0].ravel()])
-    weight = np.concatenate([
-        np.repeat(no_load[no_load > 0.0], T),
-        np.repeat(startup[startup > 0.0], T),
-        np.repeat(probs * fuel[fuel != 0.0, None, None], T, axis=1).ravel()])
-    model.set_objective(dict(zip(index.tolist(), weight.tolist())))
-
-    model.commit, model.startup, model.wind = x.T, su.T, wind
-    model.output, model.pfr = p.transpose(1, 0, 2), r.transpose(1, 0, 2)
-    model.loss = (np.array([period.loss for period in cells])
-                  if options.frequency_constraints else None)
-    model.periods = np.arange(start_period, start_period + T)
-    model.demand, model.net, model.probabilities = demand, net, probs
-    return model
+    if layouts is None:
+        layouts = WindowLayouts(system)
+    elif layouts.system is not system:
+        raise SchedulerError("window layouts of another system")
+    window = _window(layouts, tree, options, start_period, initial_state,
+                     fixed_commitments)
+    return layouts.layout(window).write(window)
 
 
 @dataclass
@@ -534,14 +725,15 @@ def concatenate(solutions) -> UcSolution:
 
 
 def solve_uc(system, tree, options: UcOptions, *, start_period: int = 0,
-             initial_state=None, fixed_commitments=None):
+             initial_state=None, fixed_commitments=None, layouts=None):
     """Build, solve and unpack one window; returns (solution, model, raw).
+    ``layouts`` is passed to :func:`build_uc`.
 
     A window without frequency constraints is tried as an LP first: its
     relaxation is often integral, and then it is the answer."""
     model = build_uc(system, tree, options, start_period=start_period,
                      initial_state=initial_state,
-                     fixed_commitments=fixed_commitments)
+                     fixed_commitments=fixed_commitments, layouts=layouts)
     raw = solve(model, relax_first=not options.frequency_constraints)
     if raw.status != "optimal":
         return None, model, raw
@@ -683,7 +875,8 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
     Each window solves the stochastic model, commits its first
     ``options.first_stage`` periods, re-dispatches those periods against
     the realized (median) net demand with commitments pinned, then rolls
-    forward.  The run's ``trajectory`` is its re-dispatches joined by
+    forward.  One :class:`WindowLayouts` serves the run's windows and
+    re-dispatches.  The run's ``trajectory`` is its re-dispatches joined by
     :func:`concatenate`, and its ``expected_cost`` the summed expected cost
     of every window's committed periods.  A window the solver cannot close
     aborts the run; the partial trajectory and the failing status are
@@ -694,6 +887,7 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
     realized = ScenarioTree(net=realized_series(scenarios)[:, None],
                             probabilities=(1.0,), quantile_levels=(0.5,))
     n = system.n_periods
+    layouts = WindowLayouts(system)
     windows = []
     pieces = []
     expected = 0.0
@@ -705,7 +899,8 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
     while t0 < n:
         commit_len = min(options.first_stage, n - t0)
         solution, _, raw = solve_uc(
-            system, scenarios, options, start_period=t0, initial_state=state)
+            system, scenarios, options, start_period=t0, initial_state=state,
+            layouts=layouts)
         if solution is None:
             return RollingResult(
                 windows, partial(), status="solver",
@@ -719,7 +914,7 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
         ropts = replace(options, horizon=commit_len, first_stage=commit_len)
         redispatch, _, raw = solve_uc(
             system, realized, ropts, start_period=t0, initial_state=state,
-            fixed_commitments=commit)
+            fixed_commitments=commit, layouts=layouts)
         if redispatch is None:
             return RollingResult(
                 windows, partial(), status="solver",

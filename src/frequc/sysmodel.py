@@ -60,6 +60,11 @@ class GeneratorSpec:
         gid = self.id
         if not gid:
             raise SystemConfigError("generator with empty id")
+        # ids name the model's columns and rows, whose templates mark a
+        # period with NUL characters
+        if "\x00" in str(gid):
+            raise SystemConfigError(
+                f"generator {gid!r}: id holds a NUL character")
         _require_finite(f"generator {gid}", self)
         if self.technology not in TECHNOLOGIES:
             raise SystemConfigError(

@@ -1,13 +1,17 @@
 """The array window builder against the loop builder in
 ``reference.builder``: every window compiles to the same arrays, with the
-same names and labels in the same order."""
+same names and labels in the same order, whether it is laid out afresh
+or written into a layout that a rolling run's earlier windows laid out."""
 
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frequc.freqsec
+import frequc.scheduler
 from frequc.cli import _scale_wind
 from frequc.milp import solve
 from frequc.scheduler import (
@@ -16,6 +20,7 @@ from frequc.scheduler import (
     build_uc,
     extract_solution,
     realized_series,
+    solve_rolling_horizon,
 )
 from frequc.sysmodel import (
     ScenarioTree,
@@ -34,10 +39,32 @@ def assert_builders_agree(system, tree, options, **kwargs):
     return model
 
 
-def bundled(wind=3000.0):
+def bundled(wind=3000.0, periods=24):
     base = load_system(DATA / "toy_system.yaml")
+    base = replace(base, demand_profile=base.demand_profile[:periods])
     levels, table = load_scenario_table(DATA / "toy_scenarios.txt")
-    return _scale_wind(base, build_scenario_tree(levels, table), wind)
+    return _scale_wind(base, build_scenario_tree(levels, table[:periods]),
+                       wind)
+
+
+def rolling_builds(monkeypatch, system, tree, options, initial_state=None):
+    """Every window and re-dispatch one rolling run builds, as
+    ``(args, kwargs, model)``, ``kwargs`` without the run's layouts."""
+    builds = []
+    build = frequc.scheduler.build_uc
+
+    def spy(*args, layouts, **kwargs):
+        model = build(*args, layouts=layouts, **kwargs)
+        builds.append((args, kwargs, model, layouts))
+        return model
+
+    monkeypatch.setattr(frequc.scheduler, "build_uc", spy)
+    run = solve_rolling_horizon(system, tree, options,
+                                initial_state=initial_state)
+    monkeypatch.setattr(frequc.scheduler, "build_uc", build)
+    assert run.ok
+    assert len({id(layouts) for *_, layouts in builds}) == 1
+    return [build[:3] for build in builds]
 
 
 @pytest.mark.parametrize("horizon", [1, 4, 12])
@@ -161,3 +188,63 @@ def test_extract_reads_the_named_columns():
             tag = f"[{6 + t}][{s}]"
             assert solution.wind_used[t, s] == value(f"wind{tag}")
             assert solution.loss[t, s] == value(f"ploss{tag}")
+
+
+@pytest.mark.parametrize("secured", [True, False])
+@pytest.mark.parametrize("mode", LOSS_MODES)
+def test_rolling_runs_match_the_loop_builder(monkeypatch, mode, secured):
+    """Every window and re-dispatch of a rolling run, built through the
+    run's one set of layouts, is the loop builder's model and the model
+    laid out afresh.  The carried state holds units on through the first
+    periods, so the windows leave different commitments free, and the last
+    window is cut at the profile's end."""
+    system, tree = bundled(700.0, periods=10)
+    system = long_minimum_times(system)
+    initial = (np.array([True, True, False, True, False, True, False, False]),
+               np.array([30, 1, 30, 2, 30, 5, 30, 30]))
+    options = UcOptions(frequency_constraints=secured, horizon=4,
+                        first_stage=3, largest_loss_mode=mode)
+    builds = rolling_builds(monkeypatch, system, tree, options, initial)
+    windows = [model for _, kwargs, model in builds
+               if kwargs["fixed_commitments"] is None]
+    assert [len(model.periods) for model in windows] == [4, 4, 4, 1]
+    free = {(model.lb[model.commit] != model.ub[model.commit]).tobytes()
+            for model in windows[:3]}
+    if mode == "optimised" or not secured:  # fixed mode pins every unit
+        assert len(free) > 1
+    # some layout serves more than one window
+    assert len({id(model.layout) for *_, model in builds}) < len(builds)
+    for args, kwargs, model in builds:
+        assert_same_model(model, build_uc_loop(*args, **kwargs))
+        fresh = build_uc(*args, **kwargs)
+        assert fresh.layout is not model.layout
+        assert_same_model(model, fresh)
+
+
+def test_row_families_run_once_per_layout(monkeypatch):
+    """Over a rolling run of same-shape windows, each freqsec row family
+    writes its template once per period of each distinct layout, not once
+    per window; a change that lays every window out again fails here."""
+    families = ("inertia_floor_row", "largest_loss_rows",
+                "inertia_expression", "rocof_row", "qss_row",
+                "linearize_inertia_pfr", "nadir_discretization_rows",
+                "hyperbolic_cut_rows")
+    calls = Counter()
+
+    def spy(name, family):
+        def called(*args, **kwargs):
+            calls[name] += 1
+            return family(*args, **kwargs)
+        return called
+
+    for name in families:
+        monkeypatch.setattr(frequc.freqsec, name,
+                            spy(name, getattr(frequc.freqsec, name)))
+    system, tree = bundled(3000.0)
+    options = UcOptions(horizon=2, first_stage=2, largest_loss_mode="fixed")
+    builds = rolling_builds(monkeypatch, system, tree, options)
+    layouts = {id(model.layout): len(model.periods)
+               for *_, model in builds}
+    # 12 windows and 12 re-dispatches, 2 periods each: one layout each
+    assert len(builds) == 24 and len(layouts) == 2
+    assert calls == {name: sum(layouts.values()) for name in families}

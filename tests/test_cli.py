@@ -146,6 +146,8 @@ def test_validate_catches_period_mismatch(tmp_path, capsys):
     # a scalar where a list belongs, not its characters or an iteration error
     (("[fixed, optimised]", "optimised"), "modes must be a list, got 'optimised'"),
     (("[100.0, 200.0]", "700"), "wind_capacities must be a list, got 700"),
+    # no cell at all: the study would print a header and exit 0
+    (("[fixed, optimised]", "[]"), "modes must list at least one mode"),
 ])
 def test_study_config_rejects_misread_values(tmp_path, capsys, edit, message):
     """Values the study would misread, or reject only once it runs, fail

@@ -20,6 +20,7 @@ from frequc.scheduler import (
     LOSS_MODES,
     SchedulerError,
     UcOptions,
+    WindowLayouts,
     build_uc,
     solve_uc,
     verify_solution,
@@ -245,30 +246,38 @@ def test_optimised_never_costs_more_than_fixed(window):
 @given(windows(), st.data())
 def test_array_builder_matches_the_loop_builder(window, data):
     """Same model from both builders, or the same error, in both modes,
-    secured or not, from a drawn commitment state."""
+    secured or not, from a drawn commitment state: the whole window, then
+    the one-period window at each period, all built through one set of
+    layouts, so the later windows reuse the layouts of the earlier ones
+    where their shapes agree."""
     system, tree = window
     drawn = [(data.draw(st.booleans()), data.draw(st.integers(0, 3)))
              for _ in system.generators]
     state = tuple(np.array(part) for part in zip(*drawn))
+    layouts = WindowLayouts(system)
+    n = tree.n_periods
     for mode in LOSS_MODES:
         for secured in (True, False):
-            options = UcOptions(frequency_constraints=secured,
-                                horizon=tree.n_periods,
-                                first_stage=tree.n_periods,
-                                largest_loss_mode=mode)
-            try:
-                want = build_uc_loop(system, tree, options, start_period=0,
-                                     initial_state=state)
-            except SchedulerError as exc:
+            for horizon, start in [(n, 0)] + [(1, t) for t in range(n)]:
+                options = UcOptions(frequency_constraints=secured,
+                                    horizon=horizon, first_stage=horizon,
+                                    largest_loss_mode=mode)
                 try:
-                    build_uc(system, tree, options, initial_state=state)
-                except SchedulerError as got:
-                    assert str(got) == str(exc)
-                else:
-                    raise AssertionError(f"array builder accepted: {exc}")
-                continue
-            assert_same_model(build_uc(system, tree, options,
-                                       initial_state=state), want)
+                    want = build_uc_loop(system, tree, options,
+                                         start_period=start,
+                                         initial_state=state)
+                except SchedulerError as exc:
+                    try:
+                        build_uc(system, tree, options, start_period=start,
+                                 initial_state=state, layouts=layouts)
+                    except SchedulerError as got:
+                        assert str(got) == str(exc)
+                    else:
+                        raise AssertionError(f"array builder accepted: {exc}")
+                    continue
+                assert_same_model(build_uc(
+                    system, tree, options, start_period=start,
+                    initial_state=state, layouts=layouts), want)
 
 
 @PROPERTY

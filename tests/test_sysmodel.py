@@ -99,6 +99,13 @@ def test_pmin_above_pmax_names_the_unit():
         GeneratorSpec(id="bad1", technology="thermal", p_max=100.0, p_min=200.0)
 
 
+def test_generator_id_with_a_nul_is_rejected():
+    """A YAML ``"\\0"`` escape puts a NUL in an id; the names and labels
+    of a laid-out window mark its period with NUL characters."""
+    with pytest.raises(SystemConfigError, match="id holds a NUL character"):
+        GeneratorSpec(id="g\x001", technology="thermal", p_max=100.0)
+
+
 def test_minimum_times_are_whole_numbers():
     unit = GeneratorSpec(id="g", technology="thermal", p_max=100.0,
                          min_up=3.0, min_down=2)
