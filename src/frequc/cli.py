@@ -270,8 +270,8 @@ def _parse_study_config(path, system):
 
     def count(name, default):
         value = section.get(name, default)
-        if isinstance(value, bool) or (isinstance(value, float)
-                                       and not value.is_integer()):
+        if not isinstance(value, int | float) or isinstance(value, bool) or (
+                isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"{name} must be a whole number, got {value!r}")
         return int(value)
 
@@ -282,7 +282,12 @@ def _parse_study_config(path, system):
         return value
 
     try:
-        caps = [float(v) for v in listed("wind_capacities", [])]
+        caps = listed("wind_capacities", [])
+        for cap in caps:
+            if not isinstance(cap, int | float) or isinstance(cap, bool):
+                raise ValueError(
+                    f"wind_capacities must hold numbers, got {cap!r}")
+        caps = [float(cap) for cap in caps]
         modes = listed("modes", ["fixed", "optimised"])
         periods = count("periods", default_span or 0)
         horizon = count("horizon", periods)

@@ -31,26 +31,20 @@ variables, for every branch of a period at once, once the commitments are
 fixed; it returns the period's columns as the arrays of a
 :class:`PeriodCells`.  Each row family returns its rows as a template
 over one cell's columns, a list of ``(kind, suffix, sense, slots, vals,
-rhs)``.  ``period_rows``, the one place that lays out a period's rows,
-joins the families' templates and has ``_rows``, the one writer of a
-:class:`RowBlock`, write them as one block: the inertia floor once, then
-the joined template for every branch.
+rhs)`` (see :func:`frequc.milp.model.template_rows`), and computes its
+numbers in place.  ``period_template`` joins the families' templates
+into a period's, the one description of its rows; ``period_rows``
+writes it as one block when a window shape is laid out, the inertia
+floor once, then the joined template for every branch, and each window
+takes its numbers, one branch's, from the same template (see
+:func:`frequc.scheduler.build_uc`).
 
-A window's structure is laid out once per shape and its numbers written
-once per window (see :func:`frequc.scheduler.build_uc`), so each row
-family gives its structure once per layout and its numbers once per
-window.  The numbers that change from window to window, the QSS
-right-hand side, the ``hr`` row's coefficient on ``R``, the nadir chords
-and the hyperbolic cuts, come from one helper per family
-(``_qss_numbers``, ``_hr_numbers``, ``_nadir_numbers``, ``_cut_numbers``),
-which the family's template also reads; ``period_numbers`` gives a
-period's, and ``number_positions`` finds where they go in the period's
-block.  ``must_run`` is the one screen
-of a period's commitments against its rows: it names the units the rows
-force on, and counts the fewest units besides the largest that any
-commitment the rows admit has on, which ``build_uc``'s ``cover`` row
-asks for.  It reads the RoCoF, QSS and nadir numbers the rows use
-(``rocof_slope`` and the period's constants).
+``must_run`` is the one screen of a period's commitments against its
+rows: it names the units the rows force on, and counts the fewest units
+besides the largest that any commitment the rows admit has on, which
+``build_uc``'s ``cover`` row asks for.  It reads the RoCoF, QSS and
+nadir numbers the rows use (``rocof_slope`` and the period's
+constants).
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ import numpy as np
 
 from .freqdyn import HORIZON
 from .milp.model import (SENSE_CODE, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel,
-                         RowBlock)
+                         RowBlock, template_rows)
 
 # Hyperbolic cuts per cell (a constant of the formulation, not an input).
 HYPERBOLIC_CUTS = 8
@@ -178,33 +172,6 @@ def register_decisions(model: MilpModel, fleet, freq,
                                 ids[:, 3:]], axis=1))
 
 
-def _rows(cells: PeriodCells, *parts) -> RowBlock:
-    """The rows of each ``(template, tags)`` of ``parts`` in turn, as one
-    block: ``template`` written for every branch of ``tags``, one branch
-    after the other.  A template row ``(kind, suffix, sense, slots, vals,
-    rhs)`` reads the columns ``cells.columns[s, slots]`` in branch ``s``
-    and is labelled ``kind + tags[s] + suffix``; short rows are padded
-    with zero coefficients."""
-    k = max(len(row[3]) for template, _ in parts for row in template)
-    cols, numbers, labels = [], [], []
-    for template, tags in parts:
-        kinds, suffixes, sense, slots, vals, rhs = zip(*template)
-        pads = [k - len(row) for row in slots]
-        slots = [row + [0] * pad for row, pad in zip(slots, pads)]
-        cols.append(cells.columns[:len(tags), np.array(slots, dtype=np.int64)]
-                    .reshape(-1, k))
-        # each row's coefficients, sense code and right-hand side, per branch
-        numbers.append(np.tile(np.array(
-            [[*v, *[0.0] * pad, c, r]
-             for v, pad, c, r in zip(vals, pads, sense, rhs)], dtype=float),
-            (len(tags), 1)))
-        labels += [f"{kind}{tag}{suffix}" for tag in tags
-                   for kind, suffix in zip(kinds, suffixes)]
-    numbers = np.concatenate(numbers)
-    return RowBlock(np.concatenate(cols), numbers[:, :k],
-                    numbers[:, k].astype(np.int8), numbers[:, k + 1], labels)
-
-
 def largest_loss_rows(fleet, eligible) -> list:
     """One bound per loss source: the sizable loss covers its output.
     ``eligible`` holds the sources' positions in ``fleet``."""
@@ -215,10 +182,10 @@ def largest_loss_rows(fleet, eligible) -> list:
 
 def inertia_expression(fleet, freq, constants: PeriodConstants) -> list:
     """Post-loss system inertia ``H(x)`` in MW*s^2 as a function of a
-    period's commitments, written as the one-row template (see ``_rows``)
-    of the inertia floor ``H(x) >= 0``: ``H(x)`` is the row's coefficients
-    on the synchronous units' commitments, in fleet order, less its
-    right-hand side, the lost inertia."""
+    period's commitments, written as the one-row template of the inertia
+    floor ``H(x) >= 0``: ``H(x)`` is the row's coefficients on the
+    synchronous units' commitments, in fleet order, less its right-hand
+    side, the lost inertia."""
     _, _, X, _ = _unit_slots(len(fleet))
     sync = [i for i, g in enumerate(fleet) if g.synchronous]
     return [("h_min", "", _GE, [X + i for i in sync],
@@ -290,12 +257,9 @@ def qss_row(constants: PeriodConstants) -> list:
     """Quasi-steady-state recovery: total response covers the loss minus
     the damping relief at the settled limit, or, without damping, the
     loss plus ``QSS_MARGIN``; no row where ``constants.qss`` is None."""
-    return [("qss", "", _GE, [_R, _LOSS], vals, rhs)
-            for vals, rhs in _qss_numbers(constants)]
-
-
-def _qss_numbers(constants: PeriodConstants) -> list:
-    return [] if constants.qss is None else [([1.0, -1.0], constants.qss)]
+    if constants.qss is None:
+        return []
+    return [("qss", "", _GE, [_R, _LOSS], [1.0, -1.0], constants.qss)]
 
 
 def nadir_beta(freq, demand: float) -> float:
@@ -327,13 +291,15 @@ def nadir_requirement(p_loss: float, freq, demand: float) -> float:
     return quad - nadir_beta(freq, demand) * p_loss
 
 
-def linearize_inertia_pfr(cells: PeriodCells, fleet, freq,
-                          constants: PeriodConstants, r_max: float) -> list:
+def linearize_inertia_pfr(fleet, freq, constants: PeriodConstants,
+                          r_max: float, *, free, fixed_on) -> list:
     """Rows that define R and bound the product variable by H(x) * R.
 
     ``R = sum r[g]`` over the units that can respond; ``z[g] <= R`` and
-    ``z[g] <= r_max * x[g]`` for each free commitment;
-    ``hr <= sum c_g z[g] + (sum_{fixed on} c_g - c_L) R``.
+    ``z[g] <= r_max * x[g]`` for each unit ``free`` marks (see
+    :class:`PeriodCells`);
+    ``hr <= sum c_g z[g] + (sum_{fixed on} c_g - c_L) R``, the units
+    committed by a fixed bound those ``fixed_on`` marks.
     For binary x and 0 <= R <= r_max the tightest bound the rows put on
     ``z[g]`` is ``x[g] * R``, and on ``hr`` it is ``H(x) * R``.  No row
     bounds them from below: both only ever need to be large.
@@ -344,29 +310,20 @@ def linearize_inertia_pfr(cells: PeriodCells, fleet, freq,
     respond = [PFR + i for i, g in enumerate(fleet) if g.pfr_max > 0.0]
     template = [("pfr_sum", "", _EQ, respond + [_R],
                  [-1.0] * len(respond) + [1.0], 0.0)]
-    free = np.flatnonzero(cells.free).tolist()
-    for j, i in enumerate(free):
+    units = [i for i, f in enumerate(free) if f]  # one auxiliary each
+    for j, i in enumerate(units):
         template += [("bigm_r", f"[{fleet[i].id}]", _LE, [Z + j, _R],
                       [1.0, -1.0], 0.0),
                      ("bigm_x", f"[{fleet[i].id}]", _LE, [Z + j, X + i],
                       [1.0, -r_max], 0.0)]
-    [(vals, rhs)] = _hr_numbers(freq, constants, cells.free, cells.fixed_on)
-    template.append(("hr", "", _LE, [_HR, *range(Z, Z + len(free)), _R],
-                     vals, rhs))
-    return template
-
-
-def _hr_numbers(freq, constants: PeriodConstants, free, fixed_on) -> list:
-    """The ``hr`` row's coefficients on ``hr``, the free units' ``z`` and
-    ``R``: the inertia of the units committed by a fixed bound, less the
-    lost inertia, is ``R``'s."""
-    coefficients = constants.inertia
-    committed = -lost_inertia(freq)
-    for c, on in zip(coefficients, fixed_on):
+    inertia = constants.inertia
+    committed = -lost_inertia(freq)  # R's coefficient
+    for c, on in zip(inertia, fixed_on):
         if on:
             committed += c
-    return [([1.0, *(-c for c, f in zip(coefficients, free) if f),
-              -committed], 0.0)]
+    template.append(("hr", "", _LE, [_HR, *range(Z, Z + len(units)), _R],
+                     [1.0, *(-inertia[i] for i in units), -committed], 0.0))
+    return template
 
 
 def _requirement_root(freq, demand: float) -> float:
@@ -410,17 +367,12 @@ def nadir_discretization_rows(constants: PeriodConstants) -> list:
     :func:`nadir_chords`.  With hr >= 0 the rows enforce
     H*R >= hr >= f(P) for every loss in [0, rating], exactly at the
     breakpoints."""
-    return [("nadir_cut", f"[{i}]", _GE, [_HR, _LOSS], vals, rhs)
-            for i, (vals, rhs) in enumerate(_nadir_numbers(constants), 1)]
+    return [("nadir_cut", f"[{i}]", _GE, [_HR, _LOSS], [1.0, -slope], icpt)
+            for i, (slope, icpt) in enumerate(constants.chords, 1)]
 
 
-def _nadir_numbers(constants: PeriodConstants) -> list:
-    return [([1.0, -slope], icpt) for slope, icpt in constants.chords]
-
-
-def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
-                        constants: PeriodConstants, r_max: float,
-                        loss_floor: float) -> list:
+def hyperbolic_cut_rows(freq, inertia, constants: PeriodConstants,
+                        r_max: float, loss_floor: float, *, free) -> list:
     """Cuts ``mu * H(x) + R / mu - 2 s P >= 2 c`` for ``HYPERBOLIC_CUTS``
     values of mu, valid for every loss ``P >= loss_floor``.
 
@@ -432,28 +384,15 @@ def hyperbolic_cut_rows(cells: PeriodCells, freq, inertia,
     The cuts therefore remove no point with binary commitments.  A cut is
     tight where ``mu = sqrt(R / H)``; the values run geometrically from
     ``q / H_max`` to ``r_max / q``, with ``q = sqrt(f(p_a))``, or
-    ``sqrt(f(rating))`` when ``p_a`` is the root.  Cells without a free
-    commitment, or where f <= 0 up to the rating, get none.
+    ``sqrt(f(rating))`` when ``p_a`` is the root.  Cells where ``free``
+    marks no unit, or where f <= 0 up to the rating, get none.
     """
-    if not cells.free.any():
-        return []
-    [(_, _, _, slots, coefs, lost)] = inertia
-    return [("hyp_cut", f"[{k}]", _GE, slots + [_R, _LOSS], vals, rhs)
-            for k, (vals, rhs) in enumerate(_cut_numbers(
-                freq, coefs, lost, constants, r_max, loss_floor))]
-
-
-def _cut_numbers(freq, coefs, lost: float, constants: PeriodConstants,
-                 r_max: float, loss_floor: float) -> list:
-    """Each hyperbolic cut's coefficients on the synchronous units'
-    commitments (``coefs`` is H(x)'s, ``lost`` its right-hand side), ``R``
-    and the loss, and its right-hand side; none where f <= 0 up to the
-    rating."""
     rating, demand = freq.largest_unit_rating, constants.demand
     f_b = nadir_requirement(rating, freq, demand)
     h_max = constants.h_max
-    if f_b <= 0.0 or h_max <= 0.0:
+    if not any(free) or f_b <= 0.0 or h_max <= 0.0:
         return []
+    [(_, _, _, slots, coefs, lost)] = inertia
     p_a = min(max(loss_floor, _requirement_root(freq, demand)), rating)
     q_a = math.sqrt(max(nadir_requirement(p_a, freq, demand), 0.0))
     q_b = math.sqrt(f_b)
@@ -461,12 +400,13 @@ def _cut_numbers(freq, coefs, lost: float, constants: PeriodConstants,
     icpt = q_b - slope * rating
     q = q_a if q_a > 0.0 else q_b
     lo, hi = q / h_max, r_max / q
-    numbers = []
+    template = []
     for k in range(HYPERBOLIC_CUTS):
         mu = lo * (hi / lo) ** (k / (HYPERBOLIC_CUTS - 1))
-        numbers.append(([mu * c for c in coefs] + [1.0 / mu, -2.0 * slope],
-                        2.0 * icpt - mu * -lost))
-    return numbers
+        template.append(("hyp_cut", f"[{k}]", _GE, slots + [_R, _LOSS],
+                         [mu * c for c in coefs] + [1.0 / mu, -2.0 * slope],
+                         2.0 * icpt - mu * -lost))
+    return template
 
 
 def must_run(fleet, freq, constants: PeriodConstants, loss_floor: float,
@@ -527,18 +467,19 @@ def must_run(fleet, freq, constants: PeriodConstants, loss_floor: float,
     return pins, int(enough[0]) if len(enough) else int(others.sum())
 
 
-def period_rows(cells: PeriodCells, fleet, freq, constants: PeriodConstants,
-                r_max: float, *, largest, loss_floor: float) -> RowBlock:
-    """Every frequency row of one period ``t`` as one row block: the
-    inertia floor, tagged ``[t]``, then each branch ``s``'s rows in turn,
-    tagged ``[t][s]``: its loss bounds, RoCoF and QSS rows, product rows,
-    nadir envelope and hyperbolic cuts.
+def period_template(fleet, freq, constants: PeriodConstants, r_max: float,
+                    *, free, fixed_on, largest, loss_floor: float):
+    """Every frequency row of one period as templates over one cell's
+    slots (see :class:`PeriodCells`), ``(floor, body)``: the inertia
+    floor, and one branch's loss bounds, RoCoF and QSS rows, product rows,
+    nadir envelope and hyperbolic cuts.  ``free`` and ``fixed_on`` mark
+    the synchronous units whose commitment is free and those committed by
+    a fixed bound.
 
     ``largest`` is the largest unit; it must be committed, with an output
     the caller's rows keep at or above ``loss_floor``.  Smaller units then
     cannot set the loss, and the hyperbolic cuts hold at every loss.
     """
-    tag = f"[{cells.period}]"
     inertia = inertia_expression(fleet, freq, constants)
     # a unit rated at most the floor never out-produces the largest unit
     sources = [i for i, g in enumerate(fleet)
@@ -546,54 +487,22 @@ def period_rows(cells: PeriodCells, fleet, freq, constants: PeriodConstants,
     body = (largest_loss_rows(fleet, sources)
             + rocof_row(freq, inertia)
             + qss_row(constants)
-            + linearize_inertia_pfr(cells, fleet, freq, constants, r_max)
+            + linearize_inertia_pfr(fleet, freq, constants, r_max,
+                                    free=free, fixed_on=fixed_on)
             + nadir_discretization_rows(constants)
-            + hyperbolic_cut_rows(cells, freq, inertia, constants, r_max,
-                                  loss_floor))
-    return _rows(cells, (inertia_floor_row(inertia), [tag]),
-                 (body, [f"{tag}[{s}]" for s in range(len(cells.loss))]))
+            + hyperbolic_cut_rows(freq, inertia, constants, r_max,
+                                  loss_floor, free=free))
+    return inertia_floor_row(inertia), body
 
 
-def period_numbers(fleet, freq, constants: PeriodConstants, r_max: float, *,
-                   free, fixed_on, loss_floor: float) -> list:
-    """The numbers of a period's rows that change from window to window:
-    per row kind, in the order :func:`period_rows` writes them, ``(kind,
-    [(vals, rhs), ...])``, each row's coefficients in its template's slot
-    order and the same in every branch.  ``free`` and ``fixed_on`` mark
-    the synchronous units whose commitment is free and those committed by
-    a fixed bound (see :class:`PeriodCells`).  The row families make their
-    templates from the same numbers; :func:`number_positions` finds where
-    these go in the period's block."""
-    cuts = (_cut_numbers(freq, [c for c, g in zip(constants.inertia, fleet)
-                                if g.synchronous],
-                         lost_inertia(freq), constants, r_max, loss_floor)
-            if any(free) else [])
-    return [("qss", _qss_numbers(constants)),
-            ("hr", _hr_numbers(freq, constants, free, fixed_on)),
-            ("nadir_cut", _nadir_numbers(constants)),
-            ("hyp_cut", cuts)]
-
-
-def number_positions(block: RowBlock, numbers) -> tuple:
-    """Where :func:`period_numbers`' ``numbers`` go in ``block``, the
-    period's rows from :func:`period_rows`: ``(vals_at, vals_from, rhs_at,
-    rhs_from)``, positions in ``block.vals.ravel()`` and ``block.rhs``,
-    and for each the position of its number among the numbers' flattened
-    coefficients (row by row) or right-hand sides."""
-    kinds = np.array([label.partition("[")[0] for label in block.labels])
-    k = block.cols.shape[1]
-    vals_at, vals_from, rhs_at, rhs_from = [], [], [], []
-    v = r = 0
-    for kind, rows in numbers:
-        if not rows:
-            continue
-        n, width = len(rows), len(rows[0][0])
-        at = np.flatnonzero(kinds == kind)  # n rows a branch, in turn
-        row = np.arange(len(at)) % n
-        vals_at.append((at[:, None] * k + np.arange(width)).ravel())
-        vals_from.append((v + row[:, None] * width + np.arange(width)).ravel())
-        rhs_at.append(at)
-        rhs_from.append(r + row)
-        v, r = v + n * width, r + n
-    return tuple(np.concatenate(part) if part else np.empty(0, np.int64)
-                 for part in (vals_at, vals_from, rhs_at, rhs_from))
+def period_rows(cells: PeriodCells, fleet, freq, constants: PeriodConstants,
+                r_max: float, *, largest, loss_floor: float) -> RowBlock:
+    """Every frequency row of one period ``t`` as one row block, written
+    from :func:`period_template`: the inertia floor, tagged ``[t]``, then
+    each branch ``s``'s rows in turn, tagged ``[t][s]``."""
+    tag = f"[{cells.period}]"
+    floor, body = period_template(
+        fleet, freq, constants, r_max, free=cells.free,
+        fixed_on=cells.fixed_on, largest=largest, loss_floor=loss_floor)
+    branches = [f"{tag}[{s}]" for s in range(len(cells.loss))]
+    return template_rows(cells.columns, (floor, [tag]), (body, branches))

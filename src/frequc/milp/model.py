@@ -16,6 +16,10 @@ period written as :func:`period_tag`), checked and compiled once.  A
 names, labels and row blocks only when they are read, and its
 :meth:`~LaidOutModel.compile` checks only that its numbers are finite and
 its bounds not empty.
+
+:func:`template_rows` writes a row template, one cell's rows over slots,
+for every cell of a ``(cells, slots)`` column array as one
+:class:`RowBlock`.
 """
 
 from __future__ import annotations
@@ -116,6 +120,34 @@ class RowBlock:
 
     def __len__(self) -> int:
         return len(self.rhs)
+
+
+def template_rows(columns, *parts) -> RowBlock:
+    """The rows of each ``(template, tags)`` of ``parts`` in turn, as one
+    block: ``template`` written for every tag of ``tags``, one tag after
+    the other.  ``columns`` is a ``(tags, slots)`` array of column ids.  A
+    template row ``(kind, suffix, sense, slots, vals, rhs)``, ``sense`` a
+    code, reads the columns ``columns[b, slots]`` for tag ``b`` and is
+    labelled ``kind + tags[b] + suffix``; short rows are padded with zero
+    coefficients."""
+    k = max(len(row[3]) for template, _ in parts for row in template)
+    cols, numbers, labels = [], [], []
+    for template, tags in parts:
+        kinds, suffixes, sense, slots, vals, rhs = zip(*template)
+        pads = [k - len(row) for row in slots]
+        slots = [row + [0] * pad for row, pad in zip(slots, pads)]
+        cols.append(columns[:len(tags), np.array(slots, dtype=np.int64)]
+                    .reshape(-1, k))
+        # each row's coefficients, sense code and right-hand side, per tag
+        numbers.append(np.tile(np.array(
+            [[*v, *[0.0] * pad, c, r]
+             for v, pad, c, r in zip(vals, pads, sense, rhs)], dtype=float),
+            (len(tags), 1)))
+        labels += [f"{kind}{tag}{suffix}" for tag in tags
+                   for kind, suffix in zip(kinds, suffixes)]
+    numbers = np.concatenate(numbers)
+    return RowBlock(np.concatenate(cols), numbers[:, :k],
+                    numbers[:, k].astype(np.int8), numbers[:, k + 1], labels)
 
 
 class MilpModel:

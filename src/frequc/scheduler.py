@@ -28,13 +28,15 @@ A window is its numbers written into a layout.  The layout, a
 :class:`frequc.milp.model.ModelLayout` with the column ids a window
 carries and the places its numbers go, depends only on the window's
 shape: the options, the periods and branches, which synchronous
-commitments the pins leave free, which cover, QSS, chord and cut rows
-exist and the zero pattern of the frequency coefficients that change
-with the window.  The numbers are the column bounds, right-hand sides,
-objective and those coefficients (:func:`frequc.freqsec.period_numbers`),
-written with array operations.  A :class:`WindowLayouts`, one per rolling
-run, keeps the layouts its windows and re-dispatches met and the period
-constants they share; a ``build_uc`` call without one lays out afresh.
+commitments the pins leave free, which cover rows exist, and the kinds
+and zero pattern of each period's frequency rows.  The numbers are the
+column bounds, right-hand sides, objective and the frequency rows'
+numbers, which each window takes, one branch's, from every period's
+:func:`frequc.freqsec.period_template`, the template the layout wrote
+its rows from; they are written with array operations.  A
+:class:`WindowLayouts`, one per rolling run, keeps the layouts its
+windows and re-dispatches met and the period constants they share; a
+``build_uc`` call without one lays out afresh.
 
 ``solve_uc`` builds, solves and unpacks one window into a
 :class:`UcSolution`, arrays with the period axis first and the units in
@@ -67,11 +69,13 @@ import numpy as np
 from . import freqsec
 from .freqdyn import certify_operating_point
 from .milp import MilpModel, solve
-from .milp.model import (SENSE_EQ, SENSE_GE, SENSE_LE, LaidOutModel,
-                         ModelLayout, period_tag)
+from .milp.model import (SENSE_CODE, SENSE_EQ, SENSE_GE, SENSE_LE,
+                         LaidOutModel, ModelLayout, period_tag, template_rows)
 from .sysmodel import ScenarioTree, largest_unit
 
 LOSS_MODES = ("fixed", "optimised")
+
+_LE, _GE, _EQ = (SENSE_CODE[s] for s in (SENSE_LE, SENSE_GE, SENSE_EQ))
 
 
 class SchedulerError(ValueError):
@@ -288,9 +292,11 @@ class _Window:
     """One window's numbers, and ``key``, everything that sets its
     structure: the options, the shape ``(T, S)``, which synchronous
     commitments are still free after the pins, which periods have a cover
-    row, and the shape and zero pattern of the frequency rows' numbers
-    that change from window to window (``freq``, per period, flattened
-    into ``freq_vals`` and ``freq_rhs``)."""
+    row, and the kinds and zero pattern of the frequency rows.  Those
+    rows are each period's :func:`frequc.freqsec.period_template`
+    (``templates``), whose coefficients and right-hand sides, one
+    branch's, are flattened in template order into ``freq_vals`` and
+    ``freq_rhs``."""
 
     start: int
     options: UcOptions
@@ -303,7 +309,7 @@ class _Window:
     hi: np.ndarray
     needs: np.ndarray
     constants: list
-    freq: list
+    templates: list
     freq_vals: np.ndarray
     freq_rhs: np.ndarray
     key: tuple
@@ -344,7 +350,7 @@ def _window(layouts: WindowLayouts, tree, options: UcOptions,
     on, lo, hi = _commitment_bounds(
         fleet, big_i, default_initial_state(system) if initial_state is None
         else initial_state, fixed_commitments, start_period, T)
-    constants, secure, numbers, free = [], [0] * T, [], None
+    constants, secure, templates, free = [], [0] * T, [], None
     if options.frequency_constraints:
         constants = [layouts.constants(start_period + t) for t in range(T)]
         for t in np.flatnonzero((lo != hi).any(axis=0)).tolist():
@@ -356,11 +362,12 @@ def _window(layouts: WindowLayouts, tree, options: UcOptions,
         sync = np.array([[g.synchronous] for g in fleet])
         free = sync & (lo != hi)
         fixed_on = (sync & (lo == 1.0) & (hi == 1.0)).T.tolist()
-        numbers = [freqsec.period_numbers(
-                       fleet, freq, shared, r_max, free=period_free,
-                       fixed_on=period_on, loss_floor=floor_big)
-                   for shared, period_free, period_on in zip(
-                       constants, free.T.tolist(), fixed_on)]
+        templates = [freqsec.period_template(
+                         fleet, freq, shared, r_max, free=period_free,
+                         fixed_on=period_on, largest=big,
+                         loss_floor=floor_big)
+                     for shared, period_free, period_on in zip(
+                         constants, free.T.tolist(), fixed_on)]
 
     # cover: every branch's thermal output reaches its net demand, the
     # largest unit gives at most its rating and every other unit at most
@@ -371,18 +378,15 @@ def _window(layouts: WindowLayouts, tree, options: UcOptions,
                       for most, count in zip(net.max(axis=1).tolist(),
                                              secure)])
 
-    vals, rhs, shapes = [], [], []
-    for period in numbers:
-        for kind, rows in period:
-            shapes.append((len(rows), len(rows[0][0])) if rows else None)
-            for row_vals, row_rhs in rows:
-                vals += row_vals
-                rhs.append(row_rhs)
-    vals, rhs = np.array(vals, dtype=float), np.array(rhs, dtype=float)
+    # the frequency rows' numbers, one branch's, in template order
+    rows = [row for floor, body in templates for row in floor + body]
+    vals = np.array([v for row in rows for v in row[4]], dtype=float)
+    rhs = np.array([row[5] for row in rows], dtype=float)
     key = (options, T, S, None if free is None else free.tobytes(),
-           (needs > 0).tobytes(), tuple(shapes), (vals != 0.0).tobytes())
+           (needs > 0).tobytes(), tuple(row[0] for row in rows),
+           (vals != 0.0).tobytes())
     return _Window(start_period, options, demand, net, tree.probabilities,
-                   floor_big, on, lo, hi, needs, constants, numbers, vals,
+                   floor_big, on, lo, hi, needs, constants, templates, vals,
                    rhs, key)
 
 
@@ -452,31 +456,22 @@ class _WindowLayout:
             [p.transpose(1, 2, 0), r.transpose(1, 2, 0), wind[..., None],
              np.repeat(x.T[:, None, :], S, axis=1)], axis=2)
         P, R, W, X = 0, G, 2 * G, 2 * G + 1  # offsets in a cell's columns
-        template = [("balance", None, SENSE_EQ,
-                     [P + i for i in range(G)] + [W], [1.0] * (G + 1))]
+        template = [("balance", "", _EQ, [P + i for i in range(G)] + [W],
+                     [1.0] * (G + 1), 0.0)]
         for i, g in enumerate(fleet):
             if g.p_min > 0.0:
-                template.append(("pmin", g.id, SENSE_GE, [P + i, X + i],
-                                 [1.0, -g.p_min]))
-            template.append(("headroom", g.id, SENSE_LE,
-                             [P + i, R + i, X + i], [1.0, 1.0, -g.p_max]))
+                template.append((f"pmin[{g.id}]", "", _GE, [P + i, X + i],
+                                 [1.0, -g.p_min], 0.0))
+            template.append((f"headroom[{g.id}]", "", _LE,
+                             [P + i, R + i, X + i], [1.0, 1.0, -g.p_max], 0.0))
             if g.pfr_max > 0.0:
-                template.append(("pfr_cap", g.id, SENSE_LE, [R + i, X + i],
-                                 [1.0, -g.pfr_max]))
-        k = G + 1
-        n_tpl = len(template)
-        tpl_cols = np.array([c + [c[0]] * (k - len(c))
-                             for *_, c, _ in template])
-        tpl_vals = np.array([v + [0.0] * (k - len(v)) for *_, v in template])
-        cell_tags = [f"[{tag}][{s}]" for tag in tags for s in range(S)]
-        heads = [kind if gid is None else f"{kind}[{gid}]"
-                 for kind, gid, *_ in template]
-        rows = model.add_rows(
-            cell_cols[:, :, tpl_cols].reshape(-1, k),
-            np.tile(tpl_vals, (T * S, 1)),
-            np.tile([row[2] for row in template], T * S), 0.0,
-            [head + tag for tag in cell_tags for head in heads])
-        self.balance = np.arange(rows.start, rows.stop, n_tpl).reshape(T, S)
+                template.append((f"pfr_cap[{g.id}]", "", _LE, [R + i, X + i],
+                                 [1.0, -g.pfr_max], 0.0))
+        rows = model.add_block(template_rows(
+            cell_cols.reshape(T * S, -1),
+            (template, [f"[{tag}][{s}]" for tag in tags for s in range(S)])))
+        self.balance = np.arange(rows.start, rows.stop,
+                                 len(template)).reshape(T, S)
 
         # cover: at least k_t units besides the largest on, in each period
         # whose count is not 0; each window writes k_t
@@ -532,22 +527,29 @@ class _WindowLayout:
             G, 3, T)[:, 0, 0]
 
         # frequency-security rows: per period the inertia floor, then each
-        # branch's cell rows; each window writes the numbers that
-        # freqsec.period_numbers gives, wherever number_positions finds them
+        # branch's cell rows; each window writes its templates' numbers,
+        # one branch's, into every branch's rows.  Row i of the template
+        # fills the first lengths[i] of a block row's k places.
         positions, v0, r0 = [(np.empty(0, np.int64),) * 4], 0, 0
-        for period_cells, shared, numbers in zip(cells, window.constants,
-                                                 window.freq):
+        for period_cells, shared, (floor, body) in zip(
+                cells, window.constants, window.templates):
             block = freqsec.period_rows(
                 period_cells, fleet, freq, shared, r_max, largest=big,
                 loss_floor=window.floor_big)
             at = sum(b.vals.size for b in model.blocks)
             rows = model.add_block(block)
-            vals_at, vals_from, rhs_at, rhs_from = freqsec.number_positions(
-                block, numbers)
-            positions.append((at + vals_at, v0 + vals_from,
-                              rows.start + rhs_at, r0 + rhs_from))
-            v0 += sum(len(vals) for _, part in numbers for vals, _ in part)
-            r0 += sum(len(part) for _, part in numbers)
+            lengths = np.array([len(row[3]) for row in floor + body])
+            held = np.arange(block.cols.shape[1]) < lengths[:, None]
+            number = np.zeros(held.shape, np.int64)
+            number[held] = np.arange(v0, v0 + held.sum())
+            # the template row of each block row: the floor's once, then
+            # the body's for every branch
+            order = np.concatenate([np.arange(len(floor)), np.tile(
+                np.arange(len(floor), len(lengths)), S)])
+            positions.append((at + np.flatnonzero(held[order]),
+                              number[order][held[order]],
+                              np.arange(rows.start, rows.stop), r0 + order))
+            v0, r0 = v0 + held.sum(), r0 + len(lengths)
         self.vals_at, self.vals_from, self.rhs_at, self.rhs_from = map(
             np.concatenate, zip(*positions))
 
@@ -610,18 +612,23 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     A window is its numbers written into a layout.  The layout depends
     only on the window's shape: the fleet and frequency settings, the
     options, ``T`` and the branch count, which synchronous commitments are
-    still free after the pins, which rows exist (cover rows, QSS rows,
-    nadir chords, hyperbolic cuts) and the zero pattern of the frequency
-    coefficients that change from window to window.  It holds the column
-    and row index arrays, senses, integrality, name and label templates
-    and the compiled CSR pattern.  The numbers are the column bounds,
-    right-hand sides, objective and those frequency coefficients, written
-    with array operations.  ``layouts``, one per rolling run, keeps the
-    layouts met so far; without it the window is laid out afresh.
+    still free after the pins, which cover rows exist, and the kinds and
+    zero pattern of each period's frequency rows (which QSS rows, nadir
+    chords and hyperbolic cuts exist).  It holds the column and row index
+    arrays, senses, integrality, name and label templates, the compiled
+    CSR pattern, and where each frequency number goes in every branch's
+    rows.  The numbers are the column bounds, right-hand sides, objective
+    and the frequency rows' coefficients and right-hand sides, which each
+    window reads, one branch's, from every period's
+    :func:`frequc.freqsec.period_template`; they are written with array
+    operations.  ``layouts``, one per rolling run, keeps the layouts met
+    so far; without it the window is laid out afresh.
 
     Each row family repeats one pattern per cell or per unit, so it is
-    added as one block of arrays; :func:`frequc.freqsec.period_rows` gives
-    each period's frequency rows, every branch's, as one block.  With
+    added as one block of arrays, written from a template by
+    :func:`frequc.milp.model.template_rows`;
+    :func:`frequc.freqsec.period_rows` gives each period's frequency rows,
+    every branch's, as one block.  With
     frequency constraints, a commitment left free by the other pins that
     :func:`frequc.freqsec.must_run` finds forced on is pinned on: no
     schedule the rows admit has it off, and its cells need no product

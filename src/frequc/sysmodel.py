@@ -11,6 +11,7 @@ scheduling window reads its rows by profile period.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -26,15 +27,30 @@ class SystemConfigError(ValueError):
     """Input file is malformed or violates a model invariant."""
 
 
-def _require_finite(where: str, spec) -> None:
-    """Reject NaN and infinite values in the numeric fields of ``spec``."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
-        for i, v in items:
-            if isinstance(v, float) and not math.isfinite(v):
-                name = f.name if i is None else f"{f.name}[{i}]"
-                raise SystemConfigError(f"{where}: {name} must be finite, got {v}")
+def _require_number(where: str, name: str, value) -> None:
+    """Reject a value that is not a finite real number: a boolean, a
+    string, NaN or an infinity.  Python's and numpy's ints and floats
+    pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SystemConfigError(
+            f"{where}: {name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise SystemConfigError(f"{where}: {name} must be finite, got {value}")
+
+
+def _require_numbers(where: str, spec, names, listed=()) -> None:
+    """:func:`_require_number` for each field of ``spec`` that ``names``
+    lists, and for each item of each field that ``listed`` names, which
+    must hold a list of numbers."""
+    for name in names:
+        _require_number(where, name, getattr(spec, name))
+    for name in listed:
+        values = getattr(spec, name)
+        if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+            raise SystemConfigError(
+                f"{where}: {name} must be a list of numbers, got {values!r}")
+        for i, value in enumerate(values):
+            _require_number(where, f"{name}[{i}]", value)
 
 
 @dataclass(frozen=True)
@@ -65,7 +81,11 @@ class GeneratorSpec:
         if "\x00" in str(gid):
             raise SystemConfigError(
                 f"generator {gid!r}: id holds a NUL character")
-        _require_finite(f"generator {gid}", self)
+        _require_numbers(f"generator {gid}", self, _GEN_NUMBERS)
+        if not isinstance(self.deloadable, (bool, np.bool_)):
+            raise SystemConfigError(
+                f"generator {gid}: deloadable must be true or false, got "
+                f"{self.deloadable!r}")
         if self.technology not in TECHNOLOGIES:
             raise SystemConfigError(
                 f"generator {gid}: unknown technology {self.technology!r}"
@@ -113,6 +133,13 @@ class GeneratorSpec:
         return self.inertia_const > 0.0
 
 
+# the fields of a GeneratorSpec that hold a number of any value; min_up and
+# min_down hold whole numbers, checked on their own
+_GEN_NUMBERS = ("p_max", "p_min", "inertia_const", "marginal_cost",
+                "no_load_cost", "startup_cost", "pfr_max", "emissions_rate",
+                "max_deload_fraction")
+
+
 @dataclass(frozen=True)
 class FrequencyParams:
     """Frequency-security limits plus fleet-derived largest-unit data.
@@ -132,9 +159,11 @@ class FrequencyParams:
     largest_unit_inertia: float       # s
 
     def __post_init__(self):
+        _require_numbers("frequency", self,
+                         [f.name for f in fields(self)
+                          if f.name != "nadir_segments"], ["nadir_segments"])
         segs = tuple(float(v) for v in self.nadir_segments)
         object.__setattr__(self, "nadir_segments", segs)
-        _require_finite("frequency", self)
         for name in ("f0", "df_max", "df_ss_max", "rocof_max", "t_d",
                      "largest_unit_rating", "largest_unit_inertia"):
             if getattr(self, name) <= 0.0:
@@ -185,12 +214,15 @@ class SystemSpec:
     frequency: FrequencyParams
 
     def __post_init__(self):
+        _require_numbers("system", self, ("wind_capacity", "period_hours"),
+                         ["demand_profile"])
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(
             self, "demand_profile",
             tuple(float(v) for v in self.demand_profile),
         )
-        _require_finite("system", self)
+        for name in ("wind_capacity", "period_hours"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not self.generators:
             raise SystemConfigError("system: at least one generator required")
         seen = set()
@@ -383,7 +415,7 @@ def system_from_dict(doc: dict) -> SystemSpec:
         segments = default_segment_grid(big.p_max, big.max_deload_fraction)
     try:
         freq = FrequencyParams(
-            nadir_segments=tuple(segments),
+            nadir_segments=segments,
             largest_unit_rating=big.p_max,
             largest_unit_inertia=big.inertia_const,
             **freq_sec,
@@ -400,9 +432,9 @@ def system_from_dict(doc: dict) -> SystemSpec:
 
     return SystemSpec(
         generators=tuple(gens),
-        demand_profile=tuple(dem_sec["profile"]),
-        wind_capacity=float(scen_sec["wind_capacity"]),
-        period_hours=float(dem_sec.get("period_hours", 1.0)),
+        demand_profile=dem_sec["profile"],
+        wind_capacity=scen_sec["wind_capacity"],
+        period_hours=dem_sec.get("period_hours", 1.0),
         frequency=freq,
     )
 

@@ -17,14 +17,19 @@ from frequc.milp import solve
 from frequc.scheduler import (
     LOSS_MODES,
     UcOptions,
+    WindowLayouts,
     build_uc,
     extract_solution,
     realized_series,
     solve_rolling_horizon,
 )
 from frequc.sysmodel import (
+    FrequencyParams,
+    GeneratorSpec,
     ScenarioTree,
+    SystemSpec,
     build_scenario_tree,
+    default_segment_grid,
     load_scenario_table,
     load_system,
 )
@@ -221,23 +226,25 @@ def test_rolling_runs_match_the_loop_builder(monkeypatch, mode, secured):
         assert_same_model(model, fresh)
 
 
-def test_row_families_run_once_per_layout(monkeypatch):
-    """Over a rolling run of same-shape windows, each freqsec row family
-    writes its template once per period of each distinct layout, not once
-    per window; a change that lays every window out again fails here."""
+def test_period_rows_run_once_per_layout(monkeypatch):
+    """Over a rolling run of same-shape windows, each period's rows are
+    written as a block once per period of each distinct layout, not once
+    per window, while every window takes its numbers from the period's
+    template: a change that lays every window out again, or that writes a
+    window's numbers from anywhere but the template, fails here."""
     families = ("inertia_floor_row", "largest_loss_rows",
                 "inertia_expression", "rocof_row", "qss_row",
                 "linearize_inertia_pfr", "nadir_discretization_rows",
                 "hyperbolic_cut_rows")
     calls = Counter()
 
-    def spy(name, family):
+    def spy(name, function):
         def called(*args, **kwargs):
             calls[name] += 1
-            return family(*args, **kwargs)
+            return function(*args, **kwargs)
         return called
 
-    for name in families:
+    for name in families + ("period_template", "period_rows"):
         monkeypatch.setattr(frequc.freqsec, name,
                             spy(name, getattr(frequc.freqsec, name)))
     system, tree = bundled(3000.0)
@@ -247,4 +254,46 @@ def test_row_families_run_once_per_layout(monkeypatch):
                for *_, model in builds}
     # 12 windows and 12 re-dispatches, 2 periods each: one layout each
     assert len(builds) == 24 and len(layouts) == 2
-    assert calls == {name: sum(layouts.values()) for name in families}
+    laid_out = sum(layouts.values())
+    # one template per period of every build, and one per block written
+    templates = 2 * len(builds) + laid_out
+    assert (laid_out, templates) == (4, 52)
+    assert calls == {"period_rows": laid_out, **dict.fromkeys(
+        families + ("period_template",), templates)}
+
+
+def test_a_period_with_other_chords_gets_its_own_layout():
+    """Two one-period windows whose periods differ only in their demand,
+    and so in their nadir chord count (at 130 MW the requirement's
+    positive root lies below the grid and adds a chord: 10 against 9),
+    get a layout each, in both modes, and each is the loop builder's
+    model."""
+    grid = default_segment_grid(100.0, 0.4)
+    fleet = (
+        GeneratorSpec("big", "thermal", 100.0, inertia_const=5.0,
+                      marginal_cost=10.0, deloadable=True,
+                      max_deload_fraction=0.4),
+        GeneratorSpec("mid", "thermal", 90.0, inertia_const=4.0,
+                      marginal_cost=20.0, pfr_max=40.0),
+        GeneratorSpec("small", "thermal", 70.0, inertia_const=3.0,
+                      marginal_cost=30.0, pfr_max=30.0))
+    freq = FrequencyParams(
+        f0=50.0, df_max=0.8, df_ss_max=0.5, rocof_max=0.5, t_d=10.0,
+        damping=1.2 * grid[0] / (230.0 * 0.8), nadir_segments=grid,
+        largest_unit_rating=100.0, largest_unit_inertia=5.0)
+    system = SystemSpec(generators=fleet, demand_profile=(130.0, 230.0),
+                        wind_capacity=50.0, period_hours=1.0,
+                        frequency=freq)
+    tree = ScenarioTree(net=[[110.0, 125.0], [200.0, 220.0]],
+                        probabilities=(0.5, 0.5), quantile_levels=(0.25, 0.75))
+    for mode in LOSS_MODES:
+        options = UcOptions(horizon=1, first_stage=1, largest_loss_mode=mode)
+        layouts = WindowLayouts(system)
+        assert [len(layouts.constants(t).chords) for t in (0, 1)] == [10, 9]
+        models = []
+        for start in (0, 1):
+            models.append(build_uc(system, tree, options, start_period=start,
+                                   layouts=layouts))
+            assert_same_model(models[-1], build_uc_loop(
+                system, tree, options, start_period=start))
+        assert models[0].layout is not models[1].layout

@@ -211,6 +211,48 @@ def test_input_errors_name_their_file_once(tmp_path, capsys, case):
         assert err.count(path) == 1 and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target, edit, message", [
+    ("system", ("damping: 0.3", "damping: true"),
+     "frequency: damping must be a number, got True"),
+    ("system", ("pfr_max: 300.0", "pfr_max: true"),
+     "generator resp: pfr_max must be a number, got True"),
+    ("system", ("deloadable: true", 'deloadable: "no"'),
+     "generator big: deloadable must be true or false, got 'no'"),
+    ("system", ("emissions_rate: 0.8", 'emissions_rate: "0.95"'),
+     "generator big: emissions_rate must be a number, got '0.95'"),
+    ("system", ("[600.0, 630.0, 560.0]", '[600.0, "630", 560.0]'),
+     "system: demand_profile[1] must be a number, got '630'"),
+    ("system", ("damping: 0.3",
+                'damping: 0.3\n  nadir_segments: [240.0, "400"]'),
+     "frequency: nadir_segments[1] must be a number, got '400'"),
+    ("system", ("wind_capacity: 100.0", 'wind_capacity: "100"'),
+     "system: wind_capacity must be a number, got '100'"),
+    ("system", ("period_hours: 1.0", 'period_hours: "1"'),
+     "system: period_hours must be a number, got '1'"),
+    ("config", ("[100.0, 200.0]", '[true, "2000"]'),
+     "wind_capacities must hold numbers, got True"),
+    ("config", ("[100.0, 200.0]", '[100.0, "2000"]'),
+     "wind_capacities must hold numbers, got '2000'"),
+])
+def test_values_of_the_wrong_type_exit_invalid(tmp_path, capsys, target,
+                                               edit, message):
+    """A boolean or a quoted string where a number belongs, or a string
+    where a boolean belongs, fails validation and the study, naming the
+    field, rather than being read as a number or a truthy value."""
+    system, scenarios = write_inputs(tmp_path)
+    config = tmp_path / "study.yaml"
+    config.write_text(STUDY)
+    path = Path({"system": system, "config": config}[target])
+    assert edit[0] in path.read_text()
+    path.write_text(path.read_text().replace(*edit))
+    assert main(["validate", system, scenarios, "--study", str(config)]) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().out
+    out = tmp_path / "study"
+    assert main(["study", system, scenarios, str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n" and not out.exists()
+
+
 @pytest.mark.parametrize("unit, field, value, shown", [
     ("big", "min_up", "2.5", "2.5"), ("resp", "min_down", "true", "True"),
     ("resp", "min_up", "1.5", "1.5"),
@@ -335,8 +377,11 @@ def test_parser_exit_codes(argv, code, capsys):
 @pytest.mark.parametrize("case, message", [
     # damping x demand moves the requirement's vertex above the loss grid
     ("hot grid", "period 0: segment grid enters the region"),
-    ("text in profile", "could not convert string to float: 'abc'"),
-    ("text in study", "invalid literal for int() with base 10: 'three'"),
+    pytest.param("text in profile",
+                 "demand_profile[1] must be a number, got 'abc'",
+                 id="text in profile"),
+    pytest.param("text in study", "periods must be a whole number, got 'three'",
+                 id="text in study"),
     ("negative loss", "region: loss must be positive"),
 ])
 def test_input_errors_exit_invalid(tmp_path, capsys, case, message):

@@ -94,6 +94,52 @@ def test_non_finite_numbers_are_rejected(tmp_path, target, old, new, match):
         load_scenario_table(tmp_path / "scen.txt")
 
 
+@pytest.mark.parametrize("old, new, match", [
+    ("damping: 0.0", "damping: true",
+     "frequency: damping must be a number, got True"),
+    ("pfr_max: 200.0", "pfr_max: true",
+     "generator small: pfr_max must be a number, got True"),
+    ("pfr_max: 200.0", 'pfr_max: 200.0\n    emissions_rate: "0.95"',
+     "generator small: emissions_rate must be a number, got '0.95'"),
+    ("inertia_const: 5.0", 'inertia_const: 5.0\n    deloadable: "no"',
+     "generator big: deloadable must be true or false, got 'no'"),
+    ("profile: [2100.0, 2200.0]", 'profile: [2100.0, "2200"]',
+     r"system: demand_profile\[1\] must be a number, got '2200'"),
+    ("profile: [2100.0, 2200.0]", 'profile: "2100.0"',
+     "system: demand_profile must be a list of numbers, got '2100.0'"),
+    ("damping: 0.0", 'damping: 0.0\n  nadir_segments: [1500.0, "2000"]',
+     r"frequency: nadir_segments\[1\] must be a number, got '2000'"),
+    ("wind_capacity: 300.0", 'wind_capacity: "300"',
+     "system: wind_capacity must be a number, got '300'"),
+    ("period_hours: 1.0", 'period_hours: "1"',
+     "system: period_hours must be a number, got '1'"),
+])
+def test_values_of_the_wrong_type_are_rejected(tmp_path, old, new, match):
+    """Booleans and strings are not read as numbers, nor strings as
+    booleans; the error names the field."""
+    assert old in MINIMAL_YAML
+    path = tmp_path / "sys.yaml"
+    path.write_text(MINIMAL_YAML.replace(old, new, 1))
+    with pytest.raises(SystemConfigError, match=match):
+        load_system(path)
+
+
+def test_numpy_numbers_are_numbers():
+    unit = GeneratorSpec(id="u", technology="thermal", p_max=np.float32(100.0),
+                         p_min=np.int64(10), inertia_const=np.float64(4.0),
+                         deloadable=np.bool_(True),
+                         max_deload_fraction=np.float64(0.4))
+    assert unit.synchronous and unit.deloadable
+    freq = FrequencyParams(
+        f0=50.0, df_max=0.8, df_ss_max=0.5, rocof_max=0.5, t_d=10.0,
+        damping=np.float64(0.0), nadir_segments=np.array([60.0, 100.0]),
+        largest_unit_rating=unit.p_max, largest_unit_inertia=4.0)
+    system = SystemSpec(generators=(unit,), demand_profile=np.array([90.0]),
+                        wind_capacity=np.int64(10), period_hours=np.float32(1),
+                        frequency=freq)
+    assert system.demand_profile == (90.0,) and system.wind_capacity == 10.0
+
+
 def test_pmin_above_pmax_names_the_unit():
     with pytest.raises(SystemConfigError, match="bad1"):
         GeneratorSpec(id="bad1", technology="thermal", p_max=100.0, p_min=200.0)
