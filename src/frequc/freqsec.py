@@ -25,7 +25,8 @@ branch) cell holds:
 ``period_constants`` computes, once per period, the numbers the period's
 rows share: each unit's inertia, the most post-loss inertia, the QSS
 row's right-hand side and the nadir chords, as a :class:`PeriodConstants`
-that ``must_run``, ``register_decisions`` and the row families read.
+that ``must_run``, ``security_count``, ``register_decisions`` and the row
+families read.
 ``register_decisions`` is the one place that creates the cells' security
 variables, for every branch of a period at once, once the commitments are
 fixed; it returns the period's columns as the arrays of a
@@ -39,12 +40,15 @@ floor once, then the joined template for every branch, and each window
 takes its numbers, one branch's, from the same template (see
 :func:`frequc.scheduler.build_uc`).
 
-``must_run`` is the one screen of a period's commitments against its
-rows: it names the units the rows force on, and counts the fewest units
-besides the largest that any commitment the rows admit has on, which
-``build_uc``'s ``cover`` row asks for.  It reads the RoCoF, QSS and
-nadir numbers the rows use (``rocof_slope`` and the period's
-constants).
+``must_run`` and ``security_count`` screen a period's commitments
+against its rows, to the same 1e-9 (``_least``), reading the RoCoF, QSS
+and nadir numbers the rows use (``rocof_slope`` and the period's
+constants).  ``must_run`` names the units the rows force on.
+``security_count`` counts the fewest units besides the largest that any
+commitment the rows admit has on, which ``build_uc``'s ``cover`` row
+asks for: the other units must carry the period's highest net demand,
+less the largest unit's output, plus the response the nadir needs, at
+some loss that also meets the RoCoF and QSS rows.
 """
 
 from __future__ import annotations
@@ -409,62 +413,123 @@ def hyperbolic_cut_rows(freq, inertia, constants: PeriodConstants,
     return template
 
 
+def _least(need):
+    """The least value not short of ``need``: a shortfall within 1e-9 of
+    the requirement's size is not counted, so a schedule the rows hold to
+    the solver's tolerance is never cut off."""
+    return need - 1e-9 * np.maximum(1.0, np.abs(need))
+
+
 def must_run(fleet, freq, constants: PeriodConstants, loss_floor: float,
-             upper, *, largest):
-    """Which units every commitment the cell rows admit keeps on, and the
-    fewest units besides ``largest`` that such a commitment has on.
+             upper) -> np.ndarray:
+    """Which units every commitment the cell rows admit keeps on, one
+    boolean per unit.
 
-    ``upper`` holds each unit's commitment upper bound in the period, and
-    ``largest`` is the largest unit, committed.  A set of units is short
-    when its inertia ``H`` and response ``R`` miss, at the loss
-    ``loss_floor``, the RoCoF row, the QSS row (where the period has one)
-    or the nadir envelope ``H * R >= max chord(P)``; the inertia floor
-    ``H >= 0`` asks no more than the RoCoF row.  No requirement falls as
-    the loss grows, and the rows admit no loss below the floor; H(x) is at
-    most the committed units' inertia, and ``pfr_cap`` keeps ``R`` within
-    their summed ``pfr_max``.  So:
-
-    * unit ``g`` must run when, with ``g`` off and every other unit at its
-      upper bound, the period is short;
-    * no commitment the rows admit has fewer than ``k`` other units on,
-      ``k`` the fewest for which ``largest`` with the ``k`` largest
-      inertias and the ``k`` largest ``pfr_max`` of the other units that
-      may run (``upper > 0``) is not short, or the number of those units
-      when no ``k`` works.
-
-    A shortfall within 1e-9 of the requirement's size is not counted, so a
-    schedule the rows hold to the solver's tolerance is never cut off.
-    Returns one boolean per unit and ``k``.
+    ``upper`` holds each unit's commitment upper bound in the period.  A
+    set of units is short when its inertia ``H`` and response ``R`` miss,
+    at the loss ``loss_floor``, the RoCoF row, the QSS row (where the
+    period has one) or the nadir envelope ``H * R >= max chord(P)``, each
+    to :func:`_least`'s 1e-9; the inertia floor ``H >= 0`` asks no more
+    than the RoCoF row.  No requirement falls as the loss grows, and the
+    rows admit no loss below the floor; H(x) is at most the committed
+    units' inertia, and ``pfr_cap`` keeps ``R`` within their summed
+    ``pfr_max``.  So unit ``g`` must run when, with ``g`` off and every
+    other unit at its upper bound, the period is short.
     """
     upper = np.asarray(upper, dtype=float)
     inertia = upper * constants.inertia
     response = upper * [g.pfr_max for g in fleet]
-    lost = lost_inertia(freq)
     nadir = max((slope * loss_floor + icpt
                  for slope, icpt in constants.chords), default=0.0)
-
-    def least(need):  # the least value not short of ``need``
-        return need - 1e-9 * max(1.0, abs(need))
-
-    least_h = least(rocof_slope(freq) * loss_floor)
-    least_hr = least(nadir)
+    least_h = _least(rocof_slope(freq) * loss_floor)
+    least_hr = _least(nadir)
     least_r = (-math.inf if constants.qss is None
-               else least(loss_floor + constants.qss))
+               else _least(loss_floor + constants.qss))
+    h = inertia.sum() - lost_inertia(freq) - inertia
+    r = response.sum() - response
+    return (h < least_h) | (h * r < least_hr) | (r < least_r)
 
-    def short(h, r):
-        return (h < least_h) | (h * r < least_hr) | (r < least_r)
 
-    pins = short(inertia.sum() - lost - inertia, response.sum() - response)
+def security_count(fleet, freq, constants: PeriodConstants,
+                   loss_floor: float, upper, *, largest, net: float) -> int:
+    """The fewest units besides ``largest`` that any commitment the rows
+    admit has on, in a period whose highest net demand is ``net``.
+
+    ``upper`` holds each unit's commitment upper bound in the period, and
+    ``largest``, the largest unit, is committed.  ``k`` other units are
+    too few when, with ``largest`` and the ``k`` largest inertias ``H``,
+    the ``k`` largest ``pfr_max`` ``R_k`` and the ``k`` largest ratings
+    ``cap`` of the other units that may run (``upper > 0``), taken apart,
+    no loss ``P`` in ``[loss_floor, rating]`` and response ``R`` meet,
+    each to :func:`_least`'s 1e-9:
+
+    * the RoCoF row, ``H >= rocof_slope * P``;
+    * the QSS row, ``R >= P + qss``, where the period has one;
+    * the nadir envelope, ``H * R >= max chord(P)``, with ``R >= 0``;
+    * ``R <= R_max``, ``R_k`` plus the most the largest holds,
+      ``min(pfr_max, rating - loss_floor)``: ``pfr_sum``, ``pfr_cap``,
+      and ``headroom`` with the largest's output at least the floor;
+    * energy, ``cap + min(rating, P + pfr_max(largest)) >= net + R``: the
+      balance, with the wind at most its availability, gives ``sum p >=
+      net``; ``headroom`` gives ``p + r <= p_max * x`` and ``loss_bound``
+      ``p(largest) <= P``, and ``pfr_cap`` holds ``r(largest)`` within its
+      ``pfr_max``.
+
+    The count is the fewest ``k`` that is not too few, or the number of
+    the other units that may run when every ``k`` is; no integer schedule
+    the rows admit has fewer others on.
+
+    It is exact in ``P``.  Each requirement rises with ``P``, so RoCoF and
+    ``R <= R_max`` leave an interval of losses; on it the energy slack,
+    ``cap + min(rating, P + pfr_max) - net`` less the least ``R``,
+    ``max(0, P + qss, max chord(P) / H)``, is concave and piecewise
+    linear.  So the tests need only be met at the interval's ends (the
+    floor, the rating, ``H / rocof_slope`` and where each piece of the
+    least ``R`` reaches ``R_max``) and at the slack's kinks
+    (``rating - pfr_max(largest)``, the chords' breakpoints and where the
+    chords, the QSS line and zero cross).
+    """
+    upper = np.asarray(upper, dtype=float)
     big = next(i for i, g in enumerate(fleet) if g.id == largest.id)
     others = upper > 0.0
     others[big] = False
-    # the largest, then the other units that may run, largest first
-    h = np.cumsum(np.concatenate(([inertia[big] - lost],
-                                  np.sort(inertia[others])[::-1])))
-    r = np.cumsum(np.concatenate(([response[big]],
-                                  np.sort(response[others])[::-1])))
-    enough = np.flatnonzero(~short(h, r))
-    return pins, int(enough[0]) if len(enough) else int(others.sum())
+
+    def most(values, first):  # (K, 1): ``first`` plus the k largest others
+        values = np.sort(np.asarray(values, dtype=float)[others])[::-1]
+        return np.cumsum(np.concatenate(([first], values)))[:, None]
+
+    rating, slope, qss = (freq.largest_unit_rating, rocof_slope(freq),
+                          constants.qss)
+    h = most(constants.inertia, constants.inertia[big] - lost_inertia(freq))
+    r_max = most([g.pfr_max for g in fleet],
+                 min(largest.pfr_max, rating - loss_floor))
+    cap = most([g.p_max for g in fleet], 0.0)
+    a, b = (np.array(part) for part in zip(*constants.chords or [(0.0, 0.0)]))
+
+    # the candidate losses (K, n): every end and kink named above
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = [loss_floor, rating, h / slope, rating - largest.pfr_max,
+                (b[1:] - b[:-1]) / (a[:-1] - a[1:]), -b / a,
+                (h * r_max - b) / a]
+        if qss is not None:
+            ends += [-qss, r_max - qss, (b - h * qss) / (h - a)]
+        shape = (len(h), 1)
+        p = np.concatenate([np.broadcast_to(
+            end, np.broadcast_shapes(np.shape(end), shape)) for end in ends],
+            axis=1)
+    p = np.clip(np.nan_to_num(p, nan=loss_floor), loss_floor, rating)
+
+    # the least response each candidate asks for, and the tests
+    need_hr = _least((p[..., None] * a + b).max(axis=-1))
+    r_qss = np.maximum(0.0, -math.inf if qss is None else _least(p + qss))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(h > 0.0, np.maximum(r_qss, need_hr / h), r_qss)
+    ok = ((h >= _least(slope * p)) & (r_qss <= r_max)
+          & (h * np.where(h > 0.0, r_max, r_qss) >= need_hr)
+          & (cap + np.minimum(rating, p + largest.pfr_max)
+             >= _least(net + r)))
+    enough = np.flatnonzero(ok.any(axis=1))
+    return int(enough[0]) if len(enough) else int(others.sum())
 
 
 def period_template(fleet, freq, constants: PeriodConstants, r_max: float,

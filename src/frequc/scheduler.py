@@ -21,8 +21,9 @@ construction at every loss.  Every row family is added as one block of
 arrays.  Each period's ``cover`` row asks for the fewest units besides
 the largest whose ratings reach the period's highest net demand minus
 the largest rating or, with frequency constraints, the more of that and
-the fewest that ``must_run`` counts any secure commitment needing: valid
-for every integer schedule, it only tightens the relaxation.
+the fewest that :func:`frequc.freqsec.security_count` counts any secure
+commitment carrying that net demand needing: valid for every integer
+schedule, it only tightens the relaxation.
 
 A window is its numbers written into a layout.  The layout, a
 :class:`frequc.milp.model.ModelLayout` with the column ids a window
@@ -343,9 +344,9 @@ def _window(layouts: WindowLayouts, tree, options: UcOptions,
         )
 
     # the commitment bounds (G, T), then, in each period where one is still
-    # free, each commitment the security rows force on; the same screen
-    # counts the fewest other units a secure period has on, ``secure[t]``,
-    # kept where one is free after the pins
+    # free, each commitment the security rows force on, and, where one is
+    # free after those pins, the fewest other units that carry the
+    # period's highest net demand securely, ``secure[t]``
     big_i = [g.id for g in fleet].index(big.id)
     on, lo, hi = _commitment_bounds(
         fleet, big_i, default_initial_state(system) if initial_state is None
@@ -354,11 +355,13 @@ def _window(layouts: WindowLayouts, tree, options: UcOptions,
     if options.frequency_constraints:
         constants = [layouts.constants(start_period + t) for t in range(T)]
         for t in np.flatnonzero((lo != hi).any(axis=0)).tolist():
-            pins, count = freqsec.must_run(fleet, freq, constants[t],
-                                           floor_big, hi[:, t], largest=big)
+            pins = freqsec.must_run(fleet, freq, constants[t], floor_big,
+                                    hi[:, t])
             lo[pins & (lo[:, t] != hi[:, t]), t] = 1.0
             if (lo[:, t] != hi[:, t]).any():
-                secure[t] = count
+                secure[t] = freqsec.security_count(
+                    fleet, freq, constants[t], floor_big, hi[:, t],
+                    largest=big, net=float(net[t].max()))
         sync = np.array([[g.synchronous] for g in fleet])
         free = sync & (lo != hi)
         fixed_on = (sync & (lo == 1.0) & (hi == 1.0)).T.tolist()
@@ -372,7 +375,8 @@ def _window(layouts: WindowLayouts, tree, options: UcOptions,
     # cover: every branch's thermal output reaches its net demand, the
     # largest unit gives at most its rating and every other unit at most
     # its committed rating, and a secured period has at least ``secure[t]``
-    # of them on, so at least k_t of them are on
+    # of them on, enough to carry that net demand and the response its
+    # loss asks for, so at least k_t of them are on
     others = [g.p_max for i, g in enumerate(fleet) if i != big_i]
     needs = np.array([max(_units_to_cover(others, most - big.p_max), count)
                       for most, count in zip(net.max(axis=1).tolist(),
@@ -638,11 +642,16 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     Each period's ``cover[t]`` row, ``sum_{g != largest} x[g][t] >= k_t``,
     asks for the fewest other units whose ratings reach the period's
     highest net demand less the largest rating and, with frequency
-    constraints and a commitment still free after the pins, at least the
-    fewest other units that ``must_run`` counts any secure commitment
-    needing.  Both counts hold for every schedule the other rows admit,
-    so the row only tightens the relaxation; a period whose count is 0
-    has no row.
+    constraints and a commitment still free after the pins, at least
+    :func:`frequc.freqsec.security_count`, computed there alone: the
+    fewest other units that carry that net demand, less the largest's
+    output (at most the loss ``P``), plus the response ``R`` the nadir,
+    QSS and RoCoF rows ask at some ``P`` in ``[floor, rating]``.  It
+    follows from the balance (``sum p >= net``, the wind at most its
+    availability), ``headroom`` (``p + r <= p_max x``), ``pfr_sum``,
+    ``pfr_cap`` and ``loss_bound`` (``p(largest) <= P``).  Both counts
+    hold for every schedule the other rows admit, so the row only
+    tightens the relaxation; a period whose count is 0 has no row.
     """
     if layouts is None:
         layouts = WindowLayouts(system)

@@ -307,7 +307,8 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
     ``(T, units)``, units in fleet order) pins the commitment variables;
     the rolling solver uses this for the realized re-dispatch.  With
     ``security_pins`` off, the free commitments that ``freqsec.must_run``
-    finds forced on stay free, and the cover rows ask only for capacity.
+    finds forced on stay free, and the cover rows ask only for capacity,
+    not for ``freqsec.security_count``.
     """
     fleet = system.generators
     freq = system.frequency
@@ -396,25 +397,26 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
         ) from exc
 
     # security must-run pins, one unit at a time, and the fewest other
-    # units a secure period has on, counted where a commitment stays free
+    # units that carry the period's highest net demand securely, counted
+    # where a commitment stays free after the pins
     secure = [0] * n_periods
     if options.frequency_constraints and security_pins:
         for t in range(n_periods):
             try:
-                pins, count = freqsec.must_run(
-                    fleet, freq,
-                    freqsec.period_constants(fleet, freq, demand[t]),
-                    floor_big, [model.ub[x[g.id, t]] for g in fleet],
-                    largest=big)
+                constants = freqsec.period_constants(fleet, freq, demand[t])
             except ValueError as exc:  # the grid check, an input error
                 raise SchedulerError(f"period {start_period + t}: {exc}") \
                     from exc
+            upper = [model.ub[x[g.id, t]] for g in fleet]
+            pins = freqsec.must_run(fleet, freq, constants, floor_big, upper)
             for g, pin in zip(fleet, pins):
                 if pin and model.lb[x[g.id, t]] != model.ub[x[g.id, t]]:
                     fix_variable(model, x[g.id, t], 1.0)
             if any(model.lb[x[g.id, t]] != model.ub[x[g.id, t]]
                    for g in fleet):
-                secure[t] = count
+                secure[t] = freqsec.security_count(
+                    fleet, freq, constants, floor_big, upper, largest=big,
+                    net=float(net[t].max()))
 
     # each cell's security variables, one cell at a time, once the fixed
     # commitments are known: a unit committed by a fixed bound needs no

@@ -15,12 +15,15 @@ from frequc.freqsec import (
     period_constants,
     period_rows,
     register_decisions,
+    security_count,
     settled_limit,
 )
 from frequc.milp import MilpModel, solve
 from frequc.milp.model import RowBlock
-from frequc.sysmodel import (FrequencyParams, GeneratorSpec, largest_unit,
-                             load_system)
+from frequc.scheduler import _units_to_cover
+from frequc.sysmodel import (FrequencyParams, GeneratorSpec,
+                             build_scenario_tree, default_segment_grid,
+                             largest_unit, load_scenario_table, load_system)
 from reference.oracle import fewest_secure_units
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -404,26 +407,33 @@ def test_big_m_product_is_exact_on_random_assignments():
 # -- security must-run pins ---------------------------------------------------
 
 
-def cell_fewest_on(fleet, freq, demand, loss_floor, upper, off=None):
+def cell_fewest_on(fleet, freq, demand, net, loss_floor, upper, off=None):
     """The fewest units besides the largest that one cell, built through
     ``register_decisions`` and ``period_rows``, has on at any of its
     points with unit ``off`` switched off; None when it has no point.
 
-    The largest unit is committed with an output of at least
-    ``loss_floor``; a unit with ``upper`` 0 is off; every other commitment
-    is a free binary bounding the unit's response.  Nothing else binds, so
-    the rows are the only judge.
+    The cell serves demand ``demand`` with wind at most ``demand - net``,
+    so its outputs carry the net demand ``net``.  The largest unit is
+    committed with an output of at least ``loss_floor``; a unit with
+    ``upper`` 0 is off; every other commitment is a free binary bounding
+    the unit's output and response (``headroom``, ``pfr_cap``).  Nothing
+    else binds, so the window's rows are the only judge.
     """
     big = largest_unit(fleet)
     mdl = MilpModel()
     commit = [mdl.add_binary(f"x[{g.id}]") for g in fleet]
     output = [mdl.add_continuous(f"p[{g.id}]", 0.0, g.p_max) for g in fleet]
     pfr = [mdl.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max) for g in fleet]
+    wind = mdl.add_continuous("wind", 0.0, demand - net)
+    mdl.add_row({**{j: 1.0 for j in output}, wind: 1.0}, "=", demand,
+                "balance")
     for i, (g, hi) in enumerate(zip(fleet, upper)):
         if g.id == big.id:
             mdl.lb[commit[i]] = 1.0
         elif g.id == off or hi == 0.0:
             mdl.ub[commit[i]] = 0.0
+        mdl.add_row({output[i]: 1.0, pfr[i]: 1.0, commit[i]: -g.p_max},
+                    "<=", 0.0, f"headroom[{g.id}]")
         if g.pfr_max > 0.0:
             mdl.add_row({pfr[i]: 1.0, commit[i]: -g.pfr_max}, "<=",
                         0.0, f"pfr_cap[{g.id}]")
@@ -441,46 +451,123 @@ def cell_fewest_on(fleet, freq, demand, loss_floor, upper, off=None):
     return round(result.objective) if result.status == "optimal" else None
 
 
-def assert_screen_is_exact(fleet, freq, demand, loss_floor, upper):
-    """A unit ``must_run`` pins leaves the cell no point when off; a free
-    unit it leaves alone can be off.  The count ``must_run`` returns is the
-    enumerated count of its largest inertias and responses taken apart, and
-    at most the fewest other units on at any point of the cell, which
-    enumeration finds too (all that may run when the cell has no point).
-    Returns the pins of the free units and the count, and the fewest."""
+def assert_screen_is_exact(fleet, freq, demand, net, loss_floor, upper):
+    """A unit ``must_run`` pins leaves the cell no point when off, at any
+    net demand; a free unit it leaves alone can be off when the net demand
+    is 0.  The count ``security_count`` returns at net demand ``net`` is
+    the enumerated count of its largest ratings, inertias and responses
+    taken apart, and at most the fewest other units on at any point of the
+    cell, which enumeration finds too (all that may run when the cell has
+    no point).  Returns the pins of the free units, the count and the
+    fewest."""
     big = largest_unit(fleet)
-    pins, count = must_run(fleet, freq, period_constants(fleet, freq, demand),
-                           loss_floor, upper, largest=big)
+    constants = period_constants(fleet, freq, demand)
+    pins = must_run(fleet, freq, constants, loss_floor, upper)
+    count = security_count(fleet, freq, constants, loss_floor, upper,
+                           largest=big, net=net)
     exact, relaxed = fewest_secure_units(fleet, freq, demand, loss_floor,
-                                         upper, big)
+                                         upper, big, net=net)
     assert count == relaxed <= exact
     seen = []
     for g, hi, pin in zip(fleet, upper, pins):
         if g.id != big.id and hi == 1.0:
-            admits_off = cell_fewest_on(fleet, freq, demand, loss_floor,
+            admits_off = cell_fewest_on(fleet, freq, demand, 0.0, loss_floor,
                                         upper, g.id) is not None
             assert admits_off == (not pin), g.id
             seen.append(bool(pin))
-    fewest = cell_fewest_on(fleet, freq, demand, loss_floor, upper)
+    fewest = cell_fewest_on(fleet, freq, demand, net, loss_floor, upper)
     may_run = sum(hi > 0.0 for g, hi in zip(fleet, upper) if g.id != big.id)
     assert exact == (may_run if fewest is None else fewest)
     return seen, count, exact
 
 
+def bundled_at_700_mw():
+    """The bundled system and scenario tree, at their 700 MW of wind."""
+    system = load_system(DATA / "toy_system.yaml")
+    tree = build_scenario_tree(
+        *load_scenario_table(DATA / "toy_scenarios.txt"))
+    assert system.wind_capacity == 700.0
+    return system, tree
+
+
 @pytest.mark.parametrize("mode", ["fixed", "optimised"])
 def test_must_run_is_exact_on_the_bundled_fleet(mode):
     """At the full rating every unit is needed; at the deload floor none
-    is, and any secure cell has five others on: the count is exact."""
-    system = load_system(DATA / "toy_system.yaml")
+    is, and any secure cell has five others on, six where the period's
+    highest net demand, 2905.5 MW and up, also asks for them (periods
+    6-18 at 700 MW of wind): the count is exact."""
+    system, tree = bundled_at_700_mw()
     fleet, freq = system.generators, system.frequency
     big = largest_unit(fleet)
     floor = big.p_max * (1.0 if mode == "fixed"
                          else 1.0 - big.max_deload_fraction)
-    for demand in sorted(set(system.demand_profile)):
+    counts = []
+    for demand, net in zip(system.demand_profile, tree.net.max(axis=1)):
         seen, count, exact = assert_screen_is_exact(
-            fleet, freq, demand, floor, [1.0] * len(fleet))
+            fleet, freq, demand, float(net), floor, [1.0] * len(fleet))
         assert seen == [mode == "fixed"] * (len(fleet) - 1)
-        assert count == exact == (7 if mode == "fixed" else 5)
+        assert count == exact
+        counts.append(count)
+    assert counts == ([7] * 24 if mode == "fixed"
+                      else [5] * 6 + [6] * 13 + [5] * 5)
+
+
+def test_energy_raises_the_count_on_the_bundled_fleet():
+    """At 700 MW of wind, deloaded, in period 6: five other units meet the
+    security rows at the floor, and four carry the highest net demand less
+    the largest rating, so the cover row asked for five; but no five carry
+    that net demand less the loss plus the response the nadir asks for at
+    that loss, and six do.  A cell of the window's rows has six others on
+    at its fewest."""
+    system, tree = bundled_at_700_mw()
+    fleet, freq = system.generators, system.frequency
+    big = largest_unit(fleet)
+    floor = big.p_max * (1.0 - big.max_deload_fraction)
+    demand, net = system.demand_profile[6], float(tree.net[6].max())
+    constants = period_constants(fleet, freq, demand)
+    upper = [1.0] * len(fleet)
+    others = [g.p_max for g in fleet if g.id != big.id]
+    assert _units_to_cover(others, net - big.p_max) == 4
+    assert security_count(fleet, freq, constants, floor, upper, largest=big,
+                          net=0.0) == 5
+    assert security_count(fleet, freq, constants, floor, upper, largest=big,
+                          net=net) == 6
+    assert fewest_secure_units(fleet, freq, demand, floor, upper, big,
+                               net=net) == (6, 6)
+    assert cell_fewest_on(fleet, freq, demand, net, floor, upper) == 6
+
+
+def test_security_count_is_exact_in_the_loss():
+    """The loss that lets one other unit carry the net demand can lie
+    strictly between the floor and the rating.  The largest unit, 670 MW
+    with no response, deloads to 536 MW; each other unit has 400 MW and
+    100 MW*s^2 of inertia.  With D * demand = 630 MW/Hz the nadir asks
+    nothing up to its root near 630 MW, nor does the QSS row, and beyond
+    it the response it asks grows faster than the loss (chord slopes
+    above 100).  So one unit carries 400 MW plus a loss near 630 MW, but
+    only 936 MW at the floor and 1003 MW at the rating (holding 67 MW of
+    response): at 1025 MW one unit will do, and a cell of the rows agrees;
+    at the rating alone, or at 1035 MW, it takes two."""
+    unit = GeneratorSpec(id="a", technology="thermal", p_max=400.0,
+                         inertia_const=12.5, pfr_max=300.0)
+    fleet = (GeneratorSpec(id="big", technology="thermal", p_max=670.0,
+                           inertia_const=3.0, deloadable=True,
+                           max_deload_fraction=0.2),
+             unit, replace(unit, id="b"))
+    freq = freq_for(fleet, default_segment_grid(670.0, 0.2), df_max=1.0,
+                    df_ss_max=1.0, rocof_max=4.0, t_d=1.0, damping=0.525)
+    demand, upper, big = 1200.0, [1.0] * 3, fleet[0]
+    constants = period_constants(fleet, freq, demand)
+
+    def count(floor, net):
+        return security_count(fleet, freq, constants, floor, upper,
+                              largest=big, net=net)
+
+    assert count(536.0, 1025.0) == 1
+    assert fewest_secure_units(fleet, freq, demand, 536.0, upper, big,
+                               net=1025.0) == (1, 1)
+    assert cell_fewest_on(fleet, freq, demand, 1025.0, 536.0, upper) == 1
+    assert count(670.0, 1025.0) == count(536.0, 1035.0) == 2
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -489,19 +576,21 @@ def test_must_run_is_exact_on_the_bundled_fleet(mode):
        on=st.lists(st.booleans(), min_size=7, max_size=7),
        rocof_max=st.sampled_from([0.5, 1.0, 4.0]),
        damping=st.sampled_from([0.0, 0.02, 0.04]),
-       settled_share=st.sampled_from([0.5, 1.0]))
+       settled_share=st.sampled_from([0.5, 1.0]),
+       net_share=st.integers(0, 10).map(lambda k: k / 10.0))
 def test_must_run_is_exact_on_drawn_cells(demand, loss_floor, on, rocof_max,
-                                          damping, settled_share):
+                                          damping, settled_share, net_share):
     """The bundled fleet with some of its seven smaller units held off, at
-    a drawn demand and loss floor, and with drawn RoCoF, damping and
-    settled limits, so that each requirement is at times the only one
-    that pins."""
+    a drawn demand, net demand and loss floor, and with drawn RoCoF,
+    damping and settled limits, so that each requirement is at times the
+    only one that pins."""
     system = load_system(DATA / "toy_system.yaml")
     fleet = system.generators
     assert largest_unit(fleet) is fleet[0] and len(fleet) == 8
     freq = replace(system.frequency, rocof_max=rocof_max, damping=damping,
                    df_ss_max=settled_share * system.frequency.df_max)
-    assert_screen_is_exact(fleet, freq, demand, loss_floor,
+    net = net_share * min(demand, sum(g.p_max for g in fleet))
+    assert_screen_is_exact(fleet, freq, demand, net, loss_floor,
                            [1.0] + [float(u) for u in on])
 
 
@@ -587,8 +676,10 @@ def test_long_delivery_with_damping_has_no_qss_row():
     # either one alone is this cell, so neither is pinned and one will do
     spare = replace(resp, id="spare")
     pair = (big, resp, spare)
-    pins, count = must_run(pair, freq, period_constants(pair, freq, demand),
-                           100.0, [1.0] * 3, largest=big)
+    constants = period_constants(pair, freq, demand)
+    pins = must_run(pair, freq, constants, 100.0, [1.0] * 3)
+    count = security_count(pair, freq, constants, 100.0, [1.0] * 3,
+                           largest=big, net=0.0)
     assert pins.tolist() == [False] * 3 and count == 1
     # without damping the row holds R at least QSS_MARGIN above the loss
     still = replace(freq, damping=0.0)

@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from frequc.freqsec import (must_run, period_constants, period_rows,
-                            register_decisions)
+from frequc.freqsec import (period_constants, period_rows,
+                            register_decisions, security_count)
 from frequc.milp import MilpModel, branch_bound
 from frequc.scheduler import (
     LOSS_MODES,
@@ -280,25 +280,40 @@ def test_array_builder_matches_the_loop_builder(window, data):
                     initial_state=state, layouts=layouts), want)
 
 
-@PROPERTY
-@given(windows(), st.data())
-def test_security_count_never_exceeds_the_fewest_secure_units(window, data):
-    """On unlike units, with some held off, the count ``must_run`` gives
-    the cover row is the enumerated count of the largest inertias and
-    responses taken apart, and at most the fewest other units of any
-    secure commitment, at both loss floors of every period."""
-    system, _ = window
-    fleet, freq = system.generators, system.frequency
-    big = largest_unit(fleet)
-    upper = [1.0] + [float(data.draw(st.booleans())) for _ in fleet[1:]]
-    for floor in {big.p_max, (1.0 - big.max_deload_fraction) * big.p_max}:
-        for demand in system.demand_profile:
-            _, count = must_run(fleet, freq,
-                                period_constants(fleet, freq, demand),
-                                floor, upper, largest=big)
-            exact, relaxed = fewest_secure_units(fleet, freq, demand, floor,
-                                                 upper, big)
-            assert count == relaxed <= exact
+def test_security_count_never_exceeds_the_fewest_secure_units():
+    """On unlike units, with some held off, the count ``security_count``
+    gives the cover row is the enumerated count of the largest ratings,
+    inertias and responses taken apart, and at most the fewest other units
+    of any secure commitment, at both loss floors of every period and at a
+    drawn net demand.  The windows are drawn twice, once with damping
+    nonzero (without damping the QSS row asks the other units' response
+    to exceed the loss, which takes every unit), and one unit in four is
+    held off, so that carrying the net demand raises the count above the
+    security rows' alone at least 40 times (73 of 292 on these draws)."""
+    raised = []
+
+    def check(window, data):
+        system, _ = window
+        fleet, freq = system.generators, system.frequency
+        big = largest_unit(fleet)
+        upper = [1.0] + [data.draw(st.sampled_from([1.0, 1.0, 1.0, 0.0]))
+                         for _ in fleet[1:]]
+        for floor in {big.p_max, (1.0 - big.max_deload_fraction) * big.p_max}:
+            for demand in system.demand_profile:
+                net = data.draw(st.sampled_from([0.7, 0.8, 0.9, 1.0])) * demand
+                constants = period_constants(fleet, freq, demand)
+                count = security_count(fleet, freq, constants, floor, upper,
+                                       largest=big, net=net)
+                exact, relaxed = fewest_secure_units(
+                    fleet, freq, demand, floor, upper, big, net=net)
+                assert count == relaxed <= exact
+                raised.append(count > security_count(
+                    fleet, freq, constants, floor, upper, largest=big,
+                    net=0.0))
+
+    for shares in ((0.0, 0.3, 0.9), (0.3, 0.9)):
+        PROPERTY(given(windows(damping_shares=shares), st.data())(check))()
+    assert sum(raised) >= 40
 
 
 @st.composite

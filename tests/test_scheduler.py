@@ -183,10 +183,12 @@ def assert_cover_rows_count_the_fewest_units(model, system, tree, opts):
     """Each ``cover[t]`` row asks exactly the more of two enumerated
     minimum numbers of non-largest commitments: the fewest whose ratings
     reach the need, and, with frequency constraints and a commitment still
-    free, the fewest ``k`` whose most inertia and most response, taken
-    apart, meet the security requirements at the loss floor, which is at
-    most the fewest units of any secure set.  A period that needs none has
-    no row.  Returns each period's (capacity count, security count)."""
+    free, the fewest ``k`` whose most ratings, most inertia and most
+    response, taken apart, carry the period's highest net demand and meet
+    the security requirements at some loss, which is at most the fewest
+    units of any secure set.  A period that needs none has no row.
+    Returns each period's (capacity count, the security rows' count
+    alone, security count)."""
     fleet, big = system.generators, largest_unit(system.generators)
     others = [g for g in fleet if g.id != big.id]
     floor = big.p_max * (1.0 - big.max_deload_fraction
@@ -196,15 +198,17 @@ def assert_cover_rows_count_the_fewest_units(model, system, tree, opts):
               if row.label.startswith("cover[")}
     counts = []
     for t in range(tree.n_periods):
-        need = tree.net[t].max() - big.p_max
-        capacity, security = fewest_units([g.p_max for g in others], need), 0
+        net = tree.net[t].max()
+        capacity = fewest_units([g.p_max for g in others], net - big.p_max)
+        alone = security = 0
         commit = model.commit[t]
         if opts.frequency_constraints and (
                 model.lb[commit] != model.ub[commit]).any():
-            exact, security = fewest_secure_units(
-                fleet, system.frequency, system.demand_profile[t], floor,
-                model.ub[commit], big)
+            cell = (fleet, system.frequency, system.demand_profile[t], floor,
+                    model.ub[commit], big)
+            exact, security = fewest_secure_units(*cell, net=net)
             assert security <= exact
+            alone = fewest_secure_units(*cell, net=None)[1]
         k = max(capacity, security)
         row = covers.pop(f"cover[{t}]", None)
         if k == 0:
@@ -214,7 +218,7 @@ def assert_cover_rows_count_the_fewest_units(model, system, tree, opts):
             assert row.coeffs == {
                 model.names.index(f"x[{g.id}][{t}]"): 1.0
                 for g in others}
-        counts.append((capacity, security))
+        counts.append((capacity, alone, security))
     assert not covers
     return counts
 
@@ -237,11 +241,13 @@ def test_cover_rows_count_the_fewest_units():
     tree = toy_tree(system)
     opts = options()
     model = build_uc(system, tree, opts)
-    # (capacity count, security count) per period: security asks for two
-    # of the three others where capacity asks for one
+    # (capacity count, the security rows' count alone, security count)
+    # per period: the security rows alone ask for two of the three others
+    # where capacity asks for one or two; carrying the net demand less the
+    # full-rated loss plus the response the nadir then needs takes all three
     assert assert_cover_rows_count_the_fewest_units(
-        model, system, tree, opts) == [(1, 2), (2, 2), (2, 2), (2, 2),
-                                       (2, 2), (1, 2)]
+        model, system, tree, opts) == [(1, 2, 3), (2, 2, 3), (2, 2, 3),
+                                       (2, 2, 3), (2, 2, 3), (1, 2, 3)]
     # no wind: needs from none of the three others up to all of them, the
     # last exactly at their summed rating
     demand = (450.0, 900.0, 1000.0, 1400.0, 1650.0, 1700.0)
@@ -251,15 +257,19 @@ def test_cover_rows_count_the_fewest_units():
     flat = one_branch(demand)
     opts = options(largest_loss_mode="optimised")
     model = build_uc(calm, flat, opts)
+    # at 450 MW one other unit carries the net demand securely; from 900 MW
+    # on, two cannot: they would carry the net demand less the loss plus a
+    # response of at least the loss less its damping relief (the QSS row,
+    # 10.8 MW at 900 MW), 889.2 MW, beyond their 850 MW
     assert assert_cover_rows_count_the_fewest_units(
-        model, calm, flat, opts) == [(0, 1), (1, 1), (2, 1), (3, 1), (3, 1),
-                                     (3, 1)]
+        model, calm, flat, opts) == [(0, 1, 1), (1, 1, 3), (2, 1, 3),
+                                     (3, 1, 3), (3, 1, 3), (3, 1, 3)]
     # without frequency constraints the rows ask only for capacity
     opts = options(frequency_constraints=False, largest_loss_mode="optimised")
     model = build_uc(calm, flat, opts)
     assert assert_cover_rows_count_the_fewest_units(
-        model, calm, flat, opts) == [(0, 0), (1, 0), (2, 0), (3, 0), (3, 0),
-                                     (3, 0)]
+        model, calm, flat, opts) == [(0, 0, 0), (1, 0, 0), (2, 0, 0),
+                                     (3, 0, 0), (3, 0, 0), (3, 0, 0)]
 
 
 def assert_same_optimum(model, exhaustive=False):
@@ -328,10 +338,11 @@ def random_small_window(rng):
 def test_cover_rows_keep_random_optima():
     """On seeded small windows (at most 8 binaries) the cover rows remove
     no optimum: HiGHS with and without them, and enumeration, agree.  Each
-    window is secured in both modes and unsecured in one, and some ask for
-    more units for security than for capacity."""
+    window is secured in both modes and unsecured in one; some ask for
+    more units for security than for capacity, and some, for carrying the
+    net demand securely, more than either count alone."""
     rng = np.random.default_rng(17)
-    statuses, beyond = [], 0
+    statuses, beyond, energy = [], 0, 0
     for k in range(12):
         system, tree = random_small_window(rng)
         for mode, secured in (("fixed", True), ("optimised", True),
@@ -344,8 +355,11 @@ def test_cover_rows_keep_random_optima():
                 model, system, tree, opts)
             statuses.append(assert_same_optimum(model, exhaustive=True))
             assert max(map(max, counts)) > 0
-            beyond += any(security > capacity for capacity, security in counts)
-    assert statuses.count("optimal") >= 24 and beyond >= 3
+            beyond += any(security > capacity
+                          for capacity, _, security in counts)
+            energy += any(security > max(capacity, alone)
+                          for capacity, alone, security in counts)
+    assert statuses.count("optimal") >= 24 and beyond >= 3 and energy >= 3
 
 
 def test_frequency_off_omits_security_machinery():
@@ -486,8 +500,8 @@ def test_must_run_pins_leave_a_held_off_unit_off(monkeypatch):
     real_must_run = frequc.scheduler.freqsec.must_run
 
     def recording(*args, **kwargs):
-        pins.append(real_must_run(*args, **kwargs)[0])
-        return real_must_run(*args, **kwargs)
+        pins.append(real_must_run(*args, **kwargs))
+        return pins[-1]
 
     monkeypatch.setattr(frequc.scheduler.freqsec, "must_run", recording)
     # a pin written over the held-off unit's bounds would empty them, and
