@@ -34,10 +34,10 @@ fixed; it returns the period's columns as the arrays of a
 over one cell's columns, a list of ``(kind, suffix, sense, slots, vals,
 rhs)`` (see :func:`frequc.milp.model.template_rows`), and computes its
 numbers in place.  ``period_template`` joins the families' templates
-into a period's, the one description of its rows; ``period_rows``
-writes it as one block when a window shape is laid out, the inertia
-floor once, then the joined template for every branch, and each window
-takes its numbers, one branch's, from the same template (see
+into a period's, the one description of its rows, made once per period
+of every window; ``period_rows`` writes a given one as one block, the
+inertia floor once, then the body for every branch, and every window
+writes that block's numbers from its own (see
 :func:`frequc.scheduler.build_uc`).
 
 ``must_run`` and ``security_count`` screen a period's commitments
@@ -421,24 +421,29 @@ def _least(need):
 
 
 def must_run(fleet, freq, constants: PeriodConstants, loss_floor: float,
-             upper) -> np.ndarray:
+             upper, *, largest) -> np.ndarray:
     """Which units every commitment the cell rows admit keeps on, one
     boolean per unit.
 
-    ``upper`` holds each unit's commitment upper bound in the period.  A
-    set of units is short when its inertia ``H`` and response ``R`` miss,
-    at the loss ``loss_floor``, the RoCoF row, the QSS row (where the
-    period has one) or the nadir envelope ``H * R >= max chord(P)``, each
-    to :func:`_least`'s 1e-9; the inertia floor ``H >= 0`` asks no more
-    than the RoCoF row.  No requirement falls as the loss grows, and the
-    rows admit no loss below the floor; H(x) is at most the committed
-    units' inertia, and ``pfr_cap`` keeps ``R`` within their summed
-    ``pfr_max``.  So unit ``g`` must run when, with ``g`` off and every
-    other unit at its upper bound, the period is short.
+    ``upper`` holds each unit's commitment upper bound in the period, and
+    ``largest`` is committed.  A set of units is short when its inertia
+    ``H`` and response ``R`` miss, at the loss ``loss_floor``, the RoCoF
+    row, the QSS row (where the period has one) or the nadir envelope
+    ``H * R >= max chord(P)``, each to :func:`_least`'s 1e-9; the inertia
+    floor ``H >= 0`` asks no more than the RoCoF row.  No requirement
+    falls as the loss grows, and the rows admit no loss below the floor;
+    H(x) is at most the committed units' inertia, and ``pfr_cap`` keeps
+    ``R`` within their summed ``pfr_max``, ``largest``'s within its rating
+    less ``loss_floor`` too (``headroom``, as in :func:`security_count`).
+    So unit ``g`` must run when, with ``g`` off and every other unit at its
+    upper bound, the period is short.
     """
     upper = np.asarray(upper, dtype=float)
     inertia = upper * constants.inertia
-    response = upper * [g.pfr_max for g in fleet]
+    held = [g.pfr_max if g.id != largest.id else
+            min(g.pfr_max, freq.largest_unit_rating - loss_floor)
+            for g in fleet]
+    response = upper * held
     nadir = max((slope * loss_floor + icpt
                  for slope, icpt in constants.chords), default=0.0)
     least_h = _least(rocof_slope(freq) * loss_floor)
@@ -560,14 +565,11 @@ def period_template(fleet, freq, constants: PeriodConstants, r_max: float,
     return inertia_floor_row(inertia), body
 
 
-def period_rows(cells: PeriodCells, fleet, freq, constants: PeriodConstants,
-                r_max: float, *, largest, loss_floor: float) -> RowBlock:
+def period_rows(cells: PeriodCells, template) -> RowBlock:
     """Every frequency row of one period ``t`` as one row block, written
-    from :func:`period_template`: the inertia floor, tagged ``[t]``, then
-    each branch ``s``'s rows in turn, tagged ``[t][s]``."""
+    from ``template``, its :func:`period_template` for ``cells``: the
+    inertia floor, tagged ``[t]``, then each branch ``s``'s, ``[t][s]``."""
+    floor, body = template
     tag = f"[{cells.period}]"
-    floor, body = period_template(
-        fleet, freq, constants, r_max, free=cells.free,
-        fixed_on=cells.fixed_on, largest=largest, loss_floor=loss_floor)
     branches = [f"{tag}[{s}]" for s in range(len(cells.loss))]
     return template_rows(cells.columns, (floor, [tag]), (body, branches))

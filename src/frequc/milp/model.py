@@ -122,6 +122,22 @@ class RowBlock:
         return len(self.rhs)
 
 
+def template_numbers(*parts):
+    """``(vals, sense, rhs)`` of :func:`template_rows`'s block, each
+    ``(template, n)`` of ``parts`` written ``n`` times in turn: ``vals``
+    ``(m, k)``, short rows padded with zero coefficients."""
+    k = max(len(row[3]) for template, _ in parts for row in template)
+    blocks = []
+    for template, n in parts:
+        # each row's coefficients, sense code and right-hand side
+        numbers = []
+        for _, _, sense, slots, vals, rhs in template:
+            numbers += [*vals, *[0.0] * (k - len(slots)), sense, rhs]
+        blocks += [np.array(numbers, dtype=float).reshape(-1, k + 2)] * n
+    numbers = np.concatenate(blocks)
+    return numbers[:, :k], numbers[:, k].astype(np.int8), numbers[:, k + 1]
+
+
 def template_rows(columns, *parts) -> RowBlock:
     """The rows of each ``(template, tags)`` of ``parts`` in turn, as one
     block: ``template`` written for every tag of ``tags``, one tag after
@@ -129,25 +145,18 @@ def template_rows(columns, *parts) -> RowBlock:
     template row ``(kind, suffix, sense, slots, vals, rhs)``, ``sense`` a
     code, reads the columns ``columns[b, slots]`` for tag ``b`` and is
     labelled ``kind + tags[b] + suffix``; short rows are padded with zero
-    coefficients."""
-    k = max(len(row[3]) for template, _ in parts for row in template)
-    cols, numbers, labels = [], [], []
+    coefficients (see :func:`template_numbers`)."""
+    vals, sense, rhs = template_numbers(
+        *((template, len(tags)) for template, tags in parts))
+    k = vals.shape[1]
+    cols, labels = [], []
     for template, tags in parts:
-        kinds, suffixes, sense, slots, vals, rhs = zip(*template)
-        pads = [k - len(row) for row in slots]
-        slots = [row + [0] * pad for row, pad in zip(slots, pads)]
+        slots = [row[3] + [0] * (k - len(row[3])) for row in template]
         cols.append(columns[:len(tags), np.array(slots, dtype=np.int64)]
                     .reshape(-1, k))
-        # each row's coefficients, sense code and right-hand side, per tag
-        numbers.append(np.tile(np.array(
-            [[*v, *[0.0] * pad, c, r]
-             for v, pad, c, r in zip(vals, pads, sense, rhs)], dtype=float),
-            (len(tags), 1)))
         labels += [f"{kind}{tag}{suffix}" for tag in tags
-                   for kind, suffix in zip(kinds, suffixes)]
-    numbers = np.concatenate(numbers)
-    return RowBlock(np.concatenate(cols), numbers[:, :k],
-                    numbers[:, k].astype(np.int8), numbers[:, k + 1], labels)
+                   for kind, suffix, *_ in template]
+    return RowBlock(np.concatenate(cols), vals, sense, rhs, labels)
 
 
 class MilpModel:

@@ -14,8 +14,8 @@ carried state owes, a pinned schedule, and the free units that
 operating mode is its output's lower bound.  With frequency constraints,
 each period's cells get their loss, summed-response and product
 variables, as arrays, from :func:`frequc.freqsec.register_decisions` and
-their rows from :func:`frequc.freqsec.period_rows`,
-every branch's for one period as one block; the nadir rows are the chord
+their rows, every branch's for one period as one block, from its
+:func:`frequc.freqsec.period_template`; the nadir rows are the chord
 envelope of the convex requirement, so a solution is secure by
 construction at every loss.  Every row family is added as one block of
 arrays.  Each period's ``cover`` row asks for the fewest units besides
@@ -30,11 +30,11 @@ A window is its numbers written into a layout.  The layout, a
 carries and the places its numbers go, depends only on the window's
 shape: the options, the periods and branches, which synchronous
 commitments the pins leave free, which cover rows exist, and the kinds
-and zero pattern of each period's frequency rows.  The numbers are the
+and zero pattern of each period's frequency rows; it writes those rows
+from the templates of the window that laid it out.  The numbers are the
 column bounds, right-hand sides, objective and the frequency rows'
-numbers, which each window takes, one branch's, from every period's
-:func:`frequc.freqsec.period_template`, the template the layout wrote
-its rows from; they are written with array operations.  A
+numbers, written with array operations; the frequency rows, added last,
+take theirs from each window's templates as one tail.  A
 :class:`WindowLayouts`, one per rolling run, keeps the layouts its
 windows and re-dispatches met and the period constants they share; a
 ``build_uc`` call without one lays out afresh.
@@ -71,7 +71,8 @@ from . import freqsec
 from .freqdyn import certify_operating_point
 from .milp import MilpModel, solve
 from .milp.model import (SENSE_CODE, SENSE_EQ, SENSE_GE, SENSE_LE,
-                         LaidOutModel, ModelLayout, period_tag, template_rows)
+                         LaidOutModel, ModelLayout, period_tag,
+                         template_numbers, template_rows)
 from .sysmodel import ScenarioTree, largest_unit
 
 LOSS_MODES = ("fixed", "optimised")
@@ -295,9 +296,8 @@ class _Window:
     commitments are still free after the pins, which periods have a cover
     row, and the kinds and zero pattern of the frequency rows.  Those
     rows are each period's :func:`frequc.freqsec.period_template`
-    (``templates``), whose coefficients and right-hand sides, one
-    branch's, are flattened in template order into ``freq_vals`` and
-    ``freq_rhs``."""
+    (``templates``), whose numbers, every branch's, are ``freq_vals`` and
+    ``freq_rhs``, as the layout's blocks hold them."""
 
     start: int
     options: UcOptions
@@ -309,6 +309,8 @@ class _Window:
     lo: np.ndarray
     hi: np.ndarray
     needs: np.ndarray
+    big_i: int
+    r_max: float
     constants: list
     templates: list
     freq_vals: np.ndarray
@@ -356,7 +358,7 @@ def _window(layouts: WindowLayouts, tree, options: UcOptions,
         constants = [layouts.constants(start_period + t) for t in range(T)]
         for t in np.flatnonzero((lo != hi).any(axis=0)).tolist():
             pins = freqsec.must_run(fleet, freq, constants[t], floor_big,
-                                    hi[:, t])
+                                    hi[:, t], largest=big)
             lo[pins & (lo[:, t] != hi[:, t]), t] = 1.0
             if (lo[:, t] != hi[:, t]).any():
                 secure[t] = freqsec.security_count(
@@ -382,16 +384,18 @@ def _window(layouts: WindowLayouts, tree, options: UcOptions,
                       for most, count in zip(net.max(axis=1).tolist(),
                                              secure)])
 
-    # the frequency rows' numbers, one branch's, in template order
-    rows = [row for floor, body in templates for row in floor + body]
-    vals = np.array([v for row in rows for v in row[4]], dtype=float)
-    rhs = np.array([row[5] for row in rows], dtype=float)
+    # the frequency rows' numbers, every branch's, as the blocks hold them
+    numbers = [template_numbers((floor, 1), (body, S))
+               for floor, body in templates]
+    vals = np.concatenate([np.empty(0)] + [v.ravel() for v, _, _ in numbers])
+    rhs = np.concatenate([np.empty(0)] + [r for _, _, r in numbers])
     key = (options, T, S, None if free is None else free.tobytes(),
-           (needs > 0).tobytes(), tuple(row[0] for row in rows),
+           (needs > 0).tobytes(),
+           tuple(row[0] for floor, body in templates for row in floor + body),
            (vals != 0.0).tobytes())
     return _Window(start_period, options, demand, net, tree.probabilities,
-                   floor_big, on, lo, hi, needs, constants, templates, vals,
-                   rhs, key)
+                   floor_big, on, lo, hi, needs, big_i, r_max, constants,
+                   templates, vals, rhs, key)
 
 
 class _WindowLayout:
@@ -404,12 +408,10 @@ class _WindowLayout:
     def __init__(self, system, window: _Window):
         fleet = system.generators
         freq = system.frequency
-        big = largest_unit(fleet)
         ids = [g.id for g in fleet]
-        big_i = ids.index(big.id)
+        big_i, r_max = window.big_i, window.r_max
         G, (T, S) = len(fleet), window.net.shape
         secured = window.options.frequency_constraints
-        r_max = sum(g.pfr_max for g in fleet)
         model = MilpModel()
         tags = [period_tag(t) for t in range(T)]
 
@@ -531,31 +533,13 @@ class _WindowLayout:
             G, 3, T)[:, 0, 0]
 
         # frequency-security rows: per period the inertia floor, then each
-        # branch's cell rows; each window writes its templates' numbers,
-        # one branch's, into every branch's rows.  Row i of the template
-        # fills the first lengths[i] of a block row's k places.
-        positions, v0, r0 = [(np.empty(0, np.int64),) * 4], 0, 0
-        for period_cells, shared, (floor, body) in zip(
-                cells, window.constants, window.templates):
-            block = freqsec.period_rows(
-                period_cells, fleet, freq, shared, r_max, largest=big,
-                loss_floor=window.floor_big)
-            at = sum(b.vals.size for b in model.blocks)
-            rows = model.add_block(block)
-            lengths = np.array([len(row[3]) for row in floor + body])
-            held = np.arange(block.cols.shape[1]) < lengths[:, None]
-            number = np.zeros(held.shape, np.int64)
-            number[held] = np.arange(v0, v0 + held.sum())
-            # the template row of each block row: the floor's once, then
-            # the body's for every branch
-            order = np.concatenate([np.arange(len(floor)), np.tile(
-                np.arange(len(floor), len(lengths)), S)])
-            positions.append((at + np.flatnonzero(held[order]),
-                              number[order][held[order]],
-                              np.arange(rows.start, rows.stop), r0 + order))
-            v0, r0 = v0 + held.sum(), r0 + len(lengths)
-        self.vals_at, self.vals_from, self.rhs_at, self.rhs_from = map(
-            np.concatenate, zip(*positions))
+        # branch's cell rows, written from the window's templates.  They
+        # are the last rows added, so their numbers are one tail of the
+        # layout's, which each window writes whole.
+        self.freq_vals = sum(b.vals.size for b in model.blocks)
+        self.freq_rows = model.n_rows
+        for period_cells, template in zip(cells, window.templates):
+            model.add_block(freqsec.period_rows(period_cells, template))
 
         # probability-weighted operating cost: each window writes the fuel
         # cost, weighted by its branches' probabilities
@@ -585,8 +569,8 @@ class _WindowLayout:
         rhs[self.balance] = window.demand[:, None]
         rhs[self.cover] = window.needs[self.covered]
         rhs[self.link] = window.on
-        vals[self.vals_at] = window.freq_vals[self.vals_from]
-        rhs[self.rhs_at] = window.freq_rhs[self.rhs_from]
+        vals[self.freq_vals:] = window.freq_vals
+        rhs[self.freq_rows:] = window.freq_rhs
         c[self.fuel] = window.probabilities * self.fuel_cost[:, None, None]
         T, S = self.shape
         model = UcModel(self.model, f"uc_p{window.start}_{T}x{S}",
@@ -619,20 +603,20 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     still free after the pins, which cover rows exist, and the kinds and
     zero pattern of each period's frequency rows (which QSS rows, nadir
     chords and hyperbolic cuts exist).  It holds the column and row index
-    arrays, senses, integrality, name and label templates, the compiled
-    CSR pattern, and where each frequency number goes in every branch's
-    rows.  The numbers are the column bounds, right-hand sides, objective
-    and the frequency rows' coefficients and right-hand sides, which each
-    window reads, one branch's, from every period's
-    :func:`frequc.freqsec.period_template`; they are written with array
-    operations.  ``layouts``, one per rolling run, keeps the layouts met
-    so far; without it the window is laid out afresh.
+    arrays, senses, integrality, name and label templates and the compiled
+    CSR pattern, its frequency rows written from the window that laid it
+    out.  The numbers are the column bounds, right-hand sides, objective
+    and the frequency rows' numbers, which every window makes from each
+    period's :func:`frequc.freqsec.period_template` and writes as one
+    tail; they are written with array operations.  ``layouts``, one per
+    rolling run, keeps the layouts met so far; without it the window is
+    laid out afresh.
 
     Each row family repeats one pattern per cell or per unit, so it is
     added as one block of arrays, written from a template by
     :func:`frequc.milp.model.template_rows`;
-    :func:`frequc.freqsec.period_rows` gives each period's frequency rows,
-    every branch's, as one block.  With
+    :func:`frequc.freqsec.period_rows` writes each period's template as
+    its frequency rows, every branch's, in one block.  With
     frequency constraints, a commitment left free by the other pins that
     :func:`frequc.freqsec.must_run` finds forced on is pinned on: no
     schedule the rows admit has it off, and its cells need no product

@@ -408,7 +408,8 @@ def build_uc_loop(system, tree, options: UcOptions, *, start_period: int = 0,
                 raise SchedulerError(f"period {start_period + t}: {exc}") \
                     from exc
             upper = [model.ub[x[g.id, t]] for g in fleet]
-            pins = freqsec.must_run(fleet, freq, constants, floor_big, upper)
+            pins = freqsec.must_run(fleet, freq, constants, floor_big, upper,
+                                    largest=big)
             for g, pin in zip(fleet, pins):
                 if pin and model.lb[x[g.id, t]] != model.ub[x[g.id, t]]:
                     fix_variable(model, x[g.id, t], 1.0)

@@ -21,7 +21,7 @@ import pytest
 from frequc.cli import _scale_wind
 from frequc.freqdyn import SwingInputs, exact_nadir_feasible, simulate_swing
 from frequc.freqsec import (nadir_requirement, period_constants,
-                            period_rows, register_decisions)
+                            period_rows, period_template, register_decisions)
 from frequc.milp import MilpModel, solve
 from frequc.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from frequc.scheduler import (UcOptions, _advance_state, default_initial_state,
@@ -196,8 +196,9 @@ def _economic_cell(fleet, demand, floor, freq=None, commit=None):
                                   period=0, commit=list(x.values()),
                                   output=[list(p.values())],
                                   pfr=[list(r.values())])
-        model.add_block(period_rows(cell, fleet, freq, constants, r_max,
-                                    largest=big, loss_floor=floor))
+        model.add_block(period_rows(cell, period_template(
+            fleet, freq, constants, r_max, free=cell.free,
+            fixed_on=cell.fixed_on, largest=big, loss_floor=floor)))
     return model, x, p, r
 
 
@@ -308,8 +309,9 @@ def test_bigm_product_exactness():
             model, fleet, freq, constants, r_max, period=0,
             commit=list(commit.values()), output=[output],
             pfr=[list(pfr.values())])
-        model.add_block(period_rows(cell, fleet, freq, constants, r_max,
-                                    largest=fleet[0], loss_floor=1200.0))
+        model.add_block(period_rows(cell, period_template(
+            fleet, freq, constants, r_max, free=cell.free,
+            fixed_on=cell.fixed_on, largest=fleet[0], loss_floor=1200.0)))
         # the rows that define R and bound the product
         rows = [row for row in model.rows
                 if row.label.startswith(("pfr_sum", "bigm_", "hr"))]

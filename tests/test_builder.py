@@ -229,9 +229,10 @@ def test_rolling_runs_match_the_loop_builder(monkeypatch, mode, secured):
 def test_period_rows_run_once_per_layout(monkeypatch):
     """Over a rolling run of same-shape windows, each period's rows are
     written as a block once per period of each distinct layout, not once
-    per window, while every window takes its numbers from the period's
-    template: a change that lays every window out again, or that writes a
-    window's numbers from anywhere but the template, fails here."""
+    per window, and each period's template is made once per build, which
+    both the block and the window's numbers are written from: a change
+    that lays every window out again, or that describes a period's rows
+    anywhere but in the template, fails here."""
     families = ("inertia_floor_row", "largest_loss_rows",
                 "inertia_expression", "rocof_row", "qss_row",
                 "linearize_inertia_pfr", "nadir_discretization_rows",
@@ -255,11 +256,43 @@ def test_period_rows_run_once_per_layout(monkeypatch):
     # 12 windows and 12 re-dispatches, 2 periods each: one layout each
     assert len(builds) == 24 and len(layouts) == 2
     laid_out = sum(layouts.values())
-    # one template per period of every build, and one per block written
-    templates = 2 * len(builds) + laid_out
-    assert (laid_out, templates) == (4, 52)
+    # one template per period of every build, none for the blocks written
+    templates = 2 * len(builds)
+    assert (laid_out, templates) == (4, 48)
     assert calls == {"period_rows": laid_out, **dict.fromkeys(
         families + ("period_template",), templates)}
+
+
+def test_a_zero_coefficient_gets_its_own_layout():
+    """At the bundled 3000 MW the largest unit, lignite1, adds as much
+    inertia when committed as it takes with it when it trips, so with it
+    the only synchronous unit fixed on, the ``hr`` row's coefficient on
+    ``R`` is exactly 0.  Two one-period windows at period 3, pinned to
+    lignite1 alone and to lignite1 with ccgt1-ccgt3, differ in nothing
+    that sets a layout but that zero.  Built in that order, in both modes,
+    they get a layout each, and each is the loop builder's model: a layout
+    reused for the second would drop its ``R`` coefficients."""
+    system, tree = bundled(3000.0)
+    fleet, freq = system.generators, system.frequency
+    ids = [g.id for g in fleet]
+    big = ids.index("lignite1")
+    assert frequc.freqsec.inertia_coefficients(fleet, freq)[big] \
+        == frequc.freqsec.lost_inertia(freq) == 90.0
+    for mode in LOSS_MODES:
+        options = UcOptions(horizon=1, first_stage=1, largest_loss_mode=mode)
+        layouts = WindowLayouts(system)
+        models = []
+        for on in ({"lignite1"}, {"lignite1", "ccgt1", "ccgt2", "ccgt3"}):
+            kwargs = dict(start_period=3,
+                          fixed_commitments=[[float(i in on) for i in ids]])
+            models.append(build_uc(system, tree, options, layouts=layouts,
+                                   **kwargs))
+            assert_same_model(models[-1],
+                              build_uc_loop(system, tree, options, **kwargs))
+        assert models[0].layout is not models[1].layout
+        # one more nonzero in each branch's ``hr`` row, and nothing else
+        zero, nonzero = (model.compile().a for model in models)
+        assert nonzero.nnz - zero.nnz == tree.net.shape[1]
 
 
 def test_a_period_with_other_chords_gets_its_own_layout():

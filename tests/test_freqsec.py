@@ -14,6 +14,7 @@ from frequc.freqsec import (
     nadir_requirement,
     period_constants,
     period_rows,
+    period_template,
     register_decisions,
     security_count,
     settled_limit,
@@ -66,9 +67,10 @@ def add_cell_rows(mdl, cell, fleet, freq, kinds, *, demand=30000.0,
     start with one of ``kinds``, and return them read back from
     ``mdl.rows``.  With the default ``loss_floor`` every unit is a loss
     source."""
-    block = period_rows(cell, fleet, freq,
-                        period_constants(fleet, freq, demand), r_max,
-                        largest=largest_unit(fleet), loss_floor=loss_floor)
+    block = period_rows(cell, period_template(
+        fleet, freq, period_constants(fleet, freq, demand), r_max,
+        free=cell.free, fixed_on=cell.fixed_on, largest=largest_unit(fleet),
+        loss_floor=loss_floor))
     keep = np.array([label.startswith(kinds) for label in block.labels])
     start = mdl.n_rows
     mdl.add_block(RowBlock(block.cols[keep], block.vals[keep],
@@ -442,8 +444,9 @@ def cell_fewest_on(fleet, freq, demand, net, loss_floor, upper, off=None):
     constants = period_constants(fleet, freq, demand)
     cell = register_decisions(mdl, fleet, freq, constants, r_max, period=0,
                               commit=commit, output=[output], pfr=[pfr])
-    mdl.add_block(period_rows(cell, fleet, freq, constants, r_max,
-                              largest=big, loss_floor=loss_floor))
+    mdl.add_block(period_rows(cell, period_template(
+        fleet, freq, constants, r_max, free=cell.free,
+        fixed_on=cell.fixed_on, largest=big, loss_floor=loss_floor)))
     mdl.set_objective({j: 1.0 for g, j in zip(fleet, commit)
                        if g.id != big.id})
     result = solve(mdl)
@@ -462,7 +465,7 @@ def assert_screen_is_exact(fleet, freq, demand, net, loss_floor, upper):
     fewest."""
     big = largest_unit(fleet)
     constants = period_constants(fleet, freq, demand)
-    pins = must_run(fleet, freq, constants, loss_floor, upper)
+    pins = must_run(fleet, freq, constants, loss_floor, upper, largest=big)
     count = security_count(fleet, freq, constants, loss_floor, upper,
                            largest=big, net=net)
     exact, relaxed = fewest_secure_units(fleet, freq, demand, loss_floor,
@@ -570,6 +573,33 @@ def test_security_count_is_exact_in_the_loss():
     assert count(670.0, 1025.0) == count(536.0, 1035.0) == 2
 
 
+def test_must_run_caps_the_largest_units_response():
+    """The largest unit, 100 MW, holds up to 50 MW of response; two others,
+    90 MW, hold 30 MW each, and the QSS row asks R >= P - 50.  With its
+    output at least the floor, ``headroom`` leaves the largest at most its
+    rating less the floor of response.  At the rating (fixed mode) that is
+    none, so neither other unit alone clears the row and every secure
+    commitment has both on: the screen pins both, where counting the
+    largest's full 50 MW left each free.  Deloaded to 50 MW it holds its
+    50 MW, one other unit will do, and nothing is pinned."""
+    unit = GeneratorSpec(id="a", technology="thermal", p_max=90.0,
+                         inertia_const=100.0, pfr_max=30.0)
+    big = GeneratorSpec(id="big", technology="thermal", p_max=100.0,
+                        inertia_const=5.0, pfr_max=50.0, deloadable=True,
+                        max_deload_fraction=0.5)
+    fleet = (big, unit, replace(unit, id="b"))
+    freq = freq_for(fleet, default_segment_grid(100.0, 0.5), df_max=1.0,
+                    df_ss_max=1.0, rocof_max=1.0, damping=0.05)
+    demand, upper = 1000.0, [1.0] * 3
+    assert period_constants(fleet, freq, demand).qss == -50.0
+    for floor, pinned, fewest in ((100.0, True, 2), (50.0, False, 1)):
+        assert fewest_secure_units(fleet, freq, demand, floor, upper, big,
+                                   net=None) == (fewest, fewest)
+        seen, count, exact = assert_screen_is_exact(fleet, freq, demand, 0.0,
+                                                    floor, upper)
+        assert seen == [pinned] * 2 and count == exact == fewest
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(demand=st.integers(100, 600).map(lambda k: 10.0 * k),
        loss_floor=st.integers(0, 90).map(lambda k: 10.0 * k),
@@ -611,8 +641,9 @@ def pinned_cell_status(fleet, freq, demand, loss, response=None):
     constants = period_constants(fleet, freq, demand)
     cell = register_decisions(mdl, fleet, freq, constants, r_max, period=0,
                               commit=commit, output=[output], pfr=[pfr])
-    mdl.add_block(period_rows(cell, fleet, freq, constants, r_max,
-                              largest=fleet[0], loss_floor=loss))
+    mdl.add_block(period_rows(cell, period_template(
+        fleet, freq, constants, r_max, free=cell.free,
+        fixed_on=cell.fixed_on, largest=fleet[0], loss_floor=loss)))
     return solve(mdl).status
 
 
@@ -677,7 +708,7 @@ def test_long_delivery_with_damping_has_no_qss_row():
     spare = replace(resp, id="spare")
     pair = (big, resp, spare)
     constants = period_constants(pair, freq, demand)
-    pins = must_run(pair, freq, constants, 100.0, [1.0] * 3)
+    pins = must_run(pair, freq, constants, 100.0, [1.0] * 3, largest=big)
     count = security_count(pair, freq, constants, 100.0, [1.0] * 3,
                            largest=big, net=0.0)
     assert pins.tolist() == [False] * 3 and count == 1

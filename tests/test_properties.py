@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from frequc.freqsec import (period_constants, period_rows,
+from frequc.freqsec import (period_constants, period_rows, period_template,
                             register_decisions, security_count)
 from frequc.milp import MilpModel, branch_bound
 from frequc.scheduler import (
@@ -355,8 +355,9 @@ def cut_cells(draw):
                  for g in units]],
         pfr=[[model.add_continuous(f"r[{g.id}]", 0.0, g.pfr_max)
               for g in units]])
-    model.add_block(period_rows(cell, units, freq, constants, r_max,
-                                largest=units[0], loss_floor=floor))
+    model.add_block(period_rows(cell, period_template(
+        units, freq, constants, r_max, free=cell.free,
+        fixed_on=cell.fixed_on, largest=units[0], loss_floor=floor)))
     rows = list(model.rows)
     values = np.zeros(model.n_vars)
     values[commit[0]] = 1.0
