@@ -203,12 +203,10 @@ def _verification_table(outdir: Path, report, frequency_enabled: bool) -> None:
 def cmd_solve(args) -> int:
     system, tree = _load_inputs(args.system, args.scenarios)
     horizon = args.horizon if args.horizon is not None else system.n_periods
-    first_stage = args.first_stage if args.first_stage is not None else horizon
     options = UcOptions(
         frequency_constraints=not args.no_frequency,
         deloading_enabled=not args.no_deloading,
         horizon=horizon,
-        first_stage=first_stage,
         largest_loss_mode=args.mode,
     )
     outdir = Path(args.out)
@@ -217,7 +215,6 @@ def cmd_solve(args) -> int:
         "frequency_constraints": options.frequency_constraints,
         "deloading_enabled": options.deloading_enabled,
         "horizon": options.horizon,
-        "first_stage": options.first_stage,
         "largest_loss_mode": options.largest_loss_mode,
         "backend": args.backend,
     }
@@ -547,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--out", required=True, help="output directory")
     q.add_argument("--horizon", type=int, default=None,
                    help="window length in periods (default: whole profile)")
-    q.add_argument("--first-stage", type=int, default=None, dest="first_stage")
     q.add_argument("--mode", choices=("fixed", "optimised"),
                    default="optimised", help="largest-loss operating mode")
     q.add_argument("--no-frequency", action="store_true",

@@ -1,6 +1,6 @@
-"""Exact MILP solving over :class:`MilpModel`.
+"""Exact MILP solving over a :class:`MilpModel` or a :class:`LaidOutModel`.
 
-``solve`` compiles the model once into arrays (:meth:`MilpModel.compile`),
+``solve`` compiles the model once into arrays (its ``compile``),
 hands them to HiGHS in one array call through :func:`run_highs`, rounds the
 binaries of the answer and re-checks every bound and row against the same
 arrays.  A solution that fails the re-check is not reported optimal; an
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CompiledModel, MilpModel
+from .model import CompiledModel, LaidOutModel, MilpModel
 
 
 # How far from an integer a free integer column of an LP relaxation may lie
@@ -58,7 +58,7 @@ class MilpSolution:
     violations: list[str] = field(default_factory=list)
 
 
-def solve(model: MilpModel, *, relax_first: bool = False) -> MilpSolution:
+def solve(model: MilpModel | LaidOutModel, *, relax_first: bool = False) -> MilpSolution:
     """Solve the model with HiGHS and re-check feasibility of the answer.
 
     With ``relax_first`` the LP relaxation is solved first; when it is
@@ -79,7 +79,7 @@ def solve(model: MilpModel, *, relax_first: bool = False) -> MilpSolution:
     return sol
 
 
-def _solve_highs(model: MilpModel, compiled: CompiledModel,
+def _solve_highs(model: MilpModel | LaidOutModel, compiled: CompiledModel,
                  relax_first: bool) -> MilpSolution:
     lb, ub = compiled.lb, compiled.ub
     # an integer column whose bounds pin it to one integer needs no

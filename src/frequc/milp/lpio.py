@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, LaidOutModel, MilpModel
 
 
 def _num(x: float) -> str:
@@ -45,7 +45,7 @@ def _format_terms(cols, vals, names) -> list[str]:
     return parts
 
 
-def export_model(model: MilpModel) -> str:
+def export_model(model: MilpModel | LaidOutModel) -> str:
     """Render the model as LP-format text, read from its compiled arrays:
     each row's terms in column order, each column's bounds in index
     order."""

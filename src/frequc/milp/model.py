@@ -4,18 +4,18 @@ Holds columns with finite bounds, kept as arrays of names, bounds and
 integrality, labeled linear rows, kept as blocks of arrays, and a linear
 objective.  This is the exchange format between the constraint builders,
 the solvers and the LP file writer; it does no solving itself.
-:meth:`MilpModel.compile` checks a model and concatenates its blocks into
-the arrays that HiGHS, the feasibility re-check of a solve and the LP
-writer share.
 
-Models that differ only in their numbers share a :class:`ModelLayout`:
-the structure of one model built with name and label templates (a
-period written as :func:`period_tag`), checked and compiled once.  A
-:class:`LaidOutModel` is the layout's structure with numbers of its own
-(column bounds, coefficients, right-hand sides, objective); it makes its
-names, labels and row blocks only when they are read, and its
-:meth:`~LaidOutModel.compile` checks only that its numbers are finite and
-its bounds not empty.
+Every model compiles through a :class:`ModelLayout`: the structure of a
+model, checked once, with its CSR row pattern.  Models that differ only
+in their numbers share one, built with name and label templates (a
+period written as :func:`period_tag`).  A :class:`LaidOutModel` is a
+layout's structure with numbers of its own (column bounds,
+coefficients, right-hand sides, objective); it makes its names, labels
+and row blocks only when they are read, and its
+:meth:`~LaidOutModel.compile` checks its numbers and returns the arrays
+that HiGHS, the feasibility re-check of a solve and the LP writer share.
+:meth:`MilpModel.compile` is its own layout with its own numbers,
+compiled.
 
 :func:`template_rows` writes a row template, one cell's rows over slots,
 for every cell of a ``(cells, slots)`` column array as one
@@ -297,73 +297,15 @@ class MilpModel:
         to them would not reach the blocks."""
         return RowsView(tuple(self.blocks))
 
-    def row_label(self, i: int) -> str:
-        """Label of row ``i``."""
-        for block in self.blocks:
-            if i < len(block):
-                return block.labels[i]
-            i -= len(block)
-        raise IndexError("row index out of range")
-
     def binary_indices(self) -> list[int]:
         return np.flatnonzero(self.integrality).tolist()
 
     def compile(self) -> CompiledModel:
-        """Check the model and return it as arrays.
-
-        Raises ModelError on non-finite or empty bounds, a non-binary
-        integer variable, a duplicate name, or a row that a block edited
-        in place made malformed (see :meth:`add_rows`), naming the first
-        offending variable, else row.
-        """
-        import scipy.sparse as sp
-
-        blocks = self.blocks
-        n, m = len(self.names), self._n_rows
-        lb, ub = self.lb.copy(), self.ub.copy()
-        integrality = self.integrality.copy()
-        names = self.names
-        duplicate = np.zeros(n, dtype=bool)
-        if len(set(names)) < n:
-            seen: set[str] = set()
-            for j, name in enumerate(names):
-                duplicate[j] = name in seen
-                seen.add(name)
-        _check_variables(names.__getitem__, lb, ub, integrality > 0,
-                         duplicate)
-
-        keep = [b.vals != 0.0 for b in blocks]
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        sense = np.empty(m, dtype=np.int8)
-        rhs = np.empty(m)
-        if blocks:
-            np.cumsum(np.concatenate([k.sum(axis=1) for k in keep]),
-                      out=indptr[1:])
-            np.concatenate([b.sense for b in blocks], out=sense)
-            np.concatenate([b.rhs for b in blocks], out=rhs)
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz)
-        if blocks:
-            np.concatenate([b.cols[k] for b, k in zip(blocks, keep)],
-                           out=indices)
-            np.concatenate([b.vals[k] for b, k in zip(blocks, keep)],
-                           out=data)
-        _check_rows(sense, rhs, indices, data,
-                    lambda e: int(np.searchsorted(indptr, e, side="right")) - 1,
-                    n, self.row_label, lambda i: int(sense[i]))
-
-        c = np.zeros(n)
-        if self.objective:
-            k = len(self.objective)
-            c[np.fromiter(self.objective, np.int64, k)] = np.fromiter(
-                self.objective.values(), float, k)
-        return CompiledModel(
-            model=self, c=c, lb=lb, ub=ub,
-            integrality=integrality,
-            a=sp.csr_array((data, indices, indptr), shape=(m, n)),
-            lo=np.where(sense == _LE, -np.inf, rhs),
-            hi=np.where(sense == _GE, np.inf, rhs))
+        """Check the model and return it as arrays: its
+        :class:`ModelLayout` with its own numbers, compiled.  Raises
+        ModelError as :class:`ModelLayout` does."""
+        layout = ModelLayout(self)
+        return LaidOutModel(layout, self.name, 0, *layout.numbers()).compile()
 
 
 def _check_variable(name, lb, ub, taken) -> None:
@@ -478,7 +420,7 @@ class CompiledModel:
     row matrix ``a`` and the row bounds ``lo <= a @ x <= hi``.  HiGHS
     and the feasibility re-check both read these."""
 
-    model: MilpModel
+    model: LaidOutModel
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -549,36 +491,68 @@ class ModelLayout:
     """What models that differ only in their numbers share.
 
     Made from ``model``, built with name and label templates (a period
-    ``t`` after the first written as :func:`period_tag`\\ ``(t)``), whose
-    every check :meth:`MilpModel.compile` runs here, once.  The layout
-    keeps the structure: the name and label templates, the integrality,
-    each block's columns, senses and shape, and ``pattern``, the compiled
-    CSR matrix, whose ``indptr`` and ``indices`` every model's compiled
-    matrix shares: ``keep`` indexes the coefficients that are not zero.
-    ``model``'s numbers are the base that :meth:`numbers` copies for each
-    model to write its own into; a number whose zero pattern may change
-    belongs in the layout's key, not only in its numbers.
+    ``t`` after the first written as :func:`period_tag`\\ ``(t)``), which
+    it checks, once.  The layout keeps the structure: the name and label
+    templates, the integrality, each block's columns, senses and shape,
+    and ``pattern``, the compiled CSR matrix, whose ``indptr`` and
+    ``indices`` every model's compiled matrix shares: ``keep`` indexes the
+    coefficients that are not zero.  ``model``'s numbers are the base
+    that :meth:`numbers` copies for each model to write its own into; a
+    number whose zero pattern may change belongs in the layout's key, not
+    only in its numbers.
+
+    Raises ModelError on non-finite or empty bounds, a non-binary integer
+    variable, a duplicate name, or a row that a block edited in place
+    made malformed (see :meth:`MilpModel.add_rows`), naming the first
+    offending variable, else row.
     """
 
     def __init__(self, model: MilpModel):
-        compiled = model.compile()
+        import scipy.sparse as sp
+
         blocks = model.blocks
-        self.n_vars, self.n_rows = model.n_vars, model.n_rows
-        self.name_templates = model.names
+        n, m = model.n_vars, model.n_rows
+        self.n_vars, self.n_rows = n, m
+        self.name_templates = names = list(model.names)
         self.label_templates = [label for b in blocks for label in b.labels]
-        self.integrality = _frozen(compiled.integrality)
+        lb, ub = model.lb.copy(), model.ub.copy()
+        self.integrality = _frozen(model.integrality.copy())
+        duplicate = np.zeros(n, dtype=bool)
+        if len(set(names)) < n:
+            seen: set[str] = set()
+            for j, name in enumerate(names):
+                duplicate[j] = name in seen
+                seen.add(name)
+        _check_variables(names.__getitem__, lb, ub, self.integrality > 0,
+                         duplicate)
+
         self.cols = [_frozen(b.cols) for b in blocks]
-        self.sense = _frozen(_joined([b.sense for b in blocks], np.int8))
-        self.keep = _frozen(np.flatnonzero(
-            _joined([b.vals.ravel() != 0.0 for b in blocks], bool)))
-        self.lower, self.upper = (_frozen(self.sense != code)
+        self.sense = sense = _frozen(_joined([b.sense for b in blocks],
+                                             np.int8))
+        rhs = _joined([b.rhs for b in blocks])
+        vals = _joined([b.vals.ravel() for b in blocks])
+        self.keep = keep = _frozen(np.flatnonzero(vals != 0.0))
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(_joined([np.count_nonzero(b.vals, axis=1) for b in blocks],
+                          np.int64), out=indptr[1:])
+        indices = _joined([b.cols.ravel() for b in blocks], np.int64)[keep]
+        data = vals[keep]
+        _check_rows(sense, rhs, indices, data,
+                    lambda e: int(np.searchsorted(indptr, e, side="right")) - 1,
+                    n, self.label_templates.__getitem__,
+                    lambda i: int(sense[i]))
+        self.lower, self.upper = (_frozen(sense != code)
                                   for code in (_LE, _GE))
-        self.pattern = compiled.a
-        for array in (compiled.a.indptr, compiled.a.indices):
+        self.pattern = sp.csr_array((data, indices, indptr), shape=(m, n))
+        for array in (self.pattern.indptr, self.pattern.indices):
             array.setflags(write=False)
-        self._base = (compiled.lb, compiled.ub,
-                      _joined([b.vals.ravel() for b in blocks]),
-                      _joined([b.rhs for b in blocks]), compiled.c)
+
+        c = np.zeros(n)
+        if model.objective:
+            k = len(model.objective)
+            c[np.fromiter(model.objective, np.int64, k)] = np.fromiter(
+                model.objective.values(), float, k)
+        self._base = (lb, ub, vals, rhs, c)
         self._names = self._labels = None
 
     def numbers(self):
@@ -598,15 +572,15 @@ class ModelLayout:
         return _made(self._labels, start)
 
 
-class LaidOutModel(MilpModel):
+class LaidOutModel:
     """A model with the structure of ``layout`` and numbers of its own, its
     first period ``start``: column bounds ``lb`` and ``ub``, the blocks'
     coefficients ``vals`` flattened block by block, right-hand sides
     ``rhs`` and objective ``c`` (see :meth:`ModelLayout.numbers`).
 
     Names, labels, row blocks and the objective map are made when read.
-    The structure cannot grow: adding columns or rows, or setting the
-    objective, raises ModelError.
+    It has no methods that add columns or rows: its structure is the
+    layout's.
     """
 
     def __init__(self, layout: ModelLayout, name: str, start: int, lb, ub,
@@ -614,21 +588,24 @@ class LaidOutModel(MilpModel):
         self.name, self.layout, self.start = name, layout, start
         self.lb, self.ub, self.vals, self.rhs, self.c = lb, ub, vals, rhs, c
         self.integrality = layout.integrality
-        self._n_rows = layout.n_rows
         self._names = self._blocks = None
-
-    def add_variables(self, names, lb, ub, integer=False):
-        raise ModelError(f"{self.name}: a laid-out model cannot grow")
-
-    def add_block(self, block, sense_name=None):
-        raise ModelError(f"{self.name}: a laid-out model cannot grow")
-
-    def set_objective(self, coeffs):
-        raise ModelError(f"{self.name}: a laid-out model cannot grow")
 
     @property
     def n_vars(self) -> int:
         return self.layout.n_vars
+
+    @property
+    def n_rows(self) -> int:
+        return self.layout.n_rows
+
+    @property
+    def rows(self) -> RowsView:
+        """Every row as a :class:`LinearRow`, read from the blocks when the
+        view is iterated (see :attr:`MilpModel.rows`)."""
+        return RowsView(tuple(self.blocks))
+
+    def binary_indices(self) -> list[int]:
+        return np.flatnonzero(self.integrality).tolist()
 
     @property
     def names(self) -> list[str]:

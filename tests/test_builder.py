@@ -13,7 +13,7 @@ import pytest
 import frequc.freqsec
 import frequc.scheduler
 from frequc.cli import _scale_wind
-from frequc.milp import solve
+from frequc.milp import ModelError, solve
 from frequc.scheduler import (
     LOSS_MODES,
     UcOptions,
@@ -82,6 +82,38 @@ def test_bundled_windows_match_the_loop_builder(wind, mode, secured, horizon):
                         first_stage=horizon, largest_loss_mode=mode)
     for start in (0, 12):
         assert_builders_agree(system, tree, options, start_period=start)
+
+
+@pytest.mark.parametrize("edit", ["bound", "rhs", "objective"])
+def test_window_numbers_fail_with_the_loop_builders_messages(edit):
+    """A NaN written into a window's own numbers, a commitment bound, a
+    frequency row's right-hand side or an objective coefficient, fails
+    its compile with the message the loop builder's model gives for the
+    same edit: names and labels read at the window's own periods."""
+    system, tree = bundled()
+    options = UcOptions(horizon=4, first_stage=4)
+    model = build_uc(system, tree, options, start_period=5)
+    reference = build_uc_loop(system, tree, options, start_period=5)
+    fleet = [g.id for g in system.generators]
+    if edit == "bound":
+        j = model.commit[0, fleet.index("ccgt1")]
+        model.lb[j] = reference.lb[j] = np.nan
+        message = "variable x[ccgt1][5]: non-finite bounds"
+    elif edit == "rhs":
+        label = "rocof[5][0]"
+        model.rhs[[row.label for row in reference.rows].index(label)] = np.nan
+        block = next(b for b in reference.blocks if label in b.labels)
+        block.rhs[block.labels.index(label)] = np.nan
+        message = f"row {label!r}: right-hand side must be finite"
+    else:
+        j = model.output[0, fleet.index("ccgt1"), 0]
+        assert reference.names[j] == "p[ccgt1][5][0]" and model.c[j] != 0.0
+        model.c[j] = reference.objective[j] = np.nan
+        message = f"objective: non-finite coefficient on index {j}"
+    for mdl in (model, reference):
+        with pytest.raises(ModelError) as raised:
+            mdl.compile()
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("horizon", [4, 12])

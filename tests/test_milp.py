@@ -446,8 +446,10 @@ def test_add_rows_matches_add_row_and_drops_zeros():
     assert [len(row.coeffs) for row in block.rows] == [2, 1, 0]
     assert list(block.rows[0].coeffs.items()) == [(0, 1.0), (1, -2.0)]
     assert len(block.rows) == 3 and block.rows[-1].label == "c[2]"
-    assert [block.row_label(i) for i in range(3)] == ["a[0]", "b[1]", "c[2]"]
-    a, b = single.compile().a, block.compile().a
+    compiled = block.compile()
+    assert [compiled.model.row_label(i) for i in range(3)] == \
+        ["a[0]", "b[1]", "c[2]"]
+    a, b = single.compile().a, compiled.a
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert b.nnz == 3
@@ -837,6 +839,26 @@ def test_highs_binding_is_imported_by_one_function():
     assert found == [("src/frequc/milp/branch_bound.py", "run_highs")]
     assert [path.name for path in package_sources()
             if "_highspy" in path.read_text()] == ["branch_bound.py"]
+
+
+def test_one_class_builds_a_csr_matrix():
+    """Every model's row pattern is built in ``ModelLayout``: the other
+    compile paths reuse it, so a second assembly of the matrix fails
+    here."""
+    found = []
+    for path in package_sources():
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> innermost enclosing class (walk is outer first)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                owner.update(dict.fromkeys(ast.walk(cls), cls.name))
+        found += [(path.relative_to(ROOT).as_posix(), owner.get(node))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] == "csr_array"]
+    assert found == [("src/frequc/milp/model.py", "ModelLayout")]
+    assert sum(path.read_text().count("csr_array(")
+               for path in package_sources()) == 1
 
 
 def test_scipy_milp_is_not_used_by_the_package():
