@@ -205,7 +205,6 @@ def cmd_solve(args) -> int:
     horizon = args.horizon if args.horizon is not None else system.n_periods
     options = UcOptions(
         frequency_constraints=not args.no_frequency,
-        deloading_enabled=not args.no_deloading,
         horizon=horizon,
         largest_loss_mode=args.mode,
     )
@@ -213,7 +212,6 @@ def cmd_solve(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_options = {
         "frequency_constraints": options.frequency_constraints,
-        "deloading_enabled": options.deloading_enabled,
         "horizon": options.horizon,
         "largest_loss_mode": options.largest_loss_mode,
         "backend": args.backend,
@@ -319,18 +317,19 @@ def _parse_study_config(path, system):
             UcOptions(horizon=horizon, first_stage=first_stage)
         except SchedulerError as exc:
             raise SystemConfigError(f"{path}: {exc}") from None
+    # accepted as true for study files that still set it; the largest
+    # plant is kept at full output by mode fixed
     deloading = section.get("deloading_enabled", True)
-    if not isinstance(deloading, bool):
+    if deloading is not True:
         raise SystemConfigError(
-            f"{path}: deloading_enabled must be true or false, got "
-            f"{deloading!r}")
+            f"{path}: deloading_enabled must be true, got {deloading!r}; "
+            "list modes: [fixed] to keep the largest plant at full output")
     return {
         "wind_capacities": caps,
         "modes": modes,
         "periods": periods,
         "horizon": horizon,
         "first_stage": first_stage,
-        "deloading_enabled": deloading,
     }
 
 
@@ -413,7 +412,6 @@ def cmd_study(args) -> int:
               (cell_system, cell_tree,
                UcOptions(
                    frequency_constraints=enabled,
-                   deloading_enabled=config["deloading_enabled"],
                    horizon=config["horizon"],
                    first_stage=config["first_stage"],
                    largest_loss_mode=mode,
@@ -548,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="optimised", help="largest-loss operating mode")
     q.add_argument("--no-frequency", action="store_true",
                    help="drop the frequency-security rows")
-    q.add_argument("--no-deloading", action="store_true",
-                   help="never deload the largest plant")
     q.add_argument("--backend", default="highs", choices=("highs",),
                    help="mixed-integer solver (HiGHS is the only one)")
     q.add_argument("--seed", type=int, default=0)

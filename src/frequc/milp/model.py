@@ -3,7 +3,8 @@
 Holds columns with finite bounds, kept as arrays of names, bounds and
 integrality, labeled linear rows, kept as blocks of arrays, and a linear
 objective.  This is the exchange format between the constraint builders,
-the solvers and the LP file writer; it does no solving itself.
+the solvers and the LP file writer; it does no solving itself.  Building
+a model only collects what is added.
 
 Every model compiles through a :class:`ModelLayout`: the structure of a
 model, checked once, with its CSR row pattern.  Models that differ only
@@ -160,7 +161,7 @@ def template_rows(columns, *parts) -> RowBlock:
 
 
 class MilpModel:
-    """Columns, row blocks and an objective.
+    """Columns, row blocks and an objective, collected as they are added.
 
     Column ``j`` is ``names[j]`` with bounds ``lb[j] <= x[j] <= ub[j]``;
     ``integrality[j]`` is 1 for a binary.  :meth:`add_variable` adds one
@@ -169,6 +170,10 @@ class MilpModel:
     a block of one row, :meth:`add_rows` a block of many and
     :meth:`add_block` a ready-made block.  ``rows`` reads
     them back as :class:`LinearRow`s.
+
+    Adding checks only what forms a block; the model's structure and
+    numbers are checked once, by its :class:`ModelLayout` and
+    :meth:`compile`.
     """
 
     def __init__(self, name: str = "model"):
@@ -179,7 +184,6 @@ class MilpModel:
         self.integrality = np.empty(0, dtype=np.uint8)
         self.blocks: list[RowBlock] = []
         self.objective: dict[int, float] = {}
-        self._taken: set[str] = set()
         self._n_rows = 0
 
     # -- construction -----------------------------------------------------
@@ -190,28 +194,18 @@ class MilpModel:
     def add_variables(self, names, lb, ub, integer=False) -> np.ndarray:
         """Add one column per name; ``lb``, ``ub`` and ``integer`` are
         scalars or one value per name.  Returns the new indices in order.
-        Raises ModelError, before anything is added, for the first name
-        that is taken or whose bounds are not finite or are empty."""
+        Names and bounds are checked by the model's layout."""
         names = list(names)
         m = len(names)
         lb = _per_item(lb, m, float, "variables")
         ub = _per_item(ub, m, float, "variables")
         integer = _per_item(integer, m, bool, "variables")
-        fresh = set(names)
-        if (len(fresh) < m or not self._taken.isdisjoint(fresh)
-                or not (np.isfinite(lb).all() and np.isfinite(ub).all())
-                or (lb > ub).any()):
-            taken = set(self._taken)
-            for name, lo, hi in zip(names, lb.tolist(), ub.tolist()):
-                _check_variable(name, lo, hi, taken)
-                taken.add(name)
         start = len(self.names)
         self.names += names
         self.lb = np.concatenate([self.lb, lb])
         self.ub = np.concatenate([self.ub, ub])
         self.integrality = np.concatenate([self.integrality,
                                            integer.astype(np.uint8)])
-        self._taken |= fresh
         return np.arange(start, start + m)
 
     def add_continuous(self, name: str, lb: float, ub: float) -> int:
@@ -234,9 +228,11 @@ class MilpModel:
         ``rhs`` are one value or one per row, ``labels`` one label per
         row.  Zero coefficients are dropped; the other terms of a row
         name distinct columns, as the keys of :meth:`add_row`'s dict do.
-        Raises ModelError naming the first row with an unknown sense, a
-        non-finite right-hand side, or, in column order, an unknown
-        variable index or a non-finite coefficient.
+        Raises ModelError when no block can be formed: arrays of the
+        wrong shape, a wrong count of labels or right-hand sides, or a
+        sense that is not ``<=``, ``>=`` or ``=`` (naming the first such
+        row).  The rows' indices and numbers are checked by the model's
+        layout.
         """
         cols = np.array(cols, dtype=np.int64)
         vals = np.array(vals, dtype=float)
@@ -244,40 +240,33 @@ class MilpModel:
         if cols.ndim != 2 or vals.shape != cols.shape:
             raise ModelError(f"rows: coefficient arrays of shapes {cols.shape} "
                              f"and {vals.shape}, expected two equal (m, k)")
-        if isinstance(sense, str):
-            codes = np.full(m, SENSE_CODE.get(sense, -1), dtype=np.int8)
-            given = [sense] * m
-        else:
-            given = _per_item(sense, m, None, "rows")
-            codes = np.full(m, -1, dtype=np.int8)
-            for name, code in SENSE_CODE.items():
-                codes[given == name] = code
+        given = _per_item(sense, m, None, "rows")
+        codes = np.full(m, -1, dtype=np.int8)
+        for name, code in SENSE_CODE.items():
+            codes[given == name] = code
         rhs = _per_item(rhs, m, float, "rows").copy()
         labels = list(labels)
         if len(labels) != m:
             raise ModelError(f"rows: {len(labels)} labels for {m} rows")
-        return self.add_block(RowBlock(cols, vals, codes, rhs, labels),
-                              lambda i: str(given[i]))
+        unknown = codes < 0
+        if unknown.any():
+            i = int(np.argmax(unknown))
+            raise ModelError(
+                f"row {labels[i]!r}: unknown sense {str(given[i])!r}")
+        return self.add_block(RowBlock(cols, vals, codes, rhs, labels))
 
-    def add_block(self, block: RowBlock, sense_name=None) -> range:
-        """Add a block of rows, checked as :meth:`add_rows` checks its
-        rows; ``sense_name(i)`` names an unknown sense code of row ``i``."""
-        k = block.cols.shape[1]
-        _check_rows(block.sense, block.rhs, block.cols.ravel(),
-                    block.vals.ravel(), lambda e: e // k, len(self.names),
-                    block.labels.__getitem__,
-                    sense_name or (lambda i: int(block.sense[i])))
+    def add_block(self, block: RowBlock) -> range:
+        """Add a block of rows and return their indices; the model's
+        layout checks them as it checks :meth:`add_rows`' rows."""
         self.blocks.append(block)
         start = self._n_rows
         self._n_rows += len(block)
         return range(start, start + len(block))
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
-        for j, c in coeffs.items():
-            if not (0 <= j < len(self.names)):
-                raise ModelError(f"objective: unknown variable index {j}")
-            if not math.isfinite(c):
-                raise ModelError(f"objective: non-finite coefficient on index {j}")
+        """Make ``coeffs``, column index -> coefficient, the objective;
+        its indices are checked by the model's layout and its numbers by
+        :meth:`compile`."""
         self.objective = {j: float(c) for j, c in coeffs.items() if c != 0.0}
 
     # -- inspection --------------------------------------------------------
@@ -306,15 +295,6 @@ class MilpModel:
         ModelError as :class:`ModelLayout` does."""
         layout = ModelLayout(self)
         return LaidOutModel(layout, self.name, 0, *layout.numbers()).compile()
-
-
-def _check_variable(name, lb, ub, taken) -> None:
-    if name in taken:
-        raise ModelError(f"duplicate variable name: {name}")
-    if not (math.isfinite(lb) and math.isfinite(ub)):
-        raise ModelError(f"variable {name}: bounds must be finite, got [{lb}, {ub}]")
-    if lb > ub:
-        raise ModelError(f"variable {name}: lower bound {lb} exceeds upper bound {ub}")
 
 
 def _check_variables(name_of, lb, ub, integer, duplicate=False) -> None:
@@ -348,14 +328,14 @@ def _per_item(value, m, dtype, what) -> np.ndarray:
     return array
 
 
-def _check_rows(codes, rhs, cols, vals, row_of, n, label, sense,
+def _check_rows(codes, rhs, cols, vals, row_of, n, label,
                 structure=True) -> None:
-    """Raise ModelError for the first bad row: an unknown sense code (named
-    by ``sense(row)``), then a non-finite right-hand side, then its first
-    term with an index outside ``[0, n)`` or a non-finite coefficient.  The
-    terms are flat; ``row_of`` maps a term's position to its row.  Without
-    ``structure`` only the numbers are checked: the right-hand sides and
-    the coefficients."""
+    """Raise ModelError for the first bad row: an unknown sense code, then
+    a non-finite right-hand side, then its first term with an index
+    outside ``[0, n)`` or a non-finite coefficient.  The terms are flat;
+    ``row_of`` maps a term's position to its row.  Without ``structure``
+    only the numbers are checked: the right-hand sides and the
+    coefficients."""
     bad_row = ~np.isfinite(rhs)
     bad_term = ~np.isfinite(vals)
     if structure:
@@ -369,7 +349,7 @@ def _check_rows(codes, rhs, cols, vals, row_of, n, label, sense,
         first = row_of(term)
     name = label(first)
     if not _LE <= codes[first] <= _EQ:
-        raise ModelError(f"row {name!r}: unknown sense {sense(first)!r}")
+        raise ModelError(f"row {name!r}: unknown sense {int(codes[first])}")
     if not math.isfinite(rhs[first]):
         raise ModelError(f"row {name!r}: right-hand side must be finite")
     if not 0 <= cols[term] < n:
@@ -491,20 +471,23 @@ class ModelLayout:
     """What models that differ only in their numbers share.
 
     Made from ``model``, built with name and label templates (a period
-    ``t`` after the first written as :func:`period_tag`\\ ``(t)``), which
-    it checks, once.  The layout keeps the structure: the name and label
-    templates, the integrality, each block's columns, senses and shape,
-    and ``pattern``, the compiled CSR matrix, whose ``indptr`` and
-    ``indices`` every model's compiled matrix shares: ``keep`` indexes the
-    coefficients that are not zero.  ``model``'s numbers are the base
-    that :meth:`numbers` copies for each model to write its own into; a
-    number whose zero pattern may change belongs in the layout's key, not
-    only in its numbers.
+    ``t`` after the first written as :func:`period_tag`\\ ``(t)``), whose
+    structure it checks, once: a :class:`MilpModel` only collects.  The
+    layout keeps the structure: the name and label templates, the
+    integrality, each block's columns, senses and shape, and ``pattern``,
+    the compiled CSR matrix, whose ``indptr`` and ``indices`` every
+    model's compiled matrix shares: ``keep`` indexes the coefficients
+    that are not zero.  ``model``'s numbers are the base that
+    :meth:`numbers` copies for each model to write its own into; a number
+    whose zero pattern may change belongs in the layout's key, not only
+    in its numbers.
 
-    Raises ModelError on non-finite or empty bounds, a non-binary integer
-    variable, a duplicate name, or a row that a block edited in place
-    made malformed (see :meth:`MilpModel.add_rows`), naming the first
-    offending variable, else row.
+    Raises ModelError, naming the first offending variable, else row,
+    else objective term: non-finite or empty bounds, a non-binary integer
+    variable or a duplicate name; a row with an unknown sense code, a
+    non-finite right-hand side, or a term (zero ones too) with an index
+    outside the columns or a non-finite coefficient, the first in column
+    order; an objective index outside the columns.
     """
 
     def __init__(self, model: MilpModel):
@@ -532,15 +515,16 @@ class ModelLayout:
         rhs = _joined([b.rhs for b in blocks])
         vals = _joined([b.vals.ravel() for b in blocks])
         self.keep = keep = _frozen(np.flatnonzero(vals != 0.0))
+        cols = _joined([b.cols.ravel() for b in blocks], np.int64)
+        # where each row's terms end in the flat arrays, zero ones included
+        ends = np.cumsum(np.repeat([b.cols.shape[1] for b in blocks],
+                                   [len(b) for b in blocks]), dtype=np.int64)
         indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(_joined([np.count_nonzero(b.vals, axis=1) for b in blocks],
-                          np.int64), out=indptr[1:])
-        indices = _joined([b.cols.ravel() for b in blocks], np.int64)[keep]
-        data = vals[keep]
-        _check_rows(sense, rhs, indices, data,
-                    lambda e: int(np.searchsorted(indptr, e, side="right")) - 1,
-                    n, self.label_templates.__getitem__,
-                    lambda i: int(sense[i]))
+        indptr[1:] = np.searchsorted(keep, ends)
+        _check_rows(sense, rhs, cols, vals,
+                    lambda e: int(np.searchsorted(ends, e, side="right")),
+                    n, self.label_templates.__getitem__)
+        indices, data = cols[keep], vals[keep]
         self.lower, self.upper = (_frozen(sense != code)
                                   for code in (_LE, _GE))
         self.pattern = sp.csr_array((data, indices, indptr), shape=(m, n))
@@ -550,8 +534,12 @@ class ModelLayout:
         c = np.zeros(n)
         if model.objective:
             k = len(model.objective)
-            c[np.fromiter(model.objective, np.int64, k)] = np.fromiter(
-                model.objective.values(), float, k)
+            at = np.fromiter(model.objective, np.int64, k)
+            outside = (at < 0) | (at >= n)
+            if outside.any():
+                raise ModelError("objective: unknown variable index "
+                                 f"{at[np.argmax(outside)]}")
+            c[at] = np.fromiter(model.objective.values(), float, k)
         self._base = (lb, ub, vals, rhs, c)
         self._names = self._labels = None
 
@@ -650,7 +638,7 @@ class LaidOutModel:
         _check_rows(layout.sense, rhs, pattern.indices, data,
                     lambda e: int(np.searchsorted(pattern.indptr, e,
                                                   side="right")) - 1,
-                    self.n_vars, self.row_label, None, structure=False)
+                    self.n_vars, self.row_label, structure=False)
         if not np.isfinite(self.c).all():
             j = int(np.argmin(np.isfinite(self.c)))
             raise ModelError(f"objective: non-finite coefficient on index {j}")

@@ -91,11 +91,11 @@ class UcOptions:
     ``largest_loss_mode`` selects how the largest plant is operated:
     ``fixed`` pins it at maximum output, ``optimised`` lets the solver
     deload it (when the unit allows deloading) so the sizable loss
-    becomes a decision.  The plant is committed in both modes.
+    becomes a decision.  The plant is committed in both modes; to keep
+    it at full output, choose ``fixed``.
     """
 
     frequency_constraints: bool = True
-    deloading_enabled: bool = True
     horizon: int = 8
     first_stage: int = 1
     largest_loss_mode: str = "optimised"
@@ -213,8 +213,7 @@ def _commitment_bounds(fleet, big_i, state, fixed_commitments,
 
 
 def _largest_runs_deloaded(options: UcOptions, big) -> bool:
-    return (options.largest_loss_mode == "optimised"
-            and options.deloading_enabled and big.deloadable)
+    return options.largest_loss_mode == "optimised" and big.deloadable
 
 
 def _units_to_cover(ratings, need: float) -> int:
@@ -490,47 +489,32 @@ class _WindowLayout:
                 np.ones((len(self.covered), len(others))), SENSE_GE, 0.0,
                 [f"cover[{tags[t]}]" for t in self.covered])
 
-        # start/stop linking and minimum up/down times, per unit: T link
-        # rows, then T min_up and T min_down rows for a unit whose minimum
-        # time exceeds one period.  A minimum-time row sums the indicators
-        # of the window's last periods, up to the minimum time: slot w of
-        # row t holds period t - T + 1 + w, a zero coefficient where that
-        # lies outside.  Each window writes the first link row's
+        # start/stop linking and minimum up/down times, unit by unit: T
+        # link rows, then T min_up and T min_down rows where the minimum
+        # time exceeds one period.  Slot w of a minimum-time row holds the
+        # indicator of period t - T + 1 + w, a zero coefficient where that
+        # lies outside the window or the minimum time, and its last slot
+        # the commitment.  Each window writes the first link row's
         # right-hand side, the carried state.
         step = np.arange(T)
-        k = max(4, T + 1)
-        cols = np.empty((G, 3, T, k), dtype=np.int64)
-        cols[...] = x[:, None, :, None]
-        vals = np.zeros((G, 3, T, k))
-        cols[:, 0, :, :3] = np.stack([x, su, sd], axis=-1)
-        vals[:, 0, :, :3] = [1.0, -1.0, 1.0]
-        cols[:, 0, 1:, 3] = x[:, :-1]
-        vals[:, 0, 1:, 3] = -1.0
-        tau = step[:, None] - T + 1 + step[None, :]
-        for f, ind, times, sign in ((1, su, [g.min_up for g in fleet], -1.0),
-                                    (2, sd, [g.min_down for g in fleet], 1.0)):
-            inside = (tau >= 0) & (tau > step[:, None]
-                                   - np.array(times)[:, None, None])
-            cols[:, f, :, :T] = np.where(inside,
-                                         ind[:, np.clip(tau, 0, None)],
-                                         x[:, :, None])
-            vals[:, f, :, :T] = inside
-            vals[:, f, :, T] = sign
-        rhs = np.zeros((G, 3, T))
-        rhs[:, 2] = 1.0
-        present = np.ones((G, 3, T), dtype=bool)
-        present[:, 1] = np.array([g.min_up > 1 for g in fleet])[:, None]
-        present[:, 2] = np.array([g.min_down > 1 for g in fleet])[:, None]
-        heads = [f"{kind}[{gid}]" for gid, kinds in zip(ids, present[..., 0])
-                 for kind, used in zip(("commit_link", "min_up", "min_down"),
-                                       kinds)
-                 if used]
-        rows = model.add_rows(
-            cols[present], vals[present],
-            np.array([SENSE_EQ, SENSE_LE, SENSE_LE])[np.nonzero(present)[1]],
-            rhs[present], [head + f"[{tag}]" for head in heads for tag in tags])
-        self.link = rows.start + (np.cumsum(present) - 1).reshape(
-            G, 3, T)[:, 0, 0]
+        tau = step - T + 1 + step[:, None]
+        self.link = []
+        for i, g in enumerate(fleet):
+            self.link.append(model.add_rows(
+                np.stack([x[i], su[i], sd[i], x[i, step - 1]], axis=1),
+                [[1.0, -1.0, 1.0, -1.0 if t else 0.0] for t in step],
+                SENSE_EQ, 0.0, [f"commit_link[{g.id}][{tag}]" for tag in tags],
+            ).start)
+            for kind, ind, time, sign, rhs in (
+                    ("min_up", su[i], g.min_up, -1.0, 0.0),
+                    ("min_down", sd[i], g.min_down, 1.0, 1.0)):
+                if time > 1:
+                    inside = (tau >= 0) & (tau > step[:, None] - time)
+                    model.add_rows(
+                        np.hstack([ind[np.clip(tau, 0, None)], x[i, :, None]]),
+                        np.hstack([inside, np.full((T, 1), sign)]),
+                        SENSE_LE, rhs,
+                        [f"{kind}[{g.id}][{tag}]" for tag in tags])
 
         # frequency-security rows: per period the inertia floor, then each
         # branch's cell rows, written from the window's templates.  They

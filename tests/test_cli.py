@@ -135,7 +135,7 @@ def test_validate_catches_period_mismatch(tmp_path, capsys):
      "first_stage must lie in [1, horizon], got 4 with horizon 3"),
     (("first_stage: 3", "first_stage: 0"), "first_stage must lie in [1, horizon]"),
     (("first_stage: 3", 'first_stage: 3\n  deloading_enabled: "false"'),
-     "deloading_enabled must be true or false, got 'false'"),
+     "deloading_enabled must be true, got 'false'"),
     # two cells whose output files and study.txt rows would be the same
     (("[100.0, 200.0]", "[1849.9999, 1850.0]"),
      "wind_capacities 1849.9999 and 1850.0 both print as 1850"),
@@ -148,6 +148,10 @@ def test_validate_catches_period_mismatch(tmp_path, capsys):
     (("[100.0, 200.0]", "700"), "wind_capacities must be a list, got 700"),
     # no cell at all: the study would print a header and exit 0
     (("[fixed, optimised]", "[]"), "modes must list at least one mode"),
+    # the plant at full output is mode fixed, not a switch
+    (("first_stage: 3", "first_stage: 3\n  deloading_enabled: false"),
+     "deloading_enabled must be true, got False; list modes: [fixed] to "
+     "keep the largest plant at full output"),
 ])
 def test_study_config_rejects_misread_values(tmp_path, capsys, edit, message):
     """Values the study would misread, or reject only once it runs, fail
@@ -280,7 +284,7 @@ def test_study_config_accepts_whole_numbers(tmp_path, capsys):
     system, scenarios = write_inputs(tmp_path)
     config = tmp_path / "study.yaml"
     config.write_text(STUDY.replace("periods: 3", "periods: 3.0")
-                      + "  deloading_enabled: false\n")
+                      + "  deloading_enabled: true\n")
     assert main(["validate", system, scenarios, "--study", str(config)]) == 0
     assert capsys.readouterr().out.count("ok:") == 3
     bundled = Path(__file__).resolve().parent.parent / "data"

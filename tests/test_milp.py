@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import re
 from collections import Counter
@@ -34,22 +35,37 @@ def knapsack_model():
 
 def test_model_rejects_infinite_bounds():
     mdl = MilpModel()
-    with pytest.raises(ModelError):
-        mdl.add_continuous("x", 0.0, np.inf)
+    mdl.add_continuous("x", 0.0, np.inf)
+    with pytest.raises(ModelError, match="^variable x: non-finite bounds$"):
+        mdl.compile()
 
 
 def test_model_rejects_duplicate_names():
     mdl = MilpModel()
     mdl.add_continuous("x", 0.0, 1.0)
-    with pytest.raises(ModelError):
-        mdl.add_continuous("x", 0.0, 2.0)
+    mdl.add_continuous("x", 0.0, 2.0)
+    with pytest.raises(ModelError, match="^duplicate variable name: x$"):
+        mdl.compile()
 
 
 def test_model_rejects_unknown_index_in_row():
     mdl = MilpModel()
     mdl.add_continuous("x", 0.0, 1.0)
-    with pytest.raises(ModelError):
-        mdl.add_row({3: 1.0}, "<=", 1.0)
+    mdl.add_row({3: 1.0}, "<=", 1.0)
+    with pytest.raises(ModelError, match="^row '': unknown variable index 3$"):
+        mdl.compile()
+
+
+@pytest.mark.parametrize("j", [-1, 2, 7])
+def test_an_objective_index_outside_the_columns_fails_at_compile(j):
+    """Checked by the layout: ``-1`` would otherwise name the last column."""
+    mdl = MilpModel()
+    mdl.add_continuous("x", 0.0, 1.0)
+    mdl.add_continuous("y", 0.0, 1.0)
+    mdl.set_objective({0: 1.0, j: 2.0})
+    with pytest.raises(ModelError,
+                       match=f"^objective: unknown variable index {j}$"):
+        mdl.compile()
 
 
 def test_validate_flags_non_binary_integer():
@@ -476,10 +492,15 @@ def test_add_rows_names_the_first_malformed_row(edit, message):
     {"cols": cols, "vals": vals, "sense": sense, "rhs": rhs}[field][at] = value
     # a later bad row is not the one reported
     cols[2, 0] = 9
-    with pytest.raises(ModelError) as err:
+    if field == "sense":  # no block can be formed
+        with pytest.raises(ModelError) as err:
+            mdl.add_rows(cols, vals, sense, rhs, ["r0", "r1", "r2"])
+        assert not mdl.blocks
+    else:
         mdl.add_rows(cols, vals, sense, rhs, ["r0", "r1", "r2"])
+        with pytest.raises(ModelError) as err:
+            mdl.compile()
     assert str(err.value) == message
-    assert mdl.n_rows == 0 and not mdl.blocks
 
 
 def test_add_row_keeps_its_checks():
@@ -487,17 +508,20 @@ def test_add_row_keeps_its_checks():
     mdl.add_continuous("x", 0.0, 1.0)
     with pytest.raises(ModelError, match="'s': unknown sense '<>'"):
         mdl.add_row({0: 1.0}, "<>", 1.0, "s")
-    with pytest.raises(ModelError, match="'h': right-hand side must be finite"):
-        mdl.add_row({0: 1.0}, "<=", np.inf, "h")
-    with pytest.raises(ModelError, match="'z': unknown variable index 4"):
-        mdl.add_row({0: 1.0, 4: 0.0}, "<=", 1.0, "z")
-    with pytest.raises(ModelError, match="'n': non-finite coefficient on index 0"):
-        mdl.add_row({0: np.nan}, "<=", 1.0, "n")
     with pytest.raises(ModelError, match="expected two equal"):
         mdl.add_rows([[0]], [[1.0, 2.0]], "<=", 1.0, ["shape"])
     with pytest.raises(ModelError, match="2 labels for 1 rows"):
         mdl.add_rows([[0]], [[1.0]], "<=", 1.0, ["one", "two"])
     assert mdl.n_rows == 0
+    # the rows' numbers and indices are checked when the model compiles
+    for coeffs, rhs, message in [
+            ({0: 1.0}, np.inf, "'h': right-hand side must be finite"),
+            ({0: 1.0, 4: 0.0}, 1.0, "'z': unknown variable index 4"),
+            ({0: np.nan}, 1.0, "'n': non-finite coefficient on index 0")]:
+        bad = copy.deepcopy(mdl)
+        bad.add_row(coeffs, "<=", rhs, message[1])
+        with pytest.raises(ModelError, match=message):
+            bad.compile()
 
 
 def test_add_variables_keeps_the_checks_of_add_variable():
@@ -513,16 +537,22 @@ def test_add_variables_keeps_the_checks_of_add_variable():
     assert mdl.lb.dtype == mdl.ub.dtype == np.float64
     assert mdl.integrality.dtype == np.uint8
     assert mdl.names.index("c") == 2
+    # a bad column is collected, and compiling names the first
+    with pytest.raises(ModelError,
+                       match="^variable d: integer variables must be binary$"):
+        mdl.compile()
     for names, lb, ub, message in [
             (["e", "a"], 0.0, 1.0, "duplicate variable name: a"),
             (["e", "e"], 0.0, 1.0, "duplicate variable name: e"),
-            (["e", "f"], [0.0, -np.inf], 1.0, "variable f: bounds must be finite"),
-            (["e", "f"], [0.0, 2.0], 1.0, "variable f: lower bound 2.0 exceeds"),
+            (["e", "f"], [0.0, -np.inf], 1.0, "variable f: non-finite bounds"),
+            (["e", "f"], [0.0, 2.0], 1.0, "variable f: empty bound interval"),
     ]:
-        with pytest.raises(ModelError, match=message):
-            mdl.add_variables(names, lb, ub)
-    assert mdl.n_vars == 4 and "e" not in mdl.names
-    assert mdl.lb.size == mdl.ub.size == mdl.integrality.size == 4
+        bad = MilpModel()
+        bad.add_continuous("a", 0.0, 1.0)
+        assert bad.add_variables(names, lb, ub).tolist() == [1, 2]
+        assert bad.lb.size == bad.ub.size == bad.integrality.size == 3
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            bad.compile()
 
 
 def test_recheck_flags_nan(monkeypatch):
@@ -859,6 +889,39 @@ def test_one_class_builds_a_csr_matrix():
     assert found == [("src/frequc/milp/model.py", "ModelLayout")]
     assert sum(path.read_text().count("csr_array(")
                for path in package_sources()) == 1
+
+
+def test_each_model_check_is_made_in_one_place():
+    """Every variable and row check message is raised once in ``src/``, by
+    ``_check_variables`` or ``_check_rows``: a ``MilpModel`` only collects,
+    and its layout and compile check.  ``add_rows`` also names an unknown
+    sense string, since no block's sense codes can be formed without it."""
+    raised = {}  # message, placeholders as {} -> functions that raise it
+    for path in package_sources():
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> innermost enclosing function (walk is outer first)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func) == "ModelError"):
+                parts = getattr(node.exc.args[0], "values", [node.exc.args[0]])
+                message = "".join(part.value if isinstance(part, ast.Constant)
+                                  else "{}" for part in parts)
+                raised.setdefault(message, []).append(owner.get(node))
+    checks = {message: sorted(owners) for message, owners in raised.items()
+              if message.startswith(("variable ", "duplicate ", "row "))}
+    assert checks == {
+        "variable {}: non-finite bounds": ["_check_variables"],
+        "variable {}: empty bound interval": ["_check_variables"],
+        "variable {}: integer variables must be binary": ["_check_variables"],
+        "duplicate variable name: {}": ["_check_variables"],
+        "row {}: unknown sense {}": ["_check_rows", "add_rows"],
+        "row {}: right-hand side must be finite": ["_check_rows"],
+        "row {}: unknown variable index {}": ["_check_rows"],
+        "row {}: non-finite coefficient on index {}": ["_check_rows"],
+    }
 
 
 def test_scipy_milp_is_not_used_by_the_package():

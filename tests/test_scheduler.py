@@ -115,8 +115,8 @@ def expected_costs(solution, system):
 
 
 def options(**kw):
-    base = dict(frequency_constraints=True, deloading_enabled=True,
-                horizon=6, first_stage=6, largest_loss_mode="fixed")
+    base = dict(frequency_constraints=True, horizon=6, first_stage=6,
+                largest_loss_mode="fixed")
     base.update(kw)
     return UcOptions(**base)
 
