@@ -4,11 +4,19 @@
 hands them to HiGHS in one array call through :func:`run_highs`, rounds the
 binaries of the answer and re-checks every bound and row against the same
 arrays.  A solution that fails the re-check is not reported optimal; an
-exception inside HiGHS is raised as :class:`SolverError`.  A model whose
-binaries are all fixed by their bounds, such as a re-dispatch, is solved as
-an LP.  With ``relax_first`` the LP relaxation goes first and, when it is
-optimal and integral, is the answer: a relaxation's optimum is a bound on
-the MILP's, and an integral one is a point of the MILP too.
+exception inside HiGHS is raised as :class:`SolverError`.  Every model
+goes to HiGHS as its LP relaxation first.  A model whose binaries are all
+fixed by their bounds, such as a re-dispatch, is an LP, and the
+relaxation is its answer.  Otherwise a relaxation that is optimal and
+integral is the answer too: its optimum is a bound on the MILP's, and an
+integral one is a point of the MILP.  Any other relaxation is followed by
+the MILP, solved cold.
+
+The relaxation may start from a simplex ``basis`` of an earlier LP with
+the same columns and rows, such as the last window of the same layout in
+a rolling run; every optimal LP returns its final basis for the next.
+Warm started, HiGHS skips presolve and needs a few dozen simplex
+iterations where a cold start needs hundreds.
 
 HiGHS is reached through the binding that scipy (>= 1.17) bundles,
 ``scipy.optimize._highspy._core``.  It is private to scipy, so only
@@ -56,18 +64,25 @@ class MilpSolution:
     gap: float | None = None
     nodes: int = 0
     violations: list[str] = field(default_factory=list)
+    # HiGHS's simplex iterations, summed over the solve's calls
+    iterations: int = 0
+    # the final basis of the solve's optimal LP, a HighsBasis: the start
+    # of the next LP with the same columns and rows
+    basis: object = None
 
 
-def solve(model: MilpModel | LaidOutModel, *, relax_first: bool = False) -> MilpSolution:
+def solve(model: MilpModel | LaidOutModel, *, basis=None) -> MilpSolution:
     """Solve the model with HiGHS and re-check feasibility of the answer.
 
-    With ``relax_first`` the LP relaxation is solved first; when it is
-    optimal with every free integer column within ``INTEGRAL_TOL`` of an
-    integer, it is the MILP's optimum too and is returned, with no nodes
-    and no gap.  Otherwise the MILP is solved as without it.
+    The LP relaxation is solved first, from ``basis`` when one is given
+    (the ``basis`` of an earlier solve of a model with the same columns
+    and rows).  When it is optimal with every free integer column within
+    ``INTEGRAL_TOL`` of an integer, it is the MILP's optimum too and is
+    returned, with no nodes and no gap.  Otherwise the MILP is solved
+    cold, and its answer carries the relaxation's basis.
     """
     compiled = model.compile()
-    sol = _solve_highs(model, compiled, relax_first)
+    sol = _solve_highs(model, compiled, basis)
     if sol.values is not None:
         integer = compiled.integrality > 0
         # + 0.0 turns a rounded -0.0 into 0.0
@@ -80,41 +95,39 @@ def solve(model: MilpModel | LaidOutModel, *, relax_first: bool = False) -> Milp
 
 
 def _solve_highs(model: MilpModel | LaidOutModel, compiled: CompiledModel,
-                 relax_first: bool) -> MilpSolution:
+                 basis) -> MilpSolution:
     lb, ub = compiled.lb, compiled.ub
     # an integer column whose bounds pin it to one integer needs no
-    # branching; with none left free HiGHS solves the model as an LP
+    # branching; with none left free the relaxation is the model
     free = (compiled.integrality > 0) & ((lb != ub) | (lb != np.round(lb)))
-    relaxed = np.zeros_like(compiled.integrality)
     try:
-        if not free.any():
-            sol = run_highs(compiled, relaxed)
-        else:
-            sol = run_highs(compiled, relaxed) if relax_first else None
-            # an optimal relaxation that is integral is the MILP's optimum
-            if sol is None or not (sol.status == "optimal" and np.all(
-                    np.abs(sol.values[free] - np.round(sol.values[free]))
-                    <= INTEGRAL_TOL)):
-                sol = run_highs(compiled, compiled.integrality)
+        sol = run_highs(compiled, np.zeros_like(compiled.integrality), basis)
+        # an optimal relaxation that is integral is the MILP's optimum
+        if free.any() and not (sol.status == "optimal" and np.all(
+                np.abs(sol.values[free] - np.round(sol.values[free]))
+                <= INTEGRAL_TOL)):
+            lp, sol = sol, run_highs(compiled, compiled.integrality)
+            sol.iterations += lp.iterations
+            sol.basis = lp.basis
     except Exception as exc:  # raised by the solver, not returned as a status
         raise SolverError(f"HiGHS failed on {model.name}: {exc}") from exc
-    if sol.values is None:
-        return sol
-    if sol.bound is None:  # a model solved as an LP is its own bound
-        sol.bound = sol.objective
+    if sol.values is not None and sol.bound is None:
+        sol.bound = sol.objective  # a model solved as an LP is its own bound
     return sol
 
 
-def run_highs(compiled: CompiledModel,
-              integrality: np.ndarray) -> MilpSolution:
+def run_highs(compiled: CompiledModel, integrality: np.ndarray,
+              basis=None) -> MilpSolution:
     """Solve the compiled arrays with ``integrality`` in one HiGHS call.
 
-    Returns HiGHS's status and, where it has one, its point and
-    objective.  For a MIP ``bound``, ``gap`` and ``nodes`` are HiGHS's;
-    for an LP ``bound`` is None.  Values are
+    Returns HiGHS's status, its simplex ``iterations`` and, where it has
+    one, its point and objective.  For a MIP ``bound``, ``gap`` and
+    ``nodes`` are HiGHS's; for an LP ``bound`` is None, and an optimal LP
+    also returns its final ``basis``.  Values are
     returned when HiGHS is optimal, and for a MIP also on a time,
-    iteration or solution limit with a finite objective.  Raises
-    :class:`SolverError` when HiGHS rejects an option or the model.
+    iteration or solution limit with a finite objective.  An LP starts
+    from ``basis`` when one is given.  Raises :class:`SolverError` when
+    HiGHS rejects an option, the model or the basis.
 
     The options are fixed: no log, presolve on, the gap ``OPT_GAP``, the
     node limit ``MAX_NODES``, and no feasibility-jump heuristic, which
@@ -146,6 +159,8 @@ def run_highs(compiled: CompiledModel,
             a.data.astype(np.float64, copy=False),
             integrality.astype(np.int32)) == status.kError:
         raise SolverError("HiGHS rejected the model")
+    if basis is not None and highs.setBasis(basis) == status.kError:
+        raise SolverError("HiGHS rejected the starting basis")
     ran = highs.run()
     got = highs.getModelStatus()
     state = {model_status.kOptimal: "optimal",
@@ -157,12 +172,16 @@ def run_highs(compiled: CompiledModel,
     is_mip = bool(integrality.any())
     limits = (model_status.kTimeLimit, model_status.kIterationLimit,
               model_status.kSolutionLimit)
+    # HiGHS reads -1 for a count it has not set
+    iterations = max(info.simplex_iteration_count, 0)
     if ran == status.kError or not (
             got == model_status.kOptimal
             or (is_mip and got in limits and math.isfinite(objective))):
-        return MilpSolution(state)
+        return MilpSolution(state, iterations=iterations)
     values = np.array(highs.getSolution().col_value)
     if not is_mip:
-        return MilpSolution(state, objective, values, None, 0.0, 0)
+        return MilpSolution(state, objective, values, None, 0.0, 0,
+                            iterations=iterations, basis=highs.getBasis())
     return MilpSolution(state, objective, values, info.mip_dual_bound,
-                        info.mip_gap, info.mip_node_count)
+                        info.mip_gap, info.mip_node_count,
+                        iterations=iterations)

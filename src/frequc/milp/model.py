@@ -240,10 +240,14 @@ class MilpModel:
         if cols.ndim != 2 or vals.shape != cols.shape:
             raise ModelError(f"rows: coefficient arrays of shapes {cols.shape} "
                              f"and {vals.shape}, expected two equal (m, k)")
-        given = _per_item(sense, m, None, "rows")
-        codes = np.full(m, -1, dtype=np.int8)
-        for name, code in SENSE_CODE.items():
-            codes[given == name] = code
+        if isinstance(sense, str):  # one sense for every row
+            given = [sense] * m
+            codes = np.full(m, SENSE_CODE.get(sense, -1), dtype=np.int8)
+        else:
+            given = _per_item(sense, m, None, "rows")
+            codes = np.full(m, -1, dtype=np.int8)
+            for name, code in SENSE_CODE.items():
+                codes[given == name] = code
         rhs = _per_item(rhs, m, float, "rows").copy()
         labels = list(labels)
         if len(labels) != m:

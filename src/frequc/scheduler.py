@@ -36,13 +36,14 @@ column bounds, right-hand sides, objective and the frequency rows'
 numbers, written with array operations; the frequency rows, added last,
 take theirs from each window's templates as one tail.  A
 :class:`WindowLayouts`, one per rolling run, keeps the layouts its
-windows and re-dispatches met and the period constants they share; a
-``build_uc`` call without one lays out afresh.
+windows and re-dispatches met, the period constants they share and each
+layout's last LP basis; a ``build_uc`` call without one lays out afresh.
 
 ``solve_uc`` builds, solves and unpacks one window into a
 :class:`UcSolution`, arrays with the period axis first and the units in
-fleet order; without frequency constraints it tries the LP relaxation
-first, which is often integral.  ``cost_coefficients`` holds each unit's
+fleet order.  The solve tries the window's LP relaxation first, which is
+often integral; in a rolling run it starts from the basis of the run's
+last LP of the same layout.  ``cost_coefficients`` holds each unit's
 cost coefficients; the objective and ``period_costs``, the one cost
 formula after the solve, both read them.
 
@@ -251,16 +252,19 @@ class UcModel(LaidOutModel):
 class WindowLayouts:
     """What the windows and re-dispatches of one rolling run of ``system``
     share: the layout of each window shape met so far, keyed by everything
-    that sets a window's structure (see :func:`build_uc`), and each profile
-    period's :class:`frequc.freqsec.PeriodConstants`.
+    that sets a window's structure (see :func:`build_uc`), each profile
+    period's :class:`frequc.freqsec.PeriodConstants`, and ``bases``, the
+    final simplex basis of the last LP that :func:`solve_uc` solved in
+    each layout, keyed by its model's layout, which is one per window key.
 
     :func:`solve_rolling_horizon` makes one per run, so runs on other
-    threads share nothing; a ``build_uc`` call without one lays its window
-    out afresh.
+    threads share nothing; a ``build_uc`` or ``solve_uc`` call without one
+    lays its window out afresh and solves it cold.
     """
 
     def __init__(self, system):
         self.system = system
+        self.bases = {}
         self._layouts = {}
         self._constants = {}
 
@@ -713,12 +717,17 @@ def solve_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     """Build, solve and unpack one window; returns (solution, model, raw).
     ``layouts`` is passed to :func:`build_uc`.
 
-    A window without frequency constraints is tried as an LP first: its
-    relaxation is often integral, and then it is the answer."""
+    The window is tried as an LP first (see :func:`frequc.milp.solve`):
+    its relaxation is often integral, and then it is the answer.  With
+    ``layouts`` the relaxation starts from the basis of the last LP
+    solved in the window's layout, and the solve's basis is kept for the
+    next; without it the window is solved cold."""
     model = build_uc(system, tree, options, start_period=start_period,
                      initial_state=initial_state,
                      fixed_commitments=fixed_commitments, layouts=layouts)
-    raw = solve(model, relax_first=not options.frequency_constraints)
+    bases = {} if layouts is None else layouts.bases
+    raw = solve(model, basis=bases.get(model.layout))
+    bases[model.layout] = raw.basis
     if raw.status != "optimal":
         return None, model, raw
     return extract_solution(model, raw), model, raw
@@ -860,7 +869,8 @@ def solve_rolling_horizon(system, scenarios: ScenarioTree, options: UcOptions,
     ``options.first_stage`` periods, re-dispatches those periods against
     the realized (median) net demand with commitments pinned, then rolls
     forward.  One :class:`WindowLayouts` serves the run's windows and
-    re-dispatches.  The run's ``trajectory`` is its re-dispatches joined by
+    re-dispatches, and hands each LP the basis of the run's last LP of
+    the same layout.  The run's ``trajectory`` is its re-dispatches joined by
     :func:`concatenate`, and its ``expected_cost`` the summed expected cost
     of every window's committed periods.  A window the solver cannot close
     aborts the run; the partial trajectory and the failing status are

@@ -15,11 +15,13 @@ from frequc.milp import MilpSolution, branch_bound
 from frequc.milp.model import CompiledModel
 
 
-def solve_with_scipy(compiled: CompiledModel,
-                     integrality: np.ndarray) -> MilpSolution:
+def solve_with_scipy(compiled: CompiledModel, integrality: np.ndarray,
+                     basis=None) -> MilpSolution:
     """What ``frequc.milp.branch_bound.run_highs`` returns, read from
     ``scipy.optimize.milp`` with the same gap and node limit: no bound for
-    an LP."""
+    an LP, and neither iterations nor a basis.  ``scipy.optimize.milp``
+    takes no starting basis, so only a cold solve can go through it."""
+    assert basis is None, "scipy.optimize.milp cannot start from a basis"
     constraints = []
     if compiled.a.shape[0]:
         constraints = [optimize.LinearConstraint(compiled.a, compiled.lo,

@@ -410,7 +410,7 @@ def test_input_errors_exit_invalid(tmp_path, capsys, case, message):
 
 def test_internal_value_error_is_not_invalid_input(tmp_path, monkeypatch):
     """Only input errors map to exit 1; a bug inside a command propagates."""
-    def broken_solve(model, options=None, *, relax_first=False):
+    def broken_solve(model, *, basis=None):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(frequc.scheduler, "solve", broken_solve)

@@ -3,6 +3,10 @@ write, byte for byte, the files kept under ``tests/golden/``.
 
 The study is cut short (3 wind capacities x 2 modes, 8 periods, horizon
 4) and the solve is one 4-period window, so both run in a few seconds.
+The rolling study is the whole bundled day at 3000 MW in optimised mode
+with a horizon of 2: its 12 windows and 12 re-dispatches of each run
+share a few layouts, so it reads what one window of a run hands the
+next (a layout, a solver's starting basis).
 ``manifest.json`` names the output directory, so it is left out.  After an
 intended change of the outputs, rewrite the golden files with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -26,10 +30,18 @@ study:
   horizon: 4
 """
 
+ROLLING_CONFIG = """\
+study:
+  wind_capacities: [3000.0]
+  modes: [optimised]
+  periods: 24
+  horizon: 2
+"""
 
-def run_study(out: Path, work: Path) -> None:
+
+def run_study(out: Path, work: Path, text: str = STUDY_CONFIG) -> None:
     config = work / "golden_study.yaml"
-    config.write_text(STUDY_CONFIG)
+    config.write_text(text)
     assert main(["study", str(DATA / "toy_system.yaml"),
                  str(DATA / "toy_scenarios.txt"), str(config),
                  "-o", str(out)]) == 0
@@ -41,7 +53,11 @@ def run_solve(out: Path, work: Path) -> None:
                  "-o", str(out)]) == 0
 
 
-RUNS = {"study": run_study, "solve": run_solve}
+def run_rolling(out: Path, work: Path) -> None:
+    run_study(out, work, ROLLING_CONFIG)
+
+
+RUNS = {"study": run_study, "solve": run_solve, "rolling": run_rolling}
 
 
 def outputs(directory: Path) -> dict:
@@ -64,6 +80,10 @@ def test_study_matches_golden(tmp_path):
 
 def test_solve_matches_golden(tmp_path):
     assert_matches_golden("solve", tmp_path)
+
+
+def test_rolling_study_matches_golden(tmp_path):
+    assert_matches_golden("rolling", tmp_path)
 
 
 if __name__ == "__main__":

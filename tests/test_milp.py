@@ -603,6 +603,22 @@ def assert_same_solution(got, want):
     assert got.violations == want.violations
 
 
+def bundled(wind):
+    """The bundled system and tree with ``wind`` MW of wind."""
+    base = load_system(ROOT / "data" / "toy_system.yaml")
+    levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
+    return _scale_wind(base, build_scenario_tree(levels, table), wind)
+
+
+def rounded(sol, compiled):
+    """``sol``'s point with its integer columns rounded, as ``solve``
+    reports it."""
+    values = sol.values.copy()
+    integer = compiled.integrality > 0
+    values[integer] = np.round(values[integer]) + 0.0
+    return values
+
+
 @pytest.mark.parametrize("mode", LOSS_MODES)
 @pytest.mark.parametrize("wind", [700.0, 1850.0, 3000.0])
 def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
@@ -610,10 +626,13 @@ def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
     """Secured windows at 700 and 3000 MW; at 1850 MW unsecured windows
     whose LP relaxation is fractional, so that HiGHS's MIP heuristics
     run: ``scipy.optimize.milp`` runs feasibility jump and ``run_highs``
-    does not, and the answers must still agree bit for bit."""
-    base = load_system(ROOT / "data" / "toy_system.yaml")
-    levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
-    system, tree = _scale_wind(base, build_scenario_tree(levels, table), wind)
+    does not.  Both calls ``solve`` can make, the relaxation and the
+    MILP, must agree with ``scipy.optimize.milp`` on the same arrays bit
+    for bit, and ``solve``'s answer is the MILP's optimum: within
+    ``OPT_GAP``, and within 1e-9 of its point when the relaxation is the
+    answer, relative to the size of each value.  A window with every
+    binary pinned is an LP: its answer is the relaxation's."""
+    system, tree = bundled(wind)
     secured = wind != 1850.0
     windows = ([(4, 0), (4, 12)] + [(12, 0)] * (mode == "fixed") if secured
                else [(4, 8), (4, 16), (12, 0), (12, 12)])
@@ -621,20 +640,39 @@ def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
         options = UcOptions(frequency_constraints=secured, horizon=horizon,
                             first_stage=horizon, largest_loss_mode=mode)
         model = build_uc(system, tree, options, start_period=start)
-        got = solve(model)
+        compiled = model.compile()
+        relaxed = np.zeros_like(compiled.integrality)
+        lp = branch_bound.run_highs(compiled, relaxed)
+        assert_same_solution(lp, solve_with_scipy(compiled, relaxed))
+        assert lp.status == "optimal"
+        got, calls = solve_counting(monkeypatch, model)
+        assert got.status == "optimal" and got.violations == []
         # secured fixed-mode windows have every commitment pinned: an LP
         free = [j for j in model.binary_indices() if model.lb[j] != model.ub[j]]
         assert bool(free) == (mode == "optimised" or not secured)
+        if not free:
+            assert calls == [False]
+            assert_same_solution(got, dataclasses.replace(
+                lp, bound=lp.objective, values=rounded(lp, compiled)))
+            continue
         if not secured:
-            compiled = model.compile()
-            lp = branch_bound.run_highs(
-                compiled, np.zeros_like(compiled.integrality))
-            assert lp.status == "optimal"
             assert np.abs(lp.values[free] - np.round(lp.values[free])).max() \
                 > 1e-3
-        assert got.status == "optimal"
-        assert got.nodes >= 1 if free else got.nodes == 0
-        assert_same_solution(got, solve_through_scipy(monkeypatch, model))
+        mip = branch_bound.run_highs(compiled, compiled.integrality)
+        assert_same_solution(mip, solve_with_scipy(compiled,
+                                                   compiled.integrality))
+        assert mip.status == "optimal" and mip.nodes >= 1
+        assert abs(got.objective - mip.objective) \
+            <= branch_bound.OPT_GAP * abs(mip.objective)
+        if calls == [False]:  # the relaxation is the answer
+            assert np.all(np.abs(got.values - mip.values) <= 1e-9 * np.maximum(
+                1.0, np.abs(mip.values)))
+            assert_same_solution(got, dataclasses.replace(
+                lp, bound=lp.objective, values=rounded(lp, compiled)))
+        else:
+            assert calls == [False, True]
+            assert_same_solution(got, dataclasses.replace(
+                mip, values=rounded(mip, compiled)))
 
 
 def test_direct_highs_matches_scipy_milp_on_random_models(monkeypatch):
@@ -696,18 +734,18 @@ def test_node_limit_without_an_incumbent_returns_no_point(monkeypatch):
 # -- the relaxation tried first ----------------------------------------------
 
 
-def solve_counting(monkeypatch, model, **kwargs):
+def solve_counting(monkeypatch, model):
     """``solve`` and, per call into HiGHS, whether it was a MILP."""
     calls = []
     run = branch_bound.run_highs
 
-    def counting(compiled, integrality):
+    def counting(compiled, integrality, basis=None):
         calls.append(bool(integrality.any()))
-        return run(compiled, integrality)
+        return run(compiled, integrality, basis)
 
     with monkeypatch.context() as patch:
         patch.setattr(branch_bound, "run_highs", counting)
-        return solve(model, **kwargs), calls
+        return solve(model), calls
 
 
 @pytest.mark.parametrize("mode", LOSS_MODES)
@@ -716,18 +754,17 @@ def test_relaxation_first_matches_the_milp_on_bundled_windows(monkeypatch,
                                                                wind, mode):
     """Unsecured windows: an integral relaxation is taken as the answer, one
     LP with no nodes and no gap; a fractional one falls back to the MILP.
-    Either way the answer is the MILP's."""
-    base = load_system(ROOT / "data" / "toy_system.yaml")
-    levels, table = load_scenario_table(ROOT / "data" / "toy_scenarios.txt")
-    system, tree = _scale_wind(base, build_scenario_tree(levels, table), wind)
+    Either way the answer is the MILP's, as one HiGHS call finds it."""
+    system, tree = bundled(wind)
     taken = 0
     for horizon, start in [(4, 0), (4, 12), (12, 0)]:
         options = UcOptions(frequency_constraints=False, horizon=horizon,
                             first_stage=horizon, largest_loss_mode=mode)
         model = build_uc(system, tree, options, start_period=start)
-        want, calls = solve_counting(monkeypatch, model)
-        assert calls == [True] and want.status == "optimal"
-        got, calls = solve_counting(monkeypatch, model, relax_first=True)
+        compiled = model.compile()
+        want = branch_bound.run_highs(compiled, compiled.integrality)
+        assert want.status == "optimal"
+        got, calls = solve_counting(monkeypatch, model)
         assert got.status == want.status and got.violations == []
         assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=0)
         assert np.abs(got.values - want.values).max() <= 1e-9
@@ -736,7 +773,8 @@ def test_relaxation_first_matches_the_milp_on_bundled_windows(monkeypatch,
             assert (got.bound, got.gap, got.nodes) == (got.objective, 0.0, 0)
         else:
             assert calls == [False, True]
-            assert_same_solution(got, want)
+            assert_same_solution(got, dataclasses.replace(
+                want, values=rounded(want, compiled)))
     assert taken >= 2
 
 
@@ -757,9 +795,14 @@ def test_fractional_relaxation_falls_back_to_the_milp(monkeypatch):
     lp = branch_bound.run_highs(compiled, np.zeros_like(compiled.integrality))
     assert lp.status == "optimal"
     assert np.abs(lp.values - np.round(lp.values)).max() > 1e-3
-    got, calls = solve_counting(monkeypatch, mdl, relax_first=True)
+    got, calls = solve_counting(monkeypatch, mdl)
     assert calls == [False, True]
     assert got.status == "optimal" and got.nodes >= 1
+    # the relaxation's work and basis are the solve's too
+    mip = branch_bound.run_highs(compiled, compiled.integrality)
+    assert got.iterations == lp.iterations + mip.iterations
+    assert lp.basis is not None and mip.basis is None
+    assert got.basis is not None
     brute = solve_exhaustive(mdl)
     assert got.objective == pytest.approx(brute.objective, abs=1e-9)
     assert np.array_equal(got.values, brute.values)
@@ -771,10 +814,36 @@ def test_infeasible_relaxation_falls_back_to_infeasible(monkeypatch):
     mdl.add_binary("a")
     mdl.add_continuous("y", 0.0, 1.0)
     mdl.add_row({0: 1.0, 1: 1.0}, ">=", 2.5, label="over")
-    got, calls = solve_counting(monkeypatch, mdl, relax_first=True)
+    got, calls = solve_counting(monkeypatch, mdl)
     assert calls == [False, True]
     assert got.status == "infeasible" and got.values is None
     assert_same_solution(got, solve(mdl))
+
+
+def test_relaxation_starts_from_a_given_basis():
+    """A solve started from the basis of its own optimal relaxation needs
+    no simplex iteration and finds the same answer; a cold one needs
+    some."""
+    mdl = knapsack_model()
+    cold = solve(mdl)
+    assert cold.status == "optimal" and cold.nodes == 0
+    assert cold.iterations > 0 and cold.basis is not None
+    warm = solve(mdl, basis=cold.basis)
+    assert warm.iterations == 0
+    assert_same_solution(warm, cold)
+
+
+def test_rejected_basis_raises_solver_error():
+    """A basis of another shape is refused by HiGHS: a solver failure,
+    not a status."""
+    basis = solve(knapsack_model()).basis
+    other = fractional_knapsack()
+    compiled = other.compile()
+    with pytest.raises(SolverError, match="rejected the starting basis"):
+        branch_bound.run_highs(compiled, np.zeros_like(compiled.integrality),
+                               basis)
+    with pytest.raises(SolverError, match="rejected the starting basis"):
+        solve(other, basis=basis)
 
 
 def test_run_highs_turns_feasibility_jump_off(monkeypatch):
@@ -802,8 +871,7 @@ def test_run_highs_turns_feasibility_jump_off(monkeypatch):
 
     real = _core._Highs
     monkeypatch.setattr(_core, "_Highs", Recording)
-    got, calls = solve_counting(monkeypatch, fractional_knapsack(),
-                                relax_first=True)
+    got, calls = solve_counting(monkeypatch, fractional_knapsack())
     assert got.status == "optimal" and calls == [False, True]
     assert len(made) == 2
     for highs in made:

@@ -13,9 +13,11 @@ from frequc.cli import _scale_wind
 from frequc.freqsec import nadir_requirement
 from frequc.milp import MilpModel, branch_bound, solve
 from frequc.scheduler import (
+    LOSS_MODES,
     PERIOD_FIELDS,
     SchedulerError,
     UcOptions,
+    WindowLayouts,
     _advance_state,
     build_uc,
     committed_inertia,
@@ -723,9 +725,9 @@ def test_redispatch_is_solved_as_an_lp(monkeypatch):
     real_run = branch_bound.run_highs
     integrality = []
 
-    def recording_run(compiled, integers):
+    def recording_run(compiled, integers, basis=None):
         integrality.append(np.array(integers))
-        return real_run(compiled, integers)
+        return real_run(compiled, integers, basis)
 
     monkeypatch.setattr(branch_bound, "run_highs", recording_run)
     system, tree = bundled_window()
@@ -735,14 +737,145 @@ def test_redispatch_is_solved_as_an_lp(monkeypatch):
                      fixed_commitments=window.commit)
     assert all(model.lb[j] == model.ub[j]
                for j in model.binary_indices())
+    assert model.binary_indices()
+    del integrality[:]
     got = solve(model)
-    assert integrality[0].any() and not integrality[1].any()
+    assert len(integrality) == 1 and not integrality[0].any()
     assert got.status == "optimal" and not got.violations
     assert got.nodes == 0
     assert got.bound == got.objective
     oracle = solve_exhaustive(model)
     assert oracle.status == "optimal"
     assert abs(got.objective - oracle.objective) <= 1e-9 * abs(oracle.objective)
+
+
+# -- warm starts within a rolling run -----------------------------------------
+
+
+def recording_highs(monkeypatch):
+    """Patch ``run_highs`` to record each call as ``(layout, mip, basis
+    given, status, basis returned)``."""
+    calls = []
+    real_run = branch_bound.run_highs
+
+    def recording_run(compiled, integrality, basis=None):
+        sol = real_run(compiled, integrality, basis)
+        calls.append((compiled.model.layout, bool(integrality.any()), basis,
+                      sol.status, sol.basis))
+        return sol
+
+    monkeypatch.setattr(branch_bound, "run_highs", recording_run)
+    return calls
+
+
+@pytest.mark.parametrize("mode", LOSS_MODES)
+@pytest.mark.parametrize("wind", [700.0, 3000.0])
+def test_warm_started_run_matches_cold_windows(monkeypatch, wind, mode):
+    """Each window and re-dispatch of a rolling run over the bundled day,
+    its LPs started from the run's last basis of the same layout, has the
+    objective and commitments of the same window solved cold."""
+    system, tree = bundled_window(wind)
+    opts = UcOptions(horizon=2, first_stage=2, largest_loss_mode=mode)
+    solved = []
+    real_solve_uc = frequc.scheduler.solve_uc
+
+    def recording_solve_uc(*args, **kwargs):
+        got = real_solve_uc(*args, **kwargs)
+        solved.append((args, kwargs, got[0]))
+        return got
+
+    with monkeypatch.context() as patch:
+        highs = recording_highs(patch)
+        patch.setattr(frequc.scheduler, "solve_uc", recording_solve_uc)
+        assert solve_rolling_horizon(system, tree, opts).ok
+    assert len(solved) == 24
+    # every layout's LPs after its first start warm
+    assert sum(basis is not None for _, _, basis, *_ in highs) \
+        >= sum(not mip for _, mip, *_ in highs) \
+        - len({layout for layout, *_ in highs}) > 0
+    for args, kwargs, warm in solved:
+        assert kwargs["layouts"] is not None
+        cold, _, _ = solve_uc(*args, **dict(kwargs, layouts=None))
+        assert warm.expected_cost == pytest.approx(cold.expected_cost,
+                                                   rel=1e-9, abs=0)
+        assert np.array_equal(warm.commit, cold.commit)
+
+
+def test_each_lp_starts_from_the_last_basis_of_its_layout(monkeypatch):
+    """Within a rolling run every LP after the first of its layout starts
+    from the basis that the layout's last LP returned; the first LP of a
+    layout, and every MILP, starts cold.  Two runs share no layout, so no
+    basis crosses layouts or runs."""
+    system, tree = bundled_window(3000.0)
+    opts = UcOptions(horizon=2, first_stage=2)
+    calls = recording_highs(monkeypatch)
+    runs = []
+    for _ in range(2):
+        start = len(calls)
+        assert solve_rolling_horizon(system, tree, opts).ok
+        runs.append(calls[start:])
+    first, second = ({layout for layout, *_ in run} for run in runs)
+    assert len(first) > 1 and not first & second
+    for run in runs:
+        last = {}
+        for layout, mip, given, status, basis in run:
+            if mip:
+                assert given is None and basis is None
+                continue
+            assert given is last.get(layout)
+            assert status == "optimal" and basis is not None
+            last[layout] = basis
+        assert len(last) == len({layout for layout, *_ in run})
+
+
+def test_warm_started_relaxations_take_fewer_iterations():
+    """The relaxations of the bundled secured 2 x 7 windows of a rolling
+    run, each started from the last basis of its layout, take fewer
+    simplex iterations in total than the same relaxations started cold."""
+    system, tree = bundled_window(3000.0)
+    opts = UcOptions(horizon=2, first_stage=2)
+    layouts = WindowLayouts(system)
+    state = default_initial_state(system)
+    warm = cold = 0
+    for t0 in range(0, 24, 2):
+        model = build_uc(system, tree, opts, start_period=t0,
+                         initial_state=state, layouts=layouts)
+        assert model.net.shape == (2, 7)
+        compiled = model.compile()
+        relaxed = np.zeros_like(compiled.integrality)
+        basis = layouts.bases.get(model.layout)
+        lp = branch_bound.run_highs(compiled, relaxed, basis)
+        assert lp.status == "optimal"
+        layouts.bases[model.layout] = lp.basis
+        warm += lp.iterations
+        cold += branch_bound.run_highs(compiled, relaxed).iterations
+        commit = np.round(solve(model).values[model.commit])
+        state = _advance_state(state, commit)
+    assert 0 < warm < cold
+
+
+def test_infeasible_window_with_a_warm_basis_is_infeasible(monkeypatch):
+    """A re-dispatch whose pins leave too little capacity, started from the
+    basis of a feasible one of the same layout, is still infeasible."""
+    system, tree = bundled_window(3000.0)
+    opts = UcOptions(frequency_constraints=False, horizon=2, first_stage=2)
+    layouts = WindowLayouts(system)
+    pins = np.ones((2, len(system.generators)))
+    fed, fed_model, fed_raw = solve_uc(system, tree, opts,
+                                       fixed_commitments=pins,
+                                       layouts=layouts)
+    assert fed is not None and fed_raw.basis is not None
+    pins[:, :] = 0.0
+    pins[:, unit_index(system, largest_unit(system.generators).id)] = 1.0
+    calls = recording_highs(monkeypatch)
+    solution, model, raw = solve_uc(system, tree, opts,
+                                    fixed_commitments=pins, layouts=layouts)
+    assert model.layout is fed_model.layout
+    assert [(mip, basis) for _, mip, basis, *_ in calls] == \
+        [(False, fed_raw.basis)]
+    assert solution is None
+    assert raw.status == "infeasible" and raw.values is None
+    assert solve(model).status == "infeasible"
 
 
 def test_unsecured_window_fails_when_security_is_unattainable():
