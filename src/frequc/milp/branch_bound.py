@@ -22,11 +22,13 @@ HiGHS is reached through the binding that scipy (>= 1.17) bundles,
 ``scipy.optimize._highspy._core``.  It is private to scipy, so only
 :func:`run_highs` imports it.  :func:`run_highs` sets HiGHS's options
 ``output_flag`` (off), ``presolve`` (on), ``mip_rel_gap`` (``OPT_GAP``),
-``mip_max_nodes`` (``MAX_NODES``) and ``mip_heuristic_run_feasibility_jump``
-(off).  Feasibility jump is a
-primal heuristic HiGHS runs before the root LP of every MIP; the window
-MIPs close at the root, and without it HiGHS's other heuristics reach the
-same optima on the bundled and benchmark windows, so it only adds time.
+``mip_max_nodes`` (``MAX_NODES``), and turns off the MIP search's root
+restarts (``mip_allow_restart``) and four primal heuristics
+(``mip_heuristic_run_feasibility_jump``, ``..._root_reduced_cost``,
+``..._rins`` and ``..._rens``).  Most MIPs left after the relaxation
+have one to four fractional commitments and close at the root or in a
+few nodes; HiGHS's remaining heuristics and its branching reach the same
+optima on the bundled and benchmark windows, so these only add time.
 """
 
 from __future__ import annotations
@@ -129,11 +131,23 @@ def run_highs(compiled: CompiledModel, integrality: np.ndarray,
     from ``basis`` when one is given.  Raises :class:`SolverError` when
     HiGHS rejects an option, the model or the basis.
 
-    The options are fixed: no log, presolve on, the gap ``OPT_GAP``, the
-    node limit ``MAX_NODES``, and no feasibility-jump heuristic, which
-    costs a quarter to a third of HiGHS's time on the secured windows and
-    changes none of their optima.  The tests compare
-    the answers bit for bit with scipy's ``milp``, which still runs it.
+    The options are fixed: no log, presolve on, the gap ``OPT_GAP`` and
+    the node limit ``MAX_NODES``.  Five parts of HiGHS's MIP search are
+    off; none changes an optimum of the bundled or benchmark windows:
+
+    - feasibility jump, a heuristic run before the root LP, which cost a
+      quarter to a third of HiGHS's time on the secured windows;
+    - restarts, which presolve the MIP again once the root has fixed
+      columns, and solve its root again;
+    - the root reduced-cost heuristic, a sub-MIP over the columns the
+      root's reduced costs leave free;
+    - RINS and RENS, sub-MIPs that fix the columns where the incumbent
+      agrees with the relaxation, or where the relaxation is integral.
+
+    The options change only MIP calls.  An LP's answer is bit for bit
+    scipy's ``milp``'s.  On the bundled windows a MIP finds scipy's
+    objective and commitments too, but scipy's search, which runs all
+    five, takes other nodes and reports another bound.
     """
     from scipy.optimize._highspy import _core
 
@@ -144,7 +158,11 @@ def run_highs(compiled: CompiledModel, integrality: np.ndarray,
     for name, value in (("output_flag", False), ("presolve", "on"),
                         ("mip_rel_gap", float(OPT_GAP)),
                         ("mip_max_nodes", int(MAX_NODES)),
-                        ("mip_heuristic_run_feasibility_jump", False)):
+                        ("mip_heuristic_run_feasibility_jump", False),
+                        ("mip_allow_restart", False),
+                        ("mip_heuristic_run_root_reduced_cost", False),
+                        ("mip_heuristic_run_rins", False),
+                        ("mip_heuristic_run_rens", False)):
         if highs.setOptionValue(name, value) == status.kError:
             raise SolverError(f"HiGHS rejected option {name} = {value!r}")
 

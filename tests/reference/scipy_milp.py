@@ -1,9 +1,11 @@
 """HiGHS through ``scipy.optimize.milp``: how ``frequc.milp`` called the
 solver before it passed the compiled arrays to HiGHS itself.  The two
-routes differ in one setting of HiGHS's search: ``scipy.optimize.milp``
-runs the feasibility-jump heuristic, which ``run_highs`` turns off.  The
-tests still require both routes to return the same status, point,
-objective, bound, gap and node count, bit for bit, on the same arrays.
+routes differ in HiGHS's MIP search: ``scipy.optimize.milp`` restarts at
+the root and runs the feasibility-jump, root reduced-cost, RINS and RENS
+heuristics, which ``run_highs`` turns off.  On an LP, and on a small
+random MILP, the tests require both routes to return the same status,
+point, objective, bound, gap and node count, bit for bit, on the same
+arrays; on a bundled window's MILP, the same optimum.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import itertools
 import re
 from collections import Counter
 from pathlib import Path
@@ -188,7 +189,10 @@ def test_infeasible_milp_reported_by_all_routes():
 
 
 def test_node_limit_returns_limit_status(monkeypatch):
-    # two-sided split rows on 30 binaries: HiGHS cannot close the root node
+    """Two-sided split rows on 30 binaries: HiGHS cannot close the root
+    node, finds its first point after some 50 nodes and stops at the limit
+    with it, far from the bound.  ``solve`` reports the MILP call's answer,
+    binaries rounded."""
     rng = np.random.default_rng(1)
     mdl = MilpModel()
     for j in range(30):
@@ -200,15 +204,17 @@ def test_node_limit_returns_limit_status(monkeypatch):
         mdl.add_row(coeffs, "<=", half, label=f"hi{i}")
         mdl.add_row(coeffs, ">=", half - 3.0, label=f"lo{i}")
     mdl.set_objective({j: float(rng.integers(-60, -1)) for j in range(30)})
-    monkeypatch.setattr(branch_bound, "MAX_NODES", 2)
+    monkeypatch.setattr(branch_bound, "MAX_NODES", 100)
     monkeypatch.setattr(branch_bound, "OPT_GAP", 0.0)
     got = solve(mdl)
     assert got.status == "limit"
     assert got.objective is not None and not got.violations
     # the reported dual bound must underestimate (or match) any incumbent
     assert got.bound <= got.objective + 1e-9
-    assert got.bound >= got.objective - 0.1 * abs(got.objective)
-    assert_same_solution(got, solve_through_scipy(monkeypatch, mdl))
+    compiled = mdl.compile()
+    mip = branch_bound.run_highs(compiled, compiled.integrality)
+    assert_same_solution(got, dataclasses.replace(
+        mip, values=rounded(mip, compiled)))
 
 
 def test_exhaustive_rejects_large_binary_count():
@@ -610,6 +616,28 @@ def bundled(wind):
     return _scale_wind(base, build_scenario_tree(levels, table), wind)
 
 
+def close_points(got, want):
+    """Within 1e-9 of each other, relative to the size of each value."""
+    return bool(np.all(np.abs(got - want)
+                       <= 1e-9 * np.maximum(1.0, np.abs(want))))
+
+
+def assert_same_optimum(got, want, compiled):
+    """Two MILP optima of one model found by different searches: the same
+    status, objective and integer columns, the continuous columns within
+    1e-9, and ``got``'s bound and gap within ``OPT_GAP``.  Nodes and
+    bound may differ."""
+    assert got.status == want.status == "optimal"
+    assert got.objective == want.objective
+    integer = compiled.integrality > 0
+    assert np.array_equal(np.round(got.values[integer]),
+                          np.round(want.values[integer]))
+    assert close_points(got.values[~integer], want.values[~integer])
+    # HiGHS may report a bound one rounding above its objective
+    assert got.bound <= got.objective + 1e-12 * max(1.0, abs(got.objective))
+    assert 0.0 <= got.gap <= branch_bound.OPT_GAP
+
+
 def rounded(sol, compiled):
     """``sol``'s point with its integer columns rounded, as ``solve``
     reports it."""
@@ -624,14 +652,18 @@ def rounded(sol, compiled):
 def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
                                                             wind, mode):
     """Secured windows at 700 and 3000 MW; at 1850 MW unsecured windows
-    whose LP relaxation is fractional, so that HiGHS's MIP heuristics
-    run: ``scipy.optimize.milp`` runs feasibility jump and ``run_highs``
-    does not.  Both calls ``solve`` can make, the relaxation and the
-    MILP, must agree with ``scipy.optimize.milp`` on the same arrays bit
-    for bit, and ``solve``'s answer is the MILP's optimum: within
-    ``OPT_GAP``, and within 1e-9 of its point when the relaxation is the
-    answer, relative to the size of each value.  A window with every
-    binary pinned is an LP: its answer is the relaxation's."""
+    whose LP relaxation is fractional, so that HiGHS's MIP search runs.
+    The relaxation ``solve`` tries first must agree with
+    ``scipy.optimize.milp`` on the same arrays bit for bit.  The MILP
+    does not: ``scipy.optimize.milp`` runs the restarts and the
+    heuristics ``run_highs`` turns off, so the two searches differ in
+    their nodes and bound.  They must still agree in status, objective
+    and integer columns, and within 1e-9 on every continuous column,
+    relative to the size of each value; and ``run_highs``'s own bound
+    and gap must hold its optimum within ``OPT_GAP``.  ``solve``'s answer
+    is the MILP's optimum: within ``OPT_GAP``, and within 1e-9 of its
+    point when the relaxation is the answer.  A window with every binary
+    pinned is an LP: its answer is the relaxation's."""
     system, tree = bundled(wind)
     secured = wind != 1850.0
     windows = ([(4, 0), (4, 12)] + [(12, 0)] * (mode == "fixed") if secured
@@ -659,14 +691,13 @@ def test_direct_highs_matches_scipy_milp_on_bundled_windows(monkeypatch,
             assert np.abs(lp.values[free] - np.round(lp.values[free])).max() \
                 > 1e-3
         mip = branch_bound.run_highs(compiled, compiled.integrality)
-        assert_same_solution(mip, solve_with_scipy(compiled,
-                                                   compiled.integrality))
-        assert mip.status == "optimal" and mip.nodes >= 1
+        assert_same_optimum(mip, solve_with_scipy(compiled,
+                                                  compiled.integrality),
+                            compiled)
         assert abs(got.objective - mip.objective) \
             <= branch_bound.OPT_GAP * abs(mip.objective)
         if calls == [False]:  # the relaxation is the answer
-            assert np.all(np.abs(got.values - mip.values) <= 1e-9 * np.maximum(
-                1.0, np.abs(mip.values)))
+            assert close_points(got.values, mip.values)
             assert_same_solution(got, dataclasses.replace(
                 lp, bound=lp.objective, values=rounded(lp, compiled)))
         else:
@@ -848,7 +879,9 @@ def test_rejected_basis_raises_solver_error():
 
 def test_run_highs_turns_feasibility_jump_off(monkeypatch):
     """Every HiGHS instance ``run_highs`` makes, for an LP or a MIP, is
-    told not to run feasibility jump, and takes the setting."""
+    told not to run feasibility jump, the root reduced-cost, RINS or RENS
+    heuristics, nor to restart the MIP at the root, and takes each
+    setting."""
     from scipy.optimize._highspy import _core
 
     made = []
@@ -874,12 +907,13 @@ def test_run_highs_turns_feasibility_jump_off(monkeypatch):
     got, calls = solve_counting(monkeypatch, fractional_knapsack())
     assert got.status == "optimal" and calls == [False, True]
     assert len(made) == 2
-    for highs in made:
-        assert ("mip_heuristic_run_feasibility_jump", False,
-                _core.HighsStatus.kOk) in highs.options
-        assert highs.highs.getOptionValue(
-            "mip_heuristic_run_feasibility_jump") == (_core.HighsStatus.kOk,
-                                                      False)
+    for highs, name in itertools.product(made, (
+            "mip_heuristic_run_feasibility_jump", "mip_allow_restart",
+            "mip_heuristic_run_root_reduced_cost", "mip_heuristic_run_rins",
+            "mip_heuristic_run_rens")):
+        assert (name, False, _core.HighsStatus.kOk) in highs.options
+        assert highs.highs.getOptionValue(name) == (_core.HighsStatus.kOk,
+                                                    False)
 
 
 @pytest.mark.parametrize("options, name", [
