@@ -1,5 +1,6 @@
 """Mixed-integer linear programming layer: model container, HiGHS solving
-with an independent re-check on the compiled model, and LP text export."""
+with an independent re-check on the laid-out model, whose numbers are
+checked when it is made, and LP text export."""
 
 from .branch_bound import MilpSolution, SolverError, solve
 from .lpio import export_model

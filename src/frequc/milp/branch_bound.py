@@ -1,11 +1,12 @@
 """Exact MILP solving over a :class:`MilpModel` or a :class:`LaidOutModel`.
 
-``solve`` compiles the model once into arrays (its ``compile``),
-hands them to HiGHS in one array call through :func:`run_highs`, rounds the
-binaries of the answer and re-checks every bound and row against the same
-arrays.  A solution that fails the re-check is not reported optimal; an
-exception inside HiGHS is raised as :class:`SolverError`.  Every model
-goes to HiGHS as its LP relaxation first.  A model whose binaries are all
+``solve`` hands the model's arrays, its ``compile`` (a laid-out model,
+checked when it was made, is its own), to HiGHS in one array call
+through :func:`run_highs`, rounds the binaries of the answer and
+re-checks every bound and row against the same arrays.  A solution that
+fails the re-check is not reported optimal; an exception inside HiGHS
+is raised as :class:`SolverError`.  Every model goes to HiGHS as its LP
+relaxation first.  A model whose binaries are all
 fixed by their bounds, such as a re-dispatch, is an LP, and the
 relaxation is its answer.  Otherwise a relaxation that is optimal and
 integral is the answer too: its optimum is a bound on the MILP's, and an
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CompiledModel, LaidOutModel, MilpModel
+from .model import LaidOutModel, MilpModel
 
 
 # How far from an integer a free integer column of an LP relaxation may lie
@@ -83,32 +84,30 @@ def solve(model: MilpModel | LaidOutModel, *, basis=None) -> MilpSolution:
     returned, with no nodes and no gap.  Otherwise the MILP is solved
     cold, and its answer carries the relaxation's basis.
     """
-    compiled = model.compile()
-    sol = _solve_highs(model, compiled, basis)
+    model = model.compile()
+    sol = _solve_highs(model, basis)
     if sol.values is not None:
-        integer = compiled.integrality > 0
+        integer = model.integrality > 0
         # + 0.0 turns a rounded -0.0 into 0.0
         sol.values[integer] = np.round(sol.values[integer]) + 0.0
-        sol.violations = compiled.check_feasible(sol.values,
-                                                 tol=10 * FEAS_TOL)
+        sol.violations = model.check_feasible(sol.values, tol=10 * FEAS_TOL)
         if sol.violations and sol.status == "optimal":
             sol.status = "violated"
     return sol
 
 
-def _solve_highs(model: MilpModel | LaidOutModel, compiled: CompiledModel,
-                 basis) -> MilpSolution:
-    lb, ub = compiled.lb, compiled.ub
+def _solve_highs(model: LaidOutModel, basis) -> MilpSolution:
+    lb, ub = model.lb, model.ub
     # an integer column whose bounds pin it to one integer needs no
     # branching; with none left free the relaxation is the model
-    free = (compiled.integrality > 0) & ((lb != ub) | (lb != np.round(lb)))
+    free = (model.integrality > 0) & ((lb != ub) | (lb != np.round(lb)))
     try:
-        sol = run_highs(compiled, np.zeros_like(compiled.integrality), basis)
+        sol = run_highs(model, np.zeros_like(model.integrality), basis)
         # an optimal relaxation that is integral is the MILP's optimum
         if free.any() and not (sol.status == "optimal" and np.all(
                 np.abs(sol.values[free] - np.round(sol.values[free]))
                 <= INTEGRAL_TOL)):
-            lp, sol = sol, run_highs(compiled, compiled.integrality)
+            lp, sol = sol, run_highs(model, model.integrality)
             sol.iterations += lp.iterations
             sol.basis = lp.basis
     except Exception as exc:  # raised by the solver, not returned as a status
@@ -118,16 +117,18 @@ def _solve_highs(model: MilpModel | LaidOutModel, compiled: CompiledModel,
     return sol
 
 
-def run_highs(compiled: CompiledModel, integrality: np.ndarray,
+def run_highs(model: LaidOutModel, integrality: np.ndarray,
               basis=None) -> MilpSolution:
-    """Solve the compiled arrays with ``integrality`` in one HiGHS call.
+    """Solve the model's arrays with ``integrality`` in one HiGHS call.
 
     Returns HiGHS's status, its simplex ``iterations`` and, where it has
     one, its point and objective.  For a MIP ``bound``, ``gap`` and
     ``nodes`` are HiGHS's; for an LP ``bound`` is None, and an optimal LP
-    also returns its final ``basis``.  Values are
-    returned when HiGHS is optimal, and for a MIP also on a time,
-    iteration or solution limit with a finite objective.  An LP starts
+    also returns its final ``basis``.  Values are returned when HiGHS is
+    optimal, and for a MIP also on a time, iteration or solution limit
+    with a finite objective.  A MIP that stops at such a limit with no
+    point returns its nodes and, where finite, its bound, but no
+    objective or gap.  An LP starts
     from ``basis`` when one is given.  Raises :class:`SolverError` when
     HiGHS rejects an option, the model or the basis.
 
@@ -166,12 +167,12 @@ def run_highs(compiled: CompiledModel, integrality: np.ndarray,
         if highs.setOptionValue(name, value) == status.kError:
             raise SolverError(f"HiGHS rejected option {name} = {value!r}")
 
-    a = compiled.a
+    a = model.a
     n_rows, n_cols = a.shape
     if highs.passModel(
             n_cols, n_rows, a.nnz, _core.MatrixFormat.kRowwise,
-            _core.ObjSense.kMinimize, 0.0, compiled.c, compiled.lb,
-            compiled.ub, compiled.lo, compiled.hi,
+            _core.ObjSense.kMinimize, 0.0, model.c, model.lb, model.ub,
+            model.lo, model.hi,
             a.indptr.astype(np.int32, copy=False),
             a.indices.astype(np.int32, copy=False),
             a.data.astype(np.float64, copy=False),
@@ -193,9 +194,15 @@ def run_highs(compiled: CompiledModel, integrality: np.ndarray,
     # HiGHS reads -1 for a count it has not set
     iterations = max(info.simplex_iteration_count, 0)
     if ran == status.kError or not (
-            got == model_status.kOptimal
-            or (is_mip and got in limits and math.isfinite(objective))):
+            got == model_status.kOptimal or (is_mip and got in limits)):
         return MilpSolution(state, iterations=iterations)
+    if got != model_status.kOptimal and not math.isfinite(objective):
+        # stopped at a limit before it found a point, the MIP has still
+        # searched and bounded
+        bound = info.mip_dual_bound
+        return MilpSolution(state, bound=bound if math.isfinite(bound)
+                            else None, nodes=info.mip_node_count,
+                            iterations=iterations)
     values = np.array(highs.getSolution().col_value)
     if not is_mip:
         return MilpSolution(state, objective, values, None, 0.0, 0,

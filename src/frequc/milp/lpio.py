@@ -7,7 +7,6 @@ Bounds / Binaries / End) so a model can be handed to any external solver.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -46,22 +45,22 @@ def _format_terms(cols, vals, names) -> list[str]:
 
 
 def export_model(model: MilpModel | LaidOutModel) -> str:
-    """Render the model as LP-format text, read from its compiled arrays:
-    each row's terms in column order, each column's bounds in index
-    order."""
-    compiled = model.compile()
+    """Render the model as LP-format text, read from its laid-out arrays
+    (its ``compile``): each row's terms in column order, each column's
+    bounds in index order."""
+    model = model.compile()
     names = model.names
     out: list[str] = [f"\\ Problem: {model.name}"]
     out.append("Minimize")
-    obj = np.flatnonzero(compiled.c)
-    obj_parts = _format_terms(obj.tolist(), compiled.c[obj].tolist(), names)
+    obj = np.flatnonzero(model.c)
+    obj_parts = _format_terms(obj.tolist(), model.c[obj].tolist(), names)
     out.extend(_wrap_terms(["obj:"] + obj_parts, indent="   "))
     out.append("Subject To")
-    a = compiled.a.sorted_indices()
+    a = model.a.sorted_indices()
     indptr, cols, vals = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
-    labels = chain.from_iterable(block.labels for block in model.blocks)
-    for i, (label, lo, hi) in enumerate(zip(labels, compiled.lo.tolist(),
-                                            compiled.hi.tolist())):
+    labels = model.layout.labels(model.start)
+    for i, (label, lo, hi) in enumerate(zip(labels, model.lo.tolist(),
+                                            model.hi.tolist())):
         terms = slice(indptr[i], indptr[i + 1])
         parts = [f"{label or f'r{i}'}:"] + _format_terms(cols[terms],
                                                          vals[terms], names)
@@ -71,9 +70,9 @@ def export_model(model: MilpModel | LaidOutModel) -> str:
             parts.extend([SENSE_GE if hi == math.inf else SENSE_EQ, _num(lo)])
         out.extend(_wrap_terms(parts, indent="   "))
     out.append("Bounds")
-    for name, lo, hi in zip(names, compiled.lb.tolist(), compiled.ub.tolist()):
+    for name, lo, hi in zip(names, model.lb.tolist(), model.ub.tolist()):
         out.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
-    bins = [names[j] for j in np.flatnonzero(compiled.integrality)]
+    bins = [names[j] for j in np.flatnonzero(model.integrality)]
     if bins:
         out.append("Binaries")
         out.extend(_wrap_terms(bins, indent=" "))

@@ -11,12 +11,12 @@ model, checked once, with its CSR row pattern.  Models that differ only
 in their numbers share one, built with name and label templates (a
 period written as :func:`period_tag`).  A :class:`LaidOutModel` is a
 layout's structure with numbers of its own (column bounds,
-coefficients, right-hand sides, objective); it makes its names, labels
-and row blocks only when they are read, and its
-:meth:`~LaidOutModel.compile` checks its numbers and returns the arrays
-that HiGHS, the feasibility re-check of a solve and the LP writer share.
-:meth:`MilpModel.compile` is its own layout with its own numbers,
-compiled.
+coefficients, right-hand sides, objective), checked and made read-only
+when it is made.  It is the arrays that HiGHS, the feasibility re-check
+of a solve and the LP writer read, and its :meth:`~LaidOutModel.compile`
+is the model itself; it makes its names, labels and row blocks only when
+they are read.  :meth:`MilpModel.compile` is its own layout with its own
+numbers.
 
 :func:`template_rows` writes a row template, one cell's rows over slots,
 for every cell of a ``(cells, slots)`` column array as one
@@ -171,9 +171,10 @@ class MilpModel:
     :meth:`add_block` a ready-made block.  ``rows`` reads
     them back as :class:`LinearRow`s.
 
-    Adding checks only what forms a block; the model's structure and
-    numbers are checked once, by its :class:`ModelLayout` and
-    :meth:`compile`.
+    Adding checks only what forms a block; :meth:`compile` checks the
+    model's structure and numbers once, by laying it out: its
+    :class:`ModelLayout` checks the structure and its
+    :class:`LaidOutModel` the numbers.
     """
 
     def __init__(self, name: str = "model"):
@@ -270,7 +271,7 @@ class MilpModel:
     def set_objective(self, coeffs: dict[int, float]) -> None:
         """Make ``coeffs``, column index -> coefficient, the objective;
         its indices are checked by the model's layout and its numbers by
-        :meth:`compile`."""
+        its :class:`LaidOutModel` (see :meth:`compile`)."""
         self.objective = {j: float(c) for j, c in coeffs.items() if c != 0.0}
 
     # -- inspection --------------------------------------------------------
@@ -293,12 +294,12 @@ class MilpModel:
     def binary_indices(self) -> list[int]:
         return np.flatnonzero(self.integrality).tolist()
 
-    def compile(self) -> CompiledModel:
-        """Check the model and return it as arrays: its
-        :class:`ModelLayout` with its own numbers, compiled.  Raises
-        ModelError as :class:`ModelLayout` does."""
+    def compile(self) -> LaidOutModel:
+        """Check the model and return it as the arrays HiGHS reads: its
+        :class:`ModelLayout` with its own numbers.  Raises ModelError as
+        :class:`ModelLayout` and :class:`LaidOutModel` do."""
         layout = ModelLayout(self)
-        return LaidOutModel(layout, self.name, 0, *layout.numbers()).compile()
+        return LaidOutModel(layout, self.name, 0, *layout.numbers())
 
 
 def _check_variables(name_of, lb, ub, integer, duplicate=False) -> None:
@@ -397,53 +398,6 @@ def _block_rows(block: RowBlock):
                    block.rhs.tolist(), block.labels))
 
 
-@dataclass(frozen=True)
-class CompiledModel:
-    """A checked model as arrays: the objective ``c``, the column bounds
-    ``lb``/``ub``, the ``integrality`` vector (1 for a binary), the CSR
-    row matrix ``a`` and the row bounds ``lo <= a @ x <= hi``.  HiGHS
-    and the feasibility re-check both read these."""
-
-    model: LaidOutModel
-    c: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    integrality: np.ndarray
-    a: object  # scipy.sparse.csr_array, imported lazily
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def check_feasible(self, x: np.ndarray, tol: float = 1e-6) -> list[str]:
-        """Violation messages for point x: per variable, bound then
-        integrality, in index order; then rows in order.  Bounds and
-        integrality are held to ``tol``, a row to ``tol * max(1, |rhs|)``.
-        A NaN value or row activity is a violation: every test below asks
-        for the value to be inside, which NaN never is."""
-        x = np.asarray(x, dtype=float)
-        outside = ~((x >= self.lb - tol) & (x <= self.ub + tol))
-        fractional = (self.integrality > 0) & ~(np.abs(x - np.round(x)) <= tol)
-        act = self.a @ x
-        rhs = np.where(self.hi == np.inf, self.lo, self.hi)
-        slack = tol * np.maximum(1.0, np.abs(rhs))
-        above = (self.lo == -np.inf) & ~(act <= self.hi + slack)
-        below = (self.hi == np.inf) & ~(act >= self.lo - slack)
-        off = (self.lo == self.hi) & ~(np.abs(act - rhs) <= slack)
-
-        bad: list[str] = []
-        for j in np.flatnonzero(outside | fractional):
-            name, value = self.model.names[j], float(x[j])
-            if outside[j]:
-                bad.append(f"bound {name}: {value!r} outside "
-                           f"[{float(self.lb[j])}, {float(self.ub[j])}]")
-            if fractional[j]:
-                bad.append(f"integrality {name}: {value!r}")
-        for i in np.flatnonzero(above | below | off):
-            op = ">" if above[i] else "<" if below[i] else "!="
-            bad.append(f"row {self.model.row_label(i)}: {float(act[i])!r} "
-                       f"{op} {float(rhs[i])!r}")
-        return bad
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array = np.asarray(array)
     array.setflags(write=False)
@@ -479,9 +433,9 @@ class ModelLayout:
     structure it checks, once: a :class:`MilpModel` only collects.  The
     layout keeps the structure: the name and label templates, the
     integrality, each block's columns, senses and shape, and ``pattern``,
-    the compiled CSR matrix, whose ``indptr`` and ``indices`` every
-    model's compiled matrix shares: ``keep`` indexes the coefficients
-    that are not zero.  ``model``'s numbers are the base that
+    the CSR matrix whose ``indptr`` and ``indices`` every laid-out
+    model's matrix shares: ``keep`` indexes the coefficients that are not
+    zero.  ``model``'s numbers are the base that
     :meth:`numbers` copies for each model to write its own into; a number
     whose zero pattern may change belongs in the layout's key, not only
     in its numbers.
@@ -570,6 +524,14 @@ class LaidOutModel:
     coefficients ``vals`` flattened block by block, right-hand sides
     ``rhs`` and objective ``c`` (see :meth:`ModelLayout.numbers`).
 
+    It is what HiGHS, the feasibility re-check of a solve and the LP
+    writer read: these numbers, checked when it is made and then
+    read-only, ``a``, the layout's CSR pattern with these coefficients,
+    and the row bounds ``lo <= a @ x <= hi``.  Raises ModelError, naming
+    the first offending variable, else row, else objective term, on a
+    non-finite or empty bound, a non-binary integer variable, or a
+    non-finite right-hand side or coefficient.
+
     Names, labels, row blocks and the objective map are made when read.
     It has no methods that add columns or rows: its structure is the
     layout's.
@@ -578,9 +540,27 @@ class LaidOutModel:
     def __init__(self, layout: ModelLayout, name: str, start: int, lb, ub,
                  vals, rhs, c):
         self.name, self.layout, self.start = name, layout, start
-        self.lb, self.ub, self.vals, self.rhs, self.c = lb, ub, vals, rhs, c
         self.integrality = layout.integrality
         self._names = self._blocks = None
+        _check_variables(lambda j: self.names[j], lb, ub,
+                         layout.integrality > 0)
+        data = vals.take(layout.keep)
+        pattern = layout.pattern
+        _check_rows(layout.sense, rhs, pattern.indices, data,
+                    lambda e: int(np.searchsorted(pattern.indptr, e,
+                                                  side="right")) - 1,
+                    self.n_vars, self.row_label, structure=False)
+        if not np.isfinite(c).all():
+            j = int(np.argmin(np.isfinite(c)))
+            raise ModelError(f"objective: non-finite coefficient on index {j}")
+        self.lb, self.ub, self.vals, self.rhs, self.c = map(
+            _frozen, (lb, ub, vals, rhs, c))
+        # the layout's matrix with this model's coefficients: its checked
+        # structure is shared, not checked again
+        self.a = copy.copy(pattern)
+        self.a.data = data
+        self.lo = np.where(layout.lower, rhs, -np.inf)
+        self.hi = np.where(layout.upper, rhs, np.inf)
 
     @property
     def n_vars(self) -> int:
@@ -628,30 +608,37 @@ class LaidOutModel:
         template = self.layout.label_templates[range(self.n_rows)[i]]
         return _made(_template_parts([template]), self.start)[0]
 
-    def compile(self) -> CompiledModel:
-        """The model as arrays, on the layout's CSR pattern.  Raises
-        ModelError, naming the first offending variable, else row, on a
-        non-finite or empty bound, a non-binary integer variable, or a
-        non-finite right-hand side or coefficient."""
-        layout = self.layout
-        lb, ub = self.lb.copy(), self.ub.copy()
-        _check_variables(lambda j: self.names[j], lb, ub,
-                         layout.integrality > 0)
-        data = self.vals.take(layout.keep)
-        pattern, rhs = layout.pattern, self.rhs
-        _check_rows(layout.sense, rhs, pattern.indices, data,
-                    lambda e: int(np.searchsorted(pattern.indptr, e,
-                                                  side="right")) - 1,
-                    self.n_vars, self.row_label, structure=False)
-        if not np.isfinite(self.c).all():
-            j = int(np.argmin(np.isfinite(self.c)))
-            raise ModelError(f"objective: non-finite coefficient on index {j}")
-        # the layout's matrix with this model's coefficients: its checked
-        # structure is shared, not checked again
-        a = copy.copy(pattern)
-        a.data = data
-        return CompiledModel(
-            model=self, c=self.c.copy(), lb=lb, ub=ub,
-            integrality=layout.integrality, a=a,
-            lo=np.where(layout.lower, rhs, -np.inf),
-            hi=np.where(layout.upper, rhs, np.inf))
+
+    def compile(self) -> LaidOutModel:
+        """The model itself: it was checked when it was made."""
+        return self
+
+    def check_feasible(self, x: np.ndarray, tol: float = 1e-6) -> list[str]:
+        """Violation messages for point x: per variable, bound then
+        integrality, in index order; then rows in order.  Bounds and
+        integrality are held to ``tol``, a row to ``tol * max(1, |rhs|)``.
+        A NaN value or row activity is a violation: every test below asks
+        for the value to be inside, which NaN never is."""
+        x = np.asarray(x, dtype=float)
+        outside = ~((x >= self.lb - tol) & (x <= self.ub + tol))
+        fractional = (self.integrality > 0) & ~(np.abs(x - np.round(x)) <= tol)
+        act = self.a @ x
+        rhs = np.where(self.hi == np.inf, self.lo, self.hi)
+        slack = tol * np.maximum(1.0, np.abs(rhs))
+        above = (self.lo == -np.inf) & ~(act <= self.hi + slack)
+        below = (self.hi == np.inf) & ~(act >= self.lo - slack)
+        off = (self.lo == self.hi) & ~(np.abs(act - rhs) <= slack)
+
+        bad: list[str] = []
+        for j in np.flatnonzero(outside | fractional):
+            name, value = self.names[j], float(x[j])
+            if outside[j]:
+                bad.append(f"bound {name}: {value!r} outside "
+                           f"[{float(self.lb[j])}, {float(self.ub[j])}]")
+            if fractional[j]:
+                bad.append(f"integrality {name}: {value!r}")
+        for i in np.flatnonzero(above | below | off):
+            op = ">" if above[i] else "<" if below[i] else "!="
+            bad.append(f"row {self.row_label(i)}: {float(act[i])!r} "
+                       f"{op} {float(rhs[i])!r}")
+        return bad

@@ -549,7 +549,8 @@ class _WindowLayout:
             else None)
 
     def write(self, window: _Window) -> UcModel:
-        """``window``'s model: the layout with its numbers written."""
+        """``window``'s model: the layout with its numbers written, and
+        checked as its :class:`frequc.milp.model.LaidOutModel` is made."""
         lb, ub, vals, rhs, c = self.model.numbers()
         lb[self.commit_bounds], ub[self.commit_bounds] = window.lo, window.hi
         avail = window.demand[:, None] - window.net
@@ -591,8 +592,8 @@ def build_uc(system, tree, options: UcOptions, *, start_period: int = 0,
     still free after the pins, which cover rows exist, and the kinds and
     zero pattern of each period's frequency rows (which QSS rows, nadir
     chords and hyperbolic cuts exist).  It holds the column and row index
-    arrays, senses, integrality, name and label templates and the compiled
-    CSR pattern, its frequency rows written from the window that laid it
+    arrays, senses, integrality, name and label templates and the CSR
+    pattern, its frequency rows written from the window that laid it
     out.  The numbers are the column bounds, right-hand sides, objective
     and the frequency rows' numbers, which every window makes from each
     period's :func:`frequc.freqsec.period_template` and writes as one

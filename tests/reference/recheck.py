@@ -1,7 +1,7 @@
 """The feasibility re-check as a loop over variables and rows.
 
-``CompiledModel.check_feasible`` computes the same messages from the
-compiled arrays; the tests require the two lists to be equal.  Every test
+``LaidOutModel.check_feasible`` computes the same messages from the
+laid-out model's arrays; the tests require the two lists to be equal.  Every test
 asks for the value to be inside its bound, so a NaN value or activity is
 reported.
 """

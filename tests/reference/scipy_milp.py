@@ -1,5 +1,5 @@
 """HiGHS through ``scipy.optimize.milp``: how ``frequc.milp`` called the
-solver before it passed the compiled arrays to HiGHS itself.  The two
+solver before it passed a laid-out model's arrays to HiGHS itself.  The two
 routes differ in HiGHS's MIP search: ``scipy.optimize.milp`` restarts at
 the root and runs the feasibility-jump, root reduced-cost, RINS and RENS
 heuristics, which ``run_highs`` turns off.  On an LP, and on a small
@@ -14,10 +14,10 @@ import numpy as np
 from scipy import optimize
 
 from frequc.milp import MilpSolution, branch_bound
-from frequc.milp.model import CompiledModel
+from frequc.milp.model import LaidOutModel
 
 
-def solve_with_scipy(compiled: CompiledModel, integrality: np.ndarray,
+def solve_with_scipy(compiled: LaidOutModel, integrality: np.ndarray,
                      basis=None) -> MilpSolution:
     """What ``frequc.milp.branch_bound.run_highs`` returns, read from
     ``scipy.optimize.milp`` with the same gap and node limit: no bound for

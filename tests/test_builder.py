@@ -14,6 +14,7 @@ import frequc.freqsec
 import frequc.scheduler
 from frequc.cli import _scale_wind
 from frequc.milp import ModelError, solve
+from frequc.milp.model import LaidOutModel
 from frequc.scheduler import (
     LOSS_MODES,
     UcOptions,
@@ -86,34 +87,43 @@ def test_bundled_windows_match_the_loop_builder(wind, mode, secured, horizon):
 
 @pytest.mark.parametrize("edit", ["bound", "rhs", "objective"])
 def test_window_numbers_fail_with_the_loop_builders_messages(edit):
-    """A NaN written into a window's own numbers, a commitment bound, a
-    frequency row's right-hand side or an objective coefficient, fails
-    its compile with the message the loop builder's model gives for the
-    same edit: names and labels read at the window's own periods."""
+    """A NaN in a window's own numbers, a commitment bound, a frequency
+    row's right-hand side or an objective coefficient, fails as the
+    window's laid-out model is made, with the message the loop builder's
+    model gives for the same edit: names and labels read at the window's
+    own periods.  A built window's numbers are read-only, so none can be
+    written after they were checked."""
     system, tree = bundled()
     options = UcOptions(horizon=4, first_stage=4)
     model = build_uc(system, tree, options, start_period=5)
     reference = build_uc_loop(system, tree, options, start_period=5)
     fleet = [g.id for g in system.generators]
+    numbers = {name: getattr(model, name).copy()
+               for name in ("lb", "ub", "vals", "rhs", "c")}
     if edit == "bound":
-        j = model.commit[0, fleet.index("ccgt1")]
-        model.lb[j] = reference.lb[j] = np.nan
+        edited, j = "lb", model.commit[0, fleet.index("ccgt1")]
+        reference.lb[j] = np.nan
         message = "variable x[ccgt1][5]: non-finite bounds"
     elif edit == "rhs":
         label = "rocof[5][0]"
-        model.rhs[[row.label for row in reference.rows].index(label)] = np.nan
+        edited, j = "rhs", [row.label for row in reference.rows].index(label)
         block = next(b for b in reference.blocks if label in b.labels)
         block.rhs[block.labels.index(label)] = np.nan
         message = f"row {label!r}: right-hand side must be finite"
     else:
-        j = model.output[0, fleet.index("ccgt1"), 0]
+        edited, j = "c", model.output[0, fleet.index("ccgt1"), 0]
         assert reference.names[j] == "p[ccgt1][5][0]" and model.c[j] != 0.0
-        model.c[j] = reference.objective[j] = np.nan
+        reference.objective[j] = np.nan
         message = f"objective: non-finite coefficient on index {j}"
-    for mdl in (model, reference):
-        with pytest.raises(ModelError) as raised:
-            mdl.compile()
-        assert str(raised.value) == message
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(model, edited)[j] = np.nan
+    numbers[edited][j] = np.nan
+    with pytest.raises(ModelError) as raised:
+        LaidOutModel(model.layout, model.name, model.start, **numbers)
+    assert str(raised.value) == message
+    with pytest.raises(ModelError) as raised:
+        reference.compile()
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("horizon", [4, 12])

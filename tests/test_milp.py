@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import itertools
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -469,7 +470,7 @@ def test_add_rows_matches_add_row_and_drops_zeros():
     assert list(block.rows[0].coeffs.items()) == [(0, 1.0), (1, -2.0)]
     assert len(block.rows) == 3 and block.rows[-1].label == "c[2]"
     compiled = block.compile()
-    assert [compiled.model.row_label(i) for i in range(3)] == \
+    assert [compiled.row_label(i) for i in range(3)] == \
         ["a[0]", "b[1]", "c[2]"]
     a, b = single.compile().a, compiled.a
     for field in ("indptr", "indices", "data"):
@@ -722,15 +723,17 @@ def test_direct_highs_matches_scipy_milp_on_random_models(monkeypatch):
 
 
 def test_unbounded_model_statuses_match_scipy_milp():
-    """An infinite bound, which ``compile`` rejects, handed to HiGHS
-    directly: the unbounded LP is "unbounded"; as a MILP HiGHS cannot tell
-    it from infeasible, a "limit".  Neither has a point."""
+    """An infinite bound, which a laid-out model rejects when it is made,
+    handed to HiGHS directly: the unbounded LP is "unbounded"; as a MILP
+    HiGHS cannot tell it from infeasible, a "limit".  Neither has a
+    point."""
     mdl = MilpModel()
     mdl.add_continuous("x", 0.0, 1.0)
     mdl.add_binary("b")
     mdl.add_row({0: 1.0, 1: 1.0}, ">=", 0.5, "r")
     mdl.set_objective({0: -1.0})
-    compiled = dataclasses.replace(mdl.compile(), ub=np.array([np.inf, 1.0]))
+    compiled = copy.copy(mdl.compile())
+    compiled.ub = np.array([np.inf, 1.0])  # assigned after the check
     for integrality, status in [(np.zeros(2, np.uint8), "unbounded"),
                                 (compiled.integrality, "limit")]:
         got = branch_bound.run_highs(compiled, integrality)
@@ -753,13 +756,17 @@ def market_split(rows):
 
 
 def test_node_limit_without_an_incumbent_returns_no_point(monkeypatch):
-    monkeypatch.setattr(branch_bound, "MAX_NODES", 1)
+    """Stopped at the node limit before it found a point, HiGHS has no
+    point, objective or gap, but it has searched the limit's nodes and
+    bounded the optimum: both are returned."""
     monkeypatch.setattr(branch_bound, "OPT_GAP", 0.0)
-    got = solve(market_split(4))
-    assert got.status == "limit" and got.values is None
-    assert got.objective is None and got.bound is None
-    assert_same_solution(
-        got, solve_through_scipy(monkeypatch, market_split(4)))
+    for limit in (1, 10):
+        monkeypatch.setattr(branch_bound, "MAX_NODES", limit)
+        got = solve(market_split(4))
+        assert got.status == "limit" and got.values is None
+        assert got.objective is None and got.gap is None
+        assert got.nodes == limit and math.isfinite(got.bound)
+        assert got.violations == []
 
 
 # -- the relaxation tried first ----------------------------------------------
@@ -996,15 +1003,24 @@ def test_one_class_builds_a_csr_matrix():
 def test_each_model_check_is_made_in_one_place():
     """Every variable and row check message is raised once in ``src/``, by
     ``_check_variables`` or ``_check_rows``: a ``MilpModel`` only collects,
-    and its layout and compile check.  ``add_rows`` also names an unknown
-    sense string, since no block's sense codes can be formed without it."""
+    and its layout and laid-out model check.  ``add_rows`` also names an
+    unknown sense string, since no block's sense codes can be formed
+    without it.  The two checks are called only where a layout or a
+    laid-out model is made, and no ``CompiledModel`` is defined."""
     raised = {}  # message, placeholders as {} -> functions that raise it
+    called = {}  # check -> functions that call it
+    defined = set()  # names of the classes, functions and assignments
     for path in package_sources():
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> innermost enclosing function (walk is outer first)
+        method = {}  # function -> "Class.function" for a class's own
         for func in ast.walk(tree):
+            if isinstance(func, ast.ClassDef):
+                method.update((f, f"{func.name}.{f.name}") for f in func.body
+                              if isinstance(f, ast.FunctionDef))
             if isinstance(func, ast.FunctionDef):
-                owner.update(dict.fromkeys(ast.walk(func), func.name))
+                owner.update(dict.fromkeys(ast.walk(func),
+                                           method.get(func, func.name)))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                     and ast.unparse(node.exc.func) == "ModelError"):
@@ -1012,6 +1028,14 @@ def test_each_model_check_is_made_in_one_place():
                 message = "".join(part.value if isinstance(part, ast.Constant)
                                   else "{}" for part in parts)
                 raised.setdefault(message, []).append(owner.get(node))
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func)
+                  in ("_check_variables", "_check_rows")):
+                called.setdefault(ast.unparse(node.func), []).append(
+                    owner.get(node))
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
     checks = {message: sorted(owners) for message, owners in raised.items()
               if message.startswith(("variable ", "duplicate ", "row "))}
     assert checks == {
@@ -1019,11 +1043,15 @@ def test_each_model_check_is_made_in_one_place():
         "variable {}: empty bound interval": ["_check_variables"],
         "variable {}: integer variables must be binary": ["_check_variables"],
         "duplicate variable name: {}": ["_check_variables"],
-        "row {}: unknown sense {}": ["_check_rows", "add_rows"],
+        "row {}: unknown sense {}": ["MilpModel.add_rows", "_check_rows"],
         "row {}: right-hand side must be finite": ["_check_rows"],
         "row {}: unknown variable index {}": ["_check_rows"],
         "row {}: non-finite coefficient on index {}": ["_check_rows"],
     }
+    made = ["LaidOutModel.__init__", "ModelLayout.__init__"]
+    assert {check: sorted(owners) for check, owners in called.items()} == \
+        {"_check_variables": made, "_check_rows": made}
+    assert "CompiledModel" not in defined
 
 
 def test_scipy_milp_is_not_used_by_the_package():

@@ -760,7 +760,7 @@ def recording_highs(monkeypatch):
 
     def recording_run(compiled, integrality, basis=None):
         sol = real_run(compiled, integrality, basis)
-        calls.append((compiled.model.layout, bool(integrality.any()), basis,
+        calls.append((compiled.layout, bool(integrality.any()), basis,
                       sol.status, sol.basis))
         return sol
 
